@@ -9,9 +9,9 @@
 //! introduces a bounded representation error which the paper reports (and
 //! we verify) to be negligible.
 
-use membit_tensor::{Tensor, TensorError};
+use membit_tensor::TensorError;
 
-use crate::schemes::{level_index, Thermometer};
+use crate::schemes::{level_index, unary_pulse};
 use crate::train::PulseTrain;
 use crate::{BitEncoder, Result};
 
@@ -137,16 +137,14 @@ impl BitEncoder for PlaThermometer {
         true
     }
 
-    fn encode_value(&self, value: f32) -> Result<Vec<f32>> {
-        if !value.is_finite() {
-            return Err(TensorError::InvalidArgument(format!(
-                "cannot encode non-finite value {value}"
-            )));
-        }
-        let high = self.high_count(value);
-        Ok((0..self.pulses)
-            .map(|i| if i < high { 1.0 } else { -1.0 })
-            .collect())
+    /// The PLA high count: the snapped level plus, at a tie, the sign of
+    /// `value`.
+    fn class(&self, value: f32) -> usize {
+        self.high_count(value)
+    }
+
+    fn pulse(&self, class: usize, i: usize) -> f32 {
+        unary_pulse(class, i)
     }
 }
 
@@ -165,25 +163,15 @@ pub fn approximate_train(train: &PulseTrain, q: usize) -> Result<PulseTrain> {
             "PLA applies to unit-weight (thermometer) trains only".into(),
         ));
     }
-    let p = train.num_pulses();
-    let base = Thermometer::new(p)?;
-    let target = PlaThermometer::new(p + 1, q)?;
-    // decode each element's high count, re-encode at q pulses
-    let decoded = train.decode()?;
-    let mut pulses = vec![Tensor::zeros(decoded.shape()); q];
-    for (flat, &v) in decoded.as_slice().iter().enumerate() {
-        debug_assert!(base.high_count(v) <= p);
-        let code = target.encode_value(v)?;
-        for (i, &bit) in code.iter().enumerate() {
-            pulses[i].as_mut_slice()[flat] = bit;
-        }
-    }
-    PulseTrain::nested_unary(pulses)
+    // decode each element's level, re-encode at q pulses
+    PlaThermometer::new(train.num_pulses() + 1, q)?.encode_tensor(&train.decode()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Thermometer;
+    use membit_tensor::Tensor;
 
     #[test]
     fn integer_multiples_are_exact() {

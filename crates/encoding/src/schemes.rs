@@ -2,7 +2,7 @@
 
 use membit_tensor::{Tensor, TensorError};
 
-use crate::train::PulseTrain;
+use crate::train::{PulseTrain, BLOCK};
 use crate::Result;
 
 /// A scheme for converting a quantized activation in `[-1, 1]` into a
@@ -12,6 +12,11 @@ use crate::Result;
 /// weight (1 for unary schemes, `2^i` for bit slicing), and therefore the
 /// closed-form accumulated noise variance when each pulse's analog MVM
 /// picks up independent `N(0, σ²)` noise.
+///
+/// A code is a lookup: [`class`](Self::class) snaps a value once to a
+/// small key, and [`pulse`](Self::pulse) reads each entry of the code off
+/// that key. [`encode_value`](Self::encode_value) and
+/// [`encode_tensor`](Self::encode_tensor) are both built on the pair.
 pub trait BitEncoder {
     /// Number of pulses per encoded value.
     fn num_pulses(&self) -> usize;
@@ -27,13 +32,27 @@ pub trait BitEncoder {
         (0..self.num_pulses()).map(|i| self.pulse_weight(i)).sum()
     }
 
+    /// Snaps a finite `value` to its code class: the key its whole pulse
+    /// code depends on. For thermometer-family codes that is the number
+    /// of leading `+1` pulses; for the others, the snapped level.
+    fn class(&self, value: f32) -> usize;
+
+    /// Entry `i` of the pulse code of `class`.
+    fn pulse(&self, class: usize, i: usize) -> f32;
+
     /// Encodes one value in `[-1, 1]` into its pulse sequence (each entry
     /// ±1). Values are snapped to the nearest representable level.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] for non-finite input.
-    fn encode_value(&self, value: f32) -> Result<Vec<f32>>;
+    fn encode_value(&self, value: f32) -> Result<Vec<f32>> {
+        check_finite(value)?;
+        let class = self.class(value);
+        Ok((0..self.num_pulses())
+            .map(|i| self.pulse(class, i))
+            .collect())
+    }
 
     /// Decodes a pulse sequence back to its value:
     /// `Σ w_i·x_i / Σ w_i`.
@@ -82,25 +101,42 @@ pub trait BitEncoder {
     /// from encoders with [`emits_nested_unary`](Self::emits_nested_unary)
     /// are built through [`PulseTrain::nested_unary`] and carry its tag.
     ///
+    /// The pulses are bitwise those of [`encode_value`](Self::encode_value)
+    /// per element. Values are classed a block at a time, and the block's
+    /// classes are then appended to every pulse in turn: the classes stay
+    /// in L1, and each pulse is written front to back exactly once.
+    ///
     /// # Errors
     ///
-    /// Propagates per-value encoding errors.
+    /// Returns the [`encode_value`](Self::encode_value) error of the first
+    /// non-finite element.
     fn encode_tensor(&self, values: &Tensor) -> Result<PulseTrain>
     where
         Self: Sized,
     {
-        let p = self.num_pulses();
-        let mut pulses = vec![Tensor::zeros(values.shape()); p];
-        for (flat, &v) in values.as_slice().iter().enumerate() {
-            let code = self.encode_value(v)?;
-            for (i, &bit) in code.iter().enumerate() {
-                pulses[i].as_mut_slice()[flat] = bit;
+        let flat = values.as_slice();
+        let mut pulses: Vec<Vec<f32>> = (0..self.num_pulses())
+            .map(|_| Vec::with_capacity(flat.len()))
+            .collect();
+        let mut classes = Vec::with_capacity(BLOCK.min(flat.len()));
+        for block in flat.chunks(BLOCK) {
+            block.iter().try_for_each(|&v| check_finite(v))?;
+            classes.clear();
+            classes.extend(block.iter().map(|&v| self.class(v)));
+            for (i, pulse) in pulses.iter_mut().enumerate() {
+                pulse.extend(classes.iter().map(|&c| self.pulse(c, i)));
             }
         }
+        let pulses = pulses
+            .into_iter()
+            .map(|data| Tensor::from_vec(data, values.shape()))
+            .collect::<Result<Vec<_>>>()?;
         if self.emits_nested_unary() {
             return PulseTrain::nested_unary(pulses);
         }
-        let weights = (0..p).map(|i| self.pulse_weight(i)).collect();
+        let weights = (0..self.num_pulses())
+            .map(|i| self.pulse_weight(i))
+            .collect();
         PulseTrain::new(pulses, weights)
     }
 }
@@ -120,6 +156,15 @@ fn check_finite(value: f32) -> Result<()> {
 pub(crate) fn level_index(v: f32, levels: usize) -> usize {
     let l = (levels - 1) as f32;
     (((v.clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() as usize).min(levels - 1)
+}
+
+/// Entry `i` of a unit-weight code whose first `high` pulses are `+1`.
+pub(crate) fn unary_pulse(high: usize, i: usize) -> f32 {
+    if i < high {
+        1.0
+    } else {
+        -1.0
+    }
 }
 
 /// Thermometer (unary) coding: `p` equally-weighted ±1 pulses representing
@@ -168,12 +213,12 @@ impl BitEncoder for Thermometer {
         true
     }
 
-    fn encode_value(&self, value: f32) -> Result<Vec<f32>> {
-        check_finite(value)?;
-        let high = self.high_count(value);
-        Ok((0..self.pulses)
-            .map(|i| if i < high { 1.0 } else { -1.0 })
-            .collect())
+    fn class(&self, value: f32) -> usize {
+        self.high_count(value)
+    }
+
+    fn pulse(&self, class: usize, i: usize) -> f32 {
+        unary_pulse(class, i)
     }
 }
 
@@ -214,12 +259,16 @@ impl BitEncoder for BitSlicing {
         (1u32 << i) as f32
     }
 
-    fn encode_value(&self, value: f32) -> Result<Vec<f32>> {
-        check_finite(value)?;
-        let level = level_index(value, self.num_levels());
-        Ok((0..self.bits)
-            .map(|i| if level & (1 << i) != 0 { 1.0 } else { -1.0 })
-            .collect())
+    fn class(&self, value: f32) -> usize {
+        level_index(value, self.num_levels())
+    }
+
+    fn pulse(&self, class: usize, i: usize) -> f32 {
+        if class & (1 << i) != 0 {
+            1.0
+        } else {
+            -1.0
+        }
     }
 }
 
@@ -260,11 +309,12 @@ impl BitEncoder for Amplitude {
         1.0
     }
 
-    fn encode_value(&self, value: f32) -> Result<Vec<f32>> {
-        check_finite(value)?;
-        let l = (self.levels - 1) as f32;
-        let idx = level_index(value, self.levels) as f32;
-        Ok(vec![idx / l * 2.0 - 1.0])
+    fn class(&self, value: f32) -> usize {
+        level_index(value, self.levels)
+    }
+
+    fn pulse(&self, class: usize, _i: usize) -> f32 {
+        class as f32 / (self.levels - 1) as f32 * 2.0 - 1.0
     }
 }
 

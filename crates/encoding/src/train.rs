@@ -77,24 +77,13 @@ impl PulseTrain {
     /// # Errors
     ///
     /// Returns the [`new`](Self::new) errors, plus
-    /// [`TensorError::InvalidArgument`] when the pulses are not nested
-    /// unary.
+    /// [`TensorError::InvalidArgument`] naming the first offending pulse
+    /// and element when the pulses are not nested unary.
     pub fn nested_unary(pulses: Vec<Tensor>) -> Result<Self> {
         let weights = vec![1.0; pulses.len()];
         let mut train = Self::new(pulses, weights)?;
-        for (pi, pulse) in train.pulses.iter().enumerate() {
-            for (flat, &v) in pulse.as_slice().iter().enumerate() {
-                if v != 1.0 && v != -1.0 {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "nested unary train has non-binary entry {v} (pulse {pi})"
-                    )));
-                }
-                if pi > 0 && v > train.pulses[pi - 1].as_slice()[flat] {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "nested unary train rises at pulse {pi}, element {flat}"
-                    )));
-                }
-            }
+        if !is_nested_unary(&train.pulses) {
+            return Err(nesting_violation(&train.pulses));
         }
         train.kind = TrainKind::NestedUnary;
         Ok(train)
@@ -155,12 +144,63 @@ impl PulseTrain {
     }
 }
 
+/// Elements per block in the block-wise encode and validation passes: a
+/// block of classes (8 KiB) and one block of each of two pulses (4 KiB
+/// each) fit in L1 together.
+pub(crate) const BLOCK: usize = 1024;
+
+/// Pass/fail of the nesting invariant over non-empty, same-shaped
+/// pulses, as branch-free and-folds that vectorize: every entry is ±1,
+/// and no entry exceeds the same element of the previous pulse. The folds
+/// walk the elements a block at a time through all pulses, so each block
+/// of the previous pulse is still in cache when the next pulse reads it.
+fn is_nested_unary(pulses: &[Tensor]) -> bool {
+    let len = pulses[0].len();
+    (0..len).step_by(BLOCK).all(|start| {
+        let span = start..(start + BLOCK).min(len);
+        let first = &pulses[0].as_slice()[span.clone()];
+        first.iter().fold(true, |ok, &v| ok & (v.abs() == 1.0))
+            && pulses.windows(2).all(|pair| {
+                let prev = &pair[0].as_slice()[span.clone()];
+                let cur = &pair[1].as_slice()[span.clone()];
+                prev.iter()
+                    .zip(cur)
+                    .fold(true, |ok, (&p, &v)| ok & (v.abs() == 1.0) & (v <= p))
+            })
+    })
+}
+
+/// The first nesting violation in pulse-then-element order, naming the
+/// offending pulse and element. Run only once [`is_nested_unary`] has
+/// failed, so its element loop costs nothing on valid trains.
+fn nesting_violation(pulses: &[Tensor]) -> TensorError {
+    for (pi, pulse) in pulses.iter().enumerate() {
+        for (flat, &v) in pulse.as_slice().iter().enumerate() {
+            if v != 1.0 && v != -1.0 {
+                return TensorError::InvalidArgument(format!(
+                    "nested unary train has non-binary entry {v} (pulse {pi}, element {flat})"
+                ));
+            }
+            if pi > 0 && v > pulses[pi - 1].as_slice()[flat] {
+                return TensorError::InvalidArgument(format!(
+                    "nested unary train rises at pulse {pi}, element {flat}"
+                ));
+            }
+        }
+    }
+    TensorError::InvalidArgument("nested unary train failed validation".into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(v: &[f32]) -> Tensor {
         Tensor::from_vec(v.to_vec(), &[v.len()]).unwrap()
+    }
+
+    fn nesting_error(pulses: Vec<Tensor>) -> String {
+        PulseTrain::nested_unary(pulses).unwrap_err().to_string()
     }
 
     #[test]
@@ -198,12 +238,48 @@ mod tests {
         // the plain constructor never claims structure
         let generic = PulseTrain::new(vec![t(&[1.0]), t(&[-1.0])], vec![1.0, 1.0]).unwrap();
         assert_eq!(generic.kind(), TrainKind::Generic);
-        // rising sequence rejected
-        assert!(PulseTrain::nested_unary(vec![t(&[-1.0]), t(&[1.0])]).is_err());
-        // non-binary entry rejected
-        assert!(PulseTrain::nested_unary(vec![t(&[0.5])]).is_err());
+        // rising sequence rejected, naming the pulse and element
+        assert_eq!(
+            nesting_error(vec![t(&[1.0, -1.0]), t(&[1.0, 1.0])]),
+            "invalid argument: nested unary train rises at pulse 1, element 1"
+        );
+        // non-binary entries rejected, naming the pulse and element
+        assert_eq!(
+            nesting_error(vec![t(&[1.0, 1.0]), t(&[1.0, 0.5])]),
+            "invalid argument: nested unary train has non-binary entry 0.5 (pulse 1, element 1)"
+        );
+        assert_eq!(
+            nesting_error(vec![t(&[1.0, f32::NAN])]),
+            "invalid argument: nested unary train has non-binary entry NaN (pulse 0, element 1)"
+        );
         // empty rejected (inherits the base validation)
         assert!(PulseTrain::nested_unary(vec![]).is_err());
+    }
+
+    #[test]
+    fn nested_unary_reports_the_first_violation_in_pulse_order() {
+        // several blocks per pulse: the report is the first violation in
+        // pulse-then-element order, wherever the block boundaries fall
+        let len = 3 * BLOCK + 5;
+        let mut pulses = vec![Tensor::ones(&[len]); 3];
+        pulses[2].as_mut_slice()[2 * BLOCK + 1] = -1.0;
+        assert!(PulseTrain::nested_unary(pulses.clone()).is_ok());
+        pulses[1].as_mut_slice()[3 * BLOCK + 4] = -1.0;
+        assert_eq!(
+            nesting_error(pulses.clone()),
+            format!(
+                "invalid argument: nested unary train rises at pulse 2, element {}",
+                3 * BLOCK + 4
+            )
+        );
+        pulses[1].as_mut_slice()[BLOCK + 7] = 0.0;
+        assert_eq!(
+            nesting_error(pulses),
+            format!(
+                "invalid argument: nested unary train has non-binary entry 0 (pulse 1, element {})",
+                BLOCK + 7
+            )
+        );
     }
 
     #[test]

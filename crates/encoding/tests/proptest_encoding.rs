@@ -1,10 +1,65 @@
 //! Property-based tests for the encoding crate: round-trips, monotonicity
-//! in the represented level, variance formulas, and PLA error bounds.
+//! in the represented level, variance formulas, PLA error bounds, and
+//! `encode_tensor` against per-element `encode_value`.
 
 use membit_encoding::pla::PlaThermometer;
 use membit_encoding::{Amplitude, BitEncoder, BitSlicing, Thermometer};
-use membit_tensor::Tensor;
+use membit_tensor::{Rng, Tensor};
 use proptest::prelude::*;
+
+/// Checks `encode_tensor` bitwise against stacking `encode_value` per
+/// element: same pulse count, shapes, weights and every pulse bit. With a
+/// non-finite element, both must fail with the first one's error.
+fn matches_stacked_values<E: BitEncoder>(enc: &E, x: &Tensor) -> Result<(), TestCaseError> {
+    let codes: Result<Vec<Vec<f32>>, _> =
+        x.as_slice().iter().map(|&v| enc.encode_value(v)).collect();
+    let train = match (enc.encode_tensor(x), codes) {
+        (Ok(train), Ok(codes)) => {
+            for (i, pulse) in train.pulses().iter().enumerate() {
+                prop_assert_eq!(pulse.shape(), x.shape());
+                let got: Vec<u32> = pulse.as_slice().iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = codes.iter().map(|c| c[i].to_bits()).collect();
+                prop_assert_eq!(got, want, "pulse {} differs", i);
+            }
+            train
+        }
+        (Err(got), Err(want)) => {
+            prop_assert_eq!(got, want);
+            return Ok(());
+        }
+        (got, want) => {
+            return Err(TestCaseError::fail(format!(
+                "encode_tensor ok={} but encode_value ok={}",
+                got.is_ok(),
+                want.is_ok()
+            )))
+        }
+    };
+    prop_assert_eq!(train.num_pulses(), enc.num_pulses());
+    let weights: Vec<f32> = (0..enc.num_pulses()).map(|i| enc.pulse_weight(i)).collect();
+    prop_assert_eq!(train.weights(), weights.as_slice());
+    Ok(())
+}
+
+/// Values every encoder must treat exactly as `encode_value` does: every
+/// level of an `n`-level grid for `n ∈ 2..=17` and its negation (PLA ties
+/// sit on these for odd pulse counts), ±0, ±1 and out-of-range values,
+/// plus `len` random values in `[-1.5, 1.5]` (enough for a larger `len`
+/// to span several encode blocks), all shuffled.
+fn edge_values(len: usize, seed: u64) -> Vec<f32> {
+    let mut rng = Rng::from_seed(seed);
+    let mut v = vec![0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 7.0, -7.0];
+    v.extend([f32::MAX, f32::MIN]);
+    for n in 2..=17usize {
+        for k in 0..n {
+            let level = k as f32 / (n - 1) as f32 * 2.0 - 1.0;
+            v.extend([level, -level]);
+        }
+    }
+    v.extend((0..len).map(|_| rng.uniform(-1.5, 1.5)));
+    rng.shuffle(&mut v);
+    v
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -125,6 +180,41 @@ proptest! {
         let train = enc.encode_tensor(&x).unwrap();
         prop_assert_eq!(train.num_pulses(), pulses);
         prop_assert!(train.decode().unwrap().allclose(&x, 1e-5));
+    }
+
+    #[test]
+    fn encode_tensor_matches_stacked_encode_value(
+        p in 4usize..17, levels in 2usize..18, len in 0usize..2500, seed in 0u64..1000
+    ) {
+        let v = edge_values(len, seed);
+        let x = Tensor::from_vec(v.clone(), &[v.len()]).unwrap();
+        matches_stacked_values(&Thermometer::new(p).unwrap(), &x)?;
+        matches_stacked_values(&PlaThermometer::new(levels, p).unwrap(), &x)?;
+        matches_stacked_values(&PlaThermometer::new(p + 1, levels).unwrap(), &x)?;
+        matches_stacked_values(&BitSlicing::new(p - 3).unwrap(), &x)?;
+        matches_stacked_values(&Amplitude::new(levels).unwrap(), &x)?;
+        // a 2-D shape of the same values keeps its shape
+        let rows = Tensor::from_vec(v[..v.len() / 2 * 2].to_vec(), &[v.len() / 2, 2]).unwrap();
+        matches_stacked_values(&PlaThermometer::new(levels, p).unwrap(), &rows)?;
+    }
+
+    #[test]
+    fn encode_tensor_fails_on_the_first_non_finite_value(
+        p in 4usize..17, at in 0usize..3000, seed in 0u64..1000
+    ) {
+        let mut v = edge_values(2000, seed);
+        let at = at % v.len();
+        v[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][at % 3];
+        // a second, later non-finite value must not be the one reported
+        let later = v.len() - 1;
+        if later > at {
+            v[later] = f32::NAN;
+        }
+        let x = Tensor::from_vec(v, &[1, later + 1]).unwrap();
+        matches_stacked_values(&Thermometer::new(p).unwrap(), &x)?;
+        matches_stacked_values(&PlaThermometer::new(9, p).unwrap(), &x)?;
+        matches_stacked_values(&BitSlicing::new(p - 3).unwrap(), &x)?;
+        matches_stacked_values(&Amplitude::new(p).unwrap(), &x)?;
     }
 
     #[test]

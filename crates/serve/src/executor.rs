@@ -114,6 +114,30 @@ pub fn admit_check(depth: usize, capacity: usize, state: HealthState) -> Result<
     Ok(())
 }
 
+/// Checks a request payload where it enters the service: `sample_len`
+/// values, every one finite. A non-finite value admitted here would fail
+/// its whole batch in the encoder, taking every co-batched request down
+/// with it once the retries run out.
+///
+/// # Errors
+///
+/// Returns [`ServeError::BadRequest`] for a wrong-sized or non-finite
+/// payload.
+pub(crate) fn check_payload(input: &[f32], sample_len: usize) -> Result<()> {
+    if input.len() != sample_len {
+        return Err(ServeError::BadRequest(format!(
+            "payload has {} values, model wants {sample_len}",
+            input.len()
+        )));
+    }
+    if let Some((i, v)) = input.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        return Err(ServeError::BadRequest(format!(
+            "payload value {i} is non-finite ({v})"
+        )));
+    }
+    Ok(())
+}
+
 /// How many of `waiting` requests the next batch should take: capped at
 /// `max_batch`, and — when more work is waiting than fits — rounded down
 /// to a multiple of `block_align` so full sample blocks land on worker
@@ -273,7 +297,8 @@ impl<M: ServeModel> Executor<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadRequest`] on a payload length mismatch.
+    /// Returns [`ServeError::BadRequest`] for a wrong-sized or non-finite
+    /// payload.
     pub fn admit(&mut self, input: Vec<f32>, deadline_ns: Option<u64>) -> Result<Pending> {
         let pending = Pending {
             id: self.stats.admitted,
@@ -291,15 +316,10 @@ impl<M: ServeModel> Executor<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadRequest`] on a payload length mismatch.
+    /// Returns [`ServeError::BadRequest`] for a wrong-sized or non-finite
+    /// payload.
     pub fn register(&mut self, pending: &Pending) -> Result<()> {
-        if pending.input.len() != self.sample_len {
-            return Err(ServeError::BadRequest(format!(
-                "payload has {} values, model wants {}",
-                pending.input.len(),
-                self.sample_len
-            )));
-        }
+        check_payload(&pending.input, self.sample_len)?;
         self.stats.admitted += 1;
         self.log.push(LogEvent::Admit {
             id: pending.id,
@@ -581,6 +601,21 @@ mod tests {
             ex.admit(vec![1.0, 2.0], None),
             Err(ServeError::BadRequest(_))
         ));
+        // one non-finite request among valid ones: rejected alone, and
+        // the valid ones batch and complete
+        let a = ex.admit(payload(0), None).unwrap();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(matches!(
+                ex.admit(vec![0.5, bad, 0.0], None),
+                Err(ServeError::BadRequest(_))
+            ));
+        }
+        let b = ex.admit(payload(1), None).unwrap();
+        let outcomes = ex.serve(vec![a, b]);
+        assert!(outcomes.iter().all(|(_, o)| o.is_ok()));
+        assert_eq!(ex.stats().admitted, 2);
+        assert_eq!(ex.stats().completed, 2);
+        assert!(ex.stats().accounted());
     }
 
     #[test]

@@ -25,7 +25,9 @@ use std::time::Instant;
 
 use crate::clock::ClockMode;
 use crate::config::ServeConfig;
-use crate::executor::{admit_check, batch_quota, Executor, Pending, Response, ServeStats};
+use crate::executor::{
+    admit_check, batch_quota, check_payload, Executor, Pending, Response, ServeStats,
+};
 use crate::health::HealthState;
 use crate::log::RequestLog;
 use crate::model::ServeModel;
@@ -198,18 +200,12 @@ impl<M: ServeModel + Send + 'static> Server<M> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for a wrong-sized payload,
-    /// [`ServeError::QueueFull`] at capacity, [`ServeError::Shed`] while
-    /// the deployment sheds load, [`ServeError::Closed`] after
-    /// shutdown/kill.
+    /// [`ServeError::BadRequest`] for a wrong-sized or non-finite
+    /// payload, [`ServeError::QueueFull`] at capacity,
+    /// [`ServeError::Shed`] while the deployment sheds load,
+    /// [`ServeError::Closed`] after shutdown/kill.
     pub fn submit(&self, input: Vec<f32>, deadline_ns: Option<u64>) -> Result<Handle> {
-        if input.len() != self.sample_len {
-            return Err(ServeError::BadRequest(format!(
-                "payload has {} values, model wants {}",
-                input.len(),
-                self.sample_len
-            )));
-        }
+        check_payload(&input, self.sample_len)?;
         let mut q = lock_recover(&self.shared.q);
         if !q.open {
             return Err(ServeError::Closed);
@@ -447,7 +443,7 @@ fn scheduler_loop<M: ServeModel>(
                 let mut slots = Vec::with_capacity(batch.len());
                 let mut pendings = Vec::with_capacity(batch.len());
                 for (p, slot) in batch {
-                    // wrong-sized payloads were rejected at submit; a
+                    // malformed payloads were rejected at submit; a
                     // register failure here is still surfaced typed
                     match executor.register(&p) {
                         Ok(()) => {
@@ -519,6 +515,32 @@ mod tests {
         ));
         let report = server.shutdown().unwrap();
         assert_eq!(report.stats.admitted, 0);
+    }
+
+    #[test]
+    fn non_finite_payload_rejected_and_batchmates_complete() {
+        let server = Server::start(model(5), ServeConfig::standard(5)).unwrap();
+        let mut handles = Vec::new();
+        for i in 0..6 {
+            if i == 3 {
+                let mut bad = payload(i);
+                bad[1] = f32::NAN;
+                assert!(matches!(
+                    server.submit(bad, None),
+                    Err(ServeError::BadRequest(_))
+                ));
+            } else {
+                handles.push(server.submit(payload(i), None).unwrap());
+            }
+        }
+        for h in handles {
+            assert_eq!(h.wait().unwrap().output.len(), 2);
+        }
+        let report = server.shutdown().unwrap();
+        assert!(report.stats.accounted());
+        assert_eq!(report.stats.admitted, 5);
+        assert_eq!(report.stats.completed, 5);
+        assert_eq!(report.stats.failed, 0);
     }
 
     #[test]

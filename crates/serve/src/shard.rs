@@ -46,7 +46,7 @@ use std::time::Instant;
 use crate::chaos::ChaosAction;
 use crate::clock::ClockMode;
 use crate::config::{RetryPolicy, ServeConfig};
-use crate::executor::{batch_quota, Executor, Pending, Response, ServeStats};
+use crate::executor::{batch_quota, check_payload, Executor, Pending, Response, ServeStats};
 use crate::health::HealthState;
 use crate::log::RequestLog;
 use crate::model::ServeModel;
@@ -802,18 +802,12 @@ impl<M: ServeModel + Send + 'static> ShardServer<M> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for a wrong-sized payload,
-    /// [`ServeError::QueueFull`] at total capacity, [`ServeError::Shed`]
-    /// while no shard admits, [`ServeError::Closed`] after
-    /// shutdown/kill.
+    /// [`ServeError::BadRequest`] for a wrong-sized or non-finite
+    /// payload, [`ServeError::QueueFull`] at total capacity,
+    /// [`ServeError::Shed`] while no shard admits,
+    /// [`ServeError::Closed`] after shutdown/kill.
     pub fn submit(&self, input: Vec<f32>, deadline_ns: Option<u64>) -> Result<Handle> {
-        if input.len() != self.sample_len {
-            return Err(ServeError::BadRequest(format!(
-                "payload has {} values, model wants {}",
-                input.len(),
-                self.sample_len
-            )));
-        }
+        check_payload(&input, self.sample_len)?;
         let mut q = lock_recover(&self.shared.q);
         if !q.open {
             return Err(ServeError::Closed);
@@ -1274,6 +1268,35 @@ mod tests {
         assert_eq!(cancelled, report.stats.cancelled);
         assert_eq!(completed + cancelled, 12);
         assert_eq!(report.shards.len(), 3);
+    }
+
+    #[test]
+    fn shard_server_rejects_non_finite_payload_and_batchmates_complete() {
+        let mut cfg = ServeConfig::standard(35);
+        cfg.max_batch = 4;
+        cfg.block_align = 1;
+        let server = ShardServer::start(models(3, 9), cfg, RoutePolicy::Rendezvous).unwrap();
+        let mut handles = Vec::new();
+        for i in 0..9 {
+            if i == 4 {
+                let mut bad = payload(i);
+                bad[0] = f32::INFINITY;
+                assert!(matches!(
+                    server.submit(bad, None),
+                    Err(ServeError::BadRequest(_))
+                ));
+            } else {
+                handles.push(server.submit(payload(i), None).unwrap());
+            }
+        }
+        for h in handles {
+            assert_eq!(h.wait().unwrap().output.len(), 2);
+        }
+        let report = server.shutdown().unwrap();
+        assert!(report.stats.accounted(), "{:?}", report.stats);
+        assert_eq!(report.stats.admitted, 8);
+        assert_eq!(report.stats.completed, 8);
+        assert_eq!(report.stats.failed, 0);
     }
 
     #[test]

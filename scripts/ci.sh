@@ -32,6 +32,9 @@ echo "=== release-mode float determinism (tensor + kernel suites) ==="
 cargo test -q --release -p membit-tensor
 cargo test -q --release -p membit-xbar --test proptest_kernels
 cargo test -q --release -p membit-xbar --test proptest_determinism
+# encode_tensor vs per-element encode_value, bitwise: the block-wise
+# class and validation folds vectorize under release codegen
+cargo test -q --release -p membit-encoding --test proptest_encoding
 
 echo "=== analytic MemSE suite (engine-variance identity + bitwise scores) ==="
 # closed-form walk vs paired-MC engine variance, thread-count bitwise
@@ -96,6 +99,12 @@ echo "=== bench_memse smoke (BENCH_memse.json) ==="
 # tile-allocation non-regression, reconfiguration bitwise replay
 ./target/release/bench_memse --smoke
 test -s results/BENCH_memse.json
+
+echo "=== membench smoke (the repository benchmark, all four workloads) ==="
+# random weights at tiny size: checks that every workload runs and that
+# the traced mirror stays bitwise equal to DeviceVgg; not a measurement,
+# writes only under target/membench/
+./target/release/membench --smoke
 
 echo "=== cargo clippy (-D warnings) ==="
 cargo clippy --release --workspace --all-targets -- -D warnings
