@@ -239,8 +239,17 @@ impl DeviceVgg {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors.
+    /// Returns [`TensorError::RankMismatch`] unless `images` has rank 4,
+    /// and propagates shape errors.
     pub fn forward(&mut self, images: &Tensor, rng: &mut Rng) -> Result<(Tensor, ExecutionStats)> {
+        if images.rank() != 4 {
+            return Err(TensorError::RankMismatch {
+                op: "device forward",
+                expected: 4,
+                actual: images.rank(),
+            }
+            .into());
+        }
         let mut stats = ExecutionStats::default();
         let n = images.shape()[0];
         let mut act = images.clone();
@@ -677,6 +686,34 @@ mod tests {
             policy: DeploymentPolicy::default(),
         };
         assert!(DeviceVgg::deploy(&vgg, &params, &cfg0, &mut rng).is_err());
+    }
+
+    #[test]
+    fn forward_rejects_non_batch_ranks_and_serves_empty_batches() {
+        let (vgg, params) = tiny_vgg();
+        let mut rng = Rng::from_seed(3);
+        let cfg = DeviceEvalConfig {
+            xbar: XbarConfig::functional(0.1),
+            pulses: vec![8, 8, 8],
+            act_levels: 9,
+            policy: DeploymentPolicy::default(),
+        };
+        let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
+        // a typed error before any indexing, never a panic
+        for shape in [&[][..], &[3], &[3, 8, 8]] {
+            let err = device.forward(&Tensor::zeros(shape), &mut rng).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    crate::TrainError::Tensor(TensorError::RankMismatch { expected: 4, actual, .. })
+                        if actual == shape.len()
+                ),
+                "{shape:?}: {err}"
+            );
+        }
+        let (logits, stats) = device.forward(&Tensor::zeros(&[0, 3, 8, 8]), &mut rng).unwrap();
+        assert_eq!(logits.shape(), &[0, 4]);
+        assert_eq!(stats.vectors, 0);
     }
 
     #[test]

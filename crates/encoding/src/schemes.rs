@@ -2,8 +2,13 @@
 
 use membit_tensor::{Tensor, TensorError};
 
-use crate::train::{PulseTrain, BLOCK};
+use crate::train::PulseTrain;
 use crate::Result;
+
+/// Elements per block in the block-wise encode pass: a block of classes
+/// (8 KiB) and one block of each of two pulses (4 KiB each) fit in L1
+/// together.
+const BLOCK: usize = 1024;
 
 /// A scheme for converting a quantized activation in `[-1, 1]` into a
 /// sequence of binary (±1) voltage pulses.
@@ -88,23 +93,27 @@ pub trait BitEncoder {
 
     /// Whether this encoder's trains are nested unary codes
     /// ([`TrainKind::NestedUnary`](crate::TrainKind::NestedUnary)):
-    /// unit-weight pulses where each element runs `+1…+1, −1…−1`.
+    /// unit-weight pulses where each element runs `+1…+1, −1…−1`, so
+    /// [`class`](Self::class) is the element's number of `+1` pulses.
     /// Thermometer-family encoders override this so
-    /// [`encode_tensor`](Self::encode_tensor) tags their trains and
-    /// execution engines can use the incremental pulse-delta fast path.
+    /// [`encode_tensor`](Self::encode_tensor) stores their trains as
+    /// those counts and execution engines can use the incremental
+    /// pulse-delta fast path.
     fn emits_nested_unary(&self) -> bool {
         false
     }
 
     /// Encodes a whole activation tensor (any shape) into a
-    /// [`PulseTrain`]: one ±1 tensor per pulse plus the weights. Trains
-    /// from encoders with [`emits_nested_unary`](Self::emits_nested_unary)
-    /// are built through [`PulseTrain::nested_unary`] and carry its tag.
+    /// [`PulseTrain`]. Encoders with
+    /// [`emits_nested_unary`](Self::emits_nested_unary) store one high
+    /// count per element through [`PulseTrain::nested_unary`]; the others
+    /// build one ±1 tensor per pulse plus the weights.
     ///
-    /// The pulses are bitwise those of [`encode_value`](Self::encode_value)
-    /// per element. Values are classed a block at a time, and the block's
-    /// classes are then appended to every pulse in turn: the classes stay
-    /// in L1, and each pulse is written front to back exactly once.
+    /// Every pulse is bitwise that of [`encode_value`](Self::encode_value)
+    /// per element. Values are checked and classed a block at a time; a
+    /// dense train then appends the block's classes to every pulse in
+    /// turn, so the classes stay in L1 and each pulse is written front to
+    /// back exactly once.
     ///
     /// # Errors
     ///
@@ -115,6 +124,16 @@ pub trait BitEncoder {
         Self: Sized,
     {
         let flat = values.as_slice();
+        if self.emits_nested_unary() {
+            let mut counts = Vec::with_capacity(flat.len());
+            for block in flat.chunks(BLOCK) {
+                block.iter().try_for_each(|&v| check_finite(v))?;
+                // a class above u16::MAX only arises past the pulse-count
+                // limit `nested_unary` rejects below
+                counts.extend(block.iter().map(|&v| self.class(v) as u16));
+            }
+            return PulseTrain::nested_unary(counts, values.shape(), self.num_pulses());
+        }
         let mut pulses: Vec<Vec<f32>> = (0..self.num_pulses())
             .map(|_| Vec::with_capacity(flat.len()))
             .collect();
@@ -131,9 +150,6 @@ pub trait BitEncoder {
             .into_iter()
             .map(|data| Tensor::from_vec(data, values.shape()))
             .collect::<Result<Vec<_>>>()?;
-        if self.emits_nested_unary() {
-            return PulseTrain::nested_unary(pulses);
-        }
         let weights = (0..self.num_pulses())
             .map(|i| self.pulse_weight(i))
             .collect();

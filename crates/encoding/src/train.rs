@@ -1,8 +1,12 @@
 //! Pulse trains: the temporal sequence of binary input vectors a crossbar
 //! consumes.
 
+use std::borrow::Cow;
+use std::ops::Range;
+
 use membit_tensor::{Tensor, TensorError};
 
+use crate::schemes::unary_pulse;
 use crate::Result;
 
 /// Structural class of a [`PulseTrain`], used by execution engines to
@@ -14,9 +18,9 @@ pub enum TrainKind {
     /// Unit-weight train whose pulses are *nested*: per element, every
     /// pulse entry is ±1 and the sequence is monotonically non-increasing
     /// (`+1…+1, −1…−1`), so each element switches `+1 → −1` at most once.
-    /// Thermometer/unary codes have exactly this shape (paper Eq. 3),
-    /// which lets an engine evaluate pulse `t+1` as a sparse delta on
-    /// pulse `t`.
+    /// Thermometer/unary codes have exactly this shape (paper Eq. 3), so
+    /// such a train is stored as one high count per element, and an
+    /// engine can evaluate pulse `t+1` as a sparse delta on pulse `t`.
     NestedUnary,
 }
 
@@ -25,12 +29,31 @@ pub enum TrainKind {
 ///
 /// For thermometer coding all weights are 1; for bit slicing they are
 /// `2^i`. The decoded value is `Σ w_i·x_i / Σ w_i`, and a crossbar
-/// executes one analog MVM per pulse.
+/// executes one analog MVM per pulse. A [nested-unary](TrainKind::NestedUnary)
+/// train is stored as one `u16` high count per element instead of `p`
+/// f32 pulses; [`pulse`](Self::pulse) expands it on demand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PulseTrain {
-    pulses: Vec<Tensor>,
-    weights: Vec<f32>,
-    kind: TrainKind,
+    storage: Storage,
+}
+
+/// How a [`PulseTrain`] holds its pulses; the variant is its
+/// [`TrainKind`].
+#[derive(Debug, Clone, PartialEq)]
+enum Storage {
+    /// One tensor per pulse, plus the weights.
+    Generic {
+        pulses: Vec<Tensor>,
+        weights: Vec<f32>,
+    },
+    /// Unit weights; per element, the number of leading `+1` pulses. A
+    /// count is the whole code: pulse `i` is `+1` exactly where
+    /// `i < count`.
+    NestedUnary {
+        counts: Vec<u16>,
+        shape: Vec<usize>,
+        pulses: usize,
+    },
 }
 
 impl PulseTrain {
@@ -39,7 +62,9 @@ impl PulseTrain {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] for an empty train, a
-    /// weight-count mismatch, or inconsistent pulse shapes.
+    /// weight-count mismatch, a non-finite weight, or weights whose sum
+    /// (the decode normalizer) is zero or not finite, and
+    /// [`TensorError::ShapeMismatch`] for inconsistent pulse shapes.
     pub fn new(pulses: Vec<Tensor>, weights: Vec<f32>) -> Result<Self> {
         if pulses.is_empty() {
             return Err(TensorError::InvalidArgument(
@@ -53,6 +78,17 @@ impl PulseTrain {
                 weights.len()
             )));
         }
+        if let Some((i, w)) = weights.iter().enumerate().find(|(_, w)| !w.is_finite()) {
+            return Err(TensorError::InvalidArgument(format!(
+                "pulse {i} has non-finite weight {w}"
+            )));
+        }
+        let norm: f32 = weights.iter().sum();
+        if norm == 0.0 || !norm.is_finite() {
+            return Err(TensorError::InvalidArgument(format!(
+                "pulse weights sum to {norm}: the decode normalizer must be finite and nonzero"
+            )));
+        }
         let shape = pulses[0].shape().to_vec();
         if let Some(bad) = pulses.iter().find(|p| p.shape() != shape) {
             return Err(TensorError::ShapeMismatch {
@@ -62,133 +98,186 @@ impl PulseTrain {
             });
         }
         Ok(Self {
-            pulses,
-            weights,
-            kind: TrainKind::Generic,
+            storage: Storage::Generic { pulses, weights },
         })
     }
 
-    /// Bundles unit-weight pulses as a [`TrainKind::NestedUnary`] train,
-    /// validating the nesting invariant (every entry ±1, per-element
-    /// monotonically non-increasing over pulses). Thermometer-family
-    /// encoders produce their trains through this constructor so engines
-    /// can trust the tag.
+    /// A [`TrainKind::NestedUnary`] train of `pulses` unit-weight pulses
+    /// over a tensor of `shape`, stored as each element's high count
+    /// (`counts`, row-major): pulse `i` is `+1` where `i < count` and
+    /// `−1` elsewhere. Every count in `0..=pulses` is a valid code, so
+    /// the nesting invariant holds by construction. Thermometer-family
+    /// encoders produce their trains here.
     ///
     /// # Errors
     ///
-    /// Returns the [`new`](Self::new) errors, plus
-    /// [`TensorError::InvalidArgument`] naming the first offending pulse
-    /// and element when the pulses are not nested unary.
-    pub fn nested_unary(pulses: Vec<Tensor>) -> Result<Self> {
-        let weights = vec![1.0; pulses.len()];
-        let mut train = Self::new(pulses, weights)?;
-        if !is_nested_unary(&train.pulses) {
-            return Err(nesting_violation(&train.pulses));
+    /// Returns [`TensorError::InvalidArgument`] when `pulses` is outside
+    /// `1..=u16::MAX`, when `counts` does not hold one entry per element
+    /// of `shape`, or naming the first element whose count exceeds
+    /// `pulses`.
+    pub fn nested_unary(counts: Vec<u16>, shape: &[usize], pulses: usize) -> Result<Self> {
+        let Some(max) = u16::try_from(pulses).ok().filter(|&p| p >= 1) else {
+            return Err(TensorError::InvalidArgument(format!(
+                "nested unary train needs 1..={} pulses, got {pulses}",
+                u16::MAX
+            )));
+        };
+        let volume: usize = shape.iter().product();
+        if counts.len() != volume {
+            return Err(TensorError::InvalidArgument(format!(
+                "nested unary train of shape {shape:?} needs {volume} counts, got {}",
+                counts.len()
+            )));
         }
-        train.kind = TrainKind::NestedUnary;
-        Ok(train)
+        // a branch-free fold that vectorizes; the element loop that
+        // names the culprit runs only once the fold has failed
+        if !counts.iter().fold(true, |ok, &c| ok & (c <= max)) {
+            let (flat, c) = counts
+                .iter()
+                .enumerate()
+                .find(|(_, &c)| c > max)
+                .expect("the fold found a count over the pulse count");
+            return Err(TensorError::InvalidArgument(format!(
+                "nested unary train has high count {c} over {pulses} pulses at element {flat}"
+            )));
+        }
+        Ok(Self {
+            storage: Storage::NestedUnary {
+                counts,
+                shape: shape.to_vec(),
+                pulses,
+            },
+        })
     }
 
     /// The structural class of this train.
     pub fn kind(&self) -> TrainKind {
-        self.kind
+        match self.storage {
+            Storage::Generic { .. } => TrainKind::Generic,
+            Storage::NestedUnary { .. } => TrainKind::NestedUnary,
+        }
     }
 
     /// Number of pulses (crossbar time steps).
     pub fn num_pulses(&self) -> usize {
-        self.pulses.len()
+        match &self.storage {
+            Storage::Generic { pulses, .. } => pulses.len(),
+            Storage::NestedUnary { pulses, .. } => *pulses,
+        }
     }
 
     /// Shape of each pulse tensor.
     pub fn shape(&self) -> &[usize] {
-        self.pulses[0].shape()
+        match &self.storage {
+            Storage::Generic { pulses, .. } => pulses[0].shape(),
+            Storage::NestedUnary { shape, .. } => shape,
+        }
     }
 
-    /// The pulse tensors, in temporal order.
-    pub fn pulses(&self) -> &[Tensor] {
-        &self.pulses
+    /// Pulse `i` (in temporal order): borrowed from a generic train,
+    /// expanded from the high counts of a nested-unary one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_pulses()`.
+    pub fn pulse(&self, i: usize) -> Cow<'_, Tensor> {
+        match &self.storage {
+            Storage::Generic { pulses, .. } => Cow::Borrowed(&pulses[i]),
+            Storage::NestedUnary { counts, shape, .. } => {
+                let mut data = Vec::with_capacity(counts.len());
+                self.pulse_span(i, 0..counts.len(), &mut data);
+                Cow::Owned(Tensor::from_vec(data, shape).expect("counts match the shape"))
+            }
+        }
     }
 
-    /// The accumulation weights.
-    pub fn weights(&self) -> &[f32] {
-        &self.weights
+    /// Elements `span` (flat, row-major) of pulse `i`: borrowed from a
+    /// generic train, expanded into `buf` from the counts of a
+    /// nested-unary one. An engine walking a count-coded train pulse by
+    /// pulse over only the rows it needs reuses one buffer and never
+    /// builds a whole pulse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_pulses()` or `span` is out of range.
+    pub fn pulse_span<'a>(
+        &'a self,
+        i: usize,
+        span: Range<usize>,
+        buf: &'a mut Vec<f32>,
+    ) -> &'a [f32] {
+        match &self.storage {
+            Storage::Generic { pulses, .. } => &pulses[i].as_slice()[span],
+            Storage::NestedUnary { counts, pulses, .. } => {
+                assert!(i < *pulses, "pulse {i} of a {pulses}-pulse train");
+                buf.clear();
+                buf.extend(counts[span].iter().map(|&c| unary_pulse(c.into(), i)));
+                buf
+            }
+        }
+    }
+
+    /// The per-element high counts of a [nested-unary](TrainKind::NestedUnary)
+    /// train (row-major over [`shape`](Self::shape)); `None` for a
+    /// generic train.
+    pub fn counts(&self) -> Option<&[u16]> {
+        match &self.storage {
+            Storage::Generic { .. } => None,
+            Storage::NestedUnary { counts, .. } => Some(counts),
+        }
+    }
+
+    /// The accumulation weights (all 1 for a nested-unary train).
+    pub fn weights(&self) -> Cow<'_, [f32]> {
+        match &self.storage {
+            Storage::Generic { weights, .. } => Cow::Borrowed(weights),
+            Storage::NestedUnary { pulses, .. } => Cow::Owned(vec![1.0; *pulses]),
+        }
     }
 
     /// Sum of the accumulation weights (the decode normalizer).
     pub fn weight_norm(&self) -> f32 {
-        self.weights.iter().sum()
-    }
-
-    /// Iterates `(weight, pulse)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f32, &Tensor)> {
-        self.weights.iter().copied().zip(&self.pulses)
+        self.weights().iter().sum()
     }
 
     /// Decodes the train back to values: `Σ w_i·x_i / Σ w_i`.
+    ///
+    /// A nested-unary element with count `c` over `p` pulses decodes to
+    /// `(2c − p)·(1/p)`: its pulse sum is the exact integer `2c − p`, so
+    /// this is bitwise the pulse-by-pulse accumulation.
     ///
     /// # Errors
     ///
     /// Propagates shape errors (impossible for a validated train).
     pub fn decode(&self) -> Result<Tensor> {
-        let mut acc = Tensor::zeros(self.shape());
-        for (w, p) in self.iter() {
-            acc.axpy(w, p)?;
+        match &self.storage {
+            Storage::Generic { pulses, weights } => {
+                let mut acc = Tensor::zeros(self.shape());
+                for (&w, p) in weights.iter().zip(pulses) {
+                    acc.axpy(w, p)?;
+                }
+                Ok(acc.mul_scalar(1.0 / self.weight_norm()))
+            }
+            Storage::NestedUnary {
+                counts,
+                shape,
+                pulses,
+            } => {
+                let (p, inv) = (*pulses as i32, 1.0 / *pulses as f32);
+                let data = counts
+                    .iter()
+                    .map(|&c| (2 * i32::from(c) - p) as f32 * inv)
+                    .collect();
+                Tensor::from_vec(data, shape)
+            }
         }
-        Ok(acc.mul_scalar(1.0 / self.weight_norm()))
     }
 
     /// Total pulse-weighted latency proxy: the number of pulses (all
     /// pulses take one time step regardless of weight).
     pub fn latency(&self) -> usize {
-        self.pulses.len()
+        self.num_pulses()
     }
-}
-
-/// Elements per block in the block-wise encode and validation passes: a
-/// block of classes (8 KiB) and one block of each of two pulses (4 KiB
-/// each) fit in L1 together.
-pub(crate) const BLOCK: usize = 1024;
-
-/// Pass/fail of the nesting invariant over non-empty, same-shaped
-/// pulses, as branch-free and-folds that vectorize: every entry is ±1,
-/// and no entry exceeds the same element of the previous pulse. The folds
-/// walk the elements a block at a time through all pulses, so each block
-/// of the previous pulse is still in cache when the next pulse reads it.
-fn is_nested_unary(pulses: &[Tensor]) -> bool {
-    let len = pulses[0].len();
-    (0..len).step_by(BLOCK).all(|start| {
-        let span = start..(start + BLOCK).min(len);
-        let first = &pulses[0].as_slice()[span.clone()];
-        first.iter().fold(true, |ok, &v| ok & (v.abs() == 1.0))
-            && pulses.windows(2).all(|pair| {
-                let prev = &pair[0].as_slice()[span.clone()];
-                let cur = &pair[1].as_slice()[span.clone()];
-                prev.iter()
-                    .zip(cur)
-                    .fold(true, |ok, (&p, &v)| ok & (v.abs() == 1.0) & (v <= p))
-            })
-    })
-}
-
-/// The first nesting violation in pulse-then-element order, naming the
-/// offending pulse and element. Run only once [`is_nested_unary`] has
-/// failed, so its element loop costs nothing on valid trains.
-fn nesting_violation(pulses: &[Tensor]) -> TensorError {
-    for (pi, pulse) in pulses.iter().enumerate() {
-        for (flat, &v) in pulse.as_slice().iter().enumerate() {
-            if v != 1.0 && v != -1.0 {
-                return TensorError::InvalidArgument(format!(
-                    "nested unary train has non-binary entry {v} (pulse {pi}, element {flat})"
-                ));
-            }
-            if pi > 0 && v > pulses[pi - 1].as_slice()[flat] {
-                return TensorError::InvalidArgument(format!(
-                    "nested unary train rises at pulse {pi}, element {flat}"
-                ));
-            }
-        }
-    }
-    TensorError::InvalidArgument("nested unary train failed validation".into())
 }
 
 #[cfg(test)]
@@ -199,8 +288,13 @@ mod tests {
         Tensor::from_vec(v.to_vec(), &[v.len()]).unwrap()
     }
 
-    fn nesting_error(pulses: Vec<Tensor>) -> String {
-        PulseTrain::nested_unary(pulses).unwrap_err().to_string()
+    fn error(train: Result<PulseTrain>) -> String {
+        train.unwrap_err().to_string()
+    }
+
+    fn weighted(weights: &[f32]) -> Result<PulseTrain> {
+        let pulses = weights.iter().map(|_| t(&[1.0, -1.0])).collect();
+        PulseTrain::new(pulses, weights.to_vec())
     }
 
     #[test]
@@ -208,6 +302,48 @@ mod tests {
         assert!(PulseTrain::new(vec![], vec![]).is_err());
         assert!(PulseTrain::new(vec![t(&[1.0])], vec![1.0, 2.0]).is_err());
         assert!(PulseTrain::new(vec![t(&[1.0]), t(&[1.0, 1.0])], vec![1.0, 1.0]).is_err());
+    }
+
+    #[test]
+    fn new_rejects_all_zero_weights() {
+        assert_eq!(
+            error(weighted(&[0.0, 0.0])),
+            "invalid argument: pulse weights sum to 0: \
+             the decode normalizer must be finite and nonzero"
+        );
+    }
+
+    #[test]
+    fn new_rejects_weights_summing_to_zero() {
+        assert_eq!(
+            error(weighted(&[1.0, -1.0])),
+            "invalid argument: pulse weights sum to 0: \
+             the decode normalizer must be finite and nonzero"
+        );
+        // the sum, not each weight, is what decode divides by
+        assert!(weighted(&[1.0, -0.5]).is_ok());
+    }
+
+    #[test]
+    fn new_rejects_nan_weight() {
+        assert_eq!(
+            error(weighted(&[f32::NAN, 1.0])),
+            "invalid argument: pulse 0 has non-finite weight NaN"
+        );
+    }
+
+    #[test]
+    fn new_rejects_infinite_weight() {
+        assert_eq!(
+            error(weighted(&[f32::INFINITY, 1.0])),
+            "invalid argument: pulse 0 has non-finite weight inf"
+        );
+        // finite weights whose sum overflows are rejected too
+        assert_eq!(
+            error(weighted(&[f32::MAX, f32::MAX])),
+            "invalid argument: pulse weights sum to inf: \
+             the decode normalizer must be finite and nonzero"
+        );
     }
 
     #[test]
@@ -226,66 +362,107 @@ mod tests {
 
     #[test]
     fn nested_unary_tags_and_validates() {
-        // monotone +1→−1 per element: valid
-        let train = PulseTrain::nested_unary(vec![
-            t(&[1.0, 1.0]),
-            t(&[1.0, -1.0]),
-            t(&[-1.0, -1.0]),
-        ])
-        .unwrap();
+        // counts [2, 1, 0] over 3 pulses: +1 +1 −1 / +1 −1 −1 / −1 −1 −1
+        let train = PulseTrain::nested_unary(vec![2, 1, 0], &[3], 3).unwrap();
         assert_eq!(train.kind(), TrainKind::NestedUnary);
-        assert_eq!(train.weights(), &[1.0, 1.0, 1.0]);
+        assert_eq!(train.counts(), Some(&[2u16, 1, 0][..]));
+        assert_eq!(train.num_pulses(), 3);
+        assert_eq!(train.shape(), &[3]);
+        assert_eq!(&*train.weights(), &[1.0, 1.0, 1.0]);
+        assert_eq!(train.weight_norm(), 3.0);
+        assert_eq!(train.latency(), 3);
         // the plain constructor never claims structure
         let generic = PulseTrain::new(vec![t(&[1.0]), t(&[-1.0])], vec![1.0, 1.0]).unwrap();
         assert_eq!(generic.kind(), TrainKind::Generic);
-        // rising sequence rejected, naming the pulse and element
-        assert_eq!(
-            nesting_error(vec![t(&[1.0, -1.0]), t(&[1.0, 1.0])]),
-            "invalid argument: nested unary train rises at pulse 1, element 1"
-        );
-        // non-binary entries rejected, naming the pulse and element
-        assert_eq!(
-            nesting_error(vec![t(&[1.0, 1.0]), t(&[1.0, 0.5])]),
-            "invalid argument: nested unary train has non-binary entry 0.5 (pulse 1, element 1)"
-        );
-        assert_eq!(
-            nesting_error(vec![t(&[1.0, f32::NAN])]),
-            "invalid argument: nested unary train has non-binary entry NaN (pulse 0, element 1)"
-        );
-        // empty rejected (inherits the base validation)
-        assert!(PulseTrain::nested_unary(vec![]).is_err());
+        assert_eq!(generic.counts(), None);
     }
 
     #[test]
-    fn nested_unary_reports_the_first_violation_in_pulse_order() {
-        // several blocks per pulse: the report is the first violation in
-        // pulse-then-element order, wherever the block boundaries fall
-        let len = 3 * BLOCK + 5;
-        let mut pulses = vec![Tensor::ones(&[len]); 3];
-        pulses[2].as_mut_slice()[2 * BLOCK + 1] = -1.0;
-        assert!(PulseTrain::nested_unary(pulses.clone()).is_ok());
-        pulses[1].as_mut_slice()[3 * BLOCK + 4] = -1.0;
+    fn nested_unary_rejects_a_count_over_the_pulse_count() {
         assert_eq!(
-            nesting_error(pulses.clone()),
-            format!(
-                "invalid argument: nested unary train rises at pulse 2, element {}",
-                3 * BLOCK + 4
-            )
+            error(PulseTrain::nested_unary(vec![2, 4, 3], &[3], 3)),
+            "invalid argument: nested unary train has high count 4 over 3 pulses at element 1"
         );
-        pulses[1].as_mut_slice()[BLOCK + 7] = 0.0;
+        // a count equal to the pulse count (all +1) is valid
+        assert!(PulseTrain::nested_unary(vec![3, 0], &[2], 3).is_ok());
+    }
+
+    #[test]
+    fn nested_unary_rejects_a_length_mismatch() {
         assert_eq!(
-            nesting_error(pulses),
-            format!(
-                "invalid argument: nested unary train has non-binary entry 0 (pulse 1, element {})",
-                BLOCK + 7
-            )
+            error(PulseTrain::nested_unary(vec![1, 0, 1], &[2, 2], 2)),
+            "invalid argument: nested unary train of shape [2, 2] needs 4 counts, got 3"
         );
     }
 
     #[test]
-    fn iter_pairs_weights_with_pulses() {
-        let train = PulseTrain::new(vec![t(&[1.0]), t(&[-1.0])], vec![0.5, 1.5]).unwrap();
-        let collected: Vec<f32> = train.iter().map(|(w, p)| w * p.at(0)).collect();
-        assert_eq!(collected, vec![0.5, -1.5]);
+    fn nested_unary_rejects_zero_pulses() {
+        assert_eq!(
+            error(PulseTrain::nested_unary(vec![0], &[1], 0)),
+            "invalid argument: nested unary train needs 1..=65535 pulses, got 0"
+        );
+    }
+
+    #[test]
+    fn nested_unary_rejects_more_pulses_than_a_count_holds() {
+        assert!(PulseTrain::nested_unary(vec![u16::MAX], &[1], 65_535).is_ok());
+        assert_eq!(
+            error(PulseTrain::nested_unary(vec![0], &[1], 65_536)),
+            "invalid argument: nested unary train needs 1..=65535 pulses, got 65536"
+        );
+    }
+
+    #[test]
+    fn nested_unary_names_the_first_count_over_the_pulse_count() {
+        // the fold fails anywhere in a long train; the report names the
+        // first offending element, not a later one
+        let len = 3 * 1024 + 5;
+        let mut counts = vec![7u16; len];
+        assert!(PulseTrain::nested_unary(counts.clone(), &[len], 7).is_ok());
+        counts[3 * 1024 + 4] = 9;
+        counts[1024 + 7] = 8;
+        assert_eq!(
+            error(PulseTrain::nested_unary(counts, &[len], 7)),
+            "invalid argument: nested unary train has high count 8 over 7 pulses at element 1031"
+        );
+    }
+
+    #[test]
+    fn pulse_borrows_generic_and_expands_counts() {
+        let generic = PulseTrain::new(vec![t(&[1.0]), t(&[-1.0])], vec![0.5, 1.5]).unwrap();
+        assert!(matches!(generic.pulse(1), Cow::Borrowed(p) if p.as_slice() == [-1.0]));
+        let train = PulseTrain::nested_unary(vec![2, 0, 1, 3], &[2, 2], 3).unwrap();
+        let pulses: Vec<Vec<f32>> = (0..3).map(|i| train.pulse(i).as_slice().to_vec()).collect();
+        assert_eq!(
+            pulses,
+            vec![
+                vec![1.0, -1.0, 1.0, 1.0],
+                vec![1.0, -1.0, -1.0, 1.0],
+                vec![-1.0, -1.0, -1.0, 1.0],
+            ]
+        );
+        assert!(matches!(train.pulse(0), Cow::Owned(p) if p.shape() == [2, 2]));
+        // a span of one pulse: expanded into the buffer, or borrowed
+        let mut buf = vec![7.0; 9];
+        assert_eq!(train.pulse_span(1, 1..3, &mut buf), [-1.0, -1.0]);
+        assert_eq!(buf, [-1.0, -1.0]);
+        assert_eq!(generic.pulse_span(0, 0..1, &mut buf), [1.0]);
+    }
+
+    #[test]
+    fn count_decode_is_bitwise_the_dense_decode() {
+        // every count over several pulse counts, odd and even: the closed
+        // form must land on the bits of the pulse-by-pulse sum
+        for p in [1usize, 2, 5, 7, 8, 16, 33] {
+            let counts: Vec<u16> = (0..=p as u16).collect();
+            let train = PulseTrain::nested_unary(counts, &[p + 1], p).unwrap();
+            let dense = PulseTrain::new(
+                (0..p).map(|i| train.pulse(i).into_owned()).collect(),
+                vec![1.0; p],
+            )
+            .unwrap();
+            let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(train.decode().unwrap()), bits(dense.decode().unwrap()), "p = {p}");
+        }
     }
 }

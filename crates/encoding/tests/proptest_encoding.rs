@@ -3,19 +3,21 @@
 //! `encode_tensor` against per-element `encode_value`.
 
 use membit_encoding::pla::PlaThermometer;
-use membit_encoding::{Amplitude, BitEncoder, BitSlicing, Thermometer};
+use membit_encoding::{Amplitude, BitEncoder, BitSlicing, Thermometer, TrainKind};
 use membit_tensor::{Rng, Tensor};
 use proptest::prelude::*;
 
 /// Checks `encode_tensor` bitwise against stacking `encode_value` per
-/// element: same pulse count, shapes, weights and every pulse bit. With a
+/// element: same pulse count, shapes, weights and every pulse bit (read
+/// through `pulse(i)`, which expands count-coded trains). With a
 /// non-finite element, both must fail with the first one's error.
 fn matches_stacked_values<E: BitEncoder>(enc: &E, x: &Tensor) -> Result<(), TestCaseError> {
     let codes: Result<Vec<Vec<f32>>, _> =
         x.as_slice().iter().map(|&v| enc.encode_value(v)).collect();
     let train = match (enc.encode_tensor(x), codes) {
         (Ok(train), Ok(codes)) => {
-            for (i, pulse) in train.pulses().iter().enumerate() {
+            for i in 0..train.num_pulses() {
+                let pulse = train.pulse(i);
                 prop_assert_eq!(pulse.shape(), x.shape());
                 let got: Vec<u32> = pulse.as_slice().iter().map(|v| v.to_bits()).collect();
                 let want: Vec<u32> = codes.iter().map(|c| c[i].to_bits()).collect();
@@ -37,7 +39,9 @@ fn matches_stacked_values<E: BitEncoder>(enc: &E, x: &Tensor) -> Result<(), Test
     };
     prop_assert_eq!(train.num_pulses(), enc.num_pulses());
     let weights: Vec<f32> = (0..enc.num_pulses()).map(|i| enc.pulse_weight(i)).collect();
-    prop_assert_eq!(train.weights(), weights.as_slice());
+    prop_assert_eq!(&*train.weights(), weights.as_slice());
+    // thermometer-family trains are stored count-coded
+    prop_assert_eq!(train.kind() == TrainKind::NestedUnary, enc.emits_nested_unary());
     Ok(())
 }
 

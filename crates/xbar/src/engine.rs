@@ -1,6 +1,6 @@
 //! The crossbar execution engine: tile partitioning and pulse-train MVM.
 
-use membit_encoding::{PulseTrain, TrainKind};
+use membit_encoding::PulseTrain;
 use membit_tensor::parallel::{plan_threads, scoped_chunks};
 use membit_tensor::{Rng, Tensor, TensorError};
 
@@ -30,7 +30,8 @@ pub struct ExecOptions {
     pub samples_per_thread: usize,
     /// Which tile MVM kernel executes pulses. [`MvmKernel::Cached`] (the
     /// default) additionally unlocks the incremental pulse-delta schedule
-    /// for [nested-unary](TrainKind::NestedUnary) trains;
+    /// for count-coded
+    /// ([nested-unary](membit_encoding::TrainKind::NestedUnary)) trains;
     /// [`MvmKernel::Packed`] runs the bit-packed popcount inner loop on
     /// eligible tiles (see [`CrossbarLinear::packed_ready`]) and
     /// downgrades per tile to the cached loop otherwise;
@@ -848,22 +849,26 @@ impl CrossbarLinear {
     ) -> Result<ExecutionStats> {
         // Kernel × schedule compatibility — explicit, never a silent
         // wrong-result path:
-        //   - Cached + NestedUnary takes the incremental pulse-delta
-        //     schedule (bitwise equal to the dense schedule; the delta
-        //     path maintains a running f32 pre-sign accumulator that
-        //     only the scalar cached loop can update sparsely).
-        //   - Packed + NestedUnary deliberately takes the generic dense
+        //   - Cached + a count-coded (nested-unary) train takes the
+        //     incremental pulse-delta schedule, driven straight from the
+        //     high counts (it agrees with the dense schedule to ~1 ULP:
+        //     it accumulates row tile before pulse, and maintains a
+        //     running f32 pre-sign accumulator that only the scalar
+        //     cached loop can update sparsely).
+        //   - Packed + a count-coded train deliberately takes the dense
         //     path below: a schedule downgrade, not a kernel one — each
         //     pulse still runs the popcount accumulation on eligible
         //     tiles, and outputs stay bitwise equal to Reference (see
         //     `packed_kernel_runs_nested_unary_dense_and_bitwise`).
-        //   - Reference (the differential oracle) and every non-nested
+        //   - Reference (the differential oracle) and every generic
         //     train also take the dense path.
-        if self.config.exec.kernel == MvmKernel::Cached && train.kind() == TrainKind::NestedUnary {
-            return self.execute_block_delta(train, base, s0, ablock, viol);
+        if let (MvmKernel::Cached, Some(counts)) = (self.config.exec.kernel, train.counts()) {
+            return self.execute_block_delta(counts, train.num_pulses(), base, s0, ablock, viol);
         }
         let nb = ablock.len() / self.out_features;
         let nct = self.col_starts.len();
+        let span = s0 * self.in_features..(s0 + nb) * self.in_features;
+        let weights = train.weights();
         let mut stats = ExecutionStats::default();
         let mut out_buf = vec![0.0f32; nb * self.config.tile_cols];
         let mut retry_buf = vec![0.0f32; self.config.tile_cols];
@@ -878,9 +883,10 @@ impl CrossbarLinear {
         let strip_pack = self.config.exec.kernel == MvmKernel::Packed;
         let mut planes = StripPlanes::default();
         let mut out_t: Vec<f32> = Vec::new();
-        for (pi, (pulse_weight, pulse)) in train.iter().enumerate() {
-            let px = pulse.as_slice();
-            let xs = &px[s0 * self.in_features..(s0 + nb) * self.in_features];
+        // a count-coded train's pulses, expanded for this block only
+        let mut expanded: Vec<f32> = Vec::new();
+        for (pi, &pulse_weight) in weights.iter().enumerate() {
+            let xs = train.pulse_span(pi, span.clone(), &mut expanded);
             stats.pulses += nb as u64;
             for (ri, &r0) in self.row_starts.iter().enumerate() {
                 let strip_ok = strip_pack && {
@@ -970,32 +976,45 @@ impl CrossbarLinear {
     }
 
     /// The incremental-pulse fast path of
-    /// [`execute_block`](Self::execute_block), taken for
-    /// [nested-unary](TrainKind::NestedUnary) trains under
-    /// [`MvmKernel::Cached`]: per `(tile, sample)`, pulse 0 is one dense
-    /// cached-weight accumulation and every later pulse only re-visits
-    /// the rows that switched `+1 → −1` — `O(rows·cols + Δ·cols)` analog
-    /// work per sample instead of `O(pulses·rows·cols)`.
+    /// [`execute_block`](Self::execute_block), taken for count-coded
+    /// ([nested-unary](membit_encoding::TrainKind::NestedUnary)) trains
+    /// under [`MvmKernel::Cached`], with the train's high `counts` and
+    /// pulse count `np`.
     ///
-    /// The loop nest is tile-major (the running pre-sign accumulator
-    /// lives per tile), but every pulse readout still draws from
+    /// Row `r` of a sample is `+1` on pulses `0..count[r]` and `−1` after,
+    /// so it switches exactly at pulse `count[r]`. Per `(row strip,
+    /// sample)` the strip's rows are counting-sorted by count once —
+    /// stably, so each bucket lists its rows in ascending order — and the
+    /// buckets are shared by the strip's column tiles. Per tile, pulse 0
+    /// is one dense cached-weight accumulation, and pulse `t ≥ 1` adds
+    /// `−2·w_eff` over bucket `t` only. Each row switches at most once,
+    /// so a sample costs at most `2·rows·cols` multiply-adds per tile
+    /// however many pulses the train has, and no pulse is compared or
+    /// even materialized. The updates are the ones a row-by-row compare
+    /// of consecutive dense pulses would find, in the same row order, so
+    /// the running accumulator keeps the same bits.
+    ///
+    /// The loop nest is strip → sample → column tile → pulse, which keeps
+    /// each output element's accumulation order (row tile, then pulse).
+    /// Every pulse readout draws from
     /// `base.substream(&[pulse, sample, row_tile, col_tile])`, so noise
     /// realizations are bit-identical to the reference schedule and to
-    /// any thread split. Event stats count *modeled* hardware work — one
+    /// any thread split. Guard checks, retries and SAF corrections read a
+    /// strip-length ±1 drive built only on tiles that need it, flipped
+    /// bucket by bucket. Event stats count *modeled* hardware work — one
     /// analog MVM per tile per pulse — not host arithmetic, so they match
     /// the reference path exactly.
     fn execute_block_delta(
         &self,
-        train: &PulseTrain,
+        counts: &[u16],
+        np: usize,
         base: &Rng,
         s0: usize,
         ablock: &mut [f32],
         viol: &mut [u64],
     ) -> Result<ExecutionStats> {
         let nb = ablock.len() / self.out_features;
-        let np = train.num_pulses();
         let nct = self.col_starts.len();
-        let pulses = train.pulses();
         let mut stats = ExecutionStats {
             pulses: (np * nb) as u64,
             ..Default::default()
@@ -1003,28 +1022,63 @@ impl CrossbarLinear {
         let mut acc_buf = vec![0.0f32; self.config.tile_cols];
         let mut out_buf = vec![0.0f32; self.config.tile_cols];
         let mut retry_buf = vec![0.0f32; self.config.tile_cols];
+        let strip_max = self.config.tile_rows.min(self.in_features);
+        // the strip's pulse-0 drive, and the per-tile copy flipped per
+        // bucket for the guard and SAF readers
+        let mut x0_buf = vec![0.0f32; strip_max];
+        let mut x_buf = vec![0.0f32; strip_max];
+        // rows in bucket order; bucket t is `order[starts[t]..starts[t + 1]]`
+        let mut order = vec![0usize; strip_max];
+        let mut starts = vec![0usize; np + 2];
+        let mut next = vec![0usize; np + 2];
         for (ri, &r0) in self.row_starts.iter().enumerate() {
-            for (ci, &c0) in self.col_starts.iter().enumerate() {
-                let tile = &self.tiles[ri][ci];
-                let (trows, tcols) = tile.dims();
-                let guard = match &self.config.guard {
-                    Some(policy) if tile.guard_armed() => Some(policy),
-                    _ => None,
-                };
-                let acc = &mut acc_buf[..tcols];
-                let out = &mut out_buf[..tcols];
-                for s in 0..nb {
-                    let sample = s0 + s;
-                    let x_at = |pi: usize| {
-                        let start = sample * self.in_features + r0;
-                        &pulses[pi].as_slice()[start..start + trows]
+            let trows = self.tiles[ri][0].dims().0;
+            let (x0, x, order) = (&mut x0_buf[..trows], &mut x_buf[..trows], &mut order[..trows]);
+            for s in 0..nb {
+                let sample = s0 + s;
+                let start = sample * self.in_features + r0;
+                let strip = &counts[start..start + trows];
+                starts.fill(0);
+                for &c in strip {
+                    starts[usize::from(c) + 1] += 1;
+                }
+                for t in 1..starts.len() {
+                    starts[t] += starts[t - 1];
+                }
+                next.copy_from_slice(&starts);
+                for (r, &c) in strip.iter().enumerate() {
+                    let slot = &mut next[usize::from(c)];
+                    order[*slot] = r;
+                    *slot += 1;
+                }
+                for (xr, &c) in x0.iter_mut().zip(strip) {
+                    *xr = if c > 0 { 1.0 } else { -1.0 };
+                }
+                let arow_start = s * self.out_features;
+                for (ci, &c0) in self.col_starts.iter().enumerate() {
+                    let tile = &self.tiles[ri][ci];
+                    let tcols = tile.dims().1;
+                    let guard = match &self.config.guard {
+                        Some(policy) if tile.guard_armed() => Some(policy),
+                        _ => None,
                     };
-                    let arow_start = s * self.out_features + c0;
+                    let needs_x = guard.is_some() || tile.has_saf_correction();
+                    if needs_x {
+                        x.copy_from_slice(x0);
+                    }
+                    let acc = &mut acc_buf[..tcols];
+                    let out = &mut out_buf[..tcols];
                     for pi in 0..np {
                         if pi == 0 {
-                            tile.accumulate_dense(x_at(0), acc);
+                            tile.accumulate_dense(x0, acc);
                         } else {
-                            tile.accumulate_delta(x_at(pi - 1), x_at(pi), acc);
+                            let bucket = &order[starts[pi]..starts[pi + 1]];
+                            tile.accumulate_switched(bucket, acc);
+                            if needs_x {
+                                for &r in bucket {
+                                    x[r] = -1.0;
+                                }
+                            }
                         }
                         let mut rng = base
                             .substream(&[pi as u64, sample as u64, ri as u64, ci as u64]);
@@ -1041,7 +1095,7 @@ impl CrossbarLinear {
                                 policy,
                                 tile,
                                 ri,
-                                x_at(pi),
+                                x,
                                 [pi as u64, sample as u64, ri as u64, ci as u64],
                                 base,
                                 out,
@@ -1053,12 +1107,12 @@ impl CrossbarLinear {
                             }
                         }
                         if tile.has_saf_correction() {
-                            let fixed = tile.apply_saf_correction(x_at(pi), out);
+                            let fixed = tile.apply_saf_correction(x, out);
                             stats.guard.saf_corrections =
                                 stats.guard.saf_corrections.saturating_add(fixed);
                         }
                         // unit pulse weights by the nested-unary invariant
-                        for (a, &v) in ablock[arow_start..arow_start + tcols]
+                        for (a, &v) in ablock[arow_start + c0..arow_start + c0 + tcols]
                             .iter_mut()
                             .zip(out.iter())
                         {
@@ -1066,6 +1120,9 @@ impl CrossbarLinear {
                         }
                     }
                 }
+            }
+            for tile in &self.tiles[ri] {
+                let (trows, tcols) = tile.dims();
                 stats.tile_mvms += (np * nb) as u64;
                 stats.cell_reads += (np * nb * trows * tcols) as u64;
                 if self.adcs[ri].is_some() {

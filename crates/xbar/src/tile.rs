@@ -1372,19 +1372,14 @@ impl Tile {
         }
     }
 
-    /// Sparse update of `acc` from pulse `x_prev` to pulse `x`: only rows
-    /// whose drive changed contribute `(x−x_prev)·w_eff` — for nested
-    /// unary trains that is `−2·w_eff` on the rows that switched
-    /// `+1 → −1`.
-    pub(crate) fn accumulate_delta(&self, x_prev: &[f32], x: &[f32], acc: &mut [f32]) {
-        for (i, (&xp, &xi)) in x_prev.iter().zip(x).enumerate() {
-            if xi == xp {
-                continue;
-            }
-            let d = xi - xp;
+    /// Sparse update of `acc` by the rows that switch `+1 → −1` on this
+    /// pulse of a nested-unary train: adds `−2·w_eff` for each row in
+    /// `rows`, in the given order.
+    pub(crate) fn accumulate_switched(&self, rows: &[usize], acc: &mut [f32]) {
+        for &i in rows {
             let base = i * self.cols;
             for (o, &w) in acc.iter_mut().zip(&self.cache.w_eff[base..base + self.cols]) {
-                *o += d * w;
+                *o += -2.0 * w;
             }
         }
     }
@@ -2630,9 +2625,9 @@ mod tests {
 
     #[test]
     fn delta_schedule_matches_fused_kernel_per_pulse() {
-        // dense pulse 0 + sparse deltas + finish_pulse must reproduce the
-        // fused cached kernel bitwise, pulse by pulse, for a nested-unary
-        // schedule (monotone +1 → −1 per row)
+        // dense pulse 0 + sparse switched-row updates + finish_pulse must
+        // reproduce the fused cached kernel bitwise, pulse by pulse, for a
+        // nested-unary schedule (monotone +1 → −1 per row)
         let mut rng = Rng::from_seed(23);
         let w = Tensor::from_vec(
             (0..24).map(|i| if i % 5 < 2 { -1.0 } else { 1.0 }).collect(),
@@ -2655,7 +2650,8 @@ mod tests {
             if pi == 0 {
                 tile.accumulate_dense(&x, &mut acc);
             } else {
-                tile.accumulate_delta(&pulse_at(pi - 1), &x, &mut acc);
+                let switched: Vec<usize> = (0..4).filter(|&r| highs[r] == pi).collect();
+                tile.accumulate_switched(&switched, &mut acc);
             }
             let mut rng_fast = Rng::from_seed(900 + pi as u64);
             let mut rng_slow = Rng::from_seed(900 + pi as u64);

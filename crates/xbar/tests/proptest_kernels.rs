@@ -25,13 +25,20 @@
 //! 4. **Guard composition** — under checksum-guarded execution, the
 //!    cached kernel never masks a violation the reference kernel
 //!    catches, even when faults are injected mid-sequence.
+//! 5. **Count-coded trains** — a thermometer or PLA train (stored as one
+//!    high count per element) executes exactly like the same pulses
+//!    stored densely: bitwise, stats included, under Reference and
+//!    Packed (both expand the counts into the dense schedule), and within
+//!    the kernel tolerance under Cached (whose delta schedule runs from
+//!    the counts) — across odd strip heights, guard retries and SAF-ECC
+//!    tiles.
 
 use membit_encoding::pla::PlaThermometer;
-use membit_encoding::{Amplitude, BitEncoder, BitSlicing, Thermometer};
+use membit_encoding::{Amplitude, BitEncoder, BitSlicing, PulseTrain, Thermometer, TrainKind};
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{
     CellHealth, CellSide, CrossbarLinear, DeviceModel, ExecOptions, ExecutionStats, GuardPolicy,
-    MvmKernel, NoiseSpec, ProgramStats, Tile, WriteVerify, XbarConfig,
+    MvmKernel, NoiseSpec, ProgramStats, RecoveryPolicy, Tile, WriteVerify, XbarConfig,
 };
 use proptest::prelude::*;
 
@@ -41,18 +48,57 @@ fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
 }
 
 /// Programs identical hardware (same seed) and executes under `kernel`.
+/// Each `(row, col)` of `stuck` pins both cells of that pair on before
+/// execution, then a remap with the digital SAF-ECC arm and no spare
+/// lines runs: nothing analog cures a double-stuck pair, so those tiles
+/// carry corrections.
 fn run(
     w: &Tensor,
-    train: &membit_encoding::PulseTrain,
+    train: &PulseTrain,
     mut cfg: XbarConfig,
     seed: u64,
     kernel: MvmKernel,
+    stuck: &[(usize, usize)],
 ) -> (Vec<f32>, ExecutionStats) {
     cfg.exec = ExecOptions::serial().with_kernel(kernel);
     let mut rng = Rng::from_seed(seed);
-    let engine = CrossbarLinear::program(w, &cfg, &mut rng).unwrap();
+    let mut engine = CrossbarLinear::program(w, &cfg, &mut rng).unwrap();
+    if !stuck.is_empty() {
+        for &(row, col) in stuck {
+            for side in [CellSide::Pos, CellSide::Neg] {
+                engine.inject_fault(row, col, side, CellHealth::StuckOn).unwrap();
+            }
+        }
+        let policy = RecoveryPolicy {
+            spare_rows: 0,
+            spare_cols: 0,
+            ..RecoveryPolicy::with_ecc()
+        };
+        engine.remap(&policy, &mut rng).unwrap();
+    }
     let (y, stats) = engine.execute_with_stats(train, &mut rng).unwrap();
     (y.as_slice().to_vec(), stats)
+}
+
+/// The pulses of `train` stored densely, one tensor per pulse: a generic
+/// train, which every kernel runs through the dense schedule.
+fn dense_twin(train: &PulseTrain) -> PulseTrain {
+    let pulses = (0..train.num_pulses())
+        .map(|i| train.pulse(i).into_owned())
+        .collect();
+    PulseTrain::new(pulses, train.weights().into_owned()).unwrap()
+}
+
+/// Within the cached-vs-reference kernel tolerance.
+fn near(fast: &[f32], reference: &[f32], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(fast.len(), reference.len());
+    for (i, (a, b)) in fast.iter().zip(reference).enumerate() {
+        prop_assert!(
+            (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
+            "element {}: {} {} vs {}", i, what, a, b
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -66,6 +112,7 @@ proptest! {
         encoder in 0usize..4,
         noise_kind in 0usize..3,
         batch in 1usize..6,
+        stuck in proptest::collection::vec((0usize..14, 0usize..10), 0..3),
     ) {
         let w = pm1_matrix(10, 14, seed);
         let x = Tensor::from_fn(&[batch, 14], |i| {
@@ -88,15 +135,24 @@ proptest! {
         cfg.tile_rows = tile_rows;
         cfg.tile_cols = tile_cols;
 
-        let (y_ref, s_ref) = run(&w, &train, cfg, seed + 2000, MvmKernel::Reference);
+        let (y_ref, s_ref) = run(&w, &train, cfg, seed + 2000, MvmKernel::Reference, &stuck);
         for kernel in [MvmKernel::Cached, MvmKernel::Packed] {
-            let (y_fast, s_fast) = run(&w, &train, cfg, seed + 2000, kernel);
+            let (y_fast, s_fast) = run(&w, &train, cfg, seed + 2000, kernel, &stuck);
             prop_assert_eq!(s_fast, s_ref, "event stats must not depend on the kernel");
-            for (i, (a, b)) in y_fast.iter().zip(&y_ref).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
-                    "element {}: {:?} {} vs reference {}", i, kernel, a, b
-                );
+            near(&y_fast, &y_ref, &format!("{kernel:?}"))?;
+        }
+        // a count-coded train against its own pulses stored densely
+        if train.kind() == TrainKind::NestedUnary {
+            let dense = dense_twin(&train);
+            for kernel in [MvmKernel::Reference, MvmKernel::Packed, MvmKernel::Cached] {
+                let (y_counts, s_counts) = run(&w, &train, cfg, seed + 2000, kernel, &stuck);
+                let (y_dense, s_dense) = run(&w, &dense, cfg, seed + 2000, kernel, &stuck);
+                prop_assert_eq!(s_counts, s_dense, "{:?}: counts vs dense stats", kernel);
+                if kernel == MvmKernel::Cached {
+                    near(&y_counts, &y_dense, "cached counts vs dense")?;
+                } else {
+                    prop_assert_eq!(y_counts, y_dense, "{:?}: counts vs dense", kernel);
+                }
             }
         }
     }
@@ -130,10 +186,18 @@ proptest! {
         cfg.tile_rows = tile_rows;
         cfg.tile_cols = tile_cols;
 
-        let (y_packed, s_packed) = run(&w, &train, cfg, seed + 7000, MvmKernel::Packed);
-        let (y_ref, s_ref) = run(&w, &train, cfg, seed + 7000, MvmKernel::Reference);
+        let (y_packed, s_packed) = run(&w, &train, cfg, seed + 7000, MvmKernel::Packed, &[]);
+        let (y_ref, s_ref) = run(&w, &train, cfg, seed + 7000, MvmKernel::Reference, &[]);
         prop_assert_eq!(s_packed, s_ref);
-        prop_assert_eq!(y_packed, y_ref, "packed must be bitwise reference on rails");
+        prop_assert_eq!(&y_packed, &y_ref, "packed must be bitwise reference on rails");
+        // the popcount path engages on expanded counts exactly as on the
+        // same pulses stored densely
+        if train.kind() == TrainKind::NestedUnary {
+            let dense = dense_twin(&train);
+            let (y_dense, s_dense) = run(&w, &dense, cfg, seed + 7000, MvmKernel::Packed, &[]);
+            prop_assert_eq!(s_dense, s_packed);
+            prop_assert_eq!(y_dense, y_packed, "packed: counts vs dense");
+        }
     }
 
     #[test]
@@ -144,6 +208,8 @@ proptest! {
         noise_kind in 0usize..3,
         batch in 1usize..5,
         faults in proptest::collection::vec((0usize..14, 0usize..10), 1..6),
+        pla in 0usize..2,
+        upsets in 0usize..2,
     ) {
         // The incremental pulse-delta schedule must compose with guarded
         // execution: for any fault set injected mid-sequence (between a
@@ -157,7 +223,12 @@ proptest! {
         let x = Tensor::from_fn(&[batch, 14], |i| {
             (((i * 5 + seed as usize) % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0)
         });
-        let train = Thermometer::new(6).unwrap().encode_tensor(&x).unwrap();
+        let train = if pla == 1 {
+            PlaThermometer::new(9, 7).unwrap().encode_tensor(&x).unwrap()
+        } else {
+            Thermometer::new(6).unwrap().encode_tensor(&x).unwrap()
+        };
+        let dense = dense_twin(&train);
         let mut cfg = match noise_kind {
             0 => XbarConfig::ideal(),
             1 => XbarConfig::functional(0.3),
@@ -169,22 +240,42 @@ proptest! {
         // engines run the whole sequence on identical hardware
         cfg.guard = Some(GuardPolicy::detect_only());
 
-        let run_guarded = |kernel: MvmKernel| {
+        // the faults are pinned stuck-off cells, or transient upsets that
+        // drive both cells of a pair onto the high rail (zeroing its
+        // weight until a refresh, which detect-only never runs)
+        let run_guarded = |kernel: MvmKernel, train: &PulseTrain| {
             let mut cfg = cfg;
             cfg.exec = ExecOptions::serial().with_kernel(kernel);
             let mut rng = Rng::from_seed(seed + 6000);
             let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
-            let (_, clean) = engine.execute_guarded(&train, &mut rng).unwrap();
+            let (_, clean) = engine.execute_guarded(train, &mut rng).unwrap();
             for &(row, col) in &faults {
-                engine
-                    .inject_fault(row, col, CellSide::Pos, CellHealth::StuckOff)
-                    .unwrap();
+                if upsets == 1 {
+                    for side in [CellSide::Pos, CellSide::Neg] {
+                        engine.upset_cell(row, col, side, true).unwrap();
+                    }
+                } else {
+                    engine
+                        .inject_fault(row, col, CellSide::Pos, CellHealth::StuckOff)
+                        .unwrap();
+                }
             }
-            let (y, faulty) = engine.execute_guarded(&train, &mut rng).unwrap();
-            (clean.guard, faulty.guard, y.as_slice().to_vec())
+            let (y, faulty) = engine.execute_guarded(train, &mut rng).unwrap();
+            (clean, faulty, y.as_slice().to_vec())
         };
-        let (clean_c, faulty_c, y_c) = run_guarded(MvmKernel::Cached);
-        let (clean_r, faulty_r, y_r) = run_guarded(MvmKernel::Reference);
+        // count-coded vs dense: the same guard decisions, retries and
+        // outputs, bit for bit, wherever both take the dense schedule
+        for kernel in [MvmKernel::Reference, MvmKernel::Packed] {
+            prop_assert_eq!(
+                run_guarded(kernel, &train),
+                run_guarded(kernel, &dense),
+                "{:?}: counts vs dense under the guard", kernel
+            );
+        }
+        let (clean_c, faulty_c, y_c) = run_guarded(MvmKernel::Cached, &train);
+        let (clean_r, faulty_r, y_r) = run_guarded(MvmKernel::Reference, &dense);
+        let (clean_c, faulty_c) = (clean_c.guard, faulty_c.guard);
+        let (clean_r, faulty_r) = (clean_r.guard, faulty_r.guard);
 
         // before injection the array is exactly as programmed: at z = 6
         // a false positive is a ~1e-9 event, so both kernels must be clean
@@ -199,12 +290,7 @@ proptest! {
         // when the fault set is benign under both kernels the outputs are
         // ordinary guarded readouts and must agree like any other MVM
         if faulty_c.violations == 0 && faulty_r.violations == 0 {
-            for (i, (a, b)) in y_c.iter().zip(&y_r).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
-                    "element {}: cached {} vs reference {}", i, a, b
-                );
-            }
+            near(&y_c, &y_r, "cached")?;
         }
     }
 

@@ -20,6 +20,13 @@ echo "=== engine determinism suite ==="
 cargo test -q -p membit-xbar --test proptest_determinism -- --test-threads=1
 cargo test -q -p membit-xbar --test proptest_determinism -- --test-threads=4
 
+echo "=== golden forward digests (determinism across changes, both profiles) ==="
+# logits + stats of a small DeviceVgg and raw engine outputs, pinned to
+# recorded digests at 1 and 4 engine threads: the bitwise contract holds
+# across commits and across build profiles, not just within one run
+cargo test -q -p membit-core --test golden_forward
+cargo test -q --release -p membit-core --test golden_forward
+
 echo "=== MVM kernel differential suite ==="
 # cached + packed fast paths vs reference oracle, plus cache/plane
 # staleness fuzzing across all mutators
