@@ -587,7 +587,8 @@ impl DeviceVgg {
     /// Returns [`TensorError::InvalidArgument`] when the length doesn't
     /// match the deployment's crossbar layer count or any count doesn't
     /// yield a valid `PlaThermometer` for the deployment's activation
-    /// grid.
+    /// grid (zero, or above
+    /// [`MAX_NESTED_PULSES`](membit_encoding::MAX_NESTED_PULSES)).
     pub fn reconfigure_encoding(&mut self, pulses: &[usize]) -> Result<()> {
         let expected = self.encoding().len();
         if pulses.len() != expected {
@@ -658,6 +659,7 @@ mod tests {
     use super::*;
     use crate::model::CrossbarModel;
     use crate::trainer::evaluate;
+    use membit_encoding::MAX_NESTED_PULSES;
     use membit_nn::{NoNoise, Phase, VggConfig};
     use membit_autograd::Tape;
 
@@ -686,6 +688,18 @@ mod tests {
             policy: DeploymentPolicy::default(),
         };
         assert!(DeviceVgg::deploy(&vgg, &params, &cfg0, &mut rng).is_err());
+        // a live swap is validated the same way, and a refused map
+        // leaves the old encoding in place: zero pulses, or more than a
+        // count-coded train holds
+        let cfg = DeviceEvalConfig {
+            pulses: vec![8, 8, 8],
+            ..cfg0
+        };
+        let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
+        for bad in [[8, 0, 8], [8, 8, MAX_NESTED_PULSES + 1]] {
+            assert!(device.reconfigure_encoding(&bad).is_err());
+            assert_eq!(device.encoding(), vec![8, 8, 8]);
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod train;
 pub mod variance;
 
 pub use schemes::{Amplitude, BitEncoder, BitSlicing, Thermometer};
-pub use train::{PulseTrain, TrainKind};
+pub use train::{PulseTrain, TrainKind, MAX_NESTED_PULSES};
 
 /// Convenience alias matching [`membit_tensor::Result`].
 pub type Result<T> = std::result::Result<T, membit_tensor::TensorError>;

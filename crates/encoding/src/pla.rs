@@ -12,7 +12,7 @@
 use membit_tensor::TensorError;
 
 use crate::schemes::{level_index, unary_pulse};
-use crate::train::PulseTrain;
+use crate::train::{PulseTrain, MAX_NESTED_PULSES};
 use crate::{BitEncoder, Result};
 
 /// A thermometer code re-expressed at an arbitrary pulse count.
@@ -34,18 +34,19 @@ impl PlaThermometer {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for `levels < 2` or zero
-    /// pulses.
+    /// Returns [`TensorError::InvalidArgument`] for `levels < 2`, zero
+    /// pulses, or more pulses than a count-coded train holds
+    /// ([`MAX_NESTED_PULSES`]).
     pub fn new(levels: usize, pulses: usize) -> Result<Self> {
         if levels < 2 {
             return Err(TensorError::InvalidArgument(
                 "PLA needs ≥ 2 source levels".into(),
             ));
         }
-        if pulses == 0 {
-            return Err(TensorError::InvalidArgument(
-                "PLA needs ≥ 1 output pulse".into(),
-            ));
+        if !(1..=MAX_NESTED_PULSES).contains(&pulses) {
+            return Err(TensorError::InvalidArgument(format!(
+                "PLA needs 1..={MAX_NESTED_PULSES} output pulses, got {pulses}"
+            )));
         }
         Ok(Self { levels, pulses })
     }
@@ -253,6 +254,8 @@ mod tests {
     fn constructors_validate() {
         assert!(PlaThermometer::new(1, 4).is_err());
         assert!(PlaThermometer::new(9, 0).is_err());
+        assert!(PlaThermometer::new(9, MAX_NESTED_PULSES).is_ok());
+        assert!(PlaThermometer::new(9, MAX_NESTED_PULSES + 1).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use membit_tensor::{Tensor, TensorError};
 
-use crate::train::PulseTrain;
+use crate::train::{PulseTrain, MAX_NESTED_PULSES};
 use crate::Result;
 
 /// Elements per block in the block-wise encode pass: a block of classes
@@ -128,8 +128,8 @@ pub trait BitEncoder {
             let mut counts = Vec::with_capacity(flat.len());
             for block in flat.chunks(BLOCK) {
                 block.iter().try_for_each(|&v| check_finite(v))?;
-                // a class above u16::MAX only arises past the pulse-count
-                // limit `nested_unary` rejects below
+                // a class is at most the pulse count, which the
+                // constructors cap at MAX_NESTED_PULSES: it fits a u16
                 counts.extend(block.iter().map(|&v| self.class(v) as u16));
             }
             return PulseTrain::nested_unary(counts, values.shape(), self.num_pulses());
@@ -196,12 +196,13 @@ impl Thermometer {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for zero pulses.
+    /// Returns [`TensorError::InvalidArgument`] for zero pulses, or for
+    /// more than a count-coded train holds ([`MAX_NESTED_PULSES`]).
     pub fn new(pulses: usize) -> Result<Self> {
-        if pulses == 0 {
-            return Err(TensorError::InvalidArgument(
-                "thermometer code needs ≥ 1 pulse".into(),
-            ));
+        if !(1..=MAX_NESTED_PULSES).contains(&pulses) {
+            return Err(TensorError::InvalidArgument(format!(
+                "thermometer code needs 1..={MAX_NESTED_PULSES} pulses, got {pulses}"
+            )));
         }
         Ok(Self { pulses })
     }
@@ -416,6 +417,9 @@ mod tests {
     #[test]
     fn constructors_validate() {
         assert!(Thermometer::new(0).is_err());
+        // the longest code a count-coded train holds, and one past it
+        assert!(Thermometer::new(MAX_NESTED_PULSES).is_ok());
+        assert!(Thermometer::new(MAX_NESTED_PULSES + 1).is_err());
         assert!(BitSlicing::new(0).is_err());
         assert!(BitSlicing::new(24).is_err());
         assert!(Amplitude::new(1).is_err());

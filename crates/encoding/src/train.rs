@@ -9,6 +9,11 @@ use membit_tensor::{Tensor, TensorError};
 use crate::schemes::unary_pulse;
 use crate::Result;
 
+/// The most pulses a count-coded ([`TrainKind::NestedUnary`]) train can
+/// hold: each element stores its high count in a `u16`. The thermometer
+/// and PLA encoders refuse longer codes when they are built.
+pub const MAX_NESTED_PULSES: usize = u16::MAX as usize;
+
 /// Structural class of a [`PulseTrain`], used by execution engines to
 /// pick specialized evaluation paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,16 +117,16 @@ impl PulseTrain {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] when `pulses` is outside
-    /// `1..=u16::MAX`, when `counts` does not hold one entry per element
-    /// of `shape`, or naming the first element whose count exceeds
-    /// `pulses`.
+    /// `1..=`[`MAX_NESTED_PULSES`], when `counts` does not hold one entry
+    /// per element of `shape`, or naming the first element whose count
+    /// exceeds `pulses`.
     pub fn nested_unary(counts: Vec<u16>, shape: &[usize], pulses: usize) -> Result<Self> {
-        let Some(max) = u16::try_from(pulses).ok().filter(|&p| p >= 1) else {
+        if !(1..=MAX_NESTED_PULSES).contains(&pulses) {
             return Err(TensorError::InvalidArgument(format!(
-                "nested unary train needs 1..={} pulses, got {pulses}",
-                u16::MAX
+                "nested unary train needs 1..={MAX_NESTED_PULSES} pulses, got {pulses}"
             )));
-        };
+        }
+        let max = pulses as u16;
         let volume: usize = shape.iter().product();
         if counts.len() != volume {
             return Err(TensorError::InvalidArgument(format!(

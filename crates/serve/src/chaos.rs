@@ -1,12 +1,14 @@
 //! The chaos-campaign harness: declarative fault scripts executed
-//! against a replicated [`ShardSet`], in simulation or live.
+//! against a [`ShardSet`](crate::ShardSet), in simulation or live. Faults
+//! reach a deployment only through these actions — a single deployment
+//! takes them as shard 0 of a set of one.
 //!
 //! A [`ChaosScript`] is a time-sorted list of control-plane actions —
 //! kill shard *k* at virtual time *t*, upset cells, force health
 //! degradation, reconfigure an encoding under load — that the
-//! discrete-event [`simulate_shards`] driver and the live threaded
-//! [`ShardServer`](crate::ShardServer) both understand (the live server
-//! takes the same [`ChaosAction`]s through
+//! discrete-event [`simulate_shards`](crate::simulate_shards) driver and
+//! the live threaded [`ShardServer`](crate::ShardServer) both understand
+//! (the live server takes the same [`ChaosAction`]s through
 //! [`ShardServer::chaos`](crate::ShardServer::chaos)). Campaigns are
 //! deterministic end to end: actions are applied at defined points of
 //! the virtual timeline, cell upsets draw from the target shard's
@@ -14,15 +16,7 @@
 //! dropped mutation — lands in the set-level accounting, never on the
 //! floor.
 
-use std::collections::HashMap;
-
-use crate::config::ServeConfig;
-use crate::executor::Pending;
-use crate::model::ServeModel;
-use crate::router::RoutePolicy;
-use crate::shard::{ShardRecord, ShardSet};
-use crate::sim::{ArrivalEvent, ArrivalKind, SimOutcome};
-use crate::{Result, ServeError, ServeStats};
+use crate::{Result, ServeError};
 
 /// One control-plane action against a shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,131 +166,6 @@ impl ChaosScript {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-}
-
-/// Final state of a sharded chaos campaign.
-pub struct ShardSimReport<M> {
-    /// Set-level counters; `stats.accounted()` holds across shards.
-    pub stats: ServeStats,
-    /// Per-shard teardown records (model, log, shard-local stats,
-    /// final status) — feed the logs to [`crate::replay_shards`].
-    pub shards: Vec<ShardRecord<M>>,
-    /// Per-scheduled-request outcomes, in schedule order.
-    pub outcomes: Vec<SimOutcome>,
-}
-
-/// Runs a replicated `models` deployment through `schedule` while
-/// `script` injects faults, entirely in virtual time. The sharded
-/// counterpart of [`crate::simulate`]: a pure function of
-/// `(models, config, policy, schedule, script)`.
-///
-/// The schedule carries requests only — chaos reaches shards through
-/// the script, which names its target shard explicitly. At a timeline
-/// tie, scripted actions apply before arrivals.
-///
-/// # Errors
-///
-/// Returns [`ServeError::BadRequest`] for an unsorted schedule, a
-/// schedule containing non-request arrivals, or a non-virtual clock
-/// mode, and propagates construction errors; per-request failures land
-/// in the outcomes, not here.
-pub fn simulate_shards<M: ServeModel>(
-    models: Vec<M>,
-    config: ServeConfig,
-    policy: RoutePolicy,
-    schedule: &[ArrivalEvent],
-    script: &ChaosScript,
-) -> Result<ShardSimReport<M>> {
-    if schedule.windows(2).any(|w| w[0].at_ns > w[1].at_ns) {
-        return Err(ServeError::BadRequest(
-            "arrival schedule must be sorted by at_ns".into(),
-        ));
-    }
-    if schedule
-        .iter()
-        .any(|e| !matches!(e.kind, ArrivalKind::Request { .. }))
-    {
-        return Err(ServeError::BadRequest(
-            "sharded schedules carry requests only; script chaos through ChaosScript".into(),
-        ));
-    }
-    if config.clock != crate::clock::ClockMode::Virtual {
-        return Err(ServeError::BadRequest(
-            "simulation requires ClockMode::Virtual".into(),
-        ));
-    }
-    let default_deadline = config.default_deadline_ns;
-    let mut set = ShardSet::new(models, config, policy)?;
-    let events = script.events();
-    let mut outcomes: Vec<SimOutcome> = Vec::new();
-    // schedule position of each admitted id, for outcome attribution
-    let mut index_of: HashMap<u64, usize> = HashMap::new();
-    let record = |outcomes: &mut Vec<SimOutcome>,
-                      index_of: &HashMap<u64, usize>,
-                      resolved: Vec<(u64, Result<crate::Response>)>| {
-        for (id, result) in resolved {
-            let index = index_of.get(&id).copied().unwrap_or(usize::MAX);
-            outcomes.push(SimOutcome {
-                index,
-                id: Some(id),
-                result,
-            });
-        }
-    };
-    let (mut si, mut ci) = (0usize, 0usize);
-    while si < schedule.len() || ci < events.len() {
-        let t = match (schedule.get(si), events.get(ci)) {
-            (Some(a), Some(c)) => a.at_ns.min(c.at_ns),
-            (Some(a), None) => a.at_ns,
-            (None, Some(c)) => c.at_ns,
-            (None, None) => break,
-        };
-        let resolved = set.serve_until(Some(t));
-        record(&mut outcomes, &index_of, resolved);
-        while ci < events.len() && events[ci].at_ns <= t {
-            // a rejected action (bad index, dead target) is already
-            // counted by the set as a chaos failure — never silent
-            if let Ok(resolved) = set.apply(&events[ci].action) {
-                record(&mut outcomes, &index_of, resolved);
-            }
-            ci += 1;
-        }
-        while si < schedule.len() && schedule[si].at_ns <= t {
-            if let ArrivalKind::Request { input, deadline_ns } = &schedule[si].kind {
-                let id = set.next_request_id();
-                let pending = Pending {
-                    id,
-                    input: input.clone(),
-                    arrival_ns: schedule[si].at_ns,
-                    deadline_ns: deadline_ns.unwrap_or(default_deadline),
-                };
-                match set.submit(pending) {
-                    Ok(_) => {
-                        index_of.insert(id, si);
-                    }
-                    Err(e) => outcomes.push(SimOutcome {
-                        index: si,
-                        id: None,
-                        result: Err(e),
-                    }),
-                }
-            }
-            si += 1;
-        }
-    }
-    let resolved = set.serve_until(None);
-    record(&mut outcomes, &index_of, resolved);
-    // nothing should remain queued after a full drain; resolve typed if
-    // an invariant ever breaks rather than dropping silently
-    let resolved = set.cancel_queued();
-    record(&mut outcomes, &index_of, resolved);
-    outcomes.sort_by_key(|o| o.index);
-    let report = set.into_report();
-    Ok(ShardSimReport {
-        stats: report.stats,
-        shards: report.shards,
-        outcomes,
-    })
 }
 
 #[cfg(test)]

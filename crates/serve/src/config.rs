@@ -65,7 +65,7 @@ pub struct ServeConfig {
     /// First-order latency/energy model that drives the virtual clock.
     pub energy: EnergyModel,
     /// Which clock deadlines expire on: the virtual timeline (default,
-    /// deterministic, required by `simulate`) or real elapsed time
+    /// deterministic, required by `simulate_shards`) or real elapsed time
     /// (threaded servers; see [`crate::clock`]). Replay always follows
     /// the logged virtual timeline, so this never affects response bits.
     pub clock: ClockMode,

@@ -1,6 +1,8 @@
-//! The deterministic serving core shared by the threaded [`Server`]
-//! (crate::Server) and the discrete-event [`simulate`](crate::simulate)
-//! driver.
+//! The deterministic serving core of one shard. Every shard of a
+//! [`ShardSet`](crate::ShardSet) owns one; the threaded
+//! [`ShardServer`](crate::ShardServer) and the discrete-event
+//! [`simulate_shards`](crate::simulate_shards) driver reach it only
+//! through the set.
 //!
 //! All decisions here are pure functions of `(config, admitted order,
 //! batch composition, RNG stream)` — the virtual clock is advanced from
@@ -87,7 +89,7 @@ pub struct ServeStats {
     /// Successful encoding reconfigurations applied between batches.
     pub reconfigures: u64,
     /// Requests re-routed to another shard after their shard died or
-    /// was quarantined mid-flight (sharded deployments only).
+    /// was quarantined mid-flight (sets of two or more only).
     pub failovers: u64,
     /// High-water mark of the request queue depth.
     pub max_queue_depth: u64,
@@ -100,18 +102,6 @@ impl ServeStats {
     pub fn accounted(&self) -> bool {
         self.admitted == self.completed + self.expired + self.failed + self.cancelled
     }
-}
-
-/// Admission decision against the bounded queue and health state.
-/// Consumes no RNG — admission order alone never perturbs responses.
-pub fn admit_check(depth: usize, capacity: usize, state: HealthState) -> Result<()> {
-    if state == HealthState::Shedding {
-        return Err(ServeError::Shed);
-    }
-    if depth >= capacity {
-        return Err(ServeError::QueueFull { capacity });
-    }
-    Ok(())
 }
 
 /// Checks a request payload where it enters the service: `sample_len`
@@ -185,9 +175,8 @@ pub(crate) fn run_batch<M: ServeModel>(
 }
 
 /// The single-owner serving core: model, RNG, log, clock, health, and
-/// counters. One `Executor` lives behind the scheduler thread of a
-/// [`Server`](crate::Server) or inside a [`simulate`](crate::simulate)
-/// loop; it is never shared.
+/// counters. Each shard of a [`ShardSet`](crate::ShardSet) owns one; it
+/// is never shared.
 pub struct Executor<M> {
     model: M,
     rng: Rng,
@@ -280,39 +269,10 @@ impl<M: ServeModel> Executor<M> {
         &self.log
     }
 
-    /// The serving configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// Shape of one input sample.
-    pub fn input_shape(&self) -> &[usize] {
-        &self.input_shape
-    }
-
-    /// Validates a payload, assigns the next dense id, records the
-    /// admission, and returns the [`Pending`] entry. The caller has
-    /// already passed [`admit_check`]; payload validation happens here
-    /// so a malformed request is rejected before it can occupy a slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadRequest`] for a wrong-sized or non-finite
-    /// payload.
-    pub fn admit(&mut self, input: Vec<f32>, deadline_ns: Option<u64>) -> Result<Pending> {
-        let pending = Pending {
-            id: self.stats.admitted,
-            input,
-            arrival_ns: self.clock_ns,
-            deadline_ns: deadline_ns.unwrap_or(self.config.default_deadline_ns),
-        };
-        self.register(&pending)?;
-        Ok(pending)
-    }
-
-    /// Records an externally built admission (the threaded server
-    /// assigns ids and arrival stamps at submit time) in the log, in
-    /// scheduling order.
+    /// Records an admission (the set assigns ids, the drivers stamp
+    /// arrivals) in the log, in scheduling order. The payload is checked
+    /// here, so a malformed request is rejected before it can occupy a
+    /// slot.
     ///
     /// # Errors
     ///
@@ -372,7 +332,7 @@ impl<M: ServeModel> Executor<M> {
     /// Serves one slice of admitted requests: expires the overdue,
     /// batches the rest, executes with retries, advances the virtual
     /// clock, updates health, and returns each request's typed outcome
-    /// in input order.
+    /// with its request: the expired first, then the batch in row order.
     ///
     /// An engine failure after retries fails the *batch members* (each
     /// owner gets the error) but never the loop itself.
@@ -478,34 +438,9 @@ impl<M: ServeModel> Executor<M> {
         outcomes
     }
 
-    /// Resolves still-queued requests with [`ServeError::Closed`] (a
-    /// kill, not a drain), returning their typed outcomes. The requests
-    /// passed admission but were never registered (a registered request
-    /// is always served in the same pull), so they count toward
-    /// `admitted` here to keep the accounting identity.
-    pub fn cancel(&mut self, requests: Vec<Pending>) -> Vec<(Pending, Result<Response>)> {
-        requests
-            .into_iter()
-            .map(|req| {
-                self.stats.admitted += 1;
-                self.stats.cancelled += 1;
-                (req, Err(ServeError::Closed))
-            })
-            .collect()
-    }
-
     /// Records a queue-depth observation for the high-water mark.
     pub fn note_queue_depth(&mut self, depth: usize) {
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth as u64);
-    }
-
-    /// Records an admission rejection in the counters.
-    pub fn note_rejection(&mut self, err: &ServeError) {
-        match err {
-            ServeError::QueueFull { .. } => self.stats.rejected_queue_full += 1,
-            ServeError::Shed => self.stats.rejected_shed += 1,
-            _ => {}
-        }
     }
 
     /// Tears the executor down into its report: the model (for
@@ -519,33 +454,27 @@ impl<M: ServeModel> Executor<M> {
 mod tests {
     use super::*;
     use crate::model::LinearServeModel;
-    use membit_xbar::{GuardPolicy, XbarConfig};
+    use crate::testing::{model, payload};
 
     fn executor(seed: u64) -> Executor<LinearServeModel> {
-        let w = Tensor::from_fn(&[2, 3], |i| if i % 2 == 0 { 1.0 } else { -1.0 });
-        let cfg = XbarConfig::functional(0.02).with_guard(GuardPolicy::standard());
-        let model =
-            LinearServeModel::program(&w, &cfg, 9, 4, &mut Rng::from_seed(seed)).unwrap();
-        Executor::new(model, ServeConfig::standard(seed)).unwrap()
+        Executor::new(model(seed), ServeConfig::standard(seed)).unwrap()
     }
 
-    fn payload(i: usize) -> Vec<f32> {
-        (0..3)
-            .map(|j| (((i * 3 + j) % 5) as f32 / 2.0 - 1.0).clamp(-1.0, 1.0))
-            .collect()
-    }
-
-    #[test]
-    fn admit_check_is_typed() {
-        assert!(admit_check(0, 2, HealthState::Healthy).is_ok());
-        assert!(matches!(
-            admit_check(2, 2, HealthState::Healthy),
-            Err(ServeError::QueueFull { capacity: 2 })
-        ));
-        assert!(matches!(
-            admit_check(0, 2, HealthState::Shedding),
-            Err(ServeError::Shed)
-        ));
+    /// Registers `input` as the next request, arriving at the executor's
+    /// current clock.
+    fn admit(
+        ex: &mut Executor<LinearServeModel>,
+        input: Vec<f32>,
+        deadline_ns: Option<u64>,
+    ) -> Result<Pending> {
+        let pending = Pending {
+            id: ex.stats().admitted,
+            input,
+            arrival_ns: ex.clock_ns(),
+            deadline_ns: deadline_ns.unwrap_or(1_000_000),
+        };
+        ex.register(&pending)?;
+        Ok(pending)
     }
 
     #[test]
@@ -562,8 +491,8 @@ mod tests {
     #[test]
     fn serve_completes_and_accounts() {
         let mut ex = executor(1);
-        let a = ex.admit(payload(0), None).unwrap();
-        let b = ex.admit(payload(1), None).unwrap();
+        let a = admit(&mut ex, payload(0), None).unwrap();
+        let b = admit(&mut ex, payload(1), None).unwrap();
         let outcomes = ex.serve(vec![a, b]);
         assert_eq!(outcomes.len(), 2);
         for (_, o) in &outcomes {
@@ -581,9 +510,9 @@ mod tests {
     fn overdue_requests_expire_typed() {
         let mut ex = executor(2);
         // admitted at clock 0 with a 1 ns budget
-        let a = ex.admit(payload(0), Some(1)).unwrap();
+        let a = admit(&mut ex, payload(0), Some(1)).unwrap();
         // force the clock past the deadline by serving another batch first
-        let b = ex.admit(payload(1), None).unwrap();
+        let b = admit(&mut ex, payload(1), None).unwrap();
         ex.serve(vec![b]);
         let outcomes = ex.serve(vec![a]);
         assert!(matches!(
@@ -598,19 +527,19 @@ mod tests {
     fn bad_payload_is_rejected_before_queueing() {
         let mut ex = executor(3);
         assert!(matches!(
-            ex.admit(vec![1.0, 2.0], None),
+            admit(&mut ex, vec![1.0, 2.0], None),
             Err(ServeError::BadRequest(_))
         ));
         // one non-finite request among valid ones: rejected alone, and
         // the valid ones batch and complete
-        let a = ex.admit(payload(0), None).unwrap();
+        let a = admit(&mut ex, payload(0), None).unwrap();
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             assert!(matches!(
-                ex.admit(vec![0.5, bad, 0.0], None),
+                admit(&mut ex, vec![0.5, bad, 0.0], None),
                 Err(ServeError::BadRequest(_))
             ));
         }
-        let b = ex.admit(payload(1), None).unwrap();
+        let b = admit(&mut ex, payload(1), None).unwrap();
         let outcomes = ex.serve(vec![a, b]);
         assert!(outcomes.iter().all(|(_, o)| o.is_ok()));
         assert_eq!(ex.stats().admitted, 2);
@@ -621,7 +550,7 @@ mod tests {
     #[test]
     fn chaos_is_logged_in_order() {
         let mut ex = executor(4);
-        let a = ex.admit(payload(0), None).unwrap();
+        let a = admit(&mut ex, payload(0), None).unwrap();
         ex.apply_chaos(0.25).unwrap();
         ex.serve(vec![a]);
         let kinds: Vec<_> = ex

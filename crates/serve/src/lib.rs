@@ -22,34 +22,34 @@
 //!   that sheds load before the hardware drowns.
 //! - **Deterministic replay.** Every admission, chaos injection,
 //!   expiry, and batch composition is recorded in an append-only
-//!   [`RequestLog`]; [`replay`] re-executes it against a fresh
-//!   deployment and reproduces every response **bitwise**, at any
-//!   engine thread count.
+//!   [`RequestLog`] per shard; [`replay_shards`] re-executes the logs
+//!   against fresh deployments and reproduces every response
+//!   **bitwise**, at any engine thread count.
 //!
-//! Three drivers share the same core [`Executor`]: the threaded
-//! [`Server`] for live concurrent clients, the discrete-event
-//! [`simulate`] loop for load sweeps in virtual time, and [`replay`]
-//! for forensic reproduction.
+//! There is one serving path. A [`ShardSet`] of one or more deployments
+//! owns every [`Executor`], behind a deterministic [`Router`]
+//! (rendezvous or round-robin, pure in `(seed, id, eligible set)`), with
+//! per-shard health driving admission, drain, quarantine, and failover —
+//! a request whose shard dies mid-flight re-routes under the
+//! [`RetryPolicy`] with zero silent drops, and the accounting identity
+//! extends across shards. Two drivers own a set: the threaded
+//! [`ShardServer`] for live concurrent clients and the discrete-event
+//! [`simulate_shards`] loop for load sweeps in virtual time. A single
+//! deployment is a set of one, and two rules make it serve exactly like
+//! a lone deployment: it serves on the set seed itself, and it is never
+//! quarantined — it answers [`ServeError::Shed`] and serves its backlog.
 //!
-//! Above the single deployment sits the replicated-shard layer: a
-//! [`ShardSet`] of N deployments behind a deterministic [`Router`]
-//! (rendezvous or round-robin, pure in `(seed, id, eligible set)`),
-//! with per-shard health driving admission, drain, quarantine, and
-//! failover — a request whose shard dies mid-flight re-routes under
-//! the [`RetryPolicy`] with zero silent drops, and the accounting
-//! identity extends across shards. Live encoding reconfiguration and
-//! cell-upset faults are scripted through the [`chaos`] harness
-//! ([`ChaosScript`] + [`simulate_shards`]) or applied to the threaded
-//! [`ShardServer`]; per-shard logs replay bitwise via
-//! [`replay_shards`]. Deadlines expire on the virtual timeline by
-//! default, or on real elapsed time with
-//! [`ClockMode::Monotonic`](clock::ClockMode::Monotonic).
+//! Faults, cell upsets and live encoding reconfigurations travel only in
+//! the [`chaos`] harness: a [`ChaosScript`] for [`simulate_shards`], or
+//! single [`ChaosAction`]s applied to a live [`ShardServer`]. Deadlines
+//! expire on the virtual timeline by default, or on real elapsed time
+//! with [`ClockMode::Monotonic`].
 //!
 //! # Quickstart
 //!
 //! ```
-//! use membit_serve::{simulate, ArrivalEvent, ArrivalKind, ServeConfig};
-//! use membit_serve::LinearServeModel;
+//! use membit_serve::{simulate_shards, ArrivalEvent, ArrivalKind, ChaosScript};
+//! use membit_serve::{LinearServeModel, RoutePolicy, ServeConfig};
 //! use membit_tensor::{Rng, Tensor};
 //! use membit_xbar::{GuardPolicy, XbarConfig};
 //!
@@ -63,7 +63,14 @@
 //!         kind: ArrivalKind::Request { input: vec![0.5, -0.5, 1.0], deadline_ns: None },
 //!     })
 //!     .collect();
-//! let report = simulate(model, ServeConfig::standard(7), &schedule).unwrap();
+//! let report = simulate_shards(
+//!     vec![model],
+//!     ServeConfig::standard(7),
+//!     RoutePolicy::Rendezvous,
+//!     &schedule,
+//!     &ChaosScript::empty(),
+//! )
+//! .unwrap();
 //! assert_eq!(report.stats.completed, 4);
 //! assert!(report.stats.accounted());
 //! ```
@@ -85,21 +92,21 @@ pub mod router;
 pub mod server;
 pub mod shard;
 pub mod sim;
+#[cfg(test)]
+mod testing;
 
-pub use chaos::{simulate_shards, ChaosAction, ChaosEvent, ChaosScript, ShardSimReport};
+pub use chaos::{ChaosAction, ChaosEvent, ChaosScript};
 pub use clock::{ClockMode, MonotonicClock, ServeClock, VirtualClock};
 pub use config::{RetryPolicy, ServeConfig};
 pub use error::ServeError;
-pub use executor::{admit_check, batch_quota, Executor, Pending, Response, ServeStats};
+pub use executor::{batch_quota, Executor, Pending, Response, ServeStats};
 pub use health::{HealthPolicy, HealthState, HealthTracker};
-pub use log::{replay, serve_rng, LogEvent, RequestLog};
+pub use log::{serve_rng, LogEvent, RequestLog};
 pub use model::{LinearServeModel, ServeModel};
 pub use router::{shard_seed, RoutePolicy, Router};
-pub use server::{Handle, ServeReport, Server};
-pub use shard::{
-    replay_shards, ShardRecord, ShardServer, ShardSet, ShardSetReport, ShardStatus,
-};
-pub use sim::{simulate, ArrivalEvent, ArrivalKind, SimOutcome, SimReport};
+pub use server::{Handle, ShardServer};
+pub use shard::{replay_shards, ShardRecord, ShardSet, ShardSetReport, ShardStatus};
+pub use sim::{simulate_shards, ArrivalEvent, ArrivalKind, ShardSimReport, SimOutcome};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;

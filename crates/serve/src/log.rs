@@ -4,11 +4,12 @@
 //! RNG consumption, in execution order: admissions (with the full
 //! payload), chaos injections, deadline expiries, and the composition of
 //! every executed batch. Together with the serving seed this is a
-//! complete causal record — [`replay`] re-executes it against a freshly
-//! deployed model and reproduces every response **bitwise**, at any
-//! engine thread count, because the engine's noise is keyed per
-//! `(pulse, sample, tile)` and the serve RNG is consumed only by
-//! forwards and chaos injections, never by queueing or scheduling.
+//! complete causal record — [`replay_shards`](crate::replay_shards)
+//! re-executes each shard's log against a freshly deployed model and
+//! reproduces every response **bitwise**, at any engine thread count,
+//! because the engine's noise is keyed per `(pulse, sample, tile)` and
+//! the serve RNG is consumed only by forwards and chaos injections,
+//! never by queueing or scheduling.
 
 use membit_tensor::{Rng, RngStream, Tensor};
 
@@ -100,16 +101,17 @@ impl RequestLog {
     }
 }
 
-/// Re-executes a request log against a freshly deployed `model`,
-/// returning `(id, output_row)` for every batched request in execution
-/// order. With the same `seed` and `retry` policy the rows are bitwise
-/// identical to the live responses, at any engine thread count.
+/// Re-executes one shard's request log against a freshly deployed
+/// `model`, returning `(id, output_row)` for every batched request in
+/// execution order. With the shard's serving `seed` and the `retry`
+/// policy the rows are bitwise identical to the live responses, at any
+/// engine thread count.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::BadRequest`] if the log references an id with
 /// no recorded admission, and propagates engine errors.
-pub fn replay<M: ServeModel>(
+pub(crate) fn replay<M: ServeModel>(
     model: &mut M,
     seed: u64,
     retry: &RetryPolicy,

@@ -204,6 +204,7 @@ impl ServeModel for LinearServeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use membit_encoding::MAX_NESTED_PULSES;
     use membit_xbar::GuardPolicy;
 
     fn model(seed: u64) -> LinearServeModel {
@@ -214,6 +215,10 @@ mod tests {
 
     #[test]
     fn linear_model_serves_batches() {
+        let w = Tensor::from_fn(&[3, 4], |i| if i % 2 == 0 { 1.0 } else { -1.0 });
+        let cfg = XbarConfig::functional(0.02);
+        let mut rng = Rng::from_seed(3);
+        assert!(LinearServeModel::program(&w, &cfg, 9, MAX_NESTED_PULSES + 1, &mut rng).is_err());
         let mut m = model(3);
         assert_eq!(m.input_shape(), vec![4]);
         assert_eq!(m.output_dim(), 3);
@@ -237,9 +242,11 @@ mod tests {
         let mut m = model(9);
         let x = Tensor::from_fn(&[1, 4], |i| ((i % 3) as f32 - 1.0) * 0.7);
         let (before, _) = m.forward_batch(&x, &mut Rng::from_seed(21)).unwrap();
-        // wrong arity and zero pulses are rejected, old encoder stays live
+        // wrong arity, zero pulses and more pulses than a count-coded
+        // train holds are rejected, old encoder stays live
         assert!(m.reconfigure_encoding(&[6, 6]).is_err());
         assert!(m.reconfigure_encoding(&[0]).is_err());
+        assert!(m.reconfigure_encoding(&[MAX_NESTED_PULSES + 1]).is_err());
         let (unchanged, _) = m.forward_batch(&x, &mut Rng::from_seed(21)).unwrap();
         assert_eq!(before.as_slice(), unchanged.as_slice());
         // a valid swap takes effect (different pulse count, same levels)

@@ -1,71 +1,50 @@
-//! The live, concurrent server: a bounded queue in front of a single
-//! scheduler thread that owns the [`Executor`].
+//! The live, concurrent server: one bounded inbox in front of a single
+//! scheduler thread that owns a [`ShardSet`] — a single deployment is a
+//! set of one, served exactly like N replicas.
 //!
-//! Concurrency model: any number of client threads [`Server::submit`]
-//! requests; exactly one scheduler thread admits, batches, and executes
-//! them. All model state, RNG, and the request log live behind that
-//! single thread, so scheduling races can only change *which requests
-//! share a batch* — and batch composition is itself logged, making the
-//! log + seed a complete causal record. Replay therefore reproduces the
-//! live responses bitwise even though the live run was concurrent (see
-//! [`crate::replay`]).
+//! Concurrency model: any number of client threads
+//! [`ShardServer::submit`] requests and [`ShardServer::chaos`] actions;
+//! exactly one scheduler thread routes, batches, executes, fails over
+//! and applies the actions. All model state, RNG, and the request logs
+//! live behind that single thread, so scheduling races can only change
+//! *which requests share a batch* — and batch composition is itself
+//! logged, making the logs + seed a complete causal record. Replay
+//! therefore reproduces the live responses bitwise even though the live
+//! run was concurrent (see [`crate::replay_shards`]).
 //!
-//! Backpressure is typed and synchronous: a full queue or a shedding
-//! deployment rejects at [`Server::submit`] with
+//! Backpressure is typed and synchronous: a full set or one with no
+//! admitting shard rejects at [`ShardServer::submit`] with
 //! [`ServeError::QueueFull`] / [`ServeError::Shed`]; nothing is ever
 //! dropped after admission — every admitted request's [`Handle`]
 //! resolves with a response or a typed error, including across
-//! [`Server::kill`].
+//! [`ShardServer::kill`].
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use crate::chaos::{ChaosAction, ChaosEvent, ChaosScript};
 use crate::clock::ClockMode;
 use crate::config::ServeConfig;
-use crate::executor::{
-    admit_check, batch_quota, check_payload, Executor, Pending, Response, ServeStats,
-};
-use crate::health::HealthState;
-use crate::log::RequestLog;
+use crate::executor::{check_payload, Pending, Response};
 use crate::model::ServeModel;
+use crate::router::RoutePolicy;
+use crate::shard::{ShardOutcome, ShardSet, ShardSetReport};
 use crate::{Result, ServeError};
 
-/// One-shot response slot a client blocks on. Shared with the sharded
-/// server ([`crate::ShardServer`]), which resolves the same handles.
-pub(crate) struct Slot {
-    cell: Mutex<Option<Result<Response>>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    pub(crate) fn new() -> Self {
-        Self {
-            cell: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn fill(&self, outcome: Result<Response>) {
-        let mut cell = lock_recover(&self.cell);
-        *cell = Some(outcome);
-        self.cv.notify_all();
-    }
-}
+/// The scheduler's end of a request's one-shot response channel.
+type Reply = Sender<Result<Response>>;
 
 /// A submitted request's claim ticket.
 pub struct Handle {
     id: u64,
-    slot: Arc<Slot>,
+    rx: Receiver<Result<Response>>,
 }
 
 impl Handle {
-    pub(crate) fn new(id: u64, slot: Arc<Slot>) -> Self {
-        Self { id, slot }
-    }
-
     /// The request id (dense, in submission order).
     pub fn id(&self) -> u64 {
         self.id
@@ -78,100 +57,92 @@ impl Handle {
     ///
     /// Returns whatever the serving loop resolved the request with:
     /// [`ServeError::DeadlineExceeded`], [`ServeError::Closed`] (kill),
-    /// or [`ServeError::Engine`].
+    /// or [`ServeError::Engine`]; [`ServeError::Internal`] if the
+    /// scheduler thread died without resolving it.
     pub fn wait(self) -> Result<Response> {
-        let mut cell = lock_recover(&self.slot.cell);
-        loop {
-            if let Some(outcome) = cell.take() {
-                return outcome;
-            }
-            cell = match self.slot.cv.wait(cell) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+        self.rx.recv().unwrap_or_else(|_| {
+            Err(ServeError::Internal(
+                "scheduler dropped the request unresolved".into(),
+            ))
+        })
     }
 }
 
-enum Work {
-    Request(Pending, Arc<Slot>),
-    Chaos { rate: f32 },
-}
-
-struct QueueState {
-    queue: VecDeque<Work>,
-    /// Request entries currently queued (chaos markers excluded).
-    depth: usize,
-    /// High-water mark of `depth`.
-    max_depth: usize,
-    open: bool,
-    killed: bool,
-    health: HealthState,
-}
-
-struct Shared {
-    q: Mutex<QueueState>,
-    cv: Condvar,
-    /// Scheduler-published virtual clock (ns) for arrival stamping.
-    clock_ns: AtomicU64,
-    next_id: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_shed: AtomicU64,
-}
-
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-/// Final report of a serving session.
-pub struct ServeReport<M> {
-    /// The model, with whatever damage/repairs serving left on it.
-    pub model: M,
-    /// The append-only request log (feed to [`crate::replay`]).
-    pub log: RequestLog,
-    /// Aggregate counters; `stats.accounted()` holds.
-    pub stats: ServeStats,
+enum InboxItem {
+    Request(Pending, Reply),
+    Action(ChaosAction),
 }
 
-/// A fault-tolerant, deterministic batched inference server.
-pub struct Server<M> {
-    shared: Arc<Shared>,
+struct Inbox {
+    items: VecDeque<InboxItem>,
+    /// Request items currently in the inbox.
+    inbox_requests: usize,
+    /// Queued requests inside the shard set: as last published, plus
+    /// those drained from the inbox since.
+    shard_depth: usize,
+    /// Whether any shard admits, as last published.
+    routable: bool,
+    open: bool,
+    killed: bool,
+}
+
+struct ShardShared {
+    q: Mutex<Inbox>,
+    cv: Condvar,
+    /// Scheduler-published earliest shard clock (ns), for virtual-mode
+    /// arrival stamping.
+    clock_ns: AtomicU64,
+    next_id: AtomicU64,
+    rejected_queue_full: AtomicU64,
+    rejected_shed: AtomicU64,
+}
+
+/// A live, concurrent server over a [`ShardSet`] of one or more
+/// deployments: one bounded inbox in front of a single scheduler thread
+/// that owns the set. Admission is bounded by
+/// `num_shards × queue_capacity`. Chaos actions enter through
+/// [`ShardServer::chaos`] and take effect in submission order.
+pub struct ShardServer<M> {
+    shared: Arc<ShardShared>,
     sample_len: usize,
-    capacity: usize,
+    total_capacity: usize,
     default_deadline_ns: u64,
     clock_mode: ClockMode,
-    /// Wall-clock origin for [`ClockMode::Monotonic`] arrival stamping;
-    /// shared with the executor's deadline clock up to thread-spawn skew.
     origin: Instant,
-    worker: Option<JoinHandle<Executor<M>>>,
+    worker: Option<JoinHandle<ShardSet<M>>>,
 }
 
-impl<M: ServeModel + Send + 'static> Server<M> {
-    /// Starts serving `model` under `config` on a dedicated scheduler
-    /// thread.
+impl<M: ServeModel + Send + 'static> ShardServer<M> {
+    /// Starts serving `models` — one deployment, or N replicas — under
+    /// `config` (per shard; see [`ShardSet::new`]) on a dedicated
+    /// scheduler thread.
     ///
     /// # Errors
     ///
-    /// Propagates [`ServeConfig::validate`].
-    pub fn start(model: M, config: ServeConfig) -> Result<Self> {
-        let executor = Executor::new(model, config)?;
-        let sample_len = executor.input_shape().iter().product();
-        let clock_mode = executor.config().clock;
-        let capacity = executor.config().queue_capacity;
-        let max_batch = executor.config().max_batch;
-        let block_align = executor.config().block_align;
-        let default_deadline_ns = executor.config().default_deadline_ns;
-        let shared = Arc::new(Shared {
-            q: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                depth: 0,
-                max_depth: 0,
+    /// Propagates [`ShardSet::new`] errors.
+    pub fn start(models: Vec<M>, config: ServeConfig, policy: RoutePolicy) -> Result<Self> {
+        let sample_len = models
+            .first()
+            .map_or(0, |m| m.input_shape().iter().product());
+        let total_capacity = config.queue_capacity * models.len();
+        let default_deadline_ns = config.default_deadline_ns;
+        let clock_mode = config.clock;
+        let set = ShardSet::new(models, config, policy)?;
+        let shared = Arc::new(ShardShared {
+            q: Mutex::new(Inbox {
+                items: VecDeque::new(),
+                inbox_requests: 0,
+                shard_depth: 0,
+                routable: true,
                 open: true,
                 killed: false,
-                health: HealthState::Healthy,
             }),
             cv: Condvar::new(),
             clock_ns: AtomicU64::new(0),
@@ -180,13 +151,11 @@ impl<M: ServeModel + Send + 'static> Server<M> {
             rejected_shed: AtomicU64::new(0),
         });
         let worker_shared = Arc::clone(&shared);
-        let worker = std::thread::spawn(move || {
-            scheduler_loop(executor, &worker_shared, max_batch, block_align)
-        });
+        let worker = std::thread::spawn(move || shard_scheduler_loop(set, &worker_shared));
         Ok(Self {
             shared,
             sample_len,
-            capacity,
+            total_capacity,
             default_deadline_ns,
             clock_mode,
             origin: Instant::now(),
@@ -194,15 +163,14 @@ impl<M: ServeModel + Send + 'static> Server<M> {
         })
     }
 
-    /// Submits one request (flattened sample, optional deadline
-    /// override in virtual ns). Non-blocking: admission control answers
-    /// immediately.
+    /// Submits one request. Non-blocking: admission control answers
+    /// immediately against the published shard state.
     ///
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] for a wrong-sized or non-finite
-    /// payload, [`ServeError::QueueFull`] at capacity,
-    /// [`ServeError::Shed`] while the deployment sheds load,
+    /// payload, [`ServeError::QueueFull`] at total capacity,
+    /// [`ServeError::Shed`] while no shard admits,
     /// [`ServeError::Closed`] after shutdown/kill.
     pub fn submit(&self, input: Vec<f32>, deadline_ns: Option<u64>) -> Result<Handle> {
         check_payload(&input, self.sample_len)?;
@@ -210,23 +178,19 @@ impl<M: ServeModel + Send + 'static> Server<M> {
         if !q.open {
             return Err(ServeError::Closed);
         }
-        if let Err(e) = admit_check(q.depth, self.capacity, q.health) {
-            match &e {
-                ServeError::QueueFull { .. } => {
-                    self.shared.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                }
-                ServeError::Shed => {
-                    self.shared.rejected_shed.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-            return Err(e);
+        if !q.routable {
+            self.shared.rejected_shed.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::Shed);
+        }
+        if q.inbox_requests + q.shard_depth >= self.total_capacity {
+            self.shared
+                .rejected_queue_full
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::QueueFull {
+                capacity: self.total_capacity,
+            });
         }
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        // Virtual mode stamps arrivals with the published virtual clock
-        // (deterministic); Monotonic mode stamps real elapsed ns so
-        // deadlines expire on wall time. Replay is unaffected either
-        // way: it follows the logged timeline.
         let arrival_ns = match self.clock_mode {
             ClockMode::Virtual => self.shared.clock_ns.load(Ordering::Relaxed),
             ClockMode::Monotonic => {
@@ -239,69 +203,63 @@ impl<M: ServeModel + Send + 'static> Server<M> {
             arrival_ns,
             deadline_ns: deadline_ns.unwrap_or(self.default_deadline_ns),
         };
-        let slot = Arc::new(Slot::new());
-        let handle = Handle::new(id, Arc::clone(&slot));
-        q.queue.push_back(Work::Request(pending, slot));
-        q.depth += 1;
-        q.max_depth = q.max_depth.max(q.depth);
+        let (tx, rx) = channel();
+        q.items.push_back(InboxItem::Request(pending, tx));
+        q.inbox_requests += 1;
         drop(q);
         self.shared.cv.notify_one();
-        Ok(handle)
+        Ok(Handle { id, rx })
     }
 
-    /// Enqueues a chaos injection ([`ServeModel::inject_upsets`] at
-    /// `rate`) behind the currently queued requests — the mid-serving
-    /// `upset_cell` fault hook. Chaos bypasses capacity (it occupies no
-    /// request slot) but respects queue order, so live execution and
-    /// replay agree on exactly which batches run on damaged arrays.
+    /// Enqueues one chaos/control action behind the currently submitted
+    /// requests. Failures at application time (bad target, dead shard)
+    /// are counted in the final stats — never silent.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Closed`] after shutdown/kill.
-    pub fn inject_chaos(&self, rate: f32) -> Result<()> {
+    /// Returns [`ServeError::Closed`] after shutdown/kill and
+    /// [`ServeError::BadRequest`] for out-of-range parameters.
+    pub fn chaos(&self, action: ChaosAction) -> Result<()> {
+        // reuse the script-level parameter validation
+        ChaosScript::new(vec![ChaosEvent {
+            at_ns: 0,
+            action: action.clone(),
+        }])?;
         let mut q = lock_recover(&self.shared.q);
         if !q.open {
             return Err(ServeError::Closed);
         }
-        q.queue.push_back(Work::Chaos { rate });
+        q.items.push_back(InboxItem::Action(action));
         drop(q);
         self.shared.cv.notify_one();
         Ok(())
     }
 
-    /// Current health state as last published by the scheduler.
-    pub fn health_state(&self) -> HealthState {
-        lock_recover(&self.shared.q).health
-    }
-
-    /// Last published virtual clock (ns).
+    /// Last published earliest shard clock (virtual ns).
     pub fn clock_ns(&self) -> u64 {
         self.shared.clock_ns.load(Ordering::Relaxed)
     }
 
     /// Graceful shutdown: closes admission, drains every queued request
-    /// and chaos event, then returns the final report.
+    /// and action, then returns the final report.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Internal`] if the scheduler thread
-    /// panicked.
-    pub fn shutdown(mut self) -> Result<ServeReport<M>> {
+    /// panicked or was already joined.
+    pub fn shutdown(mut self) -> Result<ShardSetReport<M>> {
         self.close(false);
         self.join()
     }
 
-    /// Hard stop: closes admission and cancels everything still queued
-    /// (owners receive [`ServeError::Closed`]); the batch in flight, if
-    /// any, completes and its responses are delivered. Returns the final
-    /// report — whose log replays to exactly the responses that were
-    /// actually delivered.
+    /// Hard stop: cancels everything still queued (owners receive
+    /// [`ServeError::Closed`]); batches in flight complete and deliver.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Internal`] if the scheduler thread
-    /// panicked.
-    pub fn kill(mut self) -> Result<ServeReport<M>> {
+    /// panicked or was already joined.
+    pub fn kill(mut self) -> Result<ShardSetReport<M>> {
         self.close(true);
         self.join()
     }
@@ -316,26 +274,24 @@ impl<M: ServeModel + Send + 'static> Server<M> {
         self.shared.cv.notify_all();
     }
 
-    fn join(&mut self) -> Result<ServeReport<M>> {
+    fn join(&mut self) -> Result<ShardSetReport<M>> {
         let worker = self
             .worker
             .take()
-            .ok_or_else(|| ServeError::Internal("server already joined".into()))?;
-        let executor = worker
+            .ok_or_else(|| ServeError::Internal("shard server already joined".into()))?;
+        let set = worker
             .join()
-            .map_err(|_| ServeError::Internal("scheduler thread panicked".into()))?;
-        let (model, log, mut stats) = executor.into_report();
-        stats.rejected_queue_full += self.shared.rejected_queue_full.load(Ordering::Relaxed);
-        stats.rejected_shed += self.shared.rejected_shed.load(Ordering::Relaxed);
-        Ok(ServeReport { model, log, stats })
+            .map_err(|_| ServeError::Internal("shard scheduler thread panicked".into()))?;
+        let mut report = set.into_report();
+        report.stats.rejected_queue_full += self.shared.rejected_queue_full.load(Ordering::Relaxed);
+        report.stats.rejected_shed += self.shared.rejected_shed.load(Ordering::Relaxed);
+        Ok(report)
     }
 }
 
-impl<M> Drop for Server<M> {
+impl<M> Drop for ShardServer<M> {
     fn drop(&mut self) {
         if self.worker.is_some() {
-            // dropped without shutdown(): cancel queued work so no
-            // client blocks forever, then detach-join the scheduler
             let mut q = lock_recover(&self.shared.q);
             q.open = false;
             q.killed = true;
@@ -348,167 +304,138 @@ impl<M> Drop for Server<M> {
     }
 }
 
-/// What the scheduler pulled from the queue in one pass.
-enum Pulled {
-    /// Serve these in order: chaos injections first, then one batch.
-    Work {
-        chaos: Vec<f32>,
-        batch: Vec<(Pending, Arc<Slot>)>,
-    },
-    /// Kill: cancel everything still queued, then exit.
-    Cancel(Vec<(Pending, Arc<Slot>)>),
-    /// Drained and closed: exit.
+enum ShardPulled {
+    Items(Vec<InboxItem>),
+    Kill(Vec<InboxItem>),
+    Continue,
     Exit,
 }
 
-fn pull(shared: &Shared, max_batch: usize, block_align: usize) -> (Pulled, usize) {
+fn shard_pull<M: ServeModel>(shared: &ShardShared, set: &ShardSet<M>) -> ShardPulled {
     let mut q = lock_recover(&shared.q);
     loop {
         if q.killed {
-            let mut cancelled = Vec::new();
-            while let Some(work) = q.queue.pop_front() {
-                if let Work::Request(p, slot) = work {
-                    cancelled.push((p, slot));
-                }
-            }
-            q.depth = 0;
-            return (Pulled::Cancel(cancelled), q.max_depth);
+            let items: Vec<InboxItem> = q.items.drain(..).collect();
+            q.inbox_requests = 0;
+            return ShardPulled::Kill(items);
         }
-        if q.queue.is_empty() {
-            if !q.open {
-                return (Pulled::Exit, q.max_depth);
-            }
-            q = match shared.cv.wait(q) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            continue;
+        if !q.items.is_empty() {
+            let items: Vec<InboxItem> = q.items.drain(..).collect();
+            // the drained requests now count against the set's queues
+            // until the scheduler publishes their real depth, so inbox
+            // plus queues never exceed the admission bound
+            q.shard_depth += q.inbox_requests;
+            q.inbox_requests = 0;
+            return ShardPulled::Items(items);
         }
-        // pop leading chaos markers, then one aligned batch of requests
-        let mut chaos = Vec::new();
-        while matches!(q.queue.front(), Some(Work::Chaos { .. })) {
-            if let Some(Work::Chaos { rate }) = q.queue.pop_front() {
-                chaos.push(rate);
-            }
+        if set.has_queued_work() {
+            return ShardPulled::Continue;
         }
-        let run = q
-            .queue
-            .iter()
-            .take_while(|w| matches!(w, Work::Request(..)))
-            .count();
-        let take = if run == 0 {
-            0
-        } else {
-            batch_quota(run, max_batch, block_align)
+        if !q.open {
+            return ShardPulled::Exit;
+        }
+        q = match shared.cv.wait(q) {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
         };
-        let mut batch = Vec::with_capacity(take);
-        for _ in 0..take {
-            if let Some(Work::Request(p, slot)) = q.queue.pop_front() {
-                batch.push((p, slot));
-            }
-        }
-        q.depth -= batch.len();
-        return (Pulled::Work { chaos, batch }, q.max_depth);
     }
 }
 
-fn scheduler_loop<M: ServeModel>(
-    mut executor: Executor<M>,
-    shared: &Shared,
-    max_batch: usize,
-    block_align: usize,
-) -> Executor<M> {
-    loop {
-        let (pulled, max_depth) = pull(shared, max_batch, block_align);
-        executor.note_queue_depth(max_depth);
-        match pulled {
-            Pulled::Exit => return executor,
-            Pulled::Cancel(requests) => {
-                let pendings: Vec<Pending> = requests.iter().map(|(p, _)| p.clone()).collect();
-                let outcomes = executor.cancel(pendings);
-                for ((_, slot), (_, outcome)) in requests.into_iter().zip(outcomes) {
-                    slot.fill(outcome);
-                }
-                return executor;
-            }
-            Pulled::Work { chaos, batch } => {
-                for rate in chaos {
-                    // failures are counted by the executor
-                    // (stats.chaos_failures) without breaking the loop
-                    let _ = executor.apply_chaos(rate);
-                }
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut slots = Vec::with_capacity(batch.len());
-                let mut pendings = Vec::with_capacity(batch.len());
-                for (p, slot) in batch {
-                    // malformed payloads were rejected at submit; a
-                    // register failure here is still surfaced typed
-                    match executor.register(&p) {
-                        Ok(()) => {
-                            slots.push((p.id, slot));
-                            pendings.push(p);
-                        }
-                        Err(e) => slot.fill(Err(e)),
-                    }
-                }
-                let outcomes = executor.serve(pendings);
-                for (req, outcome) in outcomes {
-                    if let Some(pos) = slots.iter().position(|(id, _)| *id == req.id) {
-                        let (_, slot) = slots.swap_remove(pos);
-                        slot.fill(outcome);
-                    }
-                }
-                shared
-                    .clock_ns
-                    .store(executor.clock_ns(), Ordering::Relaxed);
-                let state = executor.health_state();
-                let mut q = lock_recover(&shared.q);
-                q.health = state;
+fn shard_scheduler_loop<M: ServeModel>(mut set: ShardSet<M>, shared: &ShardShared) -> ShardSet<M> {
+    // a send fails only once the client dropped its handle
+    let mut replies: HashMap<u64, Reply> = HashMap::new();
+    let resolve = |replies: &mut HashMap<u64, Reply>, outcomes: Vec<ShardOutcome>| {
+        for (id, outcome) in outcomes {
+            if let Some(tx) = replies.remove(&id) {
+                let _ = tx.send(outcome);
             }
         }
+    };
+    loop {
+        match shard_pull(shared, &set) {
+            ShardPulled::Exit => return set,
+            ShardPulled::Kill(items) => {
+                let mut unrouted = 0u64;
+                for item in items {
+                    if let InboxItem::Request(_, tx) = item {
+                        let _ = tx.send(Err(ServeError::Closed));
+                        unrouted += 1;
+                    }
+                }
+                set.cancel_unrouted(unrouted);
+                let outcomes = set.cancel_queued();
+                resolve(&mut replies, outcomes);
+                return set;
+            }
+            ShardPulled::Items(items) => {
+                for item in items {
+                    match item {
+                        InboxItem::Request(pending, tx) => {
+                            let id = pending.id;
+                            match set.submit(pending) {
+                                Ok(_) => {
+                                    replies.insert(id, tx);
+                                }
+                                Err(e) => {
+                                    let _ = tx.send(Err(e));
+                                }
+                            }
+                        }
+                        InboxItem::Action(action) => {
+                            // failures are counted by the set
+                            if let Ok(outcomes) = set.apply(&action) {
+                                resolve(&mut replies, outcomes);
+                            }
+                        }
+                    }
+                }
+            }
+            ShardPulled::Continue => {}
+        }
+        let outcomes = set.serve_round();
+        resolve(&mut replies, outcomes);
+        shared.clock_ns.store(set.min_clock_ns(), Ordering::Relaxed);
+        let routable = set.any_routable();
+        let depth = set.total_depth();
+        let mut q = lock_recover(&shared.q);
+        q.routable = routable;
+        q.shard_depth = depth;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::LogEvent;
     use crate::model::LinearServeModel;
-    use membit_tensor::{Rng, Tensor};
-    use membit_xbar::{GuardPolicy, XbarConfig};
+    use crate::testing::{models, payload};
 
-    fn model(seed: u64) -> LinearServeModel {
-        let w = Tensor::from_fn(&[2, 3], |i| if i % 2 == 0 { 1.0 } else { -1.0 });
-        let cfg = XbarConfig::functional(0.02).with_guard(GuardPolicy::standard());
-        LinearServeModel::program(&w, &cfg, 9, 4, &mut Rng::from_seed(seed)).unwrap()
-    }
-
-    fn payload(i: usize) -> Vec<f32> {
-        (0..3)
-            .map(|j| (((i * 3 + j) % 5) as f32 / 2.0 - 1.0).clamp(-1.0, 1.0))
-            .collect()
+    fn start(n_shards: usize, config: ServeConfig) -> ShardServer<LinearServeModel> {
+        let models = models(n_shards, config.seed);
+        ShardServer::start(models, config, RoutePolicy::Rendezvous).unwrap()
     }
 
     #[test]
     fn serves_and_shuts_down_clean() {
-        let server = Server::start(model(1), ServeConfig::standard(1)).unwrap();
-        let handles: Vec<Handle> = (0..6)
-            .map(|i| server.submit(payload(i), None).unwrap())
-            .collect();
-        for h in handles {
-            let r = h.wait().unwrap();
-            assert_eq!(r.output.len(), 2);
+        for n_shards in [1, 3] {
+            let server = start(n_shards, ServeConfig::standard(1));
+            let handles: Vec<Handle> = (0..6)
+                .map(|i| server.submit(payload(i), None).unwrap())
+                .collect();
+            for h in handles {
+                let r = h.wait().unwrap();
+                assert_eq!(r.output.len(), 2);
+            }
+            let report = server.shutdown().unwrap();
+            assert!(report.stats.accounted());
+            assert_eq!(report.stats.completed, 6);
+            assert_eq!(report.stats.failed, 0);
         }
-        let report = server.shutdown().unwrap();
-        assert!(report.stats.accounted());
-        assert_eq!(report.stats.completed, 6);
-        assert_eq!(report.stats.failed, 0);
     }
 
     #[test]
     fn wrong_sized_payload_rejected_at_submit() {
-        let server = Server::start(model(2), ServeConfig::standard(2)).unwrap();
+        let server = start(1, ServeConfig::standard(2));
         assert!(matches!(
             server.submit(vec![0.0; 5], None),
             Err(ServeError::BadRequest(_))
@@ -519,7 +446,7 @@ mod tests {
 
     #[test]
     fn non_finite_payload_rejected_and_batchmates_complete() {
-        let server = Server::start(model(5), ServeConfig::standard(5)).unwrap();
+        let server = start(1, ServeConfig::standard(5));
         let mut handles = Vec::new();
         for i in 0..6 {
             if i == 3 {
@@ -545,45 +472,58 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_is_closed() {
-        let server = Server::start(model(3), ServeConfig::standard(3)).unwrap();
-        server.close(false);
-        assert!(matches!(
-            server.submit(payload(0), None),
-            Err(ServeError::Closed)
-        ));
+        for n_shards in [1, 3] {
+            let server = start(n_shards, ServeConfig::standard(3));
+            server.close(false);
+            assert!(matches!(
+                server.submit(payload(0), None),
+                Err(ServeError::Closed)
+            ));
+            assert!(matches!(
+                server.chaos(ChaosAction::Kill { shard: 0 }),
+                Err(ServeError::Closed)
+            ));
+        }
     }
 
     #[test]
     fn kill_resolves_every_handle() {
-        // tiny batches so a backlog survives long enough to be killed
-        let mut cfg = ServeConfig::standard(4);
-        cfg.max_batch = 1;
-        cfg.block_align = 1;
-        let server = Server::start(model(4), cfg).unwrap();
-        let handles: Vec<Handle> = (0..16)
-            .map(|i| server.submit(payload(i), None).unwrap())
-            .collect();
-        let report = server.kill().unwrap();
-        assert!(report.stats.accounted());
-        let mut completed = 0u64;
-        let mut cancelled = 0u64;
-        for h in handles {
-            match h.wait() {
-                Ok(_) => completed += 1,
-                Err(ServeError::Closed) => cancelled += 1,
-                Err(e) => panic!("unexpected outcome: {e}"),
+        for n_shards in [1, 3] {
+            // tiny batches so a backlog survives long enough to be killed
+            let mut cfg = ServeConfig::standard(4);
+            cfg.max_batch = 1;
+            cfg.block_align = 1;
+            let server = start(n_shards, cfg);
+            let handles: Vec<Handle> = (0..16)
+                .map(|i| server.submit(payload(i), None).unwrap())
+                .collect();
+            let report = server.kill().unwrap();
+            assert!(report.stats.accounted());
+            let mut completed = 0u64;
+            let mut cancelled = 0u64;
+            for h in handles {
+                match h.wait() {
+                    Ok(_) => completed += 1,
+                    Err(ServeError::Closed) => cancelled += 1,
+                    Err(e) => panic!("unexpected outcome: {e}"),
+                }
             }
+            assert_eq!(completed, report.stats.completed);
+            assert_eq!(cancelled, report.stats.cancelled);
+            assert_eq!(completed + cancelled, 16);
         }
-        assert_eq!(completed, report.stats.completed);
-        assert_eq!(cancelled, report.stats.cancelled);
-        assert_eq!(completed + cancelled, 16);
     }
 
     #[test]
     fn chaos_injection_is_ordered_with_requests() {
-        let server = Server::start(model(5), ServeConfig::standard(5)).unwrap();
+        let server = start(1, ServeConfig::standard(5));
         let h0 = server.submit(payload(0), None).unwrap();
-        server.inject_chaos(0.3).unwrap();
+        server
+            .chaos(ChaosAction::Upset {
+                shard: 0,
+                rate: 0.3,
+            })
+            .unwrap();
         let h1 = server.submit(payload(1), None).unwrap();
         h0.wait().unwrap();
         h1.wait().unwrap();
@@ -591,5 +531,18 @@ mod tests {
         assert_eq!(report.stats.chaos_events, 1);
         assert!(report.stats.chaos_upsets > 0);
         assert!(report.stats.accounted());
+        // request 0 batches before the upset, request 1 after it
+        let events = report.shards[0].log.events();
+        let batch_of = |id: u64| {
+            events
+                .iter()
+                .position(|e| matches!(e, LogEvent::Batch { ids } if ids.contains(&id)))
+                .unwrap()
+        };
+        let upset = events
+            .iter()
+            .position(|e| matches!(e, LogEvent::Chaos { .. }))
+            .unwrap();
+        assert!(batch_of(0) < upset && upset < batch_of(1));
     }
 }

@@ -1,12 +1,14 @@
-//! Replicated sharded serving: N deployments behind a deterministic
-//! router, with health-driven failover and live reconfiguration.
+//! Sharded serving: one or N deployments behind a deterministic router,
+//! with health-driven failover and live reconfiguration. A single
+//! deployment is a set of one; nothing else in the crate owns an
+//! [`Executor`].
 //!
-//! A [`ShardSet`] owns N replicated [`Executor`]s ("shards"), each with
-//! its own queue, virtual clock, request log, health tracker, and RNG
-//! stream seeded by [`shard_seed`]. A stateless [`Router`] maps every
-//! request id onto the currently eligible shards, so placement is a
-//! pure function of `(seed, id, eligible set)` — identical live and in
-//! simulation. The set-level accounting identity
+//! A [`ShardSet`] owns one [`Executor`] per deployment ("shard"), each
+//! with its own queue, virtual clock, request log, health tracker, and
+//! RNG stream seeded by the seed rule (`serve_seed`). A stateless
+//! [`Router`] maps every request id onto the currently eligible shards,
+//! so placement is a pure function of `(seed, id, eligible set)` —
+//! identical live and in simulation. The set-level accounting identity
 //! `admitted == completed + expired + failed + cancelled` is maintained
 //! across every shard transition:
 //!
@@ -16,10 +18,12 @@
 //!   the retry backoff to the receiving shard's clock, resolving
 //!   [`ServeError::Closed`] only when the budget or the shard pool is
 //!   exhausted. Queued mutations are dropped visibly (chaos failures).
-//! - **Quarantine**: a shard whose health trips `Shedding` stops
-//!   admitting, evicts its queue through the same failover path, and
-//!   re-enters service once idle decay brings the violation EMA back
-//!   down.
+//! - **Quarantine**: in a set of two or more, a shard whose health
+//!   trips `Shedding` stops admitting, evicts its queue through the
+//!   same failover path, and re-enters service once idle decay brings
+//!   the violation EMA back down. A set of one has nowhere to fail over
+//!   to: its shard stays Up, answers `Shed`, and serves its backlog
+//!   (the quarantine rule, `ShardSet::quarantine_if_shedding`).
 //! - **Drain**: admissions stop, the backlog is served, the shard
 //!   returns to service.
 //! - **Reconfigure**: queued in stream order on the target shard, so it
@@ -31,28 +35,35 @@
 //! self-contained and the concatenated replay reproduces every completed
 //! response bitwise at any engine thread count.
 //!
-//! [`ShardServer`] is the live threaded front: clients submit into one
-//! bounded inbox; a single scheduler thread owns the `ShardSet` and does
-//! all routing, serving, failover, and chaos application — the same
-//! single-owner concurrency model as [`Server`](crate::Server), so
-//! concurrency can only reorder admissions, which the logs capture.
+//! Two drivers own a set: the threaded
+//! [`ShardServer`](crate::ShardServer) for live clients and the
+//! discrete-event [`simulate_shards`](crate::simulate_shards) loop for
+//! load sweeps in virtual time. Concurrency in the live server can only
+//! reorder admissions, which the logs capture.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::chaos::ChaosAction;
-use crate::clock::ClockMode;
 use crate::config::{RetryPolicy, ServeConfig};
-use crate::executor::{batch_quota, check_payload, Executor, Pending, Response, ServeStats};
+use crate::executor::{batch_quota, Executor, Pending, Response, ServeStats};
 use crate::health::HealthState;
 use crate::log::RequestLog;
 use crate::model::ServeModel;
 use crate::router::{shard_seed, RoutePolicy, Router};
-use crate::server::{lock_recover, Handle, Slot};
 use crate::{Result, ServeError};
+
+/// The seed rule: the serving seed of shard `shard` in a set of
+/// `n_shards` sharing the set seed `seed`. A set of one serves on the set
+/// seed itself, exactly like a lone deployment; larger sets decorrelate
+/// their shards through [`shard_seed`]. Live serving and
+/// [`replay_shards`] both key off this.
+fn serve_seed(seed: u64, shard: usize, n_shards: usize) -> u64 {
+    if n_shards == 1 {
+        seed
+    } else {
+        shard_seed(seed, shard)
+    }
+}
 
 /// A resolved request: `(id, outcome)`.
 pub type ShardOutcome = (u64, Result<Response>);
@@ -66,8 +77,8 @@ pub enum ShardStatus {
     ///
     /// [`Up`]: ShardStatus::Up
     Draining,
-    /// Health tripped `Shedding`: not admitting, queue evicted; idle
-    /// decay returns it to service.
+    /// Health tripped `Shedding` in a set of two or more: not
+    /// admitting, queue evicted; idle decay returns it to service.
     Quarantined,
     /// Killed. Frozen until a `Revive`.
     Down,
@@ -103,8 +114,8 @@ impl<M: ServeModel> Shard<M> {
 pub struct ShardRecord<M> {
     /// The shard's model, with whatever damage serving left on it.
     pub model: M,
-    /// The shard's append-only log. Replays independently with
-    /// [`shard_seed`]`(set_seed, index)` — see [`replay_shards`].
+    /// The shard's append-only log. Replays independently on the
+    /// shard's serving seed — see [`replay_shards`].
     pub log: RequestLog,
     /// Shard-local counters. Request accounting here is *shard-local
     /// registration*: a failed-over request is admitted on every shard
@@ -123,34 +134,27 @@ pub struct ShardSetReport<M> {
     pub shards: Vec<ShardRecord<M>>,
 }
 
-/// N replicated deployments behind a deterministic router. See the
-/// module docs for the full semantics.
+/// One deployment, or N replicas, behind a deterministic router. See
+/// the module docs for the full semantics.
 pub struct ShardSet<M> {
     shards: Vec<Shard<M>>,
     router: Router,
     config: ServeConfig,
-    // set-level request accounting (authoritative; shard-local stats
-    // double-count failed-over admissions by design)
-    admitted: u64,
-    completed: u64,
-    late: u64,
-    expired: u64,
-    failed: u64,
-    cancelled: u64,
-    rejected_queue_full: u64,
-    rejected_shed: u64,
-    failovers: u64,
-    /// Control-plane chaos failures (bad target, dropped mutations) on
-    /// top of the per-shard injection failures.
-    chaos_failures: u64,
-    max_depth: u64,
+    /// Set-level request accounting (authoritative; shard-local stats
+    /// double-count failed-over admissions by design), failovers, and
+    /// the control-plane chaos failures (bad target, dropped mutations)
+    /// on top of the per-shard injection failures. The execution
+    /// counters stay zero here: [`ShardSet::stats`] sums them over the
+    /// shards.
+    counts: ServeStats,
 }
 
 impl<M: ServeModel> ShardSet<M> {
-    /// Replicates `models` into a shard set under `config` (applied
-    /// per shard; `queue_capacity` bounds *each* shard's queue) routed
-    /// by `policy`. Shard `i`'s executor is seeded with
-    /// [`shard_seed`]`(config.seed, i)`.
+    /// Builds a shard set of `models` — one deployment, or N replicas —
+    /// under `config` (applied per shard; `queue_capacity` bounds *each*
+    /// shard's queue) routed by `policy`. Shard `i`'s executor is seeded
+    /// with the set seed itself in a set of one, and with
+    /// [`shard_seed`]`(config.seed, i)` in larger sets.
     ///
     /// # Errors
     ///
@@ -163,7 +167,8 @@ impl<M: ServeModel> ShardSet<M> {
             ));
         }
         let router = Router::new(config.seed, policy);
-        let mut shards = Vec::with_capacity(models.len());
+        let n_shards = models.len();
+        let mut shards = Vec::with_capacity(n_shards);
         let mut shape: Option<(Vec<usize>, usize)> = None;
         for (i, model) in models.into_iter().enumerate() {
             let this = (model.input_shape(), model.output_dim());
@@ -177,7 +182,7 @@ impl<M: ServeModel> ShardSet<M> {
                 Some(_) => {}
             }
             let mut shard_config = config.clone();
-            shard_config.seed = shard_seed(config.seed, i);
+            shard_config.seed = serve_seed(config.seed, i, n_shards);
             shards.push(Shard {
                 executor: Executor::new(model, shard_config)?,
                 status: ShardStatus::Up,
@@ -189,17 +194,7 @@ impl<M: ServeModel> ShardSet<M> {
             shards,
             router,
             config,
-            admitted: 0,
-            completed: 0,
-            late: 0,
-            expired: 0,
-            failed: 0,
-            cancelled: 0,
-            rejected_queue_full: 0,
-            rejected_shed: 0,
-            failovers: 0,
-            chaos_failures: 0,
-            max_depth: 0,
+            counts: ServeStats::default(),
         })
     }
 
@@ -221,7 +216,7 @@ impl<M: ServeModel> ShardSet<M> {
     /// The next dense request id (equals the set-level admitted count;
     /// rejected submissions don't burn ids).
     pub fn next_request_id(&self) -> u64 {
-        self.admitted
+        self.counts.admitted
     }
 
     /// Whether any shard currently accepts admissions (ignores queue
@@ -270,7 +265,8 @@ impl<M: ServeModel> ShardSet<M> {
     }
 
     fn note_depth(&mut self, shard: usize) {
-        self.max_depth = self.max_depth.max(self.total_depth() as u64);
+        let total = self.total_depth() as u64;
+        self.counts.max_queue_depth = self.counts.max_queue_depth.max(total);
         let depth = self.shards[shard].depth;
         self.shards[shard].executor.note_queue_depth(depth);
     }
@@ -278,12 +274,12 @@ impl<M: ServeModel> ShardSet<M> {
     fn count_outcome(&mut self, outcome: &Result<Response>) {
         match outcome {
             Ok(r) => {
-                self.completed += 1;
-                self.late += u64::from(r.late);
+                self.counts.completed += 1;
+                self.counts.late_completions += u64::from(r.late);
             }
-            Err(ServeError::DeadlineExceeded { .. }) => self.expired += 1,
-            Err(ServeError::Closed) => self.cancelled += 1,
-            Err(_) => self.failed += 1,
+            Err(ServeError::DeadlineExceeded { .. }) => self.counts.expired += 1,
+            Err(ServeError::Closed) => self.counts.cancelled += 1,
+            Err(_) => self.counts.failed += 1,
         }
     }
 
@@ -299,12 +295,12 @@ impl<M: ServeModel> ShardSet<M> {
     /// Rejections are counted; nothing is queued.
     pub fn submit(&mut self, pending: Pending) -> Result<usize> {
         if !self.any_routable() {
-            self.rejected_shed += 1;
+            self.counts.rejected_shed += 1;
             return Err(ServeError::Shed);
         }
         let eligible = self.eligible();
         if eligible.is_empty() {
-            self.rejected_queue_full += 1;
+            self.counts.rejected_queue_full += 1;
             return Err(ServeError::QueueFull {
                 capacity: self.config.queue_capacity,
             });
@@ -314,7 +310,7 @@ impl<M: ServeModel> ShardSet<M> {
             return Err(ServeError::Internal("router returned no shard".into()));
         };
         self.shards[target].executor.register(&pending)?;
-        self.admitted += 1;
+        self.counts.admitted += 1;
         self.shards[target].queue.push_back(ShardWork::Request {
             pending,
             attempts: 0,
@@ -328,20 +324,20 @@ impl<M: ServeModel> ShardSet<M> {
     /// typed when the retry budget or the shard pool is exhausted.
     fn reroute(&mut self, pending: Pending, attempts: u32) -> Option<ShardOutcome> {
         if attempts > self.config.retry.max_retries {
-            self.cancelled += 1;
+            self.counts.cancelled += 1;
             return Some((pending.id, Err(ServeError::Closed)));
         }
         let eligible = self.eligible();
         let Some(target) = self.router.route(pending.id, &eligible) else {
-            self.cancelled += 1;
+            self.counts.cancelled += 1;
             return Some((pending.id, Err(ServeError::Closed)));
         };
         // self-contained logs: the new shard records the payload too
         if let Err(e) = self.shards[target].executor.register(&pending) {
-            self.failed += 1;
+            self.counts.failed += 1;
             return Some((pending.id, Err(e)));
         }
-        self.failovers += 1;
+        self.counts.failovers += 1;
         // the failover hop charges the retry backoff to the receiver
         let backoff = self.config.retry.backoff_for(attempts);
         let clock = self.shards[target].executor.clock_ns();
@@ -356,25 +352,30 @@ impl<M: ServeModel> ShardSet<M> {
         None
     }
 
-    /// Empties shard `k`'s queue: requests fail over, mutations are
-    /// dropped visibly (counted as chaos failures).
-    fn evict(&mut self, k: usize) -> Vec<ShardOutcome> {
-        let drained: Vec<ShardWork> = self.shards[k].queue.drain(..).collect();
+    /// Empties shard `k`'s queue, returning its requests with their
+    /// attempt counts; queued mutations are dropped visibly (counted as
+    /// chaos failures).
+    fn drain(&mut self, k: usize) -> Vec<(Pending, u32)> {
         self.shards[k].depth = 0;
-        let mut out = Vec::new();
-        for work in drained {
+        let mut requests = Vec::new();
+        for work in std::mem::take(&mut self.shards[k].queue) {
             match work {
                 ShardWork::Upset { .. } | ShardWork::Reconfigure { .. } => {
-                    self.chaos_failures += 1;
+                    self.counts.chaos_failures += 1;
                 }
-                ShardWork::Request { pending, attempts } => {
-                    if let Some(o) = self.reroute(pending, attempts + 1) {
-                        out.push(o);
-                    }
-                }
+                ShardWork::Request { pending, attempts } => requests.push((pending, attempts)),
             }
         }
-        out
+        requests
+    }
+
+    /// Empties shard `k`'s queue: requests fail over, mutations are
+    /// dropped visibly.
+    fn evict(&mut self, k: usize) -> Vec<ShardOutcome> {
+        self.drain(k)
+            .into_iter()
+            .filter_map(|(pending, attempts)| self.reroute(pending, attempts + 1))
+            .collect()
     }
 
     /// Applies one chaos/control action. Failures (out-of-range target,
@@ -389,7 +390,7 @@ impl<M: ServeModel> ShardSet<M> {
         match self.apply_inner(action) {
             Ok(out) => Ok(out),
             Err(e) => {
-                self.chaos_failures += 1;
+                self.counts.chaos_failures += 1;
                 Err(e)
             }
         }
@@ -456,14 +457,28 @@ impl<M: ServeModel> ShardSet<M> {
                         "cannot degrade down shard {k}"
                     )));
                 }
-                let state = self.shards[k].executor.force_health(*ema);
-                if state == HealthState::Shedding && self.shards[k].status == ShardStatus::Up {
-                    self.shards[k].status = ShardStatus::Quarantined;
-                    return Ok(self.evict(k));
-                }
-                Ok(Vec::new())
+                self.shards[k].executor.force_health(*ema);
+                Ok(self.quarantine_if_shedding(k))
             }
         }
+    }
+
+    /// The quarantine rule, applied whenever shard `s`'s health moves: an
+    /// Up shard whose health has tripped `Shedding` is quarantined — its
+    /// queue evicted for failover, idle decay to bring it back — but only
+    /// in a set of two or more. A set of one has no other shard to take
+    /// its work, so its shard stays Up: it answers `Shed` to new work and
+    /// serves its backlog, exactly like a lone deployment. Returns the
+    /// outcomes of evicted requests that could not fail over.
+    fn quarantine_if_shedding(&mut self, s: usize) -> Vec<ShardOutcome> {
+        if self.shards.len() == 1
+            || self.shards[s].status != ShardStatus::Up
+            || self.shards[s].executor.health_state() != HealthState::Shedding
+        {
+            return Vec::new();
+        }
+        self.shards[s].status = ShardStatus::Quarantined;
+        self.evict(s)
     }
 
     /// Serves shard `s` one step: applies leading queued mutations, then
@@ -493,7 +508,7 @@ impl<M: ServeModel> ShardSet<M> {
                 Some(ShardWork::Reconfigure { pulses }) => {
                     // a rejected swap keeps the old encoding, counted
                     if self.shards[s].executor.apply_reconfigure(&pulses).is_err() {
-                        self.chaos_failures += 1;
+                        self.counts.chaos_failures += 1;
                     }
                     progress = true;
                 }
@@ -532,12 +547,7 @@ impl<M: ServeModel> ShardSet<M> {
             out.push((req.id, outcome));
         }
         // health observed on that batch may quarantine the shard
-        if self.shards[s].status == ShardStatus::Up
-            && self.shards[s].executor.health_state() == HealthState::Shedding
-        {
-            self.shards[s].status = ShardStatus::Quarantined;
-            out.extend(self.evict(s));
-        }
+        out.extend(self.quarantine_if_shedding(s));
         (progress, out)
     }
 
@@ -601,18 +611,9 @@ impl<M: ServeModel> ShardSet<M> {
     pub fn cancel_queued(&mut self) -> Vec<ShardOutcome> {
         let mut out = Vec::new();
         for s in 0..self.shards.len() {
-            let drained: Vec<ShardWork> = self.shards[s].queue.drain(..).collect();
-            self.shards[s].depth = 0;
-            for work in drained {
-                match work {
-                    ShardWork::Upset { .. } | ShardWork::Reconfigure { .. } => {
-                        self.chaos_failures += 1;
-                    }
-                    ShardWork::Request { pending, .. } => {
-                        self.cancelled += 1;
-                        out.push((pending.id, Err(ServeError::Closed)));
-                    }
-                }
+            for (pending, _) in self.drain(s) {
+                self.counts.cancelled += 1;
+                out.push((pending.id, Err(ServeError::Closed)));
             }
         }
         out
@@ -622,27 +623,14 @@ impl<M: ServeModel> ShardSet<M> {
     /// were killed before routing: they count admitted *and* cancelled,
     /// keeping the identity exact across a kill.
     pub fn cancel_unrouted(&mut self, n: u64) {
-        self.admitted += n;
-        self.cancelled += n;
+        self.counts.admitted += n;
+        self.counts.cancelled += n;
     }
 
     /// Set-level counters: request accounting from the set (the
     /// authoritative identity), execution counters summed over shards.
     pub fn stats(&self) -> ServeStats {
-        let mut stats = ServeStats {
-            admitted: self.admitted,
-            rejected_queue_full: self.rejected_queue_full,
-            rejected_shed: self.rejected_shed,
-            completed: self.completed,
-            late_completions: self.late,
-            expired: self.expired,
-            failed: self.failed,
-            cancelled: self.cancelled,
-            failovers: self.failovers,
-            chaos_failures: self.chaos_failures,
-            max_queue_depth: self.max_depth,
-            ..ServeStats::default()
-        };
+        let mut stats = self.counts;
         for shard in &self.shards {
             let s = shard.executor.stats();
             stats.batches += s.batches;
@@ -679,11 +667,12 @@ impl<M: ServeModel> ShardSet<M> {
 }
 
 /// Replays every shard's log against freshly deployed `models` (same
-/// order and deployment seeds as the original set), returning
-/// `(id, output_row)` for every batched request, sorted by id. With the
-/// set seed and retry policy of the original run the rows are bitwise
-/// identical to the live responses, at any engine thread count — a
-/// failed-over request replays on the shard that actually served it.
+/// order and deployment seeds as the original set; one model and one log
+/// for a set of one), returning `(id, output_row)` for every batched
+/// request, sorted by id. With the set seed and retry policy of the
+/// original run the rows are bitwise identical to the live responses, at
+/// any engine thread count — a failed-over request replays on the shard
+/// that actually served it.
 ///
 /// # Errors
 ///
@@ -702,364 +691,28 @@ pub fn replay_shards<M: ServeModel>(
             logs.len()
         )));
     }
+    let n_shards = models.len();
     let mut all = Vec::new();
     for (i, (model, log)) in models.iter_mut().zip(logs).enumerate() {
-        all.extend(crate::log::replay(model, shard_seed(seed, i), retry, log)?);
+        all.extend(crate::log::replay(
+            model,
+            serve_seed(seed, i, n_shards),
+            retry,
+            log,
+        )?);
     }
     all.sort_by_key(|(id, _)| *id);
     Ok(all)
-}
-
-// ---------------------------------------------------------------------
-// Live threaded shard server
-// ---------------------------------------------------------------------
-
-enum InboxItem {
-    Request(Pending, Arc<Slot>),
-    Action(ChaosAction),
-}
-
-struct Inbox {
-    items: VecDeque<InboxItem>,
-    /// Request items currently in the inbox.
-    inbox_requests: usize,
-    /// Queued requests inside the shard set, as last published.
-    shard_depth: usize,
-    /// Whether any shard admits, as last published.
-    routable: bool,
-    open: bool,
-    killed: bool,
-}
-
-struct ShardShared {
-    q: Mutex<Inbox>,
-    cv: Condvar,
-    /// Scheduler-published earliest shard clock (ns), for virtual-mode
-    /// arrival stamping.
-    clock_ns: AtomicU64,
-    next_id: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_shed: AtomicU64,
-}
-
-/// A live, concurrent sharded server: one bounded inbox in front of a
-/// single scheduler thread that owns the [`ShardSet`]. Admission is
-/// bounded by `num_shards × queue_capacity`. Chaos actions enter
-/// through [`ShardServer::chaos`] and take effect in submission order.
-pub struct ShardServer<M> {
-    shared: Arc<ShardShared>,
-    sample_len: usize,
-    total_capacity: usize,
-    default_deadline_ns: u64,
-    clock_mode: ClockMode,
-    origin: Instant,
-    worker: Option<JoinHandle<ShardSet<M>>>,
-}
-
-impl<M: ServeModel + Send + 'static> ShardServer<M> {
-    /// Starts serving the replicated `models` under `config` (per-shard;
-    /// see [`ShardSet::new`]) on a dedicated scheduler thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ShardSet::new`] errors.
-    pub fn start(models: Vec<M>, config: ServeConfig, policy: RoutePolicy) -> Result<Self> {
-        let clock_mode = config.clock;
-        let set = ShardSet::new(models, config, policy)?;
-        let sample_len = set.shards[0].executor.input_shape().iter().product();
-        let total_capacity = set.config.queue_capacity * set.num_shards();
-        let default_deadline_ns = set.config.default_deadline_ns;
-        let shared = Arc::new(ShardShared {
-            q: Mutex::new(Inbox {
-                items: VecDeque::new(),
-                inbox_requests: 0,
-                shard_depth: 0,
-                routable: true,
-                open: true,
-                killed: false,
-            }),
-            cv: Condvar::new(),
-            clock_ns: AtomicU64::new(0),
-            next_id: AtomicU64::new(0),
-            rejected_queue_full: AtomicU64::new(0),
-            rejected_shed: AtomicU64::new(0),
-        });
-        let worker_shared = Arc::clone(&shared);
-        let worker = std::thread::spawn(move || shard_scheduler_loop(set, &worker_shared));
-        Ok(Self {
-            shared,
-            sample_len,
-            total_capacity,
-            default_deadline_ns,
-            clock_mode,
-            origin: Instant::now(),
-            worker: Some(worker),
-        })
-    }
-
-    /// Submits one request. Non-blocking: admission control answers
-    /// immediately against the published shard state.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] for a wrong-sized or non-finite
-    /// payload, [`ServeError::QueueFull`] at total capacity,
-    /// [`ServeError::Shed`] while no shard admits,
-    /// [`ServeError::Closed`] after shutdown/kill.
-    pub fn submit(&self, input: Vec<f32>, deadline_ns: Option<u64>) -> Result<Handle> {
-        check_payload(&input, self.sample_len)?;
-        let mut q = lock_recover(&self.shared.q);
-        if !q.open {
-            return Err(ServeError::Closed);
-        }
-        if !q.routable {
-            self.shared.rejected_shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Shed);
-        }
-        if q.inbox_requests + q.shard_depth >= self.total_capacity {
-            self.shared
-                .rejected_queue_full
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::QueueFull {
-                capacity: self.total_capacity,
-            });
-        }
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let arrival_ns = match self.clock_mode {
-            ClockMode::Virtual => self.shared.clock_ns.load(Ordering::Relaxed),
-            ClockMode::Monotonic => {
-                u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            }
-        };
-        let pending = Pending {
-            id,
-            input,
-            arrival_ns,
-            deadline_ns: deadline_ns.unwrap_or(self.default_deadline_ns),
-        };
-        let slot = Arc::new(Slot::new());
-        let handle = Handle::new(id, Arc::clone(&slot));
-        q.items.push_back(InboxItem::Request(pending, slot));
-        q.inbox_requests += 1;
-        drop(q);
-        self.shared.cv.notify_one();
-        Ok(handle)
-    }
-
-    /// Enqueues one chaos/control action behind the currently submitted
-    /// requests. Failures at application time (bad target, dead shard)
-    /// are counted in the final stats — never silent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Closed`] after shutdown/kill and
-    /// [`ServeError::BadRequest`] for out-of-range parameters.
-    pub fn chaos(&self, action: ChaosAction) -> Result<()> {
-        // reuse the script-level parameter validation
-        crate::chaos::ChaosScript::new(vec![crate::chaos::ChaosEvent {
-            at_ns: 0,
-            action: action.clone(),
-        }])?;
-        let mut q = lock_recover(&self.shared.q);
-        if !q.open {
-            return Err(ServeError::Closed);
-        }
-        q.items.push_back(InboxItem::Action(action));
-        drop(q);
-        self.shared.cv.notify_one();
-        Ok(())
-    }
-
-    /// Last published earliest shard clock (virtual ns).
-    pub fn clock_ns(&self) -> u64 {
-        self.shared.clock_ns.load(Ordering::Relaxed)
-    }
-
-    /// Graceful shutdown: closes admission, drains every queued request
-    /// and action, then returns the final report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Internal`] if the scheduler thread
-    /// panicked or was already joined.
-    pub fn shutdown(mut self) -> Result<ShardSetReport<M>> {
-        self.close(false);
-        self.join()
-    }
-
-    /// Hard stop: cancels everything still queued (owners receive
-    /// [`ServeError::Closed`]); batches in flight complete and deliver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Internal`] if the scheduler thread
-    /// panicked or was already joined.
-    pub fn kill(mut self) -> Result<ShardSetReport<M>> {
-        self.close(true);
-        self.join()
-    }
-
-    fn close(&self, kill: bool) {
-        let mut q = lock_recover(&self.shared.q);
-        q.open = false;
-        if kill {
-            q.killed = true;
-        }
-        drop(q);
-        self.shared.cv.notify_all();
-    }
-
-    fn join(&mut self) -> Result<ShardSetReport<M>> {
-        let worker = self
-            .worker
-            .take()
-            .ok_or_else(|| ServeError::Internal("shard server already joined".into()))?;
-        let set = worker
-            .join()
-            .map_err(|_| ServeError::Internal("shard scheduler thread panicked".into()))?;
-        let mut report = set.into_report();
-        report.stats.rejected_queue_full +=
-            self.shared.rejected_queue_full.load(Ordering::Relaxed);
-        report.stats.rejected_shed += self.shared.rejected_shed.load(Ordering::Relaxed);
-        Ok(report)
-    }
-}
-
-impl<M> Drop for ShardServer<M> {
-    fn drop(&mut self) {
-        if self.worker.is_some() {
-            let mut q = lock_recover(&self.shared.q);
-            q.open = false;
-            q.killed = true;
-            drop(q);
-            self.shared.cv.notify_all();
-            if let Some(worker) = self.worker.take() {
-                let _ = worker.join();
-            }
-        }
-    }
-}
-
-enum ShardPulled {
-    Items(Vec<InboxItem>),
-    Kill(Vec<InboxItem>),
-    Continue,
-    Exit,
-}
-
-fn shard_pull<M: ServeModel>(shared: &ShardShared, set: &ShardSet<M>) -> ShardPulled {
-    let mut q = lock_recover(&shared.q);
-    loop {
-        if q.killed {
-            let items: Vec<InboxItem> = q.items.drain(..).collect();
-            q.inbox_requests = 0;
-            return ShardPulled::Kill(items);
-        }
-        if !q.items.is_empty() {
-            let items: Vec<InboxItem> = q.items.drain(..).collect();
-            q.inbox_requests = 0;
-            return ShardPulled::Items(items);
-        }
-        if set.has_queued_work() {
-            return ShardPulled::Continue;
-        }
-        if !q.open {
-            return ShardPulled::Exit;
-        }
-        q = match shared.cv.wait(q) {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-    }
-}
-
-fn shard_scheduler_loop<M: ServeModel>(
-    mut set: ShardSet<M>,
-    shared: &ShardShared,
-) -> ShardSet<M> {
-    let mut slots: std::collections::HashMap<u64, Arc<Slot>> = std::collections::HashMap::new();
-    let resolve = |slots: &mut std::collections::HashMap<u64, Arc<Slot>>,
-                       outcomes: Vec<ShardOutcome>| {
-        for (id, outcome) in outcomes {
-            if let Some(slot) = slots.remove(&id) {
-                slot.fill(outcome);
-            }
-        }
-    };
-    loop {
-        match shard_pull(shared, &set) {
-            ShardPulled::Exit => return set,
-            ShardPulled::Kill(items) => {
-                let mut unrouted = 0u64;
-                for item in items {
-                    if let InboxItem::Request(_, slot) = item {
-                        slot.fill(Err(ServeError::Closed));
-                        unrouted += 1;
-                    }
-                }
-                set.cancel_unrouted(unrouted);
-                let outcomes = set.cancel_queued();
-                resolve(&mut slots, outcomes);
-                return set;
-            }
-            ShardPulled::Items(items) => {
-                for item in items {
-                    match item {
-                        InboxItem::Request(pending, slot) => {
-                            let id = pending.id;
-                            match set.submit(pending) {
-                                Ok(_) => {
-                                    slots.insert(id, slot);
-                                }
-                                Err(e) => slot.fill(Err(e)),
-                            }
-                        }
-                        InboxItem::Action(action) => {
-                            // failures are counted by the set
-                            if let Ok(outcomes) = set.apply(&action) {
-                                resolve(&mut slots, outcomes);
-                            }
-                        }
-                    }
-                }
-            }
-            ShardPulled::Continue => {}
-        }
-        let outcomes = set.serve_round();
-        resolve(&mut slots, outcomes);
-        shared
-            .clock_ns
-            .store(set.min_clock_ns(), Ordering::Relaxed);
-        let routable = set.any_routable();
-        let depth = set.total_depth();
-        let mut q = lock_recover(&shared.q);
-        q.routable = routable;
-        q.shard_depth = depth;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::LinearServeModel;
+    use crate::server::{Handle, ShardServer};
+    use crate::testing::{model, models, payload};
     use membit_tensor::{Rng, Tensor};
     use membit_xbar::{GuardPolicy, XbarConfig};
-
-    fn model(seed: u64) -> LinearServeModel {
-        let w = Tensor::from_fn(&[2, 3], |i| if i % 2 == 0 { 1.0 } else { -1.0 });
-        let cfg = XbarConfig::functional(0.02).with_guard(GuardPolicy::standard());
-        LinearServeModel::program(&w, &cfg, 9, 4, &mut Rng::from_seed(seed)).unwrap()
-    }
-
-    fn models(n: usize, seed: u64) -> Vec<LinearServeModel> {
-        (0..n).map(|i| model(seed.wrapping_add(i as u64))).collect()
-    }
-
-    fn payload(i: usize) -> Vec<f32> {
-        (0..3)
-            .map(|j| (((i * 3 + j) % 5) as f32 / 2.0 - 1.0).clamp(-1.0, 1.0))
-            .collect()
-    }
 
     fn submit_n(set: &mut ShardSet<LinearServeModel>, n: usize, at_ns: u64) {
         for i in 0..n {
@@ -1162,6 +815,62 @@ mod tests {
             }
         }
         assert_eq!(set.status(0), Some(ShardStatus::Up));
+    }
+
+    #[test]
+    fn lone_shard_sheds_but_serves_its_backlog() {
+        // the quarantine rule: a set of one has nowhere to fail over to,
+        // so its shard stays Up, sheds new work and serves its backlog
+        let mut set = ShardSet::new(
+            models(1, 4),
+            ServeConfig::standard(9),
+            RoutePolicy::Rendezvous,
+        )
+        .unwrap();
+        submit_n(&mut set, 4, 0);
+        let evicted = set
+            .apply(&ChaosAction::Degrade { shard: 0, ema: 0.9 })
+            .unwrap();
+        assert!(evicted.is_empty());
+        assert_eq!(set.status(0), Some(ShardStatus::Up));
+        assert_eq!(set.health_state(0), Some(HealthState::Shedding));
+        let pending = Pending {
+            id: set.next_request_id(),
+            input: payload(0),
+            arrival_ns: 0,
+            deadline_ns: 1_000,
+        };
+        assert!(matches!(set.submit(pending), Err(ServeError::Shed)));
+        let out = set.serve_until(None);
+        assert_eq!(out.len(), 4);
+        assert!(out.iter().all(|(_, r)| r.is_ok()));
+        let stats = set.stats();
+        assert!(stats.accounted(), "{stats:?}");
+        assert_eq!(
+            (stats.completed, stats.rejected_shed, stats.failovers),
+            (4, 1, 0)
+        );
+    }
+
+    #[test]
+    fn set_of_one_serves_on_the_set_seed() {
+        // the seed rule: a lone shard's log replays on the set seed
+        // itself, a larger set's on the derived shard seeds
+        let cfg = ServeConfig::standard(17);
+        for n_shards in [1, 2] {
+            let mut set =
+                ShardSet::new(models(n_shards, 8), cfg.clone(), RoutePolicy::RoundRobin).unwrap();
+            submit_n(&mut set, 4, 0);
+            let live = set.serve_until(None);
+            let log = &set.into_report().shards[0].log;
+            let seed = if n_shards == 1 { 17 } else { shard_seed(17, 0) };
+            let mut fresh = models(1, 8).remove(0);
+            let replayed = crate::log::replay(&mut fresh, seed, &cfg.retry, log).unwrap();
+            for (id, row) in replayed {
+                let (_, r) = live.iter().find(|(i, _)| *i == id).unwrap();
+                assert_eq!(r.as_ref().unwrap().output, row, "{n_shards} shard(s)");
+            }
+        }
     }
 
     #[test]

@@ -1,23 +1,28 @@
-//! Discrete-event load simulation over the serving core.
+//! Discrete-event load simulation of a [`ShardSet`].
 //!
-//! [`simulate`] drives an [`Executor`] through a timed arrival schedule
-//! entirely in virtual time: requests arrive at their scheduled
-//! timestamps, batches advance the clock by the energy model's latency
-//! accounting, and admission control sees exactly the queue depth a
-//! live server would at that virtual instant. Because no wall clock is
-//! involved, a simulation is a pure function of `(model, config,
-//! schedule)` — the offered-load sweeps of `bench_serve` and the queue
-//! invariant proptests both run on it.
+//! [`simulate_shards`] drives one deployment, or N replicas, through a
+//! timed arrival schedule and a [`ChaosScript`] entirely in virtual
+//! time: requests arrive at their scheduled timestamps, batches advance
+//! each shard's clock by the energy model's latency accounting, and
+//! admission control sees exactly the queue depths a live server would
+//! at that virtual instant. Because no wall clock is involved, a
+//! simulation is a pure function of its inputs — the offered-load
+//! sweeps of `bench_serve`, the repository benchmark and the queue
+//! invariant proptests all run on it.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 
+use crate::chaos::ChaosScript;
+use crate::clock::ClockMode;
 use crate::config::ServeConfig;
-use crate::executor::{admit_check, batch_quota, Executor, Pending, Response, ServeStats};
-use crate::log::RequestLog;
+use crate::executor::{Pending, Response, ServeStats};
 use crate::model::ServeModel;
+use crate::router::RoutePolicy;
+use crate::shard::{ShardOutcome, ShardRecord, ShardSet};
 use crate::{Result, ServeError};
 
-/// What arrives at a scheduled instant.
+/// What arrives at a scheduled instant. Faults are not arrivals: they
+/// travel in a [`ChaosScript`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalKind {
     /// A client request with a flattened payload and optional deadline
@@ -27,17 +32,6 @@ pub enum ArrivalKind {
         input: Vec<f32>,
         /// Deadline budget; `None` uses the config default.
         deadline_ns: Option<u64>,
-    },
-    /// A chaos injection at the given per-cell upset rate.
-    Chaos {
-        /// Per-cell upset rate.
-        rate: f32,
-    },
-    /// An encoding reconfiguration: swap the model's pulse counts
-    /// before the next batch (no RNG, no reprogramming).
-    Reconfigure {
-        /// Pulse counts per crossbar operator.
-        pulses: Vec<usize>,
     },
 }
 
@@ -50,7 +44,7 @@ pub struct ArrivalEvent {
     pub kind: ArrivalKind,
 }
 
-/// Outcome of one scheduled request (chaos events produce no outcome).
+/// Outcome of one scheduled request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// Position in the input schedule.
@@ -62,165 +56,115 @@ pub struct SimOutcome {
 }
 
 /// Final state of a simulation.
-pub struct SimReport<M> {
-    /// The model after serving.
-    pub model: M,
-    /// The append-only request log (replayable).
-    pub log: RequestLog,
-    /// Aggregate counters; `stats.accounted()` holds.
+pub struct ShardSimReport<M> {
+    /// Set-level counters; `stats.accounted()` holds across shards.
     pub stats: ServeStats,
+    /// Per-shard teardown records (model, log, shard-local stats,
+    /// final status) — feed the logs to [`crate::replay_shards`].
+    pub shards: Vec<ShardRecord<M>>,
     /// Per-scheduled-request outcomes, in schedule order.
     pub outcomes: Vec<SimOutcome>,
 }
 
-enum SimWork {
-    Request(Pending, usize),
-    Chaos { rate: f32 },
-    Reconfigure { pulses: Vec<usize> },
-}
-
-/// Runs `model` through `schedule` under `config`, entirely in virtual
-/// time.
+/// Runs `models` — one deployment, or N replicas — through `schedule`
+/// while `script` injects faults, entirely in virtual time: a pure
+/// function of `(models, config, policy, schedule, script)`.
+///
+/// The schedule carries requests only — faults reach shards through
+/// the script, which names its target shard explicitly. At a timeline
+/// tie, scripted actions apply before arrivals.
 ///
 /// # Errors
 ///
-/// Returns a `BadRequest` for an unsorted schedule and propagates
-/// configuration errors; per-request failures land in the outcomes, not
-/// here.
-pub fn simulate<M: ServeModel>(
-    model: M,
+/// Returns [`ServeError::BadRequest`] for an unsorted schedule or a
+/// non-virtual clock mode, and propagates construction errors;
+/// per-request failures land in the outcomes, not here.
+pub fn simulate_shards<M: ServeModel>(
+    models: Vec<M>,
     config: ServeConfig,
+    policy: RoutePolicy,
     schedule: &[ArrivalEvent],
-) -> Result<SimReport<M>> {
+    script: &ChaosScript,
+) -> Result<ShardSimReport<M>> {
     if schedule.windows(2).any(|w| w[0].at_ns > w[1].at_ns) {
         return Err(ServeError::BadRequest(
             "arrival schedule must be sorted by at_ns".into(),
         ));
     }
-    if config.clock != crate::clock::ClockMode::Virtual {
+    if config.clock != ClockMode::Virtual {
         return Err(ServeError::BadRequest(
             "simulation requires ClockMode::Virtual".into(),
         ));
     }
-    let capacity = config.queue_capacity;
-    let max_batch = config.max_batch;
-    let block_align = config.block_align;
     let default_deadline = config.default_deadline_ns;
-    let mut executor = Executor::new(model, config)?;
-    let mut queue: VecDeque<SimWork> = VecDeque::new();
-    let mut depth = 0usize;
+    let mut set = ShardSet::new(models, config, policy)?;
+    let events = script.events();
     let mut outcomes: Vec<SimOutcome> = Vec::new();
-    let mut next = 0usize;
-    loop {
-        // ingest every arrival due at the current virtual time
-        while next < schedule.len() && schedule[next].at_ns <= executor.clock_ns() {
-            let event = &schedule[next];
-            match &event.kind {
-                ArrivalKind::Chaos { rate } => {
-                    queue.push_back(SimWork::Chaos { rate: *rate });
-                }
-                ArrivalKind::Reconfigure { pulses } => {
-                    queue.push_back(SimWork::Reconfigure {
-                        pulses: pulses.clone(),
-                    });
-                }
-                ArrivalKind::Request { input, deadline_ns } => {
-                    match admit_check(depth, capacity, executor.health_state()) {
-                        Err(e) => {
-                            executor.note_rejection(&e);
-                            outcomes.push(SimOutcome {
-                                index: next,
-                                id: None,
-                                result: Err(e),
-                            });
-                        }
-                        Ok(()) => {
-                            let pending = Pending {
-                                id: executor.stats().admitted,
-                                input: input.clone(),
-                                arrival_ns: event.at_ns,
-                                deadline_ns: deadline_ns.unwrap_or(default_deadline),
-                            };
-                            match executor.register(&pending) {
-                                Err(e) => outcomes.push(SimOutcome {
-                                    index: next,
-                                    id: None,
-                                    result: Err(e),
-                                }),
-                                Ok(()) => {
-                                    queue.push_back(SimWork::Request(pending, next));
-                                    depth += 1;
-                                    executor.note_queue_depth(depth);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            next += 1;
+    // schedule position of each admitted id, for outcome attribution
+    let mut index_of: HashMap<u64, usize> = HashMap::new();
+    let record = |outcomes: &mut Vec<SimOutcome>,
+                  index_of: &HashMap<u64, usize>,
+                  resolved: Vec<ShardOutcome>| {
+        for (id, result) in resolved {
+            let index = index_of.get(&id).copied().unwrap_or(usize::MAX);
+            outcomes.push(SimOutcome {
+                index,
+                id: Some(id),
+                result,
+            });
         }
-        if !queue.is_empty() {
-            // apply leading model mutations (chaos, reconfigurations) in
-            // arrival order, then execute one aligned batch
-            while matches!(
-                queue.front(),
-                Some(SimWork::Chaos { .. } | SimWork::Reconfigure { .. })
-            ) {
-                match queue.pop_front() {
-                    Some(SimWork::Chaos { rate }) => {
-                        let _ = executor.apply_chaos(rate); // counted in stats
-                    }
-                    Some(SimWork::Reconfigure { pulses }) => {
-                        // a rejected swap keeps the old encoding; counted
-                        // only on success (nothing is logged on failure)
-                        let _ = executor.apply_reconfigure(&pulses);
-                    }
-                    // requests are never popped here; put anything else
-                    // back rather than assert (no panic paths in serving)
-                    Some(other) => {
-                        queue.push_front(other);
-                        break;
-                    }
-                    None => break,
-                }
+    };
+    let (mut si, mut ci) = (0usize, 0usize);
+    while si < schedule.len() || ci < events.len() {
+        let t = match (schedule.get(si), events.get(ci)) {
+            (Some(a), Some(c)) => a.at_ns.min(c.at_ns),
+            (Some(a), None) => a.at_ns,
+            (None, Some(c)) => c.at_ns,
+            (None, None) => break,
+        };
+        let resolved = set.serve_until(Some(t));
+        record(&mut outcomes, &index_of, resolved);
+        while ci < events.len() && events[ci].at_ns <= t {
+            // a rejected action (bad index, dead target) is already
+            // counted by the set as a chaos failure — never silent
+            if let Ok(resolved) = set.apply(&events[ci].action) {
+                record(&mut outcomes, &index_of, resolved);
             }
-            let run = queue
-                .iter()
-                .take_while(|w| matches!(w, SimWork::Request(..)))
-                .count();
-            if run > 0 {
-                let take = batch_quota(run, max_batch, block_align);
-                let mut batch = Vec::with_capacity(take);
-                let mut indices = Vec::with_capacity(take);
-                for _ in 0..take {
-                    if let Some(SimWork::Request(p, idx)) = queue.pop_front() {
-                        batch.push(p);
-                        indices.push(idx);
-                    }
+            ci += 1;
+        }
+        while si < schedule.len() && schedule[si].at_ns <= t {
+            let ArrivalKind::Request { input, deadline_ns } = &schedule[si].kind;
+            let id = set.next_request_id();
+            let pending = Pending {
+                id,
+                input: input.clone(),
+                arrival_ns: schedule[si].at_ns,
+                deadline_ns: deadline_ns.unwrap_or(default_deadline),
+            };
+            match set.submit(pending) {
+                Ok(_) => {
+                    index_of.insert(id, si);
                 }
-                depth -= batch.len();
-                for ((req, result), index) in executor.serve(batch).into_iter().zip(indices) {
-                    outcomes.push(SimOutcome {
-                        index,
-                        id: Some(req.id),
-                        result,
-                    });
-                }
+                Err(e) => outcomes.push(SimOutcome {
+                    index: si,
+                    id: None,
+                    result: Err(e),
+                }),
             }
-            continue;
+            si += 1;
         }
-        if next < schedule.len() {
-            executor.advance_clock_to(schedule[next].at_ns);
-            continue;
-        }
-        break;
     }
+    let resolved = set.serve_until(None);
+    record(&mut outcomes, &index_of, resolved);
+    // nothing should remain queued after a full drain; resolve typed if
+    // an invariant ever breaks rather than dropping silently
+    let resolved = set.cancel_queued();
+    record(&mut outcomes, &index_of, resolved);
     outcomes.sort_by_key(|o| o.index);
-    let (model, log, stats) = executor.into_report();
-    Ok(SimReport {
-        model,
-        log,
-        stats,
+    let report = set.into_report();
+    Ok(ShardSimReport {
+        stats: report.stats,
+        shards: report.shards,
         outcomes,
     })
 }
@@ -228,172 +172,231 @@ pub fn simulate<M: ServeModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosAction, ChaosEvent};
+    use crate::log::LogEvent;
     use crate::model::LinearServeModel;
-    use membit_tensor::{Rng, Tensor};
-    use membit_xbar::{GuardPolicy, XbarConfig};
-
-    fn model(seed: u64) -> LinearServeModel {
-        let w = Tensor::from_fn(&[2, 3], |i| if i % 2 == 0 { 1.0 } else { -1.0 });
-        let cfg = XbarConfig::functional(0.02).with_guard(GuardPolicy::standard());
-        LinearServeModel::program(&w, &cfg, 9, 4, &mut Rng::from_seed(seed)).unwrap()
-    }
+    use crate::shard::replay_shards;
+    use crate::testing::{models, payload};
 
     fn request(at_ns: u64, i: usize) -> ArrivalEvent {
         ArrivalEvent {
             at_ns,
             kind: ArrivalKind::Request {
-                input: (0..3)
-                    .map(|j| (((i * 3 + j) % 5) as f32 / 2.0 - 1.0).clamp(-1.0, 1.0))
-                    .collect(),
+                input: payload(i),
                 deadline_ns: None,
             },
         }
     }
 
+    fn run(
+        n_shards: usize,
+        config: ServeConfig,
+        schedule: &[ArrivalEvent],
+        script: Vec<ChaosEvent>,
+    ) -> ShardSimReport<LinearServeModel> {
+        let script = ChaosScript::new(script).unwrap();
+        let models = models(n_shards, config.seed);
+        simulate_shards(models, config, RoutePolicy::Rendezvous, schedule, &script).unwrap()
+    }
+
+    fn output_bits(report: &ShardSimReport<LinearServeModel>) -> Vec<Vec<u32>> {
+        report
+            .outcomes
+            .iter()
+            .map(|o| {
+                let r = o.result.as_ref().unwrap();
+                r.output.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn spread_arrivals_all_complete() {
-        let schedule: Vec<ArrivalEvent> = (0..8).map(|i| request(i as u64 * 10_000, i)).collect();
-        let report = simulate(model(1), ServeConfig::standard(1), &schedule).unwrap();
-        assert!(report.stats.accounted());
-        assert_eq!(report.stats.completed, 8);
-        assert_eq!(report.outcomes.len(), 8);
-        assert!(report.outcomes.iter().all(|o| o.result.is_ok()));
-        // spread arrivals leave the clock at least at the last arrival
-        assert!(report.stats.max_queue_depth >= 1);
+        for n_shards in [1, 3] {
+            let schedule: Vec<ArrivalEvent> =
+                (0..8).map(|i| request(i as u64 * 10_000, i)).collect();
+            let report = run(n_shards, ServeConfig::standard(1), &schedule, vec![]);
+            assert!(report.stats.accounted());
+            assert_eq!(report.stats.completed, 8);
+            assert_eq!(report.outcomes.len(), 8);
+            assert!(report.outcomes.iter().all(|o| o.result.is_ok()));
+            assert!(report.stats.max_queue_depth >= 1);
+        }
     }
 
     #[test]
     fn burst_beyond_capacity_is_rejected_typed() {
-        let mut cfg = ServeConfig::standard(2);
-        cfg.queue_capacity = 4;
-        let schedule: Vec<ArrivalEvent> = (0..10).map(|i| request(0, i)).collect();
-        let report = simulate(model(2), cfg, &schedule).unwrap();
-        let full = report
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o.result, Err(ServeError::QueueFull { .. })))
-            .count();
-        assert_eq!(full, 6, "4 admitted, 6 bounced");
-        assert_eq!(report.stats.rejected_queue_full, 6);
-        assert_eq!(report.stats.completed, 4);
-        assert!(report.stats.accounted());
+        for n_shards in [1, 3] {
+            // every shard queues 4, the 6 beyond the set's capacity bounce
+            let mut cfg = ServeConfig::standard(2);
+            cfg.queue_capacity = 4;
+            let n = 4 * n_shards + 6;
+            let schedule: Vec<ArrivalEvent> = (0..n).map(|i| request(0, i)).collect();
+            let report = run(n_shards, cfg, &schedule, vec![]);
+            let full = report
+                .outcomes
+                .iter()
+                .filter(|o| matches!(o.result, Err(ServeError::QueueFull { capacity: 4 })))
+                .count();
+            assert_eq!(full, 6, "{n_shards} shard(s): 6 bounced");
+            assert_eq!(report.stats.rejected_queue_full, 6);
+            assert_eq!(report.stats.completed, 4 * n_shards as u64);
+            assert!(report.stats.accounted());
+        }
     }
 
     #[test]
     fn unsorted_schedule_is_rejected() {
         let schedule = vec![request(100, 0), request(0, 1)];
-        assert!(matches!(
-            simulate(model(3), ServeConfig::standard(3), &schedule),
-            Err(ServeError::BadRequest(_))
-        ));
+        let result = simulate_shards(
+            models(1, 3),
+            ServeConfig::standard(3),
+            RoutePolicy::Rendezvous,
+            &schedule,
+            &ChaosScript::empty(),
+        );
+        assert!(matches!(result, Err(ServeError::BadRequest(_))));
     }
 
     #[test]
     fn chaos_between_requests_is_applied_in_order() {
-        let schedule = vec![
-            request(0, 0),
-            ArrivalEvent {
-                at_ns: 0,
-                kind: ArrivalKind::Chaos { rate: 0.25 },
+        let schedule = vec![request(0, 0), request(20_000, 1)];
+        let upset = ChaosEvent {
+            at_ns: 10_000,
+            action: ChaosAction::Upset {
+                shard: 0,
+                rate: 0.25,
             },
-            request(0, 1),
-        ];
-        let report = simulate(model(4), ServeConfig::standard(4), &schedule).unwrap();
+        };
+        let report = run(1, ServeConfig::standard(4), &schedule, vec![upset]);
         assert_eq!(report.stats.chaos_events, 1);
         assert!(report.stats.chaos_upsets > 0);
         assert_eq!(report.stats.completed, 2);
+        let kinds: Vec<&str> = report.shards[0]
+            .log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                LogEvent::Chaos { .. } => Some("chaos"),
+                LogEvent::Batch { .. } => Some("batch"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, ["batch", "chaos", "batch"]);
     }
 
     #[test]
     fn reconfigure_swaps_encoding_and_replays_bitwise() {
-        let config = ServeConfig::standard(6);
-        let schedule = vec![
-            request(0, 0),
-            ArrivalEvent {
-                at_ns: 0,
-                kind: ArrivalKind::Reconfigure { pulses: vec![12] },
-            },
-            request(0, 1),
-        ];
-        let report = simulate(model(6), config.clone(), &schedule).unwrap();
-        assert_eq!(report.stats.reconfigures, 1);
-        assert_eq!(report.stats.completed, 2);
-        assert!(report.stats.accounted());
-        // the log records the swap between the two batches, and replay
-        // against a freshly programmed model is bitwise identical
-        let replayed =
-            crate::log::replay(&mut model(6), 6, &config.retry, &report.log).unwrap();
-        let mut live: Vec<(u64, Vec<f32>)> = report
-            .outcomes
-            .iter()
-            .filter_map(|o| {
-                o.result
-                    .as_ref()
-                    .ok()
-                    .map(|r| (o.id.unwrap(), r.output.clone()))
-            })
-            .collect();
-        live.sort_by_key(|(id, _)| *id);
-        let mut sorted = replayed.clone();
-        sorted.sort_by_key(|(id, _)| *id);
-        assert_eq!(live.len(), sorted.len());
-        for ((id_a, row_a), (id_b, row_b)) in live.iter().zip(&sorted) {
-            assert_eq!(id_a, id_b);
-            let bits_a: Vec<u32> = row_a.iter().map(|v| v.to_bits()).collect();
-            let bits_b: Vec<u32> = row_b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits_a, bits_b, "request {id_a} diverged in replay");
+        for n_shards in [1, 3] {
+            let config = ServeConfig::standard(6);
+            let schedule: Vec<ArrivalEvent> =
+                (0..6).map(|i| request(i as u64 * 20_000, i)).collect();
+            let swap = ChaosEvent {
+                at_ns: 50_000,
+                action: ChaosAction::Reconfigure {
+                    shard: 0,
+                    pulses: vec![12],
+                },
+            };
+            let report = run(n_shards, config.clone(), &schedule, vec![swap]);
+            assert_eq!(report.stats.reconfigures, 1);
+            assert_eq!(report.stats.completed, 6);
+            assert!(report.stats.accounted());
+            // the logs record the swap in stream order, and replay against
+            // freshly programmed models is bitwise identical
+            let logs: Vec<_> = report.shards.iter().map(|s| s.log.clone()).collect();
+            let mut fresh = models(n_shards, config.seed);
+            let replayed = replay_shards(&mut fresh, config.seed, &config.retry, &logs).unwrap();
+            let live: Vec<(u64, Vec<u32>)> = report
+                .outcomes
+                .iter()
+                .zip(output_bits(&report))
+                .map(|(o, bits)| (o.id.unwrap(), bits))
+                .collect();
+            let replayed: Vec<(u64, Vec<u32>)> = replayed
+                .into_iter()
+                .map(|(id, row)| (id, row.iter().map(|v| v.to_bits()).collect()))
+                .collect();
+            assert_eq!(live, replayed);
         }
     }
 
     #[test]
     fn rejected_reconfigure_keeps_serving_on_old_encoding() {
-        let schedule = vec![
-            request(0, 0),
-            ArrivalEvent {
-                at_ns: 0,
-                // zero pulses: the model rejects, the swap must not stick
-                kind: ArrivalKind::Reconfigure { pulses: vec![0] },
-            },
-            request(0, 1),
-        ];
-        let report = simulate(model(7), ServeConfig::standard(7), &schedule).unwrap();
-        assert_eq!(report.stats.reconfigures, 0);
-        assert_eq!(report.stats.completed, 2);
-        // nothing was logged, so the log replays without the bad event
-        assert!(!report
-            .log
-            .events()
-            .iter()
-            .any(|e| matches!(e, crate::log::LogEvent::Reconfigure { .. })));
+        for n_shards in [1, 3] {
+            let schedule = vec![request(0, 0), request(20_000, 1), request(40_000, 2)];
+            let baseline = run(n_shards, ServeConfig::standard(7), &schedule, vec![]);
+            // zero pulses, and more pulses than a count-coded train holds:
+            // the model refuses both and the old encoding stays live
+            for pulses in [vec![0], vec![70_000]] {
+                let bad = ChaosEvent {
+                    at_ns: 10_000,
+                    action: ChaosAction::Reconfigure { shard: 0, pulses },
+                };
+                let report = run(n_shards, ServeConfig::standard(7), &schedule, vec![bad]);
+                assert_eq!(report.stats.reconfigures, 0);
+                assert_eq!(report.stats.chaos_failures, 1, "the refusal is counted");
+                assert_eq!(report.stats.completed, 3);
+                assert_eq!(output_bits(&report), output_bits(&baseline));
+                // nothing was logged, so the logs replay without the bad event
+                assert!(report.shards.iter().all(|s| !s
+                    .log
+                    .events()
+                    .iter()
+                    .any(|e| matches!(e, LogEvent::Reconfigure { .. }))));
+            }
+        }
     }
 
     #[test]
     fn tight_deadlines_expire_under_backlog() {
+        for n_shards in [1, 3] {
+            let mut cfg = ServeConfig::standard(5);
+            cfg.max_batch = 1;
+            cfg.block_align = 1;
+            // all arrive at t=0 with a budget shorter than one batch
+            // latency: each shard serves its first request (expiry is
+            // checked at pickup, when its clock still reads 0), the rest
+            // expire as the clocks pass their budget
+            let schedule: Vec<ArrivalEvent> = (0..6)
+                .map(|_| ArrivalEvent {
+                    at_ns: 0,
+                    kind: ArrivalKind::Request {
+                        input: vec![0.5, -0.5, 1.0],
+                        deadline_ns: Some(1),
+                    },
+                })
+                .chain(std::iter::once(request(1_000_000, 6)))
+                .collect();
+            let report = run(n_shards, cfg, &schedule, vec![]);
+            assert!(report.stats.expired > 0, "{:?}", report.stats);
+            assert!(report.stats.accounted());
+            let expired = report
+                .outcomes
+                .iter()
+                .filter(|o| matches!(o.result, Err(ServeError::DeadlineExceeded { .. })))
+                .count();
+            assert_eq!(expired as u64, report.stats.expired);
+        }
+        // an expiry behind a live request of the same batch keeps its own
+        // schedule position
         let mut cfg = ServeConfig::standard(5);
-        cfg.max_batch = 1;
-        cfg.block_align = 1;
-        // all arrive at t=0 with a budget shorter than one batch latency:
-        // the first request is served (expiry is checked at pickup, when
-        // the clock still reads 0), the rest expire as the clock passes
-        // their budget
-        let schedule: Vec<ArrivalEvent> = (0..6)
-            .map(|_| ArrivalEvent {
-                at_ns: 0,
-                kind: ArrivalKind::Request {
-                    input: vec![0.5, -0.5, 1.0],
-                    deadline_ns: Some(1),
-                },
+        cfg.max_batch = 4;
+        let tight = ArrivalEvent {
+            at_ns: 200,
+            kind: ArrivalKind::Request {
+                input: payload(2),
+                deadline_ns: Some(1),
+            },
+        };
+        let report = run(1, cfg, &[request(0, 0), request(100, 1), tight], vec![]);
+        assert!(report.outcomes[1].result.is_ok());
+        assert!(matches!(
+            report.outcomes[2].result,
+            Err(ServeError::DeadlineExceeded {
+                arrival_ns: 200,
+                ..
             })
-            .chain(std::iter::once(request(1_000_000, 6)))
-            .collect();
-        let report = simulate(model(5), cfg, &schedule).unwrap();
-        assert!(report.stats.expired > 0, "{:?}", report.stats);
-        assert!(report.stats.accounted());
-        let expired = report
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o.result, Err(ServeError::DeadlineExceeded { .. })))
-            .count();
-        assert_eq!(expired as u64, report.stats.expired);
+        ));
     }
 }

@@ -1,12 +1,14 @@
-//! Queue invariants of the serving core, property-tested over random
-//! workloads: conservation (every request resolved exactly once, no
-//! lost or double-served work), admission monotone in queue capacity,
-//! zero silent drops, and bitwise replay of the request log.
+//! Queue invariants of a single deployment (a `ShardSet` of one),
+//! property-tested over random workloads: conservation (every request
+//! resolved exactly once, no lost or double-served work), zero silent
+//! drops, and bitwise replay of the request log. Admission monotone in
+//! capacity runs on sets of one to three shards in `proptest_shard`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use membit_serve::{
-    replay, simulate, ArrivalEvent, ArrivalKind, LinearServeModel, ServeConfig, ServeError,
+    replay_shards, simulate_shards, ArrivalEvent, ArrivalKind, ChaosAction, ChaosEvent,
+    ChaosScript, LinearServeModel, RoutePolicy, ServeConfig, ServeError,
 };
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{GuardPolicy, XbarConfig};
@@ -34,19 +36,12 @@ fn payload(i: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// A random workload: `n` requests with random inter-arrival gaps and an
-/// occasional chaos event.
-fn schedule(n: usize, gap_ns: u64, chaos_every: usize, seed: u64) -> Vec<ArrivalEvent> {
+/// A random workload: `n` requests with random inter-arrival gaps.
+fn schedule(n: usize, gap_ns: u64, seed: u64) -> Vec<ArrivalEvent> {
     let mut events = Vec::new();
     let mut t = 0u64;
     for i in 0..n {
         t += gap_ns * ((i as u64 % 3) + 1) / 2;
-        if chaos_every > 0 && i > 0 && i % chaos_every == 0 {
-            events.push(ArrivalEvent {
-                at_ns: t,
-                kind: ArrivalKind::Chaos { rate: 0.01 },
-            });
-        }
         events.push(ArrivalEvent {
             at_ns: t,
             kind: ArrivalKind::Request {
@@ -56,6 +51,25 @@ fn schedule(n: usize, gap_ns: u64, chaos_every: usize, seed: u64) -> Vec<Arrival
         });
     }
     events
+}
+
+/// An occasional chaos event: 1 % upsets at the arrival of every
+/// `every`-th request (none for `every == 0`); a script applies each
+/// ahead of the request it ties with.
+fn upsets(events: &[ArrivalEvent], every: usize) -> ChaosScript {
+    let upsets = events
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| every > 0 && *i > 0 && i % every == 0)
+        .map(|(_, e)| ChaosEvent {
+            at_ns: e.at_ns,
+            action: ChaosAction::Upset {
+                shard: 0,
+                rate: 0.01,
+            },
+        })
+        .collect();
+    ChaosScript::new(upsets).expect("upsets follow the sorted schedule")
 }
 
 proptest! {
@@ -79,16 +93,16 @@ proptest! {
         cfg.queue_capacity = capacity;
         cfg.max_batch = max_batch;
         cfg.block_align = block_align;
-        let events = schedule(n, gap, chaos_every, seed);
-        let report = simulate(model(seed), cfg, &events).expect("simulate");
+        let events = schedule(n, gap, seed);
+        let faults = upsets(&events, chaos_every);
+        let report =
+            simulate_shards(vec![model(seed)], cfg, RoutePolicy::Rendezvous, &events, &faults)
+                .expect("simulate_shards");
 
         prop_assert!(report.stats.accounted(), "{:?}", report.stats);
         // one outcome per scheduled request, each index exactly once
-        let requests = events.iter()
-            .filter(|e| matches!(e.kind, ArrivalKind::Request { .. }))
-            .count();
-        prop_assert_eq!(report.outcomes.len(), requests);
-        let mut seen = std::collections::HashSet::new();
+        prop_assert_eq!(report.outcomes.len(), n);
+        let mut seen = HashSet::new();
         for o in &report.outcomes {
             prop_assert!(seen.insert(o.index), "index {} resolved twice", o.index);
             // zero silent drops: an outcome is a response or a typed error
@@ -102,43 +116,12 @@ proptest! {
             }
         }
         // resolved ids are unique (no double-serve)
-        let mut ids = std::collections::HashSet::new();
+        let mut ids = HashSet::new();
         for o in report.outcomes.iter().filter(|o| o.id.is_some()) {
             prop_assert!(ids.insert(o.id), "id {:?} served twice", o.id);
         }
         let completions = report.outcomes.iter().filter(|o| o.result.is_ok()).count();
         prop_assert_eq!(completions as u64, report.stats.completed);
-    }
-
-    /// Admission is monotone in capacity for a burst workload: every
-    /// request admitted at capacity `c` is admitted at capacity `c + k`.
-    #[test]
-    fn burst_admission_monotone_in_capacity(
-        seed in 0u64..200,
-        n in 1usize..20,
-        c in 1usize..10,
-        extra in 1usize..8,
-    ) {
-        // all arrive at t=0: admission is decided before any batch runs
-        let events = schedule(n, 0, 0, seed);
-        let admitted = |capacity: usize| -> std::collections::HashSet<usize> {
-            let mut cfg = ServeConfig::standard(seed);
-            cfg.queue_capacity = capacity;
-            simulate(model(seed), cfg, &events)
-                .expect("simulate")
-                .outcomes
-                .iter()
-                .filter(|o| o.id.is_some())
-                .map(|o| o.index)
-                .collect()
-        };
-        let small = admitted(c);
-        let large = admitted(c + extra);
-        prop_assert!(
-            small.is_subset(&large),
-            "capacity {} admitted {:?} but {} admitted {:?}",
-            c, small, c + extra, large
-        );
     }
 
     /// The request log alone reproduces every completed response
@@ -153,16 +136,20 @@ proptest! {
         let mut cfg = ServeConfig::standard(seed);
         cfg.max_batch = max_batch;
         let retry = cfg.retry;
-        let events = schedule(n, 20_000, chaos_every, seed);
-        let report = simulate(model(seed), cfg, &events).expect("simulate");
+        let events = schedule(n, 20_000, seed);
+        let faults = upsets(&events, chaos_every);
+        let report =
+            simulate_shards(vec![model(seed)], cfg, RoutePolicy::Rendezvous, &events, &faults)
+                .expect("simulate_shards");
         let live: HashMap<u64, Vec<f32>> = report.outcomes.iter()
             .filter_map(|o| match (&o.id, &o.result) {
                 (Some(id), Ok(r)) => Some((*id, r.output.clone())),
                 _ => None,
             })
             .collect();
-        let mut fresh = model(seed);
-        let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
+        let mut fresh = [model(seed)];
+        let logs = [report.shards[0].log.clone()];
+        let rows = replay_shards(&mut fresh, seed, &retry, &logs).expect("replay_shards");
         prop_assert_eq!(rows.len(), live.len());
         for (id, row) in rows {
             let expected = live.get(&id).expect("live row");

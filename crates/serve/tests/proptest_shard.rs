@@ -1,6 +1,7 @@
 //! Replicated-shard invariants, property-tested over random workloads
 //! and random chaos scripts: cross-shard conservation (the accounting
 //! identity extends across kills, quarantines, drains, and failover),
+//! admission monotone in queue capacity on sets of one to three shards,
 //! deterministic routing (bit-identical reruns), and bitwise replay of
 //! the per-shard logs — including runs containing `Reconfigure`
 //! records — at 1 vs 4 engine threads.
@@ -163,6 +164,40 @@ proptest! {
         // a request admitted set-level appears in exactly one shard's
         // final Batch records unless it expired or was cancelled
         prop_assert_eq!(report.shards.len(), n_shards);
+    }
+
+    /// Admission is monotone in capacity for a burst workload: every
+    /// request admitted at per-shard capacity `c` is admitted at
+    /// capacity `c + k`.
+    #[test]
+    fn burst_admission_monotone_in_capacity(
+        seed in 0u64..200,
+        n_shards in 1usize..4,
+        n in 1usize..20,
+        c in 1usize..10,
+        extra in 1usize..8,
+    ) {
+        // all arrive at t=0: admission is decided before any batch runs
+        let events = schedule(n, 0, seed);
+        let admitted = |capacity: usize| -> HashSet<usize> {
+            let mut cfg = ServeConfig::standard(seed);
+            cfg.queue_capacity = capacity;
+            let fleet = fleet(seed, n_shards, 1);
+            simulate_shards(fleet, cfg, RoutePolicy::Rendezvous, &events, &ChaosScript::empty())
+                .expect("simulate_shards")
+                .outcomes
+                .iter()
+                .filter(|o| o.id.is_some())
+                .map(|o| o.index)
+                .collect()
+        };
+        let small = admitted(c);
+        let large = admitted(c + extra);
+        prop_assert!(
+            small.is_subset(&large),
+            "capacity {} admitted {:?} but {} admitted {:?}",
+            c, small, c + extra, large
+        );
     }
 
     /// Routing is deterministic end to end: the same (models, config,

@@ -58,20 +58,28 @@ cargo test -q -p membit-xbar --test proptest_kernels cached_kernel_never_masks_g
 echo "=== non-ideality suite (IR drop, temperature, guard silence) ==="
 cargo test -q -p membit-xbar --test proptest_nonideal
 
-echo "=== serve suite (queue invariants + threaded chaos replay) ==="
-# conservation, admission monotonicity, zero silent drops, bitwise replay
+echo "=== serve suite (queue invariants + chaos-script campaigns + threaded replay) ==="
+# one serving path: a lone deployment is a set of one. Its conservation,
+# zero silent drops and bitwise log replay; then sets of one to three
+# shards: conservation under arbitrary chaos scripts, admission monotone
+# in capacity, deterministic routing reruns, kill-and-replay bitwise at
+# 1 and 4 threads — in both profiles to match the release-determinism
+# gates
 cargo test -q -p membit-serve --test proptest_serve
+cargo test -q --release -p membit-serve --test proptest_serve
+cargo test -q -p membit-serve --test proptest_shard
+cargo test -q --release -p membit-serve --test proptest_shard
 # live threaded serving over DeviceVgg: chaos + guard escalations must
 # replay bitwise at 1 and 4 engine threads; kill + overload typed
 cargo test -q -p membit-serve --test serve_replay
-
-echo "=== shard suite (cross-shard conservation + chaos-script campaigns) ==="
-# cross-shard accounting under arbitrary chaos scripts, deterministic
-# routing reruns, sharded kill-and-replay bitwise at 1 and 4 threads —
-# in both profiles to match the release-determinism gates (PR 8)
-cargo test -q -p membit-serve --test proptest_shard
-cargo test -q --release -p membit-serve --test proptest_shard
 cargo test -q --release -p membit-serve --test serve_replay
+
+echo "=== golden serve digests (determinism across changes, both profiles) ==="
+# outcomes, stats and every per-shard request log of a lone deployment
+# under upsets + a reconfigure and of a 3-shard kill campaign, pinned to
+# recorded digests at 1 and 4 engine threads
+cargo test -q -p membit-serve --test golden_serve
+cargo test -q --release -p membit-serve --test golden_serve
 
 echo "=== bench_engine smoke (BENCH_engine.json + BENCH_mvm.json) ==="
 # exercises both kernels and aborts on any cached/reference disagreement
@@ -93,13 +101,16 @@ echo "=== ablation_nonideal smoke (BENCH_nonideal.json + ablation_nonideal.csv) 
 test -s results/BENCH_nonideal.json
 test -s results/ablation_nonideal.csv
 
-echo "=== bench_serve smoke (BENCH_serve.json) ==="
-# load × chaos sweep cells assert accounting, typed backpressure,
-# health shedding, and bitwise log replay; the shard campaign pair
-# asserts failover under a mid-run kill, a live reconfiguration, and
-# strictly higher 3-shard admitted throughput under the same script
-./target/release/bench_serve --smoke
-test -s results/BENCH_serve.json
+echo "=== bench_serve smoke + full (BENCH_serve.json under target/) ==="
+# load × chaos sweep cells check accounting, typed backpressure and
+# bitwise log replay; the shard campaign pair checks a live
+# reconfiguration and strictly higher 3-shard admitted throughput under
+# the same script. Both runs write under target/bench-serve, never over
+# the committed results/BENCH_serve.json
+MEMBIT_RESULTS_DIR=target/bench-serve ./target/release/bench_serve --smoke
+test -s target/bench-serve/BENCH_serve.json
+MEMBIT_RESULTS_DIR=target/bench-serve ./target/release/bench_serve --scale full
+test -s target/bench-serve/BENCH_serve.json
 
 echo "=== bench_memse smoke (BENCH_memse.json) ==="
 # analytic-vs-MC validation cells, search speedup + fidelity gates,

@@ -1,16 +1,17 @@
-//! End-to-end serving determinism: a live threaded server over a full
-//! `DeviceVgg` deployment — with chaos upsets and guard escalations
-//! mid-serving — must be reproducible **bitwise** from its request log
-//! alone, at any engine thread count; overload must surface as typed
-//! errors, never silent drops.
+//! End-to-end serving determinism: a live threaded server over full
+//! `DeviceVgg` deployments — one deployment (a set of one) or three
+//! replicas, with chaos upsets and guard escalations mid-serving — must
+//! be reproducible **bitwise** from its request logs alone, at any
+//! engine thread count; overload must surface as typed errors, never
+//! silent drops.
 
 use std::collections::HashMap;
 
 use membit_core::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
 use membit_nn::{Params, Vgg, VggConfig};
 use membit_serve::{
-    replay, replay_shards, ChaosAction, ClockMode, RoutePolicy, ServeConfig, ServeError, Server,
-    ShardServer,
+    replay_shards, ChaosAction, ClockMode, RequestLog, RetryPolicy, RoutePolicy, ServeConfig,
+    ServeError, ShardServer, ShardSetReport,
 };
 use membit_tensor::{Rng, RngStream};
 use membit_xbar::{GuardPolicy, MvmKernel, XbarConfig};
@@ -41,24 +42,57 @@ fn sample(i: usize) -> Vec<f32> {
         .collect()
 }
 
-#[test]
-fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
-    let seed = 42;
+/// Replays `report`'s logs against `fleet()` at each engine thread count
+/// in `threads` and checks every row against the `live` responses.
+fn assert_replays_bitwise(
+    fleet: impl Fn() -> Vec<DeviceVgg>,
+    seed: u64,
+    retry: &RetryPolicy,
+    report: &ShardSetReport<DeviceVgg>,
+    live: &HashMap<u64, Vec<f32>>,
+    threads: &[usize],
+) {
+    let logs: Vec<RequestLog> = report.shards.iter().map(|s| s.log.clone()).collect();
+    for &t in threads {
+        let mut fresh = fleet();
+        for m in &mut fresh {
+            m.set_max_threads(t).expect("threads");
+        }
+        let rows = replay_shards(&mut fresh, seed, retry, &logs).expect("replay_shards");
+        assert_eq!(rows.len(), live.len());
+        for (id, row) in rows {
+            assert_eq!(
+                live.get(&id).expect("live response").as_slice(),
+                row.as_slice(),
+                "replay diverged for id {id} at {t} threads"
+            );
+        }
+    }
+}
+
+/// One live deployment serves 10 requests with 2 % upsets queued behind
+/// requests 3 and 7; the log replays every response bitwise at 1 and 4
+/// engine threads.
+fn chaos_serving_replays_bitwise(seed: u64, deploy: impl Fn() -> DeviceVgg) {
     let mut cfg = ServeConfig::standard(seed);
     cfg.max_batch = 4;
     let retry = cfg.retry;
-    let server = Server::start(deploy_tiny(seed), cfg).expect("start");
+    let server = ShardServer::start(vec![deploy()], cfg, RoutePolicy::Rendezvous).expect("start");
 
     // interleave requests with mid-serving chaos injections
     let mut handles = Vec::new();
     for i in 0..10 {
-        handles.push((i, server.submit(sample(i), None).expect("submit")));
+        handles.push(server.submit(sample(i), None).expect("submit"));
         if i == 3 || i == 7 {
-            server.inject_chaos(0.02).expect("chaos");
+            let upset = ChaosAction::Upset {
+                shard: 0,
+                rate: 0.02,
+            };
+            server.chaos(upset).expect("chaos");
         }
     }
     let mut live: HashMap<u64, Vec<f32>> = HashMap::new();
-    for (_, h) in handles {
+    for h in handles {
         let id = h.id();
         let r = h.wait().expect("response");
         assert_eq!(r.output.len(), 4);
@@ -72,22 +106,14 @@ fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
         report.stats.exec.guard.checks > 0,
         "guard ladder must have been exercised"
     );
-
     // the log alone reproduces every response bitwise, regardless of
     // the replaying engine's thread fan-out
-    for threads in [1usize, 4] {
-        let mut fresh = deploy_tiny(seed);
-        fresh.set_max_threads(threads).expect("threads");
-        let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
-        assert_eq!(rows.len(), 10);
-        for (id, row) in rows {
-            assert_eq!(
-                live.get(&id).expect("live response").as_slice(),
-                row.as_slice(),
-                "replay diverged for id {id} at {threads} threads"
-            );
-        }
-    }
+    assert_replays_bitwise(|| vec![deploy()], seed, &retry, &report, &live, &[1, 4]);
+}
+
+#[test]
+fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
+    chaos_serving_replays_bitwise(42, || deploy_tiny(42));
 }
 
 #[test]
@@ -96,49 +122,12 @@ fn packed_kernel_chaos_serving_replays_bitwise() {
     // deployment is rail-programmed, so Packed genuinely engages (not
     // the downgrade path), and a chaos run must still replay bitwise
     // from the log alone at any thread count.
-    let seed = 45;
-    let deploy_packed = || {
-        let mut dv = deploy_tiny(seed);
+    chaos_serving_replays_bitwise(45, || {
+        let mut dv = deploy_tiny(45);
         dv.set_kernel(MvmKernel::Packed);
         assert!(dv.packed_ready(), "rails deployment must pack");
         dv
-    };
-    let mut cfg = ServeConfig::standard(seed);
-    cfg.max_batch = 4;
-    let retry = cfg.retry;
-    let server = Server::start(deploy_packed(), cfg).expect("start");
-
-    let mut handles = Vec::new();
-    for i in 0..10 {
-        handles.push((i, server.submit(sample(i), None).expect("submit")));
-        if i == 3 || i == 7 {
-            server.inject_chaos(0.02).expect("chaos");
-        }
-    }
-    let mut live: HashMap<u64, Vec<f32>> = HashMap::new();
-    for (_, h) in handles {
-        let id = h.id();
-        let r = h.wait().expect("response");
-        live.insert(id, r.output);
-    }
-    let report = server.shutdown().expect("shutdown");
-    assert!(report.stats.accounted());
-    assert_eq!(report.stats.completed, 10);
-    assert_eq!(report.stats.chaos_events, 2);
-
-    for threads in [1usize, 4] {
-        let mut fresh = deploy_packed();
-        fresh.set_max_threads(threads).expect("threads");
-        let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
-        assert_eq!(rows.len(), 10);
-        for (id, row) in rows {
-            assert_eq!(
-                live.get(&id).expect("live response").as_slice(),
-                row.as_slice(),
-                "packed replay diverged for id {id} at {threads} threads"
-            );
-        }
-    }
+    });
 }
 
 #[test]
@@ -148,7 +137,8 @@ fn kill_and_replay_reproduces_completed_responses() {
     cfg.max_batch = 1;
     cfg.block_align = 1;
     let retry = cfg.retry;
-    let server = Server::start(deploy_tiny(seed), cfg).expect("start");
+    let server =
+        ShardServer::start(vec![deploy_tiny(seed)], cfg, RoutePolicy::Rendezvous).expect("start");
     let handles: Vec<_> = (0..8)
         .map(|i| server.submit(sample(i), None).expect("submit"))
         .collect();
@@ -169,17 +159,14 @@ fn kill_and_replay_reproduces_completed_responses() {
     }
     assert_eq!(cancelled, report.stats.cancelled);
     assert_eq!(live.len() as u64, report.stats.completed);
-
-    let mut fresh = deploy_tiny(seed);
-    let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
-    assert_eq!(rows.len(), live.len());
-    for (id, row) in rows {
-        assert_eq!(
-            live.get(&id).expect("live response").as_slice(),
-            row.as_slice(),
-            "kill-replay diverged for id {id}"
-        );
-    }
+    assert_replays_bitwise(
+        || vec![deploy_tiny(seed)],
+        seed,
+        &retry,
+        &report,
+        &live,
+        &[1],
+    );
 }
 
 #[test]
@@ -241,23 +228,7 @@ fn sharded_server_survives_chaos_and_replays_bitwise() {
     assert!(report.stats.chaos_events >= 1, "upset must have applied");
     assert_eq!(report.stats.reconfigures, 1, "swap must have applied");
     assert_eq!(report.shards.len(), 3);
-
-    let logs: Vec<_> = report.shards.iter().map(|s| s.log.clone()).collect();
-    for threads in [1usize, 4] {
-        let mut fresh = fleet();
-        for m in &mut fresh {
-            m.set_max_threads(threads).expect("threads");
-        }
-        let rows = replay_shards(&mut fresh, seed, &retry, &logs).expect("replay_shards");
-        assert_eq!(rows.len(), live.len());
-        for (id, row) in rows {
-            assert_eq!(
-                live.get(&id).expect("live response").as_slice(),
-                row.as_slice(),
-                "sharded replay diverged for id {id} at {threads} threads"
-            );
-        }
-    }
+    assert_replays_bitwise(fleet, seed, &retry, &report, &live, &[1, 4]);
 }
 
 #[test]
@@ -268,7 +239,8 @@ fn monotonic_clock_expires_on_wall_time_and_replays_bitwise() {
     // generous wall deadline for real work (10 s in ns)
     cfg.default_deadline_ns = 10_000_000_000;
     let retry = cfg.retry;
-    let server = Server::start(deploy_tiny(seed), cfg).expect("start");
+    let server =
+        ShardServer::start(vec![deploy_tiny(seed)], cfg, RoutePolicy::Rendezvous).expect("start");
 
     // a 1 ns wall budget is over before any batch can pick it up
     let doomed = server.submit(sample(0), Some(1)).expect("submit");
@@ -292,16 +264,14 @@ fn monotonic_clock_expires_on_wall_time_and_replays_bitwise() {
 
     // replay always follows the logged virtual timeline: the wall-clock
     // mode changes which requests expire, never any response bits
-    let mut fresh = deploy_tiny(seed);
-    let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
-    assert_eq!(rows.len(), live.len());
-    for (id, row) in rows {
-        assert_eq!(
-            live.get(&id).expect("live response").as_slice(),
-            row.as_slice(),
-            "monotonic-mode replay diverged for id {id}"
-        );
-    }
+    assert_replays_bitwise(
+        || vec![deploy_tiny(seed)],
+        seed,
+        &retry,
+        &report,
+        &live,
+        &[1],
+    );
 }
 
 #[test]
@@ -311,7 +281,8 @@ fn overload_surfaces_typed_errors_not_silent_drops() {
     cfg.queue_capacity = 2;
     cfg.max_batch = 1;
     cfg.block_align = 1;
-    let server = Server::start(deploy_tiny(seed), cfg).expect("start");
+    let server =
+        ShardServer::start(vec![deploy_tiny(seed)], cfg, RoutePolicy::Rendezvous).expect("start");
     let mut handles = Vec::new();
     let mut rejected = 0u64;
     for i in 0..24 {
