@@ -1,53 +1,26 @@
-//! Crossbar engine throughput benchmark.
+//! Crossbar engine thread-sweep benchmark.
 //!
-//! Three sections, each with warmup + median-of-N timing:
-//!
-//! 1. **Thread sweep** — programs a tiled crossbar, runs the same pulse
-//!    train at several worker thread counts, checks the outputs are
-//!    **bitwise identical** across all of them (the engine derives
-//!    per-`(pulse, sample, tile)` noise substreams, so threading must
-//!    never change results), and writes the wall-clock numbers to
-//!    `BENCH_engine.json` under the results directory.
-//! 2. **End-to-end kernel comparison** — times full engine execution
-//!    under `MvmKernel::Reference`, `Cached` (which adds the incremental
-//!    pulse-delta schedule on thermometer trains) and `Packed` (the
-//!    bit-packed popcount kernel) single-threaded across tile
-//!    geometries, encoders and pulse counts. End-to-end numbers include
-//!    the per-column Gaussian noise draws, guard checksum readout and
-//!    ADC — a fixed cost shared bitwise by all three kernels — so they
-//!    *understate* the kernel gap; this section's job is verification:
-//!    Cached within 1e-5 of Reference, Packed **bitwise** equal to
-//!    Reference on rail-programmed cases (and bitwise equal to Cached on
-//!    heterogeneous cases, where it downgrades by contract), and
-//!    deterministic across reruns.
-//! 3. **Kernel accumulate microbench** — the headline table: times
-//!    `Tile::accumulate` itself (the pre-noise accumulation step, the
-//!    only part that differs between kernels) per sample·pulse on single
-//!    tiles. On 128×128 rails tiles with cycle-to-cycle read noise the
-//!    popcount kernel replaces both the dense f32 MAC loop and the
-//!    per-cell variance accumulation, targeting **≥10×** the cached
-//!    kernel's samples·pulses/s. Every timed configuration is re-checked
-//!    bitwise against Reference before timing.
-//!
-//! Sections 2 and 3 both write into `BENCH_mvm.json` (`engine_cases` /
-//! `accumulate_cases` + `headline`).
+//! Programs a tiled crossbar, runs the same pulse train at several worker
+//! thread counts with warmup + median-of-N timing, checks the outputs are
+//! **bitwise identical** across all of them (the engine derives
+//! per-`(pulse, sample, tile)` noise substreams, so threading must never
+//! change results), and writes the wall-clock numbers to
+//! `BENCH_engine.json` under the results directory.
 //!
 //! Options (besides the shared bench flags):
 //!
-//! * `--smoke` — tiny problems + one repeat: a seconds-long CI smoke run
-//!   that still exercises programming, execution, determinism checking,
-//!   kernel agreement and both JSON emission paths.
+//! * `--smoke` — a tiny problem + one repeat: a seconds-long CI smoke run
+//!   that still exercises programming, execution, determinism checking
+//!   and JSON emission.
 
 use std::error::Error;
 use std::io::Write as _;
 use std::time::Instant;
 
 use membit_bench::{results_dir, Cli};
-use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
+use membit_encoding::{BitEncoder, Thermometer};
 use membit_tensor::{Rng, RngStream, Tensor};
-use membit_xbar::{
-    CrossbarLinear, DeviceModel, ExecOptions, MvmKernel, PackScratch, Tile, XbarConfig,
-};
+use membit_xbar::{CrossbarLinear, ExecOptions, XbarConfig};
 
 struct Case {
     name: &'static str,
@@ -55,25 +28,6 @@ struct Case {
     in_features: usize,
     batch: usize,
     pulses: usize,
-}
-
-/// A kernel-comparison configuration: like [`Case`] but with an explicit
-/// square tile size (the thread sweep uses the config default), an
-/// encoder, and a device flavor (`rails` engages the popcount kernel;
-/// `realistic` exercises its documented downgrade to Cached).
-struct KernelCase {
-    name: &'static str,
-    out_features: usize,
-    in_features: usize,
-    batch: usize,
-    pulses: usize,
-    tile: usize,
-    encoder: &'static str,
-    rails: bool,
-    /// Zero noise everywhere: isolates the MVM inner loop itself (the
-    /// per-column Gaussian draws are a fixed cost shared bitwise by all
-    /// three kernels, so noisy rows understate the kernel gap).
-    noise_free: bool,
 }
 
 fn random_pm1(shape: &[usize], seed: u64) -> Tensor {
@@ -253,426 +207,5 @@ fn main() -> Result<(), Box<dyn Error>> {
     if host_threads == 1 {
         println!("# note: host has a single hardware thread — speedups ≈ 1 are expected here");
     }
-
-    // ------------------------------------------------------------------
-    // Kernel comparison: Reference vs Cached vs Packed, serial
-    // ------------------------------------------------------------------
-    let kernel_cases: Vec<KernelCase> = if smoke {
-        vec![
-            // rails + bit-sliced: the popcount kernel engages and must
-            // be bitwise Reference
-            KernelCase {
-                name: "smoke_slice_rails",
-                out_features: 48,
-                in_features: 96,
-                batch: 8,
-                pulses: 4,
-                tile: 32,
-                encoder: "bitsliced",
-                rails: true,
-                noise_free: false,
-            },
-            // realistic device: Packed must downgrade to the cached loop
-            KernelCase {
-                name: "smoke_therm_realistic",
-                out_features: 48,
-                in_features: 96,
-                batch: 8,
-                pulses: 4,
-                tile: 32,
-                encoder: "thermometer",
-                rails: false,
-                noise_free: false,
-            },
-        ]
-    } else {
-        vec![
-            // the headline configuration: a generic binary train on full
-            // 128×128 rails tiles. Cached has no delta schedule here, so
-            // this is popcount-vs-dense-f32-MAC head on.
-            KernelCase {
-                name: "slice_p8_tile128",
-                out_features: 256,
-                in_features: 256,
-                batch: 32,
-                pulses: 8,
-                tile: 128,
-                encoder: "bitsliced",
-                rails: true,
-                noise_free: false,
-            },
-            // zero-noise rails: the pure inner-loop comparison — the
-            // popcount kernel's headline ≥10× over the dense f32 MAC
-            // loop is measured here, with the shared noise-draw cost
-            // removed from both sides
-            KernelCase {
-                name: "slice_p8_tile128_ideal",
-                out_features: 256,
-                in_features: 256,
-                batch: 32,
-                pulses: 8,
-                tile: 128,
-                encoder: "bitsliced",
-                rails: true,
-                noise_free: true,
-            },
-            // thermometer on rails: Cached runs the nested-unary delta
-            // schedule (near-free on saturated ±1 inputs), Packed runs
-            // every pulse dense — the honest worst case for Packed
-            KernelCase {
-                name: "therm_p8_tile128",
-                out_features: 256,
-                in_features: 256,
-                batch: 32,
-                pulses: 8,
-                tile: 128,
-                encoder: "thermometer",
-                rails: true,
-                noise_free: false,
-            },
-            // longer generic trains amortize packing further
-            KernelCase {
-                name: "slice_p16_tile128",
-                out_features: 256,
-                in_features: 256,
-                batch: 32,
-                pulses: 16,
-                tile: 128,
-                encoder: "bitsliced",
-                rails: true,
-                noise_free: false,
-            },
-            // small tiles: more per-tile overhead, same asymptotics
-            KernelCase {
-                name: "slice_p8_tile32",
-                out_features: 256,
-                in_features: 256,
-                batch: 32,
-                pulses: 8,
-                tile: 32,
-                encoder: "bitsliced",
-                rails: true,
-                noise_free: false,
-            },
-            // heterogeneous device: Packed downgrades per contract, so
-            // its column documents the downgrade cost (≈ cached)
-            KernelCase {
-                name: "slice_p8_tile128_realistic",
-                out_features: 256,
-                in_features: 256,
-                batch: 32,
-                pulses: 8,
-                tile: 128,
-                encoder: "bitsliced",
-                rails: false,
-                noise_free: false,
-            },
-        ]
-    };
-
-    println!("\nMVM kernel comparison, end-to-end engine execution (single-threaded)");
-    println!(
-        "{:>28} {:>10} {:>10} {:>10} {:>12} {:>14}",
-        "case", "ref ms", "cached ms", "packed ms", "pack/cached", "packed s·p/s"
-    );
-    let mut kernel_json = Vec::new();
-    for case in &kernel_cases {
-        let w = random_pm1(&[case.out_features, case.in_features], cli.seed ^ 3);
-        let x = random_pm1(&[case.batch, case.in_features], cli.seed ^ 4);
-        let train = match case.encoder {
-            "bitsliced" => BitSlicing::new(case.pulses)?.encode_tensor(&x)?,
-            _ => Thermometer::new(case.pulses)?.encode_tensor(&x)?,
-        };
-        let mut cfg = if case.rails {
-            // ideal device ⇒ rail-programmed ±1 weights: Packed engages
-            let sigma = if case.noise_free { 0.0 } else { 0.05 };
-            let mut c = XbarConfig::functional(sigma);
-            c.noise.device.on_off_ratio = 20.0;
-            c
-        } else {
-            XbarConfig::realistic(0.05)
-        };
-        cfg.tile_rows = case.tile;
-        cfg.tile_cols = case.tile;
-
-        let mut engines = Vec::new();
-        for kernel in [MvmKernel::Reference, MvmKernel::Cached, MvmKernel::Packed] {
-            cfg.exec = ExecOptions::serial().with_kernel(kernel);
-            // same programming seed ⇒ identical devices; only the kernel
-            // differs between the engines
-            let mut prng = Rng::from_seed(cli.seed ^ 5).stream(RngStream::Device);
-            engines.push(CrossbarLinear::program(&w, &cfg, &mut prng)?);
-        }
-        let packed_engaged = engines[2].packed_ready();
-        assert_eq!(
-            packed_engaged, case.rails,
-            "{}: packed engagement must match the device flavor",
-            case.name
-        );
-        let (ref_ms, y_ref) = time_execute(&engines[0], &train, cli.seed ^ 6, repeats)?;
-        let (cached_ms, y_cached) = time_execute(&engines[1], &train, cli.seed ^ 6, repeats)?;
-        let (packed_ms, y_packed) = time_execute(&engines[2], &train, cli.seed ^ 6, repeats)?;
-        // determinism: the packed path rerun on the same seeded stream
-        // must reproduce itself bitwise (single-core contract)
-        let (_, y_packed2) = time_execute(&engines[2], &train, cli.seed ^ 6, 1)?;
-        assert_eq!(
-            y_packed.as_slice(),
-            y_packed2.as_slice(),
-            "{}: packed kernel must be deterministic",
-            case.name
-        );
-
-        let mut max_abs_diff = 0.0f32;
-        for (a, b) in y_cached.as_slice().iter().zip(y_ref.as_slice()) {
-            let diff = (a - b).abs();
-            max_abs_diff = max_abs_diff.max(diff);
-            assert!(
-                diff <= 1e-5 * (1.0 + b.abs()),
-                "{}: kernels disagree ({a} vs {b})",
-                case.name
-            );
-        }
-        if packed_engaged {
-            assert_eq!(
-                y_packed.as_slice(),
-                y_ref.as_slice(),
-                "{}: engaged packed kernel must be bitwise reference",
-                case.name
-            );
-        } else {
-            // the downgrade serves the cached loop's exact results
-            assert_eq!(
-                y_packed.as_slice(),
-                y_cached.as_slice(),
-                "{}: downgraded packed kernel must be bitwise cached",
-                case.name
-            );
-        }
-        let cached_speedup = ref_ms / cached_ms;
-        let packed_speedup = cached_ms / packed_ms;
-        let sps = throughput(case.batch, case.pulses, packed_ms);
-        println!(
-            "{:>28} {ref_ms:>10.2} {cached_ms:>10.2} {packed_ms:>10.2} {packed_speedup:>11.2}x {sps:>14.0}",
-            case.name
-        );
-        kernel_json.push(format!(
-            "{{\"case\": \"{}\", \"out_features\": {}, \"in_features\": {}, \
-             \"batch\": {}, \"pulses\": {}, \"tile\": {}, \"train\": \"{}\", \
-             \"device\": \"{}\", \
-             \"reference_ms\": {ref_ms:.3}, \"cached_ms\": {cached_ms:.3}, \
-             \"packed_ms\": {packed_ms:.3}, \
-             \"cached_speedup_vs_reference_end_to_end\": {cached_speedup:.3}, \
-             \"packed_speedup_vs_cached_end_to_end\": {packed_speedup:.3}, \
-             \"reference_samples_pulses_per_s\": {:.0}, \
-             \"cached_samples_pulses_per_s\": {:.0}, \
-             \"packed_samples_pulses_per_s\": {sps:.0}, \
-             \"packed_engaged\": {packed_engaged}, \
-             \"packed_bitwise_reference\": {packed_engaged}, \
-             \"max_abs_diff\": {max_abs_diff:.3e}, \"agree_within_tolerance\": true}}",
-            json_escape(case.name),
-            case.out_features,
-            case.in_features,
-            case.batch,
-            case.pulses,
-            case.tile,
-            case.encoder,
-            if case.rails { "rails" } else { "realistic" },
-            throughput(case.batch, case.pulses, ref_ms),
-            throughput(case.batch, case.pulses, cached_ms),
-        ));
-    }
-
-    // ------------------------------------------------------------------
-    // Kernel accumulate microbench: the pre-noise accumulation step
-    // itself, per sample·pulse, on single tiles — the headline table
-    // ------------------------------------------------------------------
-    let accum_cases: Vec<AccumCase> = if smoke {
-        vec![AccumCase {
-            name: "accum_smoke_tile32_c2c",
-            rows: 32,
-            cols: 32,
-            c2c: true,
-        }]
-    } else {
-        vec![
-            // the headline configuration: a full 128×128 rails tile with
-            // cycle-to-cycle read noise — the packed kernel replaces the
-            // dense MAC loop *and* the per-cell variance accumulation
-            AccumCase {
-                name: "accum_tile128_c2c",
-                rows: 128,
-                cols: 128,
-                c2c: true,
-            },
-            // no read noise: popcount vs the dense f32 MAC loop alone
-            AccumCase {
-                name: "accum_tile128_nonoise",
-                rows: 128,
-                cols: 128,
-                c2c: false,
-            },
-            AccumCase {
-                name: "accum_tile64_c2c",
-                rows: 64,
-                cols: 64,
-                c2c: true,
-            },
-            AccumCase {
-                name: "accum_tile256_c2c",
-                rows: 256,
-                cols: 256,
-                c2c: true,
-            },
-        ]
-    };
-    let accum_passes = if smoke { 1 } else { 5 };
-    let accum_reps = if smoke { 200 } else { 4000 };
-
-    println!("\nMVM kernel accumulate microbench (pre-noise accumulation, single tile, 1 thread)");
-    println!(
-        "{:>24} {:>10} {:>10} {:>10} {:>12} {:>14}",
-        "case", "ref ns", "cached ns", "packed ns", "pack/cached", "packed s·p/s"
-    );
-    let mut accum_json = Vec::new();
-    let mut headline: Option<(f64, f64)> = None;
-    for case in &accum_cases {
-        let mut device = DeviceModel::ideal();
-        device.on_off_ratio = 20.0;
-        if case.c2c {
-            device.c2c_sigma = 0.02;
-        }
-        let w = random_pm1(&[case.rows, case.cols], cli.seed ^ 7);
-        let mut prng = Rng::from_seed(cli.seed ^ 8).stream(RngStream::Device);
-        let tile = Tile::program(&w, &device, &mut prng)?;
-        // a rotating set of distinct ±1 drive vectors, so the timing
-        // isn't an artifact of one branch-predictor-friendly input
-        let n_inputs = 32;
-        let mut irng = Rng::from_seed(cli.seed ^ 9);
-        let inputs: Vec<Vec<f32>> = (0..n_inputs)
-            .map(|_| {
-                (0..case.rows)
-                    .map(|_| if irng.coin(0.5) { 1.0 } else { -1.0 })
-                    .collect()
-            })
-            .collect();
-        let var_len = if case.c2c { case.cols } else { 0 };
-        let mut scratch = PackScratch::default();
-
-        // correctness before timing: the engaged packed kernel must be
-        // bitwise Reference on every drive vector, variances included
-        let mut out_ref = vec![0.0f32; case.cols];
-        let mut var_ref = vec![0.0f32; var_len];
-        let mut out_k = vec![0.0f32; case.cols];
-        let mut var_k = vec![0.0f32; var_len];
-        assert!(
-            tile.packed_ready(case.c2c),
-            "{}: rails tile must pack",
-            case.name
-        );
-        for x in &inputs {
-            tile.accumulate(MvmKernel::Reference, x, &mut out_ref, &mut var_ref, &mut scratch);
-            tile.accumulate(MvmKernel::Packed, x, &mut out_k, &mut var_k, &mut scratch);
-            assert_eq!(out_k, out_ref, "{}: packed must be bitwise reference", case.name);
-            assert_eq!(var_k, var_ref, "{}: packed variances must match", case.name);
-            tile.accumulate(MvmKernel::Cached, x, &mut out_k, &mut var_k, &mut scratch);
-            for (a, b) in out_k.iter().zip(&out_ref) {
-                assert!(
-                    (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
-                    "{}: cached out of tolerance ({a} vs {b})",
-                    case.name
-                );
-            }
-        }
-
-        let mut ns = [0.0f64; 3];
-        for (ki, kernel) in [MvmKernel::Reference, MvmKernel::Cached, MvmKernel::Packed]
-            .into_iter()
-            .enumerate()
-        {
-            let mut time_pass = |reps: usize| {
-                let t = Instant::now();
-                for r in 0..reps {
-                    let x = &inputs[r % n_inputs];
-                    tile.accumulate(kernel, x, &mut out_k, &mut var_k, &mut scratch);
-                }
-                t.elapsed().as_secs_f64() * 1e9 / reps as f64
-            };
-            time_pass(accum_reps); // warmup
-            let passes: Vec<f64> = (0..accum_passes).map(|_| time_pass(accum_reps)).collect();
-            ns[ki] = median(passes);
-        }
-        let [ref_ns, cached_ns, packed_ns] = ns;
-        let speedup = cached_ns / packed_ns;
-        let packed_sps = 1e9 / packed_ns;
-        let cached_sps = 1e9 / cached_ns;
-        println!(
-            "{:>24} {ref_ns:>10.0} {cached_ns:>10.0} {packed_ns:>10.0} {speedup:>11.2}x {packed_sps:>14.0}",
-            case.name
-        );
-        if case.name == "accum_tile128_c2c" {
-            headline = Some((speedup, packed_sps));
-        }
-        accum_json.push(format!(
-            "{{\"case\": \"{}\", \"rows\": {}, \"cols\": {}, \"c2c_read_noise\": {}, \
-             \"device\": \"rails\", \
-             \"reference_ns_per_mvm\": {ref_ns:.1}, \"cached_ns_per_mvm\": {cached_ns:.1}, \
-             \"packed_ns_per_mvm\": {packed_ns:.1}, \
-             \"packed_speedup_vs_cached\": {speedup:.3}, \
-             \"packed_speedup_vs_reference\": {:.3}, \
-             \"cached_samples_pulses_per_s\": {cached_sps:.0}, \
-             \"packed_samples_pulses_per_s\": {packed_sps:.0}, \
-             \"packed_bitwise_reference\": true}}",
-            json_escape(case.name),
-            case.rows,
-            case.cols,
-            case.c2c,
-            ref_ns / packed_ns,
-        ));
-    }
-
-    let headline_json = match headline {
-        Some((speedup, sps)) => format!(
-            "{{\"case\": \"accum_tile128_c2c\", \
-             \"metric\": \"pre-noise MVM kernel accumulate on a 128x128 rails tile with c2c read noise, single core\", \
-             \"packed_speedup_vs_cached\": {speedup:.2}, \
-             \"packed_samples_pulses_per_s\": {sps:.0}, \
-             \"target_speedup\": 10.0, \"target_met\": {}}}",
-            speedup >= 10.0
-        ),
-        None => "null".to_string(),
-    };
-
-    let mvm_path = results_dir().join("BENCH_mvm.json");
-    let mut f = std::fs::File::create(&mvm_path)?;
-    writeln!(
-        f,
-        "{{\"bench\": \"mvm_kernels\", \"smoke\": {smoke}, \"seed\": {}, \
-         \"repeats\": {repeats}, \"warmup\": 1, \"threads\": 1, \
-         \"tolerance\": \"cached agrees with reference within 1e-5 relative; \
-         packed is bitwise reference when engaged (rails), bitwise cached when downgraded\", \
-         \"timing\": \"median over repeats after one warmup execute\", \
-         \"metric_notes\": \"engine_cases time full execution including the noise draws, \
-         guard readout and ADC shared bitwise by all kernels (they understate the kernel gap); \
-         accumulate_cases time the pre-noise accumulation step itself, which is what the \
-         kernels actually change — the headline target reads from accumulate_cases\", \
-         \"headline\": {headline_json}, \
-         \"engine_cases\": [{}], \
-         \"accumulate_cases\": [{}]}}",
-        cli.seed,
-        kernel_json.join(", "),
-        accum_json.join(", ")
-    )?;
-    println!("# wrote {}", mvm_path.display());
     Ok(())
-}
-
-/// A kernel-accumulate microbench configuration: one rail-programmed
-/// tile (ideal device, finite on/off ratio), optionally with
-/// cycle-to-cycle read noise so the variance-plane reconstruction is on
-/// the clock too.
-struct AccumCase {
-    name: &'static str,
-    rows: usize,
-    cols: usize,
-    c2c: bool,
 }

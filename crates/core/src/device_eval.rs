@@ -15,8 +15,8 @@ use membit_encoding::BitEncoder;
 use membit_nn::{Params, Vgg};
 use membit_tensor::{im2col_into, Conv2dGeometry, Rng, Tensor, TensorError};
 use membit_xbar::{
-    CellHealth, CellSide, CrossbarLinear, ExecutionStats, HealthMonitor, MvmKernel,
-    RecoveryPolicy, RemapReport, XbarConfig,
+    CellHealth, CellSide, CrossbarLinear, ExecutionStats, HealthMonitor, RecoveryPolicy,
+    RemapReport, XbarConfig,
 };
 
 use crate::Result;
@@ -535,18 +535,7 @@ impl DeviceVgg {
         Ok(())
     }
 
-    /// Switches the tile MVM kernel of every crossbar engine (see
-    /// [`CrossbarLinear::set_kernel`]). For the binary pulse trains this
-    /// deployment drives, every kernel is bitwise identical — the knob
-    /// selects an inner loop (e.g. the bit-packed popcount path), never
-    /// different results, so it is safe to flip on a live deployment.
-    pub fn set_kernel(&mut self, kernel: MvmKernel) {
-        for engine in self.engines_mut() {
-            engine.set_kernel(kernel);
-        }
-    }
-
-    /// Whether every crossbar engine satisfies the packed kernel's
+    /// Whether every crossbar engine satisfies the popcount loops'
     /// exactness preconditions on every tile (see
     /// [`CrossbarLinear::packed_ready`]).
     pub fn packed_ready(&self) -> bool {

@@ -14,12 +14,12 @@
 
 use membit_core::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
 use membit_encoding::pla::PlaThermometer;
-use membit_encoding::BitEncoder;
+use membit_encoding::{BitEncoder, BitSlicing};
 use membit_nn::{Params, Vgg, VggConfig};
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{
-    CellHealth, CellSide, CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, MvmKernel,
-    RecoveryPolicy, XbarConfig,
+    CellHealth, CellSide, CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, RecoveryPolicy,
+    XbarConfig,
 };
 
 /// FNV-1a over 64-bit words, fed little-endian byte by byte.
@@ -74,10 +74,12 @@ impl Fnv {
 /// 72-row ones with a short last strip.
 #[derive(Debug, Clone, Copy)]
 enum Scenario {
-    /// Functional noise on rail devices, default (cached) kernel.
+    /// Functional noise on rail devices.
     Functional,
-    /// The same deployment under the bit-packed kernel.
-    FunctionalPacked,
+    /// The same rail engine driven by bit-sliced (generic) trains, so
+    /// the popcount loop runs. Engine digest only: a `DeviceVgg` always
+    /// encodes PLA trains.
+    FunctionalBitSliced,
     /// Realistic devices without an ADC: variation and IR drop make
     /// every weight an arbitrary float and nothing re-quantizes the
     /// readout, so any change in accumulation order shows in the bits.
@@ -97,7 +99,7 @@ const PULSES: [usize; 3] = [6, 11, 16];
 
 fn xbar_config(scenario: Scenario, threads: usize) -> XbarConfig {
     let mut xbar = match scenario {
-        Scenario::Functional | Scenario::FunctionalPacked | Scenario::StuckEcc => {
+        Scenario::Functional | Scenario::FunctionalBitSliced | Scenario::StuckEcc => {
             XbarConfig::functional(0.2)
         }
         Scenario::Lossy => XbarConfig {
@@ -111,9 +113,6 @@ fn xbar_config(scenario: Scenario, threads: usize) -> XbarConfig {
     xbar.tile_rows = 32;
     xbar.tile_cols = 16;
     xbar.exec = ExecOptions::with_threads(threads);
-    if let Scenario::FunctionalPacked = scenario {
-        xbar.exec = xbar.exec.with_kernel(MvmKernel::Packed);
-    }
     xbar
 }
 
@@ -162,6 +161,9 @@ fn engine_digest(scenario: Scenario, threads: usize) -> u64 {
     let w = Tensor::from_fn(&[40, 72], |_| if rng.coin(0.5) { 1.0 } else { -1.0 });
     let mut engine =
         CrossbarLinear::program(&w, &xbar_config(scenario, threads), &mut rng).expect("program");
+    if let Scenario::FunctionalBitSliced = scenario {
+        assert!(engine.packed_ready(), "rail engine must be packed-ready");
+    }
     let cell = |rng: &mut Rng| {
         let side = if rng.coin(0.5) { CellSide::Pos } else { CellSide::Neg };
         (rng.below(72), rng.below(40), side, rng.coin(0.5))
@@ -192,10 +194,13 @@ fn engine_digest(scenario: Scenario, threads: usize) -> u64 {
             }
         }
         let x = Tensor::from_fn(&[5, 72], |_| rng.uniform(-1.0, 1.0));
-        let train = PlaThermometer::new(9, q)
-            .expect("encoder")
-            .encode_tensor(&x)
-            .expect("encode");
+        let train = match scenario {
+            Scenario::FunctionalBitSliced => BitSlicing::new(q).expect("encoder").encode_tensor(&x),
+            _ => PlaThermometer::new(9, q)
+                .expect("encoder")
+                .encode_tensor(&x),
+        }
+        .expect("encode");
         let (y, stats) = engine.execute_guarded(&train, &mut rng).expect("execute");
         h.logits(&y);
         h.stats(&stats);
@@ -213,20 +218,20 @@ fn assert_exercised(scenario: Scenario, total: &ExecutionStats) {
             assert!(g.retries > 0 && g.tile_refreshes > 0, "{scenario:?}: {g:?}");
         }
         Scenario::StuckEcc => assert!(g.saf_corrections > 0, "{scenario:?}: {g:?}"),
-        Scenario::Functional | Scenario::FunctionalPacked | Scenario::Lossy => {
+        Scenario::Functional | Scenario::FunctionalBitSliced | Scenario::Lossy => {
             assert_eq!(g.checks, 0, "{scenario:?}: {g:?}");
         }
     }
 }
 
-/// `(scenario, forward digest, engine digest)`, recorded at commit
-/// `cd28eff`.
-const GOLDEN: [(Scenario, u64, u64); 5] = [
-    (Scenario::Functional, 0x697b_20c3_7747_7d44, 0x121c_e2f1_3e78_7a72),
-    (Scenario::FunctionalPacked, 0x697b_20c3_7747_7d44, 0x7edc_4d41_ac3f_1e92),
-    (Scenario::Lossy, 0xa041_df37_f9ee_d088, 0xdc3a_40da_fe48_406b),
-    (Scenario::RealisticGuarded, 0xf6b3_5e94_6bb7_ce06, 0x562b_689d_1c8a_8e2d),
-    (Scenario::StuckEcc, 0x4125_b67b_c9d8_ae83, 0x4201_bbe0_5232_be5e),
+/// `(scenario, forward digest, engine digest)`. The four PLA scenarios
+/// were recorded at commit `cd28eff`, the bit-sliced one at `9e329d8`.
+const GOLDEN: [(Scenario, Option<u64>, u64); 5] = [
+    (Scenario::Functional, Some(0x697b_20c3_7747_7d44), 0x121c_e2f1_3e78_7a72),
+    (Scenario::FunctionalBitSliced, None, 0xdab9_2309_4ea2_e07f),
+    (Scenario::Lossy, Some(0xa041_df37_f9ee_d088), 0xdc3a_40da_fe48_406b),
+    (Scenario::RealisticGuarded, Some(0xf6b3_5e94_6bb7_ce06), 0x562b_689d_1c8a_8e2d),
+    (Scenario::StuckEcc, Some(0x4125_b67b_c9d8_ae83), 0x4201_bbe0_5232_be5e),
 ];
 
 #[test]
@@ -234,10 +239,12 @@ fn digests_match_the_recorded_goldens() {
     let mut failures = Vec::new();
     for (scenario, forward, engine) in GOLDEN {
         for threads in [1, 2, 4] {
-            for (name, got, want) in [
-                ("forward", forward_digest(scenario, threads), forward),
-                ("engine", engine_digest(scenario, threads), engine),
-            ] {
+            let mut checks = Vec::new();
+            if let Some(want) = forward {
+                checks.push(("forward", forward_digest(scenario, threads), want));
+            }
+            checks.push(("engine", engine_digest(scenario, threads), engine));
+            for (name, got, want) in checks {
                 if got != want {
                     failures.push(format!(
                         "{name} {scenario:?} at {threads} thread(s): {got:#018x}, recorded {want:#018x}"

@@ -109,20 +109,24 @@ impl DeviceModel {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for non-positive
-    /// conductances/ratios, negative sigmas, or fault rates outside
-    /// `[0, 1]`.
+    /// Returns [`TensorError::InvalidArgument`] for non-finite or
+    /// non-positive conductances/ratios, non-finite or negative sigmas,
+    /// or fault rates outside `[0, 1]`.
     pub fn validate(&self) -> Result<()> {
-        if self.g_on <= 0.0 || self.g_on.is_nan() || self.on_off_ratio <= 1.0 || self.on_off_ratio.is_nan() {
+        // written to also reject NaN and ±∞
+        let finite_above = |v: f32, floor: f32| v.is_finite() && v > floor;
+        if !finite_above(self.g_on, 0.0) || !finite_above(self.on_off_ratio, 1.0) {
             return Err(TensorError::InvalidArgument(format!(
-                "need g_on > 0 and on_off_ratio > 1, got {} / {}",
+                "need finite g_on > 0 and on_off_ratio > 1, got {} / {}",
                 self.g_on, self.on_off_ratio
             )));
         }
-        if self.d2d_sigma < 0.0 || self.c2c_sigma < 0.0 {
-            return Err(TensorError::InvalidArgument(
-                "variation sigmas must be non-negative".into(),
-            ));
+        let sigma_ok = |v: f32| v.is_finite() && v >= 0.0;
+        if !sigma_ok(self.d2d_sigma) || !sigma_ok(self.c2c_sigma) {
+            return Err(TensorError::InvalidArgument(format!(
+                "variation sigmas must be finite and non-negative, got d2d {} / c2c {}",
+                self.d2d_sigma, self.c2c_sigma
+            )));
         }
         if !(0.0..1.0).contains(&self.ir_drop_alpha) {
             return Err(TensorError::InvalidArgument(format!(
@@ -223,6 +227,29 @@ mod tests {
         d4.stuck_on_rate = 0.8;
         d4.stuck_off_rate = 0.5;
         assert!(d4.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_params() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let fields: [fn(&mut DeviceModel) -> &mut f32; 7] = [
+                |d| &mut d.g_on,
+                |d| &mut d.on_off_ratio,
+                |d| &mut d.d2d_sigma,
+                |d| &mut d.c2c_sigma,
+                |d| &mut d.stuck_on_rate,
+                |d| &mut d.stuck_off_rate,
+                |d| &mut d.ir_drop_alpha,
+            ];
+            for (k, field) in fields.iter().enumerate() {
+                let mut d = DeviceModel::realistic();
+                *field(&mut d) = bad;
+                assert!(
+                    matches!(d.validate(), Err(TensorError::InvalidArgument(_))),
+                    "field {k} = {bad} must be rejected"
+                );
+            }
+        }
     }
 
     #[test]

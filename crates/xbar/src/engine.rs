@@ -11,7 +11,7 @@ use crate::noise::NoiseSpec;
 use crate::nonideal::NonIdealitySpec;
 use crate::program::{ProgramStats, WriteVerify};
 use crate::remap::{remap_tile, RecoveryPolicy, RemapReport};
-use crate::tile::{MvmKernel, StripPlanes, Tile};
+use crate::tile::{StripPlanes, Tile};
 use crate::Result;
 
 /// Host-side execution options: how programming and pulse execution fan
@@ -28,17 +28,6 @@ pub struct ExecOptions {
     /// Minimum input vectors per worker; small batches stay
     /// single-threaded to avoid spawn overhead.
     pub samples_per_thread: usize,
-    /// Which tile MVM kernel executes pulses. [`MvmKernel::Cached`] (the
-    /// default) additionally unlocks the incremental pulse-delta schedule
-    /// for count-coded
-    /// ([nested-unary](membit_encoding::TrainKind::NestedUnary)) trains;
-    /// [`MvmKernel::Packed`] runs the bit-packed popcount inner loop on
-    /// eligible tiles (see [`CrossbarLinear::packed_ready`]) and
-    /// downgrades per tile to the cached loop otherwise;
-    /// [`MvmKernel::Reference`] is the escape hatch for differential
-    /// testing and debugging. All three are bitwise identical for ±1/0
-    /// pulses.
-    pub kernel: MvmKernel,
 }
 
 impl Default for ExecOptions {
@@ -48,7 +37,6 @@ impl Default for ExecOptions {
                 .map(|n| n.get())
                 .unwrap_or(1),
             samples_per_thread: 2,
-            kernel: MvmKernel::Cached,
         }
     }
 }
@@ -60,7 +48,6 @@ impl ExecOptions {
         Self {
             max_threads: 1,
             samples_per_thread: usize::MAX,
-            kernel: MvmKernel::Cached,
         }
     }
 
@@ -70,12 +57,6 @@ impl ExecOptions {
             max_threads,
             ..Self::default()
         }
-    }
-
-    /// These options with the given MVM kernel.
-    pub fn with_kernel(mut self, kernel: MvmKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Validates the options.
@@ -442,22 +423,12 @@ impl CrossbarLinear {
         Ok(())
     }
 
-    /// Switches the tile MVM kernel for subsequent executions. For ±1/0
-    /// pulse trains every kernel is bitwise identical (the packed kernel
-    /// downgrades per tile when its exactness preconditions fail), so a
-    /// live deployment can be re-pointed at a faster inner loop without
-    /// perturbing reproducibility — the serving replay contract survives
-    /// the switch.
-    pub fn set_kernel(&mut self, kernel: MvmKernel) {
-        self.config.exec.kernel = kernel;
-    }
-
-    /// Whether **every** tile of this operator satisfies the packed
-    /// kernel's exactness preconditions (uniform weight magnitude — and,
+    /// Whether **every** tile of this operator satisfies the popcount
+    /// loops' exactness preconditions (uniform weight magnitude — and,
     /// on c2c-noisy devices, uniform per-cell `G⁺²+G⁻²` — with exactly
-    /// representable multiples; see [`Tile::packed_ready`]). When
-    /// `false`, [`MvmKernel::Packed`] still executes correctly but some
-    /// tiles serve the cached loop.
+    /// representable multiples; see [`Tile::packed_ready`]). Generic
+    /// trains run the popcount loops on ready tiles and the cached loop
+    /// on the others, bitwise the same either way.
     pub fn packed_ready(&self) -> bool {
         let need_c2c = self.config.noise.device.c2c_sigma > 0.0;
         self.tiles
@@ -783,7 +754,7 @@ impl CrossbarLinear {
                 let mut rng = base
                     .substream(&key)
                     .substream(&[RETRY_STREAM_TAG, attempt]);
-                tile.mvm_with(x, noise, &mut rng, retry_buf, self.config.exec.kernel)?;
+                tile.mvm(x, noise, &mut rng, retry_buf)?;
                 if let Some(a) = adc {
                     a.convert_slice(retry_buf);
                     stats.adc_conversions += tcols as u64;
@@ -847,78 +818,51 @@ impl CrossbarLinear {
         ablock: &mut [f32],
         viol: &mut [u64],
     ) -> Result<ExecutionStats> {
-        // Kernel × schedule compatibility — explicit, never a silent
-        // wrong-result path:
-        //   - Cached + a count-coded (nested-unary) train takes the
-        //     incremental pulse-delta schedule, driven straight from the
-        //     high counts (it agrees with the dense schedule to ~1 ULP:
-        //     it accumulates row tile before pulse, and maintains a
-        //     running f32 pre-sign accumulator that only the scalar
-        //     cached loop can update sparsely).
-        //   - Packed + a count-coded train deliberately takes the dense
-        //     path below: a schedule downgrade, not a kernel one — each
-        //     pulse still runs the popcount accumulation on eligible
-        //     tiles, and outputs stay bitwise equal to Reference (see
-        //     `packed_kernel_runs_nested_unary_dense_and_bitwise`).
-        //   - Reference (the differential oracle) and every generic
-        //     train also take the dense path.
-        if let (MvmKernel::Cached, Some(counts)) = (self.config.exec.kernel, train.counts()) {
+        // The one MVM selection rule, read off the train and the tiles:
+        //   - a count-coded (thermometer/PLA) train takes the pulse-delta
+        //     schedule, driven straight from its high counts;
+        //   - a generic train takes the dense schedule below. Per pulse
+        //     and row strip, the drives are packed once when some tile of
+        //     the strip is `packed_ready`; ready tiles run the popcount
+        //     loops on those shared planes, every other tile (and every
+        //     tile of a strip whose drives are not all ±1/0) the cached
+        //     loop. Both loops are bitwise the tile's reference oracle on
+        //     ±1/0 drives, so the choice never changes a result.
+        if let Some(counts) = train.counts() {
             return self.execute_block_delta(counts, train.num_pulses(), base, s0, ablock, viol);
         }
         let nb = ablock.len() / self.out_features;
         let nct = self.col_starts.len();
         let span = s0 * self.in_features..(s0 + nb) * self.in_features;
+        let need_c2c = self.config.noise.device.c2c_sigma > 0.0;
+        let noise = &self.config.noise;
         let weights = train.weights();
         let mut stats = ExecutionStats::default();
         let mut out_buf = vec![0.0f32; nb * self.config.tile_cols];
         let mut retry_buf = vec![0.0f32; self.config.tile_cols];
         let mut rngs: Vec<Rng> = Vec::with_capacity(nb);
-        // Strip-level bit-plane reuse (Packed only): every column tile of
-        // a row strip reads the same input rows, so the pulse's planes
-        // are packed once per strip and shared — bitwise neutral because
-        // `mvm_batch_prepacked` is the packed batch path minus the
-        // redundant re-pack. Ineligible tiles (or unpackable strips:
-        // fractional drives) fall back to `mvm_batch`, which downgrades
-        // exactly as before.
-        let strip_pack = self.config.exec.kernel == MvmKernel::Packed;
         let mut planes = StripPlanes::default();
         let mut out_t: Vec<f32> = Vec::new();
-        // a count-coded train's pulses, expanded for this block only
-        let mut expanded: Vec<f32> = Vec::new();
         for (pi, &pulse_weight) in weights.iter().enumerate() {
-            let xs = train.pulse_span(pi, span.clone(), &mut expanded);
+            let pulse = train.pulse(pi);
+            let xs = &pulse.as_slice()[span.clone()];
             stats.pulses += nb as u64;
             for (ri, &r0) in self.row_starts.iter().enumerate() {
-                let strip_ok = strip_pack && {
-                    let strip_rows = self.tiles[ri][0].dims().0;
-                    planes.pack(xs, self.in_features, r0, strip_rows, nb)
-                };
+                let strip = &self.tiles[ri];
+                let strip_packed = strip.iter().any(|tile| tile.packed_ready(need_c2c))
+                    && planes.pack(xs, self.in_features, r0, strip[0].dims().0, nb);
                 for (ci, &c0) in self.col_starts.iter().enumerate() {
-                    let tile = &self.tiles[ri][ci];
+                    let tile = &strip[ci];
                     let (trows, tcols) = tile.dims();
                     rngs.clear();
                     rngs.extend((0..nb).map(|s| {
                         base.substream(&[pi as u64, (s0 + s) as u64, ri as u64, ci as u64])
                     }));
                     let out = &mut out_buf[..nb * tcols];
-                    let prepacked = strip_ok
-                        && tile.mvm_batch_prepacked(
-                            &planes,
-                            &self.config.noise,
-                            &mut rngs,
-                            out,
-                            &mut out_t,
-                        );
-                    if !prepacked {
-                        tile.mvm_batch(
-                            xs,
-                            self.in_features,
-                            r0,
-                            &self.config.noise,
-                            &mut rngs,
-                            out,
-                            self.config.exec.kernel,
-                        )?;
+                    let packed = strip_packed
+                        && tile.mvm_block_packed(&planes, noise, &mut rngs, out, &mut out_t);
+                    if !packed {
+                        tile.mvm_block_cached(xs, self.in_features, r0, noise, &mut rngs, out);
                     }
                     stats.tile_mvms += nb as u64;
                     stats.cell_reads += (nb * trows * tcols) as u64;
@@ -975,11 +919,10 @@ impl CrossbarLinear {
         Ok(stats)
     }
 
-    /// The incremental-pulse fast path of
-    /// [`execute_block`](Self::execute_block), taken for count-coded
-    /// ([nested-unary](membit_encoding::TrainKind::NestedUnary)) trains
-    /// under [`MvmKernel::Cached`], with the train's high `counts` and
-    /// pulse count `np`.
+    /// The incremental-pulse schedule of
+    /// [`execute_block`](Self::execute_block), taken for every count-coded
+    /// ([nested-unary](membit_encoding::TrainKind::NestedUnary)) train,
+    /// with the train's high `counts` and pulse count `np`.
     ///
     /// Row `r` of a sample is `+1` on pulses `0..count[r]` and `−1` after,
     /// so it switches exactly at pulse `count[r]`. Per `(row strip,
@@ -1070,7 +1013,7 @@ impl CrossbarLinear {
                     let out = &mut out_buf[..tcols];
                     for pi in 0..np {
                         if pi == 0 {
-                            tile.accumulate_dense(x0, acc);
+                            tile.accumulate_cached(x0, acc, &mut []);
                         } else {
                             let bucket = &order[starts[pi]..starts[pi + 1]];
                             tile.accumulate_switched(bucket, acc);
@@ -1565,23 +1508,54 @@ mod tests {
         assert!((xbar.measure_decay(32, &mut rng) - 1.0).abs() < 1e-6);
     }
 
-    /// Two engines with identical hardware (same programming seed) that
-    /// differ only in the configured MVM kernel.
-    fn kernel_pair(mut cfg: XbarConfig, w: &Tensor, seed: u64) -> (CrossbarLinear, CrossbarLinear) {
-        cfg.exec.kernel = MvmKernel::Cached;
-        let mut rng_c = Rng::from_seed(seed);
-        let cached = CrossbarLinear::program(w, &cfg, &mut rng_c).unwrap();
-        cfg.exec.kernel = MvmKernel::Reference;
-        let mut rng_r = Rng::from_seed(seed);
-        let reference = CrossbarLinear::program(w, &cfg, &mut rng_r).unwrap();
-        (cached, reference)
+    /// The dense schedule from raw conductances: every tile MVM through
+    /// [`Tile::mvm_reference`] on the engine's keyed noise substreams,
+    /// then the same ADC, accumulation order and normalization as
+    /// `execute`. Covers unguarded tiles without SAF corrections.
+    fn reference_execute(engine: &CrossbarLinear, train: &PulseTrain, rng: &mut Rng) -> Vec<f32> {
+        let (n, fin, fout) = (train.shape()[0], engine.in_features, engine.out_features);
+        let nonce = rng.next_nonce();
+        let base = rng.substream(&[nonce]);
+        let mut acc = vec![0.0f32; n * fout];
+        for (pi, &pulse_weight) in train.weights().iter().enumerate() {
+            let pulse = train.pulse(pi);
+            for (ri, &r0) in engine.row_starts.iter().enumerate() {
+                for (ci, &c0) in engine.col_starts.iter().enumerate() {
+                    let tile = &engine.tiles[ri][ci];
+                    let (rows, cols) = tile.dims();
+                    let mut out = vec![0.0f32; cols];
+                    for s in 0..n {
+                        let x = &pulse.as_slice()[s * fin + r0..s * fin + r0 + rows];
+                        let mut trng = base.substream(&[pi as u64, s as u64, ri as u64, ci as u64]);
+                        tile.mvm_reference(x, &engine.config.noise, &mut trng, &mut out).unwrap();
+                        if let Some(adc) = &engine.adcs[ri] {
+                            adc.convert_slice(&mut out);
+                        }
+                        let arow = &mut acc[s * fout + c0..s * fout + c0 + cols];
+                        for (a, &v) in arow.iter_mut().zip(&out) {
+                            *a += pulse_weight * v;
+                        }
+                    }
+                }
+            }
+        }
+        let scale = 1.0 / train.weight_norm();
+        acc.iter().map(|a| a * scale).collect()
+    }
+
+    /// The pulses of a count-coded train stored densely: a generic train,
+    /// which takes the dense schedule.
+    fn dense_twin(train: &PulseTrain) -> PulseTrain {
+        let pulses = (0..train.num_pulses()).map(|i| train.pulse(i).into_owned()).collect();
+        PulseTrain::new(pulses, train.weights().into_owned()).unwrap()
     }
 
     #[test]
     fn delta_path_matches_reference_on_thermometer_trains() {
         // realistic trimmings: tiling, ADC, c2c + output noise, IR drop —
-        // the delta schedule must agree with the reference kernel because
-        // the noise substreams are keyed, not positional
+        // the delta schedule must agree with the dense schedule of the
+        // same pulses because the noise substreams are keyed, not
+        // positional
         let mut cfg = XbarConfig::realistic(0.3);
         cfg.tile_rows = 16;
         cfg.tile_cols = 8;
@@ -1589,15 +1563,15 @@ mod tests {
         cfg.noise.device.ir_drop_alpha = 0.05;
         cfg.noise.device.on_off_ratio = 20.0;
         let w = random_pm1(&[20, 33], 40);
-        let (cached, reference) = kernel_pair(cfg, &w, 41);
+        let engine = CrossbarLinear::program(&w, &cfg, &mut Rng::from_seed(41)).unwrap();
         let x = random_pm1(&[3, 33], 42);
         let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
         assert_eq!(train.kind(), membit_encoding::TrainKind::NestedUnary);
-        let (y_fast, stats_fast) = cached
+        let (y_fast, stats_fast) = engine
             .execute_with_stats(&train, &mut Rng::from_seed(43))
             .unwrap();
-        let (y_ref, stats_ref) = reference
-            .execute_with_stats(&train, &mut Rng::from_seed(43))
+        let (y_ref, stats_ref) = engine
+            .execute_with_stats(&dense_twin(&train), &mut Rng::from_seed(43))
             .unwrap();
         assert!(y_fast.allclose(&y_ref, 1e-4), "{y_fast:?} vs {y_ref:?}");
         // modeled hardware events are identical — the fast path saves
@@ -1607,83 +1581,42 @@ mod tests {
 
     #[test]
     fn cached_kernel_is_bitwise_reference_on_generic_binary_trains() {
-        // bit-sliced trains skip the delta schedule but still use the
-        // cached kernel, which is exactly equal for ±1 pulses
+        // bit-sliced trains take the dense schedule; on these rails tiles
+        // it runs the popcount loops, on IR-dropped ones the cached loop,
+        // and both are exactly the raw-conductance oracle for ±1 pulses
         let mut cfg = XbarConfig::functional(0.5);
         cfg.tile_rows = 8;
         cfg.tile_cols = 8;
         cfg.noise.device.c2c_sigma = 0.02;
         cfg.noise.device.on_off_ratio = 20.0;
         let w = random_pm1(&[10, 19], 44);
-        let (cached, reference) = kernel_pair(cfg, &w, 45);
         let x = random_pm1(&[2, 19], 46);
         let train = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
         assert_eq!(train.kind(), membit_encoding::TrainKind::Generic);
-        let y_fast = cached.execute(&train, &mut Rng::from_seed(47)).unwrap();
-        let y_ref = reference.execute(&train, &mut Rng::from_seed(47)).unwrap();
-        assert_eq!(y_fast.as_slice(), y_ref.as_slice());
-    }
-
-    #[test]
-    fn packed_kernel_runs_nested_unary_dense_and_bitwise() {
-        // regression for the explicit kernel × schedule rules: Packed +
-        // NestedUnary must take the generic dense path (the delta
-        // schedule is Cached-only) and still be bitwise Reference.
-        // Cached's delta schedule accumulates in a different order and
-        // may drift ~1 ULP from the dense path, so Packed is compared to
-        // it only approximately. Tiling + c2c noise keep all paths honest.
-        let mut cfg = XbarConfig::functional(0.4);
-        cfg.tile_rows = 16;
-        cfg.tile_cols = 8;
-        cfg.noise.device.c2c_sigma = 0.02;
-        cfg.noise.device.on_off_ratio = 20.0;
-        let w = random_pm1(&[20, 33], 48);
-        let (cached, reference) = kernel_pair(cfg, &w, 49);
-        let mut packed = cached.clone();
-        packed.set_kernel(MvmKernel::Packed);
-        assert_eq!(packed.config().exec.kernel, MvmKernel::Packed);
-        assert!(packed.packed_ready(), "rails deployment must pack");
-        let x = random_pm1(&[3, 33], 50);
-        let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
-        assert_eq!(train.kind(), membit_encoding::TrainKind::NestedUnary);
-        let (y_p, stats_p) = packed
-            .execute_with_stats(&train, &mut Rng::from_seed(51))
-            .unwrap();
-        let (y_r, stats_r) = reference
-            .execute_with_stats(&train, &mut Rng::from_seed(51))
-            .unwrap();
-        assert_eq!(
-            y_p.as_slice(),
-            y_r.as_slice(),
-            "packed dense path must be bitwise reference"
-        );
-        // modeled hardware events must match the reference schedule
-        assert_eq!(stats_p, stats_r);
-        let y_c = cached.execute(&train, &mut Rng::from_seed(51)).unwrap();
-        for (p, c) in y_p.as_slice().iter().zip(y_c.as_slice()) {
-            // delta schedule reorders the accumulation: near, not bitwise
-            assert!((p - c).abs() <= 1e-4 * p.abs().max(1.0), "{p} vs {c}");
+        for (ir_drop, packed) in [(0.0, true), (0.05, false)] {
+            cfg.noise.device.ir_drop_alpha = ir_drop;
+            let engine = CrossbarLinear::program(&w, &cfg, &mut Rng::from_seed(45)).unwrap();
+            assert_eq!(engine.packed_ready(), packed);
+            let y = engine.execute(&train, &mut Rng::from_seed(47)).unwrap();
+            assert_eq!(y.as_slice(), reference_execute(&engine, &train, &mut Rng::from_seed(47)));
         }
     }
 
     #[test]
     fn packed_kernel_downgrades_on_realistic_devices_and_stays_bitwise() {
-        // d2d spread makes every tile ineligible: packed execution must
-        // transparently serve the cached loop's results — bitwise equal
-        // to Reference, never silently different
+        // d2d spread makes every tile ineligible: execution must serve
+        // the cached loop's results — bitwise the oracle, never silently
+        // different
         let mut cfg = XbarConfig::realistic(0.3);
         cfg.tile_rows = 16;
         cfg.tile_cols = 8;
         let w = random_pm1(&[20, 33], 52);
-        let (cached, reference) = kernel_pair(cfg, &w, 53);
-        let mut packed = cached.clone();
-        packed.set_kernel(MvmKernel::Packed);
-        assert!(!packed.packed_ready(), "d2d deployment must not pack");
+        let engine = CrossbarLinear::program(&w, &cfg, &mut Rng::from_seed(53)).unwrap();
+        assert!(!engine.packed_ready(), "d2d deployment must not pack");
         let x = random_pm1(&[2, 33], 54);
         let train = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
-        let y_p = packed.execute(&train, &mut Rng::from_seed(55)).unwrap();
-        let y_r = reference.execute(&train, &mut Rng::from_seed(55)).unwrap();
-        assert_eq!(y_p.as_slice(), y_r.as_slice());
+        let y = engine.execute(&train, &mut Rng::from_seed(55)).unwrap();
+        assert_eq!(y.as_slice(), reference_execute(&engine, &train, &mut Rng::from_seed(55)));
     }
 
     #[test]
@@ -1703,6 +1636,15 @@ mod tests {
         assert!(
             CrossbarLinear::program(&Tensor::zeros(&[2, 2]), &cfg, &mut rng).is_err()
         );
+        // non-finite noise: NaN used to program and then walk the guard
+        // ladder to the digital fallback, +∞ to serve non-finite outputs
+        for sigma in [f32::NAN, f32::INFINITY] {
+            let cfg = XbarConfig::functional(sigma).with_guard(crate::GuardPolicy::standard());
+            assert!(matches!(
+                CrossbarLinear::program(&Tensor::ones(&[2, 2]), &cfg, &mut rng),
+                Err(TensorError::InvalidArgument(_))
+            ));
+        }
     }
 
     #[test]
@@ -1887,8 +1829,8 @@ mod tests {
     #[test]
     fn ir_drop_attenuates_output_and_kernels_agree_bitwise() {
         // physical wire model: outputs shrink relative to ideal wiring,
-        // and the attenuation map lives in the weight cache, so Cached
-        // and Reference kernels stay bitwise identical
+        // and the attenuation map lives in the weight cache, so the
+        // cached loop stays bitwise the raw-conductance oracle
         let mut cfg = XbarConfig::functional(0.2);
         cfg.tile_rows = 16;
         cfg.tile_cols = 8;
@@ -1900,16 +1842,18 @@ mod tests {
             ..crate::NonIdealitySpec::realistic()
         };
         let w = random_pm1(&[12, 24], 70);
-        let (cached, reference) = kernel_pair(cfg.with_nonideal(nonideal), &w, 71);
+        let engine =
+            CrossbarLinear::program(&w, &cfg.with_nonideal(nonideal), &mut Rng::from_seed(71))
+                .unwrap();
         let x = random_pm1(&[3, 24], 72);
         let train = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
-        let y_fast = cached.execute(&train, &mut Rng::from_seed(73)).unwrap();
-        let y_ref = reference.execute(&train, &mut Rng::from_seed(73)).unwrap();
-        assert_eq!(y_fast.as_slice(), y_ref.as_slice());
+        let y_fast = engine.execute(&train, &mut Rng::from_seed(73)).unwrap();
+        let y_ref = reference_execute(&engine, &train, &mut Rng::from_seed(73));
+        assert_eq!(y_fast.as_slice(), y_ref);
         // thermometer trains exercise the delta schedule too
         let t2 = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
-        let d_fast = cached.execute(&t2, &mut Rng::from_seed(74)).unwrap();
-        let d_ref = reference.execute(&t2, &mut Rng::from_seed(74)).unwrap();
+        let d_fast = engine.execute(&t2, &mut Rng::from_seed(74)).unwrap();
+        let d_ref = engine.execute(&dense_twin(&t2), &mut Rng::from_seed(74)).unwrap();
         assert!(d_fast.allclose(&d_ref, 1e-4));
         // the droop is real: mean |y| under IR drop < ideal wiring
         let ideal = CrossbarLinear::program(&w, &cfg, &mut Rng::from_seed(71)).unwrap();

@@ -76,7 +76,7 @@ pub use program::{
     program_cell_verified, program_cell_verified_with_health, ProgramStats, WriteVerify,
 };
 pub use remap::{remap_tile, RecoveryPolicy, RemapReport};
-pub use tile::{MvmKernel, PackScratch, StripPlanes, Tile, TileVarianceStats};
+pub use tile::{Tile, TileVarianceStats};
 
 /// Convenience alias matching [`membit_tensor::Result`].
 pub type Result<T> = std::result::Result<T, membit_tensor::TensorError>;

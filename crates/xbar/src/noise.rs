@@ -49,13 +49,14 @@ impl NoiseSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for a negative σ or an
-    /// invalid device model.
+    /// Returns [`TensorError::InvalidArgument`] for a non-finite or
+    /// negative σ or an invalid device model.
     pub fn validate(&self) -> Result<()> {
-        if self.output_sigma < 0.0 {
-            return Err(TensorError::InvalidArgument(
-                "output_sigma must be non-negative".into(),
-            ));
+        if !self.output_sigma.is_finite() || self.output_sigma < 0.0 {
+            return Err(TensorError::InvalidArgument(format!(
+                "output_sigma must be finite and non-negative, got {}",
+                self.output_sigma
+            )));
         }
         self.device.validate()
     }
@@ -82,5 +83,15 @@ mod tests {
     #[test]
     fn negative_sigma_rejected() {
         assert!(NoiseSpec::functional(-1.0).validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_sigma_rejected() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(matches!(
+                NoiseSpec::functional(bad).validate(),
+                Err(TensorError::InvalidArgument(_))
+            ));
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! line segments, `j + 1` bit-line segments, and the driver/sense loads,
 //! so its effective contribution is divided by `1 + G_on · R_series`.
 //! The resulting per-tile attenuation map is folded into the tile's
-//! weight cache at program time, which keeps the Reference and Cached
-//! MVM kernels bitwise identical.
+//! weight cache at program time, which keeps every MVM loop bitwise
+//! identical to the raw-conductance oracle `Tile::mvm_reference` on ±1/0
+//! drives.
 //!
 //! Temperature enters in three places, all relative to the reference
 //! temperature [`T_REF`] (300 K):

@@ -1,6 +1,16 @@
 //! One physical crossbar tile: programmed conductance pairs plus the
 //! per-pulse analog MVM and the fault-recovery primitives the remapper
 //! composes.
+//!
+//! An MVM runs one of two loops. A [`Tile::packed_ready`] tile
+//! (rail-programmed: one uniform weight magnitude with exactly
+//! representable multiples) driven at exactly ±1/0 runs the bit-packed
+//! popcount loops; every other MVM runs the cached loop over the
+//! materialized effective weights. On ±1/0 drives both are bitwise
+//! [`Tile::mvm_reference`], the raw-conductance oracle: the cache stores
+//! exactly `(G⁺−G⁻)·attenuation/(G_on−G_off)` per cell, multiplying that
+//! by ±1 is exact, and the popcount reconstruction reproduces the
+//! sequential f32 accumulation bit for bit.
 
 use membit_tensor::{Rng, Tensor, TensorError};
 
@@ -10,44 +20,7 @@ use crate::noise::NoiseSpec;
 use crate::program::{program_cell_verified_with_health, ProgramStats, WriteVerify};
 use crate::Result;
 
-/// Which inner loop an analog MVM runs.
-///
-/// All kernels compute the same model; [`Cached`](MvmKernel::Cached) is
-/// the production scalar fast path, [`Packed`](MvmKernel::Packed) the
-/// bit-parallel popcount path, and [`Reference`](MvmKernel::Reference)
-/// the original per-cell formulation kept for differential testing. For
-/// binary (±1/0) inputs all three are **bitwise identical**: the cache
-/// stores exactly `(G⁺−G⁻)·attenuation/(G_on−G_off)` per cell,
-/// multiplying that by ±1 is exact, and the packed kernel only engages
-/// when its integer reconstruction provably reproduces the sequential
-/// f32 accumulation bit for bit (see [`Tile::packed_ready`]) — otherwise
-/// it downgrades to the cached loop for that tile, never to a silently
-/// different result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MvmKernel {
-    /// Accumulate rows of the pre-materialized effective-weight matrix —
-    /// one multiply-add per active cell instead of a subtract, two
-    /// multiplies, and a divide.
-    #[default]
-    Cached,
-    /// Recompute `x·(G⁺−G⁻)·att/denom` from raw conductances per cell
-    /// per pulse.
-    Reference,
-    /// Bit-packed popcount accumulation: weight signs/activity and input
-    /// sign/valid planes live in `u64` words, one pulse column is a
-    /// handful of `AND`/`XOR` + `count_ones`, and the pre-noise sum is
-    /// reconstructed exactly as `(pos − neg)·c`. Engages per tile only
-    /// when every nonzero `|w_eff|` equals one uniform scale whose
-    /// integer multiples are exactly representable (rail-programmed
-    /// devices: no d2d spread, no IR drop, no partial drift); otherwise
-    /// the call downgrades to [`Cached`](MvmKernel::Cached), which is
-    /// itself bitwise-Reference for ±1/0 inputs. Noise is added by the
-    /// same keyed substreams afterwards, so draw order, the guard
-    /// column, and thread-count determinism are untouched.
-    Packed,
-}
-
-/// Derived per-cell quantities the reference kernel recomputes on every
+/// Derived per-cell quantities the reference oracle recomputes on every
 /// pulse, materialized once per programming event. Maintained **eagerly**:
 /// every `Tile` mutator rebuilds or patches it before returning, so a
 /// stale cache is impossible by construction — there is no dirty flag to
@@ -66,17 +39,17 @@ struct WeightCache {
     /// Per-column sum of `g_sq` over rows in ascending order — the
     /// aggregated c2c variance when *every* row is driven at ±1, which
     /// is exactly the case for nested-unary pulse trains. Ascending-row
-    /// summation keeps it bitwise equal to the reference kernel's
+    /// summation keeps it bitwise equal to the reference oracle's
     /// accumulated scratch.
     col_sq: Vec<f32>,
-    /// Bit planes + uniform scales for [`MvmKernel::Packed`], rebuilt by
+    /// Bit planes + uniform scales for the popcount loops, rebuilt by
     /// the same two hooks (`rebuild_cache` / `rebuild_cache_col`) every
     /// mutator already calls — plane staleness is impossible for exactly
     /// the reason cache staleness is.
     packed: PackedPlanes,
 }
 
-/// Derived bit-plane state for [`MvmKernel::Packed`].
+/// Derived bit-plane state for the popcount loops.
 ///
 /// Layout: planes are **column-major** — column `j` owns words
 /// `j·words..(j+1)·words`, and bit `r % 64` of word `r / 64` covers row
@@ -85,7 +58,7 @@ struct WeightCache {
 ///
 /// The scales are what make popcount reconstruction *bitwise* rather
 /// than merely close: `(pos − neg) as f32 * c` equals the reference
-/// kernel's sequential f32 accumulation iff every nonzero `|w_eff|` is
+/// oracle's sequential f32 accumulation iff every nonzero `|w_eff|` is
 /// bitwise `c` **and** every integer multiple `m·c` (`|m| ≤ rows`) is
 /// exactly representable — then every partial sum the reference forms is
 /// itself representable, so each round-to-nearest step is exact
@@ -105,41 +78,24 @@ struct PackedPlanes {
     active_count: Vec<u32>,
     /// The uniform nonzero weight magnitude `c` passing the exactness
     /// check, or `None` when weights are heterogeneous (d2d spread, IR
-    /// drop, partial drift) — the packed kernel then downgrades to
-    /// [`MvmKernel::Cached`] for this tile.
+    /// drop, partial drift) — the tile then runs the cached loop.
     scale: Option<f32>,
     /// The uniform per-cell `G⁺²+G⁻²` passing the exactness check,
     /// required over **all** cells (zero-weight pairs still contribute
-    /// read noise), or `None` — c2c-noisy MVMs then downgrade.
+    /// read noise), or `None` — c2c-noisy MVMs then run the cached loop.
     c2c_scale: Option<f32>,
 }
 
-/// Per-call scratch for the packed kernel's input planes, hoisted by
-/// batched entry points so packing never allocates in the pulse loop.
-/// For the sample-blocked batch path, `sign`/`valid` hold all samples'
-/// planes sample-major, `driven` the per-sample driven-row counts, and
-/// `out_t` the column-major staging buffer the hot loop writes
-/// sequentially before the per-sample transpose.
-#[derive(Debug, Default)]
-pub struct PackScratch {
-    sign: Vec<u64>,
-    valid: Vec<u64>,
-    driven: Vec<u32>,
-    out_t: Vec<f32>,
-}
-
-/// Pre-packed input bit planes for one `(pulse, row-strip)` of a sample
-/// block, shared across every column tile in the strip.
+/// Packed input bit planes for one pulse's sample block over a row
+/// strip.
 ///
-/// All tiles in a row strip read the *same* input rows, so the engine
-/// packs each pulse's drive vectors once per strip and hands the planes
-/// to [`Tile::mvm_batch_prepacked`] for each column tile — instead of
-/// every tile re-running [`pack_pulse`] on identical data. The planes
-/// are exactly what `mvm_batch`'s internal packed path would have built
-/// (same `pack_pulse`, same sample-major layout), so reuse is bitwise
-/// neutral by construction.
+/// [`Tile::mvm_batch`] packs its own block. All tiles in a row strip read
+/// the *same* input rows, so the engine packs each pulse's drive vectors
+/// once per strip and hands the planes to every packed-ready column tile
+/// instead of re-running [`pack_pulse`] on identical data; the planes are
+/// the same either way, so sharing is bitwise neutral.
 #[derive(Debug, Default)]
-pub struct StripPlanes {
+pub(crate) struct StripPlanes {
     /// Sample-major sign planes: sample `s` owns words
     /// `s·words..(s+1)·words`.
     sign: Vec<u64>,
@@ -160,9 +116,15 @@ impl StripPlanes {
     /// `stride`, rows `offset..offset + rows` of each. Returns `false` —
     /// leaving the planes unusable for this strip — when any element is
     /// not exactly `±1`/`0` (fractional drives are not representable in
-    /// one bit; callers then fall back to [`Tile::mvm_batch`], which
-    /// downgrades identically).
-    pub fn pack(&mut self, xs: &[f32], stride: usize, offset: usize, rows: usize, n: usize) -> bool {
+    /// one bit; callers then run the cached loop).
+    pub(crate) fn pack(
+        &mut self,
+        xs: &[f32],
+        stride: usize,
+        offset: usize,
+        rows: usize,
+        n: usize,
+    ) -> bool {
         self.sign.clear();
         self.valid.clear();
         self.driven.clear();
@@ -275,143 +237,28 @@ fn pack_pulse(x: &[f32], sign: &mut Vec<u64>, valid: &mut Vec<u64>) -> Option<u3
     Some(driven)
 }
 
-/// The popcount hot loop, full-drive case: every row carries ±1, so
-/// `act == active` and the act popcount is the plane's precomputed
-/// per-column count — one hardware popcount per word.
-///
-/// `pos − neg = act_count − 2·popcount(act & (sign ^ sign_x))`: the XOR
-/// marks negative products, the AND restricts to active cells.
-#[inline(always)]
-fn packed_columns_full_inner(p: &PackedPlanes, xsign: &[u64], out: &mut [f32], c: f32) {
-    // dispatch on the word count so the per-column word walk fully
-    // unrolls for the common tile heights (≤64, ≤128, ≤256 rows): with a
-    // runtime trip count the zip machinery costs more than the popcounts
-    match p.words.max(1) {
-        1 => packed_columns_full_const::<1>(p, xsign, out, c),
-        2 => packed_columns_full_const::<2>(p, xsign, out, c),
-        4 => packed_columns_full_const::<4>(p, xsign, out, c),
-        w => packed_columns_full_dyn(p, xsign, out, c, w),
-    }
-}
-
-#[inline(always)]
-fn packed_columns_full_const<const W: usize>(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    out: &mut [f32],
-    c: f32,
-) {
-    let sx: &[u64; W] = xsign[..W].try_into().expect("pulse plane width");
-    for ((o, (sign, active)), &count) in out
-        .iter_mut()
-        .zip(p.sign.chunks_exact(W).zip(p.active.chunks_exact(W)))
-        .zip(&p.active_count)
-    {
-        let mut neg = 0u32;
-        for k in 0..W {
-            neg += (active[k] & (sign[k] ^ sx[k])).count_ones();
-        }
-        *o = (count as i32 - 2 * neg as i32) as f32 * c;
-    }
-}
-
-#[inline(always)]
-fn packed_columns_full_dyn(p: &PackedPlanes, xsign: &[u64], out: &mut [f32], c: f32, words: usize) {
-    for ((o, (sign, active)), &count) in out
-        .iter_mut()
-        .zip(p.sign.chunks_exact(words).zip(p.active.chunks_exact(words)))
-        .zip(&p.active_count)
-    {
-        let mut neg = 0u32;
-        for ((&s, &a), &sx) in sign.iter().zip(active).zip(xsign) {
-            neg += (a & (s ^ sx)).count_ones();
-        }
-        *o = (count as i32 - 2 * neg as i32) as f32 * c;
-    }
-}
-
-/// The popcount hot loop, partial-drive case: undriven rows are masked
-/// out per word via the pulse's valid plane, and the act popcount is
-/// computed live.
-#[inline(always)]
-fn packed_columns_masked_inner(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    xvalid: &[u64],
-    out: &mut [f32],
-    c: f32,
-) {
-    match p.words.max(1) {
-        1 => packed_columns_masked_const::<1>(p, xsign, xvalid, out, c),
-        2 => packed_columns_masked_const::<2>(p, xsign, xvalid, out, c),
-        4 => packed_columns_masked_const::<4>(p, xsign, xvalid, out, c),
-        w => packed_columns_masked_dyn(p, xsign, xvalid, out, c, w),
-    }
-}
-
-#[inline(always)]
-fn packed_columns_masked_const<const W: usize>(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    xvalid: &[u64],
-    out: &mut [f32],
-    c: f32,
-) {
-    let sx: &[u64; W] = xsign[..W].try_into().expect("pulse plane width");
-    let vx: &[u64; W] = xvalid[..W].try_into().expect("pulse plane width");
-    for (o, (sign, active)) in out
-        .iter_mut()
-        .zip(p.sign.chunks_exact(W).zip(p.active.chunks_exact(W)))
-    {
-        let mut act_count = 0u32;
-        let mut neg = 0u32;
-        for k in 0..W {
-            let act = active[k] & vx[k];
-            act_count += act.count_ones();
-            neg += (act & (sign[k] ^ sx[k])).count_ones();
-        }
-        *o = (act_count as i32 - 2 * neg as i32) as f32 * c;
-    }
-}
-
-#[inline(always)]
-fn packed_columns_masked_dyn(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    xvalid: &[u64],
-    out: &mut [f32],
-    c: f32,
-    words: usize,
-) {
-    for (o, (sign, active)) in out
-        .iter_mut()
-        .zip(p.sign.chunks_exact(words).zip(p.active.chunks_exact(words)))
-    {
-        let mut act_count = 0u32;
-        let mut neg = 0u32;
-        for (((&s, &a), &sx), &v) in sign.iter().zip(active).zip(xsign).zip(xvalid) {
-            let act = a & v;
-            act_count += act.count_ones();
-            neg += (act & (s ^ sx)).count_ones();
-        }
-        *o = (act_count as i32 - 2 * neg as i32) as f32 * c;
-    }
-}
-
 // NB: `u64::count_ones` only compiles to the single-cycle `popcnt`
 // instruction when the target feature is enabled; the x86-64 *baseline*
 // lacks it, falling back to a ~15-op bithack that erases most of the
-// packed kernel's advantage. The workspace `.cargo/config.toml` enables
+// popcount loops' advantage. The workspace `.cargo/config.toml` enables
 // `-C target-feature=+popcnt` on x86-64 (universal on hardware since
 // 2008, and purely integer codegen — float results are untouched).
 
-/// The sample-blocked popcount loop for [`Tile::mvm_batch`], full-drive
-/// case: column-outer so each column's plane words load once and stay in
+/// The sample-blocked popcount loop, full-drive case: every row carries
+/// ±1, so `act == active` and the act popcount is the plane's
+/// precomputed per-column count — one hardware popcount per word.
+/// `pos − neg = act_count − 2·popcount(act & (sign ^ sign_x))`: the XOR
+/// marks negative products, the AND restricts to active cells.
+///
+/// Column-outer, so each column's plane words load once and stay in
 /// registers across the whole sample block, with the per-column results
 /// staged column-major in `out_t` (`cols × n`) so the inner loop writes
 /// sequentially. `xsign` is sample-major (`n × words`).
 #[inline(always)]
 fn packed_batch_full_inner(p: &PackedPlanes, xsign: &[u64], n: usize, out_t: &mut [f32], c: f32) {
+    // dispatch on the word count so the per-column word walk fully
+    // unrolls for the common tile heights (≤64, ≤128, ≤256 rows): with a
+    // runtime trip count the zip machinery costs more than the popcounts
     match p.words.max(1) {
         1 => packed_batch_full_const::<1>(p, xsign, n, out_t, c),
         2 => packed_batch_full_const::<2>(p, xsign, n, out_t, c),
@@ -585,7 +432,7 @@ pub struct Tile {
     /// Per-cell IR-drop attenuation (all 1.0 when disabled), row-major.
     attenuation: Vec<f32>,
     device: DeviceModel,
-    /// Always-valid derived state for [`MvmKernel::Cached`].
+    /// Always-valid derived state for the cached and popcount loops.
     cache: WeightCache,
     /// ABFT checksum snapshot; `None` until the engine arms the tile.
     guard: Option<GuardColumn>,
@@ -720,9 +567,9 @@ impl Tile {
     /// [`NonIdealitySpec::attenuation_map`](crate::NonIdealitySpec::attenuation_map))
     /// into the tile, multiplying element-wise with whatever first-order
     /// [`DeviceModel::ir_drop_alpha`] attenuation the tile already
-    /// carries, and rebuilds the weight cache — so Reference and Cached
-    /// kernels keep agreeing bitwise. Called by the engine at program
-    /// time, before any guard is armed.
+    /// carries, and rebuilds the weight cache — so the execution loops
+    /// keep agreeing bitwise with [`mvm_reference`](Self::mvm_reference).
+    /// Called by the engine at program time, before any guard is armed.
     ///
     /// # Panics
     ///
@@ -929,7 +776,7 @@ impl Tile {
     /// One analog MVM: drives `x` (`len = rows`, entries ±1 or 0) through
     /// the array and writes normalized differential column currents into
     /// `out` (`len = cols`), with each column's digital polarity sign
-    /// applied.
+    /// applied. A batch of one: see [`mvm_batch`](Self::mvm_batch).
     ///
     /// `noise.output_sigma` Gaussian noise is added per column;
     /// cycle-to-cycle read noise perturbs every cell independently.
@@ -939,37 +786,7 @@ impl Tile {
     /// Returns [`TensorError::InvalidArgument`] on slice-length
     /// mismatches.
     pub fn mvm(&self, x: &[f32], noise: &NoiseSpec, rng: &mut Rng, out: &mut [f32]) -> Result<()> {
-        self.mvm_with(x, noise, rng, out, MvmKernel::default())
-    }
-
-    /// [`mvm`](Self::mvm) with an explicit [`MvmKernel`] choice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] on slice-length
-    /// mismatches.
-    pub fn mvm_with(
-        &self,
-        x: &[f32],
-        noise: &NoiseSpec,
-        rng: &mut Rng,
-        out: &mut [f32],
-        kernel: MvmKernel,
-    ) -> Result<()> {
-        if x.len() != self.rows || out.len() != self.cols {
-            return Err(TensorError::InvalidArgument(format!(
-                "mvm expects x[{}] and out[{}], got x[{}] / out[{}]",
-                self.rows,
-                self.cols,
-                x.len(),
-                out.len()
-            )));
-        }
-        let c2c = self.device.c2c_sigma > 0.0;
-        let mut c2c_var = vec![0.0f32; if c2c { self.cols } else { 0 }];
-        let mut scratch = PackScratch::default();
-        self.mvm_kernel(kernel, x, noise, rng, out, &mut c2c_var, &mut scratch);
-        Ok(())
+        self.mvm_batch(x, self.rows, 0, noise, std::slice::from_mut(rng), out)
     }
 
     /// Batched analog MVM over one pulse's block of input vectors.
@@ -982,17 +799,15 @@ impl Tile {
     /// schedule — the engine derives them per
     /// `(pulse, sample, row_tile, col_tile)`.
     ///
-    /// Equivalent to `rngs.len()` calls to [`mvm`](Self::mvm) with the
-    /// corresponding generators, but amortizes validation and the
-    /// cycle-to-cycle scratch buffer across the block.
+    /// A [`packed_ready`](Self::packed_ready) tile runs the popcount
+    /// loops when every drive is exactly ±1/0; any other block runs the
+    /// cached loop. Both are bitwise [`mvm_reference`](Self::mvm_reference)
+    /// on ±1/0 drives, draw order included.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] on slice-length or
     /// stride/offset mismatches.
-    // a hot inner-loop entry point: slices + layout scalars beat a
-    // params struct that would be rebuilt per tile per pulse
-    #[allow(clippy::too_many_arguments)]
     pub fn mvm_batch(
         &self,
         xs: &[f32],
@@ -1001,7 +816,6 @@ impl Tile {
         noise: &NoiseSpec,
         rngs: &mut [Rng],
         out: &mut [f32],
-        kernel: MvmKernel,
     ) -> Result<()> {
         let n = rngs.len();
         if offset + self.rows > stride || xs.len() != n * stride || out.len() != n * self.cols {
@@ -1014,34 +828,51 @@ impl Tile {
                 out.len()
             )));
         }
-        let c2c = self.device.c2c_sigma > 0.0;
-        let mut c2c_var = vec![0.0f32; if c2c { self.cols } else { 0 }];
-        let mut scratch = PackScratch::default();
-        if kernel == MvmKernel::Packed
-            && self.mvm_batch_packed(xs, stride, offset, noise, rngs, out, &mut c2c_var, &mut scratch)
-        {
-            return Ok(());
-        }
-        for (s, rng) in rngs.iter_mut().enumerate() {
-            let x = &xs[s * stride + offset..s * stride + offset + self.rows];
-            let o = &mut out[s * self.cols..(s + 1) * self.cols];
-            self.mvm_kernel(kernel, x, noise, rng, o, &mut c2c_var, &mut scratch);
+        let mut planes = StripPlanes::default();
+        let packed = self.packed_ready(self.device.c2c_sigma > 0.0)
+            && planes.pack(xs, stride, offset, self.rows, n)
+            && self.mvm_block_packed(&planes, noise, rngs, out, &mut Vec::new());
+        if !packed {
+            self.mvm_block_cached(xs, stride, offset, noise, rngs, out);
         }
         Ok(())
     }
 
-    /// The sample-blocked popcount path for a whole [`mvm_batch`]
-    /// (Self::mvm_batch) block: packs every sample's input planes, runs
-    /// the column-outer batch loops, then applies each sample's keyed
-    /// noise in order. Bitwise identical to running
-    /// [`accumulate_packed`](Self::accumulate_packed) per sample — the
-    /// per-column word walk and the final `(count − 2·neg)·c` rounding
-    /// are the same — but the plane words load once per column for the
-    /// whole block. Returns `false` (leaving `out` untouched) when the
-    /// planes or any sample's drive pattern are ineligible; the caller
-    /// then runs the per-sample loop, which downgrades sample-by-sample.
-    #[allow(clippy::too_many_arguments)]
-    fn mvm_batch_packed(
+    /// The raw-conductance oracle: recomputes `x·(G⁺−G⁻)·att/denom` and
+    /// the c2c variance per cell from the programmed conductances, then
+    /// draws the same noise as [`mvm`](Self::mvm). It reads no derived
+    /// state, so it cannot be stale; tests compare the execution loops
+    /// against it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] on slice-length
+    /// mismatches.
+    pub fn mvm_reference(
+        &self,
+        x: &[f32],
+        noise: &NoiseSpec,
+        rng: &mut Rng,
+        out: &mut [f32],
+    ) -> Result<()> {
+        if x.len() != self.rows || out.len() != self.cols {
+            return Err(TensorError::InvalidArgument(format!(
+                "mvm expects x[{}] and out[{}], got x[{}] / out[{}]",
+                self.rows,
+                self.cols,
+                x.len(),
+                out.len()
+            )));
+        }
+        let mut c2c_var = self.c2c_scratch();
+        self.accumulate_reference(x, out, &mut c2c_var);
+        self.apply_sign_and_noise(noise, rng, out, &c2c_var);
+        Ok(())
+    }
+
+    /// The cached loop over a sample block laid out as in
+    /// [`mvm_batch`](Self::mvm_batch), one sample at a time.
+    pub(crate) fn mvm_block_cached(
         &self,
         xs: &[f32],
         stride: usize,
@@ -1049,66 +880,34 @@ impl Tile {
         noise: &NoiseSpec,
         rngs: &mut [Rng],
         out: &mut [f32],
-        c2c_var: &mut [f32],
-        scratch: &mut PackScratch,
-    ) -> bool {
-        let p = &self.cache.packed;
-        let Some(c) = p.scale else { return false };
-        let need_c2c = !c2c_var.is_empty();
-        let q = match (need_c2c, p.c2c_scale) {
-            (true, Some(q)) => q,
-            (true, None) => return false,
-            (false, _) => 0.0,
-        };
-        let n = rngs.len();
-        scratch.sign.clear();
-        scratch.valid.clear();
-        scratch.driven.clear();
-        let mut all_full = true;
-        for s in 0..n {
-            let x = &xs[s * stride + offset..s * stride + offset + self.rows];
-            let Some(driven) = pack_pulse(x, &mut scratch.sign, &mut scratch.valid) else {
-                return false;
-            };
-            all_full &= driven as usize == self.rows;
-            scratch.driven.push(driven);
-        }
-        scratch.out_t.clear();
-        scratch.out_t.resize(self.cols * n, 0.0);
-        if all_full {
-            packed_batch_full_inner(p, &scratch.sign, n, &mut scratch.out_t, c);
-        } else {
-            packed_batch_masked_inner(p, &scratch.sign, &scratch.valid, n, &mut scratch.out_t, c);
-        }
+    ) {
+        let mut c2c_var = self.c2c_scratch();
         for (s, rng) in rngs.iter_mut().enumerate() {
+            let x = &xs[s * stride + offset..s * stride + offset + self.rows];
             let o = &mut out[s * self.cols..(s + 1) * self.cols];
-            for (oj, col) in o.iter_mut().zip(scratch.out_t.chunks_exact(n)) {
-                *oj = col[s];
-            }
-            if need_c2c {
-                c2c_var.fill(scratch.driven[s] as f32 * q);
-            }
-            self.apply_sign_and_noise(noise, rng, o, c2c_var);
+            self.accumulate_cached(x, o, &mut c2c_var);
+            self.apply_sign_and_noise(noise, rng, o, &c2c_var);
         }
-        true
     }
 
-    /// The strip-shared variant of the sample-blocked popcount path:
-    /// identical to the packed arm of [`mvm_batch`](Self::mvm_batch)
-    /// except the input planes arrive pre-packed in `planes` (built once
-    /// per row strip by the engine via [`StripPlanes::pack`]) instead of
-    /// being re-packed per column tile. The per-column word walk, the
-    /// staging transpose through `out_t`, and the per-sample
-    /// `driven·q` c2c fill + keyed noise epilogue run in exactly the
-    /// order `mvm_batch` uses, so outputs and RNG draws are bitwise
-    /// identical — asserted by `prepacked_strip_is_bitwise_mvm_batch`
-    /// and the engine-level differential in `proptest_kernels`.
+    /// The popcount loops over a sample block whose drives `planes` holds
+    /// packed ([`StripPlanes::pack`]): column-outer, so each column's
+    /// plane words load once for the whole block, staged column-major in
+    /// `out_t`, then each sample's keyed noise in sample order.
     ///
-    /// Returns `false` — leaving `out` untouched — when the planes don't
-    /// match this tile's height, the tile's uniform-scale verdicts fail,
-    /// or the buffers disagree; the caller then runs
-    /// [`mvm_batch`](Self::mvm_batch), which downgrades identically.
-    pub fn mvm_batch_prepacked(
+    /// Per column `j` and sample: `act = active_j & valid` selects driven
+    /// nonzero-weight cells, `diff = sign_j ^ sign_x` marks negative
+    /// products, and the pre-noise sum is
+    /// `(popcount(act) − 2·popcount(act & diff))·c` in one final rounding. The plane's multiples check makes every
+    /// partial sum of the reference loop representable, so that rounding
+    /// lands on the same bits. The c2c variance is `driven·q` for every
+    /// column (all cells share `q`, zero-weight pairs included), which
+    /// keeps the reference loop's draw gating bit for bit.
+    ///
+    /// Returns `false`, leaving `out` untouched, when the tile is not
+    /// [`packed_ready`](Self::packed_ready) or the planes were packed for
+    /// another strip height or block size.
+    pub(crate) fn mvm_block_packed(
         &self,
         planes: &StripPlanes,
         noise: &NoiseSpec,
@@ -1121,12 +920,9 @@ impl Tile {
             return false;
         }
         let p = &self.cache.packed;
-        let Some(c) = p.scale else { return false };
         let need_c2c = self.device.c2c_sigma > 0.0;
-        let q = match (need_c2c, p.c2c_scale) {
-            (true, Some(q)) => q,
-            (true, None) => return false,
-            (false, _) => 0.0,
+        let (Some(c), Some(q)) = (p.scale, if need_c2c { p.c2c_scale } else { Some(0.0) }) else {
+            return false;
         };
         out_t.clear();
         out_t.resize(self.cols * n, 0.0);
@@ -1135,134 +931,39 @@ impl Tile {
         } else {
             packed_batch_masked_inner(p, &planes.sign, &planes.valid, n, out_t, c);
         }
-        let mut c2c_var = vec![0.0f32; if need_c2c { self.cols } else { 0 }];
+        let mut c2c_var = self.c2c_scratch();
         for (s, rng) in rngs.iter_mut().enumerate() {
             let o = &mut out[s * self.cols..(s + 1) * self.cols];
             for (oj, col) in o.iter_mut().zip(out_t.chunks_exact(n)) {
                 *oj = col[s];
             }
-            if need_c2c {
-                c2c_var.fill(planes.driven[s] as f32 * q);
-            }
+            c2c_var.fill(planes.driven[s] as f32 * q);
             self.apply_sign_and_noise(noise, rng, o, &c2c_var);
         }
         true
     }
 
-    /// The pre-noise accumulation step of one pulse MVM — the part that
-    /// actually differs between kernels. Fills `out` (`len == cols`)
-    /// with the raw signed column sums for drive vector `x`
-    /// (`len == rows`) and, when `c2c_var` is non-empty (`len == cols`),
-    /// the per-column cycle-to-cycle variance numerators. Polarity,
-    /// noise draws, and ADC are **not** applied — those are a shared
-    /// epilogue identical across kernels. Public so `bench_engine` can
-    /// time the kernels themselves differentially; [`mvm`](Self::mvm)
-    /// and [`mvm_batch`](Self::mvm_batch) remain the execution entry
-    /// points.
-    pub fn accumulate(
-        &self,
-        kernel: MvmKernel,
-        x: &[f32],
-        out: &mut [f32],
-        c2c_var: &mut [f32],
-        scratch: &mut PackScratch,
-    ) {
-        match kernel {
-            MvmKernel::Cached => self.accumulate_cached(x, out, c2c_var),
-            MvmKernel::Reference => self.accumulate_reference(x, out, c2c_var),
-            MvmKernel::Packed => {
-                if !self.accumulate_packed(x, out, c2c_var, scratch) {
-                    self.accumulate_cached(x, out, c2c_var);
-                }
-            }
-        }
+    /// Per-column c2c variance scratch: `cols` zeros when the device
+    /// draws cycle-to-cycle noise, else empty, which skips those draws.
+    fn c2c_scratch(&self) -> Vec<f32> {
+        let len = if self.device.c2c_sigma > 0.0 {
+            self.cols
+        } else {
+            0
+        };
+        vec![0.0; len]
     }
 
-    /// The shared MVM inner loop: `x.len() == rows`, `out.len() == cols`,
-    /// and `c2c_var.len() == cols` exactly when cycle-to-cycle noise is
-    /// enabled (it is used as scratch and re-zeroed here). `scratch` is
-    /// the packed kernel's input-plane buffer, hoisted so batched callers
-    /// amortize its allocation.
-    // the tile-MVM hot path: positional slices beat a params struct
-    // rebuilt per pulse per sample
-    #[allow(clippy::too_many_arguments)]
-    fn mvm_kernel(
-        &self,
-        kernel: MvmKernel,
-        x: &[f32],
-        noise: &NoiseSpec,
-        rng: &mut Rng,
-        out: &mut [f32],
-        c2c_var: &mut [f32],
-        scratch: &mut PackScratch,
-    ) {
-        // the Packed arm inside `accumulate` is the documented downgrade:
-        // heterogeneous weights or fractional drives (amplitude encoding)
-        // take the cached loop, which is itself bitwise-Reference for
-        // ±1/0 inputs — never a silently different result
-        self.accumulate(kernel, x, out, c2c_var, scratch);
-        self.apply_sign_and_noise(noise, rng, out, c2c_var);
-    }
-
-    /// Whether [`MvmKernel::Packed`] genuinely engages on this tile:
-    /// the uniform-scale exactness verdicts hold for the weight plane
-    /// and — when `need_c2c` (the device draws cycle-to-cycle noise) —
-    /// for the variance plane too. When `false`, packed execution
-    /// transparently serves the cached kernel's bitwise-identical
-    /// results instead; this probe exists so benches and tests can
-    /// assert which inner loop actually ran.
+    /// Whether the popcount loops engage on this tile: the uniform-scale
+    /// exactness verdicts hold for the weight plane and — when
+    /// `need_c2c` (the device draws cycle-to-cycle noise) — for the
+    /// variance plane too. When `false`, execution runs the cached loop,
+    /// which is bitwise the same on ±1/0 drives; this probe exists so
+    /// the engine can skip packing and benches and tests can assert
+    /// which inner loop ran.
     pub fn packed_ready(&self, need_c2c: bool) -> bool {
         let p = &self.cache.packed;
         p.scale.is_some() && (!need_c2c || p.c2c_scale.is_some())
-    }
-
-    /// Popcount accumulation. Returns `false` — without touching `out` —
-    /// when the tile's planes or this pulse's drive pattern are
-    /// ineligible, so the caller can fall back to the cached loop.
-    ///
-    /// Per column `j` with packed input planes (`valid`, `sign_x`):
-    /// `act = active_j & valid` selects driven nonzero-weight cells,
-    /// `diff = sign_j ^ sign_x` marks negative products, and the exact
-    /// pre-noise sum is `(popcount(act & !diff) − popcount(act & diff))·c`.
-    /// The c2c variance is `driven·q` for every column (all cells share
-    /// `q`, including zero-weight pairs), preserving the reference
-    /// kernel's draw gating bit for bit.
-    fn accumulate_packed(
-        &self,
-        x: &[f32],
-        out: &mut [f32],
-        c2c_var: &mut [f32],
-        scratch: &mut PackScratch,
-    ) -> bool {
-        let p = &self.cache.packed;
-        let Some(c) = p.scale else { return false };
-        let need_c2c = !c2c_var.is_empty();
-        let q = match (need_c2c, p.c2c_scale) {
-            (true, Some(q)) => q,
-            (true, None) => return false,
-            (false, _) => 0.0,
-        };
-        scratch.sign.clear();
-        scratch.valid.clear();
-        let Some(driven) = pack_pulse(x, &mut scratch.sign, &mut scratch.valid) else {
-            return false; // fractional drive: not representable in one bit
-        };
-        // exactness in both loops below comes from the plane's multiples
-        // check: every true partial product is representable, so the
-        // single final rounding lands on the same bits as the reference
-        // kernel's sequence of exact accumulation steps
-        if driven as usize == self.rows {
-            // full drive (every row ±1, the common case for binary
-            // trains): act == active, so the act popcount collapses to
-            // the precomputed per-column count
-            packed_columns_full_inner(p, &scratch.sign, out, c);
-        } else {
-            packed_columns_masked_inner(p, &scratch.sign, &scratch.valid, out, c);
-        }
-        if need_c2c {
-            c2c_var.fill(driven as f32 * q);
-        }
-        true
     }
 
     /// Original accumulation: recompute the effective weight of every
@@ -1294,12 +995,15 @@ impl Tile {
     }
 
     /// Cached accumulation: one multiply-add per active cell against the
-    /// materialized effective weights. Bitwise identical to
+    /// materialized effective weights, plus the per-column c2c variance
+    /// numerators when `c2c_var` is non-empty. No noise, no polarity —
+    /// an empty `c2c_var` makes it the delta schedule's dense pulse-0
+    /// step. Bitwise identical to
     /// [`accumulate_reference`](Self::accumulate_reference) for ±1/0
     /// inputs: `(±1)·w` negates or copies `w` exactly, and the reference
     /// expression `((±1·(G⁺−G⁻))·att)/denom` is the same exact negation
     /// of the cached `((G⁺−G⁻)·att)/denom`.
-    fn accumulate_cached(&self, x: &[f32], out: &mut [f32], c2c_var: &mut [f32]) {
+    pub(crate) fn accumulate_cached(&self, x: &[f32], out: &mut [f32], c2c_var: &mut [f32]) {
         out.fill(0.0);
         c2c_var.fill(0.0);
         for (i, &xi) in x.iter().enumerate() {
@@ -1356,22 +1060,6 @@ impl Tile {
     // Nested-unary delta path (engine fast path)
     // ------------------------------------------------------------------
 
-    /// Dense pre-sign accumulation of one pulse into `acc`
-    /// (`len == cols`): the pulse-0 step of the delta schedule. No noise,
-    /// no polarity — [`finish_pulse`](Self::finish_pulse) applies those.
-    pub(crate) fn accumulate_dense(&self, x: &[f32], acc: &mut [f32]) {
-        acc.fill(0.0);
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            let base = i * self.cols;
-            for (o, &w) in acc.iter_mut().zip(&self.cache.w_eff[base..base + self.cols]) {
-                *o += xi * w;
-            }
-        }
-    }
-
     /// Sparse update of `acc` by the rows that switch `+1 → −1` on this
     /// pulse of a nested-unary train: adds `−2·w_eff` for each row in
     /// `rows`, in the given order.
@@ -1386,9 +1074,9 @@ impl Tile {
 
     /// Turns a pre-sign accumulation into a finished pulse readout in
     /// `out`: applies the column polarity and draws the same noise the
-    /// fused kernels would. Valid only when every row is driven at ±1
+    /// dense loops would. Valid only when every row is driven at ±1
     /// (nested-unary pulses), which makes the aggregated c2c variance the
-    /// cached per-column total — bitwise the value the reference kernel
+    /// cached per-column total — bitwise the value the reference oracle
     /// accumulates in that case.
     pub(crate) fn finish_pulse(
         &self,
@@ -1743,9 +1431,9 @@ impl Tile {
     /// matching level: `StuckOn` → `G_on`, `StuckOff` → `G_off`,
     /// `Healthy` → the cell's exact current target under the present
     /// polarity. The weight cache is patched, so fault injection through
-    /// this method is safe to interleave with [`MvmKernel::Cached`]
-    /// execution — it exists for tests and instrumentation, which must
-    /// not reach around the API and mutate raw state.
+    /// this method is safe to interleave with execution — it exists for
+    /// tests and instrumentation, which must not reach around the API and
+    /// mutate raw state.
     ///
     /// # Errors
     ///
@@ -1804,8 +1492,7 @@ impl Tile {
     /// next [`refresh`](Tile::refresh) reprograms away. Contrast with
     /// [`inject_fault`](Tile::inject_fault), whose pinned health survives
     /// reprogramming and needs march-test + remap. The weight cache is
-    /// patched, so upsets are safe to interleave with
-    /// [`MvmKernel::Cached`] execution.
+    /// patched, so upsets are safe to interleave with execution.
     ///
     /// # Errors
     ///
@@ -1984,16 +1671,8 @@ mod tests {
         let xs: Vec<f32> = (0..n * stride).map(|i| (i % 7) as f32 / 3.0 - 1.0).collect();
         let mut rngs: Vec<Rng> = (0..n as u64).map(|s| Rng::from_seed(100 + s)).collect();
         let mut batch_out = vec![0.0f32; n * 2];
-        tile.mvm_batch(
-            &xs,
-            stride,
-            offset,
-            &noise,
-            &mut rngs,
-            &mut batch_out,
-            MvmKernel::Cached,
-        )
-        .unwrap();
+        tile.mvm_batch(&xs, stride, offset, &noise, &mut rngs, &mut batch_out)
+            .unwrap();
         for s in 0..n {
             let mut rng_s = Rng::from_seed(100 + s as u64);
             let mut out = [0.0f32; 2];
@@ -2007,72 +1686,15 @@ mod tests {
             assert_eq!(&batch_out[s * 2..(s + 1) * 2], &out);
         }
         // stride too small for offset + rows, wrong xs length, wrong out length
-        let k = MvmKernel::Cached;
         assert!(tile
-            .mvm_batch(&xs[..n * 3], 3, 1, &noise, &mut rngs, &mut batch_out, k)
+            .mvm_batch(&xs[..n * 3], 3, 1, &noise, &mut rngs, &mut batch_out)
             .is_err());
         assert!(tile
-            .mvm_batch(&xs[..7], stride, offset, &noise, &mut rngs, &mut batch_out, k)
+            .mvm_batch(&xs[..7], stride, offset, &noise, &mut rngs, &mut batch_out)
             .is_err());
         assert!(tile
-            .mvm_batch(&xs, stride, offset, &noise, &mut rngs, &mut batch_out[..2], k)
+            .mvm_batch(&xs, stride, offset, &noise, &mut rngs, &mut batch_out[..2])
             .is_err());
-    }
-
-    #[test]
-    fn prepacked_strip_is_bitwise_mvm_batch() {
-        // a rail-programmed (packed-eligible) tile with c2c noise: the
-        // strip-shared path must reproduce mvm_batch's packed path bit
-        // for bit, RNG draws included
-        let mut device = DeviceModel::ideal();
-        device.c2c_sigma = 0.03;
-        let mut rng = Rng::from_seed(7);
-        let w = Tensor::from_fn(&[70, 5], |i| if i % 3 == 0 { 1.0 } else { -1.0 });
-        let tile = Tile::program(&w, &device, &mut rng).unwrap();
-        assert!(tile.packed_ready(true));
-        let noise = NoiseSpec::functional(0.2);
-        let (stride, offset, n) = (80usize, 4usize, 3usize);
-        // mix full drives and zero-masked rows so both inner loops run
-        let xs: Vec<f32> = (0..n * stride)
-            .map(|i| match i % 5 {
-                0 => 0.0,
-                1 | 2 => 1.0,
-                _ => -1.0,
-            })
-            .collect();
-        for full_drive in [false, true] {
-            let xs: Vec<f32> = if full_drive {
-                xs.iter().map(|&v| if v == 0.0 { 1.0 } else { v }).collect()
-            } else {
-                xs.clone()
-            };
-            let mut planes = StripPlanes::default();
-            assert!(planes.pack(&xs, stride, offset, 70, n));
-            let mk_rngs = || -> Vec<Rng> { (0..n as u64).map(|s| Rng::from_seed(900 + s)).collect() };
-            let mut batch_out = vec![0.0f32; n * 5];
-            let mut rngs = mk_rngs();
-            tile.mvm_batch(&xs, stride, offset, &noise, &mut rngs, &mut batch_out, MvmKernel::Packed)
-                .unwrap();
-            let mut pre_out = vec![0.0f32; n * 5];
-            let mut out_t = Vec::new();
-            let mut rngs = mk_rngs();
-            assert!(tile.mvm_batch_prepacked(&planes, &noise, &mut rngs, &mut pre_out, &mut out_t));
-            assert_eq!(
-                batch_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                pre_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "full_drive = {full_drive}"
-            );
-        }
-        // mismatched strip height or fractional drives refuse cleanly
-        let mut planes = StripPlanes::default();
-        assert!(planes.pack(&xs, stride, offset, 60, n));
-        let mut rngs: Vec<Rng> = (0..n as u64).map(|s| Rng::from_seed(900 + s)).collect();
-        let mut pre_out = vec![0.0f32; n * 5];
-        let mut out_t = Vec::new();
-        assert!(!tile.mvm_batch_prepacked(&planes, &noise, &mut rngs, &mut pre_out, &mut out_t));
-        let mut frac = xs.clone();
-        frac[offset] = 0.5;
-        assert!(!planes.pack(&frac, stride, offset, 70, n));
     }
 
     #[test]
@@ -2364,6 +1986,26 @@ mod tests {
         device
     }
 
+    /// `mvm` and `mvm_reference` on one drive from identically seeded
+    /// generators: each output with its generator's next draw, which pins
+    /// the draw count and order.
+    fn mvm_and_reference(
+        tile: &Tile,
+        x: &[f32],
+        noise: &NoiseSpec,
+        seed: u64,
+    ) -> [(Vec<f32>, u32); 2] {
+        let cols = tile.dims().1;
+        let (mut a, mut b) = (vec![0.0f32; cols], vec![0.0f32; cols]);
+        let (mut rng_a, mut rng_b) = (Rng::from_seed(seed), Rng::from_seed(seed));
+        tile.mvm(x, noise, &mut rng_a, &mut a).unwrap();
+        tile.mvm_reference(x, noise, &mut rng_b, &mut b).unwrap();
+        [
+            (a, rng_a.normal(0.0, 1.0).to_bits()),
+            (b, rng_b.normal(0.0, 1.0).to_bits()),
+        ]
+    }
+
     #[test]
     fn cached_kernel_is_bitwise_reference_for_binary_inputs() {
         let mut rng = Rng::from_seed(21);
@@ -2373,23 +2015,14 @@ mod tests {
         )
         .unwrap();
         let tile = Tile::program(&w, &lossy_device(), &mut rng).unwrap();
-        let noise = NoiseSpec::functional(0.4);
+        assert!(!tile.packed_ready(true), "a lossy tile runs the cached loop");
         let x = [1.0, -1.0, 0.0, 1.0, -1.0];
-        let (mut a, mut b) = ([0.0f32; 4], [0.0f32; 4]);
-        let mut rng_a = Rng::from_seed(77);
-        let mut rng_b = Rng::from_seed(77);
-        tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Cached).unwrap();
-        tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
-        assert_eq!(a, b, "±1/0 inputs must be bitwise identical across kernels");
-        // generators must stay aligned too (same draw count and order)
-        assert_eq!(
-            rng_a.normal(0.0, 1.0).to_bits(),
-            rng_b.normal(0.0, 1.0).to_bits()
-        );
+        let [fast, slow] = mvm_and_reference(&tile, &x, &NoiseSpec::functional(0.4), 77);
+        assert_eq!(fast, slow, "±1/0 inputs must be bitwise identical, draw order included");
     }
 
     /// Rail-programmed device (no d2d spread) with a finite on/off
-    /// ratio: both conductance rails are exact, so the packed kernel's
+    /// ratio: both conductance rails are exact, so the popcount loops'
     /// uniform-scale preconditions hold even through stuck cells.
     fn rails_device() -> DeviceModel {
         let mut device = DeviceModel::ideal();
@@ -2412,26 +2045,20 @@ mod tests {
         tile.flip_column(1, &mut rng).unwrap();
         assert!(tile.packed_ready(false), "rails must pack");
         let noise = NoiseSpec::functional(0.4);
-        let x: Vec<f32> = (0..70)
-            .map(|i| [1.0, -1.0, 0.0][i % 3])
-            .collect();
-        let (mut a, mut b) = ([0.0f32; 3], [0.0f32; 3]);
-        let mut rng_a = Rng::from_seed(99);
-        let mut rng_b = Rng::from_seed(99);
-        tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-        tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
-        assert_eq!(a, b, "packed must be bitwise reference on rails");
-        assert_eq!(
-            rng_a.normal(0.0, 1.0).to_bits(),
-            rng_b.normal(0.0, 1.0).to_bits(),
-            "draw order must stay aligned"
-        );
+        // zero-masked rows run the masked loop, full drives the full one
+        for x in [
+            (0..70).map(|i| [1.0, -1.0, 0.0][i % 3]).collect::<Vec<f32>>(),
+            vec![-1.0; 70],
+        ] {
+            let [fast, slow] = mvm_and_reference(&tile, &x, &noise, 99);
+            assert_eq!(fast, slow, "popcount must be bitwise reference on rails");
+        }
     }
 
     #[test]
     fn packed_kernel_reconstructs_c2c_variance_bitwise() {
         // all-healthy rails + c2c read noise: the variance plane is
-        // uniform, so the packed kernel must reproduce the aggregated
+        // uniform, so the popcount loop must reproduce the aggregated
         // draws (values *and* gating) bit for bit
         let mut device = rails_device();
         device.c2c_sigma = 0.05;
@@ -2445,23 +2072,15 @@ mod tests {
         assert!(tile.packed_ready(true), "healthy rails must pack with c2c");
         let noise = NoiseSpec::functional(0.2);
         for x in [[1.0, -1.0, 0.0, 1.0, -1.0], [0.0; 5]] {
-            let (mut a, mut b) = ([0.0f32; 4], [0.0f32; 4]);
-            let mut rng_a = Rng::from_seed(7);
-            let mut rng_b = Rng::from_seed(7);
-            tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-            tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
-            assert_eq!(a, b, "c2c reconstruction must be bitwise for x = {x:?}");
-            assert_eq!(
-                rng_a.normal(0.0, 1.0).to_bits(),
-                rng_b.normal(0.0, 1.0).to_bits()
-            );
+            let [fast, slow] = mvm_and_reference(&tile, &x, &noise, 7);
+            assert_eq!(fast, slow, "c2c reconstruction must be bitwise for x = {x:?}");
         }
     }
 
     #[test]
     fn packed_downgrades_on_heterogeneous_weights_and_stays_bitwise() {
-        // d2d spread / IR drop / stuck-broken c2c uniformity: the packed
-        // kernel must refuse to engage and serve the cached loop —
+        // d2d spread / IR drop / stuck-broken c2c uniformity: the
+        // popcount loop must not engage, and the cached loop serves —
         // bitwise the reference, never a silently different result
         let mut rng = Rng::from_seed(53);
         let tile = Tile::program(&weights(), &lossy_device(), &mut rng).unwrap();
@@ -2469,12 +2088,8 @@ mod tests {
         assert!(!tile.packed_ready(true));
         let noise = NoiseSpec::functional(0.3);
         let x = [1.0, -1.0, 1.0];
-        let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
-        let mut rng_a = Rng::from_seed(3);
-        let mut rng_b = Rng::from_seed(3);
-        tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-        tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
-        assert_eq!(a, b, "downgraded packed must still be bitwise reference");
+        let [fast, slow] = mvm_and_reference(&tile, &x, &noise, 3);
+        assert_eq!(fast, slow, "the cached loop must be bitwise reference");
 
         // a lone stuck cell breaks the *variance* uniformity only: the
         // weight plane still packs (w_eff stays on ±1/0), the c2c plane
@@ -2487,35 +2102,29 @@ mod tests {
             .unwrap();
         assert!(stuck.packed_ready(false));
         assert!(!stuck.packed_ready(true), "stuck pairs must break c2c packing");
-        let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
-        let mut rng_a = Rng::from_seed(4);
-        let mut rng_b = Rng::from_seed(4);
-        stuck.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-        stuck.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
-        assert_eq!(a, b);
+        let [fast, slow] = mvm_and_reference(&stuck, &x, &noise, 4);
+        assert_eq!(fast, slow);
     }
 
     #[test]
     fn packed_falls_back_on_fractional_inputs() {
         // amplitude-style fractional drives cannot be packed into one
-        // bit; the call must fall back to the cached loop mid-batch
+        // bit: a packed-ready tile must serve the cached loop's results
         let mut rng = Rng::from_seed(54);
         let tile = Tile::program(&weights(), &rails_device(), &mut rng).unwrap();
         assert!(tile.packed_ready(false));
         let noise = NoiseSpec::functional(0.3);
         let x = [0.5, -1.0, 0.25];
         let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
-        let mut rng_a = Rng::from_seed(9);
-        let mut rng_b = Rng::from_seed(9);
-        tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-        tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Cached).unwrap();
+        tile.mvm(&x, &noise, &mut Rng::from_seed(9), &mut a).unwrap();
+        tile.mvm_block_cached(&x, 3, 0, &noise, &mut [Rng::from_seed(9)], &mut b);
         assert_eq!(a, b, "fractional drives must serve the cached results");
     }
 
     #[test]
     fn every_mutation_keeps_the_packed_planes_fresh() {
         // mirror of every_mutation_keeps_the_cache_fresh on a rails
-        // device, where the packed kernel genuinely engages: a mutator
+        // device, where the popcount loop genuinely engages: a mutator
         // that patched the scalar cache but left the bit planes stale
         // would diverge here
         let mut device = rails_device();
@@ -2524,21 +2133,9 @@ mod tests {
         let w = weights();
         let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
         let check = |tile: &Tile, what: &str| {
-            let x = [1.0, -1.0, 1.0];
-            let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
-            let mut rng_a = Rng::from_seed(6);
-            let mut rng_b = Rng::from_seed(6);
-            tile.mvm_with(&x, &NoiseSpec::functional(0.2), &mut rng_a, &mut a, MvmKernel::Packed)
-                .unwrap();
-            tile.mvm_with(
-                &x,
-                &NoiseSpec::functional(0.2),
-                &mut rng_b,
-                &mut b,
-                MvmKernel::Reference,
-            )
-            .unwrap();
-            assert_eq!(a, b, "stale packed planes after {what}");
+            let [fast, slow] =
+                mvm_and_reference(tile, &[1.0, -1.0, 1.0], &NoiseSpec::functional(0.2), 6);
+            assert_eq!(fast, slow, "stale packed planes after {what}");
         };
         check(&tile, "program");
         assert!(tile.packed_ready(false));
@@ -2572,28 +2169,16 @@ mod tests {
 
     #[test]
     fn every_mutation_keeps_the_cache_fresh() {
-        // after each mutation the cached kernel must still agree with the
-        // reference kernel, which reads raw conductances and cannot be
+        // after each mutation the cached loop must still agree with the
+        // reference oracle, which reads raw conductances and cannot be
         // stale
         let mut rng = Rng::from_seed(22);
         let w = weights();
         let mut tile = Tile::program(&w, &lossy_device(), &mut rng).unwrap();
         let check = |tile: &Tile, what: &str| {
-            let x = [1.0, -1.0, 1.0];
-            let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
-            let mut rng_a = Rng::from_seed(5);
-            let mut rng_b = Rng::from_seed(5);
-            tile.mvm_with(&x, &NoiseSpec::functional(0.2), &mut rng_a, &mut a, MvmKernel::Cached)
-                .unwrap();
-            tile.mvm_with(
-                &x,
-                &NoiseSpec::functional(0.2),
-                &mut rng_b,
-                &mut b,
-                MvmKernel::Reference,
-            )
-            .unwrap();
-            assert_eq!(a, b, "stale cache after {what}");
+            let [fast, slow] =
+                mvm_and_reference(tile, &[1.0, -1.0, 1.0], &NoiseSpec::functional(0.2), 5);
+            assert_eq!(fast, slow, "stale cache after {what}");
         };
         check(&tile, "program");
         let map: Vec<f32> = (0..6).map(|i| 1.0 - 0.02 * i as f32).collect();
@@ -2626,8 +2211,8 @@ mod tests {
     #[test]
     fn delta_schedule_matches_fused_kernel_per_pulse() {
         // dense pulse 0 + sparse switched-row updates + finish_pulse must
-        // reproduce the fused cached kernel bitwise, pulse by pulse, for a
-        // nested-unary schedule (monotone +1 → −1 per row)
+        // track the reference oracle pulse by pulse, for a nested-unary
+        // schedule (monotone +1 → −1 per row)
         let mut rng = Rng::from_seed(23);
         let w = Tensor::from_vec(
             (0..24).map(|i| if i % 5 < 2 { -1.0 } else { 1.0 }).collect(),
@@ -2648,7 +2233,7 @@ mod tests {
         for pi in 0..4 {
             let x = pulse_at(pi);
             if pi == 0 {
-                tile.accumulate_dense(&x, &mut acc);
+                tile.accumulate_cached(&x, &mut acc, &mut []);
             } else {
                 let switched: Vec<usize> = (0..4).filter(|&r| highs[r] == pi).collect();
                 tile.accumulate_switched(&switched, &mut acc);
@@ -2656,8 +2241,7 @@ mod tests {
             let mut rng_fast = Rng::from_seed(900 + pi as u64);
             let mut rng_slow = Rng::from_seed(900 + pi as u64);
             tile.finish_pulse(&acc, &noise, &mut rng_fast, &mut fast);
-            tile.mvm_with(&x, &noise, &mut rng_slow, &mut slow, MvmKernel::Reference)
-                .unwrap();
+            tile.mvm_reference(&x, &noise, &mut rng_slow, &mut slow).unwrap();
             for (f, s) in fast.iter().zip(slow.iter()) {
                 assert!(
                     (f - s).abs() <= 1e-5,

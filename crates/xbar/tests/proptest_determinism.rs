@@ -3,18 +3,18 @@
 //! The engine derives every noise draw from substreams keyed by
 //! `(pulse, sample, row_tile, col_tile)` (programming: `(row_tile,
 //! col_tile)`), so programming + execution must be **bitwise identical**
-//! for every `max_threads` setting — across tile geometries, encoders,
-//! noise models **and all three MVM kernels** (the cached and packed fast
-//! paths reorder their loops but not their substream keys) — and the closed-form variance
+//! for every `max_threads` setting — across tile geometries, encoders
+//! and noise models, on every MVM path (the delta schedule, the cached
+//! and the popcount loops reorder their loops but not their substream
+//! keys) — and the closed-form variance
 //! laws (paper Eqs. 2/3) must keep holding when the Monte-Carlo runs
 //! through the parallel path.
 
 use membit_encoding::pla::PlaThermometer;
-use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
+use membit_encoding::{BitEncoder, BitSlicing, PulseTrain, Thermometer};
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{
-    CellHealth, CellSide, CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, MvmKernel,
-    XbarConfig,
+    CellHealth, CellSide, CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, XbarConfig,
 };
 use proptest::prelude::*;
 
@@ -23,20 +23,27 @@ fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::from_fn(&[rows, cols], |_| if rng.coin(0.5) { 1.0 } else { -1.0 })
 }
 
+/// The pulses of a count-coded train stored densely: a generic train,
+/// which takes the dense schedule (popcount loops on rails tiles).
+fn dense_twin(train: &PulseTrain) -> PulseTrain {
+    let pulses = (0..train.num_pulses())
+        .map(|i| train.pulse(i).into_owned())
+        .collect();
+    PulseTrain::new(pulses, train.weights().into_owned()).unwrap()
+}
+
 /// Programs and executes under the given thread cap, returning the raw
 /// output bits and stats.
 fn run(
     w: &Tensor,
-    train: &membit_encoding::PulseTrain,
+    train: &PulseTrain,
     mut cfg: XbarConfig,
     seed: u64,
     threads: usize,
-    kernel: MvmKernel,
 ) -> (Vec<f32>, ExecutionStats) {
     cfg.exec = ExecOptions {
         max_threads: threads,
         samples_per_thread: 1,
-        kernel,
     };
     let mut rng = Rng::from_seed(seed);
     let engine = CrossbarLinear::program(w, &cfg, &mut rng).unwrap();
@@ -73,17 +80,12 @@ proptest! {
         cfg.tile_rows = tile_rows;
         cfg.tile_cols = tile_cols;
 
-        for kernel in [MvmKernel::Cached, MvmKernel::Packed, MvmKernel::Reference] {
-            let (y1, s1) = run(&w, &train, cfg, seed + 1000, 1, kernel);
-            for threads in [2usize, 8] {
-                let (yt, st) = run(&w, &train, cfg, seed + 1000, threads, kernel);
-                // outputs bitwise identical, stats exactly equal
-                prop_assert_eq!(
-                    &y1, &yt,
-                    "outputs diverged at {} threads ({:?})", threads, kernel
-                );
-                prop_assert_eq!(s1, st, "stats diverged at {} threads ({:?})", threads, kernel);
-            }
+        let (y1, s1) = run(&w, &train, cfg, seed + 1000, 1);
+        for threads in [2usize, 8] {
+            let (yt, st) = run(&w, &train, cfg, seed + 1000, threads);
+            // outputs bitwise identical, stats exactly equal
+            prop_assert_eq!(&y1, &yt, "outputs diverged at {} threads", threads);
+            prop_assert_eq!(s1, st, "stats diverged at {} threads", threads);
         }
     }
 
@@ -116,9 +118,9 @@ proptest! {
         cfg.tile_cols = tile_cols;
         cfg.guard = Some(GuardPolicy::standard());
 
-        let run_guarded = |threads: usize, kernel: MvmKernel| {
+        let run_guarded = |threads: usize| {
             let mut cfg = cfg;
-            cfg.exec = ExecOptions { max_threads: threads, samples_per_thread: 1, kernel };
+            cfg.exec = ExecOptions { max_threads: threads, samples_per_thread: 1 };
             let mut rng = Rng::from_seed(seed + 5000);
             let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
             for &(row, col) in &faults {
@@ -127,17 +129,12 @@ proptest! {
             let (y, stats) = engine.execute_guarded(&train, &mut rng).unwrap();
             (y.as_slice().to_vec(), stats, engine.is_degraded())
         };
-        for kernel in [MvmKernel::Cached, MvmKernel::Packed, MvmKernel::Reference] {
-            let (y1, s1, d1) = run_guarded(1, kernel);
-            for threads in [2usize, 8] {
-                let (yt, st, dt) = run_guarded(threads, kernel);
-                prop_assert_eq!(
-                    &y1, &yt,
-                    "guarded outputs diverged at {} threads ({:?})", threads, kernel
-                );
-                prop_assert_eq!(s1, st, "guarded stats diverged at {} threads ({:?})", threads, kernel);
-                prop_assert_eq!(d1, dt);
-            }
+        let (y1, s1, d1) = run_guarded(1);
+        for threads in [2usize, 8] {
+            let (yt, st, dt) = run_guarded(threads);
+            prop_assert_eq!(&y1, &yt, "guarded outputs diverged at {} threads", threads);
+            prop_assert_eq!(s1, st, "guarded stats diverged at {} threads", threads);
+            prop_assert_eq!(d1, dt);
         }
     }
 
@@ -179,26 +176,26 @@ fn guard_retry_path_is_bitwise_identical_across_thread_counts() {
     cfg.tile_cols = 8;
     cfg.guard = Some(policy);
 
-    let run_guarded = |threads: usize, kernel: MvmKernel| {
+    let run_guarded = |threads: usize, train: &PulseTrain| {
         let mut cfg = cfg;
         cfg.exec = ExecOptions {
             max_threads: threads,
             samples_per_thread: 1,
-            kernel,
         };
         let mut rng = Rng::from_seed(78);
         let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
-        let (y, stats) = engine.execute_guarded(&train, &mut rng).unwrap();
+        let (y, stats) = engine.execute_guarded(train, &mut rng).unwrap();
         (y.as_slice().to_vec(), stats)
     };
-    for kernel in [MvmKernel::Cached, MvmKernel::Packed, MvmKernel::Reference] {
-        let (y1, s1) = run_guarded(1, kernel);
-        assert!(s1.guard.retries > 0, "fixture must exercise retries ({kernel:?})");
+    // the delta schedule, and the dense one through the popcount loops
+    for (what, train) in [("counts", &train), ("dense", &dense_twin(&train))] {
+        let (y1, s1) = run_guarded(1, train);
+        assert!(s1.guard.retries > 0, "fixture must exercise retries ({what})");
         assert!(s1.guard.retry_successes > 0, "{:?}", s1.guard);
         for threads in [2usize, 8] {
-            let (yt, st) = run_guarded(threads, kernel);
-            assert_eq!(y1, yt, "retry outputs diverged at {threads} threads ({kernel:?})");
-            assert_eq!(s1, st, "retry stats diverged at {threads} threads ({kernel:?})");
+            let (yt, st) = run_guarded(threads, train);
+            assert_eq!(y1, yt, "retry outputs diverged at {threads} threads ({what})");
+            assert_eq!(s1, st, "retry stats diverged at {threads} threads ({what})");
         }
     }
 }
@@ -216,7 +213,6 @@ fn monte_carlo_variance_matches_eq3_under_parallel_execution() {
     cfg.exec = ExecOptions {
         max_threads: 8,
         samples_per_thread: 1,
-        kernel: MvmKernel::Cached,
     };
     let mut rng = Rng::from_seed(41);
     let xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
@@ -251,7 +247,6 @@ fn monte_carlo_variance_matches_eq2_under_parallel_execution() {
     cfg.exec = ExecOptions {
         max_threads: 8,
         samples_per_thread: 1,
-        kernel: MvmKernel::Cached,
     };
     let mut rng = Rng::from_seed(42);
     let xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
@@ -275,8 +270,9 @@ fn monte_carlo_variance_matches_eq2_under_parallel_execution() {
     );
 }
 
-/// The full escalation ladder (retry → refresh → remap) under the
-/// popcount kernel: a rails fixture with a post-deployment fault burst
+/// The full escalation ladder (retry → refresh → remap) on the popcount
+/// loops: a rails fixture driven by a generic train, with a
+/// post-deployment fault burst
 /// must trip checksums, escalate past retries to tile remaps, and the
 /// whole run — detection, repair, and the final outputs — must be
 /// bitwise identical at 1 vs 4 threads. Ladder repairs reprogram cells
@@ -291,14 +287,13 @@ fn packed_guard_ladder_is_bitwise_identical_across_thread_counts() {
     cfg.noise.device.on_off_ratio = 20.0;
     let w = pm1_matrix(16, 32, 61);
     let x = pm1_matrix(4, 32, 62);
-    let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
+    let train = dense_twin(&Thermometer::new(8).unwrap().encode_tensor(&x).unwrap());
 
     let run_guarded = |threads: usize| {
         let mut cfg = cfg;
         cfg.exec = ExecOptions {
             max_threads: threads,
             samples_per_thread: 1,
-            kernel: MvmKernel::Packed,
         };
         let mut rng = Rng::from_seed(63);
         let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();

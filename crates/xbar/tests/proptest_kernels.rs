@@ -1,44 +1,38 @@
-//! Differential testing of the cached-weight and bit-packed MVM fast
-//! paths.
+//! Differential testing of the MVM execution paths.
 //!
-//! Four properties guard the `MvmKernel::Cached` and `MvmKernel::Packed`
-//! paths (and the incremental pulse-delta schedule Cached unlocks for
-//! nested-unary trains):
+//! The engine picks one path per pulse train: a count-coded train
+//! (thermometer, PLA) takes the incremental pulse-delta schedule; a
+//! generic train takes the dense schedule, which runs the bit-packed
+//! popcount loops on `packed_ready` tiles and the cached loop elsewhere.
+//! Four properties guard them:
 //!
-//! 1. **Kernel agreement** — on identical hardware, cached/packed and
-//!    reference execution agree within 1e-5 across random tile
-//!    geometries, encoders (thermometer, bit-sliced, PLA, amplitude) and
-//!    noise models, with exactly equal event stats. Noise substreams are
-//!    keyed by `(pulse, sample, row_tile, col_tile)`, so the comparison
-//!    is noise-to-noise, not just mean-to-mean.
-//! 2. **Packed bitwise contract** — on rail-programmed devices with
-//!    binary (±1/0) pulse trains, the popcount kernel is *bitwise*
-//!    identical to Reference, including the RNG draw order of every
-//!    noise stream (output noise and gated c2c draws).
-//! 3. **No stale caches or planes** — after any random sequence of tile
+//! 1. **Count-coded vs dense** — a count-coded train agrees with the same
+//!    pulses stored densely (its dense twin) within 1e-5, with exactly
+//!    equal event stats, across random tile geometries, noise models and
+//!    stuck tiles carrying SAF-ECC corrections. Noise substreams are keyed
+//!    by `(pulse, sample, row_tile, col_tile)`, so the comparison is
+//!    noise-to-noise, not just mean-to-mean.
+//! 2. **Popcount bitwise contract** — on rail-programmed tiles with
+//!    ±1/0 drives, `Tile::mvm_batch` (popcount engaged) is *bitwise*
+//!    `Tile::mvm_reference`, the raw-conductance oracle, including the
+//!    RNG draw order of every noise stream (output noise and gated c2c
+//!    draws); fractional drives fall back to the cached loop within 1e-5.
+//! 3. **Guard composition** — under checksum-guarded execution, the
+//!    delta schedule never masks a violation the dense schedule catches,
+//!    even when faults are injected mid-sequence.
+//! 4. **No stale caches or planes** — after any random sequence of tile
 //!    mutations (aging, polarity flips, spare-line replacement,
-//!    escalated reprogramming, refresh, fault injection), the fast
-//!    kernels still agree bitwise with the reference kernel, which reads
-//!    raw conductances and cannot be stale. Every mutator must rebuild
-//!    or patch the cache — and the packed planes riding on it — eagerly
-//!    for this to hold.
-//! 4. **Guard composition** — under checksum-guarded execution, the
-//!    cached kernel never masks a violation the reference kernel
-//!    catches, even when faults are injected mid-sequence.
-//! 5. **Count-coded trains** — a thermometer or PLA train (stored as one
-//!    high count per element) executes exactly like the same pulses
-//!    stored densely: bitwise, stats included, under Reference and
-//!    Packed (both expand the counts into the dense schedule), and within
-//!    the kernel tolerance under Cached (whose delta schedule runs from
-//!    the counts) — across odd strip heights, guard retries and SAF-ECC
-//!    tiles.
+//!    escalated reprogramming, refresh, fault injection), `Tile::mvm`
+//!    still agrees bitwise with the oracle, which reads raw conductances
+//!    and cannot be stale. Every mutator must rebuild or patch the cache
+//!    — and the packed planes riding on it — eagerly for this to hold.
 
 use membit_encoding::pla::PlaThermometer;
-use membit_encoding::{Amplitude, BitEncoder, BitSlicing, PulseTrain, Thermometer, TrainKind};
+use membit_encoding::{BitEncoder, PulseTrain, Thermometer};
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{
     CellHealth, CellSide, CrossbarLinear, DeviceModel, ExecOptions, ExecutionStats, GuardPolicy,
-    MvmKernel, NoiseSpec, ProgramStats, RecoveryPolicy, Tile, WriteVerify, XbarConfig,
+    NoiseSpec, ProgramStats, RecoveryPolicy, Tile, WriteVerify, XbarConfig,
 };
 use proptest::prelude::*;
 
@@ -47,8 +41,8 @@ fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::from_fn(&[rows, cols], |_| if rng.coin(0.5) { 1.0 } else { -1.0 })
 }
 
-/// Programs identical hardware (same seed) and executes under `kernel`.
-/// Each `(row, col)` of `stuck` pins both cells of that pair on before
+/// Programs identical hardware (same seed) and executes `train`. Each
+/// `(row, col)` of `stuck` pins both cells of that pair on before
 /// execution, then a remap with the digital SAF-ECC arm and no spare
 /// lines runs: nothing analog cures a double-stuck pair, so those tiles
 /// carry corrections.
@@ -57,10 +51,9 @@ fn run(
     train: &PulseTrain,
     mut cfg: XbarConfig,
     seed: u64,
-    kernel: MvmKernel,
     stuck: &[(usize, usize)],
 ) -> (Vec<f32>, ExecutionStats) {
-    cfg.exec = ExecOptions::serial().with_kernel(kernel);
+    cfg.exec = ExecOptions::serial();
     let mut rng = Rng::from_seed(seed);
     let mut engine = CrossbarLinear::program(w, &cfg, &mut rng).unwrap();
     if !stuck.is_empty() {
@@ -81,7 +74,7 @@ fn run(
 }
 
 /// The pulses of `train` stored densely, one tensor per pulse: a generic
-/// train, which every kernel runs through the dense schedule.
+/// train, which takes the dense schedule.
 fn dense_twin(train: &PulseTrain) -> PulseTrain {
     let pulses = (0..train.num_pulses())
         .map(|i| train.pulse(i).into_owned())
@@ -89,7 +82,7 @@ fn dense_twin(train: &PulseTrain) -> PulseTrain {
     PulseTrain::new(pulses, train.weights().into_owned()).unwrap()
 }
 
-/// Within the cached-vs-reference kernel tolerance.
+/// Within the delta-vs-dense tolerance.
 fn near(fast: &[f32], reference: &[f32], what: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(fast.len(), reference.len());
     for (i, (a, b)) in fast.iter().zip(reference).enumerate() {
@@ -101,6 +94,21 @@ fn near(fast: &[f32], reference: &[f32], what: &str) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// `Tile::mvm` and the oracle on one drive from identically seeded
+/// generators: each output with its generator's next draw, which pins
+/// the draw count and order.
+fn mvm_and_reference(tile: &Tile, x: &[f32], noise: &NoiseSpec, seed: u64) -> [(Vec<f32>, u32); 2] {
+    let cols = tile.dims().1;
+    let (mut a, mut b) = (vec![0.0f32; cols], vec![0.0f32; cols]);
+    let (mut rng_a, mut rng_b) = (Rng::from_seed(seed), Rng::from_seed(seed));
+    tile.mvm(x, noise, &mut rng_a, &mut a).unwrap();
+    tile.mvm_reference(x, noise, &mut rng_b, &mut b).unwrap();
+    [
+        (a, rng_a.normal(0.0, 1.0).to_bits()),
+        (b, rng_b.normal(0.0, 1.0).to_bits()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -109,7 +117,7 @@ proptest! {
         seed in 0u64..400,
         tile_rows in 3usize..12,
         tile_cols in 3usize..12,
-        encoder in 0usize..4,
+        pla in 0usize..2,
         noise_kind in 0usize..3,
         batch in 1usize..6,
         stuck in proptest::collection::vec((0usize..14, 0usize..10), 0..3),
@@ -118,12 +126,10 @@ proptest! {
         let x = Tensor::from_fn(&[batch, 14], |i| {
             (((i * 5 + seed as usize) % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0)
         });
-        let train = match encoder {
-            0 => Thermometer::new(6).unwrap().encode_tensor(&x).unwrap(),
-            1 => BitSlicing::new(3).unwrap().encode_tensor(&x).unwrap(),
-            2 => PlaThermometer::new(9, 7).unwrap().encode_tensor(&x).unwrap(),
-            // fractional single-pulse inputs: exercises the non-binary case
-            _ => Amplitude::new(9).unwrap().encode_tensor(&x).unwrap(),
+        let train = if pla == 1 {
+            PlaThermometer::new(9, 7).unwrap().encode_tensor(&x).unwrap()
+        } else {
+            Thermometer::new(6).unwrap().encode_tensor(&x).unwrap()
         };
         let mut cfg = match noise_kind {
             0 => XbarConfig::ideal(),
@@ -135,69 +141,75 @@ proptest! {
         cfg.tile_rows = tile_rows;
         cfg.tile_cols = tile_cols;
 
-        let (y_ref, s_ref) = run(&w, &train, cfg, seed + 2000, MvmKernel::Reference, &stuck);
-        for kernel in [MvmKernel::Cached, MvmKernel::Packed] {
-            let (y_fast, s_fast) = run(&w, &train, cfg, seed + 2000, kernel, &stuck);
-            prop_assert_eq!(s_fast, s_ref, "event stats must not depend on the kernel");
-            near(&y_fast, &y_ref, &format!("{kernel:?}"))?;
-        }
-        // a count-coded train against its own pulses stored densely
-        if train.kind() == TrainKind::NestedUnary {
-            let dense = dense_twin(&train);
-            for kernel in [MvmKernel::Reference, MvmKernel::Packed, MvmKernel::Cached] {
-                let (y_counts, s_counts) = run(&w, &train, cfg, seed + 2000, kernel, &stuck);
-                let (y_dense, s_dense) = run(&w, &dense, cfg, seed + 2000, kernel, &stuck);
-                prop_assert_eq!(s_counts, s_dense, "{:?}: counts vs dense stats", kernel);
-                if kernel == MvmKernel::Cached {
-                    near(&y_counts, &y_dense, "cached counts vs dense")?;
-                } else {
-                    prop_assert_eq!(y_counts, y_dense, "{:?}: counts vs dense", kernel);
-                }
-            }
-        }
+        // the delta schedule runs from the counts, the dense twin through
+        // the popcount loops (ideal, functional) or the cached loop
+        // (realistic), on identical hardware and noise substreams
+        let (y_counts, s_counts) = run(&w, &train, cfg, seed + 2000, &stuck);
+        let (y_dense, s_dense) = run(&w, &dense_twin(&train), cfg, seed + 2000, &stuck);
+        prop_assert_eq!(s_counts, s_dense, "event stats must not depend on the schedule");
+        near(&y_counts, &y_dense, "counts vs dense")?;
     }
 
     #[test]
     fn packed_execution_is_bitwise_reference_on_rails(
         seed in 0u64..400,
-        tile_rows in 3usize..12,
-        tile_cols in 3usize..12,
-        encoder in 0usize..3,
+        rows in 3usize..140,
+        cols in 1usize..9,
         c2c in 0usize..2,
+        stuck in 0usize..2,
         batch in 1usize..6,
+        offset in 0usize..3,
+        zeros in 0usize..2,
     ) {
-        // rail-programmed hardware (ideal device, d2d = 0) + binary ±1/0
-        // pulse trains: the popcount kernel must reproduce the reference
-        // loop *bitwise*, RNG draw order included. Fractional inputs and
-        // heterogeneous devices are covered by the tolerance test above
-        // (where Packed transparently downgrades per call / per tile).
-        let w = pm1_matrix(10, 14, seed);
-        let x = Tensor::from_fn(&[batch, 14], |i| {
-            (((i * 5 + seed as usize) % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0)
-        });
-        let train = match encoder {
-            0 => Thermometer::new(6).unwrap().encode_tensor(&x).unwrap(),
-            1 => BitSlicing::new(3).unwrap().encode_tensor(&x).unwrap(),
-            _ => PlaThermometer::new(9, 7).unwrap().encode_tensor(&x).unwrap(),
+        // rail-programmed tiles (ideal device, d2d = 0) driven at ±1/0:
+        // mvm_batch runs the popcount loops and must reproduce the
+        // oracle *bitwise*, RNG draw order included. Heights up to 139
+        // span one to three plane words; full ±1 blocks run the full
+        // loop, blocks with zeros the masked one.
+        let mut device = DeviceModel::ideal();
+        device.on_off_ratio = 20.0;
+        device.c2c_sigma = if c2c == 1 { 0.03 } else { 0.0 };
+        // stuck pairs keep the weight plane on rails; with c2c they break
+        // its variance plane, and the cached loop serves instead
+        device.stuck_on_rate = if stuck == 1 { 0.05 } else { 0.0 };
+        let w = pm1_matrix(rows, cols, seed);
+        let mut rng = Rng::from_seed(seed + 7000);
+        let tile = Tile::program(&w, &device, &mut rng).unwrap();
+        prop_assert!(tile.packed_ready(false));
+        let noise = NoiseSpec::functional(0.3);
+        let stride = rows + offset;
+        let xs: Vec<f32> = (0..batch * stride)
+            .map(|_| match rng.below(2 + zeros) {
+                0 => 1.0,
+                1 => -1.0,
+                _ => 0.0,
+            })
+            .collect();
+        let block = |xs: &[f32]| {
+            let mut rngs: Vec<Rng> = (0..batch as u64).map(|s| Rng::from_seed(seed + s)).collect();
+            let mut out = vec![0.0f32; batch * cols];
+            tile.mvm_batch(xs, stride, offset, &noise, &mut rngs, &mut out).unwrap();
+            let next: Vec<u32> = rngs.iter_mut().map(|r| r.normal(0.0, 1.0).to_bits()).collect();
+            (out, next)
         };
-        let mut cfg = XbarConfig::functional(0.3);
-        cfg.noise.device.on_off_ratio = 20.0;
-        cfg.noise.device.c2c_sigma = if c2c == 1 { 0.03 } else { 0.0 };
-        cfg.tile_rows = tile_rows;
-        cfg.tile_cols = tile_cols;
-
-        let (y_packed, s_packed) = run(&w, &train, cfg, seed + 7000, MvmKernel::Packed, &[]);
-        let (y_ref, s_ref) = run(&w, &train, cfg, seed + 7000, MvmKernel::Reference, &[]);
-        prop_assert_eq!(s_packed, s_ref);
-        prop_assert_eq!(&y_packed, &y_ref, "packed must be bitwise reference on rails");
-        // the popcount path engages on expanded counts exactly as on the
-        // same pulses stored densely
-        if train.kind() == TrainKind::NestedUnary {
-            let dense = dense_twin(&train);
-            let (y_dense, s_dense) = run(&w, &dense, cfg, seed + 7000, MvmKernel::Packed, &[]);
-            prop_assert_eq!(s_dense, s_packed);
-            prop_assert_eq!(y_dense, y_packed, "packed: counts vs dense");
-        }
+        let oracle = |xs: &[f32]| {
+            let mut out = vec![0.0f32; batch * cols];
+            let mut next = Vec::new();
+            for s in 0..batch {
+                let mut r = Rng::from_seed(seed + s as u64);
+                let x = &xs[s * stride + offset..(s + 1) * stride];
+                tile.mvm_reference(x, &noise, &mut r, &mut out[s * cols..(s + 1) * cols]).unwrap();
+                next.push(r.normal(0.0, 1.0).to_bits());
+            }
+            (out, next)
+        };
+        prop_assert_eq!(block(&xs), oracle(&xs), "popcount must be bitwise the oracle on rails");
+        // fractional drives are not one-bit representable: the cached
+        // loop serves them, within the accumulation-order tolerance
+        let frac: Vec<f32> = xs.iter().map(|&v| v * 0.75).collect();
+        let ((y, next), (y_ref, next_ref)) = (block(&frac), oracle(&frac));
+        near(&y, &y_ref, "fractional")?;
+        prop_assert_eq!(next, next_ref);
     }
 
     #[test]
@@ -213,12 +225,12 @@ proptest! {
     ) {
         // The incremental pulse-delta schedule must compose with guarded
         // execution: for any fault set injected mid-sequence (between a
-        // clean execute and a faulty one), the cached kernel must never
-        // mask a checksum violation the reference kernel catches.
-        // Detection is compared *binarily*, not count-for-count — the
-        // kernels differ by ≤1e-5 in accumulation order, so a check
-        // sitting exactly on the tolerance boundary may legitimately
-        // flip, but a fault big enough to matter trips both.
+        // clean execute and a faulty one), the delta schedule must never
+        // mask a checksum violation the dense schedule of the same pulses
+        // catches. Detection is compared *binarily*, not count-for-count
+        // — the schedules differ by ≤1e-5 in accumulation order, so a
+        // check sitting exactly on the tolerance boundary may
+        // legitimately flip, but a fault big enough to matter trips both.
         let w = pm1_matrix(10, 14, seed);
         let x = Tensor::from_fn(&[batch, 14], |i| {
             (((i * 5 + seed as usize) % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0)
@@ -239,13 +251,12 @@ proptest! {
         // detection-only ladder: no mid-execution refresh/remap, so both
         // engines run the whole sequence on identical hardware
         cfg.guard = Some(GuardPolicy::detect_only());
+        cfg.exec = ExecOptions::serial();
 
         // the faults are pinned stuck-off cells, or transient upsets that
         // drive both cells of a pair onto the high rail (zeroing its
         // weight until a refresh, which detect-only never runs)
-        let run_guarded = |kernel: MvmKernel, train: &PulseTrain| {
-            let mut cfg = cfg;
-            cfg.exec = ExecOptions::serial().with_kernel(kernel);
+        let run_guarded = |train: &PulseTrain| {
             let mut rng = Rng::from_seed(seed + 6000);
             let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
             let (_, clean) = engine.execute_guarded(train, &mut rng).unwrap();
@@ -261,36 +272,25 @@ proptest! {
                 }
             }
             let (y, faulty) = engine.execute_guarded(train, &mut rng).unwrap();
-            (clean, faulty, y.as_slice().to_vec())
+            (clean.guard, faulty.guard, y.as_slice().to_vec())
         };
-        // count-coded vs dense: the same guard decisions, retries and
-        // outputs, bit for bit, wherever both take the dense schedule
-        for kernel in [MvmKernel::Reference, MvmKernel::Packed] {
-            prop_assert_eq!(
-                run_guarded(kernel, &train),
-                run_guarded(kernel, &dense),
-                "{:?}: counts vs dense under the guard", kernel
-            );
-        }
-        let (clean_c, faulty_c, y_c) = run_guarded(MvmKernel::Cached, &train);
-        let (clean_r, faulty_r, y_r) = run_guarded(MvmKernel::Reference, &dense);
-        let (clean_c, faulty_c) = (clean_c.guard, faulty_c.guard);
-        let (clean_r, faulty_r) = (clean_r.guard, faulty_r.guard);
+        let (clean_c, faulty_c, y_c) = run_guarded(&train);
+        let (clean_d, faulty_d, y_d) = run_guarded(&dense);
 
         // before injection the array is exactly as programmed: at z = 6
-        // a false positive is a ~1e-9 event, so both kernels must be clean
-        prop_assert_eq!(clean_c.violations, 0, "cached kernel false-positive: {:?}", clean_c);
-        prop_assert_eq!(clean_r.violations, 0, "reference kernel false-positive: {:?}", clean_r);
+        // a false positive is a ~1e-9 event, so both schedules must be clean
+        prop_assert_eq!(clean_c.violations, 0, "delta schedule false-positive: {:?}", clean_c);
+        prop_assert_eq!(clean_d.violations, 0, "dense schedule false-positive: {:?}", clean_d);
         // the one-sided no-masking property
         prop_assert!(
-            !(faulty_r.violations > 0 && faulty_c.violations == 0),
-            "cached kernel masked a violation: cached {:?} vs reference {:?}",
-            faulty_c, faulty_r
+            !(faulty_d.violations > 0 && faulty_c.violations == 0),
+            "delta schedule masked a violation: delta {:?} vs dense {:?}",
+            faulty_c, faulty_d
         );
-        // when the fault set is benign under both kernels the outputs are
-        // ordinary guarded readouts and must agree like any other MVM
-        if faulty_c.violations == 0 && faulty_r.violations == 0 {
-            near(&y_c, &y_r, "cached")?;
+        // when the fault set is benign under both schedules the outputs
+        // are ordinary guarded readouts and must agree like any other MVM
+        if faulty_c.violations == 0 && faulty_d.violations == 0 {
+            near(&y_c, &y_d, "delta")?;
         }
     }
 
@@ -313,27 +313,16 @@ proptest! {
         let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
         let mut stats = ProgramStats::default();
 
-        // a ±1 probe: the two kernels must agree bitwise on it whenever
-        // the cache is fresh
+        // a ±1 probe: the cached loop (this lossy device never packs)
+        // must agree bitwise with the oracle on it whenever the cache is
+        // fresh
         let x: Vec<f32> = (0..rows)
             .map(|i| if (i + seed as usize).is_multiple_of(2) { 1.0 } else { -1.0 })
             .collect();
         let noise = NoiseSpec::functional(0.2);
         let check = |tile: &Tile, op: usize| -> std::result::Result<(), TestCaseError> {
-            let mut slow = vec![0.0f32; cols];
-            let mut rng_b = Rng::from_seed(seed + 4000);
-            tile.mvm_with(&x, &noise, &mut rng_b, &mut slow, MvmKernel::Reference).unwrap();
-            // Packed downgrades to Cached on this lossy device, so both
-            // fast kernels must track the raw-conductance loop bitwise
-            for kernel in [MvmKernel::Cached, MvmKernel::Packed] {
-                let mut fast = vec![0.0f32; cols];
-                let mut rng_a = Rng::from_seed(seed + 4000);
-                tile.mvm_with(&x, &noise, &mut rng_a, &mut fast, kernel).unwrap();
-                prop_assert_eq!(
-                    &fast, &slow,
-                    "stale cache after op {} under {:?}", op, kernel
-                );
-            }
+            let [fast, slow] = mvm_and_reference(tile, &x, &noise, seed + 4000);
+            prop_assert_eq!(fast, slow, "stale cache after op {}", op);
             Ok(())
         };
         check(&tile, 99)?; // fresh from programming
@@ -371,7 +360,7 @@ proptest! {
         ops in proptest::collection::vec(0usize..6, 1..10),
     ) {
         // the rails counterpart of `mutations_never_leave_a_stale_cache`:
-        // on a rail-programmed device the popcount kernel stays *engaged*
+        // on a rail-programmed device the popcount loop stays *engaged*
         // through polarity flips, spare-line swaps, reprogramming,
         // refresh, and fault injection (aging is deliberately excluded —
         // drift de-rails the tile and is covered by the lossy test), so
@@ -397,12 +386,7 @@ proptest! {
             .collect();
         let noise = NoiseSpec::functional(0.2);
         let check = |tile: &Tile, op: usize| -> std::result::Result<(), TestCaseError> {
-            let mut fast = vec![0.0f32; cols];
-            let mut slow = vec![0.0f32; cols];
-            let mut rng_a = Rng::from_seed(seed + 9000);
-            let mut rng_b = Rng::from_seed(seed + 9000);
-            tile.mvm_with(&x, &noise, &mut rng_a, &mut fast, MvmKernel::Packed).unwrap();
-            tile.mvm_with(&x, &noise, &mut rng_b, &mut slow, MvmKernel::Reference).unwrap();
+            let [fast, slow] = mvm_and_reference(tile, &x, &noise, seed + 9000);
             prop_assert_eq!(fast, slow, "stale packed planes after op {}", op);
             Ok(())
         };

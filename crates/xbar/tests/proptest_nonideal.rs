@@ -1,11 +1,12 @@
 //! Property-based tests for the physical non-ideality layer: IR-drop
-//! attenuation geometry, kernel equivalence under wire resistance, and
+//! attenuation geometry, MVM path equivalence under wire resistance, and
 //! guard-tolerance soundness across the rated temperature range.
 
-use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
+use membit_encoding::{BitEncoder, PulseTrain, Thermometer};
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{
-    CrossbarLinear, GuardPolicy, MvmKernel, NonIdealitySpec, XbarConfig, T_MAX, T_MIN,
+    CrossbarLinear, DeviceModel, GuardPolicy, NoiseSpec, NonIdealitySpec, Tile, XbarConfig, T_MAX,
+    T_MIN,
 };
 use proptest::prelude::*;
 
@@ -44,49 +45,52 @@ proptest! {
         }
     }
 
-    /// The attenuation map is folded into the weight cache at program
-    /// time, so IR drop must not loosen the kernel-equivalence contract:
-    /// Cached and Reference stay *bitwise* identical on per-pulse
-    /// execution (bit-sliced trains) and within the usual 1e-5 relative
-    /// envelope on the incremental pulse-delta schedule, whose only
-    /// divergence is floating-point accumulation order.
+    /// IR drop lives in each tile's attenuation vector, which the weight
+    /// cache folds in, so it must not loosen the equivalence contracts:
+    /// a tile's MVM stays *bitwise* the raw-conductance oracle on ±1/0
+    /// drives, and an engine's delta schedule stays within the usual
+    /// 1e-5 relative envelope of the dense schedule of the same pulses,
+    /// whose only divergence is floating-point accumulation order.
     #[test]
     fn kernels_agree_bitwise_under_ir_drop(
         seed in 0u64..200,
         gwire in 1e4f32..1e6,
         tile in 4usize..12,
     ) {
+        let w = pm1_matrix(10, 14, seed);
+        let x = pm1_matrix(3, 14, seed + 1);
+
+        // tile level: first-order IR drop through the same attenuation
+        let mut device = DeviceModel::ideal();
+        device.c2c_sigma = 0.02;
+        device.on_off_ratio = 20.0;
+        device.ir_drop_alpha = 0.2 * (gwire / 1e6);
+        let mut rng = Rng::from_seed(seed + 2);
+        let t = Tile::program(&w, &device, &mut rng).unwrap();
+        let drive: Vec<f32> = (0..10).map(|i| [1.0, -1.0, 0.0][(i + seed as usize) % 3]).collect();
+        let noise = NoiseSpec::functional(0.15);
+        let (mut fast, mut slow) = (vec![0.0f32; 14], vec![0.0f32; 14]);
+        t.mvm(&drive, &noise, &mut Rng::from_seed(seed + 3), &mut fast).unwrap();
+        t.mvm_reference(&drive, &noise, &mut Rng::from_seed(seed + 3), &mut slow).unwrap();
+        prop_assert_eq!(fast, slow);
+
+        // engine level: the wire-resistance map, delta vs dense schedule
         let mut cfg = XbarConfig::functional(0.15);
         cfg.tile_rows = tile;
         cfg.tile_cols = tile;
         cfg.noise.device.c2c_sigma = 0.02;
         cfg.noise.device.on_off_ratio = 20.0;
         cfg.nonideal = NonIdealitySpec { gwire, ..NonIdealitySpec::realistic() };
-        let w = pm1_matrix(10, 14, seed);
-        let x = pm1_matrix(3, 14, seed + 1);
-
-        let run = |kernel: MvmKernel, train: &membit_encoding::PulseTrain| {
-            let mut cfg = cfg;
-            cfg.exec = cfg.exec.with_kernel(kernel);
-            let mut rng = Rng::from_seed(seed + 2);
-            let engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
-            engine.execute(train, &mut rng).unwrap()
-        };
-
-        // per-pulse path: bitwise
-        let sliced = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
-        let y_fast = run(MvmKernel::Cached, &sliced);
-        let y_ref = run(MvmKernel::Reference, &sliced);
-        prop_assert_eq!(y_fast.as_slice(), y_ref.as_slice());
-
-        // pulse-delta path: accumulation-order envelope
+        let engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
         let thermo = Thermometer::new(6).unwrap().encode_tensor(&x).unwrap();
-        let d_fast = run(MvmKernel::Cached, &thermo);
-        let d_ref = run(MvmKernel::Reference, &thermo);
+        let pulses = (0..thermo.num_pulses()).map(|i| thermo.pulse(i).into_owned()).collect();
+        let dense = PulseTrain::new(pulses, thermo.weights().into_owned()).unwrap();
+        let d_fast = engine.execute(&thermo, &mut Rng::from_seed(seed + 4)).unwrap();
+        let d_ref = engine.execute(&dense, &mut Rng::from_seed(seed + 4)).unwrap();
         for (i, (a, b)) in d_fast.as_slice().iter().zip(d_ref.as_slice()).enumerate() {
             prop_assert!(
                 (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
-                "element {}: cached {} vs reference {}", i, a, b
+                "element {}: delta {} vs dense {}", i, a, b
             );
         }
     }

@@ -1,10 +1,13 @@
 //! Property-based tests for the crossbar simulator: tiling invariance,
-//! ADC monotonicity/boundedness, device-model conservation laws, and
-//! linearity of the ideal engine.
+//! ADC monotonicity/boundedness, device-model conservation laws,
+//! linearity of the ideal engine, and typed rejection of extreme
+//! configurations.
 
 use membit_encoding::{BitEncoder, Thermometer};
-use membit_tensor::{Rng, Tensor};
-use membit_xbar::{Adc, CrossbarLinear, DeviceModel, NoiseSpec, Tile, XbarConfig};
+use membit_tensor::{Rng, Tensor, TensorError};
+use membit_xbar::{
+    Adc, CrossbarLinear, DeviceModel, GuardPolicy, NoiseSpec, NonIdealitySpec, Tile, XbarConfig,
+};
 use proptest::prelude::*;
 
 fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -172,5 +175,58 @@ proptest! {
         let var = sum_sq / trials as f64 - mean * mean;
         let expect = f64::from(sigma) * f64::from(sigma);
         prop_assert!((var - expect).abs() < 0.25 * expect, "σ={sigma}: var {var} vs {expect}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Up to three float fields of a guarded realistic deployment set to
+    /// NaN, ±∞, a negative value or 0: `program` returns a typed error,
+    /// or an engine whose guarded outputs are finite and which serves
+    /// from the array rather than the digital fallback. It never panics.
+    #[test]
+    fn config_extremes_are_rejected_typed_or_run_finite(
+        seed in 0u64..1000,
+        perturb in prop::collection::vec(
+            (
+                0usize..14,
+                prop::sample::select(vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.5, 0.0]),
+            ),
+            0..4,
+        ),
+    ) {
+        let mut cfg = XbarConfig::realistic(0.2)
+            .with_guard(GuardPolicy::standard())
+            .with_nonideal(NonIdealitySpec::realistic());
+        cfg.tile_rows = 8;
+        cfg.tile_cols = 8;
+        let mut wv = cfg.write_verify.unwrap();
+        let mut guard = cfg.guard.unwrap();
+        let d = &mut cfg.noise.device;
+        let fields = [
+            &mut cfg.noise.output_sigma, &mut d.g_on, &mut d.on_off_ratio, &mut d.d2d_sigma,
+            &mut d.c2c_sigma, &mut d.stuck_on_rate, &mut d.stuck_off_rate, &mut d.ir_drop_alpha,
+            &mut wv.tolerance, &mut guard.z, &mut guard.min_tolerance, &mut cfg.nonideal.gwire,
+            &mut cfg.nonideal.gload, &mut cfg.nonideal.temperature,
+        ];
+        for &(field, value) in &perturb {
+            *fields[field] = value;
+        }
+        cfg.write_verify = Some(wv);
+        cfg.guard = Some(guard);
+        let w = pm1_matrix(6, 12, seed);
+        let mut rng = Rng::from_seed(seed);
+        match CrossbarLinear::program(&w, &cfg, &mut rng) {
+            Err(e) => prop_assert!(matches!(e, TensorError::InvalidArgument(_)), "{:?}", e),
+            Ok(mut engine) => {
+                let x = Tensor::from_fn(&[2, 12], |i| (i % 5) as f32 / 2.0 - 1.0);
+                let train = Thermometer::new(4).unwrap().encode_tensor(&x).unwrap();
+                let (y, _) = engine.execute_guarded(&train, &mut rng).unwrap();
+                prop_assert!(y.as_slice().iter().all(|v| v.is_finite()), "{:?}", y);
+                // a fault-free array never walks the ladder to the end
+                prop_assert!(!engine.is_degraded());
+            }
+        }
     }
 }

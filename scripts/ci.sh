@@ -27,9 +27,9 @@ echo "=== golden forward digests (determinism across changes, both profiles) ===
 cargo test -q -p membit-core --test golden_forward
 cargo test -q --release -p membit-core --test golden_forward
 
-echo "=== MVM kernel differential suite ==="
-# cached + packed fast paths vs reference oracle, plus cache/plane
-# staleness fuzzing across all mutators
+echo "=== MVM path differential suite ==="
+# delta schedule vs dense twin, popcount + cached loops vs the tile's
+# reference oracle, plus cache/plane staleness fuzzing across all mutators
 cargo test -q -p membit-xbar --test proptest_kernels
 
 echo "=== release-mode float determinism (tensor + kernel suites) ==="
@@ -81,25 +81,27 @@ echo "=== golden serve digests (determinism across changes, both profiles) ==="
 cargo test -q -p membit-serve --test golden_serve
 cargo test -q --release -p membit-serve --test golden_serve
 
-echo "=== bench_engine smoke (BENCH_engine.json + BENCH_mvm.json) ==="
-# exercises both kernels and aborts on any cached/reference disagreement
-./target/release/bench_engine --smoke
-test -s results/BENCH_engine.json
-test -s results/BENCH_mvm.json
+# The smoke benches below write under target/bench-smoke, never over the
+# committed results/ files; ablation_guard, the first to need the model,
+# pretrains its checkpoint there once.
+echo "=== bench_engine smoke (BENCH_engine.json under target/) ==="
+# aborts if outputs differ bitwise across thread counts
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_engine --smoke
+test -s target/bench-smoke/BENCH_engine.json
 
-echo "=== ablation_guard smoke (BENCH_guard.json + ablation_guard.csv) ==="
+echo "=== ablation_guard smoke (BENCH_guard.json + ablation_guard.csv under target/) ==="
 # asserts gap recovery, false-positive bound, determinism, and the
 # analytic checksum overhead accounting
-./target/release/ablation_guard --smoke
-test -s results/BENCH_guard.json
-test -s results/ablation_guard.csv
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/ablation_guard --smoke
+test -s target/bench-smoke/BENCH_guard.json
+test -s target/bench-smoke/ablation_guard.csv
 
-echo "=== ablation_nonideal smoke (BENCH_nonideal.json + ablation_nonideal.csv) ==="
+echo "=== ablation_nonideal smoke (BENCH_nonideal.json + ablation_nonideal.csv under target/) ==="
 # asserts SAF gap recovery by the ECC + remap + guard stack, zero false
 # escalations on fault-free scenarios, and per-scenario thread determinism
-./target/release/ablation_nonideal --smoke
-test -s results/BENCH_nonideal.json
-test -s results/ablation_nonideal.csv
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/ablation_nonideal --smoke
+test -s target/bench-smoke/BENCH_nonideal.json
+test -s target/bench-smoke/ablation_nonideal.csv
 
 echo "=== bench_serve smoke + full (BENCH_serve.json under target/) ==="
 # load × chaos sweep cells check accounting, typed backpressure and
@@ -112,11 +114,11 @@ test -s target/bench-serve/BENCH_serve.json
 MEMBIT_RESULTS_DIR=target/bench-serve ./target/release/bench_serve --scale full
 test -s target/bench-serve/BENCH_serve.json
 
-echo "=== bench_memse smoke (BENCH_memse.json) ==="
+echo "=== bench_memse smoke (BENCH_memse.json under target/) ==="
 # analytic-vs-MC validation cells, search speedup + fidelity gates,
 # tile-allocation non-regression, reconfiguration bitwise replay
-./target/release/bench_memse --smoke
-test -s results/BENCH_memse.json
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_memse --smoke
+test -s target/bench-smoke/BENCH_memse.json
 
 echo "=== membench smoke (the repository benchmark, all four workloads) ==="
 # random weights at tiny size: checks that every workload runs and that

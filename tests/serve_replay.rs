@@ -14,7 +14,7 @@ use membit_serve::{
     ServeError, ShardServer, ShardSetReport,
 };
 use membit_tensor::{Rng, RngStream};
-use membit_xbar::{GuardPolicy, MvmKernel, XbarConfig};
+use membit_xbar::{GuardPolicy, XbarConfig};
 
 /// Deploys the tiny VGG afresh: same seeds → identical device state.
 fn deploy_tiny(seed: u64) -> DeviceVgg {
@@ -73,11 +73,14 @@ fn assert_replays_bitwise(
 /// One live deployment serves 10 requests with 2 % upsets queued behind
 /// requests 3 and 7; the log replays every response bitwise at 1 and 4
 /// engine threads.
-fn chaos_serving_replays_bitwise(seed: u64, deploy: impl Fn() -> DeviceVgg) {
+#[test]
+fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
+    let seed = 42;
     let mut cfg = ServeConfig::standard(seed);
     cfg.max_batch = 4;
     let retry = cfg.retry;
-    let server = ShardServer::start(vec![deploy()], cfg, RoutePolicy::Rendezvous).expect("start");
+    let server =
+        ShardServer::start(vec![deploy_tiny(seed)], cfg, RoutePolicy::Rendezvous).expect("start");
 
     // interleave requests with mid-serving chaos injections
     let mut handles = Vec::new();
@@ -108,26 +111,8 @@ fn chaos_serving_replays_bitwise(seed: u64, deploy: impl Fn() -> DeviceVgg) {
     );
     // the log alone reproduces every response bitwise, regardless of
     // the replaying engine's thread fan-out
-    assert_replays_bitwise(|| vec![deploy()], seed, &retry, &report, &live, &[1, 4]);
-}
-
-#[test]
-fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
-    chaos_serving_replays_bitwise(42, || deploy_tiny(42));
-}
-
-#[test]
-fn packed_kernel_chaos_serving_replays_bitwise() {
-    // the popcount kernel behind the full serving stack: the functional
-    // deployment is rail-programmed, so Packed genuinely engages (not
-    // the downgrade path), and a chaos run must still replay bitwise
-    // from the log alone at any thread count.
-    chaos_serving_replays_bitwise(45, || {
-        let mut dv = deploy_tiny(45);
-        dv.set_kernel(MvmKernel::Packed);
-        assert!(dv.packed_ready(), "rails deployment must pack");
-        dv
-    });
+    let fleet = || vec![deploy_tiny(seed)];
+    assert_replays_bitwise(fleet, seed, &retry, &report, &live, &[1, 4]);
 }
 
 #[test]
