@@ -1,5 +1,6 @@
-//! Minimal ASCII charts for the figure binaries — the only "plotting"
-//! available in a terminal-only environment.
+//! Minimal ASCII charts for the figure experiments — the only
+//! "plotting" available in a terminal-only environment — and the
+//! streaming latency histogram of the serving experiment.
 
 /// Renders horizontal bars, one per `(label, value)`, scaled to
 /// `max_width` characters. Values must be non-negative; the scale is
@@ -76,20 +77,21 @@ pub fn dual_log_chart(
 /// tail-quantile estimation (p50/p95/p99) over unbounded sample streams
 /// in O(1) memory.
 ///
-/// Buckets grow geometrically (`growth` per bucket, default ~5% wide),
-/// so the quantile error is bounded by the bucket width at any scale —
-/// the standard HDR-histogram trade-off, without retaining samples.
+/// Buckets grow geometrically (each ~5% wider than the last), so
+/// the quantile error is bounded by the bucket width at any scale — the
+/// standard HDR-histogram trade-off, without retaining samples.
 #[derive(Debug, Clone)]
 pub struct StreamingHistogram {
     /// Per-bucket counts keyed by bucket index (sparse).
     buckets: std::collections::BTreeMap<i32, u64>,
-    /// Geometric growth factor between bucket edges (> 1).
-    growth: f64,
     count: u64,
     sum: f64,
     min: f64,
     max: f64,
 }
+
+/// Geometric growth factor between histogram bucket edges.
+const GROWTH: f64 = 1.05;
 
 impl Default for StreamingHistogram {
     fn default() -> Self {
@@ -100,14 +102,8 @@ impl Default for StreamingHistogram {
 impl StreamingHistogram {
     /// A histogram with ~5%-wide geometric buckets.
     pub fn new() -> Self {
-        Self::with_growth(1.05)
-    }
-
-    /// A histogram with a custom growth factor (clamped to > 1).
-    pub fn with_growth(growth: f64) -> Self {
         Self {
             buckets: std::collections::BTreeMap::new(),
-            growth: growth.max(1.0 + 1e-9),
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -115,19 +111,19 @@ impl StreamingHistogram {
         }
     }
 
-    fn bucket_of(&self, value: f64) -> i32 {
+    fn bucket_of(value: f64) -> i32 {
         if value <= 0.0 {
             return i32::MIN;
         }
-        (value.ln() / self.growth.ln()).floor() as i32
+        (value.ln() / GROWTH.ln()).floor() as i32
     }
 
     /// Representative (geometric midpoint) value of a bucket.
-    fn bucket_value(&self, bucket: i32) -> f64 {
+    fn bucket_value(bucket: i32) -> f64 {
         if bucket == i32::MIN {
             return 0.0;
         }
-        self.growth.powf(f64::from(bucket) + 0.5)
+        GROWTH.powf(f64::from(bucket) + 0.5)
     }
 
     /// Records one sample. Non-finite samples are ignored; zeros and
@@ -136,7 +132,7 @@ impl StreamingHistogram {
         if !value.is_finite() {
             return;
         }
-        *self.buckets.entry(self.bucket_of(value)).or_insert(0) += 1;
+        *self.buckets.entry(Self::bucket_of(value)).or_insert(0) += 1;
         self.count += 1;
         self.sum += value;
         self.min = self.min.min(value);
@@ -193,7 +189,7 @@ impl StreamingHistogram {
         for (&bucket, &n) in &self.buckets {
             seen += n;
             if seen >= rank {
-                return self.bucket_value(bucket).clamp(self.min, self.max);
+                return Self::bucket_value(bucket).clamp(self.min, self.max);
             }
         }
         self.max
@@ -212,31 +208,6 @@ impl StreamingHistogram {
     /// 99th percentile.
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
-    }
-
-    /// Merges another histogram into this one. The other histogram must
-    /// use the same growth factor for the buckets to line up; merging
-    /// mismatched growths re-records bucket midpoints (lossy but safe).
-    pub fn merge(&mut self, other: &StreamingHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if (self.growth - other.growth).abs() < 1e-12 {
-            for (&bucket, &n) in &other.buckets {
-                *self.buckets.entry(bucket).or_insert(0) += n;
-            }
-            self.count += other.count;
-            self.sum += other.sum;
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        } else {
-            for (&bucket, &n) in &other.buckets {
-                let v = other.bucket_value(bucket);
-                for _ in 0..n {
-                    self.record(v);
-                }
-            }
-        }
     }
 }
 
@@ -334,29 +305,6 @@ mod tests {
         assert_eq!(h.min(), -3.0);
         // both live in the underflow bucket, whose midpoint is 0
         assert_eq!(h.p50(), 0.0);
-    }
-
-    #[test]
-    fn histogram_merge_equals_single_stream() {
-        let mut all = StreamingHistogram::new();
-        let mut a = StreamingHistogram::new();
-        let mut b = StreamingHistogram::new();
-        for i in 1..=400 {
-            let v = f64::from(i) * 3.7;
-            all.record(v);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(a.quantile(q), all.quantile(q), "merge diverged at q{q}");
-        }
     }
 
     #[test]

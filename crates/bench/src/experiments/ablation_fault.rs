@@ -12,15 +12,11 @@
 //! faults are sparse enough for spares/flips to absorb; refresh adds the
 //! retention-drift headroom back on top.
 
-use std::error::Error;
-
-use membit_bench::{results_dir, Cli};
-use membit_core::{
-    write_csv, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, FaultAblationRow,
-};
-use membit_data::Dataset;
-use membit_tensor::{Rng, RngStream, Tensor};
+use membit_core::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg, Experiment, FaultAblationRow};
+use membit_tensor::{Rng, RngStream};
 use membit_xbar::{HealthMonitor, RecoveryPolicy, XbarConfig};
+
+use crate::{gap_recovery_pct, test_subset, Artifact, Opts, Result};
 
 /// Hours of retention drift applied between programming and evaluation.
 /// Chosen for a mean conductance decay of ≈10% — enough that the refresh
@@ -50,47 +46,31 @@ fn policy_for(label: &str, batch: u64) -> DeploymentPolicy {
     }
 }
 
-fn main() -> Result<(), Box<dyn Error>> {
-    let cli = Cli::parse();
-    let exp = membit_bench::setup_experiment(&cli)?;
-    let (vgg, params) = exp.model();
-
-    let subset = match cli.scale {
-        membit_bench::Scale::Quick => 100,
-        membit_bench::Scale::Full => 200,
-    };
+/// Writes `ablation_fault.csv`.
+///
+/// # Errors
+///
+/// Propagates deployment and evaluation errors.
+pub fn run(opts: &Opts, exp: &mut Experiment) -> Result<Vec<Artifact>> {
     let batch = 20usize;
-    let test = exp.test_set();
-    let n = subset.min(test.len());
-    let (images, _) = test.batch(0, n)?;
-    let subset_set = Dataset::new(
-        Tensor::from_vec(images.as_slice().to_vec(), images.shape())?,
-        test.labels()[..n].to_vec(),
-        test.num_classes(),
-    )?;
-
-    let stuck_rates = [0.0f32, 0.005, 0.01, 0.02, 0.05];
-    let policies = ["none", "remap", "remap+refresh"];
-
+    let subset = test_subset(exp, opts.scale.pick(100, 100, 200))?;
+    let (vgg, params) = exp.model();
     println!(
-        "fault-aware deployment ablation ({n} images, {AGE_HOURS} h drift, \
-         stuck rate applied per polarity)"
-    );
-    println!(
-        "{:>10} | {:>8} {:>8} {:>14} | {:>8} {:>8} {:>8}",
-        "stuck", "policy", "acc %", "detected", "fixed", "stuck", "refresh"
+        "fault-aware deployment ablation ({} images, {AGE_HOURS} h drift, \
+         stuck rate applied per polarity)",
+        subset.len()
     );
 
     let mut rows: Vec<FaultAblationRow> = Vec::new();
-    for &rate in &stuck_rates {
+    for rate in [0.0f32, 0.005, 0.01, 0.02, 0.05] {
         let mut xbar = XbarConfig::ideal();
         xbar.noise.device.on_off_ratio = 20.0;
         xbar.noise.device.d2d_sigma = 0.05;
         xbar.noise.device.c2c_sigma = 0.02;
         xbar.noise.device.stuck_on_rate = rate;
         xbar.noise.device.stuck_off_rate = rate;
-        for policy in policies {
-            let mut rng = Rng::from_seed(cli.seed).stream(RngStream::Device);
+        for policy in ["none", "remap", "remap+refresh"] {
+            let mut rng = Rng::from_seed(opts.seed).stream(RngStream::Device);
             let mut device = DeviceVgg::deploy(
                 vgg,
                 params,
@@ -103,18 +83,8 @@ fn main() -> Result<(), Box<dyn Error>> {
                 &mut rng,
             )?;
             device.age(AGE_HOURS, NU, NU_SIGMA, &mut rng);
-            let (acc, stats) = device.evaluate(&subset_set, batch, &mut rng)?;
+            let (acc, stats) = device.evaluate(&subset, batch, &mut rng)?;
             let report = device.recovery_report();
-            println!(
-                "{:>10} | {:>8} {:>8.1} {:>14} | {:>8} {:>8} {:>8}",
-                rate,
-                policy,
-                acc * 100.0,
-                report.faults_detected,
-                report.cells_recovered,
-                stats.unrecoverable_cells,
-                stats.refreshes
-            );
             rows.push(FaultAblationRow {
                 policy: policy.to_string(),
                 stuck_rate: rate,
@@ -128,37 +98,31 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
 
-    // acceptance check: at 1% stuck, remap+refresh must claw back at
-    // least half the accuracy the unprotected deployment loses relative
-    // to its own fault-free point
+    // at 1% stuck, remap+refresh should claw back at least half the
+    // accuracy the unprotected deployment loses to its fault-free point
     let acc = |policy: &str, rate: f32| {
         rows.iter()
             .find(|r| r.policy == policy && (r.stuck_rate - rate).abs() < 1e-9)
             .map(|r| r.accuracy)
             .unwrap_or(f32::NAN)
     };
-    let baseline_clean = acc("none", 0.0);
-    let baseline_faulty = acc("none", 0.01);
-    let protected = acc("remap+refresh", 0.01);
-    let lost = baseline_clean - baseline_faulty;
-    let recovered = protected - baseline_faulty;
-    println!();
-    println!(
-        "at 1% stuck: unprotected loses {lost:.1} pts, remap+refresh recovers \
-         {recovered:.1} pts ({:.0}% of the loss)",
-        if lost.abs() > 1e-6 {
-            100.0 * recovered / lost
-        } else {
-            100.0
-        }
+    let (clean, faulty, protected) = (
+        acc("none", 0.0),
+        acc("none", 0.01),
+        acc("remap+refresh", 0.01),
     );
-    if recovered < 0.5 * lost {
-        println!("WARNING: recovery below the ≥50% target");
-    }
+    let recovered = gap_recovery_pct(clean, faulty, protected);
+    println!(
+        "at 1% stuck: unprotected loses {:.1} pts, remap+refresh recovers {:.1} pts \
+         ({recovered:.0}% of the loss; target ≥ 50%)",
+        clean - faulty,
+        protected - faulty
+    );
 
-    let path = results_dir().join("ablation_fault.csv");
     let records: Vec<Vec<String>> = rows.iter().map(FaultAblationRow::to_record).collect();
-    write_csv(&path, &FaultAblationRow::CSV_HEADER, &records)?;
-    println!("# wrote {}", path.display());
-    Ok(())
+    Ok(vec![Artifact::csv(
+        "ablation_fault.csv",
+        &FaultAblationRow::CSV_HEADER,
+        &records,
+    )])
 }

@@ -1,14 +1,15 @@
 //! Diagnostics for the calibration story of EXPERIMENTS.md: per-layer
 //! MVM RMS (the σ-unit anchors), activation saturation fractions (the
 //! premise behind PLA's "activations converge to ±1"), the zero-noise
-//! cost of each PLA snap, and the Baseline noise ladder.
-
-use std::error::Error;
+//! cost of each PLA snap, and the Baseline noise ladder. Console only:
+//! it writes no artifact.
 
 use membit_autograd::{Tape, VarId};
-use membit_bench::Cli;
+use membit_core::Experiment;
 use membit_nn::{MvmNoiseHook, Phase};
 use membit_tensor::Tensor;
+
+use crate::{Artifact, Opts, Result};
 
 /// Records, per crossbar layer, how much of the *input* activation mass
 /// sits at the ±1 saturation levels.
@@ -33,12 +34,18 @@ impl MvmNoiseHook for SaturationProbe {
     }
 }
 
-fn main() -> Result<(), Box<dyn Error>> {
-    let cli = Cli::parse();
-    let mut exp = membit_bench::setup_experiment(&cli)?;
+/// Prints the diagnostics.
+///
+/// # Errors
+///
+/// Propagates evaluation errors.
+pub fn run(_opts: &Opts, exp: &mut Experiment) -> Result<Vec<Artifact>> {
     let layers = exp.calibration().layers();
 
-    println!("per-layer clean MVM RMS (σ-unit anchors, unit = {}):", exp.config().sigma_unit);
+    println!(
+        "per-layer clean MVM RMS (σ-unit anchors, unit = {}):",
+        exp.config().sigma_unit
+    );
     for (l, &r) in exp.calibration().rms().iter().enumerate() {
         println!("  layer {l}: {r:.3}");
     }
@@ -48,29 +55,23 @@ fn main() -> Result<(), Box<dyn Error>> {
         saturated: vec![0.0; layers],
         total: vec![0.0; layers],
     };
-    {
-        let test = exp.test_set().clone();
-        let batch = exp.config().eval_batch;
-        let (vgg, params) = exp.model_mut();
-        for (i, (images, _)) in test.batches(batch).enumerate() {
-            if i >= 2 {
-                break;
-            }
-            let mut tape = Tape::new();
-            let mut binding = params.frozen_binding();
-            let x = tape.constant(images);
-            membit_core::CrossbarModel::forward(
-                vgg,
-                &mut tape,
-                params,
-                &mut binding,
-                x,
-                Phase::Eval,
-                &mut probe,
-            )?;
-        }
+    let test = exp.test_set().clone();
+    let batch = exp.config().eval_batch;
+    let (vgg, params) = exp.model_mut();
+    for (images, _) in test.batches(batch).take(2) {
+        let mut tape = Tape::new();
+        let mut binding = params.frozen_binding();
+        let x = tape.constant(images);
+        membit_core::CrossbarModel::forward(
+            vgg,
+            &mut tape,
+            params,
+            &mut binding,
+            x,
+            Phase::Eval,
+            &mut probe,
+        )?;
     }
-    println!();
     println!("activation saturation (fraction at ±1) per crossbar layer —");
     println!("the premise of PLA §III-B; low values explain residual snap cost:");
     for l in 0..layers {
@@ -80,18 +81,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    println!();
     println!("zero-noise PLA snap cost (accuracy at σ = 0):");
     for q in [8usize, 10, 12, 14, 16] {
         let acc = exp.eval_pla(0.0, &vec![q; layers])?;
         println!("  q = {q:>2}: {acc:.2}%");
     }
 
-    println!();
     println!("Baseline (p = 8) noise ladder:");
     for sigma in [0.0f32, 5.0, 10.0, 15.0, 20.0, 25.0] {
         let acc = exp.eval_pla(sigma, &vec![8; layers])?;
         println!("  σ = {sigma:>4}: {acc:.2}%");
     }
-    Ok(())
+    Ok(Vec::new())
 }

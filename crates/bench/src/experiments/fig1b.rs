@@ -2,31 +2,28 @@
 //! for bit slicing vs. thermometer coding — closed form (Eqs. 2–3) plus a
 //! Monte-Carlo validation on the device-level crossbar simulator.
 
-use std::error::Error;
-
-use membit_bench::{results_dir, Cli};
-use membit_core::write_csv;
 use membit_encoding::variance::fig1b_series;
-use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
-use membit_tensor::{Rng, RngStream, Tensor, TensorError};
+use membit_encoding::{BitEncoder, BitSlicing, PulseTrain, Thermometer};
+use membit_tensor::{Rng, RngStream, Tensor};
 use membit_xbar::{CrossbarLinear, XbarConfig};
 
-/// Empirical output variance of an encoder on a noisy crossbar.
+use crate::{chart, Artifact, Opts, Result};
+
+/// Empirical output variance of an encoded all-zero input on a noisy
+/// crossbar.
 fn monte_carlo_variance(
-    encoder: &dyn Encoder,
+    train: &PulseTrain,
     sigma: f32,
     trials: usize,
     rng: &mut Rng,
-) -> Result<f64, TensorError> {
+) -> Result<f64> {
     let w = Tensor::ones(&[1, 4]);
     let xbar = CrossbarLinear::program(&w, &XbarConfig::functional(sigma), rng)?;
-    let x = Tensor::zeros(&[1, 4]);
-    let train = encoder.encode(&x);
     let clean: f32 = train.decode()?.matmul(&w.transpose()?)?.at(0);
     let mut sum = 0.0f64;
     let mut sum_sq = 0.0f64;
     for _ in 0..trials {
-        let y = f64::from(xbar.execute(&train, rng)?.at(0) - clean);
+        let y = f64::from(xbar.execute(train, rng)?.at(0) - clean);
         sum += y;
         sum_sq += y * y;
     }
@@ -34,41 +31,22 @@ fn monte_carlo_variance(
     Ok(sum_sq / trials as f64 - mean * mean)
 }
 
-/// Object-safe encoding shim over the two schemes.
-trait Encoder {
-    fn encode(&self, x: &Tensor) -> membit_encoding::PulseTrain;
-}
-impl Encoder for Thermometer {
-    fn encode(&self, x: &Tensor) -> membit_encoding::PulseTrain {
-        self.encode_tensor(x).expect("encode")
-    }
-}
-impl Encoder for BitSlicing {
-    fn encode(&self, x: &Tensor) -> membit_encoding::PulseTrain {
-        self.encode_tensor(x).expect("encode")
-    }
-}
-
-fn main() -> Result<(), Box<dyn Error>> {
-    let cli = Cli::parse();
-    let max_bits = 8usize;
-    let mc_trials = match cli.scale {
-        membit_bench::Scale::Quick => 2000,
-        membit_bench::Scale::Full => 10000,
-    };
-    let mut rng = Rng::from_seed(cli.seed).stream(RngStream::Noise);
-
-    println!("Fig. 1(b) — normalized noise variance vs. information bits (σ² = 1)");
-    println!(
-        "{:>4} | {:>9} {:>12} | {:>9} {:>12} | {:>10} {:>10}",
-        "bits", "BS pulses", "BS var", "TC pulses", "TC var", "BS MC", "TC MC"
-    );
+/// Writes `fig1b.csv`.
+///
+/// # Errors
+///
+/// Propagates encoder and crossbar errors.
+pub fn run(opts: &Opts) -> Result<Vec<Artifact>> {
+    let mc_trials = opts.scale.pick(2000, 2000, 10000);
+    let mut rng = Rng::from_seed(opts.seed).stream(RngStream::Noise);
+    let zeros = Tensor::zeros(&[1, 4]);
+    let series = fig1b_series(8);
     let mut rows = Vec::new();
-    for row in fig1b_series(max_bits) {
+    for row in &series {
         // Monte-Carlo only where pulse counts stay reasonable
         let (bs_mc, tc_mc) = if row.bits <= 5 {
-            let bs = BitSlicing::new(row.bs_pulses)?;
-            let tc = Thermometer::new(row.tc_pulses)?;
+            let bs = BitSlicing::new(row.bs_pulses)?.encode_tensor(&zeros)?;
+            let tc = Thermometer::new(row.tc_pulses)?.encode_tensor(&zeros)?;
             (
                 monte_carlo_variance(&bs, 1.0, mc_trials, &mut rng)?,
                 monte_carlo_variance(&tc, 1.0, mc_trials, &mut rng)?,
@@ -76,10 +54,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         } else {
             (f64::NAN, f64::NAN)
         };
-        println!(
-            "{:>4} | {:>9} {:>12.5} | {:>9} {:>12.5} | {:>10.5} {:>10.5}",
-            row.bits, row.bs_pulses, row.bs_variance, row.tc_pulses, row.tc_variance, bs_mc, tc_mc
-        );
         rows.push(vec![
             row.bits.to_string(),
             row.bs_pulses.to_string(),
@@ -90,18 +64,14 @@ fn main() -> Result<(), Box<dyn Error>> {
             format!("{tc_mc:.6}"),
         ]);
     }
+
     // terminal rendition of the figure (log-y)
-    let series = fig1b_series(max_bits);
     let xs: Vec<usize> = series.iter().map(|r| r.bits).collect();
     let bs: Vec<f64> = series.iter().map(|r| r.bs_variance).collect();
     let tc: Vec<f64> = series.iter().map(|r| r.tc_variance).collect();
-    println!();
-    println!("log-scale variance vs bits (B = bit slicing, T = thermometer):");
-    print!("{}", membit_bench::chart::dual_log_chart(&xs, &bs, 'B', &tc, 'T', 10));
-
-    println!();
+    println!("log-scale variance vs bits (B = bit slicing, T = thermometer, σ² = 1):");
+    print!("{}", chart::dual_log_chart(&xs, &bs, 'B', &tc, 'T', 10));
     println!("Paper's qualitative claims, checked:");
-    let series = fig1b_series(max_bits);
     let tc_wins = series[1..].iter().all(|r| r.tc_variance < r.bs_variance);
     let bs_floor = series
         .last()
@@ -109,9 +79,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("  thermometer < bit slicing for ≥ 2 bits: {tc_wins}");
     println!("  bit-slicing variance flattens near σ²/3: {bs_floor}");
 
-    let path = results_dir().join("fig1b.csv");
-    write_csv(
-        &path,
+    Ok(vec![Artifact::csv(
+        "fig1b.csv",
         &[
             "bits",
             "bs_pulses",
@@ -122,7 +91,5 @@ fn main() -> Result<(), Box<dyn Error>> {
             "tc_monte_carlo",
         ],
         &rows,
-    )?;
-    println!("# wrote {}", path.display());
-    Ok(())
+    )])
 }

@@ -1,33 +1,28 @@
 //! Fig. 2: layer-wise noise sensitivity — Gaussian noise injected at one
 //! crossbar layer at a time, accuracy per target layer.
 
-use std::error::Error;
+use membit_core::{layer_sensitivity, Experiment};
 
-use membit_bench::{results_dir, Cli};
-use membit_core::{layer_sensitivity, write_csv};
+use crate::{chart, Artifact, Opts, Result};
 
-fn main() -> Result<(), Box<dyn Error>> {
-    let cli = Cli::parse();
-    let mut exp = membit_bench::setup_experiment(&cli)?;
+/// Writes `fig2.csv`.
+///
+/// # Errors
+///
+/// Propagates evaluation errors.
+pub fn run(opts: &Opts, exp: &mut Experiment) -> Result<Vec<Artifact>> {
     let clean = exp.eval_clean()?;
     println!("clean accuracy: {clean:.2}%");
-    println!();
     println!("Fig. 2 — accuracy with N(0, σ²) injected at one layer only");
     let repeats = exp.config().eval_repeats;
     let batch = exp.config().eval_batch;
-    let seed = cli.seed;
+    let test = exp.test_set().clone();
 
     let mut rows = Vec::new();
     for sigma in [10.0f32, 15.0, 20.0] {
         let sigma_abs = exp.calibration().sigma_abs(sigma);
-        let series = {
-            let test = exp.test_set().clone();
-            let calibrated = sigma_abs.clone();
-            let (vgg, p) = exp.model_mut();
-            layer_sensitivity(vgg, p, &test, &calibrated, batch, repeats, seed)?
-        };
-        let pretty: Vec<String> = series.iter().map(|a| format!("{:.1}", a * 100.0)).collect();
-        println!("σ = {sigma:>4}: [{}]%", pretty.join(", "));
+        let (vgg, p) = exp.model_mut();
+        let series = layer_sensitivity(vgg, p, &test, &sigma_abs, batch, repeats, opts.seed)?;
         for (layer, &acc) in series.iter().enumerate() {
             rows.push(vec![
                 format!("{sigma}"),
@@ -40,7 +35,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             .enumerate()
             .map(|(l, &a)| (format!("layer {l}"), f64::from(a) * 100.0))
             .collect();
-        print!("{}", membit_bench::chart::bar_chart(&bars, 40));
+        println!("σ = {sigma}:");
+        print!("{}", chart::bar_chart(&bars, 40));
         // qualitative check: sensitivities differ across layers
         let min = series.iter().cloned().fold(f32::INFINITY, f32::min);
         let max = series.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -51,8 +47,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    let path = results_dir().join("fig2.csv");
-    write_csv(&path, &["sigma", "target_layer", "accuracy_pct"], &rows)?;
-    println!("# wrote {}", path.display());
-    Ok(())
+    Ok(vec![Artifact::csv(
+        "fig2.csv",
+        &["sigma", "target_layer", "accuracy_pct"],
+        &rows,
+    )])
 }

@@ -1,14 +1,14 @@
 //! Table I: Baseline vs PLA vs GBO on SynthCIFAR + VGG9-BWNN at
 //! σ ∈ {10, 15, 20}.
 //!
-//! Per σ it prints the paper's reference accuracy next to ours. Two GBO
-//! rows per σ use two γ values (CLI `--gamma-low` / `--gamma-high`,
-//! targeting ≈ PLA₁₀- and ≈ PLA₁₄-level latency like the paper).
+//! Per σ it prints the paper's reference accuracy next to ours. The two
+//! GBO rows per σ are the solutions of a γ sweep (`GAMMAS`) whose
+//! latency lands nearest PLA₁₀ and PLA₁₄, like the paper's
+//! "GBO (~PLA_n)" rows.
 
-use std::error::Error;
+use membit_core::{Experiment, GboConfig, Table1Row};
 
-use membit_bench::{gbo_epochs, results_dir, Cli};
-use membit_core::{write_csv, GboConfig, Table1Row};
+use crate::{search_epochs, Artifact, Opts, Result};
 
 /// Paper Table I reference accuracies, keyed by (σ, method).
 const PAPER: &[(u32, &str, f32)] = &[
@@ -35,6 +35,10 @@ const PAPER: &[(u32, &str, f32)] = &[
     (20, "GBO_hi", 71.53),
 ];
 
+/// The γ sweep of every σ. γ is swept because the CE-gradient magnitude
+/// (and hence the γ that balances Eq. 6) grows with the noise level.
+const GAMMAS: [f32; 5] = [5e-3, 2e-3, 8e-4, 3e-4, 1e-4];
+
 fn paper_acc(sigma: f32, method: &str) -> f32 {
     PAPER
         .iter()
@@ -43,26 +47,30 @@ fn paper_acc(sigma: f32, method: &str) -> f32 {
         .unwrap_or(f32::NAN)
 }
 
-fn main() -> Result<(), Box<dyn Error>> {
-    let cli = Cli::parse();
-    // Like the paper, the two GBO rows per σ are the solutions whose
-    // latency lands nearest PLA₁₀ and PLA₁₄; γ is swept per σ because the
-    // CE-gradient magnitude (and hence the γ that balances Eq. 6) grows
-    // with the noise level.
-    let gamma_grid: Vec<f32> = match cli.f32_opt("--gamma") {
-        Some(g) => vec![g],
-        None => vec![5e-3, 2e-3, 8e-4, 3e-4, 1e-4],
-    };
-    let mut exp = membit_bench::setup_experiment(&cli)?;
+/// Writes `table1.csv`.
+///
+/// # Errors
+///
+/// Propagates evaluation and search errors.
+pub fn run(opts: &Opts, exp: &mut Experiment) -> Result<Vec<Artifact>> {
     let layers = 7usize;
-
     let clean = exp.eval_clean()?;
     println!("clean (no crossbar noise): {clean:.2}%   [paper: 90.80%]");
-    println!();
     println!(
         "{:<14} {:>5} {:<26} {:>9} {:>8} {:>9}",
         "Method", "σ", "# pulses per layer", "avg", "Acc %", "paper %"
     );
+    let print_row = |label: &str, row: &Table1Row| {
+        println!(
+            "{:<14} {:>5} {:<26} {:>9.2} {:>8.2} {:>9.2}",
+            label,
+            row.sigma,
+            row.pulses_string(),
+            row.avg_pulses,
+            row.accuracy,
+            paper_acc(row.sigma, label)
+        );
+    };
 
     let mut rows: Vec<Table1Row> = Vec::new();
     for sigma in [10.0f32, 15.0, 20.0] {
@@ -75,33 +83,24 @@ fn main() -> Result<(), Box<dyn Error>> {
             ("PLA_16", 16),
         ] {
             let pulses = vec![q; layers];
-            let acc = exp.eval_pla(sigma, &pulses)?;
+            let accuracy = exp.eval_pla(sigma, &pulses)?;
             let row = Table1Row {
                 method: label.to_string(),
                 sigma,
                 pulses,
                 avg_pulses: q as f32,
-                accuracy: acc,
+                accuracy,
             };
-            println!(
-                "{:<14} {:>5} {:<26} {:>9.2} {:>8.2} {:>9.2}",
-                row.method,
-                sigma,
-                row.pulses_string(),
-                row.avg_pulses,
-                acc,
-                paper_acc(sigma, label)
-            );
+            print_row(label, &row);
             rows.push(row);
         }
-        // GBO rows: sweep γ, keep the solutions nearest the PLA₁₀ and
-        // PLA₁₄ latency budgets (the paper's "GBO (~PLA_n)" rows).
+        // GBO rows: the sweep's solutions nearest the PLA₁₀ and PLA₁₄
+        // latency budgets
         let mut candidates = Vec::new();
-        for &gamma in &gamma_grid {
-            let mut cfg = GboConfig::paper(gamma, cli.seed);
-            cfg.epochs = gbo_epochs(cli.scale);
-            let result = exp.run_gbo(sigma, cfg)?;
-            candidates.push((gamma, result));
+        for gamma in GAMMAS {
+            let mut cfg = GboConfig::paper(gamma, opts.seed);
+            cfg.epochs = search_epochs(opts.scale);
+            candidates.push((gamma, exp.run_gbo(sigma, cfg)?));
         }
         for (label, target) in [("GBO_lo", 10.0f32), ("GBO_hi", 14.0)] {
             let (gamma, result) = candidates
@@ -112,26 +111,16 @@ fn main() -> Result<(), Box<dyn Error>> {
                     da.total_cmp(&db)
                 })
                 .ok_or("empty γ grid")?;
-            let acc = exp.eval_pla(sigma, &result.selected_pulses)?;
             let row = Table1Row {
                 method: format!("{label} (γ={gamma})"),
                 sigma,
                 pulses: result.selected_pulses.clone(),
                 avg_pulses: result.avg_pulses(),
-                accuracy: acc,
+                accuracy: exp.eval_pla(sigma, &result.selected_pulses)?,
             };
-            println!(
-                "{:<14} {:>5} {:<26} {:>9.2} {:>8.2} {:>9.2}",
-                label,
-                sigma,
-                row.pulses_string(),
-                row.avg_pulses,
-                acc,
-                paper_acc(sigma, label)
-            );
+            print_row(label, &row);
             rows.push(row);
         }
-        println!();
     }
 
     // qualitative shape checks mirroring the paper's observations
@@ -163,12 +152,9 @@ fn main() -> Result<(), Box<dyn Error>> {
             ]
         })
         .collect();
-    let path = results_dir().join("table1.csv");
-    write_csv(
-        &path,
+    Ok(vec![Artifact::csv(
+        "table1.csv",
         &["method", "sigma", "pulses", "avg_pulses", "accuracy_pct"],
         &csv_rows,
-    )?;
-    println!("# wrote {}", path.display());
-    Ok(())
+    )])
 }

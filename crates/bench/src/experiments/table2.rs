@@ -3,10 +3,9 @@
 //! Rows: Baseline, NIA, GBO, NIA + GBO, NIA + PLA — accuracy and average
 //! pulse count per σ ∈ {10, 15, 20}.
 
-use std::error::Error;
+use membit_core::{Experiment, GboConfig, GboResult, NiaConfig, Table2Row};
 
-use membit_bench::{gbo_epochs, nia_epochs, results_dir, Cli};
-use membit_core::{write_csv, GboConfig, NiaConfig, Table2Row};
+use crate::{search_epochs, Artifact, Opts, Result};
 
 /// Paper Table II reference cells `(acc %, avg pulses)` per σ column.
 const PAPER: &[(&str, [(f32, f32); 3])] = &[
@@ -17,6 +16,9 @@ const PAPER: &[(&str, [(f32, f32); 3])] = &[
     ("NIA + PLA", [(88.91, 10.0), (85.17, 10.0), (80.29, 10.0)]),
 ];
 
+/// The γ sweep each GBO cell picks its solution from.
+const GAMMAS: [f32; 4] = [2e-3, 8e-4, 3e-4, 1e-4];
+
 fn paper_cell(method: &str, col: usize) -> (f32, f32) {
     PAPER
         .iter()
@@ -25,20 +27,14 @@ fn paper_cell(method: &str, col: usize) -> (f32, f32) {
         .unwrap_or((f32::NAN, f32::NAN))
 }
 
-/// Runs a small γ grid and returns the GBO result nearest the paper's
+/// Runs the γ sweep and returns the GBO result nearest the paper's
 /// Table II latency budget (≈ 10 average pulses). Solutions below the
 /// 8-pulse baseline budget are penalized: the paper's Table II GBO rows
 /// all sit at 9.7–10.3 average pulses, and (especially after NIA, whose
 /// weights adapted to the p = 8 noise level) sub-baseline layers trade
 /// away far more accuracy than the regularizer saves.
-fn gbo_near_ten(
-    exp: &mut membit_core::Experiment,
-    sigma: f32,
-    gammas: &[f32],
-    epochs: usize,
-    seed: u64,
-) -> Result<membit_core::GboResult, Box<dyn Error>> {
-    let score = |r: &membit_core::GboResult| {
+fn gbo_near_ten(exp: &mut Experiment, sigma: f32, opts: &Opts) -> Result<GboResult> {
+    let score = |r: &GboResult| {
         let d = (r.avg_pulses() - 10.0).abs();
         if r.avg_pulses() < 9.0 {
             d + 100.0
@@ -46,39 +42,33 @@ fn gbo_near_ten(
             d
         }
     };
-    let mut best: Option<membit_core::GboResult> = None;
-    for &gamma in gammas {
-        let mut cfg = GboConfig::paper(gamma, seed);
-        cfg.epochs = epochs;
+    let mut best: Option<GboResult> = None;
+    for gamma in GAMMAS {
+        let mut cfg = GboConfig::paper(gamma, opts.seed);
+        cfg.epochs = search_epochs(opts.scale);
         let result = exp.run_gbo(sigma, cfg)?;
-        let better = match &best {
-            Some(b) => score(&result) < score(b),
-            None => true,
-        };
-        if better {
+        if best.as_ref().is_none_or(|b| score(&result) < score(b)) {
             best = Some(result);
         }
     }
     best.ok_or_else(|| "empty γ grid".into())
 }
 
-fn main() -> Result<(), Box<dyn Error>> {
-    let cli = Cli::parse();
-    let gammas: Vec<f32> = match cli.f32_opt("--gamma") {
-        Some(g) => vec![g],
-        None => vec![2e-3, 8e-4, 3e-4, 1e-4],
-    };
+/// Writes `table2.csv`.
+///
+/// # Errors
+///
+/// Propagates evaluation, search and fine-tuning errors.
+pub fn run(opts: &Opts, exp: &mut Experiment) -> Result<Vec<Artifact>> {
     let sigmas = [10.0f32, 15.0, 20.0];
-    let exp = membit_bench::setup_experiment(&cli)?;
     let layers = 7usize;
-
-    let mut rows: Vec<Table2Row> = vec![
-        Table2Row { method: "Baseline".into(), cells: Vec::new() },
-        Table2Row { method: "NIA".into(), cells: Vec::new() },
-        Table2Row { method: "GBO".into(), cells: Vec::new() },
-        Table2Row { method: "NIA + GBO".into(), cells: Vec::new() },
-        Table2Row { method: "NIA + PLA".into(), cells: Vec::new() },
-    ];
+    let mut rows: Vec<Table2Row> = ["Baseline", "NIA", "GBO", "NIA + GBO", "NIA + PLA"]
+        .into_iter()
+        .map(|method| Table2Row {
+            method: method.into(),
+            cells: Vec::new(),
+        })
+        .collect();
 
     for &sigma in &sigmas {
         println!("# σ = {sigma}");
@@ -87,19 +77,19 @@ fn main() -> Result<(), Box<dyn Error>> {
         let acc_baseline = base.eval_pla(sigma, &[8; 7])?;
         rows[0].cells.push((acc_baseline, 8.0));
 
-        let gbo = gbo_near_ten(&mut base, sigma, &gammas, gbo_epochs(cli.scale), cli.seed)?;
+        let gbo = gbo_near_ten(&mut base, sigma, opts)?;
         println!("#   GBO pulses: {:?}", gbo.selected_pulses);
         let acc_gbo = base.eval_pla(sigma, &gbo.selected_pulses)?;
         rows[2].cells.push((acc_gbo, gbo.avg_pulses()));
 
         // NIA variants fine-tune a fork of the weights at this σ.
         let mut nia = exp.fork();
-        nia.run_nia(sigma, &NiaConfig::new(nia_epochs(cli.scale), cli.seed))?;
+        nia.run_nia(sigma, &NiaConfig::new(search_epochs(opts.scale), opts.seed))?;
         let acc_nia = nia.eval_pla(sigma, &[8; 7])?;
         rows[1].cells.push((acc_nia, 8.0));
 
         // NIA + GBO: search the encoding on the NIA-adapted weights.
-        let nia_gbo = gbo_near_ten(&mut nia, sigma, &gammas, gbo_epochs(cli.scale), cli.seed)?;
+        let nia_gbo = gbo_near_ten(&mut nia, sigma, opts)?;
         println!("#   NIA+GBO pulses: {:?}", nia_gbo.selected_pulses);
         let acc_nia_gbo = nia.eval_pla(sigma, &nia_gbo.selected_pulses)?;
         rows[3].cells.push((acc_nia_gbo, nia_gbo.avg_pulses()));
@@ -109,21 +99,25 @@ fn main() -> Result<(), Box<dyn Error>> {
         rows[4].cells.push((acc_nia_pla, 10.0));
     }
 
-    println!();
     println!(
         "{:<12} | {:^21} | {:^21} | {:^21}",
         "Method", "σ = 10", "σ = 15", "σ = 20"
     );
-    println!("{:<12} | {:^21} | {:^21} | {:^21}", "", "ours (paper)", "ours (paper)", "ours (paper)");
+    println!(
+        "{:<12} | {:^21} | {:^21} | {:^21}",
+        "", "ours (paper)", "ours (paper)", "ours (paper)"
+    );
     let mut csv_rows = Vec::new();
     for row in &rows {
-        let mut cells = Vec::new();
-        for (col, &(acc, pulses)) in row.cells.iter().enumerate() {
-            let (p_acc, p_pulses) = paper_cell(&row.method, col);
-            cells.push(format!(
-                "{acc:.1}/{pulses:.1} ({p_acc:.1}/{p_pulses:.1})"
-            ));
-        }
+        let cells: Vec<String> = row
+            .cells
+            .iter()
+            .enumerate()
+            .map(|(col, &(acc, pulses))| {
+                let (p_acc, p_pulses) = paper_cell(&row.method, col);
+                format!("{acc:.1}/{pulses:.1} ({p_acc:.1}/{p_pulses:.1})")
+            })
+            .collect();
         println!(
             "{:<12} | {:>21} | {:>21} | {:>21}",
             row.method, cells[0], cells[1], cells[2]
@@ -136,7 +130,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         csv_rows.push(csv);
     }
 
-    println!();
     println!("Shape checks:");
     for (col, &sigma) in sigmas.iter().enumerate() {
         let nia_gbo = rows[3].cells[col].0;
@@ -153,9 +146,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    let path = results_dir().join("table2.csv");
-    write_csv(
-        &path,
+    Ok(vec![Artifact::csv(
+        "table2.csv",
         &[
             "method",
             "acc_s10",
@@ -166,7 +158,5 @@ fn main() -> Result<(), Box<dyn Error>> {
             "pulses_s20",
         ],
         &csv_rows,
-    )?;
-    println!("# wrote {}", path.display());
-    Ok(())
+    )])
 }

@@ -3,7 +3,7 @@
 //! Everything in this crate returns [`crate::Result`], whose error type
 //! [`TrainError`] distinguishes the three failure families a long run
 //! actually hits: tensor/shape bugs, checkpoint damage, and numerical
-//! divergence. Callers (bench binaries, the pipeline) can match on the
+//! divergence. Callers (the `repro` runner, the pipeline) can match on the
 //! variant instead of parsing strings — a diverged GBO search is
 //! recoverable policy (retry, widen γ), a corrupt checkpoint is not.
 

@@ -86,8 +86,7 @@ pub use nia::{
 };
 pub use pipeline::{Experiment, ExperimentConfig};
 pub use report::{
-    markdown_table, write_csv, FaultAblationRow, GuardAblationRow, NonIdealAblationRow, Table1Row,
-    Table2Row,
+    to_csv, FaultAblationRow, GuardAblationRow, NonIdealAblationRow, Table1Row, Table2Row,
 };
 pub use resilience::ResilienceConfig;
 pub use sensitivity::layer_sensitivity;

@@ -36,7 +36,7 @@
 //! of the trajectory logits from the logical logits. Paired Monte-Carlo
 //! device runs (`E‖y_a − y_b‖²/2`) cancel the deterministic deviation
 //! and measure exactly the fluctuating part — the validation target of
-//! `proptest_memse` and `bench_memse`.
+//! `proptest_memse` and `repro bench_memse`.
 //!
 //! The walk is pure `f32` arithmetic: no tape, no RNG, no pulse loop.
 //! Scoring one encoding costs about two noiseless forwards of the probe

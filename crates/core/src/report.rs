@@ -1,9 +1,6 @@
 //! Result rows and table/CSV rendering for the paper's tables.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// One row of the Table I reproduction.
 #[derive(Debug, Clone, PartialEq)]
@@ -271,33 +268,9 @@ impl FaultAblationRow {
     }
 }
 
-/// Renders rows as a GitHub-flavored markdown table.
-pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "| {} |", header.join(" | "));
-    let _ = writeln!(
-        out,
-        "|{}|",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for row in rows {
-        let _ = writeln!(out, "| {} |", row.join(" | "));
-    }
-    out
-}
-
-/// Writes rows as CSV (comma-separated, quoted only when needed) under
-/// `path`, creating parent directories.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn write_csv(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let mut out = String::new();
+/// Renders rows as CSV (comma-separated, quoted only when needed), one
+/// line per row after the header.
+pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
     let quote = |s: &str| {
         if s.contains(',') || s.contains('"') {
             format!("\"{}\"", s.replace('"', "\"\""))
@@ -305,6 +278,7 @@ pub fn write_csv(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<String>]) 
             s.to_string()
         }
     };
+    let mut out = String::new();
     let _ = writeln!(
         out,
         "{}",
@@ -317,7 +291,7 @@ pub fn write_csv(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<String>]) 
             row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(",")
         );
     }
-    fs::write(path, out)
+    out
 }
 
 #[cfg(test)]
@@ -404,32 +378,8 @@ mod tests {
     }
 
     #[test]
-    fn markdown_table_shape() {
-        let md = markdown_table(
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        );
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "| a | b |");
-        assert_eq!(lines[1], "|---|---|");
-        assert_eq!(lines[3], "| 3 | 4 |");
-    }
-
-    #[test]
     fn csv_roundtrip_with_quoting() {
-        let path = std::env::temp_dir().join(format!(
-            "membit-report-test-{}.csv",
-            std::process::id()
-        ));
-        write_csv(
-            &path,
-            &["x", "list"],
-            &[vec!["1".into(), "[8, 8]".into()]],
-        )
-        .unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        fs::remove_file(&path).ok();
+        let text = to_csv(&["x", "list"], &[vec!["1".into(), "[8, 8]".into()]]);
         assert_eq!(text, "x,list\n1,\"[8, 8]\"\n");
     }
 }

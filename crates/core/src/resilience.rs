@@ -43,7 +43,7 @@ impl Default for ResilienceConfig {
 
 impl ResilienceConfig {
     /// Checkpoint to `path` after every epoch and resume from it when
-    /// present — the configuration the bench binaries use under
+    /// present — the configuration the `repro` experiments use under
     /// `--resume`.
     pub fn auto(path: PathBuf, resume: bool) -> Self {
         Self {

@@ -98,13 +98,4 @@ proptest! {
             prop_assert!(lam.iter().all(|&v| v == 0.0));
         }
     }
-
-    #[test]
-    fn markdown_table_row_count(rows in 1usize..10) {
-        let data: Vec<Vec<String>> = (0..rows)
-            .map(|i| vec![i.to_string(), (i * 2).to_string()])
-            .collect();
-        let md = membit_core::markdown_table(&["a", "b"], &data);
-        prop_assert_eq!(md.lines().count(), rows + 2);
-    }
 }

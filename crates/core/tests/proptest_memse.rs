@@ -11,20 +11,57 @@
 //!    This is the foundation the network walk composes; it carries no
 //!    moment-closure approximation, so the band here is tight (z·SE plus
 //!    a small f32/model tolerance), unlike the network-level band in
-//!    `bench_memse` which absorbs documented composition error.
+//!    `repro bench_memse` which absorbs documented composition error.
 //! 2. **Determinism** — the analytic scorer is pure `f32` arithmetic:
 //!    captures of the same deployment under different host thread caps
-//!    must score bitwise identically.
+//!    must score bitwise identically, and a deployment whose encoding is
+//!    reconfigured between batches replays bitwise.
+//! 3. **Search** — the analytic scorer plugged into the GBO trainer
+//!    selects exactly what the raw analytic search selects, the per-tile
+//!    refinement never regresses the uniform objective, and at the
+//!    smoke size of `repro bench_memse` the analytic search (capture
+//!    included) runs at least 10× faster than one Monte-Carlo epoch.
+
+use std::time::Instant;
 
 use membit_core::{
-    DeploymentPolicy, DeviceEvalConfig, DeviceVgg, MemseNetwork,
+    calibrate_noise, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, GboConfig, GboScorer,
+    GboTrainer, MemseNetwork,
 };
+use membit_data::{synth_cifar, SynthCifarConfig};
 use membit_encoding::pla::PlaThermometer;
 use membit_encoding::BitEncoder;
 use membit_nn::{Params, Vgg, VggConfig};
-use membit_tensor::{Rng, Tensor};
+use membit_tensor::{Rng, RngStream, Tensor};
 use membit_xbar::{CrossbarLinear, ExecOptions, NonIdealitySpec, XbarConfig};
 use proptest::prelude::*;
+
+/// A randomly initialized tiny VGG (3 crossbar layers, 8×8 inputs).
+fn tiny_vgg(seed: u64) -> (Vgg, Params) {
+    let mut params = Params::new();
+    let vgg = Vgg::new(&VggConfig::tiny(), &mut params, &mut Rng::from_seed(seed)).unwrap();
+    (vgg, params)
+}
+
+fn tiny_probe(n: usize) -> Tensor {
+    Tensor::from_fn(&[n, 3, 8, 8], |i| ((i % 17) as f32 / 8.0 - 1.0) * 0.9)
+}
+
+fn deploy_tiny(
+    vgg: &Vgg,
+    params: &Params,
+    xbar: XbarConfig,
+    pulses: Vec<usize>,
+    seed: u64,
+) -> DeviceVgg {
+    let cfg = DeviceEvalConfig {
+        xbar,
+        pulses,
+        act_levels: 9,
+        policy: DeploymentPolicy::default(),
+    };
+    DeviceVgg::deploy(vgg, params, &cfg, &mut Rng::from_seed(seed)).unwrap()
+}
 
 /// Closed-form fluctuating variance of one engine at pulse count `q`:
 /// `Σ_j a_j/q` with `a_j = T·σ_out² + Σ_T step²/12 + c2c²·Σ(G⁺²+G⁻²)`.
@@ -139,4 +176,149 @@ proptest! {
         let multi = score_with(ExecOptions::with_threads(threads));
         prop_assert_eq!(single, multi);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Refining the uniform analytic selection per column-tile group
+    /// never raises the objective.
+    #[test]
+    fn tile_allocation_never_regresses_the_uniform_objective(
+        seed in 0u64..100,
+        gamma_exp in 2.0f32..5.0,
+        tile_cols in 4usize..9,
+    ) {
+        let (vgg, params) = tiny_vgg(seed);
+        let mut xbar = XbarConfig::realistic(0.08);
+        xbar.tile_cols = tile_cols;
+        let device = deploy_tiny(&vgg, &params, xbar, vec![8; 3], seed + 1);
+        let net = MemseNetwork::from_device(&device, &tiny_probe(2)).unwrap();
+        let gamma = 10f32.powf(-gamma_exp);
+        let candidates = [4usize, 8, 16];
+        let uniform = net.analytic_search(&candidates, gamma).unwrap();
+        let tiled = net.tile_allocation(&candidates, gamma).unwrap();
+        prop_assert!(
+            tiled.objective <= uniform.objective + 1e-6,
+            "per-group refinement regressed the uniform objective: {} > {}",
+            tiled.objective,
+            uniform.objective
+        );
+    }
+
+    /// The analytic scorer plumbed through the GBO trainer reproduces the
+    /// raw analytic selection.
+    #[test]
+    fn analytic_scorer_reproduces_the_raw_analytic_selection(
+        seed in 0u64..100,
+        gamma_exp in 2.0f32..5.0,
+    ) {
+        let (mut vgg, params) = tiny_vgg(seed);
+        let data = SynthCifarConfig { num_classes: 4, ..SynthCifarConfig::tiny() };
+        let (train, _) = synth_cifar(&data, seed).unwrap();
+        let calibration = calibrate_noise(&mut vgg, &params, &train, 16, 2, 14.0).unwrap();
+        let sigma_abs = calibration.sigma_abs(15.0);
+        let net = MemseNetwork::from_vgg(&vgg, &params, &tiny_probe(2), &sigma_abs).unwrap();
+        let cfg = GboConfig::paper(10f32.powf(-gamma_exp), seed);
+        let raw = net.analytic_search(&cfg.pulse_lengths(), cfg.gamma).unwrap();
+        let scored = GboTrainer::new(3, cfg)
+            .unwrap()
+            .search_scored(&mut vgg, &params, &train, &calibration, 15.0, GboScorer::Analytic(&net))
+            .unwrap();
+        prop_assert_eq!(scored.selected_pulses, raw.pulses);
+    }
+}
+
+/// A deployment whose encoding swaps between batches replays bitwise
+/// from the same seeds.
+#[test]
+fn reconfigured_sessions_replay_bitwise() {
+    let (vgg, params) = tiny_vgg(9);
+    let probe = tiny_probe(2);
+    let session = || {
+        let mut device = deploy_tiny(
+            &vgg,
+            &params,
+            XbarConfig::functional(0.08),
+            vec![8, 12, 6],
+            10,
+        );
+        let mut rng = Rng::from_seed(11);
+        let mut bits = Vec::new();
+        for i in 0..6 {
+            let enc: &[usize] = if i % 2 == 0 { &[16; 3] } else { &[8, 12, 6] };
+            device.reconfigure_encoding(enc).unwrap();
+            let (y, _) = device.forward(&probe, &mut rng).unwrap();
+            bits.extend(y.as_slice().iter().map(|v| v.to_bits()));
+        }
+        bits
+    };
+    assert_eq!(
+        session(),
+        session(),
+        "reconfigured sessions must replay bitwise"
+    );
+}
+
+/// At the smoke size of `repro bench_memse` — the quick VGG9 and its
+/// 2000 training images, one Monte-Carlo epoch, a two-sample probe —
+/// the analytic search (capture included) runs at least 10× faster than
+/// the Monte-Carlo one. The floor is wall clock: the untrained weights
+/// cost what trained ones cost.
+#[test]
+fn analytic_search_is_ten_times_faster_than_mc_at_smoke_size() {
+    let seed = 2022u64;
+    let data = SynthCifarConfig {
+        train_per_class: 200,
+        test_per_class: 1,
+        ..SynthCifarConfig::default_experiment()
+    };
+    let (train, test) = synth_cifar(&data, seed).unwrap();
+    let mut params = Params::new();
+    let mut vgg = Vgg::new(
+        &VggConfig::small(),
+        &mut params,
+        &mut Rng::from_seed(seed).stream(RngStream::Init),
+    )
+    .unwrap();
+    let calibration = calibrate_noise(&mut vgg, &params, &train, 100, 4, 14.0).unwrap();
+    let sigma = 15.0;
+    let (probe, _) = test.batch(0, 2).unwrap();
+    let layers = vgg.crossbar_layers();
+    let mut cfg = GboConfig::paper(1e-3, seed);
+    cfg.epochs = 1;
+
+    let t = Instant::now();
+    GboTrainer::new(layers, cfg.clone())
+        .unwrap()
+        .search_scored(
+            &mut vgg,
+            &params,
+            &train,
+            &calibration,
+            sigma,
+            GboScorer::MonteCarlo,
+        )
+        .unwrap();
+    let mc_secs = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let net = MemseNetwork::from_vgg(&vgg, &params, &probe, &calibration.sigma_abs(sigma)).unwrap();
+    GboTrainer::new(layers, cfg)
+        .unwrap()
+        .search_scored(
+            &mut vgg,
+            &params,
+            &train,
+            &calibration,
+            sigma,
+            GboScorer::Analytic(&net),
+        )
+        .unwrap();
+    let analytic_secs = t.elapsed().as_secs_f64();
+    let speedup = mc_secs / analytic_secs;
+    assert!(
+        speedup >= 10.0,
+        "analytic search must be ≥10x faster (got {speedup:.1}x: MC {mc_secs:.2}s, \
+         analytic {analytic_secs:.3}s)"
+    );
 }

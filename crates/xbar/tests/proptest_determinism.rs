@@ -12,7 +12,7 @@
 
 use membit_encoding::pla::PlaThermometer;
 use membit_encoding::{BitEncoder, BitSlicing, PulseTrain, Thermometer};
-use membit_tensor::{Rng, Tensor};
+use membit_tensor::{Rng, RngStream, Tensor};
 use membit_xbar::{
     CellHealth, CellSide, CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, XbarConfig,
 };
@@ -320,4 +320,38 @@ fn packed_guard_ladder_is_bitwise_identical_across_thread_counts() {
     assert_eq!(y1, y4, "packed ladder outputs diverged at 4 threads");
     assert_eq!(s1, s4, "packed ladder stats diverged at 4 threads");
     assert_eq!(d1, d4);
+}
+
+/// The thread sweep `repro bench_engine` times — its smoke case and both
+/// quick cases, seeded as it seeds them — produces bitwise-identical
+/// outputs at every thread count it sweeps.
+#[test]
+fn engine_bench_cases_are_bitwise_identical_across_its_thread_sweep() {
+    let seed = 2022u64;
+    // (out_features, in_features, batch, pulses)
+    for (out, inp, batch, pulses) in [(48, 96, 16, 4), (256, 512, 64, 8), (128, 288, 256, 8)] {
+        let w = pm1_matrix(out, inp, seed);
+        let x = pm1_matrix(batch, inp, seed ^ 1);
+        let train = Thermometer::new(pulses).unwrap().encode_tensor(&x).unwrap();
+        let run = |threads: usize| {
+            let mut cfg = XbarConfig::realistic(0.05);
+            cfg.exec = ExecOptions::with_threads(threads);
+            let mut prng = Rng::from_seed(seed).stream(RngStream::Device);
+            let engine = CrossbarLinear::program(&w, &cfg, &mut prng).unwrap();
+            let mut xrng = Rng::from_seed(seed ^ 2).stream(RngStream::Noise);
+            engine
+                .execute(&train, &mut xrng)
+                .unwrap()
+                .as_slice()
+                .to_vec()
+        };
+        let serial = run(1);
+        for threads in [2usize, 4, 8] {
+            assert_eq!(
+                serial,
+                run(threads),
+                "{out}×{inp}: output at {threads} threads differs bitwise from serial"
+            );
+        }
+    }
 }

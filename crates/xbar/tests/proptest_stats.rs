@@ -1,4 +1,5 @@
-//! Order-independence of stats merging.
+//! Order-independence of stats merging, and the exact cost accounting
+//! of the checksum guard.
 //!
 //! The parallel engine folds worker-local [`ExecutionStats`] blocks (and
 //! the [`GuardStats`] block nested inside) in whatever order its workers
@@ -8,7 +9,11 @@
 //! saturation enters the picture. These properties are pinned across the
 //! full `u64` range, including values that force saturation.
 
-use membit_xbar::{ExecutionStats, GuardStats};
+use membit_encoding::{BitEncoder, Thermometer};
+use membit_tensor::{Rng, RngStream, Tensor};
+use membit_xbar::{
+    CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, GuardStats, XbarConfig,
+};
 use proptest::prelude::*;
 
 /// Builds a stats block from 17 raw counters (8 base + 9 guard).
@@ -99,5 +104,66 @@ proptest! {
         let a = stats_from(&ra);
         prop_assert_eq!(merged(&a, &ExecutionStats::default()), a);
         prop_assert_eq!(merged(&ExecutionStats::default(), &a), a);
+    }
+}
+
+fn random_pm1(shape: &[usize], seed: u64) -> Tensor {
+    let mut rng = Rng::from_seed(seed);
+    Tensor::from_fn(shape, |_| if rng.coin(0.5) { 1.0 } else { -1.0 })
+}
+
+/// The overhead sweep of `repro ablation_guard` (its smoke and quick
+/// configurations, seeded as it seeds them): the checksum column costs
+/// exactly one ADC conversion per guarded readout and `tile` cell reads,
+/// plus what the retries re-execute, and a guarded execution replays
+/// bitwise from a reseeded noise stream.
+#[test]
+fn guard_overhead_accounting_is_exact_and_reproducible() {
+    let seed = 2022u64;
+    // (sigma, out_features, in_features, batch, pulses, tile)
+    for (sigma, out, inp, batch, pulses, tile) in [
+        (0.1f32, 32, 64, 8, 4, 16),
+        (0.05, 64, 128, 16, 8, 32),
+        (0.1, 64, 128, 16, 8, 32),
+        (0.2, 64, 128, 16, 8, 32),
+    ] {
+        let w = random_pm1(&[out, inp], seed ^ 11);
+        let x = random_pm1(&[batch, inp], seed ^ 12);
+        let train = Thermometer::new(pulses).unwrap().encode_tensor(&x).unwrap();
+        let mut cfg = XbarConfig::functional(sigma);
+        cfg.tile_rows = tile;
+        cfg.tile_cols = tile;
+        // an ADC makes the per-check conversion accounting observable
+        cfg.adc_bits = Some(8);
+        cfg.exec = ExecOptions::serial();
+        let program = |cfg: &XbarConfig| {
+            let mut prng = Rng::from_seed(seed ^ 13).stream(RngStream::Device);
+            CrossbarLinear::program(&w, cfg, &mut prng).unwrap()
+        };
+        let noise = || Rng::from_seed(seed ^ 14).stream(RngStream::Noise);
+        let plain = program(&cfg);
+        let mut armed = program(&cfg.with_guard(GuardPolicy::standard()));
+        let (_, ps) = plain.execute_with_stats(&train, &mut noise()).unwrap();
+        let (gy, gs) = armed.execute_guarded(&train, &mut noise()).unwrap();
+        let at = format!("{out}×{inp} tile {tile} σ = {sigma}");
+
+        assert!(gs.guard.checks > 0, "{at}: no checks");
+        let (tile, checks, retries) = (tile as u64, gs.guard.checks, gs.guard.retries);
+        assert_eq!(
+            gs.adc_conversions - ps.adc_conversions,
+            checks + retries * tile,
+            "{at}: one checksum conversion per check (+ retry re-conversions)"
+        );
+        assert_eq!(
+            gs.cell_reads - ps.cell_reads,
+            checks * tile + retries * tile * tile,
+            "{at}: one column of cell reads per check (+ retry re-reads)"
+        );
+        let (again, _) = armed.execute_guarded(&train, &mut noise()).unwrap();
+        assert_eq!(
+            gy.as_slice(),
+            again.as_slice(),
+            "{at}: guarded execution must be bitwise reproducible"
+        );
     }
 }

@@ -127,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("the problem: NIA absorbs noise statistics into the weights, GBO buys");
     println!("extra SNR per layer. At this toy scale (a 2-layer MLP on 300 images)");
     println!("noisy fine-tuning can cost more than it recovers — run the full");
-    println!("experiment (`cargo run -p membit-bench --bin table2`) to see the");
+    println!("experiment (`cargo run --release --bin repro -- table2`) to see the");
     println!("VGG9-scale synergy where NIA gains 3–17 points over the baseline.");
     Ok(())
 }

@@ -81,43 +81,44 @@ echo "=== golden serve digests (determinism across changes, both profiles) ==="
 cargo test -q -p membit-serve --test golden_serve
 cargo test -q --release -p membit-serve --test golden_serve
 
-# The smoke benches below write under target/bench-smoke, never over the
-# committed results/ files; ablation_guard, the first to need the model,
-# pretrains its checkpoint there once.
+# The smoke runs below write under target/bench-smoke (a smoke run never
+# writes into results/); ablation_guard, the first to need the model,
+# pretrains its checkpoint there once. The experiments assert nothing:
+# the properties their numbers must satisfy are the test suite's.
 echo "=== bench_engine smoke (BENCH_engine.json under target/) ==="
-# aborts if outputs differ bitwise across thread counts
-MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_engine --smoke
+# thread-sweep bitwise identity: proptest_determinism
+./target/release/repro bench_engine --scale smoke
 test -s target/bench-smoke/BENCH_engine.json
 
 echo "=== ablation_guard smoke (BENCH_guard.json + ablation_guard.csv under target/) ==="
-# asserts gap recovery, false-positive bound, determinism, and the
-# analytic checksum overhead accounting
-MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/ablation_guard --smoke
+# gap recovery and false-positive bound: membit-bench tests/experiments.rs;
+# overhead accounting and determinism: proptest_stats
+./target/release/repro ablation_guard --scale smoke
 test -s target/bench-smoke/BENCH_guard.json
 test -s target/bench-smoke/ablation_guard.csv
 
 echo "=== ablation_nonideal smoke (BENCH_nonideal.json + ablation_nonideal.csv under target/) ==="
-# asserts SAF gap recovery by the ECC + remap + guard stack, zero false
-# escalations on fault-free scenarios, and per-scenario thread determinism
-MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/ablation_nonideal --smoke
+# SAF gap recovery, guard silence, ECC firing and per-scenario thread
+# determinism: membit-bench tests/experiments.rs
+./target/release/repro ablation_nonideal --scale smoke
 test -s target/bench-smoke/BENCH_nonideal.json
 test -s target/bench-smoke/ablation_nonideal.csv
 
 echo "=== bench_serve smoke + full (BENCH_serve.json under target/) ==="
-# load × chaos sweep cells check accounting, typed backpressure and
-# bitwise log replay; the shard campaign pair checks a live
-# reconfiguration and strictly higher 3-shard admitted throughput under
-# the same script. Both runs write under target/bench-serve, never over
-# the committed results/BENCH_serve.json
-MEMBIT_RESULTS_DIR=target/bench-serve ./target/release/bench_serve --smoke
-test -s target/bench-serve/BENCH_serve.json
-MEMBIT_RESULTS_DIR=target/bench-serve ./target/release/bench_serve --scale full
+# accounting, typed backpressure, bitwise replay, live reconfiguration
+# and 3-shard > 1-shard admission on every smoke and full cell:
+# membit-bench tests/serve.rs. The full run writes under
+# target/bench-serve, never over the committed results/BENCH_serve.json
+./target/release/repro bench_serve --scale smoke
+test -s target/bench-smoke/BENCH_serve.json
+MEMBIT_RESULTS_DIR=target/bench-serve ./target/release/repro bench_serve --scale full
 test -s target/bench-serve/BENCH_serve.json
 
 echo "=== bench_memse smoke (BENCH_memse.json under target/) ==="
-# analytic-vs-MC validation cells, search speedup + fidelity gates,
-# tile-allocation non-regression, reconfiguration bitwise replay
-MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_memse --smoke
+# validation band and fidelity: membit-bench tests/experiments.rs;
+# search speedup, scorer plumbing, tile allocation and reconfiguration
+# replay: proptest_memse
+./target/release/repro bench_memse --scale smoke
 test -s target/bench-smoke/BENCH_memse.json
 
 echo "=== membench smoke (the repository benchmark, all four workloads) ==="
