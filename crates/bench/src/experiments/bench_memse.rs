@@ -9,7 +9,8 @@
 //!    fluctuating walk is the comparable quantity).
 //! 2. **Search speedup** — wall clock of the Monte-Carlo GBO λ-search
 //!    (Eq. 5/6, Adam over epochs) vs the analytic scorer
-//!    ([`GboScorer::Analytic`]: one-time capture + coordinate descent).
+//!    ([`GboTrainer::search_analytic`]: one-time capture + coordinate
+//!    descent).
 //! 3. **Fidelity** — both selections evaluated with the functional
 //!    noise model; the analytic pick should not trail MC's.
 //! 4. **Per-tile allocation** — refine the uniform selection per column
@@ -26,7 +27,7 @@ use std::time::Instant;
 
 use membit_core::{
     AnalyticSelection, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, Experiment, GboConfig,
-    GboResult, GboScorer, GboTrainer, MemseNetwork, TileAllocation,
+    GboResult, GboTrainer, MemseNetwork, TileAllocation,
 };
 use membit_tensor::{Rng, RngStream, Tensor};
 use membit_xbar::XbarConfig;
@@ -253,14 +254,8 @@ pub fn measure(opts: &Opts, exp: &mut Experiment) -> Result<Report> {
     cfg.epochs = if smoke { 1 } else { search_epochs(opts.scale) };
     let (vgg, params) = exp.model_mut();
     let t = Instant::now();
-    let mc = GboTrainer::new(layers, cfg.clone())?.search_scored(
-        vgg,
-        params,
-        &train,
-        &calibration,
-        SIGMA,
-        GboScorer::MonteCarlo,
-    )?;
+    let mc =
+        GboTrainer::new(layers, cfg.clone())?.search(vgg, params, &train, &calibration, SIGMA)?;
     let mc_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let net = MemseNetwork::from_vgg(vgg, params, &search_probe, &sigma_abs)?;
@@ -269,14 +264,7 @@ pub fn measure(opts: &Opts, exp: &mut Experiment) -> Result<Report> {
         .analytic_search(&cfg.pulse_lengths(), GAMMA)?
         .evaluations;
     let t = Instant::now();
-    let analytic = GboTrainer::new(layers, cfg.clone())?.search_scored(
-        vgg,
-        params,
-        &train,
-        &calibration,
-        SIGMA,
-        GboScorer::Analytic(&net),
-    )?;
+    let analytic = GboTrainer::new(layers, cfg.clone())?.search_analytic(&net)?;
     let analytic_search_secs = t.elapsed().as_secs_f64();
 
     // Section 3: fidelity of the selected encodings

@@ -16,12 +16,11 @@ use membit_nn::{
 use membit_tensor::{Rng, RngStream, Tensor, TensorError};
 
 use crate::calibrate::NoiseCalibration;
-use crate::error::{DivergenceReason, TrainError};
 use crate::memse::MemseNetwork;
 use crate::model::CrossbarModel;
 use crate::resilience::{
-    need_f64, need_u64, put_params, put_rng, put_state, restore_params, restore_rng, take_state,
-    ResilienceConfig,
+    put_params, put_rng, put_state, restore_params, restore_rng, run_epochs, take_state,
+    EpochLoop, EpochRun, ResilienceConfig,
 };
 use crate::watchdog::TrainWatchdog;
 use crate::Result;
@@ -80,22 +79,25 @@ impl GboConfig {
     }
 
     fn validate(&self, layers: usize) -> Result<()> {
-        if self.omega.is_empty() {
-            return Err(TensorError::InvalidArgument(
-                "Ω must contain at least one scaling factor".into(),
-            )
-            .into());
-        }
-        if self.omega.iter().any(|&n| n <= 0.0) {
-            return Err(TensorError::InvalidArgument("Ω entries must be positive".into()).into());
-        }
-        if self.base_pulses == 0 || self.epochs == 0 || self.batch_size == 0 || layers == 0 {
-            return Err(TensorError::InvalidArgument(
-                "base_pulses, epochs, batch_size and layer count must be nonzero".into(),
-            )
-            .into());
-        }
-        Ok(())
+        let positive = |v: f32| v.is_finite() && v > 0.0;
+        let non_negative = |v: f32| v.is_finite() && v >= 0.0;
+        let problem = if self.omega.is_empty() {
+            "Ω must contain at least one scaling factor"
+        } else if !self.omega.iter().all(|&n| positive(n)) {
+            "Ω entries must be finite and positive"
+        } else if self.base_pulses == 0 || self.epochs == 0 || self.batch_size == 0 || layers == 0
+        {
+            "base_pulses, epochs, batch_size and layer count must be nonzero"
+        } else if !positive(self.lr) {
+            "lr must be finite and positive"
+        } else if !non_negative(self.gamma) {
+            "gamma must be finite and non-negative"
+        } else if !self.snap_error_fan_in.iter().flatten().all(|&f| non_negative(f)) {
+            "snap_error_fan_in entries must be finite and non-negative"
+        } else {
+            return Ok(());
+        };
+        Err(TensorError::InvalidArgument(problem.into()).into())
     }
 }
 
@@ -119,26 +121,6 @@ impl GboResult {
         self.selected_pulses.iter().sum::<usize>() as f32
             / self.selected_pulses.len().max(1) as f32
     }
-}
-
-/// Pluggable accuracy-term scorer for the GBO search.
-///
-/// The paper's Eq. 6 objective is `CE + γ·latency`; how the accuracy
-/// term is *estimated* is orthogonal to the search:
-///
-/// * [`MonteCarlo`](Self::MonteCarlo) samples the Eq. 5 noise mixture
-///   every minibatch and descends λ with Adam — the paper's stochastic
-///   path, faithful but slow (epochs of tape forwards + backwards).
-/// * [`Analytic`](Self::Analytic) replaces the sampled CE degradation
-///   with the closed-form MemSE logit error of a captured
-///   [`MemseNetwork`] and optimizes by deterministic coordinate
-///   descent — no sampling, no tape, milliseconds per full λ-sweep.
-pub enum GboScorer<'a> {
-    /// Stochastic Eq. 5/6 scoring (delegates to [`GboTrainer::search`]).
-    MonteCarlo,
-    /// Closed-form MemSE scoring over a captured analytic network
-    /// (delegates to [`GboTrainer::search_analytic`]).
-    Analytic(&'a MemseNetwork),
 }
 
 /// The live hook used during search: binds λ, computes α, and applies the
@@ -177,12 +159,6 @@ impl MvmNoiseHook for GboSearchHook<'_> {
             .collect();
         tape.mix_noise(mvm_out, alpha, eps)
     }
-}
-
-/// What one search-epoch attempt produced.
-enum SearchEpoch {
-    Done { mean_loss: f32 },
-    Tripped(DivergenceReason),
 }
 
 /// Runs GBO searches against a frozen pre-trained model.
@@ -255,30 +231,6 @@ impl GboTrainer {
         )
     }
 
-    /// Runs the search with an explicit scorer: the Monte-Carlo variant
-    /// is exactly [`search`](Self::search); the analytic variant ignores
-    /// `model`/`train`/`calibration` (the captured [`MemseNetwork`]
-    /// already embeds the network and noise) and runs
-    /// [`search_analytic`](Self::search_analytic).
-    ///
-    /// # Errors
-    ///
-    /// As the delegated search.
-    pub fn search_scored(
-        &mut self,
-        model: &mut dyn CrossbarModel,
-        params: &Params,
-        train: &Dataset,
-        calibration: &NoiseCalibration,
-        paper_sigma: f32,
-        scorer: GboScorer<'_>,
-    ) -> Result<GboResult> {
-        match scorer {
-            GboScorer::MonteCarlo => self.search(model, params, train, calibration, paper_sigma),
-            GboScorer::Analytic(net) => self.search_analytic(net),
-        }
-    }
-
     /// Analytic MemSE search: per-layer coordinate descent over
     /// [`GboConfig::pulse_lengths`] minimizing the closed-form
     /// `disagreement + γ·Σ q` objective
@@ -320,15 +272,17 @@ impl GboTrainer {
     }
 
     /// [`search`](Self::search) with an explicit resilience policy:
-    /// watchdog-guarded rollback of the λ optimization, periodic atomic
+    /// watchdog-guarded rollback of the λ optimization, per-epoch atomic
     /// checkpoints of λ / Adam moments / RNG streams, and `--resume`
-    /// restore (see [`pretrain_resilient`](crate::pretrain_resilient) for
-    /// the shared semantics).
+    /// restore — the same epoch loop [`pretrain_resilient`] runs on.
     ///
     /// # Errors
     ///
     /// As [`search`](Self::search), plus checkpoint errors and
-    /// [`TrainError::Diverged`] on unrecoverable divergence.
+    /// [`TrainError::Diverged`](crate::TrainError::Diverged) on
+    /// unrecoverable divergence.
+    ///
+    /// [`pretrain_resilient`]: crate::pretrain_resilient
     pub fn search_resilient(
         &mut self,
         model: &mut dyn CrossbarModel,
@@ -347,7 +301,6 @@ impl GboTrainer {
             ))
             .into());
         }
-        let sigma_abs = calibration.sigma_abs(paper_sigma);
         let snap_var = self.snap_variances()?;
         let costs: Vec<f32> = self
             .config
@@ -355,175 +308,22 @@ impl GboTrainer {
             .iter()
             .map(|&n| n * self.config.base_pulses as f32)
             .collect();
-        let cost_tensor = Tensor::from_vec(costs, &[self.config.omega.len()])?;
-        let mut opt = Adam::new(self.config.lr);
         let root = Rng::from_seed(self.config.seed);
-        let mut shuffle_rng = root.stream(RngStream::Data);
-        let mut noise_rng = root.stream(RngStream::Noise);
-        let mut watchdog = TrainWatchdog::new(res.watchdog.clone());
-        let mut epoch_losses = Vec::with_capacity(self.config.epochs);
-        let mut lr_scale = 1.0f32;
-        let mut start_epoch = 0usize;
-        let mut prior_trips = 0usize;
-
-        if let Some(ckpt) = res.load_for_resume()? {
-            start_epoch = need_u64(&ckpt, "meta.epoch")? as usize;
-            lr_scale = need_f64(&ckpt, "meta.lr_scale")? as f32;
-            prior_trips = need_u64(&ckpt, "meta.trips")? as usize;
-            if let Some(losses) = ckpt.tensor("loss.epoch_losses") {
-                epoch_losses = losses.as_slice().to_vec();
-            }
-            restore_params(&ckpt, &mut self.lambda_store)?;
-            opt.restore_state_tensors(&take_state(&ckpt, "opt"));
-            shuffle_rng = restore_rng(&ckpt, "shuffle")?;
-            noise_rng = restore_rng(&ckpt, "noise")?;
-        }
-
-        let mut epoch = start_epoch;
-        while epoch < self.config.epochs {
-            let snap_lambda = self.lambda_store.clone();
-            let snap_opt = opt.state_tensors();
-            let snap_shuffle = shuffle_rng.clone();
-            let snap_noise = noise_rng.clone();
-            let mut retries = 0usize;
-            let mean_loss = loop {
-                opt.set_lr(self.config.lr * lr_scale);
-                let outcome = self.run_search_epoch(
-                    model,
-                    params,
-                    train,
-                    &sigma_abs,
-                    &snap_var,
-                    &cost_tensor,
-                    &mut opt,
-                    &mut shuffle_rng,
-                    &mut noise_rng,
-                    &mut watchdog,
-                )?;
-                match outcome {
-                    SearchEpoch::Done { mean_loss } => break mean_loss,
-                    SearchEpoch::Tripped(reason) => {
-                        if retries >= res.watchdog.max_retries {
-                            return Err(TrainError::Diverged {
-                                stage: "gbo".to_string(),
-                                epoch,
-                                retries,
-                                reason,
-                            });
-                        }
-                        retries += 1;
-                        self.lambda_store = snap_lambda.clone();
-                        opt = Adam::new(self.config.lr);
-                        opt.restore_state_tensors(&snap_opt);
-                        shuffle_rng = snap_shuffle.clone();
-                        noise_rng = snap_noise.clone();
-                        lr_scale *= res.watchdog.lr_backoff;
-                        watchdog.reset_epoch();
-                    }
-                }
-            };
-            epoch_losses.push(mean_loss);
-            if res.should_checkpoint(epoch) {
-                let mut ckpt = Checkpoint::new();
-                ckpt.put_u64("meta.epoch", (epoch + 1) as u64);
-                ckpt.put_f64("meta.lr_scale", f64::from(lr_scale));
-                ckpt.put_u64("meta.trips", (prior_trips + watchdog.trips()) as u64);
-                ckpt.put_tensor(
-                    "loss.epoch_losses",
-                    Tensor::from_vec(epoch_losses.clone(), &[epoch_losses.len()])?,
-                );
-                put_rng(&mut ckpt, "shuffle", &shuffle_rng);
-                put_rng(&mut ckpt, "noise", &noise_rng);
-                put_params(&mut ckpt, &self.lambda_store);
-                put_state(&mut ckpt, "opt", &opt.state_tensors());
-                res.save(&ckpt)?;
-            }
-            epoch += 1;
-        }
-        res.finish();
-        Ok(self.result(epoch_losses))
-    }
-
-    /// One pass over the (re-shuffled) search set. Returns `Tripped` the
-    /// moment the watchdog flags the loss or the λ gradients.
-    #[allow(clippy::too_many_arguments)]
-    fn run_search_epoch(
-        &mut self,
-        model: &mut dyn CrossbarModel,
-        params: &Params,
-        train: &Dataset,
-        sigma_abs: &[f32],
-        snap_var: &[Vec<f32>],
-        cost_tensor: &Tensor,
-        opt: &mut Adam,
-        shuffle_rng: &mut Rng,
-        noise_rng: &mut Rng,
-        watchdog: &mut TrainWatchdog,
-    ) -> Result<SearchEpoch> {
-        let layers = self.lambda_ids.len();
-        let shuffled = train.shuffled(shuffle_rng);
-        let mut loss_sum = 0.0f64;
-        let mut batches = 0usize;
-        for (images, labels) in shuffled.batches(self.config.batch_size) {
-            let mut tape = Tape::new();
-            let mut weight_binding = params.frozen_binding();
-            let mut lambda_binding = self.lambda_store.binding();
-            let x = tape.constant(images);
-            // The hook borrows the λ store and binding for the
-            // duration of the forward + loss construction.
-            {
-                let mut hook = GboSearchHook {
-                    lambda_store: &self.lambda_store,
-                    lambda_ids: &self.lambda_ids,
-                    binding: &mut lambda_binding,
-                    sigma_abs,
-                    omega: &self.config.omega,
-                    base_pulses: self.config.base_pulses,
-                    snap_var,
-                    rng: noise_rng,
-                    alpha_vars: vec![None; layers],
-                };
-                let logits = model.forward(
-                    &mut tape,
-                    params,
-                    &mut weight_binding,
-                    x,
-                    Phase::Eval,
-                    &mut hook,
-                )?;
-                // latency term: γ · Σ_l ⟨α^l, n·p⟩
-                let mut latency: Option<VarId> = None;
-                for alpha in hook.alpha_vars.iter().flatten() {
-                    let term = tape.dot_const(*alpha, cost_tensor)?;
-                    latency = Some(match latency {
-                        Some(acc) => tape.add(acc, term)?,
-                        None => term,
-                    });
-                }
-                let ce = tape.softmax_cross_entropy(logits, &labels)?;
-                let loss = match latency {
-                    Some(lat) => {
-                        let weighted = tape.mul_scalar(lat, self.config.gamma);
-                        tape.add(ce, weighted)?
-                    }
-                    None => ce,
-                };
-                let loss_value = tape.value(loss).item();
-                if let Some(reason) = watchdog.observe(loss_value) {
-                    return Ok(SearchEpoch::Tripped(reason));
-                }
-                loss_sum += f64::from(loss_value);
-                batches += 1;
-                tape.backward(loss)?;
-            }
-            if let Some(reason) = watchdog.check_grads(&tape, &lambda_binding) {
-                return Ok(SearchEpoch::Tripped(reason));
-            }
-            opt.step(&mut self.lambda_store, &tape, &lambda_binding)?;
-        }
-        Ok(SearchEpoch::Done {
-            mean_loss: (loss_sum / batches.max(1) as f64) as f32,
-        })
+        let epochs = self.config.epochs;
+        let mut lp = SearchLoop {
+            cost_tensor: Tensor::from_vec(costs, &[self.config.omega.len()])?,
+            opt: Adam::new(self.config.lr),
+            trainer: self,
+            model,
+            params,
+            train,
+            sigma_abs: calibration.sigma_abs(paper_sigma),
+            snap_var,
+            shuffle_rng: root.stream(RngStream::Data),
+            noise_rng: root.stream(RngStream::Noise),
+        };
+        let log = run_epochs("gbo", epochs, res, &mut lp)?;
+        Ok(self.result(log.losses))
     }
 
     /// Per-layer, per-branch additive variance from the PLA
@@ -591,25 +391,158 @@ impl GboTrainer {
     }
 }
 
+/// The λ optimization of one search: the state it carries from epoch
+/// to epoch, and the frozen model it scores against.
+struct SearchLoop<'a> {
+    trainer: &'a mut GboTrainer,
+    model: &'a mut dyn CrossbarModel,
+    params: &'a Params,
+    train: &'a Dataset,
+    sigma_abs: Vec<f32>,
+    snap_var: Vec<Vec<f32>>,
+    cost_tensor: Tensor,
+    opt: Adam,
+    shuffle_rng: Rng,
+    noise_rng: Rng,
+}
+
+impl EpochLoop for SearchLoop<'_> {
+    fn save(&self, ckpt: &mut Checkpoint) {
+        put_rng(ckpt, "shuffle", &self.shuffle_rng);
+        put_rng(ckpt, "noise", &self.noise_rng);
+        put_params(ckpt, &self.trainer.lambda_store);
+        put_state(ckpt, "opt", self.opt.state_tensors());
+    }
+
+    fn load(&mut self, ckpt: &Checkpoint) -> Result<()> {
+        restore_params(ckpt, &mut self.trainer.lambda_store)?;
+        self.opt = Adam::new(self.trainer.config.lr);
+        self.opt.restore_state_tensors(&take_state(ckpt, "opt"));
+        self.shuffle_rng = restore_rng(ckpt, "shuffle")?;
+        self.noise_rng = restore_rng(ckpt, "noise")?;
+        Ok(())
+    }
+
+    /// One pass over the (re-shuffled) search set. Returns `Tripped` the
+    /// moment the watchdog flags the loss or the λ gradients.
+    fn run_epoch(
+        &mut self,
+        _epoch: usize,
+        lr_scale: f32,
+        watchdog: &mut TrainWatchdog,
+    ) -> Result<EpochRun> {
+        let trainer = &mut *self.trainer;
+        let config = &trainer.config;
+        self.opt.set_lr(config.lr * lr_scale);
+        let layers = trainer.lambda_ids.len();
+        let shuffled = self.train.shuffled(&mut self.shuffle_rng);
+        let mut loss_sum = 0.0f64;
+        let mut batches = 0usize;
+        for (images, labels) in shuffled.batches(config.batch_size) {
+            let mut tape = Tape::new();
+            let mut weight_binding = self.params.frozen_binding();
+            let mut lambda_binding = trainer.lambda_store.binding();
+            let x = tape.constant(images);
+            // The hook borrows the λ store and binding for the
+            // duration of the forward + loss construction.
+            {
+                let mut hook = GboSearchHook {
+                    lambda_store: &trainer.lambda_store,
+                    lambda_ids: &trainer.lambda_ids,
+                    binding: &mut lambda_binding,
+                    sigma_abs: &self.sigma_abs,
+                    omega: &config.omega,
+                    base_pulses: config.base_pulses,
+                    snap_var: &self.snap_var,
+                    rng: &mut self.noise_rng,
+                    alpha_vars: vec![None; layers],
+                };
+                let logits = self.model.forward(
+                    &mut tape,
+                    self.params,
+                    &mut weight_binding,
+                    x,
+                    Phase::Eval,
+                    &mut hook,
+                )?;
+                // latency term: γ · Σ_l ⟨α^l, n·p⟩
+                let mut latency: Option<VarId> = None;
+                for alpha in hook.alpha_vars.iter().flatten() {
+                    let term = tape.dot_const(*alpha, &self.cost_tensor)?;
+                    latency = Some(match latency {
+                        Some(acc) => tape.add(acc, term)?,
+                        None => term,
+                    });
+                }
+                let ce = tape.softmax_cross_entropy(logits, &labels)?;
+                let loss = match latency {
+                    Some(lat) => {
+                        let weighted = tape.mul_scalar(lat, config.gamma);
+                        tape.add(ce, weighted)?
+                    }
+                    None => ce,
+                };
+                let loss_value = tape.value(loss).item();
+                if let Some(reason) = watchdog.observe(loss_value) {
+                    return Ok(EpochRun::Tripped(reason));
+                }
+                loss_sum += f64::from(loss_value);
+                batches += 1;
+                tape.backward(loss)?;
+            }
+            if let Some(reason) = watchdog.check_grads(&tape, &lambda_binding) {
+                return Ok(EpochRun::Tripped(reason));
+            }
+            self.opt
+                .step(&mut trainer.lambda_store, &tape, &lambda_binding)?;
+        }
+        Ok(EpochRun::Done((loss_sum / batches.max(1) as f64) as f32))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibrate::calibrate_noise;
+    use crate::TrainError;
     use crate::trainer::{pretrain, TrainConfig};
     use membit_data::{synth_cifar, SynthCifarConfig};
     use membit_nn::{Mlp, MlpConfig, NoNoise};
+
+    /// A named way to break one config field.
+    type Corruption = (&'static str, fn(&mut GboConfig));
 
     #[test]
     fn config_validation_and_pulse_lengths() {
         let cfg = GboConfig::paper(0.001, 0);
         assert_eq!(cfg.pulse_lengths(), vec![4, 6, 8, 10, 12, 14, 16]);
         assert!(GboTrainer::new(0, cfg.clone()).is_err());
-        let mut bad = cfg.clone();
-        bad.omega.clear();
-        assert!(GboTrainer::new(2, bad).is_err());
-        let mut neg = cfg;
-        neg.omega[0] = -1.0;
-        assert!(GboTrainer::new(2, neg).is_err());
+        let cases: [Corruption; 15] = [
+            ("empty Ω", |c| c.omega.clear()),
+            ("negative Ω", |c| c.omega[0] = -1.0),
+            ("zero Ω", |c| c.omega[0] = 0.0),
+            ("NaN Ω", |c| c.omega[3] = f32::NAN),
+            ("infinite Ω", |c| c.omega[6] = f32::INFINITY),
+            ("NaN lr", |c| c.lr = f32::NAN),
+            ("infinite lr", |c| c.lr = f32::INFINITY),
+            ("zero lr", |c| c.lr = 0.0),
+            ("negative lr", |c| c.lr = -0.05),
+            ("NaN gamma", |c| c.gamma = f32::NAN),
+            ("infinite gamma", |c| c.gamma = f32::INFINITY),
+            ("negative gamma", |c| c.gamma = -1e-3),
+            ("NaN fan-in", |c| c.snap_error_fan_in = Some(vec![72.0, f32::NAN])),
+            ("infinite fan-in", |c| c.snap_error_fan_in = Some(vec![f32::INFINITY, 72.0])),
+            ("negative fan-in", |c| c.snap_error_fan_in = Some(vec![72.0, -1.0])),
+        ];
+        for (name, corrupt) in cases {
+            let mut bad = cfg.clone();
+            corrupt(&mut bad);
+            let err = GboTrainer::new(2, bad).unwrap_err();
+            assert!(
+                matches!(err, TrainError::Tensor(TensorError::InvalidArgument(_))),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

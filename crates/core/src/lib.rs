@@ -74,7 +74,7 @@ mod watchdog;
 pub use calibrate::{calibrate_noise, NoiseCalibration};
 pub use device_eval::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
 pub use error::{DivergenceReason, TrainError};
-pub use gbo::{GboConfig, GboResult, GboScorer, GboTrainer};
+pub use gbo::{GboConfig, GboResult, GboTrainer};
 pub use memse::{AnalyticSelection, MemseNetwork, MemseScore, TileAllocation};
 pub use hooks::{
     GaussianMvmNoise, NanFault, NanFaultMode, PlaHook, RmsRecorder, SingleLayerNoise,
@@ -88,13 +88,12 @@ pub use pipeline::{Experiment, ExperimentConfig};
 pub use report::{
     to_csv, FaultAblationRow, GuardAblationRow, NonIdealAblationRow, Table1Row, Table2Row,
 };
-pub use resilience::ResilienceConfig;
+pub use resilience::{ResilienceConfig, MAX_RETRIES};
 pub use sensitivity::layer_sensitivity;
 pub use trainer::{
-    evaluate, evaluate_with_hook, pretrain, pretrain_resilient, pretrain_with_validation,
-    TrainConfig, TrainReport, ValidatedTrainReport,
+    evaluate, evaluate_with_hook, pretrain, pretrain_resilient, TrainConfig, TrainReport,
 };
-pub use watchdog::{TrainWatchdog, WatchdogConfig};
+pub use watchdog::TrainWatchdog;
 
 /// Result alias for the crate's [`TrainError`].
 pub type Result<T> = std::result::Result<T, TrainError>;

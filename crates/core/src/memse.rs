@@ -55,40 +55,21 @@ use membit_xbar::CrossbarLinear;
 use crate::device_eval::{quantize_tensor, ConvKernel, DeviceVgg};
 use crate::Result;
 
-/// Per-candidate pulse allocation resolved for one walk.
-enum Alloc<'a> {
-    /// One pulse count per crossbar operator.
-    Uniform(&'a [usize]),
-    /// Per-operator, per-column-tile-group pulse counts.
-    Tiled(&'a [Vec<usize>]),
-}
-
-impl Alloc<'_> {
-    fn ops(&self) -> usize {
-        match self {
-            Alloc::Uniform(qs) => qs.len(),
-            Alloc::Tiled(qs) => qs.len(),
-        }
+/// Pulse counts of crossbar operator `op` in an allocation (per
+/// operator, per column group), checked against its `groups`.
+fn op_qs(alloc: &[Vec<usize>], op: usize, groups: usize) -> Result<&[usize]> {
+    let qs = &alloc[op];
+    if qs.len() != groups {
+        return Err(TensorError::InvalidArgument(format!(
+            "operator {op} has {groups} column groups, allocation supplies {}",
+            qs.len()
+        ))
+        .into());
     }
-
-    /// Pulse counts for operator `op`, one per column group.
-    fn op_qs(&self, op: usize, groups: usize) -> Result<Vec<usize>> {
-        let qs = match self {
-            Alloc::Uniform(qs) => vec![qs[op]; groups],
-            Alloc::Tiled(qs) => qs[op].clone(),
-        };
-        if qs.len() != groups {
-            return Err(TensorError::InvalidArgument(format!(
-                "operator {op} has {groups} column groups, allocation supplies {}",
-                qs.len()
-            ))
-            .into());
-        }
-        if qs.contains(&0) {
-            return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
-        }
-        Ok(qs)
+    if qs.contains(&0) {
+        return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
     }
+    Ok(qs)
 }
 
 /// Intrinsic read-noise model of one crossbar operator.
@@ -554,7 +535,7 @@ impl MemseNetwork {
     /// Returns [`TensorError::InvalidArgument`] on a pulse-count layout
     /// mismatch or zero pulse counts; propagates shape errors.
     pub fn score(&self, pulses: &[usize]) -> Result<MemseScore> {
-        self.walk(&Alloc::Uniform(pulses))
+        self.walk(&self.uniform(pulses)?)
     }
 
     /// Fluctuating-only analytic MSE — the quantity paired Monte-Carlo
@@ -565,7 +546,7 @@ impl MemseNetwork {
     ///
     /// As [`Self::score`].
     pub fn fluctuating_mse(&self, pulses: &[usize]) -> Result<f32> {
-        Ok(self.walk(&Alloc::Uniform(pulses))?.fluct_mse)
+        Ok(self.score(pulses)?.fluct_mse)
     }
 
     /// Scores a per-column-tile-group allocation (see
@@ -575,20 +556,36 @@ impl MemseNetwork {
     ///
     /// As [`Self::score`], plus group-count mismatches.
     pub fn score_tiled(&self, pulses: &[Vec<usize>]) -> Result<MemseScore> {
-        self.walk(&Alloc::Tiled(pulses))
+        self.walk(pulses)
+    }
+
+    /// Spreads one pulse count per operator over all of its column
+    /// groups.
+    fn uniform(&self, pulses: &[usize]) -> Result<Vec<Vec<usize>>> {
+        self.check_ops(pulses.len())?;
+        Ok(pulses
+            .iter()
+            .zip(self.column_groups())
+            .map(|(&q, groups)| vec![q; groups])
+            .collect())
+    }
+
+    /// Rejects an allocation that does not cover every crossbar operator.
+    fn check_ops(&self, allocations: usize) -> Result<()> {
+        let ops = self.crossbar_ops();
+        if allocations != ops {
+            return Err(TensorError::InvalidArgument(format!(
+                "{allocations} pulse allocations for {ops} crossbar operators"
+            ))
+            .into());
+        }
+        Ok(())
     }
 
     /// One trajectory + variance walk. Deterministic, RNG-free, pure
     /// `f32`.
-    fn walk(&self, alloc: &Alloc<'_>) -> Result<MemseScore> {
-        let ops = self.crossbar_ops();
-        if alloc.ops() != ops {
-            return Err(TensorError::InvalidArgument(format!(
-                "{} pulse allocations for {ops} crossbar operators",
-                alloc.ops()
-            ))
-            .into());
-        }
+    fn walk(&self, alloc: &[Vec<usize>]) -> Result<MemseScore> {
+        self.check_ops(alloc.len())?;
         let mut state = self.initial_state();
         let mut op = 0usize;
         for idx in 0..self.convs.len() {
@@ -664,7 +661,7 @@ impl MemseNetwork {
     /// agree bitwise.
     fn score_from(
         &self,
-        alloc: &Alloc<'_>,
+        alloc: &[Vec<usize>],
         start: usize,
         op: usize,
         state: &WalkState,
@@ -683,13 +680,13 @@ impl MemseNetwork {
     fn advance_conv(
         &self,
         idx: usize,
-        alloc: &Alloc<'_>,
+        alloc: &[Vec<usize>],
         op: &mut usize,
         state: WalkState,
     ) -> Result<WalkState> {
         let stage = &self.convs[idx];
         let (m_out, v_out) = if let Some(intr) = &stage.intrinsic {
-            let qs = alloc.op_qs(*op, intr.groups)?;
+            let qs = op_qs(alloc, *op, intr.groups)?;
             *op += 1;
             let (m, v) = gathered_product(
                 |q| {
@@ -698,10 +695,10 @@ impl MemseNetwork {
                 },
                 &stage.e_t,
                 &stage.w_sq_t,
-                &qs,
+                qs,
                 &intr.col_group,
             )?;
-            (m, add_fluct(v, &intr.a_col, &qs, &intr.col_group)?)
+            (m, add_fluct(v, &intr.a_col, qs, &intr.col_group)?)
         } else {
             let (mean, var) = self.materialize(&state, None)?;
             let (mcols, vcols) = im2col_pair(&mean, &var, &stage.geom)?;
@@ -723,8 +720,8 @@ impl MemseNetwork {
     /// The walk's FC tail: hidden FC (always a crossbar operator, last
     /// pulse slot), activation quantizer, covariance-aware classifier
     /// contraction, and the fluct + bias total.
-    fn finish(&self, alloc: &Alloc<'_>, op: usize, state: WalkState) -> Result<MemseScore> {
-        let qs = alloc.op_qs(op, self.fc.intrinsic.groups)?;
+    fn finish(&self, alloc: &[Vec<usize>], op: usize, state: WalkState) -> Result<MemseScore> {
+        let qs = op_qs(alloc, op, self.fc.intrinsic.groups)?;
         // materialized FC input, snapped at the dominant (max) pulse
         // count: exact for uniform allocations (the common path), the
         // dominant-group approximation for the covariance cross-terms
@@ -733,7 +730,7 @@ impl MemseNetwork {
         let (mean_star, var_star) = self.materialize(&state, Some(q_star))?;
         let mean_flat = mean_star.into_reshaped(&[self.samples, self.fc.feature_dim])?;
         let var_flat = var_star.into_reshaped(&[self.samples, self.fc.feature_dim])?;
-        let mut distinct = qs.clone();
+        let mut distinct = qs.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
         // propagated-only output variance — also the diagonal of the
@@ -754,14 +751,14 @@ impl MemseNetwork {
                 },
                 &self.fc.e_t,
                 &self.fc.w_sq_t,
-                &qs,
+                qs,
                 &self.fc.intrinsic.col_group,
             )?
         };
         let v = add_fluct(
             c_diag.clone(),
             &self.fc.intrinsic.a_col,
-            &qs,
+            qs,
             &self.fc.intrinsic.col_group,
         )?;
         let m = m.mul(&self.fc.scale)?.add(&self.fc.shift)?;
@@ -878,71 +875,18 @@ impl MemseNetwork {
             )
             .into());
         }
-        let ops = self.crossbar_ops();
-        let mut current = vec![candidates[candidates.len() / 2]; ops];
-        let mut evaluations = 0usize;
-        let objective = |score: &MemseScore, pulses: &[usize]| {
-            score.disagreement + gamma * pulses.iter().sum::<usize>() as f32
-        };
-        let init = self.walk(&Alloc::Uniform(&current))?;
-        evaluations += 1;
-        let mut best_mse = init.mse;
-        let mut best_dis = init.disagreement;
-        let mut best = objective(&init, &current);
-        let mut sweep_objectives = Vec::new();
-        let op_stages = self.op_stages();
-        let idx_of =
-            |q: usize| candidates.iter().position(|&c| c == q).unwrap_or(usize::MAX);
-        for round in 0..4 {
-            let mut improved = false;
-            // walk the prefix once per sweep: the state entering the
-            // swept operator's stage is fixed, so each candidate costs
-            // only a suffix evaluation
-            let mut state = self.initial_state();
-            let mut stage_ptr = 0usize;
-            let mut op_ptr = 0usize;
-            for (l, &target) in op_stages.iter().enumerate() {
-                while stage_ptr < target {
-                    state =
-                        self.advance_conv(stage_ptr, &Alloc::Uniform(&current), &mut op_ptr, state)?;
-                    stage_ptr += 1;
-                }
-                for (qi, &q) in candidates.iter().enumerate() {
-                    if q == current[l] {
-                        continue;
-                    }
-                    // refinement sweeps only probe the incumbent's
-                    // neighbors; the window re-centers after each move
-                    if round > 0 && qi.abs_diff(idx_of(current[l])) > 1 {
-                        continue;
-                    }
-                    let prev = current[l];
-                    current[l] = q;
-                    let sc = self.score_from(&Alloc::Uniform(&current), stage_ptr, op_ptr, &state)?;
-                    evaluations += 1;
-                    let obj = objective(&sc, &current);
-                    if obj < best {
-                        best = obj;
-                        best_mse = sc.mse;
-                        best_dis = sc.disagreement;
-                        improved = true;
-                    } else {
-                        current[l] = prev;
-                    }
-                }
-            }
-            sweep_objectives.push(best);
-            if !improved {
-                break;
-            }
-        }
+        let start = vec![candidates[candidates.len() / 2]; self.crossbar_ops()];
+        let mut alloc = self.uniform(&start)?;
+        let d = self.descend(candidates, &mut alloc, false, |score, alloc| {
+            score.disagreement + gamma * alloc.iter().map(|qs| qs[0]).sum::<usize>() as f32
+        })?;
         Ok(AnalyticSelection {
-            pulses: current,
-            mse: best_mse,
-            disagreement: best_dis,
-            objective: best,
-            sweep_objectives,
-            evaluations,
+            pulses: alloc.iter().map(|qs| qs[0]).collect(),
+            mse: d.mse,
+            disagreement: d.disagreement,
+            objective: d.objective,
+            sweep_objectives: d.sweep_objectives,
+            evaluations: d.evaluations,
         })
     }
 
@@ -961,14 +905,7 @@ impl MemseNetwork {
     /// As [`Self::analytic_search`].
     pub fn tile_allocation(&self, candidates: &[usize], gamma: f32) -> Result<TileAllocation> {
         let seed = self.analytic_search(candidates, gamma)?;
-        let groups = self.column_groups();
         let shares = self.group_shares();
-        let mut current: Vec<Vec<usize>> = seed
-            .pulses
-            .iter()
-            .zip(&groups)
-            .map(|(&q, &g)| vec![q; g])
-            .collect();
         let energy = |alloc: &[Vec<usize>]| -> f32 {
             alloc
                 .iter()
@@ -981,66 +918,93 @@ impl MemseNetwork {
                 })
                 .sum()
         };
-        let mut evaluations = seed.evaluations;
-        let init = self.walk(&Alloc::Tiled(&current))?;
-        evaluations += 1;
-        let mut best_mse = init.mse;
-        let mut best_dis = init.disagreement;
-        let mut best = init.disagreement + gamma * energy(&current);
+        let mut alloc = self.uniform(&seed.pulses)?;
+        let d = self.descend(candidates, &mut alloc, true, |score, alloc| {
+            score.disagreement + gamma * energy(alloc)
+        })?;
+        let latency = alloc.iter().map(|qs| qs.iter().copied().max().unwrap_or(0)).sum();
+        let total_energy = energy(&alloc);
+        Ok(TileAllocation {
+            pulses: alloc,
+            mse: d.mse,
+            disagreement: d.disagreement,
+            energy: total_energy,
+            latency,
+            objective: d.objective,
+            evaluations: seed.evaluations + d.evaluations,
+        })
+    }
+
+    /// Prefix-cached coordinate descent over `alloc` (per operator, per
+    /// column group) minimizing `objective`, with the sweep rules of
+    /// [`Self::analytic_search`] and at most four sweeps. A coordinate
+    /// is all of one operator's groups, moved together, or with
+    /// `per_group` each group alone.
+    fn descend(
+        &self,
+        candidates: &[usize],
+        alloc: &mut [Vec<usize>],
+        per_group: bool,
+        objective: impl Fn(&MemseScore, &[Vec<usize>]) -> f32,
+    ) -> Result<Descent> {
+        let init = self.walk(alloc)?;
+        let mut d = Descent {
+            mse: init.mse,
+            disagreement: init.disagreement,
+            objective: objective(&init, alloc),
+            sweep_objectives: Vec::new(),
+            evaluations: 1,
+        };
         let op_stages = self.op_stages();
         let idx_of =
             |q: usize| candidates.iter().position(|&c| c == q).unwrap_or(usize::MAX);
         for round in 0..4 {
             let mut improved = false;
+            // walk the prefix once per sweep: the state entering the
+            // swept operator's stage is fixed, so each candidate costs
+            // only a suffix evaluation
             let mut state = self.initial_state();
             let mut stage_ptr = 0usize;
             let mut op_ptr = 0usize;
             for (l, &target) in op_stages.iter().enumerate() {
                 while stage_ptr < target {
-                    state =
-                        self.advance_conv(stage_ptr, &Alloc::Tiled(&current), &mut op_ptr, state)?;
+                    state = self.advance_conv(stage_ptr, alloc, &mut op_ptr, state)?;
                     stage_ptr += 1;
                 }
-                for g in 0..current[l].len() {
+                let groups = alloc[l].len();
+                let width = if per_group { 1 } else { groups };
+                for coord in (0..groups).step_by(width).map(|g| g..g + width) {
                     for (qi, &q) in candidates.iter().enumerate() {
-                        if q == current[l][g] {
+                        let prev = alloc[l][coord.start];
+                        if q == prev {
                             continue;
                         }
-                        if round > 0 && qi.abs_diff(idx_of(current[l][g])) > 1 {
+                        // refinement sweeps only probe the incumbent's
+                        // neighbors; the window re-centers after each move
+                        if round > 0 && qi.abs_diff(idx_of(prev)) > 1 {
                             continue;
                         }
-                        let prev = current[l][g];
-                        current[l][g] = q;
-                        let sc =
-                            self.score_from(&Alloc::Tiled(&current), stage_ptr, op_ptr, &state)?;
-                        evaluations += 1;
-                        let obj = sc.disagreement + gamma * energy(&current);
-                        if obj < best {
-                            best = obj;
-                            best_mse = sc.mse;
-                            best_dis = sc.disagreement;
+                        alloc[l][coord.clone()].fill(q);
+                        let sc = self.score_from(alloc, stage_ptr, op_ptr, &state)?;
+                        d.evaluations += 1;
+                        let obj = objective(&sc, alloc);
+                        if obj < d.objective {
+                            d.objective = obj;
+                            d.mse = sc.mse;
+                            d.disagreement = sc.disagreement;
                             improved = true;
                         } else {
-                            current[l][g] = prev;
+                            alloc[l][coord.clone()].fill(prev);
                         }
                     }
                 }
             }
+            d.sweep_objectives.push(d.objective);
             if !improved {
                 break;
             }
         }
-        let latency = current.iter().map(|qs| qs.iter().copied().max().unwrap_or(0)).sum();
-        let total_energy = energy(&current);
-        Ok(TileAllocation {
-            pulses: current,
-            mse: best_mse,
-            disagreement: best_dis,
-            energy: total_energy,
-            latency,
-            objective: best,
-            evaluations,
-        })
+        Ok(d)
     }
 
     /// Per-operator, per-group column-width shares (sum to 1 per op).
@@ -1062,6 +1026,17 @@ impl MemseNetwork {
         push(&self.fc.intrinsic);
         shares
     }
+}
+
+/// Where a coordinate descent ([`MemseNetwork::descend`]) ended.
+struct Descent {
+    mse: f32,
+    disagreement: f32,
+    objective: f32,
+    /// Objective after each sweep.
+    sweep_objectives: Vec<f32>,
+    /// Allocations scored, the starting one included.
+    evaluations: usize,
 }
 
 /// How one conv layer's operator is realized for the analytic capture.

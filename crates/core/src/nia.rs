@@ -80,7 +80,7 @@ pub fn nia_finetune(
 }
 
 /// [`nia_finetune`] with an explicit resilience policy: the underlying
-/// noisy training loop gains watchdog-guarded rollback, periodic atomic
+/// noisy training loop gains watchdog-guarded rollback, per-epoch atomic
 /// checkpoints (including the noise hook's RNG stream, so the injected
 /// noise sequence survives a restart), and `--resume` restore. See
 /// [`pretrain_resilient`](crate::pretrain_resilient) for the shared
@@ -100,6 +100,20 @@ pub fn nia_finetune_resilient(
     cfg: &NiaConfig,
     res: &ResilienceConfig,
 ) -> Result<TrainReport> {
+    let (sigma_abs, noise_rng, train_cfg) = nia_setup(model, calibration, paper_sigma, cfg)?;
+    let pulses = vec![cfg.pulses; sigma_abs.len()];
+    let mut hook = GaussianMvmNoise::new(sigma_abs, pulses, noise_rng)?;
+    pretrain_stage("nia", model, params, train, &train_cfg, &mut hook, res)
+}
+
+/// What both NIA variants share: the layer check, the per-layer noise
+/// level, the noise stream and the fine-tuning [`TrainConfig`].
+fn nia_setup(
+    model: &dyn CrossbarModel,
+    calibration: &NoiseCalibration,
+    paper_sigma: f32,
+    cfg: &NiaConfig,
+) -> Result<(Vec<f32>, Rng, TrainConfig)> {
     if calibration.layers() != model.crossbar_layers() {
         return Err(TensorError::InvalidArgument(format!(
             "calibration covers {} layers but model has {}",
@@ -108,13 +122,6 @@ pub fn nia_finetune_resilient(
         ))
         .into());
     }
-    let sigma_abs = calibration.sigma_abs(paper_sigma);
-    let noise_rng = Rng::from_seed(cfg.seed).stream(RngStream::Noise);
-    let mut hook = GaussianMvmNoise::new(
-        sigma_abs,
-        vec![cfg.pulses; calibration.layers()],
-        noise_rng,
-    )?;
     let train_cfg = TrainConfig {
         epochs: cfg.epochs,
         batch_size: cfg.batch_size,
@@ -124,7 +131,11 @@ pub fn nia_finetune_resilient(
         augment_flip: cfg.augment_flip,
         seed: cfg.seed,
     };
-    pretrain_stage("nia", model, params, train, &train_cfg, &mut hook, res)
+    Ok((
+        calibration.sigma_abs(paper_sigma),
+        Rng::from_seed(cfg.seed).stream(RngStream::Noise),
+        train_cfg,
+    ))
 }
 
 /// Operating-condition envelope sampled during variation-aware NIA
@@ -172,32 +183,10 @@ pub fn nia_finetune_variation_aware(
     cfg: &NiaConfig,
     var: &NiaVariation,
 ) -> Result<TrainReport> {
-    if calibration.layers() != model.crossbar_layers() {
-        return Err(TensorError::InvalidArgument(format!(
-            "calibration covers {} layers but model has {}",
-            calibration.layers(),
-            model.crossbar_layers()
-        ))
-        .into());
-    }
-    let sigma_abs = calibration.sigma_abs(paper_sigma);
-    let noise_rng = Rng::from_seed(cfg.seed).stream(RngStream::Noise);
-    let mut hook = VariationAwareNoise::new(
-        sigma_abs,
-        vec![cfg.pulses; calibration.layers()],
-        var.temp_range,
-        var.droop,
-        noise_rng,
-    )?;
-    let train_cfg = TrainConfig {
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        lr: cfg.lr,
-        momentum: 0.9,
-        weight_decay: 5e-4,
-        augment_flip: cfg.augment_flip,
-        seed: cfg.seed,
-    };
+    let (sigma_abs, noise_rng, train_cfg) = nia_setup(model, calibration, paper_sigma, cfg)?;
+    let pulses = vec![cfg.pulses; sigma_abs.len()];
+    let mut hook =
+        VariationAwareNoise::new(sigma_abs, pulses, var.temp_range, var.droop, noise_rng)?;
     pretrain_stage(
         "nia-var",
         model,

@@ -1,5 +1,6 @@
-//! Training and evaluation loops, with crash-safe checkpointing and a
-//! divergence watchdog.
+//! Training and evaluation loops. Pre-training (and NIA fine-tuning,
+//! which reuses it) runs on the shared epoch loop, with crash-safe
+//! checkpointing and a divergence watchdog.
 
 use membit_autograd::Tape;
 use membit_data::Dataset;
@@ -7,13 +8,12 @@ use membit_nn::{
     accuracy, Checkpoint, MvmNoiseHook, NoNoise, Optimizer, Params, Phase, Sgd, StepLr,
 };
 
-use membit_tensor::{Rng, RngStream, Tensor, TensorError};
+use membit_tensor::{Rng, RngStream, TensorError};
 
-use crate::error::{DivergenceReason, TrainError};
 use crate::model::CrossbarModel;
 use crate::resilience::{
-    need_f64, need_u64, put_params, put_rng, put_state, restore_params, restore_rng, take_state,
-    ResilienceConfig,
+    need_f64, put_params, put_rng, put_state, restore_params, restore_rng, run_epochs,
+    take_state, EpochLoop, EpochRun, ResilienceConfig,
 };
 use crate::watchdog::TrainWatchdog;
 use crate::Result;
@@ -54,13 +54,18 @@ impl TrainConfig {
     }
 
     fn validate(&self) -> Result<()> {
-        if self.epochs == 0 || self.batch_size == 0 {
-            return Err(
-                TensorError::InvalidArgument("epochs and batch_size must be nonzero".into())
-                    .into(),
-            );
-        }
-        Ok(())
+        let problem = if self.epochs == 0 || self.batch_size == 0 {
+            "epochs and batch_size must be nonzero"
+        } else if !(self.lr.is_finite() && self.lr > 0.0) {
+            "lr must be finite and positive"
+        } else if !(0.0..1.0).contains(&self.momentum) {
+            "momentum must lie in [0, 1)"
+        } else if !(self.weight_decay.is_finite() && self.weight_decay >= 0.0) {
+            "weight_decay must be finite and non-negative"
+        } else {
+            return Ok(());
+        };
+        Err(TensorError::InvalidArgument(problem.into()).into())
     }
 }
 
@@ -108,13 +113,15 @@ fn flip_batch(images: &membit_tensor::Tensor, rng: &mut Rng) -> membit_tensor::T
 /// hook for NIA-style noise-aware training).
 ///
 /// Equivalent to [`pretrain_resilient`] with the default
-/// [`ResilienceConfig`]: no on-disk checkpointing, watchdog armed with
-/// default thresholds.
+/// [`ResilienceConfig`]: no on-disk checkpointing, watchdog armed.
 ///
 /// # Errors
 ///
-/// Propagates tape/shape errors, rejects degenerate configs, and fails
-/// with [`TrainError::Diverged`] when the watchdog exhausts its retries.
+/// Propagates tape/shape errors, rejects invalid configs before the
+/// first epoch, and fails with [`TrainError::Diverged`] when the
+/// watchdog exhausts its retries.
+///
+/// [`TrainError::Diverged`]: crate::TrainError::Diverged
 pub fn pretrain(
     model: &mut dyn CrossbarModel,
     params: &mut Params,
@@ -125,23 +132,22 @@ pub fn pretrain(
     pretrain_resilient(model, params, train, cfg, hook, &ResilienceConfig::default())
 }
 
-/// [`pretrain`] with an explicit resilience policy: periodic atomic
+/// [`pretrain`] with an explicit resilience policy: per-epoch atomic
 /// checkpoints, `--resume` restore, and watchdog-guarded rollback.
 ///
-/// Each completed epoch is snapshotted in memory (parameters, batch-norm
-/// statistics, optimizer moments, RNG streams). When the watchdog trips
-/// mid-epoch, the loop rolls the snapshot back, scales the learning rate
-/// by `watchdog.lr_backoff`, and replays the epoch — up to
-/// `watchdog.max_retries` times before failing with
-/// [`TrainError::Diverged`]. With `res.checkpoint` set, the same state is
-/// also persisted atomically every `res.every_epochs` epochs, and
-/// `res.resume` restores it so an interrupted run continues bit-for-bit
-/// identically to an uninterrupted one.
+/// After each epoch the shared epoch loop checkpoints parameters,
+/// batch-norm statistics, optimizer moments and RNG streams in memory.
+/// When the watchdog trips mid-epoch, it restores that checkpoint,
+/// halves the learning rate and replays the epoch — up to
+/// [`MAX_RETRIES`](crate::MAX_RETRIES) times before failing with
+/// [`TrainError::Diverged`](crate::TrainError::Diverged). With
+/// `res.checkpoint` set, the same checkpoint is also written atomically,
+/// and `res.resume` restores it so an interrupted run continues
+/// bit-for-bit identically to an uninterrupted one.
 ///
 /// # Errors
 ///
-/// Propagates tape/shape/checkpoint errors; [`TrainError::Diverged`] on
-/// unrecoverable divergence.
+/// As [`pretrain`], plus checkpoint errors.
 pub fn pretrain_resilient(
     model: &mut dyn CrossbarModel,
     params: &mut Params,
@@ -151,22 +157,6 @@ pub fn pretrain_resilient(
     res: &ResilienceConfig,
 ) -> Result<TrainReport> {
     pretrain_stage("pretrain", model, params, train, cfg, hook, res)
-}
-
-/// What one epoch attempt produced.
-enum EpochRun {
-    Done { mean_loss: f32, train_acc: f32 },
-    Tripped(DivergenceReason),
-}
-
-/// Everything needed to rewind to the last good epoch boundary.
-struct Snapshot {
-    params: Params,
-    model_state: Vec<(String, Tensor)>,
-    opt_state: Vec<(String, Tensor)>,
-    shuffle_rng: Rng,
-    aug_rng: Rng,
-    hook_rng: Option<Rng>,
 }
 
 pub(crate) fn pretrain_stage(
@@ -179,234 +169,124 @@ pub(crate) fn pretrain_stage(
     res: &ResilienceConfig,
 ) -> Result<TrainReport> {
     cfg.validate()?;
-    let schedule = StepLr::paper(cfg.lr, cfg.epochs);
     let root = Rng::from_seed(cfg.seed);
-    let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
-    let mut shuffle_rng = root.stream(RngStream::Data);
-    let mut aug_rng = root.stream(RngStream::Custom(77));
-    let mut watchdog = TrainWatchdog::new(res.watchdog.clone());
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let mut final_train_acc = 0.0f32;
-    let mut lr_scale = 1.0f32;
-    let mut start_epoch = 0usize;
-    let mut prior_trips = 0usize;
-
-    if let Some(ckpt) = res.load_for_resume()? {
-        start_epoch = need_u64(&ckpt, "meta.epoch")? as usize;
-        lr_scale = need_f64(&ckpt, "meta.lr_scale")? as f32;
-        final_train_acc = need_f64(&ckpt, "meta.final_train_acc")? as f32;
-        prior_trips = need_u64(&ckpt, "meta.trips")? as usize;
-        if let Some(losses) = ckpt.tensor("loss.epoch_losses") {
-            epoch_losses = losses.as_slice().to_vec();
-        }
-        restore_params(&ckpt, params)?;
-        model.restore_state_tensors(&take_state(&ckpt, "state"));
-        opt.restore_state_tensors(&take_state(&ckpt, "opt"));
-        shuffle_rng = restore_rng(&ckpt, "shuffle")?;
-        aug_rng = restore_rng(&ckpt, "aug")?;
-        if let Some(hr) = hook.state_rng_mut() {
-            *hr = restore_rng(&ckpt, "hook")?;
-        }
-    }
-
-    let mut epoch = start_epoch;
-    while epoch < cfg.epochs {
-        let snapshot = Snapshot {
-            params: params.clone(),
-            model_state: model.state_tensors(),
-            opt_state: opt.state_tensors(),
-            shuffle_rng: shuffle_rng.clone(),
-            aug_rng: aug_rng.clone(),
-            hook_rng: hook.state_rng().cloned(),
-        };
-        let mut retries = 0usize;
-        let (mean_loss, train_acc) = loop {
-            opt.set_lr(schedule.lr_at(epoch) * lr_scale);
-            let outcome = run_one_epoch(
-                model,
-                params,
-                train,
-                cfg,
-                hook,
-                &mut opt,
-                &mut shuffle_rng,
-                &mut aug_rng,
-                &mut watchdog,
-            )?;
-            match outcome {
-                EpochRun::Done {
-                    mean_loss,
-                    train_acc,
-                } => break (mean_loss, train_acc),
-                EpochRun::Tripped(reason) => {
-                    if retries >= res.watchdog.max_retries {
-                        return Err(TrainError::Diverged {
-                            stage: stage.to_string(),
-                            epoch,
-                            retries,
-                            reason,
-                        });
-                    }
-                    retries += 1;
-                    *params = snapshot.params.clone();
-                    model.restore_state_tensors(&snapshot.model_state);
-                    opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
-                    opt.restore_state_tensors(&snapshot.opt_state);
-                    shuffle_rng = snapshot.shuffle_rng.clone();
-                    aug_rng = snapshot.aug_rng.clone();
-                    if let (Some(hr), Some(saved)) =
-                        (hook.state_rng_mut(), snapshot.hook_rng.as_ref())
-                    {
-                        *hr = saved.clone();
-                    }
-                    lr_scale *= res.watchdog.lr_backoff;
-                    watchdog.reset_epoch();
-                }
-            }
-        };
-        epoch_losses.push(mean_loss);
-        final_train_acc = train_acc;
-        if res.should_checkpoint(epoch) {
-            let mut ckpt = Checkpoint::new();
-            ckpt.put_u64("meta.epoch", (epoch + 1) as u64);
-            ckpt.put_f64("meta.lr_scale", f64::from(lr_scale));
-            ckpt.put_f64("meta.final_train_acc", f64::from(final_train_acc));
-            ckpt.put_u64("meta.trips", (prior_trips + watchdog.trips()) as u64);
-            ckpt.put_tensor(
-                "loss.epoch_losses",
-                Tensor::from_vec(epoch_losses.clone(), &[epoch_losses.len()])?,
-            );
-            put_rng(&mut ckpt, "shuffle", &shuffle_rng);
-            put_rng(&mut ckpt, "aug", &aug_rng);
-            if let Some(hr) = hook.state_rng() {
-                put_rng(&mut ckpt, "hook", hr);
-            }
-            put_params(&mut ckpt, params);
-            put_state(&mut ckpt, "state", &model.state_tensors());
-            put_state(&mut ckpt, "opt", &opt.state_tensors());
-            res.save(&ckpt)?;
-        }
-        epoch += 1;
-    }
-    res.finish();
+    let mut lp = PretrainLoop {
+        model,
+        params,
+        train,
+        cfg,
+        hook,
+        schedule: StepLr::paper(cfg.lr, cfg.epochs),
+        opt: Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay),
+        shuffle_rng: root.stream(RngStream::Data),
+        aug_rng: root.stream(RngStream::Custom(77)),
+        final_train_acc: 0.0,
+    };
+    let log = run_epochs(stage, cfg.epochs, res, &mut lp)?;
     Ok(TrainReport {
-        epoch_losses,
-        final_train_acc,
-        watchdog_trips: prior_trips + watchdog.trips(),
+        epoch_losses: log.losses,
+        final_train_acc: lp.final_train_acc,
+        watchdog_trips: log.trips,
     })
 }
 
-/// One pass over the (re-shuffled) training set. Returns `Tripped` the
-/// moment the watchdog flags the loss or gradients — before the
-/// poisonous optimizer step is applied.
-#[allow(clippy::too_many_arguments)]
-fn run_one_epoch(
-    model: &mut dyn CrossbarModel,
-    params: &mut Params,
-    train: &Dataset,
-    cfg: &TrainConfig,
-    hook: &mut dyn MvmNoiseHook,
-    opt: &mut Sgd,
-    shuffle_rng: &mut Rng,
-    aug_rng: &mut Rng,
-    watchdog: &mut TrainWatchdog,
-) -> Result<EpochRun> {
-    let shuffled = train.shuffled(shuffle_rng);
-    let mut loss_sum = 0.0f64;
-    let mut batches = 0usize;
-    let mut correct = 0usize;
-    let mut seen = 0usize;
-    // one tape for the whole epoch: reset() keeps node and im2col-buffer
-    // allocations, so per-batch forward passes stop re-allocating
-    let mut tape = Tape::new();
-    for (images, labels) in shuffled.batches(cfg.batch_size) {
-        let images = if cfg.augment_flip {
-            flip_batch(&images, aug_rng)
-        } else {
-            images
-        };
-        tape.reset();
-        let mut binding = params.binding();
-        let x = tape.constant(images);
-        let logits = model.forward(&mut tape, params, &mut binding, x, Phase::Train, hook)?;
-        let loss = tape.softmax_cross_entropy(logits, &labels)?;
-        let loss_value = tape.value(loss).item();
-        if let Some(reason) = watchdog.observe(loss_value) {
-            return Ok(EpochRun::Tripped(reason));
+/// Supervised SGD on a [`CrossbarModel`]: the state pre-training and NIA
+/// fine-tuning carry from epoch to epoch.
+struct PretrainLoop<'a> {
+    model: &'a mut dyn CrossbarModel,
+    params: &'a mut Params,
+    train: &'a Dataset,
+    cfg: &'a TrainConfig,
+    hook: &'a mut dyn MvmNoiseHook,
+    schedule: StepLr,
+    opt: Sgd,
+    shuffle_rng: Rng,
+    aug_rng: Rng,
+    final_train_acc: f32,
+}
+
+impl EpochLoop for PretrainLoop<'_> {
+    fn save(&self, ckpt: &mut Checkpoint) {
+        ckpt.put_f64("meta.final_train_acc", f64::from(self.final_train_acc));
+        put_rng(ckpt, "shuffle", &self.shuffle_rng);
+        put_rng(ckpt, "aug", &self.aug_rng);
+        if let Some(hr) = self.hook.state_rng() {
+            put_rng(ckpt, "hook", hr);
         }
-        loss_sum += f64::from(loss_value);
-        batches += 1;
-        correct +=
-            (accuracy(tape.value(logits), &labels)? * labels.len() as f32).round() as usize;
-        seen += labels.len();
-        tape.backward(loss)?;
-        if let Some(reason) = watchdog.check_grads(&tape, &binding) {
-            return Ok(EpochRun::Tripped(reason));
-        }
-        opt.step(params, &tape, &binding)?;
+        put_params(ckpt, self.params);
+        put_state(ckpt, "state", self.model.state_tensors());
+        put_state(ckpt, "opt", self.opt.state_tensors());
     }
-    Ok(EpochRun::Done {
-        mean_loss: (loss_sum / batches.max(1) as f64) as f32,
-        train_acc: correct as f32 / seen.max(1) as f32,
-    })
-}
 
-/// Outcome of [`pretrain_with_validation`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValidatedTrainReport {
-    /// Mean cross-entropy per epoch (for epochs actually run).
-    pub epoch_losses: Vec<f32>,
-    /// Validation accuracy after each epoch.
-    pub val_accuracies: Vec<f32>,
-    /// Epoch index (0-based) with the best validation accuracy.
-    pub best_epoch: usize,
-}
+    fn load(&mut self, ckpt: &Checkpoint) -> Result<()> {
+        self.final_train_acc = need_f64(ckpt, "meta.final_train_acc")? as f32;
+        restore_params(ckpt, self.params)?;
+        self.model.restore_state_tensors(&take_state(ckpt, "state"));
+        self.opt = Sgd::new(self.cfg.lr, self.cfg.momentum, self.cfg.weight_decay);
+        self.opt.restore_state_tensors(&take_state(ckpt, "opt"));
+        self.shuffle_rng = restore_rng(ckpt, "shuffle")?;
+        self.aug_rng = restore_rng(ckpt, "aug")?;
+        if let Some(hr) = self.hook.state_rng_mut() {
+            *hr = restore_rng(ckpt, "hook")?;
+        }
+        Ok(())
+    }
 
-/// Like [`pretrain`] but evaluates on `val` after every epoch and stops
-/// early when validation accuracy hasn't improved for `patience` epochs
-/// (`None` disables early stopping). The *final* parameters are whatever
-/// the last executed epoch produced — callers wanting the best epoch
-/// should checkpoint externally using `best_epoch`.
-///
-/// # Errors
-///
-/// Propagates training/evaluation errors.
-pub fn pretrain_with_validation(
-    model: &mut dyn CrossbarModel,
-    params: &mut Params,
-    train: &Dataset,
-    val: &Dataset,
-    cfg: &TrainConfig,
-    patience: Option<usize>,
-) -> Result<ValidatedTrainReport> {
-    cfg.validate()?;
-    let mut epoch_losses = Vec::new();
-    let mut val_accuracies = Vec::new();
-    let mut best = (0usize, f32::NEG_INFINITY);
-    for epoch in 0..cfg.epochs {
-        // one epoch at a time, reusing the single-epoch path with a
-        // deterministic per-epoch seed
-        let mut one = cfg.clone();
-        one.epochs = 1;
-        one.seed = cfg.seed.wrapping_add(epoch as u64);
-        one.lr = StepLr::paper(cfg.lr, cfg.epochs).lr_at(epoch);
-        let report = pretrain(model, params, train, &one, &mut NoNoise)?;
-        epoch_losses.extend(report.epoch_losses);
-        let acc = evaluate(model, params, val, cfg.batch_size)?;
-        val_accuracies.push(acc);
-        if acc > best.1 {
-            best = (epoch, acc);
-        } else if let Some(p) = patience {
-            if epoch - best.0 >= p {
-                break;
+    /// One pass over the (re-shuffled) training set. Returns `Tripped`
+    /// the moment the watchdog flags the loss or gradients — before the
+    /// poisonous optimizer step is applied.
+    fn run_epoch(
+        &mut self,
+        epoch: usize,
+        lr_scale: f32,
+        watchdog: &mut TrainWatchdog,
+    ) -> Result<EpochRun> {
+        self.opt.set_lr(self.schedule.lr_at(epoch) * lr_scale);
+        let shuffled = self.train.shuffled(&mut self.shuffle_rng);
+        let mut loss_sum = 0.0f64;
+        let mut batches = 0usize;
+        let mut correct = 0usize;
+        let mut seen = 0usize;
+        // one tape for the whole epoch: reset() keeps node and
+        // im2col-buffer allocations, so per-batch forward passes stop
+        // re-allocating
+        let mut tape = Tape::new();
+        for (images, labels) in shuffled.batches(self.cfg.batch_size) {
+            let images = if self.cfg.augment_flip {
+                flip_batch(&images, &mut self.aug_rng)
+            } else {
+                images
+            };
+            tape.reset();
+            let mut binding = self.params.binding();
+            let x = tape.constant(images);
+            let logits = self.model.forward(
+                &mut tape,
+                self.params,
+                &mut binding,
+                x,
+                Phase::Train,
+                self.hook,
+            )?;
+            let loss = tape.softmax_cross_entropy(logits, &labels)?;
+            let loss_value = tape.value(loss).item();
+            if let Some(reason) = watchdog.observe(loss_value) {
+                return Ok(EpochRun::Tripped(reason));
             }
+            loss_sum += f64::from(loss_value);
+            batches += 1;
+            correct +=
+                (accuracy(tape.value(logits), &labels)? * labels.len() as f32).round() as usize;
+            seen += labels.len();
+            tape.backward(loss)?;
+            if let Some(reason) = watchdog.check_grads(&tape, &binding) {
+                return Ok(EpochRun::Tripped(reason));
+            }
+            self.opt.step(self.params, &tape, &binding)?;
         }
+        self.final_train_acc = correct as f32 / seen.max(1) as f32;
+        Ok(EpochRun::Done((loss_sum / batches.max(1) as f64) as f32))
     }
-    Ok(ValidatedTrainReport {
-        epoch_losses,
-        val_accuracies,
-        best_epoch: best.0,
-    })
 }
 
 /// Evaluates classification accuracy with an ideal (noise-free) crossbar.
@@ -452,6 +332,7 @@ pub fn evaluate_with_hook(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TrainError;
     use membit_data::{synth_cifar, SynthCifarConfig};
     use membit_nn::{Mlp, MlpConfig};
 
@@ -467,6 +348,9 @@ mod tests {
         let (train, test) = synth_cifar(&SynthCifarConfig::tiny(), 5).unwrap();
         (mlp, params, train, test)
     }
+
+    /// A named way to break one config field.
+    type Corruption = (&'static str, fn(&mut TrainConfig));
 
     #[test]
     fn training_reduces_loss_and_beats_chance() {
@@ -495,12 +379,32 @@ mod tests {
     #[test]
     fn degenerate_configs_rejected() {
         let (mut mlp, mut params, train, _) = tiny_setup();
-        let mut cfg = TrainConfig::paper(1, 0);
-        cfg.epochs = 0;
-        assert!(pretrain(&mut mlp, &mut params, &train, &cfg, &mut NoNoise).is_err());
-        cfg.epochs = 1;
-        cfg.batch_size = 0;
-        assert!(pretrain(&mut mlp, &mut params, &train, &cfg, &mut NoNoise).is_err());
+        let cases: [Corruption; 12] = [
+            ("zero epochs", |c| c.epochs = 0),
+            ("zero batch", |c| c.batch_size = 0),
+            ("NaN lr", |c| c.lr = f32::NAN),
+            ("infinite lr", |c| c.lr = f32::INFINITY),
+            ("zero lr", |c| c.lr = 0.0),
+            ("negative lr", |c| c.lr = -1e-3),
+            ("NaN momentum", |c| c.momentum = f32::NAN),
+            ("momentum 1", |c| c.momentum = 1.0),
+            ("negative momentum", |c| c.momentum = -0.1),
+            ("NaN weight decay", |c| c.weight_decay = f32::NAN),
+            ("infinite weight decay", |c| c.weight_decay = f32::INFINITY),
+            ("negative weight decay", |c| c.weight_decay = -5e-4),
+        ];
+        for (name, corrupt) in cases {
+            let mut cfg = TrainConfig::paper(1, 0);
+            corrupt(&mut cfg);
+            // a hook that never fires counts the forward passes
+            let mut probe = crate::NanFault::once_at(usize::MAX);
+            let err = pretrain(&mut mlp, &mut params, &train, &cfg, &mut probe).unwrap_err();
+            assert!(
+                matches!(err, TrainError::Tensor(TensorError::InvalidArgument(_))),
+                "{name}: {err}"
+            );
+            assert_eq!(probe.passes(), 0, "{name}: rejected only after training began");
+        }
     }
 
     #[test]
@@ -516,42 +420,6 @@ mod tests {
             }
         }
         panic!("no seed produced a flip");
-    }
-
-    #[test]
-    fn validated_training_tracks_and_stops_early() {
-        let (mut mlp, mut params, train, test) = tiny_setup();
-        let cfg = TrainConfig {
-            epochs: 40,
-            batch_size: 20,
-            lr: 2e-2,
-            momentum: 0.9,
-            weight_decay: 0.0,
-            augment_flip: false,
-            seed: 9,
-        };
-        let report = pretrain_with_validation(
-            &mut mlp,
-            &mut params,
-            &train,
-            &test,
-            &cfg,
-            Some(4),
-        )
-        .unwrap();
-        assert_eq!(report.epoch_losses.len(), report.val_accuracies.len());
-        assert!(report.best_epoch < report.val_accuracies.len());
-        // best epoch attains the maximum recorded accuracy (ties keep
-        // the earliest epoch)
-        let best_acc = report
-            .val_accuracies
-            .iter()
-            .cloned()
-            .fold(f32::NEG_INFINITY, f32::max);
-        assert_eq!(report.val_accuracies[report.best_epoch], best_acc);
-        // early stopping may (or may not) trigger; either way we never
-        // exceed the configured epochs
-        assert!(report.val_accuracies.len() <= 40);
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //!         observe(loss)                    healthy → update EMA
 //!   ┌────────────────────┐
 //!   │  loss NaN/Inf?     │──► NonFiniteLoss ─┐
-//!   │  grads NaN/Inf?    │──► NonFiniteGrad ─┼─► caller rolls back to the
-//!   │  loss ≫ EMA after  │                   │   last good epoch snapshot,
-//!   │  warmup?           │──► LossSpike ─────┘   scales LR down, retries;
-//!   └────────────────────┘                       after `max_retries` the
-//!                                                run fails with
+//!   │  grads NaN/Inf?    │──► NonFiniteGrad ─┼─► `run_epochs` loads the last
+//!   │  loss ≫ EMA after  │                   │   epoch's checkpoint, halves
+//!   │  warmup?           │──► LossSpike ─────┘   the LR, retries; after
+//!   └────────────────────┘                       `MAX_RETRIES` the run
+//!                                                fails with
 //!                                                [`TrainError::Diverged`]
 //! ```
 //!
-//! The training loops own the rollback mechanics (snapshots, LR backoff,
-//! retry budget — see `pretrain_resilient`); this module owns detection.
+//! The epoch loop (`resilience::run_epochs`) owns the rollback
+//! mechanics — the in-memory checkpoint, the LR backoff and the retry
+//! budget; this module owns detection. Its thresholds are constants, and
+//! the gradient check is always on.
 //!
 //! [`TrainError::Diverged`]: crate::TrainError::Diverged
 
@@ -26,64 +28,28 @@ use membit_nn::Binding;
 
 use crate::error::DivergenceReason;
 
-/// Tuning knobs for the [`TrainWatchdog`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WatchdogConfig {
-    /// Rollback attempts per epoch before the run fails with
-    /// [`Diverged`](crate::TrainError::Diverged).
-    pub max_retries: usize,
-    /// A batch loss above `spike_factor × EMA` (after warmup) counts as
-    /// divergence. Set very large to effectively disable spike detection.
-    pub spike_factor: f32,
-    /// Batches observed before spike detection arms (the EMA needs a few
-    /// samples to mean anything; NaN/Inf checks are always armed).
-    pub warmup_batches: usize,
-    /// EMA decay per batch (closer to 1 = smoother).
-    pub ema_decay: f32,
-    /// Also scan parameter gradients for NaN/Inf before each optimizer
-    /// step (catches corruption the scalar loss hides).
-    pub check_grads: bool,
-    /// Learning-rate multiplier applied on every rollback.
-    pub lr_backoff: f32,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            spike_factor: 25.0,
-            warmup_batches: 8,
-            ema_decay: 0.9,
-            check_grads: true,
-            lr_backoff: 0.5,
-        }
-    }
-}
+/// A batch loss above `SPIKE_FACTOR × EMA` (after warm-up) counts as
+/// divergence.
+const SPIKE_FACTOR: f32 = 25.0;
+/// Batches observed before spike detection arms: the EMA needs a few
+/// samples to mean anything. NaN/Inf checks are always armed.
+const WARMUP_BATCHES: usize = 8;
+/// EMA decay per batch (closer to 1 = smoother).
+const EMA_DECAY: f32 = 0.9;
 
 /// Per-batch numerical health monitor (see the module docs for the state
 /// machine).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainWatchdog {
-    config: WatchdogConfig,
     ema: Option<f32>,
     observed: usize,
     trips: usize,
 }
 
 impl TrainWatchdog {
-    /// Creates a watchdog with the given thresholds.
-    pub fn new(config: WatchdogConfig) -> Self {
-        Self {
-            config,
-            ema: None,
-            observed: 0,
-            trips: 0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
+    /// Creates an armed watchdog with no loss history.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of times the watchdog has tripped so far.
@@ -99,17 +65,16 @@ impl TrainWatchdog {
             self.trips += 1;
             return Some(DivergenceReason::NonFiniteLoss);
         }
-        if self.observed >= self.config.warmup_batches {
+        if self.observed >= WARMUP_BATCHES {
             if let Some(ema) = self.ema {
-                if ema > 0.0 && loss > ema * self.config.spike_factor {
+                if ema > 0.0 && loss > ema * SPIKE_FACTOR {
                     self.trips += 1;
                     return Some(DivergenceReason::LossSpike { loss, ema });
                 }
             }
         }
-        let d = self.config.ema_decay;
         self.ema = Some(match self.ema {
-            Some(ema) => ema * d + loss * (1.0 - d),
+            Some(ema) => ema * EMA_DECAY + loss * (1.0 - EMA_DECAY),
             None => loss,
         });
         self.observed += 1;
@@ -117,12 +82,8 @@ impl TrainWatchdog {
     }
 
     /// Scans the gradients of every bound parameter. Returns
-    /// `Some(NonFiniteGrad)` (and counts a trip) if any is NaN/Inf; `None`
-    /// when healthy or gradient checking is disabled.
+    /// `Some(NonFiniteGrad)` (and counts a trip) if any is NaN/Inf.
     pub fn check_grads(&mut self, tape: &Tape, binding: &Binding) -> Option<DivergenceReason> {
-        if !self.config.check_grads {
-            return None;
-        }
         for (_, var) in binding.bound() {
             if let Some(grad) = tape.grad(var) {
                 if grad.as_slice().iter().any(|v| !v.is_finite()) {
@@ -148,17 +109,18 @@ mod tests {
     use membit_nn::Params;
     use membit_tensor::Tensor;
 
-    fn watchdog(warmup: usize, factor: f32) -> TrainWatchdog {
-        TrainWatchdog::new(WatchdogConfig {
-            warmup_batches: warmup,
-            spike_factor: factor,
-            ..WatchdogConfig::default()
-        })
+    /// A watchdog that has seen its warm-up batches at loss 1.
+    fn warmed_up() -> TrainWatchdog {
+        let mut w = TrainWatchdog::new();
+        for _ in 0..WARMUP_BATCHES {
+            assert!(w.observe(1.0).is_none());
+        }
+        w
     }
 
     #[test]
     fn nan_and_inf_always_trip() {
-        let mut w = watchdog(100, 10.0);
+        let mut w = TrainWatchdog::new();
         assert_eq!(w.observe(f32::NAN), Some(DivergenceReason::NonFiniteLoss));
         assert_eq!(
             w.observe(f32::INFINITY),
@@ -169,14 +131,12 @@ mod tests {
 
     #[test]
     fn spike_requires_warmup() {
-        let mut w = watchdog(3, 5.0);
-        // during warmup even a huge jump passes
+        let mut w = TrainWatchdog::new();
+        // during warm-up even a huge jump passes
         assert!(w.observe(1.0).is_none());
         assert!(w.observe(100.0).is_none());
-        // after warmup, a jump above factor × EMA trips
-        let mut w = watchdog(2, 5.0);
-        assert!(w.observe(1.0).is_none());
-        assert!(w.observe(1.0).is_none());
+        // after warm-up, a jump above the spike factor × EMA trips
+        let mut w = warmed_up();
         assert!(w.observe(1.1).is_none());
         match w.observe(50.0) {
             Some(DivergenceReason::LossSpike { loss, .. }) => assert_eq!(loss, 50.0),
@@ -186,7 +146,7 @@ mod tests {
 
     #[test]
     fn steady_loss_never_trips() {
-        let mut w = watchdog(2, 4.0);
+        let mut w = warmed_up();
         for i in 0..100 {
             let loss = 2.0 + (i as f32 * 0.7).sin() * 0.5;
             assert!(w.observe(loss).is_none(), "tripped at batch {i}");
@@ -196,11 +156,9 @@ mod tests {
 
     #[test]
     fn reset_epoch_rearms_warmup() {
-        let mut w = watchdog(1, 3.0);
-        assert!(w.observe(1.0).is_none());
-        assert!(w.observe(1.0).is_none());
+        let mut w = warmed_up();
         w.reset_epoch();
-        // first post-reset batch is warmup again: no spike judgement
+        // first post-reset batch is warm-up again: no spike judgement
         assert!(w.observe(100.0).is_none());
     }
 
@@ -216,15 +174,10 @@ mod tests {
         let l = tape.mul(w, c).unwrap();
         let loss = tape.sum_all(l);
         tape.backward(loss).unwrap();
-        let mut dog = TrainWatchdog::new(WatchdogConfig::default());
+        let mut dog = TrainWatchdog::new();
         assert_eq!(
             dog.check_grads(&tape, &binding),
             Some(DivergenceReason::NonFiniteGrad)
         );
-        let mut off = TrainWatchdog::new(WatchdogConfig {
-            check_grads: false,
-            ..WatchdogConfig::default()
-        });
-        assert_eq!(off.check_grads(&tape, &binding), None);
     }
 }

@@ -25,8 +25,8 @@
 use std::time::Instant;
 
 use membit_core::{
-    calibrate_noise, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, GboConfig, GboScorer,
-    GboTrainer, MemseNetwork,
+    calibrate_noise, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, GboConfig, GboTrainer,
+    MemseNetwork,
 };
 use membit_data::{synth_cifar, SynthCifarConfig};
 use membit_encoding::pla::PlaThermometer;
@@ -221,10 +221,7 @@ proptest! {
         let net = MemseNetwork::from_vgg(&vgg, &params, &tiny_probe(2), &sigma_abs).unwrap();
         let cfg = GboConfig::paper(10f32.powf(-gamma_exp), seed);
         let raw = net.analytic_search(&cfg.pulse_lengths(), cfg.gamma).unwrap();
-        let scored = GboTrainer::new(3, cfg)
-            .unwrap()
-            .search_scored(&mut vgg, &params, &train, &calibration, 15.0, GboScorer::Analytic(&net))
-            .unwrap();
+        let scored = GboTrainer::new(3, cfg).unwrap().search_analytic(&net).unwrap();
         prop_assert_eq!(scored.selected_pulses, raw.pulses);
     }
 }
@@ -291,29 +288,12 @@ fn analytic_search_is_ten_times_faster_than_mc_at_smoke_size() {
     let t = Instant::now();
     GboTrainer::new(layers, cfg.clone())
         .unwrap()
-        .search_scored(
-            &mut vgg,
-            &params,
-            &train,
-            &calibration,
-            sigma,
-            GboScorer::MonteCarlo,
-        )
+        .search(&mut vgg, &params, &train, &calibration, sigma)
         .unwrap();
     let mc_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let net = MemseNetwork::from_vgg(&vgg, &params, &probe, &calibration.sigma_abs(sigma)).unwrap();
-    GboTrainer::new(layers, cfg)
-        .unwrap()
-        .search_scored(
-            &mut vgg,
-            &params,
-            &train,
-            &calibration,
-            sigma,
-            GboScorer::Analytic(&net),
-        )
-        .unwrap();
+    GboTrainer::new(layers, cfg).unwrap().search_analytic(&net).unwrap();
     let analytic_secs = t.elapsed().as_secs_f64();
     let speedup = mc_secs / analytic_secs;
     assert!(

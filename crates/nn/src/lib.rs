@@ -55,8 +55,8 @@ pub use linear::Linear;
 pub use metrics::{accuracy, confusion_matrix};
 pub use mlp::{Mlp, MlpConfig};
 pub use moments::{
-    gaussian_quantize_moments, max_pool2_moments, normal_cdf, tanh_moments, tanh_quantize_moments,
-    tanh_quantize_moments_mapped, tanh_quantize_moments_with_gain,
+    max_pool2_moments, normal_cdf, tanh_quantize_moments, tanh_quantize_moments_mapped,
+    tanh_quantize_moments_with_gain,
 };
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{Binding, ParamId, Params};

@@ -6,14 +6,13 @@
 //! plus a per-element error variance and returns the moments after one
 //! nonlinearity, under the standard Gaussian approximation: the
 //! accumulated error on each element is treated as `N(0, σ²)`
-//! independent across elements. Smooth maps (tanh, affine) use the
-//! delta method (first-order Taylor around the clean value); the k-level
-//! activation quantizer — the one genuinely non-smooth, non-Gaussian
-//! step — gets an *exact* output mean and variance under that input
-//! distribution, computed from Gaussian bin probabilities; max-pool uses
-//! the clean-argmax gather approximation. All helpers are pure `f32`
-//! arithmetic: no RNG, bitwise deterministic across runs and thread
-//! counts.
+//! independent across elements. The fused `tanh` → k-level activation
+//! quantizer — the one genuinely non-smooth, non-Gaussian step — gets an
+//! *exact* output mean and variance under that input distribution,
+//! computed from Gaussian bin probabilities at the pre-images of the
+//! rounding boundaries; max-pool uses the clean-argmax gather
+//! approximation. All helpers are pure `f32` arithmetic: no RNG, bitwise
+//! deterministic across runs and thread counts.
 
 use membit_tensor::{Tensor, TensorError};
 
@@ -93,115 +92,18 @@ fn gauss_lanes<const N: usize>(pre: &[f32], m: f32, inv_s: f32) -> ([f32; N], [f
     (kern, cdfs)
 }
 
-/// Propagates moments through `tanh`: given the clean *pre*-activation
-/// and its error variance, returns `(tanh(clean), var·(1 − tanh²)²)` —
-/// the delta method, exact to first order because `tanh'(x) = 1 − tanh²`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the tensors disagree.
-pub fn tanh_moments(pre: &Tensor, var: &Tensor) -> Result<(Tensor, Tensor)> {
-    check_same_shape("tanh_moments", pre, var)?;
-    let t = pre.tanh();
-    let factor = t.map(|v| {
-        let d = 1.0 - v * v;
-        d * d
-    });
-    let vout = var.mul(&factor)?;
-    Ok((t, vout))
-}
-
-/// The k-level activation quantizer the deployed network applies after
-/// `tanh`: uniform grid on `[−1, 1]` with `levels` points,
-/// `q(v) = round((clamp(v)+1)/2·l)/l·2 − 1` for `l = levels − 1`.
-/// Identical to `quantize_tensor` in the deployment path.
-fn quantize_value(v: f32, l: f32) -> f32 {
-    ((v.clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() / l * 2.0 - 1.0
-}
-
-/// Propagates moments through the k-level quantizer, *exactly* under the
-/// Gaussian input approximation: for each element with trajectory value
-/// `m` and fluctuation variance `s²`, models the noisy input as
-/// `Z ~ N(m, s²)` and returns `(E[q(Z)], Var[q(Z)])` — the output mean
-/// and variance of the quantized value. The mean shifts away from
-/// `q(m)` when `m` sits near a rounding boundary (that deterministic
-/// shift propagates down the trajectory); the variance is the spread
-/// *around* that mean, which is what paired noise draws measure. Bin
-/// probabilities come from [`normal_cdf`] at the rounding boundaries
-/// `(2k−1)/l − 1`; the edge bins absorb the clamped tails, exactly as
-/// the quantizer's `clamp` does.
-///
-/// This is the one closed form that is **nonlinear in the input
-/// variance** (a small σ barely crosses a rounding boundary, a large σ
-/// saturates at the grid span), which is why the analytic GBO scorer
-/// re-walks the network per candidate encoding instead of superposing
-/// per-layer variance gains.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] for `levels < 2` or shape
-/// mismatches.
-pub fn gaussian_quantize_moments(
-    mean: &Tensor,
-    var: &Tensor,
-    levels: usize,
-) -> Result<(Tensor, Tensor)> {
-    if levels < 2 {
-        return Err(TensorError::InvalidArgument(format!(
-            "quantizer needs ≥ 2 levels, got {levels}"
-        )));
-    }
-    check_same_shape("gaussian_quantize_moments", mean, var)?;
-    let l = (levels - 1) as f32;
-    let ms = mean.as_slice();
-    let vs = var.as_slice();
-    let mut q_mean = vec![0.0f32; ms.len()];
-    let mut q_var = vec![0.0f32; ms.len()];
-    for (i, (&m, &v)) in ms.iter().zip(vs).enumerate() {
-        if v <= 0.0 {
-            q_mean[i] = quantize_value(m, l);
-            continue;
-        }
-        let s = v.sqrt();
-        // P(bin k) = Φ((b_{k+1}−m)/s) − Φ((b_k−m)/s) with boundaries
-        // b_k = (2k−1)/l − 1 (k = 1..=l), b_0 = −∞, b_{l+1} = +∞; walk
-        // the grid accumulating Σ p_k·g_k and Σ p_k·g_k²
-        let mut lo = 0.0f32; // Φ(b_0) = 0
-        let mut e1 = 0.0f32;
-        let mut e2 = 0.0f32;
-        let li = levels - 1;
-        for k in 0..=li {
-            let hi = if k == li {
-                1.0
-            } else {
-                normal_cdf(((2.0 * (k as f32) + 1.0) / l - 1.0 - m) / s)
-            };
-            let g = 2.0 * (k as f32) / l - 1.0;
-            let p = hi - lo;
-            e1 += p * g;
-            e2 += p * g * g;
-            lo = hi;
-        }
-        q_mean[i] = e1;
-        q_var[i] = (e2 - e1 * e1).max(0.0);
-    }
-    Ok((
-        Tensor::from_vec(q_mean, mean.shape())?,
-        Tensor::from_vec(q_var, mean.shape())?,
-    ))
-}
-
 /// Propagates moments through the fused `tanh` → k-level-quantizer
 /// stage *exactly* under the Gaussian pre-activation approximation.
 ///
 /// The deployed network always quantizes immediately after `tanh`, and
 /// the Gaussian error model is most accurate *before* the `tanh` (the
-/// crossbar injects its read noise at the BN output). Composing
-/// [`tanh_moments`] and [`gaussian_quantize_moments`] linearizes the
-/// `tanh` around the trajectory, which misestimates the tail
-/// probability of crossing a rounding boundary — and near-boundary tail
-/// crossings are exactly what the quantizer output variance is made of.
-/// This fused form avoids the linearization entirely: with
+/// crossbar injects its read noise at the BN output). Pushing the
+/// variance through `tanh` by the delta method and then quantizing
+/// would linearize the `tanh` around the trajectory, which misestimates
+/// the tail probability of crossing a rounding boundary — and
+/// near-boundary tail crossings are exactly what the quantizer output
+/// variance is made of. This fused form avoids the linearization
+/// entirely: with
 /// `Z ~ N(m, s²)` pre-tanh, the probability of landing in quantizer bin
 /// `k` is evaluated at the *pre-images* `atanh(b_k)` of the rounding
 /// boundaries (all interior boundaries satisfy `|b_k| < 1`, so the
@@ -209,9 +111,12 @@ pub fn gaussian_quantize_moments(
 /// variance `Var[q(tanh Z)]` follow from exact bin sums over the output
 /// grid.
 ///
-/// Like [`gaussian_quantize_moments`] this is nonlinear in the input
-/// variance, and the returned mean shifts off the clean trajectory when
-/// it sits near a boundary pre-image.
+/// This is the one closed form that is **nonlinear in the input
+/// variance** (a small σ barely crosses a rounding boundary, a large σ
+/// saturates at the grid span), which is why the analytic GBO scorer
+/// re-walks the network per candidate encoding instead of superposing
+/// per-layer variance gains. The returned mean shifts off the clean
+/// trajectory when it sits near a boundary pre-image.
 ///
 /// # Errors
 ///
@@ -500,6 +405,14 @@ mod tests {
     use super::*;
     use membit_tensor::Rng;
 
+    /// The k-level activation quantizer the deployed network applies after
+    /// `tanh`: uniform grid on `[−1, 1]` with `levels` points,
+    /// `q(v) = round((clamp(v)+1)/2·l)/l·2 − 1` for `l = levels − 1`.
+    /// Identical to `quantize_tensor` in the deployment path.
+    fn quantize_value(v: f32, l: f32) -> f32 {
+        ((v.clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() / l * 2.0 - 1.0
+    }
+
     #[test]
     fn normal_cdf_matches_known_values() {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-6);
@@ -507,58 +420,6 @@ mod tests {
         assert!((normal_cdf(-1.96) - 0.024_997_9).abs() < 3e-6);
         assert!(normal_cdf(8.0) > 0.999_999);
         assert!(normal_cdf(-8.0) < 1e-6);
-    }
-
-    #[test]
-    fn tanh_moments_shrink_variance_at_saturation() {
-        let pre = Tensor::from_vec(vec![0.0, 3.0], &[1, 2]).unwrap();
-        let var = Tensor::from_vec(vec![0.5, 0.5], &[1, 2]).unwrap();
-        let (t, v) = tanh_moments(&pre, &var).unwrap();
-        assert!((t.as_slice()[0]).abs() < 1e-6);
-        assert!((v.as_slice()[0] - 0.5).abs() < 1e-6); // derivative 1 at 0
-        assert!(v.as_slice()[1] < 0.01); // saturated: derivative ≈ 0
-    }
-
-    #[test]
-    fn quantize_moments_match_monte_carlo() {
-        // exactness check of the Gaussian bin sums: simulate Z ~ N(m, s²),
-        // quantize, and compare the empirical output mean and variance
-        let levels = 8;
-        let l = (levels - 1) as f32;
-        let mut rng = Rng::from_seed(123);
-        for &(m, s) in &[(0.1f32, 0.2f32), (-0.7, 0.05), (0.95, 0.3), (0.0, 0.01)] {
-            let mean = Tensor::from_vec(vec![m], &[1, 1]).unwrap();
-            let var = Tensor::from_vec(vec![s * s], &[1, 1]).unwrap();
-            let (qm, qv) = gaussian_quantize_moments(&mean, &var, levels).unwrap();
-            let trials = 60_000;
-            let mut acc1 = 0.0f64;
-            let mut acc2 = 0.0f64;
-            for _ in 0..trials {
-                let q = f64::from(quantize_value(m + rng.normal(0.0, s), l));
-                acc1 += q;
-                acc2 += q * q;
-            }
-            let mc_mean = acc1 / f64::from(trials);
-            let mc_var = (acc2 / f64::from(trials) - mc_mean * mc_mean).max(0.0);
-            let am = f64::from(qm.as_slice()[0]);
-            let av = f64::from(qv.as_slice()[0]);
-            let se_mean = (mc_var / f64::from(trials)).sqrt().max(1e-5);
-            assert!(
-                (am - mc_mean).abs() < 6.0 * se_mean + 1e-3,
-                "m={m} s={s}: analytic mean {am} vs mc {mc_mean}"
-            );
-            let se_var = (mc_var / f64::from(trials)).sqrt().max(1e-5);
-            assert!(
-                (av - mc_var).abs() < 20.0 * se_var + 0.02 * mc_var + 1e-5,
-                "m={m} s={s}: analytic var {av} vs mc {mc_var}"
-            );
-        }
-        // zero variance: exact passthrough of the quantized value
-        let mean = Tensor::from_vec(vec![0.3], &[1, 1]).unwrap();
-        let var = Tensor::zeros(&[1, 1]);
-        let (qm, qv) = gaussian_quantize_moments(&mean, &var, levels).unwrap();
-        assert_eq!(qm.as_slice()[0], quantize_value(0.3, l));
-        assert_eq!(qv.as_slice()[0], 0.0);
     }
 
     #[test]
@@ -649,11 +510,11 @@ mod tests {
     fn quantizer_moment_is_nonlinear_in_variance() {
         // doubling the input variance does NOT double the output moment —
         // the property that forces per-config walks in the GBO scorer
-        let mean = Tensor::from_vec(vec![0.05], &[1, 1]).unwrap();
+        let mean = Tensor::from_vec(vec![0.1], &[1, 1]).unwrap();
         let v1 = Tensor::from_vec(vec![0.001], &[1, 1]).unwrap();
         let v2 = Tensor::from_vec(vec![0.002], &[1, 1]).unwrap();
-        let (_, e1) = gaussian_quantize_moments(&mean, &v1, 8).unwrap();
-        let (_, e2) = gaussian_quantize_moments(&mean, &v2, 8).unwrap();
+        let (_, e1) = tanh_quantize_moments(&mean, &v1, 8).unwrap();
+        let (_, e2) = tanh_quantize_moments(&mean, &v2, 8).unwrap();
         let ratio = e2.as_slice()[0] / e1.as_slice()[0].max(1e-12);
         assert!((ratio - 2.0).abs() > 0.1, "ratio = {ratio}");
     }

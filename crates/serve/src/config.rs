@@ -96,8 +96,9 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] (wrapped) for a zero
-    /// queue capacity, batch bound, block alignment, or deadline, and
-    /// propagates [`HealthPolicy::validate`].
+    /// queue capacity, batch bound, block alignment, or deadline, or a
+    /// non-finite or negative energy-model field, and propagates
+    /// [`HealthPolicy::validate`].
     pub fn validate(&self) -> Result<()> {
         if self.queue_capacity == 0 {
             return Err(TensorError::InvalidArgument("queue_capacity must be ≥ 1".into()).into());
@@ -112,6 +113,18 @@ impl ServeConfig {
             return Err(
                 TensorError::InvalidArgument("default_deadline_ns must be ≥ 1".into()).into(),
             );
+        }
+        // a NaN or negative cost would stall or rewind the virtual clock
+        // that deadlines expire on
+        let e = &self.energy;
+        if ![e.pj_per_cell_read, e.pj_per_adc, e.ns_per_pulse]
+            .iter()
+            .all(|v| v.is_finite() && *v >= 0.0)
+        {
+            return Err(TensorError::InvalidArgument(
+                "energy model fields must be finite and non-negative".into(),
+            )
+            .into());
         }
         self.health.validate()
     }
@@ -133,6 +146,17 @@ mod tests {
         let mut c = ServeConfig::standard(7);
         c.default_deadline_ns = 0;
         assert!(c.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut c = ServeConfig::standard(7);
+            c.energy.ns_per_pulse = bad;
+            assert!(c.validate().is_err(), "ns_per_pulse {bad}");
+            let mut c = ServeConfig::standard(7);
+            c.energy.pj_per_adc = bad;
+            assert!(c.validate().is_err(), "pj_per_adc {bad}");
+            let mut c = ServeConfig::standard(7);
+            c.energy.pj_per_cell_read = bad;
+            assert!(c.validate().is_err(), "pj_per_cell_read {bad}");
+        }
     }
 
     #[test]

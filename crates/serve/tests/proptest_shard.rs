@@ -2,12 +2,14 @@
 //! and random chaos scripts: cross-shard conservation (the accounting
 //! identity extends across kills, quarantines, drains, and failover),
 //! admission monotone in queue capacity on sets of one to three shards,
-//! deterministic routing (bit-identical reruns), and bitwise replay of
-//! the per-shard logs — including runs containing `Reconfigure`
-//! records — at 1 vs 4 engine threads.
+//! deterministic routing (bit-identical reruns), bitwise replay of the
+//! per-shard logs — including runs containing `Reconfigure` records —
+//! at 1 vs 4 engine threads, and typed rejection (or finite, accounted
+//! runs) for malformed scripts and configurations at the boundary.
 
 use std::collections::{HashMap, HashSet};
 
+use membit_encoding::MAX_NESTED_PULSES;
 use membit_serve::{
     replay_shards, simulate_shards, ArrivalEvent, ArrivalKind, ChaosAction, ChaosEvent,
     ChaosScript, LinearServeModel, RoutePolicy, ServeConfig, ServeError, ServeModel,
@@ -334,5 +336,114 @@ proptest! {
         prop_assert!(report.stats.accounted(), "{:?}", report.stats);
         prop_assert!(report.stats.completed > 0, "{:?}", report.stats);
         prop_assert_eq!(report.outcomes.len(), n);
+    }
+}
+
+/// Upset rates the boundary must accept (the first) or reject typed.
+const RATES: [f32; 5] = [0.02, f32::NAN, -0.1, 1.5, f32::INFINITY];
+/// Forced violation EMAs, likewise.
+const EMAS: [f64; 5] = [0.5, f64::NAN, -0.1, 1.5, f64::INFINITY];
+/// Deadline budgets: zero, tiny, the default and the largest.
+const DEADLINES: [u64; 4] = [0, 1, 1_000_000, u64::MAX];
+/// Energy-model values: one valid, four that stall or rewind the clock.
+const ENERGY: [f64; 5] = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Malformed input at the serving boundary — shard indices past the
+    /// set, NaN or out-of-range upset rates and EMAs, zero and
+    /// `u64::MAX` deadlines, extreme retry backoffs, empty, wrong-length
+    /// or oversized reconfigurations, non-finite or negative energy
+    /// fields — either
+    /// gets a typed error from `ChaosScript::new`, `ServeConfig::validate`
+    /// or `simulate_shards`, or runs with finite outputs and the
+    /// accounting identity intact. Nothing panics, and `simulate_shards`
+    /// never accepts a configuration `validate` rejects.
+    #[test]
+    fn hostile_boundary_inputs_are_rejected_typed_or_run_finite(
+        seed in 0u64..200,
+        n_shards in 1usize..4,
+        past_end in 0usize..3,
+        rate_pick in 0usize..5,
+        ema_pick in 0usize..5,
+        reconfig_pick in 0usize..4,
+        default_deadline_pick in 0usize..4,
+        request_deadline_pick in 0usize..5,
+        energy_field in 0usize..3,
+        energy_pick in 0usize..5,
+        retry_pick in 0usize..3,
+    ) {
+        let n = 8usize;
+        let mut events = schedule(n, 3_000, seed);
+        if let Some(&deadline) = DEADLINES.get(request_deadline_pick) {
+            for e in &mut events {
+                let ArrivalKind::Request { deadline_ns, .. } = &mut e.kind;
+                *deadline_ns = Some(deadline);
+            }
+        }
+        let pulses = match reconfig_pick {
+            0 => vec![8],
+            1 => Vec::new(),
+            2 => vec![8, 8],
+            _ => vec![MAX_NESTED_PULSES + 1],
+        };
+        let beyond = n_shards + past_end;
+        let actions = [
+            ChaosAction::Upset { shard: 0, rate: RATES[rate_pick] },
+            ChaosAction::Kill { shard: beyond },
+            ChaosAction::Degrade { shard: n_shards - 1, ema: EMAS[ema_pick] },
+            ChaosAction::Reconfigure { shard: 0, pulses },
+            ChaosAction::Revive { shard: beyond },
+        ];
+        let chaos: Vec<ChaosEvent> = actions
+            .into_iter()
+            .enumerate()
+            .map(|(i, action)| ChaosEvent { at_ns: i as u64 * 4_000, action })
+            .collect();
+        let script = match ChaosScript::new(chaos) {
+            Ok(script) => script,
+            Err(e) => {
+                prop_assert!(matches!(e, ServeError::BadRequest(_)), "untyped script error {e}");
+                // the rest of the boundary still runs, without the script
+                ChaosScript::empty()
+            }
+        };
+        let mut cfg = ServeConfig::standard(seed);
+        cfg.default_deadline_ns = DEADLINES[default_deadline_pick];
+        match retry_pick {
+            0 => {}
+            1 => (cfg.retry.backoff_ns, cfg.retry.backoff_factor) = (u64::MAX, u32::MAX),
+            _ => (cfg.retry.backoff_ns, cfg.retry.backoff_factor) = (0, 0),
+        }
+        let energy = ENERGY[energy_pick];
+        match energy_field {
+            0 => cfg.energy.pj_per_cell_read = energy,
+            1 => cfg.energy.pj_per_adc = energy,
+            _ => cfg.energy.ns_per_pulse = energy,
+        }
+        let valid = cfg.validate();
+        let run = simulate_shards(fleet(seed, n_shards, 1), cfg, RoutePolicy::Rendezvous, &events, &script);
+        match (valid, run) {
+            (Err(e), Err(_)) => {
+                prop_assert!(!matches!(e, ServeError::Internal(_)), "untyped config error {e}");
+            }
+            (Err(e), Ok(_)) => prop_assert!(false, "simulate_shards ran a config validate rejects: {e}"),
+            (Ok(()), Err(e)) => prop_assert!(false, "valid config failed: {e}"),
+            (Ok(()), Ok(report)) => {
+                prop_assert!(report.stats.accounted(), "{:?}", report.stats);
+                prop_assert_eq!(report.outcomes.len(), n);
+                for o in &report.outcomes {
+                    match &o.result {
+                        Ok(r) => {
+                            prop_assert!(r.output.iter().all(|v| v.is_finite()), "{:?}", r.output);
+                            prop_assert!(r.energy_pj.is_finite(), "energy {}", r.energy_pj);
+                        }
+                        Err(ServeError::Internal(msg)) => prop_assert!(false, "internal: {msg}"),
+                        Err(_) => {}
+                    }
+                }
+            }
+        }
     }
 }

@@ -27,6 +27,14 @@ echo "=== golden forward digests (determinism across changes, both profiles) ===
 cargo test -q -p membit-core --test golden_forward
 cargo test -q --release -p membit-core --test golden_forward
 
+echo "=== golden search digests (training, GBO and MemSE search; both profiles) ==="
+# trained parameters, BN statistics, losses, GBO logits and analytic
+# selections of five scenarios (rollback, kill-and-resume, MC search,
+# NIA, MemSE descent), pinned to digests recorded before the epoch
+# loop and the coordinate descent were merged
+cargo test -q -p membit-core --test golden_search
+cargo test -q --release -p membit-core --test golden_search
+
 echo "=== MVM path differential suite ==="
 # delta schedule vs dense twin, popcount + cached loops vs the tile's
 # reference oracle, plus cache/plane staleness fuzzing across all mutators

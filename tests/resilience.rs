@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use membit_core::{
     calibrate_noise, pretrain_resilient, DivergenceReason, Experiment, ExperimentConfig,
-    GboConfig, GboTrainer, NanFault, ResilienceConfig, TrainConfig, TrainError, WatchdogConfig,
+    GboConfig, GboTrainer, NanFault, ResilienceConfig, TrainConfig, TrainError, MAX_RETRIES,
 };
 use membit_data::{synth_cifar, Dataset, SynthCifarConfig};
 use membit_nn::{Mlp, MlpConfig, NoNoise, Params};
@@ -91,7 +91,7 @@ fn persistent_nan_surfaces_typed_divergence() {
         } => {
             assert_eq!(stage, "pretrain");
             assert_eq!(epoch, 0);
-            assert_eq!(retries, WatchdogConfig::default().max_retries);
+            assert_eq!(retries, MAX_RETRIES);
             // the injected NaN surfaces through whichever check sees it
             // first: the loss if it propagates, else the gradients (ReLU's
             // `max` can squash a forward NaN that backward still exposes)
