@@ -137,25 +137,14 @@ impl DeviceVgg {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] if `cfg.pulses` doesn't
-    /// match the VGG's crossbar layer count, or propagates programming
-    /// errors.
+    /// Returns [`TensorError::InvalidArgument`], before any array is
+    /// programmed, if `cfg.pulses` and `cfg.act_levels` fail the check
+    /// [`reconfigure_encoding`](Self::reconfigure_encoding) applies, or
+    /// propagates programming errors.
     pub fn deploy(vgg: &Vgg, params: &Params, cfg: &DeviceEvalConfig, rng: &mut Rng) -> Result<Self> {
         let config = vgg.config();
         cfg.policy.validate()?;
-        if cfg.pulses.len() != config.crossbar_layers() {
-            return Err(TensorError::InvalidArgument(format!(
-                "{} pulse counts for {} crossbar layers",
-                cfg.pulses.len(),
-                config.crossbar_layers()
-            ))
-            .into());
-        }
-        if cfg.pulses.contains(&0) {
-            return Err(
-                TensorError::InvalidArgument("pulse counts must be nonzero".into()).into(),
-            );
-        }
+        validate_encoding(&cfg.pulses, config.crossbar_layers(), cfg.act_levels)?;
         let (mut h, mut w) = (config.in_h, config.in_w);
         let mut in_ch = config.in_channels;
         let mut convs = Vec::with_capacity(config.channels.len());
@@ -535,9 +524,9 @@ impl DeviceVgg {
         Ok(())
     }
 
-    /// Whether every crossbar engine satisfies the popcount loops'
-    /// exactness preconditions on every tile (see
-    /// [`CrossbarLinear::packed_ready`]).
+    /// Whether every tile of every crossbar engine is rail-programmed
+    /// (see [`CrossbarLinear::packed_ready`]). The name predates the
+    /// removal of the bit-packed loops it once gated.
     pub fn packed_ready(&self) -> bool {
         self.engines().all(CrossbarLinear::packed_ready)
     }
@@ -579,18 +568,8 @@ impl DeviceVgg {
     /// grid (zero, or above
     /// [`MAX_NESTED_PULSES`](membit_encoding::MAX_NESTED_PULSES)).
     pub fn reconfigure_encoding(&mut self, pulses: &[usize]) -> Result<()> {
-        let expected = self.encoding().len();
-        if pulses.len() != expected {
-            return Err(TensorError::InvalidArgument(format!(
-                "{} pulse counts for {expected} crossbar layers",
-                pulses.len()
-            ))
-            .into());
-        }
-        for &q in pulses {
-            // eager validation so the map applies atomically below
-            PlaThermometer::new(self.act_levels, q)?;
-        }
+        // eager validation so the map applies atomically below
+        validate_encoding(pulses, self.encoding().len(), self.act_levels)?;
         let mut it = pulses.iter();
         for layer in &mut self.convs {
             if let ConvKernel::Crossbar { pulses: p, .. } = &mut layer.kernel {
@@ -613,6 +592,24 @@ impl DeviceVgg {
         }
         self.fc_engine.age(hours, nu, nu_sigma, rng);
     }
+}
+
+/// The one check of a pulse map: one count per crossbar layer, and each
+/// count must build a [`PlaThermometer`] over the `act_levels`-level
+/// activation grid (at least 2 levels, 1 to
+/// [`MAX_NESTED_PULSES`](membit_encoding::MAX_NESTED_PULSES) pulses).
+fn validate_encoding(pulses: &[usize], layers: usize, act_levels: usize) -> Result<()> {
+    if pulses.len() != layers {
+        return Err(TensorError::InvalidArgument(format!(
+            "{} pulse counts for {layers} crossbar layers",
+            pulses.len()
+        ))
+        .into());
+    }
+    for &q in pulses {
+        PlaThermometer::new(act_levels, q)?;
+    }
+    Ok(())
 }
 
 /// Digital 2×2 max pool (stride 2) over NCHW.
@@ -648,6 +645,7 @@ mod tests {
     use super::*;
     use crate::model::CrossbarModel;
     use crate::trainer::evaluate;
+    use crate::TrainError;
     use membit_encoding::MAX_NESTED_PULSES;
     use membit_nn::{NoNoise, Phase, VggConfig};
     use membit_autograd::Tape;
@@ -670,19 +668,36 @@ mod tests {
             policy: DeploymentPolicy::default(),
         };
         assert!(DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).is_err());
-        let cfg0 = DeviceEvalConfig {
-            xbar: XbarConfig::ideal(),
-            pulses: vec![8, 0, 8],
-            act_levels: 9,
-            policy: DeploymentPolicy::default(),
-        };
-        assert!(DeviceVgg::deploy(&vgg, &params, &cfg0, &mut rng).is_err());
+        // maps PLA cannot encode are refused typed before any array is
+        // programmed, so the RNG is untouched: zero pulses, more than a
+        // count-coded train holds, or fewer than two activation levels
+        for (pulses, act_levels) in [
+            (vec![8, 0, 8], 9),
+            (vec![8, 8, MAX_NESTED_PULSES + 1], 9),
+            (vec![8, 8, 8], 0),
+            (vec![8, 8, 8], 1),
+        ] {
+            let bad = DeviceEvalConfig {
+                pulses,
+                act_levels,
+                ..cfg.clone()
+            };
+            let mut before = rng.clone();
+            let err = DeviceVgg::deploy(&vgg, &params, &bad, &mut rng).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(TrainError::Tensor(TensorError::InvalidArgument(_)))
+                ),
+                "{bad:?}: {err:?}"
+            );
+            assert_eq!(rng.uniform(0.0, 1.0), before.uniform(0.0, 1.0));
+        }
         // a live swap is validated the same way, and a refused map
-        // leaves the old encoding in place: zero pulses, or more than a
-        // count-coded train holds
+        // leaves the old encoding in place
         let cfg = DeviceEvalConfig {
             pulses: vec![8, 8, 8],
-            ..cfg0
+            ..cfg
         };
         let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
         for bad in [[8, 0, 8], [8, 8, MAX_NESTED_PULSES + 1]] {

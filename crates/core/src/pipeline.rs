@@ -5,11 +5,12 @@ use std::path::PathBuf;
 
 use membit_data::{synth_cifar, Dataset, SynthCifarConfig};
 use membit_nn::{load_params, save_params, NoNoise, Params, Vgg, VggConfig};
-use membit_tensor::{Rng, RngStream, Tensor};
+use membit_tensor::{Rng, RngStream};
 
 use crate::calibrate::{calibrate_noise, NoiseCalibration};
 use crate::gbo::{GboConfig, GboResult, GboTrainer};
 use crate::hooks::PlaHook;
+use crate::model::CrossbarModel;
 use crate::nia::{nia_finetune_resilient, NiaConfig};
 use crate::resilience::ResilienceConfig;
 use crate::trainer::{evaluate, evaluate_with_hook, pretrain_resilient, TrainConfig};
@@ -157,23 +158,11 @@ impl Experiment {
         let loaded = match &config.checkpoint {
             Some(path) if path.exists() => {
                 let entries = load_params(path)?;
-                let mut stats: Vec<(String, Tensor, Tensor)> = Vec::new();
-                let mut pending_mean: Vec<(String, Tensor)> = Vec::new();
+                // running-stat entries name no parameter, so assign skips them
+                model.restore_state_tensors(&entries);
                 for (name, tensor) in entries {
-                    if let Some(base) = name.strip_suffix(".running_mean") {
-                        pending_mean.push((base.to_string(), tensor));
-                    } else if let Some(base) = name.strip_suffix(".running_var") {
-                        if let Some(pos) =
-                            pending_mean.iter().position(|(b, _)| b == base)
-                        {
-                            let (b, mean) = pending_mean.remove(pos);
-                            stats.push((b, mean, tensor));
-                        }
-                    } else {
-                        params.assign(&name, tensor);
-                    }
+                    params.assign(&name, tensor);
                 }
-                model.set_running_stats(&stats);
                 true
             }
             _ => false,
@@ -193,17 +182,7 @@ impl Experiment {
                 &res,
             )?;
             if let Some(path) = &config.checkpoint {
-                let extra: Vec<(String, Tensor)> = model
-                    .running_stats()
-                    .into_iter()
-                    .flat_map(|(name, mean, var)| {
-                        [
-                            (format!("{name}.running_mean"), mean),
-                            (format!("{name}.running_var"), var),
-                        ]
-                    })
-                    .collect();
-                save_params(path, &params, &extra)?;
+                save_params(path, &params, &model.state_tensors())?;
             }
         }
         let calibration = calibrate_noise(
@@ -374,6 +353,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use membit_tensor::Tensor;
 
     fn tiny_config(seed: u64) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::quick(2, seed);

@@ -77,7 +77,7 @@ enum Scenario {
     /// Functional noise on rail devices.
     Functional,
     /// The same rail engine driven by bit-sliced (generic) trains, so
-    /// the popcount loop runs. Engine digest only: a `DeviceVgg` always
+    /// the dense schedule runs. Engine digest only: a `DeviceVgg` always
     /// encodes PLA trains.
     FunctionalBitSliced,
     /// Realistic devices without an ADC: variation and IR drop make
@@ -162,7 +162,7 @@ fn engine_digest(scenario: Scenario, threads: usize) -> u64 {
     let mut engine =
         CrossbarLinear::program(&w, &xbar_config(scenario, threads), &mut rng).expect("program");
     if let Scenario::FunctionalBitSliced = scenario {
-        assert!(engine.packed_ready(), "rail engine must be packed-ready");
+        assert!(engine.packed_ready(), "rail engine must be rail-programmed");
     }
     let cell = |rng: &mut Rng| {
         let side = if rng.coin(0.5) { CellSide::Pos } else { CellSide::Neg };

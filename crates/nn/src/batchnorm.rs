@@ -43,11 +43,6 @@ impl BatchNorm {
         self.channels
     }
 
-    /// Handles of the affine parameters `(γ, β)`.
-    pub fn affine_params(&self) -> (ParamId, ParamId) {
-        (self.gamma, self.beta)
-    }
-
     /// Current running mean (for checkpointing).
     pub fn running_mean(&self) -> &Tensor {
         &self.running_mean

@@ -11,7 +11,7 @@
 //! or write-count, not sampled, so a failing case replays exactly.
 
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use super::{tmp_sibling, CheckpointError, Checkpoint, CkptResult};
@@ -177,17 +177,6 @@ pub fn from_bytes(bytes: &[u8]) -> CkptResult<Checkpoint> {
     let result = Checkpoint::load(&path);
     std::fs::remove_file(&path).ok();
     result
-}
-
-/// Reads the file at `path` fully (test convenience).
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn read_file(path: impl AsRef<Path>) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    Ok(buf)
 }
 
 #[cfg(test)]

@@ -59,96 +59,6 @@ impl MvmNoiseHook for NoNoise {
     }
 }
 
-/// Functional-model counterpart of the device-level ABFT guard: wraps
-/// any noise hook and sum-checks each noisy MVM output against the clean
-/// value — the same invariant the crossbar's checksum column digitizes.
-/// A non-finite output, or a per-sample output-sum deviation beyond
-/// `tolerance`, demotes that layer call to the clean (digital) value and
-/// counts a fallback, mirroring the engine ladder's final stage.
-///
-/// This is a *training/evaluation-loop* guard: it protects functional
-/// noise-model runs (where the clean value is free) rather than device
-/// runs, so there is no retry ladder — the clean value is already the
-/// best available answer.
-#[derive(Debug, Clone)]
-pub struct GuardedHook<H> {
-    inner: H,
-    tolerance: f32,
-    checks: u64,
-    fallbacks: u64,
-}
-
-impl<H> GuardedHook<H> {
-    /// Guards `inner` with a per-sample output-sum tolerance.
-    pub fn new(inner: H, tolerance: f32) -> Self {
-        Self {
-            inner,
-            tolerance,
-            checks: 0,
-            fallbacks: 0,
-        }
-    }
-
-    /// Sum-checks performed (one per sample per guarded MVM).
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// Layer calls demoted to the clean value.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
-    }
-
-    /// The wrapped hook.
-    pub fn inner(&self) -> &H {
-        &self.inner
-    }
-}
-
-impl<H: MvmNoiseHook> MvmNoiseHook for GuardedHook<H> {
-    fn apply(&mut self, tape: &mut Tape, layer: usize, mvm_out: VarId) -> Result<VarId> {
-        let noisy = self.inner.apply(tape, layer, mvm_out)?;
-        if noisy == mvm_out {
-            return Ok(noisy); // identity inner hook: nothing to check
-        }
-        let clean = tape.value(mvm_out);
-        let dirty = tape.value(noisy);
-        // one sum-check per sample row (a 1-D output is one sample)
-        let cols = *clean.shape().last().unwrap_or(&1);
-        let rows = clean.as_slice().len() / cols.max(1);
-        let mut violated = false;
-        for r in 0..rows {
-            let (a, b) = (
-                &clean.as_slice()[r * cols..(r + 1) * cols],
-                &dirty.as_slice()[r * cols..(r + 1) * cols],
-            );
-            let delta: f32 =
-                b.iter().sum::<f32>() - a.iter().sum::<f32>();
-            if !delta.is_finite() || delta.abs() > self.tolerance {
-                violated = true;
-            }
-        }
-        self.checks += rows as u64;
-        if violated {
-            self.fallbacks += 1;
-            return Ok(mvm_out);
-        }
-        Ok(noisy)
-    }
-
-    fn encode(&mut self, tape: &mut Tape, layer: usize, input: VarId) -> Result<VarId> {
-        self.inner.encode(tape, layer, input)
-    }
-
-    fn state_rng(&self) -> Option<&membit_tensor::Rng> {
-        self.inner.state_rng()
-    }
-
-    fn state_rng_mut(&mut self) -> Option<&mut membit_tensor::Rng> {
-        self.inner.state_rng_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,61 +76,5 @@ mod tests {
     fn hooks_are_object_safe() {
         fn take(_h: &mut dyn MvmNoiseHook) {}
         take(&mut NoNoise);
-    }
-
-    /// Adds a constant `bias` to every output element — a controllable
-    /// stand-in for a noise hook.
-    struct Offset(f32);
-
-    impl MvmNoiseHook for Offset {
-        fn apply(&mut self, tape: &mut Tape, _layer: usize, mvm_out: VarId) -> Result<VarId> {
-            let b = self.0;
-            let shifted = tape.value(mvm_out).map(|v| v + b);
-            Ok(tape.constant(shifted))
-        }
-    }
-
-    #[test]
-    fn guarded_hook_passes_in_tolerance_noise_through() {
-        let mut tape = Tape::new();
-        let x = tape.constant(Tensor::ones(&[2, 3]));
-        // Σ-shift per sample = 3·0.01 = 0.03, under the 0.5 budget
-        let mut hook = GuardedHook::new(Offset(0.01), 0.5);
-        let y = hook.apply(&mut tape, 0, x).unwrap();
-        assert_ne!(x, y, "in-budget noise must flow through");
-        assert_eq!(hook.checks(), 2);
-        assert_eq!(hook.fallbacks(), 0);
-    }
-
-    #[test]
-    fn guarded_hook_demotes_out_of_budget_output_to_clean() {
-        let mut tape = Tape::new();
-        let x = tape.constant(Tensor::ones(&[2, 3]));
-        // Σ-shift per sample = 3·10 = 30 ≫ 0.5
-        let mut hook = GuardedHook::new(Offset(10.0), 0.5);
-        let y = hook.apply(&mut tape, 0, x).unwrap();
-        assert_eq!(x, y, "violating output must fall back to the clean value");
-        assert_eq!(hook.fallbacks(), 1);
-    }
-
-    #[test]
-    fn guarded_hook_demotes_non_finite_output() {
-        let mut tape = Tape::new();
-        let x = tape.constant(Tensor::ones(&[4]));
-        let mut hook = GuardedHook::new(Offset(f32::NAN), f32::MAX);
-        let y = hook.apply(&mut tape, 0, x).unwrap();
-        assert_eq!(x, y);
-        assert_eq!(hook.checks(), 1, "1-D output is a single sample");
-        assert_eq!(hook.fallbacks(), 1);
-    }
-
-    #[test]
-    fn guarded_hook_skips_identity_inner() {
-        let mut tape = Tape::new();
-        let x = tape.constant(Tensor::ones(&[2]));
-        let mut hook = GuardedHook::new(NoNoise, 0.0);
-        let y = hook.apply(&mut tape, 0, x).unwrap();
-        assert_eq!(x, y);
-        assert_eq!(hook.checks(), 0, "identity hooks are not checked");
     }
 }

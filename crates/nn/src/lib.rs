@@ -50,7 +50,7 @@ mod vgg;
 pub use batchnorm::BatchNorm;
 pub use checkpoint::{load_params, save_params, Checkpoint, CheckpointError};
 pub use conv::Conv2d;
-pub use hooks::{GuardedHook, MvmNoiseHook, NoNoise};
+pub use hooks::{MvmNoiseHook, NoNoise};
 pub use linear::Linear;
 pub use metrics::{accuracy, confusion_matrix};
 pub use mlp::{Mlp, MlpConfig};

@@ -105,11 +105,6 @@ impl Mlp {
         self.config.crossbar_layers()
     }
 
-    /// Borrow the hidden layers (for crossbar deployment).
-    pub fn hidden_layers(&self) -> &[Linear] {
-        &self.hidden
-    }
-
     /// Effective fan-in of each crossbar layer's MVM (see
     /// [`Vgg::crossbar_fan_ins`](crate::Vgg::crossbar_fan_ins)).
     pub fn crossbar_fan_ins(&self) -> Vec<f32> {

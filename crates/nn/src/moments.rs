@@ -31,7 +31,7 @@ fn erf_approx(x: f32) -> f32 {
     sign * (1.0 - poly * (-x * x).exp())
 }
 
-/// The standard normal CDF `Φ(x)`, via [`erf_approx`].
+/// The standard normal CDF `Φ(x)`, via `erf_approx`.
 pub fn normal_cdf(x: f32) -> f32 {
     0.5 * (1.0 + erf_approx(x / std::f32::consts::SQRT_2))
 }

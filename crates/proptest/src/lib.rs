@@ -259,7 +259,7 @@ tuple_strategy! {
 pub mod collection {
     use super::{fmt, Strategy, TestRng};
 
-    /// Inclusive-exclusive element-count range for [`vec`].
+    /// Inclusive-exclusive element-count range for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

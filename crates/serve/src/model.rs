@@ -141,11 +141,6 @@ impl LinearServeModel {
             out_features: shape[0],
         })
     }
-
-    /// The underlying engine (for fault surgery in tests).
-    pub fn engine_mut(&mut self) -> &mut CrossbarLinear {
-        &mut self.engine
-    }
 }
 
 impl ServeModel for LinearServeModel {

@@ -14,7 +14,7 @@
 //!
 //! - **Kill** (chaos or operator): the shard goes [`ShardStatus::Down`];
 //!   its queued requests *fail over* — re-routed to surviving shards
-//!   under the [`RetryPolicy`](crate::RetryPolicy), each hop charging
+//!   under the [`RetryPolicy`], each hop charging
 //!   the retry backoff to the receiving shard's clock, resolving
 //!   [`ServeError::Closed`] only when the budget or the shard pool is
 //!   exhausted. Queued mutations are dropped visibly (chaos failures).

@@ -318,13 +318,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Combines two same-shaped tensors elementwise.
     ///
     /// # Errors

@@ -91,15 +91,6 @@ impl DeviceModel {
         }
     }
 
-    /// [`realistic`](Self::realistic) plus a first-order IR-drop model
-    /// with the given attenuation coefficient.
-    pub fn realistic_with_ir_drop(alpha: f32) -> Self {
-        Self {
-            ir_drop_alpha: alpha,
-            ..Self::realistic()
-        }
-    }
-
     /// Off-state conductance.
     pub fn g_off(&self) -> f32 {
         self.g_on / self.on_off_ratio

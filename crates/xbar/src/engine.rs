@@ -11,7 +11,7 @@ use crate::noise::NoiseSpec;
 use crate::nonideal::NonIdealitySpec;
 use crate::program::{ProgramStats, WriteVerify};
 use crate::remap::{remap_tile, RecoveryPolicy, RemapReport};
-use crate::tile::{StripPlanes, Tile};
+use crate::tile::Tile;
 use crate::Result;
 
 /// Host-side execution options: how programming and pulse execution fan
@@ -423,12 +423,11 @@ impl CrossbarLinear {
         Ok(())
     }
 
-    /// Whether **every** tile of this operator satisfies the popcount
-    /// loops' exactness preconditions (uniform weight magnitude — and,
-    /// on c2c-noisy devices, uniform per-cell `G⁺²+G⁻²` — with exactly
-    /// representable multiples; see [`Tile::packed_ready`]). Generic
-    /// trains run the popcount loops on ready tiles and the cached loop
-    /// on the others, bitwise the same either way.
+    /// Whether **every** tile of this operator is rail-programmed:
+    /// uniform weight magnitude — and, on c2c-noisy devices, uniform
+    /// per-cell `G⁺²+G⁻²` — with exactly representable multiples (see
+    /// [`Tile::packed_ready`]). Execution does not depend on it; the
+    /// name predates the removal of the bit-packed loops it once gated.
     pub fn packed_ready(&self) -> bool {
         let need_c2c = self.config.noise.device.c2c_sigma > 0.0;
         self.tiles
@@ -818,52 +817,38 @@ impl CrossbarLinear {
         ablock: &mut [f32],
         viol: &mut [u64],
     ) -> Result<ExecutionStats> {
-        // The one MVM selection rule, read off the train and the tiles:
+        // The one MVM selection rule, read off the train:
         //   - a count-coded (thermometer/PLA) train takes the pulse-delta
         //     schedule, driven straight from its high counts;
-        //   - a generic train takes the dense schedule below. Per pulse
-        //     and row strip, the drives are packed once when some tile of
-        //     the strip is `packed_ready`; ready tiles run the popcount
-        //     loops on those shared planes, every other tile (and every
-        //     tile of a strip whose drives are not all ±1/0) the cached
-        //     loop. Both loops are bitwise the tile's reference oracle on
-        //     ±1/0 drives, so the choice never changes a result.
+        //   - a generic train takes the dense schedule below, which runs
+        //     every tile's cached loop: bitwise the tile's reference
+        //     oracle on ±1/0 drives.
         if let Some(counts) = train.counts() {
             return self.execute_block_delta(counts, train.num_pulses(), base, s0, ablock, viol);
         }
         let nb = ablock.len() / self.out_features;
         let nct = self.col_starts.len();
         let span = s0 * self.in_features..(s0 + nb) * self.in_features;
-        let need_c2c = self.config.noise.device.c2c_sigma > 0.0;
         let noise = &self.config.noise;
         let weights = train.weights();
         let mut stats = ExecutionStats::default();
         let mut out_buf = vec![0.0f32; nb * self.config.tile_cols];
         let mut retry_buf = vec![0.0f32; self.config.tile_cols];
         let mut rngs: Vec<Rng> = Vec::with_capacity(nb);
-        let mut planes = StripPlanes::default();
-        let mut out_t: Vec<f32> = Vec::new();
         for (pi, &pulse_weight) in weights.iter().enumerate() {
             let pulse = train.pulse(pi);
             let xs = &pulse.as_slice()[span.clone()];
             stats.pulses += nb as u64;
             for (ri, &r0) in self.row_starts.iter().enumerate() {
-                let strip = &self.tiles[ri];
-                let strip_packed = strip.iter().any(|tile| tile.packed_ready(need_c2c))
-                    && planes.pack(xs, self.in_features, r0, strip[0].dims().0, nb);
                 for (ci, &c0) in self.col_starts.iter().enumerate() {
-                    let tile = &strip[ci];
+                    let tile = &self.tiles[ri][ci];
                     let (trows, tcols) = tile.dims();
                     rngs.clear();
                     rngs.extend((0..nb).map(|s| {
                         base.substream(&[pi as u64, (s0 + s) as u64, ri as u64, ci as u64])
                     }));
                     let out = &mut out_buf[..nb * tcols];
-                    let packed = strip_packed
-                        && tile.mvm_block_packed(&planes, noise, &mut rngs, out, &mut out_t);
-                    if !packed {
-                        tile.mvm_block_cached(xs, self.in_features, r0, noise, &mut rngs, out);
-                    }
+                    tile.mvm_block_cached(xs, self.in_features, r0, noise, &mut rngs, out);
                     stats.tile_mvms += nb as u64;
                     stats.cell_reads += (nb * trows * tcols) as u64;
                     if let Some(adc) = &self.adcs[ri] {
@@ -1230,15 +1215,6 @@ impl CrossbarLinear {
             (sum / count as f64) as f32
         }
     }
-
-    /// The noise-free digital reference `x·Wᵀ` for comparison.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn ideal_output(&self, x: &Tensor, w: &Tensor) -> Result<Tensor> {
-        x.matmul(&w.transpose()?)
-    }
 }
 
 #[cfg(test)]
@@ -1581,9 +1557,9 @@ mod tests {
 
     #[test]
     fn cached_kernel_is_bitwise_reference_on_generic_binary_trains() {
-        // bit-sliced trains take the dense schedule; on these rails tiles
-        // it runs the popcount loops, on IR-dropped ones the cached loop,
-        // and both are exactly the raw-conductance oracle for ±1 pulses
+        // bit-sliced trains take the dense schedule, whose cached loop is
+        // exactly the raw-conductance oracle for ±1 pulses on rails tiles
+        // and IR-dropped ones alike
         let mut cfg = XbarConfig::functional(0.5);
         cfg.tile_rows = 8;
         cfg.tile_cols = 8;
@@ -1604,9 +1580,8 @@ mod tests {
 
     #[test]
     fn packed_kernel_downgrades_on_realistic_devices_and_stays_bitwise() {
-        // d2d spread makes every tile ineligible: execution must serve
-        // the cached loop's results — bitwise the oracle, never silently
-        // different
+        // d2d spread takes every tile off its rails; execution stays
+        // bitwise the oracle
         let mut cfg = XbarConfig::realistic(0.3);
         cfg.tile_rows = 16;
         cfg.tile_cols = 8;

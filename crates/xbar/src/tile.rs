@@ -2,15 +2,11 @@
 //! per-pulse analog MVM and the fault-recovery primitives the remapper
 //! composes.
 //!
-//! An MVM runs one of two loops. A [`Tile::packed_ready`] tile
-//! (rail-programmed: one uniform weight magnitude with exactly
-//! representable multiples) driven at exactly ±1/0 runs the bit-packed
-//! popcount loops; every other MVM runs the cached loop over the
-//! materialized effective weights. On ±1/0 drives both are bitwise
-//! [`Tile::mvm_reference`], the raw-conductance oracle: the cache stores
-//! exactly `(G⁺−G⁻)·attenuation/(G_on−G_off)` per cell, multiplying that
-//! by ±1 is exact, and the popcount reconstruction reproduces the
-//! sequential f32 accumulation bit for bit.
+//! Every dense MVM runs the cached loop over the materialized effective
+//! weights. On ±1/0 drives it is bitwise [`Tile::mvm_reference`], the
+//! raw-conductance oracle: the cache stores exactly
+//! `(G⁺−G⁻)·attenuation/(G_on−G_off)` per cell, and multiplying that by
+//! ±1 is exact.
 
 use membit_tensor::{Rng, Tensor, TensorError};
 
@@ -42,316 +38,22 @@ struct WeightCache {
     /// summation keeps it bitwise equal to the reference oracle's
     /// accumulated scratch.
     col_sq: Vec<f32>,
-    /// Bit planes + uniform scales for the popcount loops, rebuilt by
-    /// the same two hooks (`rebuild_cache` / `rebuild_cache_col`) every
-    /// mutator already calls — plane staleness is impossible for exactly
-    /// the reason cache staleness is.
-    packed: PackedPlanes,
 }
 
-/// Derived bit-plane state for the popcount loops.
-///
-/// Layout: planes are **column-major** — column `j` owns words
-/// `j·words..(j+1)·words`, and bit `r % 64` of word `r / 64` covers row
-/// `r`. A pulse then reads the (shared) packed input planes once and
-/// streams each column's words linearly.
-///
-/// The scales are what make popcount reconstruction *bitwise* rather
-/// than merely close: `(pos − neg) as f32 * c` equals the reference
-/// oracle's sequential f32 accumulation iff every nonzero `|w_eff|` is
-/// bitwise `c` **and** every integer multiple `m·c` (`|m| ≤ rows`) is
-/// exactly representable — then every partial sum the reference forms is
-/// itself representable, so each round-to-nearest step is exact
-/// (induction over rows). The same argument applies to the c2c variance
-/// accumulation with the per-cell `G⁺²+G⁻²` scale.
-#[derive(Debug, Clone, Default)]
-struct PackedPlanes {
-    /// Words per column: `rows.div_ceil(64)`.
-    words: usize,
-    /// Column-major sign plane: bit set where `w_eff > 0`.
-    sign: Vec<u64>,
-    /// Column-major activity plane: bit set where `w_eff != 0`.
-    active: Vec<u64>,
-    /// Per-column popcount of `active`: when a pulse drives every row
-    /// (the common case for binary trains), `act = active` and this
-    /// precomputed count saves one popcount per word in the hot loop.
-    active_count: Vec<u32>,
-    /// The uniform nonzero weight magnitude `c` passing the exactness
-    /// check, or `None` when weights are heterogeneous (d2d spread, IR
-    /// drop, partial drift) — the tile then runs the cached loop.
-    scale: Option<f32>,
-    /// The uniform per-cell `G⁺²+G⁻²` passing the exactness check,
-    /// required over **all** cells (zero-weight pairs still contribute
-    /// read noise), or `None` — c2c-noisy MVMs then run the cached loop.
-    c2c_scale: Option<f32>,
-}
-
-/// Packed input bit planes for one pulse's sample block over a row
-/// strip.
-///
-/// [`Tile::mvm_batch`] packs its own block. All tiles in a row strip read
-/// the *same* input rows, so the engine packs each pulse's drive vectors
-/// once per strip and hands the planes to every packed-ready column tile
-/// instead of re-running [`pack_pulse`] on identical data; the planes are
-/// the same either way, so sharing is bitwise neutral.
-#[derive(Debug, Default)]
-pub(crate) struct StripPlanes {
-    /// Sample-major sign planes: sample `s` owns words
-    /// `s·words..(s+1)·words`.
-    sign: Vec<u64>,
-    /// Sample-major valid (driven-row) planes, same layout.
-    valid: Vec<u64>,
-    /// Per-sample driven-row count.
-    driven: Vec<u32>,
-    /// Whether every sample drives every row (±1, no zeros) — selects
-    /// the precomputed-popcount full inner loop.
-    all_full: bool,
-    /// Strip height the planes were packed for; tiles verify it matches
-    /// their own row count before trusting the planes.
-    rows: usize,
-}
-
-impl StripPlanes {
-    /// Packs the strip's slice of a sample block: `n` vectors of
-    /// `stride`, rows `offset..offset + rows` of each. Returns `false` —
-    /// leaving the planes unusable for this strip — when any element is
-    /// not exactly `±1`/`0` (fractional drives are not representable in
-    /// one bit; callers then run the cached loop).
-    pub(crate) fn pack(
-        &mut self,
-        xs: &[f32],
-        stride: usize,
-        offset: usize,
-        rows: usize,
-        n: usize,
-    ) -> bool {
-        self.sign.clear();
-        self.valid.clear();
-        self.driven.clear();
-        self.rows = rows;
-        self.all_full = true;
-        if offset + rows > stride || xs.len() < n * stride {
-            return false;
-        }
-        for s in 0..n {
-            let x = &xs[s * stride + offset..s * stride + offset + rows];
-            let Some(driven) = pack_pulse(x, &mut self.sign, &mut self.valid) else {
-                self.rows = usize::MAX; // poison: planes are partial
-                return false;
-            };
-            self.all_full &= driven as usize == rows;
-            self.driven.push(driven);
-        }
-        true
-    }
-}
-
-/// Whether every integer multiple `m·c` for `m ≤ max_m` rounds exactly:
-/// the f32 product must equal the infinitely precise product (computed
-/// in f64, exact because both mantissas fit well within f64's 53 bits
-/// for any realistic tile height).
-fn exact_multiples(c: f32, max_m: usize) -> bool {
-    if max_m > (1 << 24) {
-        return false; // m itself would no longer be exact in f32
+/// Whether every value of `vals` has the bits of the first one, `c`,
+/// and every integer multiple `m·c` for `m ≤ max_m` rounds exactly: the
+/// f32 product must equal the infinitely precise product (computed in
+/// f64, exact because both mantissas fit well within f64's 53 bits for
+/// any realistic tile height). Then every partial sum of a sequential
+/// f32 sum of up to `max_m` terms `±c` is representable, so each
+/// rounding step is exact (induction over the terms).
+fn uniform_with_exact_multiples(mut vals: impl Iterator<Item = f32>, max_m: usize) -> bool {
+    let c = vals.next().unwrap_or(0.0);
+    if max_m > (1 << 24) || vals.any(|v| v.to_bits() != c.to_bits()) {
+        return false; // beyond 2^24, m itself would no longer be exact in f32
     }
     let cd = f64::from(c);
     (2..=max_m).all(|m| f64::from(m as f32 * c) == m as f64 * cd)
-}
-
-/// SWAR byte→bit compaction: each input byte is 0 or 1; the multiply
-/// places byte `i`'s bit at product bit `56 + i` (the shifted-add terms
-/// `8i + 7(8−j)` are pairwise distinct, so no carries), and the shift
-/// extracts the 8-bit mask. This is the scalar stand-in for `movmskps`,
-/// which is out of reach without intrinsics (`#![forbid(unsafe_code)]`).
-const PACK_MUL: u64 = 0x0102_0408_1020_4080;
-
-#[inline(always)]
-fn swar_mask64(bytes: &[u8; 64]) -> u64 {
-    let mut m = 0u64;
-    for (k, b8) in bytes.chunks_exact(8).enumerate() {
-        let w = u64::from_le_bytes(b8.try_into().expect("chunk of 8"));
-        m |= (w.wrapping_mul(PACK_MUL) >> 56) << (8 * k);
-    }
-    m
-}
-
-/// Packs one pulse drive vector into bit planes appended to
-/// `sign`/`valid` (one word per 64 rows, bit `r % 64` = row `r`):
-/// `valid` marks driven rows (`±1`), `sign` marks `+1` rows. Returns
-/// the driven-row count, or `None` — with the planes truncated back to
-/// `base` — when any element is not exactly `±1`/`0` (fractional
-/// amplitude drives are not representable in one bit).
-///
-/// The hot path works in two vectorizer-friendly passes per 64-row
-/// block: an elementwise pass on `f32::to_bits` patterns filling bool
-/// byte arrays (`+1.0 = 0x3F80_0000`, `-1.0 = 0xBF80_0000`, `±0` has a
-/// zero magnitude field), then the SWAR compaction above. Bitwise
-/// equivalent to the scalar tail loop, which handles the remainder.
-fn pack_pulse(x: &[f32], sign: &mut Vec<u64>, valid: &mut Vec<u64>) -> Option<u32> {
-    let base = sign.len();
-    let mut driven = 0u32;
-    let mut ok = true;
-    let mut blocks = x.chunks_exact(64);
-    for block in blocks.by_ref() {
-        let mut pos = [0u8; 64];
-        let mut val = [0u8; 64];
-        let mut bin = [0u8; 64];
-        for (i, &xi) in block.iter().enumerate() {
-            let t = xi.to_bits();
-            let mag = t & 0x7FFF_FFFF;
-            let one = u8::from(mag == 0x3F80_0000);
-            bin[i] = one | u8::from(mag == 0);
-            val[i] = one;
-            pos[i] = one & u8::from(t >> 31 == 0);
-        }
-        let mut all = u64::MAX;
-        for b8 in bin.chunks_exact(8) {
-            all &= u64::from_le_bytes(b8.try_into().expect("chunk of 8"));
-        }
-        ok &= all == 0x0101_0101_0101_0101;
-        let vw = swar_mask64(&val);
-        sign.push(swar_mask64(&pos));
-        valid.push(vw);
-        driven += vw.count_ones();
-    }
-    let rem = blocks.remainder();
-    if !rem.is_empty() {
-        let mut sw = 0u64;
-        let mut vw = 0u64;
-        for (b, &xi) in rem.iter().enumerate() {
-            let is_p = u64::from(xi == 1.0);
-            let is_n = u64::from(xi == -1.0);
-            ok &= (is_p | is_n | u64::from(xi == 0.0)) == 1;
-            sw |= is_p << b;
-            vw |= (is_p | is_n) << b;
-        }
-        sign.push(sw);
-        valid.push(vw);
-        driven += vw.count_ones();
-    }
-    if !ok {
-        sign.truncate(base);
-        valid.truncate(base);
-        return None;
-    }
-    Some(driven)
-}
-
-// NB: `u64::count_ones` only compiles to the single-cycle `popcnt`
-// instruction when the target feature is enabled; the x86-64 *baseline*
-// lacks it, falling back to a ~15-op bithack that erases most of the
-// popcount loops' advantage. The workspace `.cargo/config.toml` enables
-// `-C target-feature=+popcnt` on x86-64 (universal on hardware since
-// 2008, and purely integer codegen — float results are untouched).
-
-/// The sample-blocked popcount loop, full-drive case: every row carries
-/// ±1, so `act == active` and the act popcount is the plane's
-/// precomputed per-column count — one hardware popcount per word.
-/// `pos − neg = act_count − 2·popcount(act & (sign ^ sign_x))`: the XOR
-/// marks negative products, the AND restricts to active cells.
-///
-/// Column-outer, so each column's plane words load once and stay in
-/// registers across the whole sample block, with the per-column results
-/// staged column-major in `out_t` (`cols × n`) so the inner loop writes
-/// sequentially. `xsign` is sample-major (`n × words`).
-#[inline(always)]
-fn packed_batch_full_inner(p: &PackedPlanes, xsign: &[u64], n: usize, out_t: &mut [f32], c: f32) {
-    // dispatch on the word count so the per-column word walk fully
-    // unrolls for the common tile heights (≤64, ≤128, ≤256 rows): with a
-    // runtime trip count the zip machinery costs more than the popcounts
-    match p.words.max(1) {
-        1 => packed_batch_full_const::<1>(p, xsign, n, out_t, c),
-        2 => packed_batch_full_const::<2>(p, xsign, n, out_t, c),
-        4 => packed_batch_full_const::<4>(p, xsign, n, out_t, c),
-        w => packed_batch_full_dyn(p, xsign, n, out_t, c, w),
-    }
-}
-
-#[inline(always)]
-fn packed_batch_full_const<const W: usize>(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    n: usize,
-    out_t: &mut [f32],
-    c: f32,
-) {
-    for (((sign, active), &count), col_out) in p
-        .sign
-        .chunks_exact(W)
-        .zip(p.active.chunks_exact(W))
-        .zip(&p.active_count)
-        .zip(out_t.chunks_exact_mut(n))
-    {
-        for (sx, o) in xsign.chunks_exact(W).zip(col_out.iter_mut()) {
-            let mut neg = 0u32;
-            for k in 0..W {
-                neg += (active[k] & (sign[k] ^ sx[k])).count_ones();
-            }
-            *o = (count as i32 - 2 * neg as i32) as f32 * c;
-        }
-    }
-}
-
-#[inline(always)]
-fn packed_batch_full_dyn(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    n: usize,
-    out_t: &mut [f32],
-    c: f32,
-    words: usize,
-) {
-    for (((sign, active), &count), col_out) in p
-        .sign
-        .chunks_exact(words)
-        .zip(p.active.chunks_exact(words))
-        .zip(&p.active_count)
-        .zip(out_t.chunks_exact_mut(n))
-    {
-        for (sx, o) in xsign.chunks_exact(words).zip(col_out.iter_mut()) {
-            let mut neg = 0u32;
-            for ((&sw, &aw), &sxw) in sign.iter().zip(active).zip(sx) {
-                neg += (aw & (sw ^ sxw)).count_ones();
-            }
-            *o = (count as i32 - 2 * neg as i32) as f32 * c;
-        }
-    }
-}
-
-/// The sample-blocked popcount loop, partial-drive case: like
-/// [`packed_batch_full_inner`] but masking each sample's undriven rows
-/// with its valid plane and counting active cells live.
-#[inline(always)]
-fn packed_batch_masked_inner(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    xvalid: &[u64],
-    n: usize,
-    out_t: &mut [f32],
-    c: f32,
-) {
-    let words = p.words.max(1);
-    for ((sign, active), col_out) in p
-        .sign
-        .chunks_exact(words)
-        .zip(p.active.chunks_exact(words))
-        .zip(out_t.chunks_exact_mut(n))
-    {
-        for ((sx, sv), o) in xsign
-            .chunks_exact(words)
-            .zip(xvalid.chunks_exact(words))
-            .zip(col_out.iter_mut())
-        {
-            let mut act_count = 0u32;
-            let mut neg = 0u32;
-            for (((&sw, &aw), &sxw), &svw) in sign.iter().zip(active).zip(sx).zip(sv) {
-                let act = aw & svw;
-                act_count += act.count_ones();
-                neg += (act & (sw ^ sxw)).count_ones();
-            }
-            *o = (act_count as i32 - 2 * neg as i32) as f32 * c;
-        }
-    }
 }
 
 /// The ABFT checksum column of an armed tile: a snapshot of the per-row
@@ -432,7 +134,8 @@ pub struct Tile {
     /// Per-cell IR-drop attenuation (all 1.0 when disabled), row-major.
     attenuation: Vec<f32>,
     device: DeviceModel,
-    /// Always-valid derived state for the cached and popcount loops.
+    /// Always-valid derived state for the cached loop and the delta
+    /// schedule.
     cache: WeightCache,
     /// ABFT checksum snapshot; `None` until the engine arms the tile.
     guard: Option<GuardColumn>,
@@ -556,7 +259,6 @@ impl Tile {
                 w_eff: vec![0.0; cells],
                 g_sq: vec![0.0; cells],
                 col_sq: vec![0.0; cols],
-                packed: PackedPlanes::default(),
             },
             guard: None,
             saf: Vec::new(),
@@ -600,7 +302,6 @@ impl Tile {
                 .map(|row| self.cache.g_sq[row * self.cols + col])
                 .sum();
         }
-        self.rebuild_packed();
     }
 
     /// Recomputes the [`WeightCache`] entries of a single column — the
@@ -616,64 +317,6 @@ impl Tile {
         self.cache.col_sq[col] = (0..self.rows)
             .map(|row| self.cache.g_sq[row * self.cols + col])
             .sum();
-        // the uniform-scale verdicts are global properties of the tile,
-        // so even a one-column patch re-derives the planes in full —
-        // mutations are orders of magnitude rarer than pulses
-        self.rebuild_packed();
-    }
-
-    /// Rebuilds the packed bit planes and uniform-scale verdicts from the
-    /// freshly updated [`WeightCache`]. Called by `rebuild_cache` /
-    /// `rebuild_cache_col` — i.e. by **every** mutator — so the planes
-    /// can never be stale while the scalar cache is fresh.
-    fn rebuild_packed(&mut self) {
-        let words = self.rows.div_ceil(64);
-        let WeightCache {
-            w_eff,
-            g_sq,
-            packed,
-            ..
-        } = &mut self.cache;
-        packed.words = words;
-        packed.sign.clear();
-        packed.sign.resize(self.cols * words, 0);
-        packed.active.clear();
-        packed.active.resize(self.cols * words, 0);
-        let mut mag: Option<f32> = None;
-        let mut uniform = true;
-        for row in 0..self.rows {
-            let bit = 1u64 << (row % 64);
-            let word = row / 64;
-            for col in 0..self.cols {
-                let w = w_eff[row * self.cols + col];
-                if w == 0.0 {
-                    continue;
-                }
-                let slot = col * words + word;
-                packed.active[slot] |= bit;
-                if w > 0.0 {
-                    packed.sign[slot] |= bit;
-                }
-                let m = w.abs();
-                match mag {
-                    None => mag = Some(m),
-                    Some(c) if c.to_bits() == m.to_bits() => {}
-                    Some(_) => uniform = false,
-                }
-            }
-        }
-        packed.active_count.clear();
-        packed
-            .active_count
-            .extend(packed.active.chunks_exact(words.max(1)).map(|col| {
-                col.iter().map(|w| w.count_ones()).sum::<u32>()
-            }));
-        // an all-zero tile packs trivially (any scale reconstructs 0)
-        let c = mag.unwrap_or(1.0);
-        packed.scale = (uniform && exact_multiples(c, self.rows)).then_some(c);
-        let q = g_sq.first().copied().unwrap_or(0.0);
-        let q_uniform = g_sq.iter().all(|v| v.to_bits() == q.to_bits());
-        packed.c2c_scale = (q_uniform && exact_multiples(q, self.rows)).then_some(q);
     }
 
     /// The pair of ON-targets for cell pair `idx` in column `col` under
@@ -751,8 +394,8 @@ impl Tile {
         self.col_sign[col] * self.cache.w_eff[row * self.cols + col]
     }
 
-    /// Computes [`TileVarianceStats`] from the always-fresh
-    /// [`WeightCache`] — `O(cells)`, no RNG, safe to call at any point in
+    /// Computes [`TileVarianceStats`] from the always-fresh weight
+    /// cache — `O(cells)`, no RNG, safe to call at any point in
     /// the tile's service life (mutators rebuild the cache eagerly).
     pub fn variance_stats(&self) -> TileVarianceStats {
         let mut col_weight_err_sq = vec![0.0f32; self.cols];
@@ -799,10 +442,9 @@ impl Tile {
     /// schedule — the engine derives them per
     /// `(pulse, sample, row_tile, col_tile)`.
     ///
-    /// A [`packed_ready`](Self::packed_ready) tile runs the popcount
-    /// loops when every drive is exactly ±1/0; any other block runs the
-    /// cached loop. Both are bitwise [`mvm_reference`](Self::mvm_reference)
-    /// on ±1/0 drives, draw order included.
+    /// Runs the cached loop, which is bitwise
+    /// [`mvm_reference`](Self::mvm_reference) on ±1/0 drives, draw order
+    /// included.
     ///
     /// # Errors
     ///
@@ -828,13 +470,7 @@ impl Tile {
                 out.len()
             )));
         }
-        let mut planes = StripPlanes::default();
-        let packed = self.packed_ready(self.device.c2c_sigma > 0.0)
-            && planes.pack(xs, stride, offset, self.rows, n)
-            && self.mvm_block_packed(&planes, noise, rngs, out, &mut Vec::new());
-        if !packed {
-            self.mvm_block_cached(xs, stride, offset, noise, rngs, out);
-        }
+        self.mvm_block_cached(xs, stride, offset, noise, rngs, out);
         Ok(())
     }
 
@@ -890,59 +526,6 @@ impl Tile {
         }
     }
 
-    /// The popcount loops over a sample block whose drives `planes` holds
-    /// packed ([`StripPlanes::pack`]): column-outer, so each column's
-    /// plane words load once for the whole block, staged column-major in
-    /// `out_t`, then each sample's keyed noise in sample order.
-    ///
-    /// Per column `j` and sample: `act = active_j & valid` selects driven
-    /// nonzero-weight cells, `diff = sign_j ^ sign_x` marks negative
-    /// products, and the pre-noise sum is
-    /// `(popcount(act) − 2·popcount(act & diff))·c` in one final rounding. The plane's multiples check makes every
-    /// partial sum of the reference loop representable, so that rounding
-    /// lands on the same bits. The c2c variance is `driven·q` for every
-    /// column (all cells share `q`, zero-weight pairs included), which
-    /// keeps the reference loop's draw gating bit for bit.
-    ///
-    /// Returns `false`, leaving `out` untouched, when the tile is not
-    /// [`packed_ready`](Self::packed_ready) or the planes were packed for
-    /// another strip height or block size.
-    pub(crate) fn mvm_block_packed(
-        &self,
-        planes: &StripPlanes,
-        noise: &NoiseSpec,
-        rngs: &mut [Rng],
-        out: &mut [f32],
-        out_t: &mut Vec<f32>,
-    ) -> bool {
-        let n = rngs.len();
-        if planes.rows != self.rows || planes.driven.len() != n || out.len() != n * self.cols {
-            return false;
-        }
-        let p = &self.cache.packed;
-        let need_c2c = self.device.c2c_sigma > 0.0;
-        let (Some(c), Some(q)) = (p.scale, if need_c2c { p.c2c_scale } else { Some(0.0) }) else {
-            return false;
-        };
-        out_t.clear();
-        out_t.resize(self.cols * n, 0.0);
-        if planes.all_full {
-            packed_batch_full_inner(p, &planes.sign, n, out_t, c);
-        } else {
-            packed_batch_masked_inner(p, &planes.sign, &planes.valid, n, out_t, c);
-        }
-        let mut c2c_var = self.c2c_scratch();
-        for (s, rng) in rngs.iter_mut().enumerate() {
-            let o = &mut out[s * self.cols..(s + 1) * self.cols];
-            for (oj, col) in o.iter_mut().zip(out_t.chunks_exact(n)) {
-                *oj = col[s];
-            }
-            c2c_var.fill(planes.driven[s] as f32 * q);
-            self.apply_sign_and_noise(noise, rng, o, &c2c_var);
-        }
-        true
-    }
-
     /// Per-column c2c variance scratch: `cols` zeros when the device
     /// draws cycle-to-cycle noise, else empty, which skips those draws.
     fn c2c_scratch(&self) -> Vec<f32> {
@@ -954,16 +537,21 @@ impl Tile {
         vec![0.0; len]
     }
 
-    /// Whether the popcount loops engage on this tile: the uniform-scale
-    /// exactness verdicts hold for the weight plane and — when
-    /// `need_c2c` (the device draws cycle-to-cycle noise) — for the
-    /// variance plane too. When `false`, execution runs the cached loop,
-    /// which is bitwise the same on ±1/0 drives; this probe exists so
-    /// the engine can skip packing and benches and tests can assert
-    /// which inner loop ran.
+    /// Whether the tile is rail-programmed: every nonzero effective
+    /// weight has one magnitude whose integer multiples up to `rows` are
+    /// exact in f32, and, when `need_c2c` (the device draws
+    /// cycle-to-cycle noise), every cell has one `G⁺²+G⁻²` with the same
+    /// property. Ideal and functional devices keep the property through
+    /// stuck cells and repairs; variation, IR drop and drift break it.
+    /// Execution does not read it: it is a property of the programmed
+    /// state that benches and tests report, computed from the weight
+    /// cache when asked. The name predates the removal of the bit-packed
+    /// loops it once gated.
     pub fn packed_ready(&self, need_c2c: bool) -> bool {
-        let p = &self.cache.packed;
-        p.scale.is_some() && (!need_c2c || p.c2c_scale.is_some())
+        let WeightCache { w_eff, g_sq, .. } = &self.cache;
+        let magnitudes = w_eff.iter().filter(|&&w| w != 0.0).map(|w| w.abs());
+        uniform_with_exact_multiples(magnitudes, self.rows)
+            && (!need_c2c || uniform_with_exact_multiples(g_sq.iter().copied(), self.rows))
     }
 
     /// Original accumulation: recompute the effective weight of every
@@ -2015,15 +1603,17 @@ mod tests {
         )
         .unwrap();
         let tile = Tile::program(&w, &lossy_device(), &mut rng).unwrap();
-        assert!(!tile.packed_ready(true), "a lossy tile runs the cached loop");
-        let x = [1.0, -1.0, 0.0, 1.0, -1.0];
-        let [fast, slow] = mvm_and_reference(&tile, &x, &NoiseSpec::functional(0.4), 77);
-        assert_eq!(fast, slow, "±1/0 inputs must be bitwise identical, draw order included");
+        assert!(!tile.packed_ready(true), "a lossy tile is off its rails");
+        // the all-zero drive gates every c2c draw off
+        for x in [[1.0, -1.0, 0.0, 1.0, -1.0], [0.0; 5]] {
+            let [fast, slow] = mvm_and_reference(&tile, &x, &NoiseSpec::functional(0.4), 77);
+            assert_eq!(fast, slow, "x = {x:?}: bitwise, draw order included");
+        }
     }
 
     /// Rail-programmed device (no d2d spread) with a finite on/off
-    /// ratio: both conductance rails are exact, so the popcount loops'
-    /// uniform-scale preconditions hold even through stuck cells.
+    /// ratio: both conductance rails are exact, so the tile stays
+    /// [`Tile::packed_ready`] even through stuck cells.
     fn rails_device() -> DeviceModel {
         let mut device = DeviceModel::ideal();
         device.on_off_ratio = 20.0;
@@ -2031,57 +1621,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_kernel_is_bitwise_reference_on_rails() {
-        let mut device = rails_device();
-        device.stuck_on_rate = 0.1;
-        device.stuck_off_rate = 0.1;
-        let mut rng = Rng::from_seed(51);
-        let w = Tensor::from_vec(
-            (0..70 * 3).map(|i| if i % 3 == 0 { -1.0 } else { 1.0 }).collect(),
-            &[70, 3], // spans two u64 words per column
-        )
-        .unwrap();
-        let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
-        tile.flip_column(1, &mut rng).unwrap();
-        assert!(tile.packed_ready(false), "rails must pack");
-        let noise = NoiseSpec::functional(0.4);
-        // zero-masked rows run the masked loop, full drives the full one
-        for x in [
-            (0..70).map(|i| [1.0, -1.0, 0.0][i % 3]).collect::<Vec<f32>>(),
-            vec![-1.0; 70],
-        ] {
-            let [fast, slow] = mvm_and_reference(&tile, &x, &noise, 99);
-            assert_eq!(fast, slow, "popcount must be bitwise reference on rails");
-        }
-    }
-
-    #[test]
-    fn packed_kernel_reconstructs_c2c_variance_bitwise() {
-        // all-healthy rails + c2c read noise: the variance plane is
-        // uniform, so the popcount loop must reproduce the aggregated
-        // draws (values *and* gating) bit for bit
-        let mut device = rails_device();
-        device.c2c_sigma = 0.05;
-        let mut rng = Rng::from_seed(52);
-        let w = Tensor::from_vec(
-            (0..20).map(|i| if i % 4 == 0 { -1.0 } else { 1.0 }).collect(),
-            &[5, 4],
-        )
-        .unwrap();
-        let tile = Tile::program(&w, &device, &mut rng).unwrap();
-        assert!(tile.packed_ready(true), "healthy rails must pack with c2c");
-        let noise = NoiseSpec::functional(0.2);
-        for x in [[1.0, -1.0, 0.0, 1.0, -1.0], [0.0; 5]] {
-            let [fast, slow] = mvm_and_reference(&tile, &x, &noise, 7);
-            assert_eq!(fast, slow, "c2c reconstruction must be bitwise for x = {x:?}");
-        }
-    }
-
-    #[test]
     fn packed_downgrades_on_heterogeneous_weights_and_stays_bitwise() {
-        // d2d spread / IR drop / stuck-broken c2c uniformity: the
-        // popcount loop must not engage, and the cached loop serves —
-        // bitwise the reference, never a silently different result
+        // the rail-programmed verdict: d2d spread, IR drop, drift and
+        // stuck-broken c2c uniformity break it, rail writes keep it, and
+        // execution is bitwise the reference either way
         let mut rng = Rng::from_seed(53);
         let tile = Tile::program(&weights(), &lossy_device(), &mut rng).unwrap();
         assert!(!tile.packed_ready(false), "d2d weights must not pack");
@@ -2104,12 +1647,29 @@ mod tests {
         assert!(!stuck.packed_ready(true), "stuck pairs must break c2c packing");
         let [fast, slow] = mvm_and_reference(&stuck, &x, &noise, 4);
         assert_eq!(fast, slow);
+
+        let mut tile = Tile::program(&weights(), &rails_device(), &mut rng).unwrap();
+        let mut stats = ProgramStats::default();
+        tile.upset_cell(0, 1, CellSide::Pos, false).unwrap();
+        tile.flip_column(1, &mut rng).unwrap();
+        tile.replace_row(0, &mut rng).unwrap();
+        tile.replace_col(0, &mut rng).unwrap();
+        tile.reprogram_pair(2, 1, &WriteVerify::standard(), &mut rng, &mut stats)
+            .unwrap();
+        tile.refresh(None, &mut rng, &mut stats);
+        assert!(tile.packed_ready(false), "rail writes keep the rails");
+        let mut aged = tile.clone();
+        aged.age(500.0, 0.05, 0.01, &mut rng);
+        assert!(!aged.packed_ready(false), "drift breaks the rails");
+        let map: Vec<f32> = (0..6).map(|i| 1.0 - 0.02 * i as f32).collect();
+        tile.scale_attenuation(&map);
+        assert!(!tile.packed_ready(false), "attenuation breaks the rails");
     }
 
     #[test]
     fn packed_falls_back_on_fractional_inputs() {
-        // amplitude-style fractional drives cannot be packed into one
-        // bit: a packed-ready tile must serve the cached loop's results
+        // amplitude-style fractional drives on a rail-programmed tile
+        // run the same cached loop as every other drive
         let mut rng = Rng::from_seed(54);
         let tile = Tile::program(&weights(), &rails_device(), &mut rng).unwrap();
         assert!(tile.packed_ready(false));
@@ -2119,52 +1679,6 @@ mod tests {
         tile.mvm(&x, &noise, &mut Rng::from_seed(9), &mut a).unwrap();
         tile.mvm_block_cached(&x, 3, 0, &noise, &mut [Rng::from_seed(9)], &mut b);
         assert_eq!(a, b, "fractional drives must serve the cached results");
-    }
-
-    #[test]
-    fn every_mutation_keeps_the_packed_planes_fresh() {
-        // mirror of every_mutation_keeps_the_cache_fresh on a rails
-        // device, where the popcount loop genuinely engages: a mutator
-        // that patched the scalar cache but left the bit planes stale
-        // would diverge here
-        let mut device = rails_device();
-        device.stuck_off_rate = 0.15;
-        let mut rng = Rng::from_seed(55);
-        let w = weights();
-        let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
-        let check = |tile: &Tile, what: &str| {
-            let [fast, slow] =
-                mvm_and_reference(tile, &[1.0, -1.0, 1.0], &NoiseSpec::functional(0.2), 6);
-            assert_eq!(fast, slow, "stale packed planes after {what}");
-        };
-        check(&tile, "program");
-        assert!(tile.packed_ready(false));
-        tile.inject_fault(1, 0, CellSide::Neg, CellHealth::StuckOn).unwrap();
-        check(&tile, "inject_fault");
-        tile.upset_cell(0, 1, CellSide::Pos, false).unwrap();
-        check(&tile, "upset_cell");
-        tile.flip_column(1, &mut rng).unwrap();
-        check(&tile, "flip_column");
-        tile.replace_row(0, &mut rng).unwrap();
-        check(&tile, "replace_row");
-        tile.replace_col(0, &mut rng).unwrap();
-        check(&tile, "replace_col");
-        let mut stats = ProgramStats::default();
-        tile.reprogram_pair(2, 1, &WriteVerify::standard(), &mut rng, &mut stats)
-            .unwrap();
-        check(&tile, "reprogram_pair");
-        tile.refresh(None, &mut rng, &mut stats);
-        check(&tile, "refresh");
-        assert!(tile.packed_ready(false), "rails survive the mutation gauntlet");
-        // aging breaks rail uniformity: the planes must *notice* (no
-        // stale Some(scale)) and execution must downgrade, still bitwise
-        tile.age(500.0, 0.05, 0.01, &mut rng);
-        check(&tile, "age");
-        assert!(!tile.packed_ready(false), "per-cell drift must unpack the tile");
-        let map: Vec<f32> = (0..6).map(|i| 1.0 - 0.02 * i as f32).collect();
-        tile.scale_attenuation(&map);
-        check(&tile, "scale_attenuation");
-        assert!(!tile.packed_ready(false));
     }
 
     #[test]
@@ -2202,6 +1716,8 @@ mod tests {
         check(&tile, "verified refresh");
         tile.inject_fault(1, 0, CellSide::Neg, CellHealth::StuckOn).unwrap();
         check(&tile, "inject_fault");
+        tile.upset_cell(0, 1, CellSide::Pos, false).unwrap();
+        check(&tile, "upset_cell");
         let (tile_v, _) =
             Tile::program_verified(&w, &lossy_device(), &WriteVerify::standard(), &mut rng)
                 .unwrap();

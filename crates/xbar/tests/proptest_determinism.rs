@@ -4,9 +4,9 @@
 //! `(pulse, sample, row_tile, col_tile)` (programming: `(row_tile,
 //! col_tile)`), so programming + execution must be **bitwise identical**
 //! for every `max_threads` setting — across tile geometries, encoders
-//! and noise models, on every MVM path (the delta schedule, the cached
-//! and the popcount loops reorder their loops but not their substream
-//! keys) — and the closed-form variance
+//! and noise models, on every MVM path (the delta schedule and the
+//! cached loop reorder their loops but not their substream keys) — and
+//! the closed-form variance
 //! laws (paper Eqs. 2/3) must keep holding when the Monte-Carlo runs
 //! through the parallel path.
 
@@ -24,7 +24,7 @@ fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
 }
 
 /// The pulses of a count-coded train stored densely: a generic train,
-/// which takes the dense schedule (popcount loops on rails tiles).
+/// which takes the dense schedule.
 fn dense_twin(train: &PulseTrain) -> PulseTrain {
     let pulses = (0..train.num_pulses())
         .map(|i| train.pulse(i).into_owned())
@@ -187,7 +187,7 @@ fn guard_retry_path_is_bitwise_identical_across_thread_counts() {
         let (y, stats) = engine.execute_guarded(train, &mut rng).unwrap();
         (y.as_slice().to_vec(), stats)
     };
-    // the delta schedule, and the dense one through the popcount loops
+    // the delta schedule, and the dense one through the cached loop
     for (what, train) in [("counts", &train), ("dense", &dense_twin(&train))] {
         let (y1, s1) = run_guarded(1, train);
         assert!(s1.guard.retries > 0, "fixture must exercise retries ({what})");
@@ -270,16 +270,16 @@ fn monte_carlo_variance_matches_eq2_under_parallel_execution() {
     );
 }
 
-/// The full escalation ladder (retry → refresh → remap) on the popcount
-/// loops: a rails fixture driven by a generic train, with a
+/// The full escalation ladder (retry → refresh → remap) on the dense
+/// schedule: a rails fixture driven by a generic train, with a
 /// post-deployment fault burst
 /// must trip checksums, escalate past retries to tile remaps, and the
 /// whole run — detection, repair, and the final outputs — must be
 /// bitwise identical at 1 vs 4 threads. Ladder repairs reprogram cells
-/// (rebuilding the packed planes mid-flight), so this also fuzzes plane
+/// (rebuilding the weight cache mid-flight), so this also fuzzes cache
 /// freshness along the recovery path.
 #[test]
-fn packed_guard_ladder_is_bitwise_identical_across_thread_counts() {
+fn rails_guard_ladder_is_bitwise_identical_across_thread_counts() {
     let mut cfg = XbarConfig::functional(0.05);
     cfg.guard = Some(GuardPolicy::standard());
     cfg.tile_rows = 16;
@@ -297,7 +297,7 @@ fn packed_guard_ladder_is_bitwise_identical_across_thread_counts() {
         };
         let mut rng = Rng::from_seed(63);
         let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
-        assert!(engine.packed_ready(), "rails fixture must pack");
+        assert!(engine.packed_ready(), "fixture must be rail-programmed");
         // a burst of stuck-off cells: each shifts its column checksum by
         // ~1 per pulse, far outside the 6σ tolerance at σ = 0.05
         for k in 0..12 {
@@ -317,8 +317,8 @@ fn packed_guard_ladder_is_bitwise_identical_across_thread_counts() {
     );
     assert!(!d1, "remap should repair this fixture");
     let (y4, s4, d4) = run_guarded(4);
-    assert_eq!(y1, y4, "packed ladder outputs diverged at 4 threads");
-    assert_eq!(s1, s4, "packed ladder stats diverged at 4 threads");
+    assert_eq!(y1, y4, "rails ladder outputs diverged at 4 threads");
+    assert_eq!(s1, s4, "rails ladder stats diverged at 4 threads");
     assert_eq!(d1, d4);
 }
 

@@ -2,8 +2,7 @@
 //!
 //! The engine picks one path per pulse train: a count-coded train
 //! (thermometer, PLA) takes the incremental pulse-delta schedule; a
-//! generic train takes the dense schedule, which runs the bit-packed
-//! popcount loops on `packed_ready` tiles and the cached loop elsewhere.
+//! generic train takes the dense schedule, which runs the cached loop.
 //! Four properties guard them:
 //!
 //! 1. **Count-coded vs dense** — a count-coded train agrees with the same
@@ -12,20 +11,20 @@
 //!    stuck tiles carrying SAF-ECC corrections. Noise substreams are keyed
 //!    by `(pulse, sample, row_tile, col_tile)`, so the comparison is
 //!    noise-to-noise, not just mean-to-mean.
-//! 2. **Popcount bitwise contract** — on rail-programmed tiles with
-//!    ±1/0 drives, `Tile::mvm_batch` (popcount engaged) is *bitwise*
+//! 2. **Cached bitwise contract** — on rail-programmed tiles with ±1/0
+//!    drives, a strided, offset `Tile::mvm_batch` block is *bitwise*
 //!    `Tile::mvm_reference`, the raw-conductance oracle, including the
 //!    RNG draw order of every noise stream (output noise and gated c2c
-//!    draws); fractional drives fall back to the cached loop within 1e-5.
+//!    draws); fractional drives agree within 1e-5.
 //! 3. **Guard composition** — under checksum-guarded execution, the
 //!    delta schedule never masks a violation the dense schedule catches,
 //!    even when faults are injected mid-sequence.
-//! 4. **No stale caches or planes** — after any random sequence of tile
-//!    mutations (aging, polarity flips, spare-line replacement,
-//!    escalated reprogramming, refresh, fault injection), `Tile::mvm`
-//!    still agrees bitwise with the oracle, which reads raw conductances
-//!    and cannot be stale. Every mutator must rebuild or patch the cache
-//!    — and the packed planes riding on it — eagerly for this to hold.
+//! 4. **No stale cache** — after any random sequence of tile mutations
+//!    (aging, polarity flips, spare-line replacement, escalated
+//!    reprogramming, refresh, fault injection), `Tile::mvm` still agrees
+//!    bitwise with the oracle, which reads raw conductances and cannot
+//!    be stale. Every mutator must rebuild or patch the cache eagerly
+//!    for this to hold.
 
 use membit_encoding::pla::PlaThermometer;
 use membit_encoding::{BitEncoder, PulseTrain, Thermometer};
@@ -142,8 +141,7 @@ proptest! {
         cfg.tile_cols = tile_cols;
 
         // the delta schedule runs from the counts, the dense twin through
-        // the popcount loops (ideal, functional) or the cached loop
-        // (realistic), on identical hardware and noise substreams
+        // the cached loop, on identical hardware and noise substreams
         let (y_counts, s_counts) = run(&w, &train, cfg, seed + 2000, &stuck);
         let (y_dense, s_dense) = run(&w, &dense_twin(&train), cfg, seed + 2000, &stuck);
         prop_assert_eq!(s_counts, s_dense, "event stats must not depend on the schedule");
@@ -151,7 +149,7 @@ proptest! {
     }
 
     #[test]
-    fn packed_execution_is_bitwise_reference_on_rails(
+    fn cached_execution_is_bitwise_reference_on_rails(
         seed in 0u64..400,
         rows in 3usize..140,
         cols in 1usize..9,
@@ -162,15 +160,14 @@ proptest! {
         zeros in 0usize..2,
     ) {
         // rail-programmed tiles (ideal device, d2d = 0) driven at ±1/0:
-        // mvm_batch runs the popcount loops and must reproduce the
-        // oracle *bitwise*, RNG draw order included. Heights up to 139
-        // span one to three plane words; full ±1 blocks run the full
-        // loop, blocks with zeros the masked one.
+        // a strided, offset mvm_batch block must reproduce the oracle
+        // *bitwise*, RNG draw order included, for full ±1 blocks and
+        // blocks with undriven rows alike
         let mut device = DeviceModel::ideal();
         device.on_off_ratio = 20.0;
         device.c2c_sigma = if c2c == 1 { 0.03 } else { 0.0 };
-        // stuck pairs keep the weight plane on rails; with c2c they break
-        // its variance plane, and the cached loop serves instead
+        // stuck pairs keep the weights on rails; with c2c they break the
+        // uniformity of the per-cell variance
         device.stuck_on_rate = if stuck == 1 { 0.05 } else { 0.0 };
         let w = pm1_matrix(rows, cols, seed);
         let mut rng = Rng::from_seed(seed + 7000);
@@ -203,9 +200,8 @@ proptest! {
             }
             (out, next)
         };
-        prop_assert_eq!(block(&xs), oracle(&xs), "popcount must be bitwise the oracle on rails");
-        // fractional drives are not one-bit representable: the cached
-        // loop serves them, within the accumulation-order tolerance
+        prop_assert_eq!(block(&xs), oracle(&xs), "mvm_batch must be bitwise the oracle on rails");
+        // fractional drives agree within the accumulation-order tolerance
         let frac: Vec<f32> = xs.iter().map(|&v| v * 0.75).collect();
         let ((y, next), (y_ref, next_ref)) = (block(&frac), oracle(&frac));
         near(&y, &y_ref, "fractional")?;
@@ -313,16 +309,21 @@ proptest! {
         let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
         let mut stats = ProgramStats::default();
 
-        // a ±1 probe: the cached loop (this lossy device never packs)
-        // must agree bitwise with the oracle on it whenever the cache is
-        // fresh
-        let x: Vec<f32> = (0..rows)
-            .map(|i| if (i + seed as usize).is_multiple_of(2) { 1.0 } else { -1.0 })
-            .collect();
+        // a ±1 probe and a ±1/0 probe with undriven rows: the cached
+        // loop must agree bitwise with the oracle on both whenever the
+        // cache is fresh
+        let probes: [Vec<f32>; 2] = [
+            (0..rows)
+                .map(|i| if (i + seed as usize).is_multiple_of(2) { 1.0 } else { -1.0 })
+                .collect(),
+            (0..rows).map(|i| [1.0, -1.0, 0.0][(i + seed as usize) % 3]).collect(),
+        ];
         let noise = NoiseSpec::functional(0.2);
         let check = |tile: &Tile, op: usize| -> std::result::Result<(), TestCaseError> {
-            let [fast, slow] = mvm_and_reference(tile, &x, &noise, seed + 4000);
-            prop_assert_eq!(fast, slow, "stale cache after op {}", op);
+            for x in &probes {
+                let [fast, slow] = mvm_and_reference(tile, x, &noise, seed + 4000);
+                prop_assert_eq!(fast, slow, "stale cache after op {} on probe {:?}", op, x);
+            }
             Ok(())
         };
         check(&tile, 99)?; // fresh from programming
@@ -338,70 +339,6 @@ proptest! {
                         .unwrap();
                 }
                 5 => tile.refresh(None, &mut rng, &mut stats),
-                _ => {
-                    let side = if k % 2 == 0 { CellSide::Pos } else { CellSide::Neg };
-                    let health = match k % 3 {
-                        0 => CellHealth::StuckOn,
-                        1 => CellHealth::StuckOff,
-                        _ => CellHealth::Healthy,
-                    };
-                    tile.inject_fault(k % rows, k % cols, side, health).unwrap();
-                }
-            }
-            check(&tile, op)?;
-        }
-    }
-
-    #[test]
-    fn mutations_never_leave_stale_packed_planes(
-        seed in 0u64..400,
-        rows in 3usize..10,
-        cols in 3usize..10,
-        ops in proptest::collection::vec(0usize..6, 1..10),
-    ) {
-        // the rails counterpart of `mutations_never_leave_a_stale_cache`:
-        // on a rail-programmed device the popcount loop stays *engaged*
-        // through polarity flips, spare-line swaps, reprogramming,
-        // refresh, and fault injection (aging is deliberately excluded —
-        // drift de-rails the tile and is covered by the lossy test), so
-        // every mutator must rebuild the packed planes exactly where it
-        // patches the weight cache. A stale sign/active word or scale
-        // would break bitwise agreement with the raw-conductance loop.
-        let mut device = DeviceModel::ideal();
-        device.c2c_sigma = 0.02;
-        device.on_off_ratio = 20.0;
-        device.stuck_on_rate = 0.02;
-        device.stuck_off_rate = 0.02;
-        let w = pm1_matrix(rows, cols, seed);
-        let mut rng = Rng::from_seed(seed + 8000);
-        let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
-        let mut stats = ProgramStats::default();
-
-        let x: Vec<f32> = (0..rows)
-            .map(|i| match (i + seed as usize) % 3 {
-                0 => 1.0,
-                1 => -1.0,
-                _ => 0.0, // undriven rows: exercises the valid plane
-            })
-            .collect();
-        let noise = NoiseSpec::functional(0.2);
-        let check = |tile: &Tile, op: usize| -> std::result::Result<(), TestCaseError> {
-            let [fast, slow] = mvm_and_reference(tile, &x, &noise, seed + 9000);
-            prop_assert_eq!(fast, slow, "stale packed planes after op {}", op);
-            Ok(())
-        };
-        check(&tile, 99)?; // fresh from programming
-        for (k, &op) in ops.iter().enumerate() {
-            match op {
-                0 => tile.flip_column(k % cols, &mut rng).unwrap(),
-                1 => tile.replace_row(k % rows, &mut rng).unwrap(),
-                2 => tile.replace_col(k % cols, &mut rng).unwrap(),
-                3 => {
-                    tile.reprogram_pair(k % rows, k % cols, &WriteVerify::standard(), &mut rng, &mut stats)
-                        .map(|_| ())
-                        .unwrap();
-                }
-                4 => tile.refresh(None, &mut rng, &mut stats),
                 _ => {
                     let side = if k % 2 == 0 { CellSide::Pos } else { CellSide::Neg };
                     let health = match k % 3 {

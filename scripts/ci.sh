@@ -36,8 +36,8 @@ cargo test -q -p membit-core --test golden_search
 cargo test -q --release -p membit-core --test golden_search
 
 echo "=== MVM path differential suite ==="
-# delta schedule vs dense twin, popcount + cached loops vs the tile's
-# reference oracle, plus cache/plane staleness fuzzing across all mutators
+# delta schedule vs dense twin, the cached loop vs the tile's reference
+# oracle, plus cache staleness fuzzing across all mutators
 cargo test -q -p membit-xbar --test proptest_kernels
 
 echo "=== release-mode float determinism (tensor + kernel suites) ==="
@@ -137,5 +137,9 @@ echo "=== membench smoke (the repository benchmark, all four workloads) ==="
 
 echo "=== cargo clippy (-D warnings) ==="
 cargo clippy --release --workspace --all-targets -- -D warnings
+
+echo "=== cargo doc (-D warnings) ==="
+# broken, private or ambiguous intra-doc links fail the gate
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "ci: all checks passed"

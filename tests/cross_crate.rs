@@ -1,7 +1,9 @@
 //! Cross-crate integration: checkpoint round-trips through the full VGG,
 //! functional-vs-device-level agreement, and dataset/model plumbing.
 
-use membit_core::{evaluate, pretrain, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, TrainConfig};
+use membit_core::{
+    evaluate, pretrain, CrossbarModel, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, TrainConfig,
+};
 use membit_data::{shapes, synth_cifar, Dataset, ShapesConfig, SynthCifarConfig};
 use membit_nn::{load_params, save_params, NoNoise, Params, Vgg, VggConfig};
 use membit_tensor::{Rng, RngStream, Tensor};
@@ -33,37 +35,20 @@ fn vgg_checkpoint_roundtrip_preserves_predictions() {
     let acc_before = evaluate(&mut vgg, &params, &test, 20).expect("eval");
 
     let path = std::env::temp_dir().join(format!("membit-itest-{}.ckpt", std::process::id()));
-    let extra: Vec<(String, Tensor)> = vgg
-        .running_stats()
-        .into_iter()
-        .flat_map(|(name, mean, var)| {
-            [
-                (format!("{name}.running_mean"), mean),
-                (format!("{name}.running_var"), var),
-            ]
-        })
-        .collect();
-    save_params(&path, &params, &extra).expect("save");
+    let state = vgg.state_tensors();
+    save_params(&path, &params, &state).expect("save");
 
     // fresh model, restore, same accuracy
     let (mut vgg2, mut params2) = tiny_vgg(99); // different init seed
-    let mut stats = Vec::new();
-    let mut means: Vec<(String, Tensor)> = Vec::new();
-    for (name, tensor) in load_params(&path).expect("load") {
-        if let Some(base) = name.strip_suffix(".running_mean") {
-            means.push((base.to_string(), tensor));
-        } else if let Some(base) = name.strip_suffix(".running_var") {
-            let idx = means
-                .iter()
-                .position(|(b, _)| b == base)
-                .expect("mean before var");
-            let (b, mean) = means.remove(idx);
-            stats.push((b, mean, tensor));
-        } else {
-            assert!(params2.assign(&name, tensor), "unknown param {name}");
-        }
+    let entries = load_params(&path).expect("load");
+    vgg2.restore_state_tensors(&entries);
+    for (name, tensor) in entries {
+        let is_state = state.iter().any(|(n, _)| *n == name);
+        assert!(
+            is_state || params2.assign(&name, tensor),
+            "unknown param {name}"
+        );
     }
-    vgg2.set_running_stats(&stats);
     std::fs::remove_file(&path).ok();
     let acc_after = evaluate(&mut vgg2, &params2, &test, 20).expect("eval");
     assert_eq!(acc_before, acc_after);
