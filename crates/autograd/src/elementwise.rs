@@ -78,34 +78,10 @@ impl Tape {
         self.push_op(value, Op::Relu { x })
     }
 
-    /// Leaky ReLU `max(x, slope·x)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`membit_tensor::TensorError::InvalidArgument`] unless
-    /// `0 ≤ slope < 1`.
-    pub fn leaky_relu(&mut self, x: VarId, slope: f32) -> Result<VarId> {
-        if !(0.0..1.0).contains(&slope) {
-            return Err(membit_tensor::TensorError::InvalidArgument(format!(
-                "leaky-relu slope must lie in [0, 1), got {slope}"
-            )));
-        }
-        let value = self.value(x).map(|v| if v > 0.0 { v } else { slope * v });
-        Ok(self.push_op(value, Op::LeakyRelu { x, slope }))
-    }
-
     /// Logistic sigmoid `1/(1+e^{−x})`.
     pub fn sigmoid(&mut self, x: VarId) -> VarId {
         let value = self.value(x).map(|v| 1.0 / (1.0 + (-v).exp()));
         self.push_op(value, Op::Sigmoid { x })
-    }
-
-    /// Softplus `ln(1+e^x)` (numerically stable form).
-    pub fn softplus(&mut self, x: VarId) -> VarId {
-        let value = self
-            .value(x)
-            .map(|v| if v > 20.0 { v } else { (1.0 + v.exp()).ln() });
-        self.push_op(value, Op::Softplus { x })
     }
 
     /// Elementwise exponential.
@@ -231,8 +207,8 @@ mod tests {
 
     #[test]
     fn new_unary_ops_forward_and_grad() {
-        // sigmoid: y(1−y); exp: y; ln: 1/x; abs: sign; softplus: σ(x);
-        // leaky: slope gate — all against closed forms at a single point.
+        // sigmoid: y(1−y); exp: y; ln: 1/x; abs: sign — all against
+        // closed forms at a single point.
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::scalar(0.5), true);
         let y = tape.sigmoid(x);
@@ -259,27 +235,6 @@ mod tests {
         let sa = t4.sum_all(a);
         t4.backward(sa).unwrap();
         assert_eq!(t4.grad(x4).unwrap().as_slice(), &[-1.0, 1.0]);
-
-        let mut t5 = Tape::new();
-        let x5 = t5.leaf(Tensor::from_vec(vec![-2.0, 2.0], &[2]).unwrap(), true);
-        let lr = t5.leaky_relu(x5, 0.1).unwrap();
-        assert_eq!(t5.value(lr).as_slice(), &[-0.2, 2.0]);
-        let sl = t5.sum_all(lr);
-        t5.backward(sl).unwrap();
-        assert_eq!(t5.grad(x5).unwrap().as_slice(), &[0.1, 1.0]);
-        assert!(t5.leaky_relu(x5, 1.5).is_err());
-
-        let mut t6 = Tape::new();
-        let x6 = t6.leaf(Tensor::scalar(0.0), true);
-        let sp = t6.softplus(x6);
-        t6.backward(sp).unwrap();
-        assert!((t6.value(sp).item() - 2.0f32.ln()).abs() < 1e-6);
-        assert!((t6.grad(x6).unwrap().item() - 0.5).abs() < 1e-6);
-        // large-input stability
-        let mut t7 = Tape::new();
-        let x7 = t7.leaf(Tensor::scalar(50.0), true);
-        let sp7 = t7.softplus(x7);
-        assert!((t7.value(sp7).item() - 50.0).abs() < 1e-3);
     }
 
     #[test]
@@ -287,11 +242,9 @@ mod tests {
         let x = Tensor::from_vec(vec![0.3, -0.8, 1.4, -0.1], &[4]).unwrap();
         let r = crate::check_gradients(&[x], 1e-3, |tape, vars| {
             let s = tape.sigmoid(vars[0]);
-            let sp = tape.softplus(s);
-            let e = tape.exp(sp);
+            let e = tape.exp(s);
             let l = tape.ln(e); // identity roundtrip keeps values positive
-            let lr = tape.leaky_relu(l, 0.2)?;
-            Ok(tape.mean_all(lr))
+            Ok(tape.mean_all(l))
         })
         .unwrap();
         assert!(r.passes(2e-2), "{r:?}");

@@ -31,12 +31,8 @@ pub(crate) enum Op {
     Tanh { x: VarId },
     /// `max(x, 0)`.
     Relu { x: VarId },
-    /// `max(x, slope·x)` for `0 ≤ slope < 1`.
-    LeakyRelu { x: VarId, slope: f32 },
     /// Logistic sigmoid `1/(1+e^{−x})`.
     Sigmoid { x: VarId },
-    /// `ln(1 + e^x)` (smooth ReLU).
-    Softplus { x: VarId },
     /// `e^x`.
     Exp { x: VarId },
     /// `ln(x)`.
@@ -157,9 +153,7 @@ impl Op {
             | Op::Neg { x }
             | Op::Tanh { x }
             | Op::Relu { x }
-            | Op::LeakyRelu { x, .. }
             | Op::Sigmoid { x }
-            | Op::Softplus { x }
             | Op::Exp { x }
             | Op::Ln { x }
             | Op::Abs { x }
@@ -233,19 +227,9 @@ impl Op {
                 let dx = grad.zip_map(val(*x), |g, xv| if xv > 0.0 { g } else { 0.0 })?;
                 Ok(vec![(*x, dx)])
             }
-            Op::LeakyRelu { x, slope } => {
-                let sl = *slope;
-                let dx = grad.zip_map(val(*x), |g, xv| if xv > 0.0 { g } else { g * sl })?;
-                Ok(vec![(*x, dx)])
-            }
             Op::Sigmoid { x } => {
                 // dy/dx = y(1 − y), using the stored output
                 let dx = grad.zip_map(out, |g, y| g * y * (1.0 - y))?;
-                Ok(vec![(*x, dx)])
-            }
-            Op::Softplus { x } => {
-                // d/dx ln(1+e^x) = sigmoid(x)
-                let dx = grad.zip_map(val(*x), |g, xv| g / (1.0 + (-xv).exp()))?;
                 Ok(vec![(*x, dx)])
             }
             Op::Exp { x } => {

@@ -179,13 +179,6 @@ impl Tape {
         }
         Ok(())
     }
-
-    /// Clears accumulated gradients but keeps the recorded graph.
-    pub fn zero_grad(&mut self) {
-        for g in &mut self.grads {
-            *g = None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,8 +232,6 @@ mod tests {
         tape.backward(z).unwrap();
         tape.backward(z).unwrap();
         assert_eq!(tape.grad(x).unwrap().item(), 8.0);
-        tape.zero_grad();
-        assert!(tape.grad(x).is_none());
     }
 
     #[test]

@@ -77,15 +77,113 @@ pub struct DeviceEvalConfig {
     pub policy: DeploymentPolicy,
 }
 
-/// How a conv layer's MVM is realized on the deployment.
+/// One MVM layer of the lowered VGG: how it multiplies (`K`), the
+/// im2col geometry of the activations it reads, its folded eval-mode
+/// batch norm and whether a 2×2 max pool follows. [`lower`] yields the
+/// layers with their deployed weight matrices; [`DeviceVgg`] and the
+/// `memse` captures swap in their own operators.
+pub(crate) struct MvmLayer<K> {
+    pub(crate) kernel: K,
+    pub(crate) geom: Conv2dGeometry,
+    /// Folded batch norm, per output channel.
+    pub(crate) scale: Tensor,
+    pub(crate) shift: Tensor,
+    pub(crate) pool: bool,
+}
+
+impl<K> MvmLayer<K> {
+    /// The same layer with another operator.
+    pub(crate) fn with_kernel<J>(&self, kernel: J) -> MvmLayer<J> {
+        MvmLayer {
+            kernel,
+            geom: self.geom,
+            scale: self.scale.clone(),
+            shift: self.shift.clone(),
+            pool: self.pool,
+        }
+    }
+
+    /// Output channels (the MVM's output width).
+    pub(crate) fn out_channels(&self) -> usize {
+        self.scale.len()
+    }
+
+    /// The patch matrix `[rows, patch_len]` of `act`, built in `buf`'s
+    /// allocation (hand it back with `into_vec` for the next layer).
+    pub(crate) fn im2col(&self, act: &Tensor, buf: &mut Vec<f32>) -> Result<Tensor> {
+        im2col_into(act, &self.geom, buf)?;
+        let patch = self.geom.patch_len();
+        let rows = buf.len() / patch;
+        Ok(Tensor::from_vec(std::mem::take(buf), &[rows, patch])?)
+    }
+
+    /// The digital periphery after the MVM: the `[N·OH·OW, out]` rows
+    /// back to NCHW, the folded batch norm, `tanh` → re-quantize to
+    /// `act_levels`, then the pool.
+    pub(crate) fn periphery(&self, rows: Tensor, n: usize, act_levels: usize) -> Result<Tensor> {
+        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
+        let mut out = rows
+            .into_reshaped(&[n, oh, ow, self.out_channels()])?
+            .nhwc_to_nchw()?;
+        out = out.channel_map(&self.scale, |v, s| v * s)?;
+        out = out.channel_map(&self.shift, |v, t| v + t)?;
+        out = quantize_tensor(&out.tanh(), act_levels);
+        if self.pool {
+            out = max_pool2(&out)?;
+        }
+        Ok(out)
+    }
+}
+
+/// Lowers the trained `vgg` to its MVM layers in forward order, each
+/// with its deployed weight matrix `[out, patch_len]`: the convs (the
+/// first runs digitally on a deployment), then the hidden FC as a
+/// kernel spanning the whole final feature map, whose im2col rows are
+/// the flattened features. The digital classifier is not a layer.
+pub(crate) fn lower(vgg: &Vgg, params: &Params) -> Result<Vec<MvmLayer<Tensor>>> {
+    let config = vgg.config();
+    let (mut h, mut w) = (config.in_h, config.in_w);
+    let mut in_ch = config.in_channels;
+    let mut layers = Vec::with_capacity(config.channels.len() + 1);
+    for (i, (conv, bn)) in vgg.convs().iter().zip(vgg.conv_bns()).enumerate() {
+        let geom = Conv2dGeometry::new(in_ch, h, w, 3, 3, 1, 1)?;
+        let (scale, shift) = bn.fold_eval(params);
+        let layer = MvmLayer {
+            kernel: conv
+                .deployed_weight(params)
+                .reshape(&[conv.out_channels(), geom.patch_len()])?,
+            geom,
+            scale,
+            shift,
+            pool: config.pool_after.contains(&i),
+        };
+        in_ch = conv.out_channels();
+        if layer.pool {
+            h /= 2;
+            w /= 2;
+        }
+        layers.push(layer);
+    }
+    let (scale, shift) = vgg.fc_bn().fold_eval(params);
+    layers.push(MvmLayer {
+        kernel: vgg.fc_hidden().deployed_weight(params),
+        geom: Conv2dGeometry::new(in_ch, h, w, h, w, 1, 0)?,
+        scale,
+        shift,
+        pool: false,
+    });
+    Ok(layers)
+}
+
+/// How a layer's MVM is realized on the deployment.
 /// (`pub(crate)` so the `memse` analytic pass can walk the deployment.)
-pub(crate) enum ConvKernel {
+pub(crate) enum Kernel {
     /// The first conv runs digitally (the paper keeps it off-crossbar):
     /// just its weight matrix — no crossbar engine exists for it, so it
     /// consumes no programming RNG draws and contributes nothing to
     /// program/recovery stats.
     Digital(Tensor),
-    /// A crossbar-deployed conv with its input-encoding pulse count.
+    /// A crossbar-deployed layer with its input-encoding pulse count.
     /// (Boxed: the engine dwarfs the digital variant.)
     Crossbar {
         engine: Box<CrossbarLinear>,
@@ -93,27 +191,15 @@ pub(crate) enum ConvKernel {
     },
 }
 
-pub(crate) struct DeviceConvLayer {
-    pub(crate) kernel: ConvKernel,
-    pub(crate) geom: Conv2dGeometry,
-    pub(crate) out_channels: usize,
-    pub(crate) scale: Tensor,
-    pub(crate) shift: Tensor,
-    pub(crate) pool: bool,
-}
-
 /// The deployed network. (Fields are `pub(crate)` so the `memse`
 /// analytic variance pass can read the deployed engines and periphery
 /// without widening the public API.)
 pub struct DeviceVgg {
-    pub(crate) convs: Vec<DeviceConvLayer>,
-    pub(crate) fc_engine: CrossbarLinear,
-    pub(crate) fc_scale: Tensor,
-    pub(crate) fc_shift: Tensor,
-    pub(crate) fc_pulses: usize,
+    /// The lowered layers in forward order: the digital first conv, the
+    /// crossbar convs, the hidden FC last.
+    pub(crate) layers: Vec<MvmLayer<Kernel>>,
     pub(crate) classifier_w: Tensor,
     pub(crate) classifier_b: Tensor,
-    pub(crate) feature_dim: usize,
     pub(crate) act_levels: usize,
     num_classes: usize,
     /// `[C, H, W]` of one input sample, captured at deploy time so
@@ -145,68 +231,34 @@ impl DeviceVgg {
         let config = vgg.config();
         cfg.policy.validate()?;
         validate_encoding(&cfg.pulses, config.crossbar_layers(), cfg.act_levels)?;
-        let (mut h, mut w) = (config.in_h, config.in_w);
-        let mut in_ch = config.in_channels;
-        let mut convs = Vec::with_capacity(config.channels.len());
-        for (i, conv) in vgg.convs().iter().enumerate() {
-            let oc = conv.out_channels();
-            let geom = Conv2dGeometry::new(in_ch, h, w, 3, 3, 1, 1)?;
-            let deployed = conv.deployed_weight(params);
-            let wmat = deployed.reshape(&[oc, geom.patch_len()])?;
-            let (scale, shift) = vgg.conv_bns()[i].fold_eval(params);
-            let pool = config.pool_after.contains(&i);
+        let mut layers = Vec::new();
+        for (i, layer) in lower(vgg, params)?.iter().enumerate() {
             let kernel = if i == 0 {
                 // the first conv runs digitally: no crossbar engine, no
                 // RNG draws, no program/recovery stats for this layer
-                ConvKernel::Digital(wmat)
+                Kernel::Digital(layer.kernel.clone())
             } else {
-                let mut engine = CrossbarLinear::program(&wmat, &cfg.xbar, rng)?;
+                let mut engine = CrossbarLinear::program(&layer.kernel, &cfg.xbar, rng)?;
                 if let Some(policy) = &cfg.policy.recovery {
                     engine.remap(policy, rng)?; // report stays on the engine
                 }
-                ConvKernel::Crossbar {
+                Kernel::Crossbar {
                     engine: Box::new(engine),
                     pulses: cfg.pulses[i - 1],
                 }
             };
-            convs.push(DeviceConvLayer {
-                kernel,
-                geom,
-                out_channels: oc,
-                scale,
-                shift,
-                pool,
-            });
-            in_ch = oc;
-            if pool {
-                h /= 2;
-                w /= 2;
-            }
+            layers.push(layer.with_kernel(kernel));
         }
-        let fc_w = vgg.fc_hidden().deployed_weight(params);
-        let mut fc_engine = CrossbarLinear::program(&fc_w, &cfg.xbar, rng)?;
-        if let Some(policy) = &cfg.policy.recovery {
-            fc_engine.remap(policy, rng)?;
-        }
-        let (fc_scale, fc_shift) = vgg.fc_bn().fold_eval(params);
         let classifier_w = vgg.classifier().deployed_weight(params);
         let classifier_b = vgg
             .classifier()
             .bias()
             .map(|id| params.get(id).clone())
             .unwrap_or_else(|| Tensor::zeros(&[config.num_classes]));
-        let fc_pulses = *cfg.pulses.last().ok_or_else(|| {
-            TensorError::InvalidArgument("deployment needs at least one pulse count".into())
-        })?;
         Ok(Self {
-            convs,
-            fc_engine,
-            fc_scale,
-            fc_shift,
-            fc_pulses,
+            layers,
             classifier_w,
             classifier_b,
-            feature_dim: config.feature_dim(),
             act_levels: cfg.act_levels,
             num_classes: config.num_classes,
             input_shape: config.input_shape(),
@@ -242,22 +294,15 @@ impl DeviceVgg {
         let mut stats = ExecutionStats::default();
         let n = images.shape()[0];
         let mut act = images.clone();
-        // one column buffer reused across every conv layer of the batch
-        // (sized by the largest lowering, allocated once per forward)
+        // one column buffer reused across every layer of the batch (sized
+        // by the largest lowering, allocated once per forward)
         let mut col_buf: Vec<f32> = Vec::new();
-        let act_levels = self.act_levels;
-        for layer in &mut self.convs {
-            let (oh, ow) = (layer.geom.out_h(), layer.geom.out_w());
-            im2col_into(&act, &layer.geom, &mut col_buf)?;
-            let rows = col_buf.len() / layer.geom.patch_len();
-            let cols = Tensor::from_vec(
-                std::mem::take(&mut col_buf),
-                &[rows, layer.geom.patch_len()],
-            )?;
-            let out_rows = match &mut layer.kernel {
-                ConvKernel::Digital(wmat) => cols.matmul(&wmat.transpose()?)?,
-                ConvKernel::Crossbar { engine, pulses } => {
-                    let enc = PlaThermometer::new(act_levels, *pulses)?;
+        for layer in &mut self.layers {
+            let cols = layer.im2col(&act, &mut col_buf)?;
+            let rows = match &mut layer.kernel {
+                Kernel::Digital(wmat) => cols.matmul(&wmat.transpose()?)?,
+                Kernel::Crossbar { engine, pulses } => {
+                    let enc = PlaThermometer::new(self.act_levels, *pulses)?;
                     let train = enc.encode_tensor(&cols)?;
                     let (y, s) = engine.execute_guarded(&train, rng)?;
                     stats.merge(&s);
@@ -265,28 +310,12 @@ impl DeviceVgg {
                 }
             };
             col_buf = cols.into_vec(); // hand the allocation to the next layer
-            let mut out = out_rows
-                .into_reshaped(&[n, oh, ow, layer.out_channels])?
-                .nhwc_to_nchw()?;
-            // digital periphery: BN fold, tanh, re-quantize
-            out = out.channel_map(&layer.scale, |v, s| v * s)?;
-            out = out.channel_map(&layer.shift, |v, t| v + t)?;
-            out = quantize_tensor(&out.tanh(), self.act_levels);
-            if layer.pool {
-                out = max_pool2(&out)?;
-            }
-            act = out;
+            act = layer.periphery(rows, n, self.act_levels)?;
         }
-        let flat = act.into_reshaped(&[n, self.feature_dim])?;
-        let enc = PlaThermometer::new(self.act_levels, self.fc_pulses)?;
-        let train = enc.encode_tensor(&flat)?;
-        let (mut f, s) = self.fc_engine.execute_guarded(&train, rng)?;
-        stats.merge(&s);
-        f = f
-            .mul(&self.fc_scale)?
-            .add(&self.fc_shift)?;
-        f = quantize_tensor(&f.tanh(), self.act_levels);
-        let logits = f.matmul(&self.classifier_w.transpose()?)?.add(&self.classifier_b)?;
+        let features = act.into_reshaped(&[n, self.classifier_w.shape()[1]])?;
+        let logits = features
+            .matmul(&self.classifier_w.transpose()?)?
+            .add(&self.classifier_b)?;
         Ok((logits, stats))
     }
 
@@ -347,17 +376,11 @@ impl DeviceVgg {
         }
         self.vectors_since_check = 0;
         let mut refreshed = 0u64;
-        for layer in &mut self.convs {
-            if let ConvKernel::Crossbar { engine, .. } = &mut layer.kernel {
-                if monitor.needs_refresh(engine.measure_decay(monitor.probes, rng)) {
-                    engine.refresh(rng);
-                    refreshed += 1;
-                }
+        for engine in self.engines_mut() {
+            if monitor.needs_refresh(engine.measure_decay(monitor.probes, rng)) {
+                engine.refresh(rng);
+                refreshed += 1;
             }
-        }
-        if monitor.needs_refresh(self.fc_engine.measure_decay(monitor.probes, rng)) {
-            self.fc_engine.refresh(rng);
-            refreshed += 1;
         }
         self.refreshes += refreshed;
     }
@@ -366,23 +389,26 @@ impl DeviceVgg {
     /// the hidden FC). The digital first conv and classifier have no
     /// engine.
     fn engines(&self) -> impl Iterator<Item = &CrossbarLinear> {
-        self.convs
-            .iter()
-            .filter_map(|l| match &l.kernel {
-                ConvKernel::Crossbar { engine, .. } => Some(engine.as_ref()),
-                ConvKernel::Digital(_) => None,
-            })
-            .chain(std::iter::once(&self.fc_engine))
+        self.crossbars().map(|(engine, _)| engine)
     }
 
     fn engines_mut(&mut self) -> impl Iterator<Item = &mut CrossbarLinear> {
-        self.convs
-            .iter_mut()
-            .filter_map(|l| match &mut l.kernel {
-                ConvKernel::Crossbar { engine, .. } => Some(engine.as_mut()),
-                ConvKernel::Digital(_) => None,
-            })
-            .chain(std::iter::once(&mut self.fc_engine))
+        self.crossbars_mut().map(|(engine, _)| engine)
+    }
+
+    /// Every crossbar engine with its pulse count, in deployment order.
+    fn crossbars(&self) -> impl Iterator<Item = (&CrossbarLinear, usize)> {
+        self.layers.iter().filter_map(|l| match &l.kernel {
+            Kernel::Crossbar { engine, pulses } => Some((engine.as_ref(), *pulses)),
+            Kernel::Digital(_) => None,
+        })
+    }
+
+    fn crossbars_mut(&mut self) -> impl Iterator<Item = (&mut CrossbarLinear, &mut usize)> {
+        self.layers.iter_mut().filter_map(|l| match &mut l.kernel {
+            Kernel::Crossbar { engine, pulses } => Some((engine.as_mut(), pulses)),
+            Kernel::Digital(_) => None,
+        })
     }
 
     /// Aggregated fault-recovery outcome across all crossbar engines,
@@ -535,16 +561,7 @@ impl DeviceVgg {
     /// [`DeviceEvalConfig::pulses`] layout: one entry per crossbar layer
     /// — convs in order, the hidden FC last.
     pub fn encoding(&self) -> Vec<usize> {
-        let mut map: Vec<usize> = self
-            .convs
-            .iter()
-            .filter_map(|layer| match &layer.kernel {
-                ConvKernel::Crossbar { pulses, .. } => Some(*pulses),
-                ConvKernel::Digital(_) => None,
-            })
-            .collect();
-        map.push(self.fc_pulses);
-        map
+        self.crossbars().map(|(_, pulses)| pulses).collect()
     }
 
     /// Swaps the input-encoding pulse map **without re-programming any
@@ -570,13 +587,9 @@ impl DeviceVgg {
     pub fn reconfigure_encoding(&mut self, pulses: &[usize]) -> Result<()> {
         // eager validation so the map applies atomically below
         validate_encoding(pulses, self.encoding().len(), self.act_levels)?;
-        let mut it = pulses.iter();
-        for layer in &mut self.convs {
-            if let ConvKernel::Crossbar { pulses: p, .. } = &mut layer.kernel {
-                *p = *it.next().expect("validated length");
-            }
+        for ((_, slot), &q) in self.crossbars_mut().zip(pulses) {
+            *slot = q;
         }
-        self.fc_pulses = *it.next().expect("validated length");
         Ok(())
     }
 
@@ -585,12 +598,9 @@ impl DeviceVgg {
     /// [`membit_xbar::Tile::age`]. The digital first conv and classifier
     /// are unaffected.
     pub fn age(&mut self, hours: f32, nu: f32, nu_sigma: f32, rng: &mut Rng) {
-        for layer in &mut self.convs {
-            if let ConvKernel::Crossbar { engine, .. } = &mut layer.kernel {
-                engine.age(hours, nu, nu_sigma, rng);
-            }
+        for engine in self.engines_mut() {
+            engine.age(hours, nu, nu_sigma, rng);
         }
-        self.fc_engine.age(hours, nu, nu_sigma, rng);
     }
 }
 
@@ -783,11 +793,8 @@ mod tests {
             policy: DeploymentPolicy::default(),
         };
         let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
-        let (_, test) = membit_data::shapes(&membit_data::ShapesConfig::tiny(), 1).unwrap();
-        // shapes is 1-channel; build a 3-channel set instead from synth
         let (_, test3) =
             membit_data::synth_cifar(&membit_data::SynthCifarConfig::tiny(), 1).unwrap();
-        let _ = test;
         // tiny vgg has 4 classes but synth has 10 labels — evaluate on a
         // label-clamped copy to exercise the path
         let labels: Vec<usize> = test3.labels().iter().map(|&y| y % 4).collect();

@@ -52,7 +52,7 @@ use membit_nn::{
 use membit_tensor::{im2col_into, Conv2dGeometry, Tensor, TensorError};
 use membit_xbar::CrossbarLinear;
 
-use crate::device_eval::{quantize_tensor, ConvKernel, DeviceVgg};
+use crate::device_eval::{lower, DeviceVgg, Kernel, MvmLayer};
 use crate::Result;
 
 /// Pulse counts of crossbar operator `op` in an allocation (per
@@ -246,27 +246,20 @@ impl MemseNetwork {
     ///
     /// Propagates shape errors; rejects an empty probe.
     pub fn from_device(device: &DeviceVgg, probe: &Tensor) -> Result<Self> {
+        let layers = device
+            .layers
+            .iter()
+            .map(|l| {
+                l.with_kernel(match &l.kernel {
+                    Kernel::Digital(wmat) => LayerPlan::Digital(wmat),
+                    Kernel::Crossbar { engine, .. } => LayerPlan::Engine(engine.as_ref()),
+                })
+            })
+            .collect();
         Self::build(
             probe,
             device.act_levels,
-            |layer| match &device.convs[layer].kernel {
-                ConvKernel::Digital(wmat) => LayerPlan::Digital(wmat.clone()),
-                ConvKernel::Crossbar { engine, .. } => LayerPlan::Engine(engine.as_ref()),
-            },
-            device.convs.len(),
-            ConvPeriphery {
-                geoms: device.convs.iter().map(|l| l.geom).collect(),
-                out_channels: device.convs.iter().map(|l| l.out_channels).collect(),
-                scales: device.convs.iter().map(|l| l.scale.clone()).collect(),
-                shifts: device.convs.iter().map(|l| l.shift.clone()).collect(),
-                pools: device.convs.iter().map(|l| l.pool).collect(),
-            },
-            FcPlan {
-                engine: FcKind::Engine(&device.fc_engine),
-                scale: device.fc_scale.clone(),
-                shift: device.fc_shift.clone(),
-                feature_dim: device.feature_dim,
-            },
+            layers,
             device.classifier_w.clone(),
         )
     }
@@ -280,7 +273,8 @@ impl MemseNetwork {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] if `sigma_abs` doesn't
-    /// cover the VGG's crossbar layers; propagates shape errors.
+    /// cover the VGG's crossbar layers or holds a negative or non-finite
+    /// level; propagates shape errors.
     pub fn from_vgg(
         vgg: &Vgg,
         params: &Params,
@@ -296,77 +290,38 @@ impl MemseNetwork {
             ))
             .into());
         }
-        let (mut h, mut w) = (config.in_h, config.in_w);
-        let mut in_ch = config.in_channels;
-        let mut geoms = Vec::new();
-        let mut out_channels = Vec::new();
-        let mut scales = Vec::new();
-        let mut shifts = Vec::new();
-        let mut pools = Vec::new();
-        let mut wmats = Vec::new();
-        for (i, conv) in vgg.convs().iter().enumerate() {
-            let oc = conv.out_channels();
-            let geom = Conv2dGeometry::new(in_ch, h, w, 3, 3, 1, 1)?;
-            wmats.push(
-                conv.deployed_weight(params)
-                    .reshape(&[oc, geom.patch_len()])?,
-            );
-            let (scale, shift) = vgg.conv_bns()[i].fold_eval(params);
-            let pool = config.pool_after.contains(&i);
-            geoms.push(geom);
-            out_channels.push(oc);
-            scales.push(scale);
-            shifts.push(shift);
-            pools.push(pool);
-            in_ch = oc;
-            if pool {
-                h /= 2;
-                w /= 2;
-            }
+        if let Some(bad) = sigma_abs.iter().find(|s| !(s.is_finite() && **s >= 0.0)) {
+            return Err(TensorError::InvalidArgument(format!(
+                "noise level {bad} must be finite and non-negative"
+            ))
+            .into());
         }
-        let fc_w = vgg.fc_hidden().deployed_weight(params);
-        let (fc_scale, fc_shift) = vgg.fc_bn().fold_eval(params);
-        let cls_w = vgg.classifier().deployed_weight(params);
+        let lowered = lower(vgg, params)?;
+        let layers = lowered
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                l.with_kernel(match i {
+                    0 => LayerPlan::Digital(&l.kernel),
+                    _ => LayerPlan::Functional(&l.kernel, sigma_abs[i - 1]),
+                })
+            })
+            .collect();
         Self::build(
             probe,
             config.act_levels,
-            |layer| {
-                if layer == 0 {
-                    LayerPlan::Digital(wmats[0].clone())
-                } else {
-                    LayerPlan::Functional(wmats[layer].clone(), sigma_abs[layer - 1])
-                }
-            },
-            wmats.len(),
-            ConvPeriphery {
-                geoms,
-                out_channels,
-                scales,
-                shifts,
-                pools,
-            },
-            FcPlan {
-                engine: FcKind::Functional(
-                    fc_w,
-                    *sigma_abs.last().expect("validated non-empty above"),
-                ),
-                scale: fc_scale,
-                shift: fc_shift,
-                feature_dim: config.feature_dim(),
-            },
-            cls_w,
+            layers,
+            vgg.classifier().deployed_weight(params),
         )
     }
 
-    /// Shared constructor: assembles the stages and runs the clean
-    /// logical reference forward once.
-    fn build<'a>(
+    /// Shared constructor: turns every layer but the last into a conv
+    /// stage and the last, the hidden FC, into the FC stage, and runs
+    /// the clean logical reference forward once.
+    fn build(
         probe: &Tensor,
         act_levels: usize,
-        plan: impl Fn(usize) -> LayerPlan<'a>,
-        layers: usize,
-        periphery: ConvPeriphery,
-        fc: FcPlan<'_>,
+        layers: Vec<MvmLayer<LayerPlan<'_>>>,
         cls_w: Tensor,
     ) -> Result<Self> {
         let n = probe.shape().first().copied().unwrap_or(0);
@@ -375,99 +330,66 @@ impl MemseNetwork {
         }
         let mut act = probe.clone();
         let mut col_buf: Vec<f32> = Vec::new();
-        let mut convs = Vec::with_capacity(layers);
-        for layer in 0..layers {
-            let geom = periphery.geoms[layer];
-            let oc = periphery.out_channels[layer];
-            let (logical, e_t, w_sq_t, intrinsic) = match plan(layer) {
-                LayerPlan::Digital(wmat) => {
-                    let e_t = wmat.transpose()?;
-                    let w_sq_t = wmat.map(|v| v * v).transpose()?;
-                    (wmat, e_t, w_sq_t, None)
-                }
-                LayerPlan::Engine(engine) => {
-                    let effective = engine.effective_matrix();
-                    let e_t = effective.transpose()?;
-                    let w_sq_t = effective.map(|v| v * v).transpose()?;
-                    (
-                        engine.logical_matrix(),
-                        e_t,
-                        w_sq_t,
-                        Some(IntrinsicOp::from_engine(engine)),
-                    )
-                }
-                LayerPlan::Functional(wmat, sigma) => {
-                    let e_t = wmat.transpose()?;
-                    let w_sq_t = wmat.map(|v| v * v).transpose()?;
-                    (
-                        wmat.clone(),
-                        e_t,
-                        w_sq_t,
-                        Some(IntrinsicOp::functional(oc, sigma)),
-                    )
-                }
+        let last = layers.len() - 1;
+        let mut convs = Vec::with_capacity(last);
+        let mut fc = None;
+        for (i, layer) in layers.into_iter().enumerate() {
+            let (logical_t, e, intrinsic) = match layer.kernel {
+                LayerPlan::Digital(wmat) => (wmat.transpose()?, wmat.clone(), None),
+                LayerPlan::Engine(engine) => (
+                    engine.logical_matrix().transpose()?,
+                    engine.effective_matrix(),
+                    Some(IntrinsicOp::from_engine(engine)),
+                ),
+                LayerPlan::Functional(wmat, sigma) => (
+                    wmat.transpose()?,
+                    wmat.clone(),
+                    Some(IntrinsicOp::functional(layer.out_channels(), sigma)),
+                ),
             };
             // advance the clean logical reference
-            im2col_into(&act, &geom, &mut col_buf)?;
-            let rows = col_buf.len() / geom.patch_len();
-            let cols = Tensor::from_vec(std::mem::take(&mut col_buf), &[rows, geom.patch_len()])?;
-            let out_rows = cols.matmul(&logical.transpose()?)?;
+            let cols = layer.im2col(&act, &mut col_buf)?;
+            let rows = cols.matmul(&logical_t)?;
             col_buf = cols.into_vec();
-            let (oh, ow) = (geom.out_h(), geom.out_w());
-            let mut out = out_rows.into_reshaped(&[n, oh, ow, oc])?.nhwc_to_nchw()?;
-            out = out.channel_map(&periphery.scales[layer], |v, s| v * s)?;
-            out = out.channel_map(&periphery.shifts[layer], |v, t| v + t)?;
-            out = quantize_tensor(&out.tanh(), act_levels);
-            if periphery.pools[layer] {
-                out = max_pool2_moments(&out, &Tensor::zeros(out.shape()))?.0;
-            }
-            act = out;
-            convs.push(ConvStage {
-                geom,
-                out_channels: oc,
-                oh,
-                ow,
-                e_t,
-                w_sq_t,
-                intrinsic,
-                scale: periphery.scales[layer].clone(),
-                shift: periphery.shifts[layer].clone(),
-                scale_sq: periphery.scales[layer].map(|v| v * v),
-                pool: periphery.pools[layer],
-            });
-        }
-        let flat = act.into_reshaped(&[n, fc.feature_dim])?;
-        let (fc_logical, fc_e, fc_e_t, fc_w_sq_t, fc_intrinsic) = match fc.engine {
-            FcKind::Engine(engine) => {
-                let effective = engine.effective_matrix();
-                (
-                    engine.logical_matrix(),
-                    effective.clone(),
-                    effective.transpose()?,
-                    effective.map(|v| v * v).transpose()?,
-                    IntrinsicOp::from_engine(engine),
-                )
-            }
-            FcKind::Functional(wmat, sigma) => {
-                let out = wmat.shape()[0];
-                let e_t = wmat.transpose()?;
-                let w_sq_t = wmat.map(|v| v * v).transpose()?;
-                (
-                    wmat.clone(),
-                    wmat,
+            act = layer.periphery(rows, n, act_levels)?;
+            let e_t = e.transpose()?;
+            let w_sq_t = e.map(|v| v * v).transpose()?;
+            let scale_sq = layer.scale.map(|v| v * v);
+            match intrinsic {
+                Some(intrinsic) if i == last => {
+                    fc = Some(FcStage {
+                        e,
+                        e_t,
+                        w_sq_t,
+                        intrinsic,
+                        scale: layer.scale,
+                        shift: layer.shift,
+                        scale_sq,
+                        feature_dim: layer.geom.patch_len(),
+                    })
+                }
+                intrinsic => convs.push(ConvStage {
+                    geom: layer.geom,
+                    out_channels: layer.out_channels(),
+                    oh: layer.geom.out_h(),
+                    ow: layer.geom.out_w(),
                     e_t,
                     w_sq_t,
-                    IntrinsicOp::functional(out, sigma),
-                )
+                    intrinsic,
+                    scale: layer.scale,
+                    shift: layer.shift,
+                    scale_sq,
+                    pool: layer.pool,
+                }),
             }
-        };
-        let fc_ref = flat
-            .matmul(&fc_logical.transpose()?)?
-            .mul(&fc.scale)?
-            .add(&fc.shift)?;
-        let fc_ref = quantize_tensor(&fc_ref.tanh(), act_levels);
+        }
+        let fc = fc.ok_or_else(|| {
+            TensorError::InvalidArgument("the hidden FC must be a crossbar operator".into())
+        })?;
         let cls_w_t = cls_w.transpose()?;
-        let logical_logits = fc_ref.matmul(&cls_w_t)?;
+        let logical_logits = act
+            .into_reshaped(&[n, cls_w.shape()[1]])?
+            .matmul(&cls_w_t)?;
         let classes = cls_w.shape()[0];
         let logical_top = logical_logits
             .as_slice()
@@ -488,16 +410,7 @@ impl MemseNetwork {
         Ok(Self {
             probe: probe.clone(),
             convs,
-            fc: FcStage {
-                e: fc_e,
-                e_t: fc_e_t,
-                w_sq_t: fc_w_sq_t,
-                intrinsic: fc_intrinsic,
-                scale: fc.scale.clone(),
-                shift: fc.shift,
-                scale_sq: fc.scale.map(|v| v * v),
-                feature_dim: fc.feature_dim,
-            },
+            fc,
             cls_w_sq_t: cls_w.map(|v| v * v).transpose()?,
             cls_w_t,
             cls_w,
@@ -512,19 +425,22 @@ impl MemseNetwork {
     /// crossbar convs in deployment order, hidden FC last — the same
     /// layout as [`crate::DeviceEvalConfig::pulses`]).
     pub fn crossbar_ops(&self) -> usize {
-        self.convs.iter().filter(|c| c.intrinsic.is_some()).count() + 1
+        self.intrinsics().count()
     }
 
     /// Column-tile group count per crossbar operator (deployment
     /// layout) — the granularity [`Self::tile_allocation`] optimizes.
     pub fn column_groups(&self) -> Vec<usize> {
-        let mut groups: Vec<usize> = self
-            .convs
+        self.intrinsics().map(|m| m.groups).collect()
+    }
+
+    /// The read-noise model of every crossbar operator, in deployment
+    /// order.
+    fn intrinsics(&self) -> impl Iterator<Item = &IntrinsicOp> {
+        self.convs
             .iter()
-            .filter_map(|c| c.intrinsic.as_ref().map(|m| m.groups))
-            .collect();
-        groups.push(self.fc.intrinsic.groups);
-        groups
+            .filter_map(|c| c.intrinsic.as_ref())
+            .chain(std::iter::once(&self.fc.intrinsic))
     }
 
     /// Scores one uniform-per-layer encoding: closed-form total and
@@ -547,16 +463,6 @@ impl MemseNetwork {
     /// As [`Self::score`].
     pub fn fluctuating_mse(&self, pulses: &[usize]) -> Result<f32> {
         Ok(self.score(pulses)?.fluct_mse)
-    }
-
-    /// Scores a per-column-tile-group allocation (see
-    /// [`Self::tile_allocation`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::score`], plus group-count mismatches.
-    pub fn score_tiled(&self, pulses: &[Vec<usize>]) -> Result<MemseScore> {
-        self.walk(pulses)
     }
 
     /// Spreads one pulse count per operator over all of its column
@@ -866,13 +772,20 @@ impl MemseNetwork {
     ///
     /// # Errors
     ///
-    /// Rejects an empty or zero-containing candidate set; propagates
-    /// walk errors.
+    /// Rejects an empty or zero-containing candidate set and a `gamma`
+    /// that is negative or non-finite (the rule of
+    /// [`crate::GboConfig`]); propagates walk errors.
     pub fn analytic_search(&self, candidates: &[usize], gamma: f32) -> Result<AnalyticSelection> {
         if candidates.is_empty() || candidates.contains(&0) {
             return Err(TensorError::InvalidArgument(
                 "candidate pulse lengths must be non-empty and nonzero".into(),
             )
+            .into());
+        }
+        if !(gamma.is_finite() && gamma >= 0.0) {
+            return Err(TensorError::InvalidArgument(format!(
+                "gamma {gamma} must be finite and non-negative"
+            ))
             .into());
         }
         let start = vec![candidates[candidates.len() / 2]; self.crossbar_ops()];
@@ -1009,22 +922,16 @@ impl MemseNetwork {
 
     /// Per-operator, per-group column-width shares (sum to 1 per op).
     fn group_shares(&self) -> Vec<Vec<f32>> {
-        let mut shares = Vec::new();
-        let mut push = |intr: &IntrinsicOp| {
-            let out = intr.col_group.len().max(1);
-            let mut widths = vec![0usize; intr.groups];
-            for &g in &intr.col_group {
-                widths[g] += 1;
-            }
-            shares.push(widths.iter().map(|&w| w as f32 / out as f32).collect());
-        };
-        for stage in &self.convs {
-            if let Some(m) = &stage.intrinsic {
-                push(m);
-            }
-        }
-        push(&self.fc.intrinsic);
-        shares
+        self.intrinsics()
+            .map(|intr| {
+                let out = intr.col_group.len().max(1);
+                let mut widths = vec![0usize; intr.groups];
+                for &g in &intr.col_group {
+                    widths[g] += 1;
+                }
+                widths.iter().map(|&w| w as f32 / out as f32).collect()
+            })
+            .collect()
     }
 }
 
@@ -1039,14 +946,14 @@ struct Descent {
     evaluations: usize,
 }
 
-/// How one conv layer's operator is realized for the analytic capture.
+/// How one layer's operator is realized for the analytic capture.
+#[derive(Clone, Copy)]
 enum LayerPlan<'a> {
-    Digital(Tensor),
+    Digital(&'a Tensor),
     Engine(&'a CrossbarLinear),
-    Functional(Tensor, f32),
+    Functional(&'a Tensor, f32),
 }
 
-/// Digital periphery of every conv layer, shared by both constructors.
 /// Propagated walk state between stages. The fused
 /// tanh → quantize → (PLA snap) evaluation is deferred to the
 /// *consuming* operator, because the snap grid depends on the
@@ -1058,27 +965,6 @@ enum WalkState {
     /// Post-BN pre-activation moments of the producing conv stage,
     /// with its pool flag still to apply after the fused quantizer.
     Pre { mean: Tensor, var: Tensor, pool: bool },
-}
-
-struct ConvPeriphery {
-    geoms: Vec<Conv2dGeometry>,
-    out_channels: Vec<usize>,
-    scales: Vec<Tensor>,
-    shifts: Vec<Tensor>,
-    pools: Vec<bool>,
-}
-
-/// FC stage inputs for [`MemseNetwork::build`].
-struct FcPlan<'a> {
-    engine: FcKind<'a>,
-    scale: Tensor,
-    shift: Tensor,
-    feature_dim: usize,
-}
-
-enum FcKind<'a> {
-    Engine(&'a CrossbarLinear),
-    Functional(Tensor, f32),
 }
 
 /// The activation grid values after the PLA snap at `q` pulses: the
@@ -1187,6 +1073,7 @@ fn group_of_columns(col_starts: &[usize], out_features: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::device_eval::{DeploymentPolicy, DeviceEvalConfig};
+    use crate::TrainError;
     use membit_nn::VggConfig;
     use membit_tensor::Rng;
     use membit_xbar::XbarConfig;
@@ -1275,6 +1162,17 @@ mod tests {
         let groups = net.column_groups();
         assert_eq!(groups.len(), 3);
         assert!(groups.iter().all(|&g| g >= 1));
+        // a noise level the functional capture cannot scale is refused
+        for bad in [f32::NAN, f32::INFINITY, -1.0] {
+            let err = MemseNetwork::from_vgg(&vgg, &params, &probe, &[0.05, bad, 0.05]).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(TrainError::Tensor(TensorError::InvalidArgument(_)))
+                ),
+                "sigma {bad}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1339,6 +1237,21 @@ mod tests {
         assert!(!free.sweep_objectives.is_empty());
         assert!(free.evaluations >= candidates.len());
         assert!(net.analytic_search(&[], 0.0).is_err());
+        // γ follows GboConfig's rule: finite and non-negative, checked
+        // before any walk
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0] {
+            let searched = net.analytic_search(&candidates, bad).err();
+            let tiled = net.tile_allocation(&candidates, bad).err();
+            for err in [searched, tiled] {
+                assert!(
+                    matches!(
+                        err,
+                        Some(TrainError::Tensor(TensorError::InvalidArgument(_)))
+                    ),
+                    "gamma {bad}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1362,7 +1275,7 @@ mod tests {
             uniform.objective
         );
         assert!(tiled.latency >= *candidates.first().unwrap() * 3 / 4);
-        let rescored = net.score_tiled(&tiled.pulses).unwrap();
+        let rescored = net.walk(&tiled.pulses).unwrap();
         assert!((rescored.mse - tiled.mse).abs() < 1e-6);
     }
 }

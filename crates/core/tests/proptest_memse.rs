@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use membit_core::{
     calibrate_noise, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, GboConfig, GboTrainer,
-    MemseNetwork,
+    MemseNetwork, MemseScore,
 };
 use membit_data::{synth_cifar, SynthCifarConfig};
 use membit_encoding::pla::PlaThermometer;
@@ -203,6 +203,35 @@ proptest! {
             "per-group refinement regressed the uniform objective: {} > {}",
             tiled.objective,
             uniform.objective
+        );
+    }
+
+    /// Both captures read one lowering of the network: a functional
+    /// deployment (ideal devices, every layer in one row tile) captured
+    /// from the device scores every pulse map bitwise like the
+    /// functional capture of the same VGG at the same σ, and the two
+    /// searches select alike.
+    #[test]
+    fn device_and_functional_captures_agree_bitwise(
+        seed in 0u64..100,
+        sigma in 0.02f32..0.3,
+    ) {
+        let (vgg, params) = tiny_vgg(seed);
+        let probe = tiny_probe(2);
+        let device = deploy_tiny(&vgg, &params, XbarConfig::functional(sigma), vec![8; 3], seed + 1);
+        let deployed = MemseNetwork::from_device(&device, &probe).unwrap();
+        let functional = MemseNetwork::from_vgg(&vgg, &params, &probe, &[sigma; 3]).unwrap();
+        let bits = |s: MemseScore| (s.mse.to_bits(), s.fluct_mse.to_bits(), s.disagreement.to_bits());
+        for pulses in [[8usize, 8, 8], [4, 12, 16]] {
+            prop_assert_eq!(
+                bits(deployed.score(&pulses).unwrap()),
+                bits(functional.score(&pulses).unwrap())
+            );
+        }
+        let candidates = [4usize, 8, 12, 16];
+        prop_assert_eq!(
+            deployed.analytic_search(&candidates, 1e-3).unwrap(),
+            functional.analytic_search(&candidates, 1e-3).unwrap()
         );
     }
 

@@ -12,7 +12,7 @@
 use membit_tensor::TensorError;
 
 use crate::schemes::{level_index, unary_pulse};
-use crate::train::{PulseTrain, MAX_NESTED_PULSES};
+use crate::train::MAX_NESTED_PULSES;
 use crate::{BitEncoder, Result};
 
 /// A thermometer code re-expressed at an arbitrary pulse count.
@@ -149,30 +149,9 @@ impl BitEncoder for PlaThermometer {
     }
 }
 
-/// Re-expresses an existing base thermometer [`PulseTrain`] at pulse count
-/// `q` by adding/removing pulses toward saturation — the hardware-level
-/// view of PLA.
-///
-/// # Errors
-///
-/// Propagates construction errors; the input train must be unit-weighted
-/// (thermometer), otherwise returns
-/// [`TensorError::InvalidArgument`].
-pub fn approximate_train(train: &PulseTrain, q: usize) -> Result<PulseTrain> {
-    if train.weights().iter().any(|&w| w != 1.0) {
-        return Err(TensorError::InvalidArgument(
-            "PLA applies to unit-weight (thermometer) trains only".into(),
-        ));
-    }
-    // decode each element's level, re-encode at q pulses
-    PlaThermometer::new(train.num_pulses() + 1, q)?.encode_tensor(&train.decode()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Thermometer;
-    use membit_tensor::Tensor;
 
     #[test]
     fn integer_multiples_are_exact() {
@@ -224,30 +203,6 @@ mod tests {
         let longer = PlaThermometer::new(9, 16).unwrap();
         assert!((base.noise_variance(1.0) - 1.0 / 8.0).abs() < 1e-7);
         assert!((longer.noise_variance(1.0) - 1.0 / 16.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn approximate_train_roundtrip() {
-        let base = Thermometer::new(8).unwrap();
-        let x = Tensor::from_vec(vec![-1.0, -0.5, 0.0, 0.5, 1.0], &[5]).unwrap();
-        let train = base.encode_tensor(&x).unwrap();
-        let approx = approximate_train(&train, 10).unwrap();
-        assert_eq!(approx.num_pulses(), 10);
-        let decoded = approx.decode().unwrap();
-        let pla = PlaThermometer::new(9, 10).unwrap();
-        for (i, &v) in x.as_slice().iter().enumerate() {
-            assert!((decoded.at(i) - pla.approximate(v)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn approximate_train_rejects_weighted() {
-        let train = PulseTrain::new(
-            vec![Tensor::ones(&[2]), Tensor::ones(&[2])],
-            vec![1.0, 2.0],
-        )
-        .unwrap();
-        assert!(approximate_train(&train, 4).is_err());
     }
 
     #[test]

@@ -1,17 +1,14 @@
 //! Crash-safe, versioned binary checkpoints.
 //!
-//! Two on-disk formats are understood:
-//!
-//! * **`MBCKPT2`** (written) — a typed key/value container with a CRC32
-//!   per entry and a CRC32 over the header, so *any* single flipped or
-//!   truncated byte is detected at load time. Besides tensors it carries
-//!   raw byte strings (RNG streams), `u64` counters and `f64` scalars, so
-//!   an interrupted training run is fully reconstructible: parameters,
-//!   batch-norm statistics, optimizer moments, λ logits and RNG states
-//!   all live in one file.
-//! * **`MBCKPT1`** (legacy, read-only) — the original tensor-only format;
-//!   [`load`](Checkpoint::load) and [`load_params`] read it
-//!   transparently.
+//! The on-disk format, **`MBCKPT2`**, is a typed key/value container with
+//! a CRC32 per entry and a CRC32 over the header, so *any* single flipped
+//! or truncated byte is detected at load time. Besides tensors it carries
+//! raw byte strings (RNG streams), `u64` counters and `f64` scalars, so
+//! an interrupted training run is fully reconstructible: parameters,
+//! batch-norm statistics, optimizer moments, λ logits and RNG states all
+//! live in one file. Any other revision, the original tensor-only
+//! `MBCKPT1` included, is refused with
+//! [`CheckpointError::UnsupportedVersion`].
 //!
 //! Writes are atomic: the checkpoint is serialized into a temporary file
 //! in the destination directory, fsynced, then renamed over the target.
@@ -43,7 +40,6 @@ use crate::params::Params;
 
 pub mod faulty;
 
-const MAGIC_V1: &[u8; 8] = b"MBCKPT1\n";
 const MAGIC_V2: &[u8; 8] = b"MBCKPT2\n";
 
 /// Hard cap on entry-name length — names are human-chosen keys, never
@@ -189,10 +185,7 @@ impl Checkpoint {
     }
 
     fn get(&self, name: &str) -> Option<&Payload> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, p)| p)
+        self.entries.iter().find(|(n, _)| n == name).map(|(_, p)| p)
     }
 
     /// The tensor stored under `name`, if present and tensor-typed.
@@ -301,13 +294,13 @@ impl Checkpoint {
         result
     }
 
-    /// Loads a checkpoint from `path`, reading `MBCKPT2` natively and
-    /// legacy `MBCKPT1` files as tensor-only checkpoints.
+    /// Loads an `MBCKPT2` checkpoint from `path`.
     ///
     /// # Errors
     ///
     /// Returns a typed [`CheckpointError`] for I/O failures, bad magic,
-    /// truncation, oversized length fields or CRC mismatches.
+    /// another format revision, truncation, oversized length fields or
+    /// CRC mismatches.
     pub fn load(path: impl AsRef<Path>) -> CkptResult<Self> {
         let path = path.as_ref();
         let file_len = std::fs::metadata(path)?.len();
@@ -319,7 +312,6 @@ impl Checkpoint {
         r.read_exact_bounded(&mut magic, "magic")?;
         match &magic {
             m if m == MAGIC_V2 => Self::load_v2(&mut r),
-            m if m == MAGIC_V1 => Self::load_v1(&mut r),
             m if m.starts_with(b"MBCKPT") && m[7] == b'\n' && m[6].is_ascii_digit() => {
                 Err(CheckpointError::UnsupportedVersion(m[6] - b'0'))
             }
@@ -390,39 +382,6 @@ impl Checkpoint {
         }
         Ok(Self { entries })
     }
-
-    /// Legacy `MBCKPT1`: `u32 count`, then per entry a length-prefixed
-    /// name, `u32 rank`, `u64` dims and raw `f32` data. No CRCs — only
-    /// structural bounds are enforced.
-    fn load_v1(r: &mut BoundedReader) -> CkptResult<Self> {
-        let count = u32::from_le_bytes(r.read_array::<4>("entry count")?) as usize;
-        // each v1 entry needs ≥ 12 bytes of framing
-        if (count as u64) * 12 > r.remaining {
-            return Err(CheckpointError::Oversized {
-                what: "entry count".into(),
-                claimed: count as u64,
-                available: r.remaining / 12,
-            });
-        }
-        let mut entries = Vec::with_capacity(count);
-        for idx in 0..count {
-            let name_len = u32::from_le_bytes(r.read_array::<4>("name length")?) as usize;
-            if name_len > MAX_NAME_LEN {
-                return Err(CheckpointError::Oversized {
-                    what: format!("entry {idx} name length"),
-                    claimed: name_len as u64,
-                    available: MAX_NAME_LEN as u64,
-                });
-            }
-            let name_bytes = r.read_vec(name_len, &format!("entry {idx} name"))?;
-            let name = String::from_utf8(name_bytes)
-                .map_err(|_| CheckpointError::Corrupt(format!("entry {idx} name is not UTF-8")))?;
-            let rank = u32::from_le_bytes(r.read_array::<4>("rank")?) as usize;
-            let tensor = read_shaped_tensor(r, rank, &name)?;
-            entries.push((name, Payload::Tensor(tensor)));
-        }
-        Ok(Self { entries })
-    }
 }
 
 fn encode_payload(payload: &Payload) -> Vec<u8> {
@@ -453,7 +412,9 @@ fn decode_payload(kind: u8, bytes: &[u8], name: &str) -> CkptResult<Payload> {
             }
             let rank = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
             if rank > MAX_RANK {
-                return Err(corrupt(&format!("tensor rank {rank} exceeds cap {MAX_RANK}")));
+                return Err(corrupt(&format!(
+                    "tensor rank {rank} exceeds cap {MAX_RANK}"
+                )));
             }
             let dims_end = 4 + rank * 8;
             if bytes.len() < dims_end {
@@ -463,7 +424,9 @@ fn decode_payload(kind: u8, bytes: &[u8], name: &str) -> CkptResult<Payload> {
             let mut volume: u64 = 1;
             for d in 0..rank {
                 let dim = u64::from_le_bytes(
-                    bytes[4 + d * 8..4 + (d + 1) * 8].try_into().expect("8 bytes"),
+                    bytes[4 + d * 8..4 + (d + 1) * 8]
+                        .try_into()
+                        .expect("8 bytes"),
                 );
                 volume = volume.saturating_mul(dim.max(1));
                 shape.push(dim as usize);
@@ -498,47 +461,6 @@ fn decode_payload(kind: u8, bytes: &[u8], name: &str) -> CkptResult<Payload> {
         }
         other => Err(corrupt(&format!("unknown payload kind {other}"))),
     }
-}
-
-/// Reads `rank` dims and the `f32` data of a v1 tensor, bounding every
-/// allocation by the bytes remaining in the file.
-fn read_shaped_tensor(r: &mut BoundedReader, rank: usize, name: &str) -> CkptResult<Tensor> {
-    if rank > MAX_RANK {
-        return Err(CheckpointError::Oversized {
-            what: format!("entry {name:?} rank"),
-            claimed: rank as u64,
-            available: MAX_RANK as u64,
-        });
-    }
-    if (rank as u64) * 8 > r.remaining {
-        return Err(CheckpointError::Oversized {
-            what: format!("entry {name:?} dims"),
-            claimed: rank as u64 * 8,
-            available: r.remaining,
-        });
-    }
-    let mut shape = Vec::with_capacity(rank);
-    let mut volume: u64 = 1;
-    for _ in 0..rank {
-        let dim = u64::from_le_bytes(r.read_array::<8>("dim")?);
-        volume = volume.saturating_mul(dim.max(1));
-        shape.push(dim as usize);
-    }
-    let data_bytes = volume.saturating_mul(4);
-    if data_bytes > r.remaining {
-        return Err(CheckpointError::Oversized {
-            what: format!("entry {name:?} data ({shape:?})"),
-            claimed: data_bytes,
-            available: r.remaining,
-        });
-    }
-    let raw = r.read_vec(data_bytes as usize, &format!("entry {name:?} data"))?;
-    let data: Vec<f32> = raw
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect();
-    Tensor::from_vec(data, &shape)
-        .map_err(|e| CheckpointError::Corrupt(format!("entry {name:?}: invalid tensor: {e}")))
 }
 
 /// A reader that tracks how many bytes remain in the file, so length
@@ -670,7 +592,7 @@ pub fn save_params(
 }
 
 /// Loads every `(name, tensor)` entry from a checkpoint written by
-/// [`save_params`] (either format revision).
+/// [`save_params`].
 ///
 /// # Errors
 ///
@@ -692,28 +614,13 @@ mod tests {
         std::env::temp_dir().join(format!("membit-ckpt-test-{tag}-{}", std::process::id()))
     }
 
-    fn write_v1(path: &Path, entries: &[(&str, &Tensor)]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (name, tensor) in entries {
-            bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(name.as_bytes());
-            bytes.extend_from_slice(&(tensor.rank() as u32).to_le_bytes());
-            for &d in tensor.shape() {
-                bytes.extend_from_slice(&(d as u64).to_le_bytes());
-            }
-            for &v in tensor.as_slice() {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        std::fs::write(path, bytes).unwrap();
-    }
-
     #[test]
     fn roundtrip_params_and_extras() {
         let mut params = Params::new();
-        params.register("a.weight", Tensor::from_vec(vec![1.0, -2.0, 3.5], &[3]).unwrap());
+        params.register(
+            "a.weight",
+            Tensor::from_vec(vec![1.0, -2.0, 3.5], &[3]).unwrap(),
+        );
         params.register("b.weight", Tensor::from_fn(&[2, 2], |i| i as f32));
         let extra = vec![(
             "bn0.running_mean".to_string(),
@@ -767,20 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_reads_transparently() {
-        let a = Tensor::from_vec(vec![4.0, 5.0], &[2]).unwrap();
-        let b = Tensor::from_fn(&[2, 3], |i| i as f32);
-        let path = temp_path("v1");
-        write_v1(&path, &[("w", &a), ("conv.weight", &b)]);
-        let loaded = load_params(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].0, "w");
-        assert_eq!(loaded[0].1.as_slice(), &[4.0, 5.0]);
-        assert_eq!(loaded[1].1.shape(), &[2, 3]);
-    }
-
-    #[test]
     fn bad_magic_rejected() {
         let path = temp_path("badmagic");
         std::fs::write(&path, b"NOTACKPT....").unwrap();
@@ -796,11 +689,14 @@ mod tests {
 
     #[test]
     fn future_revision_rejected_with_version() {
+        // a later revision, and the retired tensor-only first one
         let path = temp_path("future");
-        std::fs::write(&path, b"MBCKPT9\n garbage").unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(err, CheckpointError::UnsupportedVersion(9));
+        for (bytes, version) in [(&b"MBCKPT9\n garbage"[..], 9), (b"MBCKPT1\n\x01\0\0\0", 1)] {
+            std::fs::write(&path, bytes).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(err, CheckpointError::UnsupportedVersion(version));
+        }
     }
 
     #[test]
@@ -819,32 +715,34 @@ mod tests {
 
     #[test]
     fn oversized_header_fields_bounded() {
-        // v1 file claiming 2^31 entries in a 20-byte file: must reject
-        // before allocating.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 8]);
-        let path = temp_path("hugecount");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(err, CheckpointError::Oversized { .. }), "{err}");
-
-        // v1 entry with absurd dims: name "w", rank 2, dims (2^40, 2^40)
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(b'w');
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        let path = temp_path("hugedims");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(err, CheckpointError::Oversized { .. }), "{err}");
+        // a CRC-valid header claiming `count` entries
+        let header = |count: u32| {
+            let mut bytes = MAGIC_V2.to_vec();
+            bytes.extend_from_slice(&count.to_le_bytes());
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        // 2^32 − 1 entries in a 24-byte file, then one entry "w" claiming
+        // a 1 TiB payload: both must be rejected before allocating
+        let mut huge_count = header(u32::MAX);
+        huge_count.extend_from_slice(&[0u8; 8]);
+        let mut huge_payload = header(1);
+        huge_payload.push(0);
+        huge_payload.extend_from_slice(&1u32.to_le_bytes());
+        huge_payload.push(b'w');
+        huge_payload.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        huge_payload.extend_from_slice(&[0u8; 8]);
+        for (field, bytes) in [("entry count", huge_count), ("payload", huge_payload)] {
+            let path = temp_path("oversized");
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            assert!(
+                matches!(&err, CheckpointError::Oversized { what, .. } if what.contains(field)),
+                "{field}: {err}"
+            );
+        }
     }
 
     #[test]

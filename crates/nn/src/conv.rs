@@ -63,11 +63,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Whether forward binarizes the weights.
-    pub fn is_binary(&self) -> bool {
-        self.binary
-    }
-
     /// The effective (deployed) weight tensor: ±1 if binary, latent
     /// otherwise. This is what gets programmed into crossbar conductances.
     pub fn deployed_weight(&self, params: &Params) -> Tensor {
@@ -136,7 +131,6 @@ mod tests {
         let (conv, params, _) = setup(true);
         let dep = conv.deployed_weight(&params);
         assert!(dep.as_slice().iter().all(|&v| v == 1.0 || v == -1.0));
-        assert!(conv.is_binary());
         // latent weights stay full-precision
         assert!(params
             .get(conv.weight())

@@ -64,11 +64,6 @@ impl Linear {
         self.out_features
     }
 
-    /// Whether forward binarizes the weights.
-    pub fn is_binary(&self) -> bool {
-        self.binary
-    }
-
     /// The effective (deployed) weight matrix: ±1 if binary.
     pub fn deployed_weight(&self, params: &Params) -> Tensor {
         let w = params.get(self.weight);
@@ -147,7 +142,6 @@ mod tests {
         let lin = Linear::new("fc", 8, 8, false, true, &mut params, &mut rng);
         let dep = lin.deployed_weight(&params);
         assert!(dep.as_slice().iter().all(|&v| v.abs() == 1.0));
-        assert!(lin.is_binary());
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl Binding {
         self.vars[id.0]
     }
 
-    /// Whether leaves are created with `requires_grad`.
-    pub fn is_trainable(&self) -> bool {
-        self.trainable
-    }
-
     /// Iterates `(flat parameter index, VarId)` for every bound parameter.
     pub fn bound(&self) -> impl Iterator<Item = (usize, VarId)> + '_ {
         self.vars
@@ -206,7 +201,6 @@ mod tests {
         let mut frozen = p.frozen_binding();
         let vf = p.bind(&mut tape, &mut frozen, id);
         assert!(!tape.requires_grad(vf));
-        assert!(!frozen.is_trainable());
     }
 
     #[test]

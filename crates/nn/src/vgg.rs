@@ -79,22 +79,6 @@ impl VggConfig {
         }
     }
 
-    /// A mid-scale VGG9 (3×16×16, wider channels) for machines with more
-    /// compute headroom.
-    pub fn medium() -> Self {
-        Self {
-            in_channels: 3,
-            in_h: 16,
-            in_w: 16,
-            num_classes: 10,
-            channels: vec![32, 32, 64, 64, 128, 128, 128],
-            pool_after: vec![1, 3, 6],
-            fc_dim: 256,
-            act_levels: 9,
-            binary_weights: true,
-        }
-    }
-
     /// A 3-conv miniature (still one FC + classifier) for fast unit tests.
     pub fn tiny() -> Self {
         Self {
@@ -382,7 +366,6 @@ mod tests {
         let small = VggConfig::small();
         assert_eq!(small.crossbar_layers(), 7);
         assert_eq!(small.feature_dim(), 64 * 2 * 2);
-        assert_eq!(VggConfig::medium().feature_dim(), 128 * 2 * 2);
     }
 
     #[test]

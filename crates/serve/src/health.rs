@@ -125,11 +125,6 @@ impl HealthTracker {
         self.state
     }
 
-    /// Current violation-rate estimate (cold-start-debiased EMA).
-    pub fn violation_ema(&self) -> f64 {
-        self.ema
-    }
-
     fn decide(policy: &HealthPolicy, ema: f64, degraded_layers: u64) -> HealthState {
         if ema > policy.shed_violation_rate || degraded_layers >= policy.shed_degraded_layers {
             HealthState::Shedding
@@ -253,8 +248,8 @@ mod tests {
         // sheds instantly; the seeded history keeps it at Degraded
         let state = t.observe(&policy, &stats(100, 100), 0);
         assert_eq!(state, HealthState::Degraded);
-        assert!(t.violation_ema() > policy.degrade_violation_rate);
-        assert!(t.violation_ema() <= policy.shed_violation_rate);
+        assert!(t.ema > policy.degrade_violation_rate);
+        assert!(t.ema <= policy.shed_violation_rate);
         // a zero cold-start weight restores the naive behaviour
         let naive = HealthPolicy {
             cold_start_weight: 0.0,
@@ -280,7 +275,7 @@ mod tests {
         let policy = HealthPolicy::standard();
         let mut t = HealthTracker::new();
         assert_eq!(t.force(&policy, 0.5, 0), HealthState::Shedding);
-        assert_eq!(t.violation_ema(), 0.5);
+        assert_eq!(t.ema, 0.5);
         assert_eq!(t.force(&policy, 0.0, 0), HealthState::Healthy);
         // forced history counts as warm: the next clean batch decays
         // from the forced value, it is not re-shrunk

@@ -76,16 +76,6 @@ impl Tensor {
         Tensor::from_vec(out, &shape)
     }
 
-    /// Mean along one axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] for an invalid axis.
-    pub fn mean_axis(&self, axis: usize) -> Result<Tensor> {
-        let n = self.shape().get(axis).copied().unwrap_or(0).max(1) as f32;
-        Ok(self.sum_axis(axis)?.mul_scalar(1.0 / n))
-    }
-
     /// Per-channel sum of a `[N, C, ...]` tensor: sums over every axis
     /// except axis 1, returning `[C]`.
     ///
@@ -262,12 +252,5 @@ mod tests {
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]).unwrap();
         assert_eq!(a.dot(&b).unwrap(), 32.0);
         assert!(a.dot(&Tensor::zeros(&[2])).is_err());
-    }
-
-    #[test]
-    fn mean_axis_divides_by_axis_len() {
-        let t = Tensor::from_fn(&[4, 2], |i| i as f32);
-        let m = t.mean_axis(0).unwrap();
-        assert_eq!(m.as_slice(), &[3.0, 4.0]);
     }
 }

@@ -86,11 +86,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a 1-D tensor holding `start, start+step, ...` with `n` items.
-    pub fn arange(start: f32, step: f32, n: usize) -> Self {
-        Self::from_fn(&[n], |i| start + step * i as f32)
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -420,7 +415,7 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(0.0, 1.0, 6);
+        let t = Tensor::from_fn(&[6], |i| i as f32);
         let r = t.reshape(&[2, 3]).unwrap();
         assert_eq!(r.shape(), &[2, 3]);
         assert_eq!(r.as_slice(), t.as_slice());
@@ -464,7 +459,7 @@ mod tests {
 
     #[test]
     fn debug_preview_is_nonempty() {
-        let t = Tensor::arange(0.0, 1.0, 20);
+        let t = Tensor::from_fn(&[20], |i| i as f32);
         let s = format!("{t:?}");
         assert!(s.contains("Tensor[20]"));
         assert!(s.contains("more"));

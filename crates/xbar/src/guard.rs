@@ -58,8 +58,8 @@ pub(crate) const RETRY_STREAM_TAG: u64 = 0x4742_4f5f_5254_5259;
 pub struct GuardPolicy {
     /// Detection threshold in standard deviations of the checksum
     /// comparison statistic. The per-check false-positive probability is
-    /// roughly the two-sided Gaussian tail at `z` (see
-    /// [`false_positive_rate`](Self::false_positive_rate)).
+    /// roughly the two-sided Gaussian tail at `z`, at most
+    /// `√(2/π)·exp(−z²/2)/z`.
     pub z: f32,
     /// Absolute tolerance floor added to the analytic term: covers f32
     /// summation-order differences between `Σ_j y_j` and the checksum
@@ -161,26 +161,6 @@ impl GuardPolicy {
         }
         self.z * var.sqrt() + self.min_tolerance
     }
-
-    /// Analytic estimate of the per-check false-positive probability: the
-    /// standard upper bound on the two-sided Gaussian tail at `z`,
-    /// `√(2/π)·exp(−z²/2)/z` (tight for `z ≳ 2`; clamped to 1).
-    pub fn false_positive_rate(&self) -> f64 {
-        let z = f64::from(self.z);
-        if z <= 0.0 {
-            return 1.0;
-        }
-        ((2.0 / std::f64::consts::PI).sqrt() * (-z * z / 2.0).exp() / z).min(1.0)
-    }
-
-    /// Analytic estimate of the probability that a clean readout
-    /// *escalates* past stage 1: the first check and every retry must all
-    /// fail independently, so the rate is
-    /// [`false_positive_rate`](Self::false_positive_rate)`^(1+max_retries)`.
-    pub fn false_escalation_rate(&self) -> f64 {
-        self.false_positive_rate()
-            .powi(i32::try_from(self.max_retries).unwrap_or(i32::MAX).saturating_add(1))
-    }
 }
 
 impl Default for GuardPolicy {
@@ -191,8 +171,7 @@ impl Default for GuardPolicy {
 
 /// Telemetry counters of checksum-guarded execution. All fields are
 /// integer event counts so the struct stays `Copy + Eq` inside
-/// [`ExecutionStats`](crate::ExecutionStats); derived rates (violation
-/// rate, expected false positives) are computed on demand.
+/// [`ExecutionStats`](crate::ExecutionStats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardStats {
     /// Checksum comparisons performed (one per pulse per sample per
@@ -234,23 +213,6 @@ impl GuardStats {
         self.fallbacks = self.fallbacks.saturating_add(other.fallbacks);
         self.saf_corrections = self.saf_corrections.saturating_add(other.saf_corrections);
         self.degraded_layers = self.degraded_layers.max(other.degraded_layers);
-    }
-
-    /// Fraction of checks that violated their tolerance (0 when nothing
-    /// was checked).
-    pub fn violation_rate(&self) -> f64 {
-        if self.checks == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.checks as f64
-        }
-    }
-
-    /// Expected number of false-positive detections among the performed
-    /// checks under `policy`, assuming a fault-free array — the baseline
-    /// to judge the observed `violations` against.
-    pub fn expected_false_positives(&self, policy: &GuardPolicy) -> f64 {
-        self.checks as f64 * policy.false_positive_rate()
     }
 }
 
@@ -320,20 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn false_positive_rate_decays_with_z() {
-        let mut p = GuardPolicy::standard();
-        p.z = 3.0;
-        let loose = p.false_positive_rate();
-        p.z = 6.0;
-        let tight = p.false_positive_rate();
-        assert!(tight < loose);
-        assert!(tight < 1e-8, "6σ tail must be negligible: {tight}");
-        assert!(p.false_escalation_rate() < tight);
-        p.z = 0.0;
-        assert_eq!(p.false_positive_rate(), 1.0);
-    }
-
-    #[test]
     fn stats_merge_saturates_and_maxes() {
         let mut a = GuardStats {
             checks: u64::MAX - 1,
@@ -355,18 +303,5 @@ mod tests {
         assert_eq!(a.checks, u64::MAX, "adds must saturate");
         assert_eq!(a.violations, 2);
         assert_eq!(a.degraded_layers, 2, "set-once field takes the max");
-    }
-
-    #[test]
-    fn derived_rates() {
-        let s = GuardStats {
-            checks: 200,
-            violations: 3,
-            ..Default::default()
-        };
-        assert!((s.violation_rate() - 0.015).abs() < 1e-12);
-        assert_eq!(GuardStats::default().violation_rate(), 0.0);
-        let p = GuardPolicy::standard();
-        assert!(s.expected_false_positives(&p) < 1e-5);
     }
 }

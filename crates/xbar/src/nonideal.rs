@@ -105,12 +105,6 @@ impl NonIdealitySpec {
         }
     }
 
-    /// Whether this spec is exactly the ideal one (no IR drop, reference
-    /// temperature), in which case the engine skips all scaling.
-    pub fn is_ideal(&self) -> bool {
-        self.gwire.is_infinite() && self.gload.is_infinite() && self.temperature == T_REF
-    }
-
     /// Validates physical plausibility.
     ///
     /// # Errors
@@ -214,7 +208,6 @@ mod tests {
     fn ideal_spec_is_a_no_op() {
         let spec = NonIdealitySpec::ideal();
         spec.validate().unwrap();
-        assert!(spec.is_ideal());
         assert!(spec.attenuation_map(8, 8, 100.0).is_none());
         assert_eq!(spec.sigma_scale(), 1.0);
         assert_eq!(spec.drift_scale(), 1.0);
@@ -244,7 +237,6 @@ mod tests {
     fn temperature_scales_noise_and_ratio() {
         let hot = NonIdealitySpec::ideal().at_temperature(370.0);
         hot.validate().unwrap();
-        assert!(!hot.is_ideal());
         let noise = NoiseSpec::realistic(0.1);
         let scaled = hot.scaled_noise(&noise);
         let s = (370.0f32 / T_REF).sqrt();

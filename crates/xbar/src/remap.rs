@@ -153,16 +153,6 @@ impl RemapReport {
         self.cells_corrected += other.cells_corrected;
         self.program.merge(&other.program);
     }
-
-    /// Fraction of initially detected faults recovered (1.0 when nothing
-    /// was detected).
-    pub fn recovery_rate(&self) -> f64 {
-        if self.faults_detected == 0 {
-            1.0
-        } else {
-            self.cells_recovered as f64 / self.faults_detected as f64
-        }
-    }
 }
 
 /// Whether flipping the column polarity would render this detected fault
@@ -342,7 +332,6 @@ mod tests {
         assert_eq!(report.faults_detected, 0);
         assert_eq!(report.unrecoverable_cells, 0);
         assert_eq!(report.degraded_tiles, 0);
-        assert_eq!(report.recovery_rate(), 1.0);
         assert_eq!(weight_error(&tile), 0.0);
     }
 
@@ -439,7 +428,6 @@ mod tests {
         assert_eq!(a.cells_recovered, 6);
         assert_eq!(a.cells_corrected, 2);
         assert_eq!(a.program.write_pulses, 18);
-        assert!((a.recovery_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -718,11 +718,6 @@ impl Tile {
         self.guard = Some(GuardColumn { w_chk, chk_sq });
     }
 
-    /// Drops the checksum column; subsequent MVMs run unguarded.
-    pub fn disarm_guard(&mut self) {
-        self.guard = None;
-    }
-
     /// Whether a checksum column is armed.
     pub fn guard_armed(&self) -> bool {
         self.guard.is_some()
@@ -1788,8 +1783,6 @@ mod tests {
         // ideal ±1 cells: Σ x² (G⁺²+G⁻²) = active_rows · cols · G_on²
         let g_on = DeviceModel::ideal().g_on;
         assert!((var - 3.0 * 2.0 * g_on * g_on).abs() < 1e-4);
-        tile.disarm_guard();
-        assert!(!tile.guard_armed());
     }
 
     #[test]
