@@ -78,7 +78,8 @@ impl NoiseCalibration {
 /// # Errors
 ///
 /// Propagates forward-pass errors, or
-/// [`TensorError::InvalidArgument`] for an empty dataset.
+/// [`TensorError::InvalidArgument`] for an empty dataset or a zero
+/// `batch_size`.
 pub fn calibrate_noise(
     model: &mut dyn CrossbarModel,
     params: &Params,
@@ -87,6 +88,7 @@ pub fn calibrate_noise(
     max_batches: usize,
     unit: f32,
 ) -> Result<NoiseCalibration> {
+    crate::trainer::check_batch_size(batch_size)?;
     if data.is_empty() {
         return Err(
             TensorError::InvalidArgument("cannot calibrate on an empty dataset".into()).into(),
@@ -120,6 +122,20 @@ mod tests {
         assert_eq!(c.sigma_abs(5.0), vec![1.0, 2.0]);
         assert_eq!(c.layers(), 2);
         assert_eq!(c.unit(), 10.0);
+        // a zero batch size is refused typed, never a panic
+        let mut params = Params::new();
+        let mut mlp = Mlp::new(
+            &MlpConfig::new(4, &[4], 2),
+            &mut params,
+            &mut Rng::from_seed(0),
+        )
+        .unwrap();
+        let data =
+            Dataset::new(membit_tensor::Tensor::zeros(&[3, 1, 2, 2]), vec![0; 3], 2).unwrap();
+        assert!(matches!(
+            calibrate_noise(&mut mlp, &params, &data, 0, 1, 10.0),
+            Err(crate::TrainError::Tensor(TensorError::InvalidArgument(_)))
+        ));
     }
 
     #[test]

@@ -8,10 +8,16 @@
 //! first/last layers run digitally, matching the deployment the paper
 //! assumes. This is the "does the conclusion survive a less idealized
 //! crossbar" ablation of DESIGN.md (ablC).
+//!
+//! Between layers an activation is its quantization level, one byte in
+//! NHWC order (DESIGN §18): the periphery counts the pre-activation
+//! against thresholds that `tanh` and the quantizer define once per
+//! deployment, pools the bytes, and the next layer lowers them through a
+//! per-layer table straight into PLA pulse counts.
 
 use membit_data::Dataset;
 use membit_encoding::pla::PlaThermometer;
-use membit_encoding::BitEncoder;
+use membit_encoding::{BitEncoder, PulseTrain};
 use membit_nn::{Params, Vgg};
 use membit_tensor::{im2col_into, Conv2dGeometry, Rng, Tensor, TensorError};
 use membit_xbar::{
@@ -108,30 +114,307 @@ impl<K> MvmLayer<K> {
         self.scale.len()
     }
 
-    /// The patch matrix `[rows, patch_len]` of `act`, built in `buf`'s
-    /// allocation (hand it back with `into_vec` for the next layer).
-    pub(crate) fn im2col(&self, act: &Tensor, buf: &mut Vec<f32>) -> Result<Tensor> {
-        im2col_into(act, &self.geom, buf)?;
-        let patch = self.geom.patch_len();
+    /// The digital periphery after the MVM, in the level domain. Each
+    /// value of `rows` (`[N·OH·OW, out]`, NHWC) gets the folded batch
+    /// norm, `x·scale` then `+ shift` (two roundings, as two f32 channel
+    /// maps), and becomes the number of `thresholds` at or below it (see
+    /// [`level_thresholds`]); then the 2×2 max pool runs on the bytes.
+    /// `index` names the layer in errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] for a NaN pre-activation
+    /// or an odd map to pool, and a shape error when `rows` is not this
+    /// layer's output for `n` samples.
+    pub(crate) fn periphery(
+        &self,
+        rows: &Tensor,
+        n: usize,
+        thresholds: &[f32],
+        index: usize,
+    ) -> Result<Levels> {
+        let (h, w, c) = (self.geom.out_h(), self.geom.out_w(), self.out_channels());
+        if rows.shape() != [n * h * w, c] {
+            return Err(TensorError::ShapeMismatch {
+                op: "periphery",
+                lhs: rows.shape().to_vec(),
+                rhs: vec![n * h * w, c],
+            }
+            .into());
+        }
+        let (scale, shift) = (self.scale.as_slice(), self.shift.as_slice());
+        let mut nan = false;
+        let mut data = Vec::with_capacity(rows.len());
+        for row in rows.as_slice().chunks_exact(c.max(1)) {
+            for ((&x, &s), &t) in row.iter().zip(scale).zip(shift) {
+                let v = x * s + t;
+                nan |= v.is_nan();
+                data.push(level_of(v, thresholds));
+            }
+        }
+        if nan {
+            return Err(TensorError::InvalidArgument(format!(
+                "layer {index} has a NaN pre-activation"
+            ))
+            .into());
+        }
+        let levels = Levels { data, n, h, w, c };
+        if self.pool {
+            levels.max_pool2()
+        } else {
+            Ok(levels)
+        }
+    }
+}
+
+/// Activations between MVM layers: each value is its level index in
+/// `0..act_levels`, one byte, in NHWC order.
+pub(crate) struct Levels {
+    data: Vec<u8>,
+    n: usize,
+    h: usize,
+    w: usize,
+    c: usize,
+}
+
+impl Levels {
+    /// 2×2 max pool (stride 2). The quantizer is monotone, so the max of
+    /// levels is the level of the max.
+    fn max_pool2(self) -> Result<Self> {
+        let Levels { data, n, h, w, c } = self;
+        if h % 2 != 0 || w % 2 != 0 {
+            return Err(TensorError::InvalidArgument(format!("cannot 2×2-pool {h}×{w}")).into());
+        }
+        let (oh, ow) = (h / 2, w / 2);
+        let mut out = Vec::with_capacity(n * oh * ow * c);
+        for pair in data.chunks_exact((2 * w * c).max(1)) {
+            let (top, bottom) = pair.split_at(w * c);
+            for ox in 0..ow {
+                let (a, b) = (&top[2 * ox * c..][..2 * c], &bottom[2 * ox * c..][..2 * c]);
+                out.extend((0..c).map(|ci| a[ci].max(a[c + ci]).max(b[ci]).max(b[c + ci])));
+            }
+        }
+        Ok(Self {
+            data: out,
+            n,
+            h: oh,
+            w: ow,
+            c,
+        })
+    }
+
+    /// The patch matrix of these levels under `geom` in `out`, row by
+    /// row in im2col's `(ic, kh, kw)` column order, reading level `k` as
+    /// `table[k]` and a padding position as the table's last entry.
+    fn lower<T: Copy>(&self, geom: &Conv2dGeometry, table: &[T], out: &mut Vec<T>) -> Result<()> {
+        let (data, n, h, w, c) = (&self.data, self.n, self.h, self.w, self.c);
+        if [c, h, w] != [geom.in_channels, geom.in_h, geom.in_w] {
+            return Err(TensorError::ShapeMismatch {
+                op: "level lowering",
+                lhs: vec![n, h, w, c],
+                rhs: vec![n, geom.in_h, geom.in_w, geom.in_channels],
+            }
+            .into());
+        }
+        let (oh, ow, patch) = (geom.out_h(), geom.out_w(), geom.patch_len());
+        let (kw, taps) = (geom.kernel_w, geom.kernel_h * geom.kernel_w);
+        let pad = *table
+            .last()
+            .expect("a lowering table ends with its padding entry");
+        out.clear();
+        out.resize(n * oh * ow * patch, pad);
+        for (r, row) in out.chunks_exact_mut(patch.max(1)).enumerate() {
+            let (ni, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
+            for ky in 0..geom.kernel_h {
+                let Some(iy) = (oy * geom.stride + ky)
+                    .checked_sub(geom.padding)
+                    .filter(|&y| y < h)
+                else {
+                    continue;
+                };
+                for kx in 0..kw {
+                    let Some(ix) = (ox * geom.stride + kx)
+                        .checked_sub(geom.padding)
+                        .filter(|&x| x < w)
+                    else {
+                        continue;
+                    };
+                    let pixel = &data[((ni * h + iy) * w + ix) * c..][..c];
+                    for (slot, &k) in row[ky * kw + kx..].iter_mut().step_by(taps).zip(pixel) {
+                        *slot = table[usize::from(k)];
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The PLA train of these levels as the next layer's input under
+    /// `geom`: level `k` drives `class(k/l·2 − 1)` high pulses, bitwise
+    /// what [`BitEncoder::encode_tensor`] emits for that value.
+    fn encode(
+        &self,
+        geom: &Conv2dGeometry,
+        act_levels: usize,
+        pulses: usize,
+    ) -> Result<PulseTrain> {
+        let pla = PlaThermometer::new(act_levels, pulses)?;
+        // a class is at most the pulse count, which the constructor caps
+        // at MAX_NESTED_PULSES: it fits a u16
+        let table: Vec<u16> = value_table(act_levels)
+            .into_iter()
+            .map(|v| pla.class(v) as u16)
+            .collect();
+        let mut counts = Vec::new();
+        self.lower(geom, &table, &mut counts)?;
+        let patch = geom.patch_len();
+        Ok(PulseTrain::nested_unary(
+            counts,
+            &[self.n * geom.out_h() * geom.out_w(), patch],
+            pulses,
+        )?)
+    }
+
+    /// The flattened features `[n, c·h·w]` in NCHW order, level `k` read
+    /// as `values[k]`: the input of the digital classifier.
+    pub(crate) fn features(&self, values: &[f32]) -> Result<Tensor> {
+        let geom = Conv2dGeometry::new(self.c, self.h, self.w, self.h, self.w, 1, 0)?;
+        let mut buf = Vec::new();
+        self.lower(&geom, values, &mut buf)?;
+        Ok(Tensor::from_vec(buf, &[self.n, geom.patch_len()])?)
+    }
+}
+
+/// What an MVM layer reads: the raw images (the first layer only) or the
+/// levels the previous layer's periphery produced.
+pub(crate) enum LayerInput<'a> {
+    Images(&'a Tensor),
+    Levels(Levels),
+}
+
+impl LayerInput<'_> {
+    /// The f32 patch matrix `[rows, patch_len]` under `geom`, built in
+    /// `buf`'s allocation (hand it back with `into_vec` for the next
+    /// layer): im2col of the images, or the levels read through `values`
+    /// (see [`value_table`]).
+    pub(crate) fn patches(
+        &self,
+        geom: &Conv2dGeometry,
+        values: &[f32],
+        buf: &mut Vec<f32>,
+    ) -> Result<Tensor> {
+        match self {
+            LayerInput::Images(images) => im2col_into(images, geom, buf)?,
+            LayerInput::Levels(levels) => levels.lower(geom, values, buf)?,
+        }
+        let patch = geom.patch_len();
         let rows = buf.len() / patch;
         Ok(Tensor::from_vec(std::mem::take(buf), &[rows, patch])?)
     }
+}
 
-    /// The digital periphery after the MVM: the `[N·OH·OW, out]` rows
-    /// back to NCHW, the folded batch norm, `tanh` → re-quantize to
-    /// `act_levels`, then the pool.
-    pub(crate) fn periphery(&self, rows: Tensor, n: usize, act_levels: usize) -> Result<Tensor> {
-        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
-        let mut out = rows
-            .into_reshaped(&[n, oh, ow, self.out_channels()])?
-            .nhwc_to_nchw()?;
-        out = out.channel_map(&self.scale, |v, s| v * s)?;
-        out = out.channel_map(&self.shift, |v, t| v + t)?;
-        out = quantize_tensor(&out.tanh(), act_levels);
-        if self.pool {
-            out = max_pool2(&out)?;
-        }
-        Ok(out)
+/// Level `k`'s value `k/l·2 − 1` (`l = act_levels − 1`) for every level,
+/// then `0.0`, the value of a padding position. The values are bitwise
+/// what the f32 quantizer `round((clamp(t) + 1)/2·l)/l·2 − 1` returns. At
+/// even `act_levels` no level is 0.0, so padding needs its own entry.
+pub(crate) fn value_table(act_levels: usize) -> Vec<f32> {
+    let l = (act_levels - 1) as f32;
+    (0..act_levels)
+        .map(|k| k as f32 / l * 2.0 - 1.0)
+        .chain([0.0])
+        .collect()
+}
+
+/// The activation level of pre-activation `v`, `tanh` then the
+/// network's quantizer: `round((clamp(tanh v) + 1)/2·l)` for
+/// `l = levels − 1`.
+fn tanh_level(v: f32, l: f32) -> f32 {
+    ((v.tanh().clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round()
+}
+
+/// The steps of the activation quantizer: entry `k − 1` is the least f32
+/// whose [`tanh_level`] is at least `k`, for `k` in `1..levels`. The
+/// quantizer is monotone, so a level is the number of thresholds at or
+/// below the value ([`level_of`]), and `tanh` runs only here, a few
+/// hundred times per call.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] unless `levels` is in
+/// `2..=256`.
+pub(crate) fn level_thresholds(levels: usize) -> Result<Vec<f32>> {
+    check_act_levels(levels)?;
+    let l = (levels - 1) as f32;
+    let thresholds = (1..levels)
+        .map(|k| {
+            let k = k as f32;
+            // invariant: tanh_level(below) < k ≤ tanh_level(at), which
+            // holds at ±∞ (levels 0 and l)
+            let (mut below, mut at) = (order_key(f32::NEG_INFINITY), order_key(f32::INFINITY));
+            while at - below > 1 {
+                let mid = below + (at - below) / 2;
+                if tanh_level(from_order_key(mid), l) >= k {
+                    at = mid;
+                } else {
+                    below = mid;
+                }
+            }
+            from_order_key(at)
+        })
+        .collect();
+    Ok(thresholds)
+}
+
+/// The level of a (non-NaN) pre-activation: the number of `thresholds`
+/// at or below it.
+fn level_of(v: f32, thresholds: &[f32]) -> u8 {
+    thresholds.iter().map(|&t| u8::from(t <= v)).sum()
+}
+
+/// The position of `v` in the f32 order as a signed magnitude: ±0 share
+/// key 0 and adjacent floats differ by one. From −∞ to +∞ the keys span
+/// more than `i32` holds.
+fn order_key(v: f32) -> i64 {
+    let magnitude = i64::from(v.to_bits() & 0x7fff_ffff);
+    if v.is_sign_negative() {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+/// The f32 at `key` of [`order_key`] (+0.0 at key 0).
+fn from_order_key(key: i64) -> f32 {
+    let magnitude = f32::from_bits(key.unsigned_abs() as u32);
+    if key < 0 {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+/// A per-cell fault rate is a probability: NaN, ±∞ or a value outside
+/// `[0, 1]` would inject nothing or saturate the fault count.
+fn check_fault_rate(rate: f32) -> Result<()> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(())
+    } else {
+        Err(
+            TensorError::InvalidArgument(format!("per-cell fault rate {rate} is outside [0, 1]"))
+                .into(),
+        )
+    }
+}
+
+/// Activation levels travel between layers as bytes.
+fn check_act_levels(levels: usize) -> Result<()> {
+    if (2..=256).contains(&levels) {
+        Ok(())
+    } else {
+        Err(TensorError::InvalidArgument(format!(
+            "{levels} activation levels: a level travels as one byte, so 2..=256"
+        ))
+        .into())
     }
 }
 
@@ -201,6 +484,8 @@ pub struct DeviceVgg {
     pub(crate) classifier_w: Tensor,
     pub(crate) classifier_b: Tensor,
     pub(crate) act_levels: usize,
+    /// The activation quantizer's steps (see [`level_thresholds`]).
+    thresholds: Vec<f32>,
     num_classes: usize,
     /// `[C, H, W]` of one input sample, captured at deploy time so
     /// long-lived consumers (e.g. a serving loop) can validate and
@@ -211,11 +496,6 @@ pub struct DeviceVgg {
     vectors_since_check: u64,
     /// Drift refreshes triggered over the deployment's lifetime.
     refreshes: u64,
-}
-
-pub(crate) fn quantize_tensor(t: &Tensor, levels: usize) -> Tensor {
-    let l = (levels - 1) as f32;
-    t.map(|v| ((v.clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() / l * 2.0 - 1.0)
 }
 
 impl DeviceVgg {
@@ -231,6 +511,7 @@ impl DeviceVgg {
         let config = vgg.config();
         cfg.policy.validate()?;
         validate_encoding(&cfg.pulses, config.crossbar_layers(), cfg.act_levels)?;
+        let thresholds = level_thresholds(cfg.act_levels)?;
         let mut layers = Vec::new();
         for (i, layer) in lower(vgg, params)?.iter().enumerate() {
             let kernel = if i == 0 {
@@ -260,6 +541,7 @@ impl DeviceVgg {
             classifier_w,
             classifier_b,
             act_levels: cfg.act_levels,
+            thresholds,
             num_classes: config.num_classes,
             input_shape: config.input_shape(),
             monitor: cfg.policy.monitor,
@@ -281,7 +563,8 @@ impl DeviceVgg {
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] unless `images` has rank 4,
-    /// and propagates shape errors.
+    /// [`TensorError::InvalidArgument`] naming the layer for a NaN
+    /// pre-activation, and propagates shape errors.
     pub fn forward(&mut self, images: &Tensor, rng: &mut Rng) -> Result<(Tensor, ExecutionStats)> {
         if images.rank() != 4 {
             return Err(TensorError::RankMismatch {
@@ -293,27 +576,30 @@ impl DeviceVgg {
         }
         let mut stats = ExecutionStats::default();
         let n = images.shape()[0];
-        let mut act = images.clone();
-        // one column buffer reused across every layer of the batch (sized
-        // by the largest lowering, allocated once per forward)
-        let mut col_buf: Vec<f32> = Vec::new();
-        for layer in &mut self.layers {
-            let cols = layer.im2col(&act, &mut col_buf)?;
+        let values = value_table(self.act_levels);
+        let mut input = LayerInput::Images(images);
+        for (i, layer) in self.layers.iter_mut().enumerate() {
             let rows = match &mut layer.kernel {
-                Kernel::Digital(wmat) => cols.matmul(&wmat.transpose()?)?,
+                Kernel::Digital(wmat) => input
+                    .patches(&layer.geom, &values, &mut Vec::new())?
+                    .matmul(&wmat.transpose()?)?,
                 Kernel::Crossbar { engine, pulses } => {
-                    let enc = PlaThermometer::new(self.act_levels, *pulses)?;
-                    let train = enc.encode_tensor(&cols)?;
+                    let LayerInput::Levels(levels) = &input else {
+                        unreachable!("only the digital first layer reads images")
+                    };
+                    let train = levels.encode(&layer.geom, self.act_levels, *pulses)?;
                     let (y, s) = engine.execute_guarded(&train, rng)?;
                     stats.merge(&s);
                     y
                 }
             };
-            col_buf = cols.into_vec(); // hand the allocation to the next layer
-            act = layer.periphery(rows, n, self.act_levels)?;
+            input = LayerInput::Levels(layer.periphery(&rows, n, &self.thresholds, i)?);
         }
-        let features = act.into_reshaped(&[n, self.classifier_w.shape()[1]])?;
-        let logits = features
+        let LayerInput::Levels(act) = input else {
+            unreachable!("a deployment ends with its hidden FC layer")
+        };
+        let logits = act
+            .features(&values)?
             .matmul(&self.classifier_w.transpose()?)?
             .add(&self.classifier_b)?;
         Ok((logits, stats))
@@ -332,13 +618,15 @@ impl DeviceVgg {
     ///
     /// # Errors
     ///
-    /// Propagates forward errors.
+    /// Returns [`TensorError::InvalidArgument`] for a zero `batch_size`,
+    /// before any draw; propagates forward errors.
     pub fn evaluate(
         &mut self,
         data: &Dataset,
         batch_size: usize,
         rng: &mut Rng,
     ) -> Result<(f32, ExecutionStats)> {
+        crate::trainer::check_batch_size(batch_size)?;
         let mut stats = ExecutionStats::default();
         let mut correct = 0usize;
         let refreshes_before = self.refreshes;
@@ -446,9 +734,11 @@ impl DeviceVgg {
     ///
     /// # Errors
     ///
-    /// Propagates injection errors (coordinates are drawn in range, so
-    /// none are expected).
+    /// Returns [`TensorError::InvalidArgument`], before any draw, unless
+    /// `rate` lies in `[0, 1]`; propagates injection errors (coordinates
+    /// are drawn in range, so none are expected).
     pub fn inject_faults(&mut self, rate: f32, rng: &mut Rng) -> Result<u64> {
+        check_fault_rate(rate)?;
         let mut injected = 0u64;
         for engine in self.engines_mut() {
             let (out, inp) = engine.dims();
@@ -477,9 +767,9 @@ impl DeviceVgg {
     ///
     /// # Errors
     ///
-    /// Propagates injection errors (coordinates are drawn in range, so
-    /// none are expected).
+    /// As [`Self::inject_faults`].
     pub fn inject_stuck_faults(&mut self, rate: f32, rng: &mut Rng) -> Result<u64> {
+        check_fault_rate(rate)?;
         let mut injected = 0u64;
         for engine in self.engines_mut() {
             let (out, inp) = engine.dims();
@@ -606,9 +896,10 @@ impl DeviceVgg {
 
 /// The one check of a pulse map: one count per crossbar layer, and each
 /// count must build a [`PlaThermometer`] over the `act_levels`-level
-/// activation grid (at least 2 levels, 1 to
+/// activation grid (2 to 256 levels, 1 to
 /// [`MAX_NESTED_PULSES`](membit_encoding::MAX_NESTED_PULSES) pulses).
 fn validate_encoding(pulses: &[usize], layers: usize, act_levels: usize) -> Result<()> {
+    check_act_levels(act_levels)?;
     if pulses.len() != layers {
         return Err(TensorError::InvalidArgument(format!(
             "{} pulse counts for {layers} crossbar layers",
@@ -622,43 +913,145 @@ fn validate_encoding(pulses: &[usize], layers: usize, act_levels: usize) -> Resu
     Ok(())
 }
 
-/// Digital 2×2 max pool (stride 2) over NCHW.
-fn max_pool2(x: &Tensor) -> Result<Tensor> {
-    let [n, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
-    if h % 2 != 0 || w % 2 != 0 {
-        return Err(TensorError::InvalidArgument(format!("cannot 2×2-pool {h}×{w}")).into());
-    }
-    let (oh, ow) = (h / 2, w / 2);
-    let src = x.as_slice();
-    let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for ky in 0..2 {
-                        for kx in 0..2 {
-                            best = best.max(src[base + (oy * 2 + ky) * w + ox * 2 + kx]);
-                        }
-                    }
-                    out[((ni * c + ci) * oh + oy) * ow + ox] = best;
-                }
-            }
-        }
-    }
-    Ok(Tensor::from_vec(out, &[n, c, oh, ow])?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memse::MemseNetwork;
     use crate::model::CrossbarModel;
     use crate::trainer::evaluate;
     use crate::TrainError;
     use membit_encoding::MAX_NESTED_PULSES;
     use membit_nn::{NoNoise, Phase, VggConfig};
     use membit_autograd::Tape;
+    use membit_tensor::im2col;
+    use membit_tensor::parallel::scoped_chunks;
+
+    /// The f32 activation quantizer the level domain replaced:
+    /// `round((clamp(t) + 1)/2·l)/l·2 − 1`.
+    fn quantize_tensor(t: &Tensor, levels: usize) -> Tensor {
+        let l = (levels - 1) as f32;
+        t.map(|v| ((v.clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() / l * 2.0 - 1.0)
+    }
+
+    /// The f32 2×2 max pool (stride 2) over NCHW the level domain
+    /// replaced.
+    fn max_pool2(x: &Tensor) -> Tensor {
+        let [n, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
+        let src = x.as_slice();
+        Tensor::from_fn(&[n, c, h / 2, w / 2], |i| {
+            let (plane, oy, ox) = (i / (h / 2 * (w / 2)), i / (w / 2) % (h / 2), i % (w / 2));
+            let mut best = f32::NEG_INFINITY;
+            for (ky, kx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                best = best.max(src[(plane * h + oy * 2 + ky) * w + ox * 2 + kx]);
+            }
+            best
+        })
+    }
+
+    /// The f32 periphery the level domain replaced: the MVM rows back to
+    /// NCHW, the folded batch norm as two channel maps, `tanh`, the f32
+    /// quantizer and the f32 pool.
+    fn oracle_periphery<K>(layer: &MvmLayer<K>, rows: Tensor, n: usize, levels: usize) -> Tensor {
+        let (oh, ow) = (layer.geom.out_h(), layer.geom.out_w());
+        let mut out = rows
+            .into_reshaped(&[n, oh, ow, layer.out_channels()])
+            .unwrap()
+            .nhwc_to_nchw()
+            .unwrap();
+        out = out.channel_map(&layer.scale, |v, s| v * s).unwrap();
+        out = out.channel_map(&layer.shift, |v, t| v + t).unwrap();
+        out = quantize_tensor(&out.tanh(), levels);
+        if layer.pool {
+            out = max_pool2(&out);
+        }
+        out
+    }
+
+    /// The forward the level domain replaced: per layer an f32 im2col,
+    /// `encode_tensor` into the engine (or the digital matmul), then the
+    /// f32 periphery.
+    fn oracle_forward(
+        device: &mut DeviceVgg,
+        images: &Tensor,
+        rng: &mut Rng,
+    ) -> (Tensor, ExecutionStats) {
+        let n = images.shape()[0];
+        let mut stats = ExecutionStats::default();
+        let mut act = images.clone();
+        for layer in &mut device.layers {
+            let cols = im2col(&act, &layer.geom).unwrap();
+            let rows = match &mut layer.kernel {
+                Kernel::Digital(wmat) => cols.matmul(&wmat.transpose().unwrap()).unwrap(),
+                Kernel::Crossbar { engine, pulses } => {
+                    let pla = PlaThermometer::new(device.act_levels, *pulses).unwrap();
+                    let train = pla.encode_tensor(&cols).unwrap();
+                    let (y, s) = engine.execute_guarded(&train, rng).unwrap();
+                    stats.merge(&s);
+                    y
+                }
+            };
+            act = oracle_periphery(layer, rows, n, device.act_levels);
+        }
+        let classifier_w = &device.classifier_w;
+        let logits = act
+            .into_reshaped(&[n, classifier_w.shape()[1]])
+            .unwrap()
+            .matmul(&classifier_w.transpose().unwrap())
+            .unwrap()
+            .add(&device.classifier_b)
+            .unwrap();
+        (logits, stats)
+    }
+
+    /// MemSE's clean logical reference, the same way.
+    fn oracle_logical_logits(vgg: &Vgg, params: &Params, probe: &Tensor) -> Tensor {
+        let n = probe.shape()[0];
+        let mut act = probe.clone();
+        for layer in lower(vgg, params).unwrap() {
+            let cols = im2col(&act, &layer.geom).unwrap();
+            let rows = cols.matmul(&layer.kernel.transpose().unwrap()).unwrap();
+            act = oracle_periphery(&layer, rows, n, vgg.config().act_levels);
+        }
+        let cls_w = vgg.classifier().deployed_weight(params);
+        act.into_reshaped(&[n, cls_w.shape()[1]])
+            .unwrap()
+            .matmul(&cls_w.transpose().unwrap())
+            .unwrap()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A tiny VGG whose running statistics put pre-activations around
+    /// ±1, where `tanh` spreads them over the levels (every level of a
+    /// conv layer up to 17 levels, most of them at 256).
+    fn spread_vgg(act_levels: usize) -> (Vgg, Params) {
+        let mut params = Params::new();
+        let config = VggConfig {
+            act_levels,
+            ..VggConfig::tiny()
+        };
+        let mut vgg =
+            Vgg::new(&config, &mut params, &mut Rng::from_seed(act_levels as u64)).unwrap();
+        let fan_ins: Vec<f32> = lower(&vgg, &params)
+            .unwrap()
+            .iter()
+            .map(|l| l.geom.patch_len() as f32)
+            .collect();
+        let stats: Vec<_> = vgg
+            .running_stats()
+            .into_iter()
+            .zip(fan_ins)
+            .map(|((name, mean, _), fan_in)| {
+                let c = mean.len();
+                let mean = Tensor::from_fn(&[c], |i| ((i % 5) as f32 - 2.0) * fan_in.sqrt() / 8.0);
+                (name, mean, Tensor::full(&[c], fan_in / 4.0))
+            })
+            .collect();
+        vgg.set_running_stats(&stats);
+        (vgg, params)
+    }
 
     fn tiny_vgg() -> (Vgg, Params) {
         let mut rng = Rng::from_seed(0);
@@ -680,12 +1073,14 @@ mod tests {
         assert!(DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).is_err());
         // maps PLA cannot encode are refused typed before any array is
         // programmed, so the RNG is untouched: zero pulses, more than a
-        // count-coded train holds, or fewer than two activation levels
+        // count-coded train holds, fewer than two activation levels, or
+        // more than a byte holds
         for (pulses, act_levels) in [
             (vec![8, 0, 8], 9),
             (vec![8, 8, MAX_NESTED_PULSES + 1], 9),
             (vec![8, 8, 8], 0),
             (vec![8, 8, 8], 1),
+            (vec![8, 8, 8], 257),
         ] {
             let bad = DeviceEvalConfig {
                 pulses,
@@ -799,6 +1194,13 @@ mod tests {
         // label-clamped copy to exercise the path
         let labels: Vec<usize> = test3.labels().iter().map(|&y| y % 4).collect();
         let data = Dataset::new(test3.images().clone(), labels, 4).unwrap();
+        // a zero batch size is refused typed before any draw
+        let mut untouched = rng.clone();
+        assert!(matches!(
+            device.evaluate(&data, 0, &mut rng),
+            Err(TrainError::Tensor(TensorError::InvalidArgument(_)))
+        ));
+        assert_eq!(rng.uniform(0.0, 1.0), untouched.uniform(0.0, 1.0));
         let (acc, stats) = device.evaluate(&data, 8, &mut rng).unwrap();
         assert!((0.0..=1.0).contains(&acc));
         assert!(stats.vectors > 0);
@@ -983,11 +1385,258 @@ mod tests {
     }
 
     #[test]
+    fn level_domain_is_bitwise_the_f32_chain() {
+        for act_levels in [2, 3, 4, 9, 16, 17, 256] {
+            let (vgg, params) = spread_vgg(act_levels);
+            // PLA ties at 9 levels sit at q = 6, 10, 12 and 14
+            for pulses in [vec![6, 10, 14], vec![12, 8, 3]] {
+                let cfg = DeviceEvalConfig {
+                    xbar: XbarConfig::functional(0.1),
+                    pulses,
+                    act_levels,
+                    policy: DeploymentPolicy::default(),
+                };
+                let mut device =
+                    DeviceVgg::deploy(&vgg, &params, &cfg, &mut Rng::from_seed(5)).unwrap();
+                let mut oracle =
+                    DeviceVgg::deploy(&vgg, &params, &cfg, &mut Rng::from_seed(5)).unwrap();
+                for threads in [1, 2] {
+                    device.set_max_threads(threads).unwrap();
+                    oracle.set_max_threads(threads).unwrap();
+                    for n in [0, 1, 3] {
+                        let images = Tensor::from_fn(&[n, 3, 8, 8], |i| {
+                            ((i * 7 % 23) as f32 / 11.0 - 1.0) * 1.3
+                        });
+                        let noise = Rng::from_seed(n as u64 + 40);
+                        let (logits, stats) = device.forward(&images, &mut noise.clone()).unwrap();
+                        let (want, want_stats) =
+                            oracle_forward(&mut oracle, &images, &mut noise.clone());
+                        let case = format!(
+                            "levels {act_levels}, {:?}, {threads} threads, n {n}",
+                            cfg.pulses
+                        );
+                        assert_eq!(bits(&logits), bits(&want), "{case}");
+                        assert_eq!(stats, want_stats, "{case}");
+                        if n > 0 && threads == 1 {
+                            let net =
+                                MemseNetwork::from_vgg(&vgg, &params, &images, &[0.05; 3]).unwrap();
+                            let want = oracle_logical_logits(&vgg, &params, &images);
+                            assert_eq!(bits(&net.logical_logits), bits(&want), "MemSE, {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_count_levels_exactly() {
+        for levels in [2, 3, 4, 9, 16, 17, 256] {
+            let l = (levels - 1) as f32;
+            let thresholds = level_thresholds(levels).unwrap();
+            assert_eq!(thresholds.len(), levels - 1);
+            // each threshold is the least f32 at its level or above, and
+            // counts itself
+            for (k, &t) in (1..).zip(&thresholds) {
+                let before = from_order_key(order_key(t) - 1);
+                assert!(
+                    tanh_level(t, l) >= k as f32,
+                    "levels {levels}, step {k} at {t:e}"
+                );
+                assert!(
+                    tanh_level(before, l) < k as f32,
+                    "levels {levels}, step {k} at {t:e}"
+                );
+                assert_eq!(usize::from(level_of(t, &thresholds)), k, "{levels}, {t:e}");
+                assert_eq!(
+                    usize::from(level_of(before, &thresholds)),
+                    k - 1,
+                    "{levels}"
+                );
+            }
+            // every 4001st bit pattern (prime, so every bit varies) and the
+            // edge values: the count is the level
+            let edges = [
+                0.0,
+                -0.0,
+                f32::from_bits(1),
+                -f32::from_bits(1),
+                f32::MIN_POSITIVE,
+                -f32::MIN_POSITIVE,
+                f32::MAX,
+                f32::MIN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ];
+            let sweep = (0..=u32::MAX).step_by(4001).map(f32::from_bits);
+            let mut checked = 0usize;
+            for v in sweep.chain(edges).filter(|v| !v.is_nan()) {
+                assert_eq!(
+                    f32::from(level_of(v, &thresholds)),
+                    tanh_level(v, l),
+                    "levels {levels}, {v:e}"
+                );
+                checked += 1;
+            }
+            assert!(checked > 1 << 20, "{checked}");
+        }
+        assert!(level_thresholds(1).is_err());
+        assert!(level_thresholds(257).is_err());
+    }
+
+    #[test]
+    #[ignore = "walks all 2^32 bit patterns, about half a minute in release on two threads"]
+    fn thresholds_are_exact_for_every_finite_f32_at_9_levels() {
+        let thresholds = level_thresholds(9).unwrap();
+        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        let span = (1u64 << 32).div_ceil(threads as u64);
+        let mut mismatches = vec![0usize; threads];
+        scoped_chunks(&mut mismatches, 1, |t, slot| {
+            let start = t as u64 * span;
+            let end = (start + span).min(1 << 32);
+            slot[0] = (start..end)
+                .map(|b| f32::from_bits(b as u32))
+                .filter(|v| {
+                    v.is_finite() && f32::from(level_of(*v, &thresholds)) != tanh_level(*v, 8.0)
+                })
+                .count();
+        });
+        assert_eq!(mismatches, vec![0; threads]);
+    }
+
+    #[test]
+    fn periphery_rounds_the_batch_norm_twice() {
+        // channels whose x·scale + shift reaches a threshold only when the
+        // product is rounded before the add, as two f32 channel maps did:
+        // a fused multiply-add lands each of them one level lower
+        let thresholds = level_thresholds(9).unwrap();
+        let (scale, step) = (1.0f32 / 3.0, thresholds[4]);
+        let (xs, shifts): (Vec<f32>, Vec<f32>) = (1..10_000)
+            .map(|i| i as f32 * 0.37)
+            .map(|x| (x, step - x * scale))
+            .filter(|&(x, t)| x * scale + t >= step && x.mul_add(scale, t) < step)
+            .take(4)
+            .unzip();
+        assert_eq!(xs.len(), 4);
+        let layer = MvmLayer {
+            kernel: (),
+            geom: Conv2dGeometry::new(1, 1, 1, 1, 1, 1, 0).unwrap(),
+            scale: Tensor::full(&[4], scale),
+            shift: Tensor::from_vec(shifts, &[4]).unwrap(),
+            pool: false,
+        };
+        let rows = Tensor::from_vec(xs, &[1, 4]).unwrap();
+        let levels = layer.periphery(&rows, 1, &thresholds, 0).unwrap();
+        assert_eq!(levels.data, vec![5; 4]);
+        let values: Vec<f32> = levels
+            .data
+            .iter()
+            .map(|&k| value_table(9)[usize::from(k)])
+            .collect();
+        assert_eq!(values, oracle_periphery(&layer, rows, 1, 9).as_slice());
+    }
+
+    #[test]
+    fn nan_pre_activation_is_a_typed_error_naming_the_layer() {
+        let (vgg, params) = tiny_vgg();
+        let cfg = DeviceEvalConfig {
+            xbar: XbarConfig::functional(0.1),
+            pulses: vec![8, 8, 8],
+            act_levels: 9,
+            policy: DeploymentPolicy::default(),
+        };
+        let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut Rng::from_seed(3)).unwrap();
+        let mut images = Tensor::zeros(&[1, 3, 8, 8]);
+        images.as_mut_slice()[77] = f32::NAN;
+        let err = device.forward(&images, &mut Rng::from_seed(4)).unwrap_err();
+        assert!(
+            matches!(&err, TrainError::Tensor(TensorError::InvalidArgument(m)) if m.contains("layer 0")),
+            "{err}"
+        );
+        // ±∞ saturate to the end levels, as tanh does
+        let layer = lower(&vgg, &params).unwrap().remove(2);
+        let rows = Tensor::from_fn(&[16, layer.out_channels()], |i| {
+            [f32::NEG_INFINITY, f32::INFINITY][i % 2]
+        });
+        let levels = layer
+            .periphery(&rows, 1, &level_thresholds(9).unwrap(), 2)
+            .unwrap();
+        let scale_sign = |c: usize| layer.scale.as_slice()[c] > 0.0;
+        for (i, &k) in levels.data.iter().enumerate() {
+            let c = i % layer.out_channels();
+            let high = (c % 2 == 1) == scale_sign(c);
+            assert_eq!(k, if high { 8 } else { 0 }, "channel {c}");
+        }
+        let nan_rows = Tensor::full(&[16, layer.out_channels()], f32::NAN);
+        let err = layer
+            .periphery(&nan_rows, 1, &level_thresholds(9).unwrap(), 2)
+            .err();
+        assert!(
+            matches!(&err, Some(TrainError::Tensor(TensorError::InvalidArgument(m))) if m.contains("layer 2")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn fault_rates_outside_the_unit_interval_are_refused() {
+        let (vgg, params) = tiny_vgg();
+        let cfg = DeviceEvalConfig {
+            xbar: XbarConfig::functional(0.1),
+            pulses: vec![8, 8, 8],
+            act_levels: 9,
+            policy: DeploymentPolicy::default(),
+        };
+        let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut Rng::from_seed(3)).unwrap();
+        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| {
+            ((i % 13) as f32 / 6.0 - 1.0).clamp(-1.0, 1.0)
+        });
+        let noise = Rng::from_seed(29);
+        let (before, _) = device.forward(&images, &mut noise.clone()).unwrap();
+        let mut rng = Rng::from_seed(31);
+        for rate in [f32::NAN, -0.5, 1.5, f32::INFINITY] {
+            let mut untouched = rng.clone();
+            for result in [
+                device.inject_faults(rate, &mut rng),
+                device.inject_stuck_faults(rate, &mut rng),
+            ] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(TrainError::Tensor(TensorError::InvalidArgument(_)))
+                    ),
+                    "rate {rate}: {result:?}"
+                );
+            }
+            assert_eq!(rng.uniform(0.0, 1.0), untouched.uniform(0.0, 1.0));
+        }
+        let (after, _) = device.forward(&images, &mut noise.clone()).unwrap();
+        assert_eq!(bits(&before), bits(&after));
+    }
+
+    #[test]
     fn max_pool2_reduces_spatial() {
-        let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32);
-        let p = max_pool2(&x).unwrap();
-        assert_eq!(p.shape(), &[1, 1, 2, 2]);
-        assert_eq!(p.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
-        assert!(max_pool2(&Tensor::zeros(&[1, 1, 3, 3])).is_err());
+        let levels = Levels {
+            data: (0..32).collect(),
+            n: 1,
+            h: 4,
+            w: 4,
+            c: 2,
+        };
+        let pooled = levels.max_pool2().unwrap();
+        assert_eq!([pooled.n, pooled.h, pooled.w, pooled.c], [1, 2, 2, 2]);
+        // NHWC: pixel y·4 + x holds 2·(y·4 + x) + channel, so each
+        // window's max is its bottom-right pixel, per channel
+        assert_eq!(pooled.data, vec![10, 11, 14, 15, 26, 27, 30, 31]);
+        let odd = Levels {
+            data: vec![0; 9],
+            n: 1,
+            h: 3,
+            w: 3,
+            c: 1,
+        };
+        assert!(matches!(
+            odd.max_pool2(),
+            Err(TrainError::Tensor(TensorError::InvalidArgument(_)))
+        ));
     }
 }

@@ -52,7 +52,9 @@ use membit_nn::{
 use membit_tensor::{im2col_into, Conv2dGeometry, Tensor, TensorError};
 use membit_xbar::CrossbarLinear;
 
-use crate::device_eval::{lower, DeviceVgg, Kernel, MvmLayer};
+use crate::device_eval::{
+    level_thresholds, lower, value_table, DeviceVgg, Kernel, LayerInput, MvmLayer,
+};
 use crate::Result;
 
 /// Pulse counts of crossbar operator `op` in an allocation (per
@@ -226,7 +228,7 @@ pub struct MemseNetwork {
     act_levels: usize,
     samples: usize,
     /// Clean logical logits (no bias) — the error reference.
-    logical_logits: Tensor,
+    pub(crate) logical_logits: Tensor,
     /// Per probe sample: argmax class of the logical logits.
     logical_top: Vec<usize>,
 }
@@ -274,7 +276,8 @@ impl MemseNetwork {
     ///
     /// Returns [`TensorError::InvalidArgument`] if `sigma_abs` doesn't
     /// cover the VGG's crossbar layers or holds a negative or non-finite
-    /// level; propagates shape errors.
+    /// level, or if the VGG's `act_levels` is outside `2..=256` (levels
+    /// travel between layers as bytes); propagates shape errors.
     pub fn from_vgg(
         vgg: &Vgg,
         params: &Params,
@@ -324,11 +327,13 @@ impl MemseNetwork {
         layers: Vec<MvmLayer<LayerPlan<'_>>>,
         cls_w: Tensor,
     ) -> Result<Self> {
+        let thresholds = level_thresholds(act_levels)?;
         let n = probe.shape().first().copied().unwrap_or(0);
         if n == 0 {
             return Err(TensorError::InvalidArgument("probe batch must be non-empty".into()).into());
         }
-        let mut act = probe.clone();
+        let values = value_table(act_levels);
+        let mut act = LayerInput::Images(probe);
         let mut col_buf: Vec<f32> = Vec::new();
         let last = layers.len() - 1;
         let mut convs = Vec::with_capacity(last);
@@ -348,10 +353,10 @@ impl MemseNetwork {
                 ),
             };
             // advance the clean logical reference
-            let cols = layer.im2col(&act, &mut col_buf)?;
+            let cols = act.patches(&layer.geom, &values, &mut col_buf)?;
             let rows = cols.matmul(&logical_t)?;
             col_buf = cols.into_vec();
-            act = layer.periphery(rows, n, act_levels)?;
+            act = LayerInput::Levels(layer.periphery(&rows, n, &thresholds, i)?);
             let e_t = e.transpose()?;
             let w_sq_t = e.map(|v| v * v).transpose()?;
             let scale_sq = layer.scale.map(|v| v * v);
@@ -386,10 +391,11 @@ impl MemseNetwork {
         let fc = fc.ok_or_else(|| {
             TensorError::InvalidArgument("the hidden FC must be a crossbar operator".into())
         })?;
+        let LayerInput::Levels(act) = act else {
+            unreachable!("the hidden FC is the last layer")
+        };
         let cls_w_t = cls_w.transpose()?;
-        let logical_logits = act
-            .into_reshaped(&[n, cls_w.shape()[1]])?
-            .matmul(&cls_w_t)?;
+        let logical_logits = act.features(&values)?.matmul(&cls_w_t)?;
         let classes = cls_w.shape()[0];
         let logical_top = logical_logits
             .as_slice()
@@ -1173,6 +1179,21 @@ mod tests {
                 "sigma {bad}: {err:?}"
             );
         }
+        // levels travel between layers as bytes: 256 at most
+        let mut params = Params::new();
+        let config = VggConfig {
+            act_levels: 257,
+            ..VggConfig::tiny()
+        };
+        let vgg = Vgg::new(&config, &mut params, &mut Rng::from_seed(7)).unwrap();
+        let err = MemseNetwork::from_vgg(&vgg, &params, &probe, &[0.05; 3]).err();
+        assert!(
+            matches!(
+                err,
+                Some(TrainError::Tensor(TensorError::InvalidArgument(_)))
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -293,7 +293,7 @@ impl EpochLoop for PretrainLoop<'_> {
 ///
 /// # Errors
 ///
-/// Propagates tape/shape errors.
+/// As [`evaluate_with_hook`].
 pub fn evaluate(
     model: &mut dyn CrossbarModel,
     params: &Params,
@@ -308,7 +308,8 @@ pub fn evaluate(
 ///
 /// # Errors
 ///
-/// Propagates tape/shape errors.
+/// Returns [`TensorError::InvalidArgument`] for a zero `batch_size`;
+/// propagates tape/shape errors.
 pub fn evaluate_with_hook(
     model: &mut dyn CrossbarModel,
     params: &Params,
@@ -316,6 +317,7 @@ pub fn evaluate_with_hook(
     batch_size: usize,
     hook: &mut dyn MvmNoiseHook,
 ) -> Result<f32> {
+    check_batch_size(batch_size)?;
     let mut correct = 0usize;
     let mut tape = Tape::new();
     for (images, labels) in data.batches(batch_size) {
@@ -327,6 +329,15 @@ pub fn evaluate_with_hook(
             (accuracy(tape.value(logits), &labels)? * labels.len() as f32).round() as usize;
     }
     Ok(correct as f32 / data.len().max(1) as f32)
+}
+
+/// Rejects a zero evaluation batch size, on which `Dataset::batches`
+/// panics.
+pub(crate) fn check_batch_size(batch_size: usize) -> Result<()> {
+    if batch_size == 0 {
+        return Err(TensorError::InvalidArgument("batch size must be nonzero".into()).into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -428,5 +439,10 @@ mod tests {
         let a = evaluate(&mut mlp, &params, &test, 16).unwrap();
         let b = evaluate(&mut mlp, &params, &test, 16).unwrap();
         assert_eq!(a, b);
+        // a zero batch size is refused typed, never a panic
+        assert!(matches!(
+            evaluate(&mut mlp, &params, &test, 0),
+            Err(TrainError::Tensor(TensorError::InvalidArgument(_)))
+        ));
     }
 }

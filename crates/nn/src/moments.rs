@@ -408,7 +408,10 @@ mod tests {
     /// The k-level activation quantizer the deployed network applies after
     /// `tanh`: uniform grid on `[−1, 1]` with `levels` points,
     /// `q(v) = round((clamp(v)+1)/2·l)/l·2 − 1` for `l = levels − 1`.
-    /// Identical to `quantize_tensor` in the deployment path.
+    /// The deployment path (`membit-core`'s level periphery) computes
+    /// `q(tanh x)` of a pre-activation `x` as level `k`, the number of
+    /// `device_eval::level_thresholds` at or below `x`, read as
+    /// `k/l·2 − 1`.
     fn quantize_value(v: f32, l: f32) -> f32 {
         ((v.clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() / l * 2.0 - 1.0
     }

@@ -27,6 +27,13 @@ echo "=== golden forward digests (determinism across changes, both profiles) ===
 cargo test -q -p membit-core --test golden_forward
 cargo test -q --release -p membit-core --test golden_forward
 
+echo "=== activation level thresholds (every finite f32, release) ==="
+# DeviceVgg's periphery counts a pre-activation against thresholds found
+# once by bisection over tanh and the quantizer; this walks all 2^32 bit
+# patterns at 9 levels on every host thread and checks the count against
+# round((clamp(tanh v) + 1)/2·8) for each finite value
+cargo test -q --release -p membit-core --lib thresholds_are_exact -- --ignored
+
 echo "=== golden search digests (training, GBO and MemSE search; both profiles) ==="
 # trained parameters, BN statistics, losses, GBO logits and analytic
 # selections of five scenarios (rollback, kill-and-resume, MC search,
