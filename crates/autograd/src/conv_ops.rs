@@ -89,7 +89,9 @@ impl Tape {
             });
         }
         if size == 0 {
-            return Err(TensorError::InvalidArgument("pool size must be nonzero".into()));
+            return Err(TensorError::InvalidArgument(
+                "pool size must be nonzero".into(),
+            ));
         }
         let [n, c, h, w] = [xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]];
         if h % size != 0 || w % size != 0 {
@@ -154,7 +156,9 @@ impl Tape {
             });
         }
         if size == 0 {
-            return Err(TensorError::InvalidArgument("pool size must be nonzero".into()));
+            return Err(TensorError::InvalidArgument(
+                "pool size must be nonzero".into(),
+            ));
         }
         let [n, c, h, w] = [xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]];
         if h % size != 0 || w % size != 0 {
@@ -244,11 +248,8 @@ mod tests {
     #[test]
     fn max_pool_forward_and_routed_grad() {
         let mut tape = Tape::new();
-        let xv = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 8.0, 7.0, 6.0, 5.0],
-            &[1, 2, 2, 2],
-        )
-        .unwrap();
+        let xv =
+            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 8.0, 7.0, 6.0, 5.0], &[1, 2, 2, 2]).unwrap();
         let x = tape.leaf(xv, true);
         let y = tape.max_pool2d(x, 2).unwrap();
         assert_eq!(tape.value(y).as_slice(), &[4.0, 8.0]);
@@ -263,11 +264,8 @@ mod tests {
     #[test]
     fn avg_pool_forward_and_uniform_grad() {
         let mut tape = Tape::new();
-        let xv = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 8.0, 8.0, 8.0, 8.0],
-            &[1, 2, 2, 2],
-        )
-        .unwrap();
+        let xv =
+            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 8.0, 8.0, 8.0, 8.0], &[1, 2, 2, 2]).unwrap();
         let x = tape.leaf(xv, true);
         let y = tape.avg_pool2d(x, 2).unwrap();
         assert_eq!(tape.value(y).as_slice(), &[2.5, 8.0]);

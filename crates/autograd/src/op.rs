@@ -267,9 +267,8 @@ impl Op {
                                 let g = gs[((ni * c + ci) * oh + oy) * ow + ox] / area;
                                 for ky in 0..s {
                                     for kx in 0..s {
-                                        dxs[((ni * c + ci) * h + oy * s + ky) * w
-                                            + ox * s
-                                            + kx] += g;
+                                        dxs[((ni * c + ci) * h + oy * s + ky) * w + ox * s + kx] +=
+                                            g;
                                     }
                                 }
                             }
@@ -290,10 +289,9 @@ impl Op {
                 let db = grad.transpose()?.matmul(val(*a))?;
                 Ok(vec![(*a, da), (*b, db)])
             }
-            Op::AddChannels { x, bias } => Ok(vec![
-                (*x, grad.clone()),
-                (*bias, grad.sum_channels()?),
-            ]),
+            Op::AddChannels { x, bias } => {
+                Ok(vec![(*x, grad.clone()), (*bias, grad.sum_channels()?)])
+            }
             Op::MulChannels { x, scale } => {
                 let dx = grad.mul_channels(val(*scale))?;
                 let dscale = grad.mul(val(*x))?.sum_channels()?;
@@ -308,9 +306,7 @@ impl Op {
             } => {
                 let (oh, ow) = (geom.out_h(), geom.out_w());
                 let oc = val(*w).shape()[0];
-                let g_rows = grad
-                    .nchw_to_nhwc()?
-                    .into_reshaped(&[batch * oh * ow, oc])?;
+                let g_rows = grad.nchw_to_nhwc()?.into_reshaped(&[batch * oh * ow, oc])?;
                 // dW = g_rowsᵀ · cols, reshaped to the kernel tensor
                 let dw = g_rows
                     .transpose()?

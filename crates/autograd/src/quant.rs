@@ -277,9 +277,7 @@ mod tests {
         let x = tape.leaf(Tensor::zeros(&[2]), true);
         let alpha = tape.leaf(Tensor::zeros(&[2]), true);
         // wrong eps count vs alpha
-        assert!(tape
-            .mix_noise(x, alpha, vec![Tensor::zeros(&[2])])
-            .is_err());
+        assert!(tape.mix_noise(x, alpha, vec![Tensor::zeros(&[2])]).is_err());
         // wrong eps shape
         let alpha1 = tape.leaf(Tensor::zeros(&[1]), true);
         assert!(tape

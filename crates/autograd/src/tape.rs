@@ -121,10 +121,7 @@ impl Tape {
     /// Records `op` producing `value`, inheriting `requires_grad` from the
     /// op's parents.
     pub(crate) fn push_op(&mut self, value: Tensor, op: Op) -> VarId {
-        let requires = op
-            .parents()
-            .iter()
-            .any(|p| self.nodes[p.0].requires_grad);
+        let requires = op.parents().iter().any(|p| self.nodes[p.0].requires_grad);
         self.push(value, requires, op)
     }
 

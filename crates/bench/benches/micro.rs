@@ -61,13 +61,22 @@ fn bench_vgg_forward() {
         let mut tape = Tape::new();
         let mut binding = params.frozen_binding();
         let x = tape.constant(images.clone());
-        vgg.forward(&mut tape, &params, &mut binding, x, Phase::Eval, &mut NoNoise)
-            .unwrap()
+        vgg.forward(
+            &mut tape,
+            &params,
+            &mut binding,
+            x,
+            Phase::Eval,
+            &mut NoNoise,
+        )
+        .unwrap()
     });
 }
 
 fn bench_encoding() {
-    let x = Tensor::from_fn(&[64, 144], |i| ((i % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0));
+    let x = Tensor::from_fn(&[64, 144], |i| {
+        ((i % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0)
+    });
     let thermo = Thermometer::new(8).unwrap();
     let slicing = BitSlicing::new(3).unwrap();
     bench("thermometer encode 64x144 p8", || {
@@ -82,10 +91,13 @@ fn bench_xbar() {
     let mut rng = Rng::from_seed(1);
     let w = Tensor::from_fn(&[64, 128], |i| if i % 3 == 0 { 1.0 } else { -1.0 });
     let tile = Tile::program(&w.transpose().unwrap(), &DeviceModel::ideal(), &mut rng).unwrap();
-    let x: Vec<f32> = (0..128).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+    let x: Vec<f32> = (0..128)
+        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+        .collect();
     let mut out = vec![0.0f32; 64];
     bench("tile mvm 128x64", || {
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         out[0]
     });
 

@@ -34,10 +34,10 @@ impl NoiseCalibration {
     /// a non-positive unit.
     pub fn new(rms: Vec<f32>, unit: f32) -> Result<Self> {
         if rms.is_empty() {
-            return Err(
-                TensorError::InvalidArgument("calibration needs at least one layer".into())
-                    .into(),
-            );
+            return Err(TensorError::InvalidArgument(
+                "calibration needs at least one layer".into(),
+            )
+            .into());
         }
         if unit <= 0.0 || unit.is_nan() {
             return Err(TensorError::InvalidArgument(format!(
@@ -102,7 +102,14 @@ pub fn calibrate_noise(
         let mut tape = Tape::new();
         let mut binding = params.frozen_binding();
         let x = tape.constant(images);
-        model.forward(&mut tape, params, &mut binding, x, Phase::Eval, &mut recorder)?;
+        model.forward(
+            &mut tape,
+            params,
+            &mut binding,
+            x,
+            Phase::Eval,
+            &mut recorder,
+        )?;
     }
     NoiseCalibration::new(recorder.rms(), unit)
 }

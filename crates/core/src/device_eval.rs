@@ -507,7 +507,12 @@ impl DeviceVgg {
     /// programmed, if `cfg.pulses` and `cfg.act_levels` fail the check
     /// [`reconfigure_encoding`](Self::reconfigure_encoding) applies, or
     /// propagates programming errors.
-    pub fn deploy(vgg: &Vgg, params: &Params, cfg: &DeviceEvalConfig, rng: &mut Rng) -> Result<Self> {
+    pub fn deploy(
+        vgg: &Vgg,
+        params: &Params,
+        cfg: &DeviceEvalConfig,
+        rng: &mut Rng,
+    ) -> Result<Self> {
         let config = vgg.config();
         cfg.policy.validate()?;
         validate_encoding(&cfg.pulses, config.crossbar_layers(), cfg.act_levels)?;
@@ -746,7 +751,11 @@ impl DeviceVgg {
             for _ in 0..count {
                 let row = rng.below(inp);
                 let col = rng.below(out);
-                let side = if rng.coin(0.5) { CellSide::Pos } else { CellSide::Neg };
+                let side = if rng.coin(0.5) {
+                    CellSide::Pos
+                } else {
+                    CellSide::Neg
+                };
                 let high = rng.coin(0.5);
                 engine.upset_cell(row, col, side, high)?;
                 injected += 1;
@@ -777,7 +786,11 @@ impl DeviceVgg {
             for _ in 0..count {
                 let row = rng.below(inp);
                 let col = rng.below(out);
-                let side = if rng.coin(0.5) { CellSide::Pos } else { CellSide::Neg };
+                let side = if rng.coin(0.5) {
+                    CellSide::Pos
+                } else {
+                    CellSide::Neg
+                };
                 let health = if rng.coin(0.5) {
                     CellHealth::StuckOn
                 } else {
@@ -920,9 +933,9 @@ mod tests {
     use crate::model::CrossbarModel;
     use crate::trainer::evaluate;
     use crate::TrainError;
+    use membit_autograd::Tape;
     use membit_encoding::MAX_NESTED_PULSES;
     use membit_nn::{NoNoise, Phase, VggConfig};
-    use membit_autograd::Tape;
     use membit_tensor::im2col;
     use membit_tensor::parallel::scoped_chunks;
 
@@ -1134,7 +1147,9 @@ mod tests {
                 "{shape:?}: {err}"
             );
         }
-        let (logits, stats) = device.forward(&Tensor::zeros(&[0, 3, 8, 8]), &mut rng).unwrap();
+        let (logits, stats) = device
+            .forward(&Tensor::zeros(&[0, 3, 8, 8]), &mut rng)
+            .unwrap();
         assert_eq!(logits.shape(), &[0, 4]);
         assert_eq!(stats.vectors, 0);
     }
@@ -1152,7 +1167,9 @@ mod tests {
             policy: DeploymentPolicy::default(),
         };
         let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
-        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 17) as f32 / 8.0 - 1.0).clamp(-1.0, 1.0));
+        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| {
+            ((i % 17) as f32 / 8.0 - 1.0).clamp(-1.0, 1.0)
+        });
         // functional reference
         let mut tape = Tape::new();
         let mut binding = params.frozen_binding();
@@ -1167,7 +1184,9 @@ mod tests {
             &mut NoNoise,
         )
         .unwrap();
-        let (logits, stats) = device.forward(&quantize_tensor(&images, 9), &mut rng).unwrap();
+        let (logits, stats) = device
+            .forward(&quantize_tensor(&images, 9), &mut rng)
+            .unwrap();
         assert!(
             logits.allclose(tape.value(reference), 0.15),
             "{logits:?}\nvs\n{:?}",
@@ -1221,7 +1240,9 @@ mod tests {
         };
         let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
         let images = quantize_tensor(
-            &Tensor::from_fn(&[1, 3, 8, 8], |i| ((i % 11) as f32 / 5.0 - 1.0).clamp(-1.0, 1.0)),
+            &Tensor::from_fn(&[1, 3, 8, 8], |i| {
+                ((i % 11) as f32 / 5.0 - 1.0).clamp(-1.0, 1.0)
+            }),
             9,
         );
         let (fresh, _) = device.forward(&images, &mut rng).unwrap();
@@ -1255,7 +1276,10 @@ mod tests {
         let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
         let report = device.recovery_report();
         assert!(report.tiles > 0);
-        assert!(report.faults_detected > 0, "2% stuck rates must trip the march test");
+        assert!(
+            report.faults_detected > 0,
+            "2% stuck rates must trip the march test"
+        );
         assert!(
             report.cells_recovered > 0,
             "recovery must fix something: {report:?}"
@@ -1316,7 +1340,9 @@ mod tests {
         };
         let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
         let images = quantize_tensor(
-            &Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 13) as f32 / 6.0 - 1.0).clamp(-1.0, 1.0)),
+            &Tensor::from_fn(&[2, 3, 8, 8], |i| {
+                ((i % 13) as f32 / 6.0 - 1.0).clamp(-1.0, 1.0)
+            }),
             9,
         );
         // healthy arrays: the guard checks every readout and stays quiet
@@ -1357,7 +1383,9 @@ mod tests {
         };
         let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
         let images = quantize_tensor(
-            &Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 13) as f32 / 6.0 - 1.0).clamp(-1.0, 1.0)),
+            &Tensor::from_fn(&[2, 3, 8, 8], |i| {
+                ((i % 13) as f32 / 6.0 - 1.0).clamp(-1.0, 1.0)
+            }),
             9,
         );
         let (clean, _) = device.forward(&images, &mut rng).unwrap();
@@ -1369,9 +1397,14 @@ mod tests {
         }
         let (faulty, _) = device.forward(&images, &mut rng).unwrap();
         let err_faulty = faulty.sub(&clean).unwrap().abs().max();
-        assert!(err_faulty > 0.05, "stuck faults must survive refresh: {err_faulty}");
+        assert!(
+            err_faulty > 0.05,
+            "stuck faults must survive refresh: {err_faulty}"
+        );
         // march + remap with the SAF error-correction arm
-        let report = device.remap_all(&RecoveryPolicy::with_ecc(), &mut rng).unwrap();
+        let report = device
+            .remap_all(&RecoveryPolicy::with_ecc(), &mut rng)
+            .unwrap();
         assert!(report.faults_detected > 0, "{report:?}");
         let (fixed, stats) = device.forward(&images, &mut rng).unwrap();
         let err_fixed = fixed.sub(&clean).unwrap().abs().max();

@@ -122,7 +122,10 @@ mod tests {
             stage: "gbo".into(),
             epoch: 3,
             retries: 2,
-            reason: DivergenceReason::LossSpike { loss: 9.0, ema: 1.0 },
+            reason: DivergenceReason::LossSpike {
+                loss: 9.0,
+                ema: 1.0,
+            },
         };
         let msg = d.to_string();
         assert!(msg.contains("gbo") && msg.contains("epoch 3") && msg.contains("spike"));

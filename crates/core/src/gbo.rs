@@ -19,8 +19,8 @@ use crate::calibrate::NoiseCalibration;
 use crate::memse::MemseNetwork;
 use crate::model::CrossbarModel;
 use crate::resilience::{
-    put_params, put_rng, put_state, restore_params, restore_rng, run_epochs, take_state,
-    EpochLoop, EpochRun, ResilienceConfig,
+    put_params, put_rng, put_state, restore_params, restore_rng, run_epochs, take_state, EpochLoop,
+    EpochRun, ResilienceConfig,
 };
 use crate::watchdog::TrainWatchdog;
 use crate::Result;
@@ -85,14 +85,18 @@ impl GboConfig {
             "Ω must contain at least one scaling factor"
         } else if !self.omega.iter().all(|&n| positive(n)) {
             "Ω entries must be finite and positive"
-        } else if self.base_pulses == 0 || self.epochs == 0 || self.batch_size == 0 || layers == 0
-        {
+        } else if self.base_pulses == 0 || self.epochs == 0 || self.batch_size == 0 || layers == 0 {
             "base_pulses, epochs, batch_size and layer count must be nonzero"
         } else if !positive(self.lr) {
             "lr must be finite and positive"
         } else if !non_negative(self.gamma) {
             "gamma must be finite and non-negative"
-        } else if !self.snap_error_fan_in.iter().flatten().all(|&f| non_negative(f)) {
+        } else if !self
+            .snap_error_fan_in
+            .iter()
+            .flatten()
+            .all(|&f| non_negative(f))
+        {
             "snap_error_fan_in entries must be finite and non-negative"
         } else {
             return Ok(());
@@ -118,8 +122,7 @@ pub struct GboResult {
 impl GboResult {
     /// Average deployed pulse count (the paper's "Avg.# pulses").
     pub fn avg_pulses(&self) -> f32 {
-        self.selected_pulses.iter().sum::<usize>() as f32
-            / self.selected_pulses.len().max(1) as f32
+        self.selected_pulses.iter().sum::<usize>() as f32 / self.selected_pulses.len().max(1) as f32
     }
 }
 
@@ -504,8 +507,8 @@ impl EpochLoop for SearchLoop<'_> {
 mod tests {
     use super::*;
     use crate::calibrate::calibrate_noise;
-    use crate::TrainError;
     use crate::trainer::{pretrain, TrainConfig};
+    use crate::TrainError;
     use membit_data::{synth_cifar, SynthCifarConfig};
     use membit_nn::{Mlp, MlpConfig, NoNoise};
 
@@ -530,9 +533,15 @@ mod tests {
             ("NaN gamma", |c| c.gamma = f32::NAN),
             ("infinite gamma", |c| c.gamma = f32::INFINITY),
             ("negative gamma", |c| c.gamma = -1e-3),
-            ("NaN fan-in", |c| c.snap_error_fan_in = Some(vec![72.0, f32::NAN])),
-            ("infinite fan-in", |c| c.snap_error_fan_in = Some(vec![f32::INFINITY, 72.0])),
-            ("negative fan-in", |c| c.snap_error_fan_in = Some(vec![72.0, -1.0])),
+            ("NaN fan-in", |c| {
+                c.snap_error_fan_in = Some(vec![72.0, f32::NAN])
+            }),
+            ("infinite fan-in", |c| {
+                c.snap_error_fan_in = Some(vec![f32::INFINITY, 72.0])
+            }),
+            ("negative fan-in", |c| {
+                c.snap_error_fan_in = Some(vec![72.0, -1.0])
+            }),
         ];
         for (name, corrupt) in cases {
             let mut bad = cfg.clone();
@@ -577,12 +586,8 @@ mod tests {
         // loss, so λ should drift toward n = 2 (16 pulses).
         let mut rng = Rng::from_seed(0);
         let mut params = Params::new();
-        let mut mlp = Mlp::new(
-            &MlpConfig::new(3 * 8 * 8, &[16], 10),
-            &mut params,
-            &mut rng,
-        )
-        .unwrap();
+        let mut mlp =
+            Mlp::new(&MlpConfig::new(3 * 8 * 8, &[16], 10), &mut params, &mut rng).unwrap();
         let (train, _) = synth_cifar(&SynthCifarConfig::tiny(), 3).unwrap();
         // train briefly so the CE landscape is informative
         let tc = TrainConfig {

@@ -37,9 +37,7 @@ impl GaussianMvmNoise {
             .into());
         }
         if pulses.contains(&0) {
-            return Err(
-                TensorError::InvalidArgument("pulse counts must be nonzero".into()).into(),
-            );
+            return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
         }
         Ok(Self { sigma, pulses, rng })
     }
@@ -240,12 +238,11 @@ impl VariationAwareNoise {
             .into());
         }
         if pulses.contains(&0) {
-            return Err(
-                TensorError::InvalidArgument("pulse counts must be nonzero".into()).into(),
-            );
+            return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
         }
         let (lo, hi) = temp_range;
-        if !(membit_xbar::T_MIN..=membit_xbar::T_MAX).contains(&lo) || !(lo..=membit_xbar::T_MAX).contains(&hi)
+        if !(membit_xbar::T_MIN..=membit_xbar::T_MAX).contains(&lo)
+            || !(lo..=membit_xbar::T_MAX).contains(&hi)
         {
             return Err(TensorError::InvalidArgument(format!(
                 "temperature range [{lo}, {hi}] K outside rated [{}, {}] K",
@@ -383,7 +380,13 @@ impl RmsRecorder {
         self.sum_sq
             .iter()
             .zip(&self.count)
-            .map(|(&s, &c)| if c == 0 { 0.0 } else { (s / c as f64).sqrt() as f32 })
+            .map(|(&s, &c)| {
+                if c == 0 {
+                    0.0
+                } else {
+                    (s / c as f64).sqrt() as f32
+                }
+            })
             .collect()
     }
 }
@@ -391,7 +394,11 @@ impl RmsRecorder {
 impl MvmNoiseHook for RmsRecorder {
     fn apply(&mut self, tape: &mut Tape, layer: usize, mvm_out: VarId) -> NnResult<VarId> {
         let v = tape.value(mvm_out);
-        self.sum_sq[layer] += v.as_slice().iter().map(|&x| f64::from(x) * f64::from(x)).sum::<f64>();
+        self.sum_sq[layer] += v
+            .as_slice()
+            .iter()
+            .map(|&x| f64::from(x) * f64::from(x))
+            .sum::<f64>();
         self.count[layer] += v.len() as u64;
         Ok(mvm_out)
     }
@@ -488,8 +495,7 @@ mod tests {
     #[test]
     fn gaussian_noise_scales_with_inverse_sqrt_pulses() {
         let rng = Rng::from_seed(0);
-        let mut hook8 =
-            GaussianMvmNoise::uniform(1, 8.0, 8, rng.clone()).unwrap();
+        let mut hook8 = GaussianMvmNoise::uniform(1, 8.0, 8, rng.clone()).unwrap();
         let mut hook32 = GaussianMvmNoise::uniform(1, 8.0, 32, rng).unwrap();
         let (mut t1, x1) = setup(&[40_000]);
         let y1 = hook8.apply(&mut t1, 0, x1).unwrap();
@@ -548,8 +554,7 @@ mod tests {
         // degenerate range pinned at the hot end, no droop: the injected
         // std must be exactly σ/√p · √(T/T_REF)
         let hot = 390.0f32;
-        let mut hook =
-            VariationAwareNoise::uniform(1, 8.0, 8, (hot, hot), 0.0, rng).unwrap();
+        let mut hook = VariationAwareNoise::uniform(1, 8.0, 8, (hot, hot), 0.0, rng).unwrap();
         let (mut t, x) = setup(&[40_000]);
         let y = hook.apply(&mut t, 0, x).unwrap();
         let expect = 8.0 / 8f32.sqrt() * (hot / membit_xbar::T_REF).sqrt();
@@ -561,8 +566,7 @@ mod tests {
     fn variation_aware_droop_attenuates_output() {
         let rng = Rng::from_seed(8);
         let t_ref = membit_xbar::T_REF;
-        let mut hook =
-            VariationAwareNoise::uniform(1, 0.0, 8, (t_ref, t_ref), 0.5, rng).unwrap();
+        let mut hook = VariationAwareNoise::uniform(1, 0.0, 8, (t_ref, t_ref), 0.5, rng).unwrap();
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::from_vec(vec![2.0, -2.0], &[2]).unwrap());
         let y = hook.apply(&mut tape, 0, x).unwrap();
@@ -581,7 +585,9 @@ mod tests {
         assert!(VariationAwareNoise::uniform(1, 1.0, 8, (300.0, 900.0), 0.1, rng.clone()).is_err());
         // droop must stay a proper fraction
         assert!(VariationAwareNoise::uniform(1, 1.0, 8, (300.0, 330.0), 1.0, rng.clone()).is_err());
-        assert!(VariationAwareNoise::uniform(1, 1.0, 8, (300.0, 330.0), -0.1, rng.clone()).is_err());
+        assert!(
+            VariationAwareNoise::uniform(1, 1.0, 8, (300.0, 330.0), -0.1, rng.clone()).is_err()
+        );
         // mismatched layer vectors and zero pulses, as for the Gaussian hook
         assert!(
             VariationAwareNoise::new(vec![1.0], vec![8, 8], (300.0, 330.0), 0.1, rng.clone())

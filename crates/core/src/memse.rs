@@ -278,12 +278,7 @@ impl MemseNetwork {
     /// cover the VGG's crossbar layers or holds a negative or non-finite
     /// level, or if the VGG's `act_levels` is outside `2..=256` (levels
     /// travel between layers as bytes); propagates shape errors.
-    pub fn from_vgg(
-        vgg: &Vgg,
-        params: &Params,
-        probe: &Tensor,
-        sigma_abs: &[f32],
-    ) -> Result<Self> {
+    pub fn from_vgg(vgg: &Vgg, params: &Params, probe: &Tensor, sigma_abs: &[f32]) -> Result<Self> {
         let config = vgg.config();
         if sigma_abs.len() != config.crossbar_layers() {
             return Err(TensorError::InvalidArgument(format!(
@@ -330,7 +325,9 @@ impl MemseNetwork {
         let thresholds = level_thresholds(act_levels)?;
         let n = probe.shape().first().copied().unwrap_or(0);
         if n == 0 {
-            return Err(TensorError::InvalidArgument("probe batch must be non-empty".into()).into());
+            return Err(
+                TensorError::InvalidArgument("probe batch must be non-empty".into()).into(),
+            );
         }
         let values = value_table(act_levels);
         let mut act = LayerInput::Images(probe);
@@ -829,19 +826,17 @@ impl MemseNetwork {
             alloc
                 .iter()
                 .zip(&shares)
-                .map(|(qs, sh)| {
-                    qs.iter()
-                        .zip(sh)
-                        .map(|(&q, &s)| q as f32 * s)
-                        .sum::<f32>()
-                })
+                .map(|(qs, sh)| qs.iter().zip(sh).map(|(&q, &s)| q as f32 * s).sum::<f32>())
                 .sum()
         };
         let mut alloc = self.uniform(&seed.pulses)?;
         let d = self.descend(candidates, &mut alloc, true, |score, alloc| {
             score.disagreement + gamma * energy(alloc)
         })?;
-        let latency = alloc.iter().map(|qs| qs.iter().copied().max().unwrap_or(0)).sum();
+        let latency = alloc
+            .iter()
+            .map(|qs| qs.iter().copied().max().unwrap_or(0))
+            .sum();
         let total_energy = energy(&alloc);
         Ok(TileAllocation {
             pulses: alloc,
@@ -875,8 +870,12 @@ impl MemseNetwork {
             evaluations: 1,
         };
         let op_stages = self.op_stages();
-        let idx_of =
-            |q: usize| candidates.iter().position(|&c| c == q).unwrap_or(usize::MAX);
+        let idx_of = |q: usize| {
+            candidates
+                .iter()
+                .position(|&c| c == q)
+                .unwrap_or(usize::MAX)
+        };
         for round in 0..4 {
             let mut improved = false;
             // walk the prefix once per sweep: the state entering the
@@ -970,7 +969,11 @@ enum WalkState {
     Input(Tensor),
     /// Post-BN pre-activation moments of the producing conv stage,
     /// with its pool flag still to apply after the fused quantizer.
-    Pre { mean: Tensor, var: Tensor, pool: bool },
+    Pre {
+        mean: Tensor,
+        var: Tensor,
+        pool: bool,
+    },
 }
 
 /// The activation grid values after the PLA snap at `q` pulses: the

@@ -105,7 +105,9 @@ impl CrossbarModel for ResNet {
         phase: Phase,
         hook: &mut dyn MvmNoiseHook,
     ) -> Result<VarId> {
-        Ok(ResNet::forward(self, tape, params, binding, x, phase, hook)?)
+        Ok(ResNet::forward(
+            self, tape, params, binding, x, phase, hook,
+        )?)
     }
 
     fn crossbar_layers(&self) -> usize {
@@ -175,7 +177,14 @@ mod tests {
         let x = tape.constant(Tensor::zeros(&[2, 4]));
         let mut binding = params.binding();
         let y = model
-            .forward(&mut tape, &params, &mut binding, x, Phase::Eval, &mut NoNoise)
+            .forward(
+                &mut tape,
+                &params,
+                &mut binding,
+                x,
+                Phase::Eval,
+                &mut NoNoise,
+            )
             .unwrap();
         assert_eq!(tape.value(y).shape(), &[2, 3]);
 

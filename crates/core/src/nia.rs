@@ -211,12 +211,8 @@ mod tests {
     fn nia_improves_noisy_accuracy() {
         let mut rng = Rng::from_seed(0);
         let mut params = Params::new();
-        let mut mlp = Mlp::new(
-            &MlpConfig::new(3 * 8 * 8, &[24], 10),
-            &mut params,
-            &mut rng,
-        )
-        .unwrap();
+        let mut mlp =
+            Mlp::new(&MlpConfig::new(3 * 8 * 8, &[24], 10), &mut params, &mut rng).unwrap();
         let (train, test) = synth_cifar(&SynthCifarConfig::tiny(), 11).unwrap();
         let tc = TrainConfig {
             epochs: 6,
@@ -269,12 +265,8 @@ mod tests {
     fn variation_aware_finetune_runs_and_validates() {
         let mut rng = Rng::from_seed(21);
         let mut params = Params::new();
-        let mut mlp = Mlp::new(
-            &MlpConfig::new(3 * 8 * 8, &[12], 10),
-            &mut params,
-            &mut rng,
-        )
-        .unwrap();
+        let mut mlp =
+            Mlp::new(&MlpConfig::new(3 * 8 * 8, &[12], 10), &mut params, &mut rng).unwrap();
         let (train, _) = synth_cifar(&SynthCifarConfig::tiny(), 23).unwrap();
         let cal = calibrate_noise(&mut mlp, &params, &train, 20, 1, 10.0).unwrap();
         let cfg = NiaConfig {

@@ -282,7 +282,11 @@ pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
     let _ = writeln!(
         out,
         "{}",
-        header.iter().map(|h| quote(h)).collect::<Vec<_>>().join(",")
+        header
+            .iter()
+            .map(|h| quote(h))
+            .collect::<Vec<_>>()
+            .join(",")
     );
     for row in rows {
         let _ = writeln!(
@@ -366,8 +370,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let row =
-            NonIdealAblationRow::from_stats("saf", "full", 300.0, 74.5, &stats, 4);
+        let row = NonIdealAblationRow::from_stats("saf", "full", 300.0, 74.5, &stats, 4);
         let rec = row.to_record();
         assert_eq!(rec.len(), NonIdealAblationRow::CSV_HEADER.len());
         assert_eq!(rec[0], "saf");

@@ -413,7 +413,8 @@ mod tests {
         }
 
         // a run stopped after epoch 2 resumes to the uninterrupted result
-        let path = std::env::temp_dir().join(format!("membit-run-epochs-{}.ckpt", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("membit-run-epochs-{}.ckpt", std::process::id()));
         std::fs::remove_file(&path).ok();
         let keep = ResilienceConfig {
             keep_checkpoint: true,

@@ -79,8 +79,7 @@ mod tests {
         let cal = calibrate_noise(&mut mlp, &params, &train, 20, 2, 10.0).unwrap();
         // massive single-layer noise: 5× the layer RMS
         let sigma_abs = cal.sigma_abs(50.0);
-        let series =
-            layer_sensitivity(&mut mlp, &params, &test, &sigma_abs, 20, 2, 7).unwrap();
+        let series = layer_sensitivity(&mut mlp, &params, &test, &sigma_abs, 20, 2, 7).unwrap();
         assert_eq!(series.len(), 2);
         for (l, &acc) in series.iter().enumerate() {
             assert!(
@@ -94,12 +93,8 @@ mod tests {
     fn zero_noise_recovers_clean_accuracy() {
         let mut rng = Rng::from_seed(0);
         let mut params = Params::new();
-        let mut mlp = Mlp::new(
-            &MlpConfig::new(3 * 8 * 8, &[16], 10),
-            &mut params,
-            &mut rng,
-        )
-        .unwrap();
+        let mut mlp =
+            Mlp::new(&MlpConfig::new(3 * 8 * 8, &[16], 10), &mut params, &mut rng).unwrap();
         let (_, test) = synth_cifar(&SynthCifarConfig::tiny(), 13).unwrap();
         let clean = evaluate(&mut mlp, &params, &test, 20).unwrap();
         let series = layer_sensitivity(&mut mlp, &params, &test, &[0.0], 20, 1, 7).unwrap();

@@ -12,8 +12,8 @@ use membit_tensor::{Rng, RngStream, TensorError};
 
 use crate::model::CrossbarModel;
 use crate::resilience::{
-    need_f64, put_params, put_rng, put_state, restore_params, restore_rng, run_epochs,
-    take_state, EpochLoop, EpochRun, ResilienceConfig,
+    need_f64, put_params, put_rng, put_state, restore_params, restore_rng, run_epochs, take_state,
+    EpochLoop, EpochRun, ResilienceConfig,
 };
 use crate::watchdog::TrainWatchdog;
 use crate::Result;
@@ -129,7 +129,14 @@ pub fn pretrain(
     cfg: &TrainConfig,
     hook: &mut dyn MvmNoiseHook,
 ) -> Result<TrainReport> {
-    pretrain_resilient(model, params, train, cfg, hook, &ResilienceConfig::default())
+    pretrain_resilient(
+        model,
+        params,
+        train,
+        cfg,
+        hook,
+        &ResilienceConfig::default(),
+    )
 }
 
 /// [`pretrain`] with an explicit resilience policy: per-epoch atomic
@@ -325,8 +332,7 @@ pub fn evaluate_with_hook(
         let mut binding = params.frozen_binding();
         let x = tape.constant(images);
         let logits = model.forward(&mut tape, params, &mut binding, x, Phase::Eval, hook)?;
-        correct +=
-            (accuracy(tape.value(logits), &labels)? * labels.len() as f32).round() as usize;
+        correct += (accuracy(tape.value(logits), &labels)? * labels.len() as f32).round() as usize;
     }
     Ok(correct as f32 / data.len().max(1) as f32)
 }
@@ -350,12 +356,7 @@ mod tests {
     fn tiny_setup() -> (Mlp, Params, Dataset, Dataset) {
         let mut rng = Rng::from_seed(0);
         let mut params = Params::new();
-        let mlp = Mlp::new(
-            &MlpConfig::new(3 * 8 * 8, &[24], 10),
-            &mut params,
-            &mut rng,
-        )
-        .unwrap();
+        let mlp = Mlp::new(&MlpConfig::new(3 * 8 * 8, &[24], 10), &mut params, &mut rng).unwrap();
         let (train, test) = synth_cifar(&SynthCifarConfig::tiny(), 5).unwrap();
         (mlp, params, train, test)
     }
@@ -384,7 +385,11 @@ mod tests {
         );
         let acc = evaluate(&mut mlp, &params, &test, 20).unwrap();
         assert!(acc > 0.3, "test accuracy only {acc}"); // chance = 0.1
-        assert!(report.final_train_acc > 0.6, "train accuracy only {}", report.final_train_acc);
+        assert!(
+            report.final_train_acc > 0.6,
+            "train accuracy only {}",
+            report.final_train_acc
+        );
     }
 
     #[test]
@@ -414,7 +419,11 @@ mod tests {
                 matches!(err, TrainError::Tensor(TensorError::InvalidArgument(_))),
                 "{name}: {err}"
             );
-            assert_eq!(probe.passes(), 0, "{name}: rejected only after training began");
+            assert_eq!(
+                probe.passes(),
+                0,
+                "{name}: rejected only after training began"
+            );
         }
     }
 

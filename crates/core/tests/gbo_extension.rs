@@ -9,12 +9,8 @@ fn trained_mlp(seed: u64) -> (Mlp, Params, membit_data::Dataset) {
     let (train, _) = synth_cifar(&SynthCifarConfig::tiny(), seed).expect("data");
     let mut rng = Rng::from_seed(seed).stream(RngStream::Init);
     let mut params = Params::new();
-    let mut mlp = Mlp::new(
-        &MlpConfig::new(3 * 8 * 8, &[20], 10),
-        &mut params,
-        &mut rng,
-    )
-    .expect("mlp");
+    let mut mlp =
+        Mlp::new(&MlpConfig::new(3 * 8 * 8, &[20], 10), &mut params, &mut rng).expect("mlp");
     let cfg = TrainConfig {
         epochs: 10,
         batch_size: 24,
@@ -73,7 +69,10 @@ fn snap_awareness_biases_away_from_lossy_budgets() {
     let exact_min = lam[2].min(lam[6]); // Ω indices of 8 and 16 pulses
     for (k, &l) in lam.iter().enumerate() {
         if k != 2 && k != 6 {
-            assert!(l < exact_min, "λ[{k}] = {l} ≥ exact min {exact_min}: {lam:?}");
+            assert!(
+                l < exact_min,
+                "λ[{k}] = {l} ≥ exact min {exact_min}: {lam:?}"
+            );
         }
     }
 }

@@ -130,7 +130,9 @@ fn forward_digest(scenario: Scenario, threads: usize) -> u64 {
     let mut rng = Rng::from_seed(7);
     let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).expect("deploy");
     if let Scenario::StuckEcc = scenario {
-        device.inject_stuck_faults(0.05, &mut rng).expect("stuck faults");
+        device
+            .inject_stuck_faults(0.05, &mut rng)
+            .expect("stuck faults");
         device
             .remap_all(&RecoveryPolicy::with_ecc(), &mut rng)
             .expect("remap");
@@ -165,7 +167,11 @@ fn engine_digest(scenario: Scenario, threads: usize) -> u64 {
         assert!(engine.packed_ready(), "rail engine must be rail-programmed");
     }
     let cell = |rng: &mut Rng| {
-        let side = if rng.coin(0.5) { CellSide::Pos } else { CellSide::Neg };
+        let side = if rng.coin(0.5) {
+            CellSide::Pos
+        } else {
+            CellSide::Neg
+        };
         (rng.below(72), rng.below(40), side, rng.coin(0.5))
     };
     if let Scenario::StuckEcc = scenario {
@@ -227,11 +233,27 @@ fn assert_exercised(scenario: Scenario, total: &ExecutionStats) {
 /// `(scenario, forward digest, engine digest)`. The four PLA scenarios
 /// were recorded at commit `cd28eff`, the bit-sliced one at `9e329d8`.
 const GOLDEN: [(Scenario, Option<u64>, u64); 5] = [
-    (Scenario::Functional, Some(0x697b_20c3_7747_7d44), 0x121c_e2f1_3e78_7a72),
+    (
+        Scenario::Functional,
+        Some(0x697b_20c3_7747_7d44),
+        0x121c_e2f1_3e78_7a72,
+    ),
     (Scenario::FunctionalBitSliced, None, 0xdab9_2309_4ea2_e07f),
-    (Scenario::Lossy, Some(0xa041_df37_f9ee_d088), 0xdc3a_40da_fe48_406b),
-    (Scenario::RealisticGuarded, Some(0xf6b3_5e94_6bb7_ce06), 0x562b_689d_1c8a_8e2d),
-    (Scenario::StuckEcc, Some(0x4125_b67b_c9d8_ae83), 0x4201_bbe0_5232_be5e),
+    (
+        Scenario::Lossy,
+        Some(0xa041_df37_f9ee_d088),
+        0xdc3a_40da_fe48_406b,
+    ),
+    (
+        Scenario::RealisticGuarded,
+        Some(0xf6b3_5e94_6bb7_ce06),
+        0x562b_689d_1c8a_8e2d,
+    ),
+    (
+        Scenario::StuckEcc,
+        Some(0x4125_b67b_c9d8_ae83),
+        0x4201_bbe0_5232_be5e,
+    ),
 ];
 
 #[test]

@@ -322,7 +322,10 @@ fn analytic_search_is_ten_times_faster_than_mc_at_smoke_size() {
     let mc_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let net = MemseNetwork::from_vgg(&vgg, &params, &probe, &calibration.sigma_abs(sigma)).unwrap();
-    GboTrainer::new(layers, cfg).unwrap().search_analytic(&net).unwrap();
+    GboTrainer::new(layers, cfg)
+        .unwrap()
+        .search_analytic(&net)
+        .unwrap();
     let analytic_secs = t.elapsed().as_secs_f64();
     let speedup = mc_secs / analytic_secs;
     assert!(

@@ -148,7 +148,9 @@ mod tests {
     fn loads_full_directory_layout() {
         let dir = temp_dir("full");
         for i in 1..=5 {
-            write_batch(&dir.join(format!("data_batch_{i}.bin")), 4, |j| (j % 10) as u8);
+            write_batch(&dir.join(format!("data_batch_{i}.bin")), 4, |j| {
+                (j % 10) as u8
+            });
         }
         write_batch(&dir.join("test_batch.bin"), 2, |j| (j % 10) as u8);
         let (train, test) = load_cifar10(&dir).unwrap();

@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(s.len(), 20);
         assert_eq!(s.class_histogram(), d.class_histogram());
         assert_ne!(s.labels(), d.labels()); // overwhelmingly likely
-        // image/label pairing preserved: sample with first pixel 4k has label k%3
+                                            // image/label pairing preserved: sample with first pixel 4k has label k%3
         for i in 0..20 {
             let first_pixel = s.images().at(i * 4);
             let orig_index = (first_pixel / 4.0) as usize;

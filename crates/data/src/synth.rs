@@ -293,6 +293,9 @@ mod tests {
     fn train_and_test_differ() {
         let (train, test) = synth_cifar(&SynthCifarConfig::tiny(), 9).unwrap();
         // same prototypes but different noise draws
-        assert_ne!(train.images().as_slice()[..64], test.images().as_slice()[..64]);
+        assert_ne!(
+            train.images().as_slice()[..64],
+            test.images().as_slice()[..64]
+        );
     }
 }

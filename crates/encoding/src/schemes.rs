@@ -367,7 +367,10 @@ mod tests {
         for level in 0..8 {
             let v = level as f32 / 7.0 * 2.0 - 1.0;
             let code = enc.encode_value(v).unwrap();
-            assert!((enc.decode(&code).unwrap() - v).abs() < 1e-6, "level {level}");
+            assert!(
+                (enc.decode(&code).unwrap() - v).abs() < 1e-6,
+                "level {level}"
+            );
         }
     }
 
@@ -398,10 +401,7 @@ mod tests {
             let bs = BitSlicing::new(b).unwrap();
             let tc = Thermometer::new((1 << b) - 1).unwrap();
             assert_eq!(bs.num_levels(), tc.num_levels());
-            assert!(
-                tc.noise_variance(1.0) < bs.noise_variance(1.0),
-                "b = {b}"
-            );
+            assert!(tc.noise_variance(1.0) < bs.noise_variance(1.0), "b = {b}");
         }
     }
 

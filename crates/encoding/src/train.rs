@@ -467,7 +467,11 @@ mod tests {
             )
             .unwrap();
             let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(train.decode().unwrap()), bits(dense.decode().unwrap()), "p = {p}");
+            assert_eq!(
+                bits(train.decode().unwrap()),
+                bits(dense.decode().unwrap()),
+                "p = {p}"
+            );
         }
     }
 }

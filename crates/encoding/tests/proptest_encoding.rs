@@ -41,7 +41,10 @@ fn matches_stacked_values<E: BitEncoder>(enc: &E, x: &Tensor) -> Result<(), Test
     let weights: Vec<f32> = (0..enc.num_pulses()).map(|i| enc.pulse_weight(i)).collect();
     prop_assert_eq!(&*train.weights(), weights.as_slice());
     // thermometer-family trains are stored count-coded
-    prop_assert_eq!(train.kind() == TrainKind::NestedUnary, enc.emits_nested_unary());
+    prop_assert_eq!(
+        train.kind() == TrainKind::NestedUnary,
+        enc.emits_nested_unary()
+    );
     Ok(())
 }
 

@@ -78,7 +78,10 @@ impl BatchNorm {
             .expect("gamma/var same shape");
         let shift = beta
             .zip_map(
-                &self.running_mean.zip_map(&scale, |m, s| m * s).expect("same shape"),
+                &self
+                    .running_mean
+                    .zip_map(&scale, |m, s| m * s)
+                    .expect("same shape"),
                 |b, ms| b - ms,
             )
             .expect("beta same shape");

@@ -14,7 +14,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use super::{tmp_sibling, CheckpointError, Checkpoint, CkptResult};
+use super::{tmp_sibling, Checkpoint, CheckpointError, CkptResult};
 
 /// Flips bit `bit` (0–7) of the byte at `offset` in the file at `path`.
 ///
@@ -214,7 +214,10 @@ mod tests {
         let path = temp("iofault");
         std::fs::remove_file(&path).ok();
         let err = save_with_io_fault(&sample(), &path, 10, io::ErrorKind::WriteZero).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io(io::ErrorKind::WriteZero, _)));
+        assert!(matches!(
+            err,
+            CheckpointError::Io(io::ErrorKind::WriteZero, _)
+        ));
         assert!(!path.exists(), "failed save must not create the target");
     }
 

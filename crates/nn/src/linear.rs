@@ -34,7 +34,8 @@ impl Linear {
     ) -> Self {
         let w = rng.kaiming_tensor(&[out_features, in_features], in_features);
         let weight = params.register(format!("{name}.weight"), w);
-        let bias = bias.then(|| params.register(format!("{name}.bias"), Tensor::zeros(&[out_features])));
+        let bias =
+            bias.then(|| params.register(format!("{name}.bias"), Tensor::zeros(&[out_features])));
         Self {
             weight,
             bias,
@@ -126,7 +127,10 @@ mod tests {
         let mut rng = Rng::from_seed(0);
         let lin = Linear::new("fc", 2, 2, false, false, &mut params, &mut rng);
         // overwrite with known weights
-        params.assign("fc.weight", Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap());
+        params.assign(
+            "fc.weight",
+            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap(),
+        );
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap());
         let mut binding = params.binding();

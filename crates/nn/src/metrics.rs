@@ -19,11 +19,7 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
     if labels.is_empty() {
         return Ok(0.0);
     }
-    let correct = preds
-        .iter()
-        .zip(labels)
-        .filter(|(p, y)| p == y)
-        .count();
+    let correct = preds.iter().zip(labels).filter(|(p, y)| p == y).count();
     Ok(correct as f32 / labels.len() as f32)
 }
 
@@ -36,7 +32,11 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
 /// # Panics
 ///
 /// Panics on a label-count mismatch or an out-of-range label.
-pub fn confusion_matrix(logits: &Tensor, labels: &[usize], num_classes: usize) -> Result<Vec<Vec<usize>>> {
+pub fn confusion_matrix(
+    logits: &Tensor,
+    labels: &[usize],
+    num_classes: usize,
+) -> Result<Vec<Vec<usize>>> {
     let preds = logits.argmax_rows()?;
     assert_eq!(preds.len(), labels.len(), "label count mismatch");
     let mut m = vec![vec![0usize; num_classes]; num_classes];
@@ -55,11 +55,7 @@ mod tests {
 
     #[test]
     fn accuracy_counts_matches() {
-        let logits = Tensor::from_vec(
-            vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4],
-            &[3, 2],
-        )
-        .unwrap();
+        let logits = Tensor::from_vec(vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4], &[3, 2]).unwrap();
         assert_eq!(accuracy(&logits, &[0, 1, 1]).unwrap(), 2.0 / 3.0);
         assert_eq!(accuracy(&logits, &[0, 1, 0]).unwrap(), 1.0);
     }

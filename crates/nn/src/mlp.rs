@@ -114,9 +114,7 @@ impl Mlp {
     /// Running statistics of every batch-norm layer, keyed by layer name —
     /// part of the checkpoint alongside [`Params`] (mirrors
     /// [`Vgg::running_stats`](crate::Vgg::running_stats)).
-    pub fn running_stats(
-        &self,
-    ) -> Vec<(String, membit_tensor::Tensor, membit_tensor::Tensor)> {
+    pub fn running_stats(&self) -> Vec<(String, membit_tensor::Tensor, membit_tensor::Tensor)> {
         self.bns
             .iter()
             .enumerate()
@@ -216,7 +214,14 @@ mod tests {
         let x = tape.constant(Tensor::from_fn(&[2, 4], |i| (i as f32) * 0.1));
         let mut binding = params.binding();
         let logits = mlp
-            .forward(&mut tape, &params, &mut binding, x, Phase::Train, &mut NoNoise)
+            .forward(
+                &mut tape,
+                &params,
+                &mut binding,
+                x,
+                Phase::Train,
+                &mut NoNoise,
+            )
             .unwrap();
         let loss = tape.softmax_cross_entropy(logits, &[0, 2]).unwrap();
         tape.backward(loss).unwrap();

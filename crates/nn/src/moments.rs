@@ -51,9 +51,7 @@ fn fast_exp(x: f32) -> f32 {
     let u = (t - i) * std::f32::consts::LN_2;
     let p = 1.0
         + u * (1.0
-            + u * (0.5
-                + u * (1.0 / 6.0
-                    + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0)))));
+            + u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0)))));
     f32::from_bits(((i as i32 + 127) as u32) << 23) * p
 }
 
@@ -493,8 +491,8 @@ mod tests {
             // centered estimator Cov = E[(q − q̄)·e] with its empirical SE
             let prods: Vec<f64> = draws.iter().map(|(q, e)| (q - qbar) * e).collect();
             let cov = prods.iter().sum::<f64>() / f64::from(trials);
-            let pvar = prods.iter().map(|p| (p - cov) * (p - cov)).sum::<f64>()
-                / f64::from(trials - 1);
+            let pvar =
+                prods.iter().map(|p| (p - cov) * (p - cov)).sum::<f64>() / f64::from(trials - 1);
             let se_gain = (pvar / f64::from(trials)).sqrt() / f64::from(s * s);
             let mc_gain = cov / f64::from(s * s);
             let a = f64::from(gain.as_slice()[0]);

@@ -89,8 +89,7 @@ impl Optimizer for Sgd {
                 g.axpy(self.weight_decay, params.get_by_index(idx))?;
             }
             let update = if self.momentum != 0.0 {
-                let v = self.velocity[idx]
-                    .get_or_insert_with(|| Tensor::zeros(g.shape()));
+                let v = self.velocity[idx].get_or_insert_with(|| Tensor::zeros(g.shape()));
                 // v ← μ·v + g
                 let mut nv = v.mul_scalar(self.momentum);
                 nv.axpy(1.0, &g)?;
@@ -177,8 +176,14 @@ impl Optimizer for Adam {
             let mut nv = v.mul_scalar(self.beta2);
             nv.axpy(1.0 - self.beta2, &grad.square())?;
             *v = nv;
-            let mhat = self.m[idx].as_ref().expect("just set").mul_scalar(1.0 / bc1);
-            let vhat = self.v[idx].as_ref().expect("just set").mul_scalar(1.0 / bc2);
+            let mhat = self.m[idx]
+                .as_ref()
+                .expect("just set")
+                .mul_scalar(1.0 / bc1);
+            let vhat = self.v[idx]
+                .as_ref()
+                .expect("just set")
+                .mul_scalar(1.0 / bc2);
             let eps = self.eps;
             let update = mhat.zip_map(&vhat, |mv, vv| mv / (vv.sqrt() + eps))?;
             params.get_by_index_mut(idx).axpy(-self.lr, &update)?;
@@ -247,11 +252,7 @@ mod tests {
             opt.step(&mut params, &tape, &binding).unwrap();
         }
         let theta = params.get(id);
-        theta
-            .sub(&target)
-            .unwrap()
-            .square()
-            .sum()
+        theta.sub(&target).unwrap().square().sum()
     }
 
     #[test]

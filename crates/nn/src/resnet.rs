@@ -106,7 +106,9 @@ impl ResNetConfig {
             )));
         }
         if self.act_levels < 2 {
-            return Err(TensorError::InvalidArgument("act_levels must be ≥ 2".into()));
+            return Err(TensorError::InvalidArgument(
+                "act_levels must be ≥ 2".into(),
+            ));
         }
         Ok(())
     }
@@ -235,9 +237,7 @@ impl ResNet {
     /// Running statistics of every batch-norm layer, keyed by layer name —
     /// part of the checkpoint alongside [`Params`] (mirrors
     /// [`Vgg::running_stats`](crate::Vgg::running_stats)).
-    pub fn running_stats(
-        &self,
-    ) -> Vec<(String, membit_tensor::Tensor, membit_tensor::Tensor)> {
+    pub fn running_stats(&self) -> Vec<(String, membit_tensor::Tensor, membit_tensor::Tensor)> {
         let stat = |name: String, bn: &BatchNorm| {
             (name, bn.running_mean().clone(), bn.running_var().clone())
         };
@@ -414,10 +414,19 @@ mod tests {
         let mut params = Params::new();
         let mut net = ResNet::new(&ResNetConfig::tiny(), &mut params, &mut rng).unwrap();
         let mut tape = Tape::new();
-        let x = tape.constant(Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 9) as f32 - 4.0) / 4.0));
+        let x = tape.constant(Tensor::from_fn(&[2, 3, 8, 8], |i| {
+            ((i % 9) as f32 - 4.0) / 4.0
+        }));
         let mut binding = params.binding();
         let logits = net
-            .forward(&mut tape, &params, &mut binding, x, Phase::Train, &mut NoNoise)
+            .forward(
+                &mut tape,
+                &params,
+                &mut binding,
+                x,
+                Phase::Train,
+                &mut NoNoise,
+            )
             .unwrap();
         let loss = tape.softmax_cross_entropy(logits, &[0, 3]).unwrap();
         tape.backward(loss).unwrap();

@@ -136,11 +136,7 @@ impl VggConfig {
                 self.in_h, self.in_w
             )));
         }
-        if let Some(&bad) = self
-            .pool_after
-            .iter()
-            .find(|&&i| i >= self.channels.len())
-        {
+        if let Some(&bad) = self.pool_after.iter().find(|&&i| i >= self.channels.len()) {
             return Err(TensorError::InvalidArgument(format!(
                 "pool_after index {bad} out of range for {} convs",
                 self.channels.len()
@@ -399,7 +395,14 @@ mod tests {
         let x = tape.constant(Tensor::zeros(&[2, 3, 8, 8]));
         let mut binding = params.binding();
         let logits = vgg
-            .forward(&mut tape, &params, &mut binding, x, Phase::Train, &mut NoNoise)
+            .forward(
+                &mut tape,
+                &params,
+                &mut binding,
+                x,
+                Phase::Train,
+                &mut NoNoise,
+            )
             .unwrap();
         assert_eq!(tape.value(logits).shape(), &[2, 4]);
     }
@@ -450,8 +453,15 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::from_fn(&[2, 3, 8, 8], |i| (i % 13) as f32 * 0.1));
         let mut binding = params.binding();
-        vgg.forward(&mut tape, &params, &mut binding, x, Phase::Train, &mut NoNoise)
-            .unwrap();
+        vgg.forward(
+            &mut tape,
+            &params,
+            &mut binding,
+            x,
+            Phase::Train,
+            &mut NoNoise,
+        )
+        .unwrap();
         let stats = vgg.running_stats();
         assert_eq!(stats.len(), 4); // 3 conv BNs + fc_bn
 
@@ -478,10 +488,19 @@ mod tests {
         let cfg = VggConfig::tiny();
         let mut vgg = Vgg::new(&cfg, &mut params, &mut rng).unwrap();
         let mut tape = Tape::new();
-        let x = tape.constant(Tensor::from_fn(&[1, 3, 8, 8], |i| ((i % 7) as f32 - 3.0) / 3.0));
+        let x = tape.constant(Tensor::from_fn(&[1, 3, 8, 8], |i| {
+            ((i % 7) as f32 - 3.0) / 3.0
+        }));
         let mut binding = params.binding();
         let logits = vgg
-            .forward(&mut tape, &params, &mut binding, x, Phase::Eval, &mut Checker)
+            .forward(
+                &mut tape,
+                &params,
+                &mut binding,
+                x,
+                Phase::Eval,
+                &mut Checker,
+            )
             .unwrap();
         assert!(tape.value(logits).as_slice().iter().all(|v| v.is_finite()));
     }

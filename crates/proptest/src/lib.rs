@@ -275,13 +275,19 @@ pub mod collection {
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty vec size range");
-            Self { lo: r.start, hi: r.end }
+            Self {
+                lo: r.start,
+                hi: r.end,
+            }
         }
     }
 
     impl From<std::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-            Self { lo: *r.start(), hi: *r.end() + 1 }
+            Self {
+                lo: *r.start(),
+                hi: *r.end() + 1,
+            }
         }
     }
 
@@ -294,7 +300,10 @@ pub mod collection {
 
     /// `Vec` strategy with a fixed or ranged length.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S>
@@ -467,7 +476,10 @@ mod tests {
         let mut a = crate::TestRng::deterministic("same", 7);
         let mut b = crate::TestRng::deterministic("same", 7);
         let s = 0u64..1000;
-        assert_eq!(Strategy::generate(&s, &mut a), Strategy::generate(&s, &mut b));
+        assert_eq!(
+            Strategy::generate(&s, &mut a),
+            Strategy::generate(&s, &mut b)
+        );
     }
 
     proptest! {

@@ -177,7 +177,10 @@ mod tests {
         let ok = ChaosScript::new(vec![
             ChaosEvent {
                 at_ns: 0,
-                action: ChaosAction::Upset { shard: 0, rate: 0.1 },
+                action: ChaosAction::Upset {
+                    shard: 0,
+                    rate: 0.1,
+                },
             },
             ChaosEvent {
                 at_ns: 5,

@@ -100,7 +100,9 @@ mod tests {
 
     #[test]
     fn display_names_the_failure() {
-        assert!(ServeError::QueueFull { capacity: 4 }.to_string().contains("capacity 4"));
+        assert!(ServeError::QueueFull { capacity: 4 }
+            .to_string()
+            .contains("capacity 4"));
         let d = ServeError::DeadlineExceeded {
             arrival_ns: 100,
             deadline_ns: 50,

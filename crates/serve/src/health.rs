@@ -165,12 +165,7 @@ impl HealthTracker {
     /// the deterministic health-degradation hook of the chaos harness
     /// (`serve::chaos`). Consumes no RNG and marks the history as warm,
     /// so the forced value takes full effect immediately.
-    pub fn force(
-        &mut self,
-        policy: &HealthPolicy,
-        ema: f64,
-        degraded_layers: u64,
-    ) -> HealthState {
+    pub fn force(&mut self, policy: &HealthPolicy, ema: f64, degraded_layers: u64) -> HealthState {
         self.raw = ema;
         self.ema = ema;
         self.samples = 1_000;
@@ -256,7 +251,10 @@ mod tests {
             ..policy
         };
         let mut t = HealthTracker::new();
-        assert_eq!(t.observe(&naive, &stats(100, 100), 0), HealthState::Shedding);
+        assert_eq!(
+            t.observe(&naive, &stats(100, 100), 0),
+            HealthState::Shedding
+        );
     }
 
     #[test]
@@ -281,7 +279,11 @@ mod tests {
         // from the forced value, it is not re-shrunk
         t.force(&policy, 0.5, 0);
         let s = t.observe(&policy, &stats(100, 0), 0);
-        assert_eq!(s, HealthState::Shedding, "0.5 decays to 0.35, still shedding");
+        assert_eq!(
+            s,
+            HealthState::Shedding,
+            "0.5 decays to 0.35, still shedding"
+        );
     }
 
     #[test]

@@ -728,9 +728,12 @@ mod tests {
 
     #[test]
     fn set_serves_across_shards_and_accounts() {
-        let mut set =
-            ShardSet::new(models(3, 1), ServeConfig::standard(7), RoutePolicy::Rendezvous)
-                .unwrap();
+        let mut set = ShardSet::new(
+            models(3, 1),
+            ServeConfig::standard(7),
+            RoutePolicy::Rendezvous,
+        )
+        .unwrap();
         submit_n(&mut set, 12, 0);
         let out = set.serve_until(None);
         assert_eq!(out.len(), 12);
@@ -770,9 +773,12 @@ mod tests {
 
     #[test]
     fn killing_every_shard_cancels_typed_and_sheds_new_work() {
-        let mut set =
-            ShardSet::new(models(2, 3), ServeConfig::standard(5), RoutePolicy::Rendezvous)
-                .unwrap();
+        let mut set = ShardSet::new(
+            models(2, 3),
+            ServeConfig::standard(5),
+            RoutePolicy::Rendezvous,
+        )
+        .unwrap();
         submit_n(&mut set, 4, 0);
         let mut resolved = Vec::new();
         resolved.extend(set.apply(&ChaosAction::Kill { shard: 0 }).unwrap());
@@ -797,14 +803,14 @@ mod tests {
 
     #[test]
     fn degrade_quarantines_then_idle_decay_recovers() {
-        let mut set =
-            ShardSet::new(models(2, 4), ServeConfig::standard(9), RoutePolicy::Rendezvous)
-                .unwrap();
-        set.apply(&ChaosAction::Degrade {
-            shard: 0,
-            ema: 0.9,
-        })
+        let mut set = ShardSet::new(
+            models(2, 4),
+            ServeConfig::standard(9),
+            RoutePolicy::Rendezvous,
+        )
         .unwrap();
+        set.apply(&ChaosAction::Degrade { shard: 0, ema: 0.9 })
+            .unwrap();
         assert_eq!(set.status(0), Some(ShardStatus::Quarantined));
         assert_eq!(set.health_state(0), Some(HealthState::Shedding));
         // idle decay ticks (one per serve pass) bring it back
@@ -953,8 +959,7 @@ mod tests {
         let mut cfg = ServeConfig::standard(31);
         cfg.max_batch = 2;
         cfg.block_align = 1;
-        let server =
-            ShardServer::start(models(3, 7), cfg, RoutePolicy::Rendezvous).unwrap();
+        let server = ShardServer::start(models(3, 7), cfg, RoutePolicy::Rendezvous).unwrap();
         let handles: Vec<Handle> = (0..12)
             .map(|i| server.submit(payload(i), None).unwrap())
             .collect();

@@ -44,10 +44,14 @@ impl Conv2dGeometry {
         padding: usize,
     ) -> Result<Self> {
         if stride == 0 {
-            return Err(TensorError::InvalidArgument("stride must be nonzero".into()));
+            return Err(TensorError::InvalidArgument(
+                "stride must be nonzero".into(),
+            ));
         }
         if kernel_h == 0 || kernel_w == 0 {
-            return Err(TensorError::InvalidArgument("kernel must be nonempty".into()));
+            return Err(TensorError::InvalidArgument(
+                "kernel must be nonempty".into(),
+            ));
         }
         if kernel_h > in_h + 2 * padding || kernel_w > in_w + 2 * padding {
             return Err(TensorError::InvalidArgument(format!(

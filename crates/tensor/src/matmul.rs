@@ -84,11 +84,8 @@ fn row_block(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     let mut j = 0;
     while j + TILE_J <= n {
         let mut acc = [[0.0f32; TILE_J]; TILE_I];
-        for (((brow, &v0), (&v1, &v2)), &v3) in b
-            .chunks_exact(n)
-            .zip(a0)
-            .zip(a1.iter().zip(a2))
-            .zip(a3)
+        for (((brow, &v0), (&v1, &v2)), &v3) in
+            b.chunks_exact(n).zip(a0).zip(a1.iter().zip(a2)).zip(a3)
         {
             let bt: &[f32; TILE_J] = brow[j..j + TILE_J].try_into().expect("tile width");
             let avs = [v0, v1, v2, v3];
@@ -105,11 +102,8 @@ fn row_block(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     }
     while j < n {
         let mut acc = [0.0f32; TILE_I];
-        for (((brow, &v0), (&v1, &v2)), &v3) in b
-            .chunks_exact(n)
-            .zip(a0)
-            .zip(a1.iter().zip(a2))
-            .zip(a3)
+        for (((brow, &v0), (&v1, &v2)), &v3) in
+            b.chunks_exact(n).zip(a0).zip(a1.iter().zip(a2)).zip(a3)
         {
             let bv = brow[j];
             for (o, &av) in acc.iter_mut().zip(&[v0, v1, v2, v3]) {

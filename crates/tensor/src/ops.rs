@@ -17,8 +17,16 @@ pub(crate) fn broadcast_shape(op: &'static str, a: &[usize], b: &[usize]) -> Res
     let rank = a.len().max(b.len());
     let mut out = vec![0usize; rank];
     for i in 0..rank {
-        let da = if i < rank - a.len() { 1 } else { a[i - (rank - a.len())] };
-        let db = if i < rank - b.len() { 1 } else { b[i - (rank - b.len())] };
+        let da = if i < rank - a.len() {
+            1
+        } else {
+            a[i - (rank - a.len())]
+        };
+        let db = if i < rank - b.len() {
+            1
+        } else {
+            b[i - (rank - b.len())]
+        };
         out[i] = if da == db || db == 1 {
             da
         } else if da == 1 {
@@ -209,11 +217,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `per_channel` is not a
     /// `[C]` vector matching axis 1.
-    pub fn channel_map(
-        &self,
-        per_channel: &Tensor,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Tensor> {
+    pub fn channel_map(&self, per_channel: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
         if self.rank() < 2 || per_channel.shape() != [self.shape()[1]] {
             return Err(TensorError::ShapeMismatch {
                 op: "channel_map",

@@ -10,9 +10,7 @@
 /// `max_threads`, at least 1, and never so many that a worker gets fewer
 /// than `min_items_per_thread` items.
 pub fn plan_threads(items: usize, max_threads: usize, min_items_per_thread: usize) -> usize {
-    max_threads
-        .min(items / min_items_per_thread.max(1))
-        .max(1)
+    max_threads.min(items / min_items_per_thread.max(1)).max(1)
 }
 
 /// Splits `data` into contiguous chunks of at most `chunk_len` elements

@@ -20,12 +20,18 @@ impl Tensor {
 
     /// Maximum element (−∞ for an empty tensor).
     pub fn max(&self) -> f32 {
-        self.as_slice().iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        self.as_slice()
+            .iter()
+            .copied()
+            .fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// Minimum element (+∞ for an empty tensor).
     pub fn min(&self) -> f32 {
-        self.as_slice().iter().copied().fold(f32::INFINITY, f32::min)
+        self.as_slice()
+            .iter()
+            .copied()
+            .fold(f32::INFINITY, f32::min)
     }
 
     /// Population variance of all elements.
@@ -34,7 +40,11 @@ impl Tensor {
             return 0.0;
         }
         let m = self.mean();
-        self.as_slice().iter().map(|&x| (x - m) * (x - m)).sum::<f32>() / self.len() as f32
+        self.as_slice()
+            .iter()
+            .map(|&x| (x - m) * (x - m))
+            .sum::<f32>()
+            / self.len() as f32
     }
 
     /// Standard deviation of all elements.
@@ -232,8 +242,7 @@ mod tests {
     #[test]
     fn channel_statistics() {
         // two channels: channel 0 constant 1, channel 1 values {0, 2}
-        let t = Tensor::from_vec(vec![1.0, 1.0, 0.0, 2.0, 1.0, 1.0, 0.0, 2.0], &[2, 2, 2])
-            .unwrap();
+        let t = Tensor::from_vec(vec![1.0, 1.0, 0.0, 2.0, 1.0, 1.0, 0.0, 2.0], &[2, 2, 2]).unwrap();
         assert_eq!(t.mean_channels().unwrap().as_slice(), &[1.0, 1.0]);
         assert_eq!(t.var_channels().unwrap().as_slice(), &[0.0, 1.0]);
         assert_eq!(t.sum_channels().unwrap().as_slice(), &[4.0, 4.0]);

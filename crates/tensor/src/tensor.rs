@@ -151,7 +151,10 @@ impl Tensor {
         assert_eq!(idx.len(), self.shape.len(), "index rank mismatch");
         let mut off = 0;
         for (i, (&ix, &dim)) in idx.iter().zip(&self.shape).enumerate() {
-            assert!(ix < dim, "index {ix} out of bounds for axis {i} (dim {dim})");
+            assert!(
+                ix < dim,
+                "index {ix} out of bounds for axis {i} (dim {dim})"
+            );
             off = off * dim + ix;
         }
         off
@@ -444,7 +447,10 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap();
         let b = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
         assert_eq!(a.map(f32::abs).as_slice(), &[1.0, 2.0]);
-        assert_eq!(a.zip_map(&b, |x, y| x * y).unwrap().as_slice(), &[3.0, -8.0]);
+        assert_eq!(
+            a.zip_map(&b, |x, y| x * y).unwrap().as_slice(),
+            &[3.0, -8.0]
+        );
         assert!(a.zip_map(&Tensor::zeros(&[3]), |x, _| x).is_err());
     }
 

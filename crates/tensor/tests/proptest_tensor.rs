@@ -2,7 +2,7 @@
 //! the elementwise ops, matmul linearity, layout round-trips, reduction
 //! consistency, and RNG determinism.
 
-use membit_tensor::{im2col, col2im, Conv2dGeometry, MatmulOptions, Rng, RngStream, Tensor};
+use membit_tensor::{col2im, im2col, Conv2dGeometry, MatmulOptions, Rng, RngStream, Tensor};
 use proptest::prelude::*;
 
 /// A small shape: rank 1–3, dims 1–6.
@@ -22,8 +22,7 @@ fn tensor_strategy() -> impl Strategy<Value = Tensor> {
 }
 
 fn matrix_strategy(r: std::ops::Range<usize>) -> impl Strategy<Value = Tensor> {
-    (r.clone(), r)
-        .prop_flat_map(|(m, n)| tensor_of(vec![m, n]))
+    (r.clone(), r).prop_flat_map(|(m, n)| tensor_of(vec![m, n]))
 }
 
 proptest! {

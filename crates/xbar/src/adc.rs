@@ -62,7 +62,9 @@ impl Adc {
         let clipped = analog.clamp(-self.range, self.range);
         let step = self.step();
         // mid-rise: code centers at (k + 0.5)·step − range
-        let code = ((clipped + self.range) / step).floor().min((self.codes() - 1) as f32);
+        let code = ((clipped + self.range) / step)
+            .floor()
+            .min((self.codes() - 1) as f32);
         (code + 0.5) * step - self.range
     }
 

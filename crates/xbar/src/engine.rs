@@ -342,14 +342,11 @@ impl CrossbarLinear {
             let rows = config.tile_rows.min(in_features - r0);
             let mut row_tiles = Vec::with_capacity(nct);
             for _ in &col_starts {
-                let (mut tile, stats) = slots
-                    .next()
-                    .flatten()
-                    .ok_or_else(|| {
-                        TensorError::InvalidArgument(
-                            "program fan-out left an unfilled tile slot".into(),
-                        )
-                    })??;
+                let (mut tile, stats) = slots.next().flatten().ok_or_else(|| {
+                    TensorError::InvalidArgument(
+                        "program fan-out left an unfilled tile slot".into(),
+                    )
+                })??;
                 if config.write_verify.is_some() {
                     program_stats.merge(&stats);
                 }
@@ -459,7 +456,8 @@ impl CrossbarLinear {
         train: &PulseTrain,
         rng: &mut Rng,
     ) -> Result<(Tensor, ExecutionStats)> {
-        self.execute_internal(train, rng).map(|(y, stats, _)| (y, stats))
+        self.execute_internal(train, rng)
+            .map(|(y, stats, _)| (y, stats))
     }
 
     /// Checksum-guarded execution: like
@@ -750,9 +748,7 @@ impl CrossbarLinear {
                 // dedicated retry substream — a transient glitch won't
                 // repeat, a persistent fault will
                 stats.guard.retries = stats.guard.retries.saturating_add(1);
-                let mut rng = base
-                    .substream(&key)
-                    .substream(&[RETRY_STREAM_TAG, attempt]);
+                let mut rng = base.substream(&key).substream(&[RETRY_STREAM_TAG, attempt]);
                 tile.mvm(x, noise, &mut rng, retry_buf)?;
                 if let Some(a) = adc {
                     a.convert_slice(retry_buf);
@@ -764,9 +760,7 @@ impl CrossbarLinear {
             // each attempt reads the checksum column afresh, from its own
             // keyed substream: arming a guard never perturbs the MVM
             // noise sequence
-            let mut grng = base
-                .substream(&key)
-                .substream(&[GUARD_STREAM_TAG, attempt]);
+            let mut grng = base.substream(&key).substream(&[GUARD_STREAM_TAG, attempt]);
             let (mut chk, var) = tile.checksum_pulse(x, noise, &mut grng).ok_or_else(|| {
                 TensorError::InvalidArgument(
                     "guard_readout invoked on a tile with no armed guard".into(),
@@ -884,8 +878,8 @@ impl CrossbarLinear {
                         for s in 0..nb {
                             let xoff = s * self.in_features + r0;
                             let x = &xs[xoff..xoff + trows];
-                            let fixed = tile
-                                .apply_saf_correction(x, &mut out[s * tcols..(s + 1) * tcols]);
+                            let fixed =
+                                tile.apply_saf_correction(x, &mut out[s * tcols..(s + 1) * tcols]);
                             stats.guard.saf_corrections =
                                 stats.guard.saf_corrections.saturating_add(fixed);
                         }
@@ -961,7 +955,11 @@ impl CrossbarLinear {
         let mut next = vec![0usize; np + 2];
         for (ri, &r0) in self.row_starts.iter().enumerate() {
             let trows = self.tiles[ri][0].dims().0;
-            let (x0, x, order) = (&mut x0_buf[..trows], &mut x_buf[..trows], &mut order[..trows]);
+            let (x0, x, order) = (
+                &mut x0_buf[..trows],
+                &mut x_buf[..trows],
+                &mut order[..trows],
+            );
             for s in 0..nb {
                 let sample = s0 + s;
                 let start = sample * self.in_features + r0;
@@ -1008,8 +1006,8 @@ impl CrossbarLinear {
                                 }
                             }
                         }
-                        let mut rng = base
-                            .substream(&[pi as u64, sample as u64, ri as u64, ci as u64]);
+                        let mut rng =
+                            base.substream(&[pi as u64, sample as u64, ri as u64, ci as u64]);
                         tile.finish_pulse(acc, &self.config.noise, &mut rng, out);
                         if let Some(adc) = &self.adcs[ri] {
                             adc.convert_slice(out);
@@ -1138,8 +1136,14 @@ impl CrossbarLinear {
                 self.in_features, self.out_features
             )));
         }
-        let (ri, r) = (in_row / self.config.tile_rows, in_row % self.config.tile_rows);
-        let (ci, c) = (out_col / self.config.tile_cols, out_col % self.config.tile_cols);
+        let (ri, r) = (
+            in_row / self.config.tile_rows,
+            in_row % self.config.tile_rows,
+        );
+        let (ci, c) = (
+            out_col / self.config.tile_cols,
+            out_col % self.config.tile_cols,
+        );
         self.tiles[ri][ci].inject_fault(r, c, side, health)?;
         self.recovery = None;
         Ok(())
@@ -1169,8 +1173,14 @@ impl CrossbarLinear {
                 self.in_features, self.out_features
             )));
         }
-        let (ri, r) = (in_row / self.config.tile_rows, in_row % self.config.tile_rows);
-        let (ci, c) = (out_col / self.config.tile_cols, out_col % self.config.tile_cols);
+        let (ri, r) = (
+            in_row / self.config.tile_rows,
+            in_row % self.config.tile_rows,
+        );
+        let (ci, c) = (
+            out_col / self.config.tile_cols,
+            out_col % self.config.tile_cols,
+        );
         self.tiles[ri][ci].upset_cell(r, c, side, high)?;
         self.recovery = None;
         Ok(())
@@ -1238,7 +1248,11 @@ mod tests {
         // snap x to 9 levels via the encoder
         let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
         let y = xbar.execute(&train, &mut rng).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
         assert!(y.allclose(&expect, 1e-3), "{y:?} vs {expect:?}");
     }
 
@@ -1272,7 +1286,11 @@ mod tests {
         let mut rng = Rng::from_seed(8);
         let xbar = CrossbarLinear::program(&w, &XbarConfig::ideal(), &mut rng).unwrap();
         let y = xbar.execute(&train, &mut rng).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
         assert!(y.allclose(&expect, 1e-3));
     }
 
@@ -1283,8 +1301,7 @@ mod tests {
         let sigma = 2.0f32;
         let p = 8usize;
         let mut rng = Rng::from_seed(11);
-        let xbar =
-            CrossbarLinear::program(&w, &XbarConfig::functional(sigma), &mut rng).unwrap();
+        let xbar = CrossbarLinear::program(&w, &XbarConfig::functional(sigma), &mut rng).unwrap();
         let x = Tensor::zeros(&[1, 4]);
         let train = Thermometer::new(p).unwrap().encode_tensor(&x).unwrap();
         let clean: f32 = train
@@ -1298,8 +1315,8 @@ mod tests {
             samples.push(xbar.execute(&train, &mut rng).unwrap().at(0) - clean);
         }
         let mean = samples.iter().sum::<f32>() / samples.len() as f32;
-        let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>()
-            / samples.len() as f32;
+        let var =
+            samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / samples.len() as f32;
         let expect = sigma * sigma / p as f32;
         assert!(
             (var - expect).abs() < 0.15 * expect + 0.02,
@@ -1314,8 +1331,7 @@ mod tests {
         let sigma = 2.0f32;
         let b = 3usize;
         let mut rng = Rng::from_seed(12);
-        let xbar =
-            CrossbarLinear::program(&w, &XbarConfig::functional(sigma), &mut rng).unwrap();
+        let xbar = CrossbarLinear::program(&w, &XbarConfig::functional(sigma), &mut rng).unwrap();
         let x = Tensor::zeros(&[1, 4]);
         let train = BitSlicing::new(b).unwrap().encode_tensor(&x).unwrap();
         let clean: f32 = train
@@ -1329,8 +1345,8 @@ mod tests {
             samples.push(xbar.execute(&train, &mut rng).unwrap().at(0) - clean);
         }
         let mean = samples.iter().sum::<f32>() / samples.len() as f32;
-        let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>()
-            / samples.len() as f32;
+        let var =
+            samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / samples.len() as f32;
         let expect = (sigma * sigma) * 21.0 / 49.0;
         assert!(
             (var - expect).abs() < 0.15 * expect + 0.02,
@@ -1348,7 +1364,11 @@ mod tests {
         let mut rng = Rng::from_seed(13);
         let xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
         let (y, stats) = xbar.execute_with_stats(&train, &mut rng).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
         // 8-bit ADC over range ±20: step ≈ 0.16, per-pulse error ≤ 0.08
         assert!(y.allclose(&expect, 0.2), "{y:?} vs {expect:?}");
         assert!(stats.adc_conversions > 0);
@@ -1406,7 +1426,11 @@ mod tests {
         // verified programming yields a more accurate MVM
         let x = random_pm1(&[4, 10], 24);
         let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
         let err = |engine: &CrossbarLinear, rng: &mut Rng| -> f32 {
             let y = engine.execute(&train, rng).unwrap();
             y.sub(&expect).unwrap().abs().max()
@@ -1441,7 +1465,11 @@ mod tests {
         let w = random_pm1(&[24, 40], 30);
         let x = random_pm1(&[4, 40], 31);
         let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
 
         let mut rng = Rng::from_seed(32);
         let mut xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
@@ -1503,7 +1531,8 @@ mod tests {
                     for s in 0..n {
                         let x = &pulse.as_slice()[s * fin + r0..s * fin + r0 + rows];
                         let mut trng = base.substream(&[pi as u64, s as u64, ri as u64, ci as u64]);
-                        tile.mvm_reference(x, &engine.config.noise, &mut trng, &mut out).unwrap();
+                        tile.mvm_reference(x, &engine.config.noise, &mut trng, &mut out)
+                            .unwrap();
                         if let Some(adc) = &engine.adcs[ri] {
                             adc.convert_slice(&mut out);
                         }
@@ -1522,7 +1551,9 @@ mod tests {
     /// The pulses of a count-coded train stored densely: a generic train,
     /// which takes the dense schedule.
     fn dense_twin(train: &PulseTrain) -> PulseTrain {
-        let pulses = (0..train.num_pulses()).map(|i| train.pulse(i).into_owned()).collect();
+        let pulses = (0..train.num_pulses())
+            .map(|i| train.pulse(i).into_owned())
+            .collect();
         PulseTrain::new(pulses, train.weights().into_owned()).unwrap()
     }
 
@@ -1574,7 +1605,10 @@ mod tests {
             let engine = CrossbarLinear::program(&w, &cfg, &mut Rng::from_seed(45)).unwrap();
             assert_eq!(engine.packed_ready(), packed);
             let y = engine.execute(&train, &mut Rng::from_seed(47)).unwrap();
-            assert_eq!(y.as_slice(), reference_execute(&engine, &train, &mut Rng::from_seed(47)));
+            assert_eq!(
+                y.as_slice(),
+                reference_execute(&engine, &train, &mut Rng::from_seed(47))
+            );
         }
     }
 
@@ -1591,26 +1625,24 @@ mod tests {
         let x = random_pm1(&[2, 33], 54);
         let train = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
         let y = engine.execute(&train, &mut Rng::from_seed(55)).unwrap();
-        assert_eq!(y.as_slice(), reference_execute(&engine, &train, &mut Rng::from_seed(55)));
+        assert_eq!(
+            y.as_slice(),
+            reference_execute(&engine, &train, &mut Rng::from_seed(55))
+        );
     }
 
     #[test]
     fn program_validates() {
         let mut rng = Rng::from_seed(19);
         assert!(
-            CrossbarLinear::program(&Tensor::zeros(&[4]), &XbarConfig::ideal(), &mut rng)
-                .is_err()
+            CrossbarLinear::program(&Tensor::zeros(&[4]), &XbarConfig::ideal(), &mut rng).is_err()
         );
         let mut cfg = XbarConfig::ideal();
         cfg.tile_rows = 0;
-        assert!(
-            CrossbarLinear::program(&Tensor::zeros(&[2, 2]), &cfg, &mut rng).is_err()
-        );
+        assert!(CrossbarLinear::program(&Tensor::zeros(&[2, 2]), &cfg, &mut rng).is_err());
         let mut cfg = XbarConfig::ideal().with_guard(crate::GuardPolicy::standard());
         cfg.guard.as_mut().unwrap().z = -1.0;
-        assert!(
-            CrossbarLinear::program(&Tensor::zeros(&[2, 2]), &cfg, &mut rng).is_err()
-        );
+        assert!(CrossbarLinear::program(&Tensor::zeros(&[2, 2]), &cfg, &mut rng).is_err());
         // non-finite noise: NaN used to program and then walk the guard
         // ladder to the digital fallback, +∞ to serve non-finite outputs
         for sigma in [f32::NAN, f32::INFINITY] {
@@ -1639,14 +1671,20 @@ mod tests {
         let (y_plain, s_plain) = plain.execute_with_stats(&train, &mut rng_plain).unwrap();
 
         let mut rng_guarded = Rng::from_seed(52);
-        let mut guarded =
-            CrossbarLinear::program(&w, &cfg.with_guard(crate::GuardPolicy::standard()), &mut rng_guarded)
-                .unwrap();
+        let mut guarded = CrossbarLinear::program(
+            &w,
+            &cfg.with_guard(crate::GuardPolicy::standard()),
+            &mut rng_guarded,
+        )
+        .unwrap();
         let (y_guarded, s_guarded) = guarded.execute_guarded(&train, &mut rng_guarded).unwrap();
 
         assert_eq!(y_plain.as_slice(), y_guarded.as_slice());
         assert!(s_guarded.guard.checks > 0);
-        assert_eq!(s_guarded.guard.violations, 0, "clean array must not trip 6σ");
+        assert_eq!(
+            s_guarded.guard.violations, 0,
+            "clean array must not trip 6σ"
+        );
         assert_eq!(s_guarded.guard.retries, 0);
         assert_eq!(s_guarded.guard.degraded_layers, 0);
         assert!(!guarded.is_degraded());
@@ -1666,7 +1704,11 @@ mod tests {
         let w = random_pm1(&[16, 32], 53);
         let x = random_pm1(&[4, 32], 54);
         let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
 
         let mut rng = Rng::from_seed(55);
         let mut xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
@@ -1706,7 +1748,11 @@ mod tests {
         let w = random_pm1(&[12, 16], 91);
         let x = random_pm1(&[4, 16], 92);
         let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
 
         let mut rng = Rng::from_seed(93);
         let mut xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
@@ -1743,7 +1789,11 @@ mod tests {
         let w = random_pm1(&[8, 16], 56);
         let x = random_pm1(&[2, 16], 57);
         let train = Thermometer::new(6).unwrap().encode_tensor(&x).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
 
         let mut rng = Rng::from_seed(58);
         let mut xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
@@ -1788,7 +1838,10 @@ mod tests {
         let mut rng = Rng::from_seed(61);
         let mut xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
         let (_, stats) = xbar.execute_guarded(&train, &mut rng).unwrap();
-        assert!(stats.guard.violations > 0, "z=2 must trip on noise somewhere");
+        assert!(
+            stats.guard.violations > 0,
+            "z=2 must trip on noise somewhere"
+        );
         assert!(stats.guard.retries > 0);
         assert!(
             stats.guard.retry_successes > 0,
@@ -1828,7 +1881,9 @@ mod tests {
         // thermometer trains exercise the delta schedule too
         let t2 = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
         let d_fast = engine.execute(&t2, &mut Rng::from_seed(74)).unwrap();
-        let d_ref = engine.execute(&dense_twin(&t2), &mut Rng::from_seed(74)).unwrap();
+        let d_ref = engine
+            .execute(&dense_twin(&t2), &mut Rng::from_seed(74))
+            .unwrap();
         assert!(d_fast.allclose(&d_ref, 1e-4));
         // the droop is real: mean |y| under IR drop < ideal wiring
         let ideal = CrossbarLinear::program(&w, &cfg, &mut Rng::from_seed(71)).unwrap();
@@ -1911,13 +1966,19 @@ mod tests {
         let w = random_pm1(&[10, 12], 80);
         let x = random_pm1(&[4, 12], 81);
         let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
-        let expect = train.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let expect = train
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
         let mut rng = Rng::from_seed(82);
         let mut xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
         // double-stuck pairs: unrecoverable by every analog strategy
         for k in 0..4 {
-            xbar.inject_fault(2 * k, k, CellSide::Pos, CellHealth::StuckOn).unwrap();
-            xbar.inject_fault(2 * k, k, CellSide::Neg, CellHealth::StuckOn).unwrap();
+            xbar.inject_fault(2 * k, k, CellSide::Pos, CellHealth::StuckOn)
+                .unwrap();
+            xbar.inject_fault(2 * k, k, CellSide::Neg, CellHealth::StuckOn)
+                .unwrap();
         }
         let before = xbar
             .execute(&train, &mut rng)
@@ -1935,7 +1996,11 @@ mod tests {
         assert!(stats.guard.saf_corrections > 0);
         assert!(y.allclose(&expect, 1e-3), "{y:?} vs {expect:?}");
         let t2 = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
-        let e2 = t2.decode().unwrap().matmul(&w.transpose().unwrap()).unwrap();
+        let e2 = t2
+            .decode()
+            .unwrap()
+            .matmul(&w.transpose().unwrap())
+            .unwrap();
         let (y2, s2) = xbar.execute_with_stats(&t2, &mut rng).unwrap();
         assert!(s2.guard.saf_corrections > 0);
         assert!(y2.allclose(&e2, 1e-3), "{y2:?} vs {e2:?}");
@@ -1954,11 +2019,14 @@ mod tests {
         xbar.remap(&RecoveryPolicy::standard(), &mut rng).unwrap();
         assert!(xbar.recovery_report().is_some());
         // a fault arriving after the repair invalidates its claims
-        xbar.inject_fault(3, 5, CellSide::Pos, CellHealth::StuckOn).unwrap();
+        xbar.inject_fault(3, 5, CellSide::Pos, CellHealth::StuckOn)
+            .unwrap();
         assert!(
             xbar.recovery_report().is_none(),
             "recovery telemetry must not outlive the state it describes"
         );
-        assert!(xbar.inject_fault(99, 0, CellSide::Pos, CellHealth::StuckOn).is_err());
+        assert!(xbar
+            .inject_fault(99, 0, CellSide::Pos, CellHealth::StuckOn)
+            .is_err());
     }
 }

@@ -68,8 +68,8 @@ pub use adc::Adc;
 pub use device::{CellHealth, DeviceModel};
 pub use energy::{EnergyModel, ExecutionStats};
 pub use engine::{CrossbarLinear, ExecOptions, VarianceStats, XbarConfig};
-pub use guard::{GuardPolicy, GuardStats};
 pub use fault::{CellFault, CellSide, FaultMap, HealthMonitor, MarchTestConfig};
+pub use guard::{GuardPolicy, GuardStats};
 pub use noise::NoiseSpec;
 pub use nonideal::{NonIdealitySpec, T_MAX, T_MIN, T_REF};
 pub use program::{

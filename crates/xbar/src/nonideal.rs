@@ -272,6 +272,9 @@ mod tests {
         let mut bad = NonIdealitySpec::ideal();
         bad.temperature = 500.0;
         assert!(bad.validate().is_err());
-        assert!(NonIdealitySpec::realistic().at_temperature(T_MAX).validate().is_ok());
+        assert!(NonIdealitySpec::realistic()
+            .at_temperature(T_MAX)
+            .validate()
+            .is_ok());
     }
 }

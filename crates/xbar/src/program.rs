@@ -136,8 +136,18 @@ mod tests {
     #[test]
     fn policy_validation() {
         WriteVerify::standard().validate().unwrap();
-        assert!(WriteVerify { tolerance: 0.0, max_attempts: 4 }.validate().is_err());
-        assert!(WriteVerify { tolerance: 0.05, max_attempts: 0 }.validate().is_err());
+        assert!(WriteVerify {
+            tolerance: 0.0,
+            max_attempts: 4
+        }
+        .validate()
+        .is_err());
+        assert!(WriteVerify {
+            tolerance: 0.05,
+            max_attempts: 0
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]
@@ -145,7 +155,13 @@ mod tests {
         let device = DeviceModel::ideal();
         let mut rng = Rng::from_seed(0);
         let mut stats = ProgramStats::default();
-        let g = program_cell_verified(&device, true, &WriteVerify::standard(), &mut rng, &mut stats);
+        let g = program_cell_verified(
+            &device,
+            true,
+            &WriteVerify::standard(),
+            &mut rng,
+            &mut stats,
+        );
         assert_eq!(g, device.g_on);
         assert_eq!(stats.write_pulses, 1);
         assert_eq!(stats.failed_cells, 0);

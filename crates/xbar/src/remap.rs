@@ -439,16 +439,22 @@ mod tests {
         let w = pm1(&[4, 4], 13);
         let mut tile = Tile::program(&w, &faulty_device(1.0, 0.0), &mut rng).unwrap();
         let report = remap_tile(&mut tile, &RecoveryPolicy::with_ecc(), &mut rng).unwrap();
-        assert!(report.unrecoverable_cells > 0, "fixture must defeat the ladder");
+        assert!(
+            report.unrecoverable_cells > 0,
+            "fixture must defeat the ladder"
+        );
         assert!(report.cells_corrected > 0);
         assert!(tile.has_saf_correction());
         // a corrected noise-free MVM reproduces the logical product
         let x = [1.0f32, -1.0, 1.0, -1.0];
         let mut out = [0.0f32; 4];
-        tile.mvm(&x, &crate::NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &crate::NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         tile.apply_saf_correction(&x, &mut out);
         for (col, &got) in out.iter().enumerate() {
-            let clean: f32 = (0..4).map(|row| x[row] * tile.logical_weight(row, col)).sum();
+            let clean: f32 = (0..4)
+                .map(|row| x[row] * tile.logical_weight(row, col))
+                .sum();
             assert!(
                 (got - clean).abs() < 1e-4,
                 "col {col}: corrected {got} vs logical {clean}"

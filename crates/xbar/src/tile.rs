@@ -337,11 +337,12 @@ impl Tile {
         }
         let base = 1.0 + hours;
         for g in self.g_pos.iter_mut().chain(self.g_neg.iter_mut()) {
-            let cell_nu = (nu + if nu_sigma > 0.0 {
-                rng.normal(0.0, nu_sigma)
-            } else {
-                0.0
-            })
+            let cell_nu = (nu
+                + if nu_sigma > 0.0 {
+                    rng.normal(0.0, nu_sigma)
+                } else {
+                    0.0
+                })
             .max(0.0);
             *g *= base.powf(-cell_nu);
         }
@@ -654,7 +655,10 @@ impl Tile {
     pub(crate) fn accumulate_switched(&self, rows: &[usize], acc: &mut [f32]) {
         for &i in rows {
             let base = i * self.cols;
-            for (o, &w) in acc.iter_mut().zip(&self.cache.w_eff[base..base + self.cols]) {
+            for (o, &w) in acc
+                .iter_mut()
+                .zip(&self.cache.w_eff[base..base + self.cols])
+            {
                 *o += -2.0 * w;
             }
         }
@@ -734,7 +738,12 @@ impl Tile {
     /// cycle-to-cycle draw (`N(0, (σ_c2c/(G_on−G_off))²·var_term)`), then
     /// one functional output-noise draw. `rng` must be a dedicated guard
     /// substream so arming never perturbs the unguarded noise sequence.
-    pub fn checksum_pulse(&self, x: &[f32], noise: &NoiseSpec, rng: &mut Rng) -> Option<(f32, f32)> {
+    pub fn checksum_pulse(
+        &self,
+        x: &[f32],
+        noise: &NoiseSpec,
+        rng: &mut Rng,
+    ) -> Option<(f32, f32)> {
         let guard = self.guard.as_ref()?;
         let mut chk = 0.0f32;
         let mut var = 0.0f32;
@@ -826,7 +835,11 @@ impl Tile {
             (CellSide::Pos, self.g_pos[idx], pos_on),
             (CellSide::Neg, self.g_neg[idx], neg_on),
         ] {
-            let target = if on { self.device.g_on } else { self.device.g_off() };
+            let target = if on {
+                self.device.g_on
+            } else {
+                self.device.g_off()
+            };
             let mut sum = 0.0f32;
             for _ in 0..cfg.reads {
                 sum += self.device.read_cell(g_prog, rng);
@@ -865,12 +878,12 @@ impl Tile {
         for row in 0..self.rows {
             let idx = row * self.cols + col;
             let (pos_on, neg_on) = self.pair_targets(idx, col);
-            self.g_pos[idx] = self
-                .device
-                .program_cell_with_health(self.health_pos[idx], pos_on, rng);
-            self.g_neg[idx] = self
-                .device
-                .program_cell_with_health(self.health_neg[idx], neg_on, rng);
+            self.g_pos[idx] =
+                self.device
+                    .program_cell_with_health(self.health_pos[idx], pos_on, rng);
+            self.g_neg[idx] =
+                self.device
+                    .program_cell_with_health(self.health_neg[idx], neg_on, rng);
         }
         self.rebuild_cache_col(col);
         Ok(())
@@ -896,12 +909,12 @@ impl Tile {
             self.health_pos[idx] = self.device.sample_health(rng);
             self.health_neg[idx] = self.device.sample_health(rng);
             let (pos_on, neg_on) = self.pair_targets(idx, col);
-            self.g_pos[idx] = self
-                .device
-                .program_cell_with_health(self.health_pos[idx], pos_on, rng);
-            self.g_neg[idx] = self
-                .device
-                .program_cell_with_health(self.health_neg[idx], neg_on, rng);
+            self.g_pos[idx] =
+                self.device
+                    .program_cell_with_health(self.health_pos[idx], pos_on, rng);
+            self.g_neg[idx] =
+                self.device
+                    .program_cell_with_health(self.health_neg[idx], neg_on, rng);
         }
         self.rebuild_cache();
         Ok(())
@@ -928,12 +941,12 @@ impl Tile {
             self.health_pos[idx] = self.device.sample_health(rng);
             self.health_neg[idx] = self.device.sample_health(rng);
             let (pos_on, neg_on) = self.pair_targets(idx, col);
-            self.g_pos[idx] = self
-                .device
-                .program_cell_with_health(self.health_pos[idx], pos_on, rng);
-            self.g_neg[idx] = self
-                .device
-                .program_cell_with_health(self.health_neg[idx], neg_on, rng);
+            self.g_pos[idx] =
+                self.device
+                    .program_cell_with_health(self.health_pos[idx], pos_on, rng);
+            self.g_neg[idx] =
+                self.device
+                    .program_cell_with_health(self.health_neg[idx], neg_on, rng);
         }
         self.rebuild_cache_col(col);
         Ok(())
@@ -971,7 +984,11 @@ impl Tile {
             (&mut self.g_pos[idx], self.health_pos[idx], pos_on),
             (&mut self.g_neg[idx], self.health_neg[idx], neg_on),
         ] {
-            let target = if on { self.device.g_on } else { self.device.g_off() };
+            let target = if on {
+                self.device.g_on
+            } else {
+                self.device.g_off()
+            };
             *g = program_cell_verified_with_health(&self.device, health, on, policy, rng, stats);
             ok &= (*g - target).abs() <= policy.tolerance * target;
         }
@@ -985,7 +1002,12 @@ impl Tile {
     /// level again — refresh cures drift, not faults. With a
     /// [`WriteVerify`] policy each cell is programmed to tolerance;
     /// either way the write pulses are charged to `stats`.
-    pub fn refresh(&mut self, policy: Option<&WriteVerify>, rng: &mut Rng, stats: &mut ProgramStats) {
+    pub fn refresh(
+        &mut self,
+        policy: Option<&WriteVerify>,
+        rng: &mut Rng,
+        stats: &mut ProgramStats,
+    ) {
         for row in 0..self.rows {
             for col in 0..self.cols {
                 let idx = row * self.cols + col;
@@ -995,9 +1017,14 @@ impl Tile {
                     (&mut self.g_neg[idx], self.health_neg[idx], neg_on),
                 ] {
                     *g = match policy {
-                        Some(p) => {
-                            program_cell_verified_with_health(&self.device, health, on, p, rng, stats)
-                        }
+                        Some(p) => program_cell_verified_with_health(
+                            &self.device,
+                            health,
+                            on,
+                            p,
+                            rng,
+                            stats,
+                        ),
                         None => {
                             stats.cells += 1;
                             stats.write_pulses += 1;
@@ -1089,7 +1116,11 @@ impl Tile {
             )));
         }
         let idx = row * self.cols + col;
-        let g = if high { self.device.g_on } else { self.device.g_off() };
+        let g = if high {
+            self.device.g_on
+        } else {
+            self.device.g_off()
+        };
         match side {
             CellSide::Pos => self.g_pos[idx] = g,
             CellSide::Neg => self.g_neg[idx] = g,
@@ -1171,7 +1202,13 @@ impl Tile {
             .map(|&((row, col), pos_est, neg_est)| {
                 let idx = row * self.cols + col;
                 let (pos_on, neg_on) = self.pair_targets(idx, col);
-                let target = |on: bool| if on { self.device.g_on } else { self.device.g_off() };
+                let target = |on: bool| {
+                    if on {
+                        self.device.g_on
+                    } else {
+                        self.device.g_off()
+                    }
+                };
                 let gp = pos_est.unwrap_or_else(|| target(pos_on));
                 let gn = neg_est.unwrap_or_else(|| target(neg_on));
                 let att = self.attenuation[idx];
@@ -1208,7 +1245,8 @@ mod tests {
         let tile = Tile::program(&weights(), &DeviceModel::ideal(), &mut rng).unwrap();
         let x = [1.0, -1.0, 1.0];
         let mut out = [0.0; 2];
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         // col0: 1·1 + (−1)(−1) + 1·1 = 3; col1: −1 + (−1) + 1 = −1
         assert!((out[0] - 3.0).abs() < 1e-5);
         assert!((out[1] + 1.0).abs() < 1e-5);
@@ -1232,12 +1270,13 @@ mod tests {
         let mut samples = Vec::new();
         let mut out = [0.0; 2];
         for _ in 0..4000 {
-            tile.mvm(&[1.0, 1.0, 1.0], &noise, &mut rng, &mut out).unwrap();
+            tile.mvm(&[1.0, 1.0, 1.0], &noise, &mut rng, &mut out)
+                .unwrap();
             samples.push(out[0] - 1.0); // clean value is 1·1 −1 +1 = 1
         }
         let mean = samples.iter().sum::<f32>() / samples.len() as f32;
-        let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>()
-            / samples.len() as f32;
+        let var =
+            samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / samples.len() as f32;
         assert!(mean.abs() < 0.12, "mean = {mean}");
         assert!((var - 4.0).abs() < 0.4, "var = {var}");
     }
@@ -1251,7 +1290,9 @@ mod tests {
         let tile = Tile::program(&weights(), &device, &mut rng).unwrap();
         let noise = NoiseSpec::functional(0.5);
         let (stride, offset, n) = (5usize, 1usize, 3usize);
-        let xs: Vec<f32> = (0..n * stride).map(|i| (i % 7) as f32 / 3.0 - 1.0).collect();
+        let xs: Vec<f32> = (0..n * stride)
+            .map(|i| (i % 7) as f32 / 3.0 - 1.0)
+            .collect();
         let mut rngs: Vec<Rng> = (0..n as u64).map(|s| Rng::from_seed(100 + s)).collect();
         let mut batch_out = vec![0.0f32; n * 2];
         tile.mvm_batch(&xs, stride, offset, &noise, &mut rngs, &mut batch_out)
@@ -1316,7 +1357,9 @@ mod tests {
         let mut rng = Rng::from_seed(0);
         let tile = Tile::program(&weights(), &DeviceModel::ideal(), &mut rng).unwrap();
         let mut out = [0.0; 2];
-        assert!(tile.mvm(&[1.0], &NoiseSpec::none(), &mut rng, &mut out).is_err());
+        assert!(tile
+            .mvm(&[1.0], &NoiseSpec::none(), &mut rng, &mut out)
+            .is_err());
         let mut short = [0.0; 1];
         assert!(tile
             .mvm(&[1.0, 1.0, 1.0], &NoiseSpec::none(), &mut rng, &mut short)
@@ -1354,7 +1397,8 @@ mod tests {
         let mut sum_sq = 0.0f64;
         let trials = 4000;
         for _ in 0..trials {
-            tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+            tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+                .unwrap();
             let d = f64::from(out[0] - clean);
             sum += d;
             sum_sq += d * d;
@@ -1378,10 +1422,20 @@ mod tests {
         // contributes more
         let mut near = [0.0f32; 4];
         let mut far = [0.0f32; 4];
-        tile.mvm(&[1.0, 0.0, 0.0, 0.0], &NoiseSpec::none(), &mut rng, &mut near)
-            .unwrap();
-        tile.mvm(&[0.0, 0.0, 0.0, 1.0], &NoiseSpec::none(), &mut rng, &mut far)
-            .unwrap();
+        tile.mvm(
+            &[1.0, 0.0, 0.0, 0.0],
+            &NoiseSpec::none(),
+            &mut rng,
+            &mut near,
+        )
+        .unwrap();
+        tile.mvm(
+            &[0.0, 0.0, 0.0, 1.0],
+            &NoiseSpec::none(),
+            &mut rng,
+            &mut far,
+        )
+        .unwrap();
         assert!(near[0] > far[0], "near {} vs far {}", near[0], far[0]);
         // columns further from the sense amp also degrade
         assert!(near[0] > near[3]);
@@ -1419,7 +1473,10 @@ mod tests {
         let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
         // both cells stuck on ⇒ differential weight reads 0
         assert_eq!(tile.effective_weight(0, 0), 0.0);
-        assert_eq!(tile.health(0, 0), (CellHealth::StuckOn, CellHealth::StuckOn));
+        assert_eq!(
+            tile.health(0, 0),
+            (CellHealth::StuckOn, CellHealth::StuckOn)
+        );
         // refreshing cannot cure the fault
         let mut stats = ProgramStats::default();
         tile.refresh(None, &mut rng, &mut stats);
@@ -1441,7 +1498,9 @@ mod tests {
 
         device.stuck_off_rate = 1.0;
         let faulty = Tile::program(&w, &device, &mut rng).unwrap();
-        let map = faulty.march_test(&MarchTestConfig::standard(), &mut rng).unwrap();
+        let map = faulty
+            .march_test(&MarchTestConfig::standard(), &mut rng)
+            .unwrap();
         // every +1 weight's positive cell targets ON but is pinned OFF;
         // the negative cells target OFF and are (happily) stuck there
         assert_eq!(map.len(), 16);
@@ -1461,12 +1520,16 @@ mod tests {
         // effective weights are unchanged on ideal hardware
         for row in 0..3 {
             for col in 0..2 {
-                assert_eq!(tile.effective_weight(row, col), tile.logical_weight(row, col));
+                assert_eq!(
+                    tile.effective_weight(row, col),
+                    tile.logical_weight(row, col)
+                );
             }
         }
         let x = [1.0, -1.0, 1.0];
         let mut out = [0.0; 2];
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         assert!((out[0] - 3.0).abs() < 1e-5);
         assert!((out[1] + 1.0).abs() < 1e-5);
         assert!(tile.flip_column(5, &mut rng).is_err());
@@ -1482,7 +1545,8 @@ mod tests {
         let w = Tensor::from_vec(vec![-1.0], &[1, 1]).unwrap();
         let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
         // manufacture the fault: pin the positive cell ON
-        tile.inject_fault(0, 0, CellSide::Pos, CellHealth::StuckOn).unwrap();
+        tile.inject_fault(0, 0, CellSide::Pos, CellHealth::StuckOn)
+            .unwrap();
         // weight −1 wants pos OFF: (g_on − g_on)/denom = 0
         assert!(tile.effective_weight(0, 0).abs() < 1e-5);
         tile.flip_column(0, &mut rng).unwrap();
@@ -1499,15 +1563,18 @@ mod tests {
         let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
         // break a whole row and a whole column
         for col in 0..2 {
-            tile.inject_fault(0, col, CellSide::Pos, CellHealth::StuckOff).unwrap();
-            tile.inject_fault(0, col, CellSide::Neg, CellHealth::StuckOff).unwrap();
+            tile.inject_fault(0, col, CellSide::Pos, CellHealth::StuckOff)
+                .unwrap();
+            tile.inject_fault(0, col, CellSide::Neg, CellHealth::StuckOff)
+                .unwrap();
         }
         assert!(tile.effective_weight(0, 0).abs() < 1e-5);
         tile.replace_row(0, &mut rng).unwrap();
         assert_eq!(tile.effective_weight(0, 0), 1.0);
         assert_eq!(tile.effective_weight(0, 1), -1.0);
 
-        tile.inject_fault(1, 0, CellSide::Pos, CellHealth::StuckOn).unwrap();
+        tile.inject_fault(1, 0, CellSide::Pos, CellHealth::StuckOn)
+            .unwrap();
         tile.replace_col(0, &mut rng).unwrap();
         assert_eq!(tile.effective_weight(1, 0), -1.0);
         assert_eq!(tile.col_sign(0), 1.0);
@@ -1526,7 +1593,7 @@ mod tests {
         tile.refresh(None, &mut rng, &mut stats);
         assert_eq!(tile.effective_weight(0, 0), 1.0);
         assert_eq!(stats.cells, 12); // 6 pairs
-        // verified refresh also works and charges pulses
+                                     // verified refresh also works and charges pulses
         let mut stats2 = ProgramStats::default();
         tile.refresh(Some(&WriteVerify::standard()), &mut rng, &mut stats2);
         assert_eq!(tile.effective_weight(0, 0), 1.0);
@@ -1551,11 +1618,14 @@ mod tests {
             .unwrap());
         assert!((tile.effective_weight(0, 0) - 1.0).abs() < 0.05);
 
-        tile.inject_fault(0, 0, CellSide::Pos, CellHealth::StuckOff).unwrap();
+        tile.inject_fault(0, 0, CellSide::Pos, CellHealth::StuckOff)
+            .unwrap();
         assert!(!tile
             .reprogram_pair(0, 0, &escalated, &mut rng, &mut stats)
             .unwrap());
-        assert!(tile.reprogram_pair(5, 0, &escalated, &mut rng, &mut stats).is_err());
+        assert!(tile
+            .reprogram_pair(5, 0, &escalated, &mut rng, &mut stats)
+            .is_err());
     }
 
     /// A non-trivial device: d2d spread, c2c noise, IR drop, finite
@@ -1593,7 +1663,9 @@ mod tests {
     fn cached_kernel_is_bitwise_reference_for_binary_inputs() {
         let mut rng = Rng::from_seed(21);
         let w = Tensor::from_vec(
-            (0..20).map(|i| if i % 3 == 0 { -1.0 } else { 1.0 }).collect(),
+            (0..20)
+                .map(|i| if i % 3 == 0 { -1.0 } else { 1.0 })
+                .collect(),
             &[5, 4],
         )
         .unwrap();
@@ -1639,7 +1711,10 @@ mod tests {
             .inject_fault(0, 0, CellSide::Neg, CellHealth::StuckOn)
             .unwrap();
         assert!(stuck.packed_ready(false));
-        assert!(!stuck.packed_ready(true), "stuck pairs must break c2c packing");
+        assert!(
+            !stuck.packed_ready(true),
+            "stuck pairs must break c2c packing"
+        );
         let [fast, slow] = mvm_and_reference(&stuck, &x, &noise, 4);
         assert_eq!(fast, slow);
 
@@ -1671,7 +1746,8 @@ mod tests {
         let noise = NoiseSpec::functional(0.3);
         let x = [0.5, -1.0, 0.25];
         let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
-        tile.mvm(&x, &noise, &mut Rng::from_seed(9), &mut a).unwrap();
+        tile.mvm(&x, &noise, &mut Rng::from_seed(9), &mut a)
+            .unwrap();
         tile.mvm_block_cached(&x, 3, 0, &noise, &mut [Rng::from_seed(9)], &mut b);
         assert_eq!(a, b, "fractional drives must serve the cached results");
     }
@@ -1709,7 +1785,8 @@ mod tests {
         check(&tile, "refresh");
         tile.refresh(Some(&WriteVerify::standard()), &mut rng, &mut stats);
         check(&tile, "verified refresh");
-        tile.inject_fault(1, 0, CellSide::Neg, CellHealth::StuckOn).unwrap();
+        tile.inject_fault(1, 0, CellSide::Neg, CellHealth::StuckOn)
+            .unwrap();
         check(&tile, "inject_fault");
         tile.upset_cell(0, 1, CellSide::Pos, false).unwrap();
         check(&tile, "upset_cell");
@@ -1726,7 +1803,9 @@ mod tests {
         // schedule (monotone +1 → −1 per row)
         let mut rng = Rng::from_seed(23);
         let w = Tensor::from_vec(
-            (0..24).map(|i| if i % 5 < 2 { -1.0 } else { 1.0 }).collect(),
+            (0..24)
+                .map(|i| if i % 5 < 2 { -1.0 } else { 1.0 })
+                .collect(),
             &[4, 6],
         )
         .unwrap();
@@ -1736,7 +1815,10 @@ mod tests {
         // thermometer-style schedule: row r stays +1 for highs[r] pulses
         let highs = [3usize, 0, 2, 4];
         let pulse_at = |pi: usize| -> Vec<f32> {
-            highs.iter().map(|&h| if pi < h { 1.0 } else { -1.0 }).collect()
+            highs
+                .iter()
+                .map(|&h| if pi < h { 1.0 } else { -1.0 })
+                .collect()
         };
         let mut acc = [0.0f32; 6];
         let mut fast = [0.0f32; 6];
@@ -1752,7 +1834,8 @@ mod tests {
             let mut rng_fast = Rng::from_seed(900 + pi as u64);
             let mut rng_slow = Rng::from_seed(900 + pi as u64);
             tile.finish_pulse(&acc, &noise, &mut rng_fast, &mut fast);
-            tile.mvm_reference(&x, &noise, &mut rng_slow, &mut slow).unwrap();
+            tile.mvm_reference(&x, &noise, &mut rng_slow, &mut slow)
+                .unwrap();
             for (f, s) in fast.iter().zip(slow.iter()) {
                 assert!(
                     (f - s).abs() <= 1e-5,
@@ -1774,7 +1857,8 @@ mod tests {
         assert!(tile.guard_armed());
         let x = [1.0, -1.0, 1.0];
         let mut out = [0.0f32; 2];
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         let (chk, var) = tile
             .checksum_pulse(&x, &NoiseSpec::none(), &mut rng)
             .unwrap();
@@ -1798,7 +1882,8 @@ mod tests {
         tile.arm_guard();
         let x = [1.0, 1.0, -1.0];
         let mut out = [0.0f32; 2];
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         let (chk, _) = tile
             .checksum_pulse(&x, &NoiseSpec::none(), &mut rng)
             .unwrap();
@@ -1819,7 +1904,8 @@ mod tests {
             .unwrap();
         let x = [1.0, 1.0, 1.0];
         let mut out = [0.0f32; 2];
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         let (chk, _) = tile
             .checksum_pulse(&x, &NoiseSpec::none(), &mut rng)
             .unwrap();
@@ -1833,12 +1919,16 @@ mod tests {
         let mut stats = ProgramStats::default();
         tile.refresh(None, &mut rng, &mut stats);
         assert!(tile.guard_armed());
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         let (chk2, _) = tile
             .checksum_pulse(&x, &NoiseSpec::none(), &mut rng)
             .unwrap();
         let sum2: f32 = out.iter().sum();
-        assert!((chk2 - sum2).abs() > 0.5, "refresh must not absorb the fault");
+        assert!(
+            (chk2 - sum2).abs() > 0.5,
+            "refresh must not absorb the fault"
+        );
     }
 
     #[test]
@@ -1873,9 +1963,13 @@ mod tests {
         let mut tile = Tile::program(&weights(), &device, &mut rng).unwrap();
         assert!(!tile.has_saf_correction());
         // pin the +1 weight at (0, 0) to zero: both cells stuck opposite
-        tile.inject_fault(0, 0, CellSide::Pos, CellHealth::StuckOff).unwrap();
-        tile.inject_fault(0, 0, CellSide::Neg, CellHealth::StuckOn).unwrap();
-        let map = tile.march_test(&MarchTestConfig::standard(), &mut rng).unwrap();
+        tile.inject_fault(0, 0, CellSide::Pos, CellHealth::StuckOff)
+            .unwrap();
+        tile.inject_fault(0, 0, CellSide::Neg, CellHealth::StuckOn)
+            .unwrap();
+        let map = tile
+            .march_test(&MarchTestConfig::standard(), &mut rng)
+            .unwrap();
         assert_eq!(map.len(), 2);
         let entries = tile.build_saf_correction(&map);
         assert_eq!(entries.len(), 1);
@@ -1883,14 +1977,19 @@ mod tests {
         assert!(tile.has_saf_correction());
         let x = [1.0, -1.0, 1.0];
         let mut out = [0.0f32; 2];
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         // analog readout lost the (0,0) contribution: col0 = −1+(−1)(−1)+1·1? no:
         // stuck pair reads −1 instead of +1 ⇒ col0 = −1 + 1 + 1 = 1
         assert!((out[0] - 1.0).abs() < 1e-5, "broken readout = {}", out[0]);
         let applied = tile.apply_saf_correction(&x, &mut out);
         assert_eq!(applied, 1);
         // corrected: back to the clean product 3
-        assert!((out[0] - 3.0).abs() < 1e-5, "corrected readout = {}", out[0]);
+        assert!(
+            (out[0] - 3.0).abs() < 1e-5,
+            "corrected readout = {}",
+            out[0]
+        );
         // rows driven at 0 skip their corrections
         let x0 = [0.0, 1.0, 1.0];
         let mut out0 = [0.0f32; 2];
@@ -1900,7 +1999,8 @@ mod tests {
         tile.upset_cell(1, 1, CellSide::Neg, true).unwrap();
         assert!(!tile.has_saf_correction());
         tile.set_saf_correction(vec![(0, 0, 0.5)]);
-        tile.inject_fault(2, 0, CellSide::Pos, CellHealth::StuckOn).unwrap();
+        tile.inject_fault(2, 0, CellSide::Pos, CellHealth::StuckOn)
+            .unwrap();
         assert!(!tile.has_saf_correction());
         tile.set_saf_correction(vec![(0, 0, 0.5)]);
         tile.clear_saf_correction();
@@ -1919,10 +2019,14 @@ mod tests {
             before,
             "rail excursion must move the weight"
         );
-        assert_eq!(tile.health(0, 0), (CellHealth::Healthy, CellHealth::Healthy));
+        assert_eq!(
+            tile.health(0, 0),
+            (CellHealth::Healthy, CellHealth::Healthy)
+        );
         let x = [1.0, 1.0, 1.0];
         let mut out = [0.0f32; 2];
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         let (chk, _) = tile
             .checksum_pulse(&x, &NoiseSpec::none(), &mut rng)
             .unwrap();
@@ -1935,7 +2039,8 @@ mod tests {
         let mut stats = ProgramStats::default();
         tile.refresh(None, &mut rng, &mut stats);
         assert_eq!(tile.effective_weight(0, 0), before);
-        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out).unwrap();
+        tile.mvm(&x, &NoiseSpec::none(), &mut rng, &mut out)
+            .unwrap();
         let (chk2, _) = tile
             .checksum_pulse(&x, &NoiseSpec::none(), &mut rng)
             .unwrap();

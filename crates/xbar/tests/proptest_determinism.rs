@@ -190,11 +190,17 @@ fn guard_retry_path_is_bitwise_identical_across_thread_counts() {
     // the delta schedule, and the dense one through the cached loop
     for (what, train) in [("counts", &train), ("dense", &dense_twin(&train))] {
         let (y1, s1) = run_guarded(1, train);
-        assert!(s1.guard.retries > 0, "fixture must exercise retries ({what})");
+        assert!(
+            s1.guard.retries > 0,
+            "fixture must exercise retries ({what})"
+        );
         assert!(s1.guard.retry_successes > 0, "{:?}", s1.guard);
         for threads in [2usize, 8] {
             let (yt, st) = run_guarded(threads, train);
-            assert_eq!(y1, yt, "retry outputs diverged at {threads} threads ({what})");
+            assert_eq!(
+                y1, yt,
+                "retry outputs diverged at {threads} threads ({what})"
+            );
             assert_eq!(s1, st, "retry stats diverged at {threads} threads ({what})");
         }
     }
@@ -227,8 +233,7 @@ fn monte_carlo_variance_matches_eq3_under_parallel_execution() {
         samples.extend_from_slice(y.as_slice());
     }
     let mean = samples.iter().sum::<f32>() / samples.len() as f32;
-    let var =
-        samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / samples.len() as f32;
+    let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / samples.len() as f32;
     let expect = sigma * sigma / p as f32;
     assert!(
         (var - expect).abs() < 0.15 * expect + 0.02,
@@ -261,8 +266,7 @@ fn monte_carlo_variance_matches_eq2_under_parallel_execution() {
         samples.extend_from_slice(y.as_slice());
     }
     let mean = samples.iter().sum::<f32>() / samples.len() as f32;
-    let var =
-        samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / samples.len() as f32;
+    let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / samples.len() as f32;
     let expect = (sigma * sigma) * 21.0 / 49.0; // Σ4^i / (Σ2^i)² for b=3
     assert!(
         (var - expect).abs() < 0.15 * expect + 0.02,

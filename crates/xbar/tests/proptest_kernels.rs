@@ -58,7 +58,9 @@ fn run(
     if !stuck.is_empty() {
         for &(row, col) in stuck {
             for side in [CellSide::Pos, CellSide::Neg] {
-                engine.inject_fault(row, col, side, CellHealth::StuckOn).unwrap();
+                engine
+                    .inject_fault(row, col, side, CellHealth::StuckOn)
+                    .unwrap();
             }
         }
         let policy = RecoveryPolicy {
@@ -87,7 +89,11 @@ fn near(fast: &[f32], reference: &[f32], what: &str) -> Result<(), TestCaseError
     for (i, (a, b)) in fast.iter().zip(reference).enumerate() {
         prop_assert!(
             (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
-            "element {}: {} {} vs {}", i, what, a, b
+            "element {}: {} {} vs {}",
+            i,
+            what,
+            a,
+            b
         );
     }
     Ok(())

@@ -37,17 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let cal = calibrate_noise(&mut model, &params, &train, 20, 4, 14.0)?;
     println!("accuracy with N(0, σ²) injected at ONE layer only:");
-    println!("{:>8} | {:>8} {:>8} {:>8}", "σ", "layer 0", "layer 1", "layer 2");
+    println!(
+        "{:>8} | {:>8} {:>8} {:>8}",
+        "σ", "layer 0", "layer 1", "layer 2"
+    );
     for sigma in [15.0f32, 25.0, 40.0] {
-        let series = layer_sensitivity(
-            &mut model,
-            &params,
-            &test,
-            &cal.sigma_abs(sigma),
-            20,
-            3,
-            99,
-        )?;
+        let series =
+            layer_sensitivity(&mut model, &params, &test, &cal.sigma_abs(sigma), 20, 3, 99)?;
         println!(
             "{sigma:>8} | {:>7.1}% {:>7.1}% {:>7.1}%",
             series[0] * 100.0,

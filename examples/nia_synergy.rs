@@ -8,8 +8,8 @@
 //! ```
 
 use membit_core::{
-    calibrate_noise, evaluate_with_hook, nia_finetune, pretrain, GboConfig, GboTrainer,
-    NiaConfig, PlaHook, TrainConfig,
+    calibrate_noise, evaluate_with_hook, nia_finetune, pretrain, GboConfig, GboTrainer, NiaConfig,
+    PlaHook, TrainConfig,
 };
 use membit_data::{synth_cifar, SynthCifarConfig};
 use membit_nn::{Mlp, MlpConfig, NoNoise, Params};

@@ -5,9 +5,7 @@
 //! cargo run --release -p membit-core --example quickstart
 //! ```
 
-use membit_core::{
-    calibrate_noise, evaluate, evaluate_with_hook, pretrain, PlaHook, TrainConfig,
-};
+use membit_core::{calibrate_noise, evaluate, evaluate_with_hook, pretrain, PlaHook, TrainConfig};
 use membit_data::{synth_cifar, SynthCifarConfig};
 use membit_nn::{Mlp, MlpConfig, NoNoise, Params};
 use membit_tensor::{Rng, RngStream};
@@ -52,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    falls as 1/p).
     let cal = calibrate_noise(&mut model, &params, &train, 20, 4, 14.0)?;
     let sigma = 35.0; // well past the paper grid: the single-layer MLP
-                       // needs harsher noise than the 7-layer VGG to show
-                       // the ladder clearly
+                      // needs harsher noise than the 7-layer VGG to show
+                      // the ladder clearly
     println!("\ncrossbar noise σ = {sigma} (paper units):");
     for pulses in [4usize, 8, 12, 16] {
         let mut acc = 0.0;

@@ -3,8 +3,8 @@
 //! device-level `membit-xbar` engine, and the functional hooks in
 //! `membit-core` must all agree.
 
-use membit_core::{GaussianMvmNoise, PlaHook};
 use membit_autograd::Tape;
+use membit_core::{GaussianMvmNoise, PlaHook};
 use membit_encoding::variance::{
     bit_slicing_variance, scaled_thermometer_variance, thermometer_variance,
 };
@@ -17,8 +17,8 @@ use membit_xbar::{CrossbarLinear, XbarConfig};
 fn xbar_variance(encoder: &impl BitEncoder, sigma: f32, trials: usize, seed: u64) -> f64 {
     let mut rng = Rng::from_seed(seed).stream(RngStream::Noise);
     let w = Tensor::ones(&[1, 4]);
-    let xbar = CrossbarLinear::program(&w, &XbarConfig::functional(sigma), &mut rng)
-        .expect("program");
+    let xbar =
+        CrossbarLinear::program(&w, &XbarConfig::functional(sigma), &mut rng).expect("program");
     let x = Tensor::zeros(&[1, 4]);
     let train = encoder.encode_tensor(&x).expect("encode");
     let clean: f32 = train
@@ -121,8 +121,8 @@ fn pla_snap_error_is_negligible_at_table1_grid() {
 fn pla_hook_is_transparent_at_exact_budget() {
     // q = 8 with 9-level activations: encode must be the identity and the
     // only effect is σ²/8 noise.
-    let mut hook = PlaHook::uniform(1, 8, 0.0, 9, Rng::from_seed(5).stream(RngStream::Noise))
-        .expect("hook");
+    let mut hook =
+        PlaHook::uniform(1, 8, 0.0, 9, Rng::from_seed(5).stream(RngStream::Noise)).expect("hook");
     let mut tape = Tape::new();
     let x = tape.constant(Tensor::from_vec(vec![0.25, -0.75, 1.0], &[3]).expect("t"));
     let e = hook.encode(&mut tape, 0, x).expect("encode");

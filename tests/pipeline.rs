@@ -62,14 +62,8 @@ fn noisy_acc(setup: &mut Setup, pulses: &[usize], sigma_abs: &[f32], reps: u64) 
             Rng::from_seed(1000 + rep).stream(RngStream::Noise),
         )
         .expect("hook");
-        acc += evaluate_with_hook(
-            &mut setup.model,
-            &setup.params,
-            &setup.test,
-            24,
-            &mut hook,
-        )
-        .expect("eval");
+        acc += evaluate_with_hook(&mut setup.model, &setup.params, &setup.test, 24, &mut hook)
+            .expect("eval");
     }
     acc / reps as f32
 }
@@ -80,15 +74,8 @@ fn full_pipeline_reproduces_paper_shape() {
     let clean = evaluate(&mut setup.model, &setup.params, &setup.test, 24).expect("clean");
     assert!(clean > 0.35, "clean accuracy too low: {clean}");
 
-    let cal = calibrate_noise(
-        &mut setup.model,
-        &setup.params,
-        &setup.train,
-        24,
-        4,
-        28.0,
-    )
-    .expect("calibrate");
+    let cal = calibrate_noise(&mut setup.model, &setup.params, &setup.train, 24, 4, 28.0)
+        .expect("calibrate");
     assert_eq!(cal.layers(), 2);
 
     // (1) noise hurts, and hurts more at higher σ
@@ -133,19 +120,18 @@ fn full_pipeline_reproduces_paper_shape() {
     gbo_cfg.lr = 0.1;
     let mut trainer = GboTrainer::new(2, gbo_cfg).expect("trainer");
     let result = trainer
-        .search(
-            &mut setup.model,
-            &setup.params,
-            &setup.train,
-            &cal,
-            25.0,
-        )
+        .search(&mut setup.model, &setup.params, &setup.train, &cal, 25.0)
         .expect("search");
     assert_eq!(result.selected_pulses.len(), 2);
     for &p in &result.selected_pulses {
         assert!((4..=16).contains(&p), "pulse count {p} outside Ω range");
     }
-    let acc_gbo = noisy_acc(&mut setup, &result.selected_pulses.clone(), &sigma_severe, 3);
+    let acc_gbo = noisy_acc(
+        &mut setup,
+        &result.selected_pulses.clone(),
+        &sigma_severe,
+        3,
+    );
     // GBO should at least not be worse than the baseline it optimizes
     assert!(
         acc_gbo >= acc_severe - 0.05,
@@ -156,15 +142,8 @@ fn full_pipeline_reproduces_paper_shape() {
 #[test]
 fn nia_then_gbo_compose() {
     let mut setup = trained_setup(77);
-    let cal = calibrate_noise(
-        &mut setup.model,
-        &setup.params,
-        &setup.train,
-        24,
-        4,
-        28.0,
-    )
-    .expect("calibrate");
+    let cal = calibrate_noise(&mut setup.model, &setup.params, &setup.train, 24, 4, 28.0)
+        .expect("calibrate");
     let sigma = 20.0;
     let before = noisy_acc(&mut setup, &[8, 8], &cal.sigma_abs(sigma), 3);
 
@@ -184,15 +163,8 @@ fn nia_then_gbo_compose() {
         },
     )
     .expect("nia");
-    let cal2 = calibrate_noise(
-        &mut setup.model,
-        &setup.params,
-        &setup.train,
-        24,
-        4,
-        28.0,
-    )
-    .expect("recalibrate");
+    let cal2 = calibrate_noise(&mut setup.model, &setup.params, &setup.train, 24, 4, 28.0)
+        .expect("recalibrate");
     let after = noisy_acc(&mut setup, &[8, 8], &cal2.sigma_abs(sigma), 3);
     assert!(
         after >= before - 0.05,
@@ -205,13 +177,7 @@ fn nia_then_gbo_compose() {
     gbo_cfg.batch_size = 24;
     let mut trainer = GboTrainer::new(2, gbo_cfg).expect("trainer");
     let result = trainer
-        .search(
-            &mut setup.model,
-            &setup.params,
-            &setup.train,
-            &cal2,
-            sigma,
-        )
+        .search(&mut setup.model, &setup.params, &setup.train, &cal2, sigma)
         .expect("search");
     assert_eq!(result.lambdas.len(), 2);
     assert!(result.epoch_losses.iter().all(|l| l.is_finite()));

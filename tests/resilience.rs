@@ -5,8 +5,8 @@
 use std::path::PathBuf;
 
 use membit_core::{
-    calibrate_noise, pretrain_resilient, DivergenceReason, Experiment, ExperimentConfig,
-    GboConfig, GboTrainer, NanFault, ResilienceConfig, TrainConfig, TrainError, MAX_RETRIES,
+    calibrate_noise, pretrain_resilient, DivergenceReason, Experiment, ExperimentConfig, GboConfig,
+    GboTrainer, NanFault, ResilienceConfig, TrainConfig, TrainError, MAX_RETRIES,
 };
 use membit_data::{synth_cifar, Dataset, SynthCifarConfig};
 use membit_nn::{Mlp, MlpConfig, NoNoise, Params};
@@ -26,8 +26,8 @@ fn fresh(seed: u64) -> (Mlp, Params, Dataset) {
     let (train, _test) = synth_cifar(&data_cfg, seed).expect("data");
     let mut rng = Rng::from_seed(seed).stream(RngStream::Init);
     let mut params = Params::new();
-    let model = Mlp::new(&MlpConfig::new(3 * 8 * 8, &[16], 10), &mut params, &mut rng)
-        .expect("model");
+    let model =
+        Mlp::new(&MlpConfig::new(3 * 8 * 8, &[16], 10), &mut params, &mut rng).expect("model");
     (model, params, train)
 }
 
@@ -177,8 +177,7 @@ fn killed_gbo_search_resumes_identical_lambda_selections() {
 
     let run = |epochs: usize, res: &ResilienceConfig| {
         let (mut model, params, train) = fresh(seed);
-        let cal =
-            calibrate_noise(&mut model, &params, &train, 16, 2, 4.0).expect("calibration");
+        let cal = calibrate_noise(&mut model, &params, &train, 16, 2, 4.0).expect("calibration");
         let cfg = GboConfig {
             epochs,
             ..gbo4.clone()

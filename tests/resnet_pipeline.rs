@@ -47,16 +47,8 @@ fn resnet_trains_calibrates_and_searches() {
     assert!(cal.rms().iter().all(|&r| r > 0.0));
 
     // sensitivity runs per layer
-    let sens = layer_sensitivity(
-        &mut net,
-        &params,
-        &test,
-        &cal.sigma_abs(30.0),
-        24,
-        1,
-        5,
-    )
-    .expect("sensitivity");
+    let sens = layer_sensitivity(&mut net, &params, &test, &cal.sigma_abs(30.0), 24, 1, 5)
+        .expect("sensitivity");
     assert_eq!(sens.len(), layers);
 
     // noisy eval: more pulses help under severe noise
