@@ -58,7 +58,7 @@ pub fn run(_opts: &Opts, exp: &mut Experiment) -> Result<Vec<Artifact>> {
     let test = exp.test_set().clone();
     let batch = exp.config().eval_batch;
     let (vgg, params) = exp.model_mut();
-    for (images, _) in test.batches(batch).take(2) {
+    for (images, _) in test.batches(batch)?.take(2) {
         let mut tape = Tape::new();
         let mut binding = params.frozen_binding();
         let x = tape.constant(images);

@@ -33,7 +33,6 @@ fn check_grid(scale: Scale) {
     let seed = opts.seed;
     let grid = Grid::of(scale);
     let n = grid.requests;
-    let retry = serve_config(seed).retry;
     let sweep = sweep(&opts).unwrap();
     assert_eq!(sweep.cells.len(), grid.loads.len() * grid.chaos_rates.len());
     assert_eq!(
@@ -53,7 +52,7 @@ fn check_grid(scale: Scale) {
         // the log replays bitwise against a fresh deployment
         let mut fresh = [deploy_tiny(seed, opts.threads).unwrap()];
         let logs = [report.shards[0].log.clone()];
-        let rows = replay_shards(&mut fresh, seed, &retry, &logs).unwrap();
+        let rows = replay_shards(&mut fresh, seed, &logs).unwrap();
         assert_eq!(rows.len() as u64, s.completed, "{at}");
         let live = completed(report);
         for (id, row) in &rows {
@@ -106,7 +105,7 @@ fn check_grid(scale: Scale) {
         let logs: Vec<_> = report.shards.iter().map(|sh| sh.log.clone()).collect();
         for threads in [1usize, 4] {
             let mut fresh = fleet(seed, cell.n_shards, Some(threads)).unwrap();
-            let rows = replay_shards(&mut fresh, seed, &retry, &logs).unwrap();
+            let rows = replay_shards(&mut fresh, seed, &logs).unwrap();
             assert_eq!(rows.len() as u64, s.completed, "{at}");
             for (id, row) in &rows {
                 assert_eq!(

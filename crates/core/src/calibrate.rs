@@ -88,14 +88,14 @@ pub fn calibrate_noise(
     max_batches: usize,
     unit: f32,
 ) -> Result<NoiseCalibration> {
-    crate::trainer::check_batch_size(batch_size)?;
+    let batches = data.batches(batch_size)?;
     if data.is_empty() {
         return Err(
             TensorError::InvalidArgument("cannot calibrate on an empty dataset".into()).into(),
         );
     }
     let mut recorder = RmsRecorder::new(model.crossbar_layers());
-    for (i, (images, _labels)) in data.batches(batch_size).enumerate() {
+    for (i, (images, _labels)) in batches.enumerate() {
         if i >= max_batches {
             break;
         }

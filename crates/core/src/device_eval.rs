@@ -631,11 +631,11 @@ impl DeviceVgg {
         batch_size: usize,
         rng: &mut Rng,
     ) -> Result<(f32, ExecutionStats)> {
-        crate::trainer::check_batch_size(batch_size)?;
+        let batches = data.batches(batch_size)?;
         let mut stats = ExecutionStats::default();
         let mut correct = 0usize;
         let refreshes_before = self.refreshes;
-        for (images, labels) in data.batches(batch_size) {
+        for (images, labels) in batches {
             let (logits, s) = self.forward(&images, rng)?;
             stats.merge(&s);
             for (pred, &y) in logits.argmax_rows()?.iter().zip(&labels) {

@@ -441,7 +441,7 @@ impl EpochLoop for SearchLoop<'_> {
         let shuffled = self.train.shuffled(&mut self.shuffle_rng);
         let mut loss_sum = 0.0f64;
         let mut batches = 0usize;
-        for (images, labels) in shuffled.batches(config.batch_size) {
+        for (images, labels) in shuffled.batches(config.batch_size)? {
             let mut tape = Tape::new();
             let mut weight_binding = self.params.frozen_binding();
             let mut lambda_binding = trainer.lambda_store.binding();

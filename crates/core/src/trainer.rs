@@ -258,7 +258,7 @@ impl EpochLoop for PretrainLoop<'_> {
         // im2col-buffer allocations, so per-batch forward passes stop
         // re-allocating
         let mut tape = Tape::new();
-        for (images, labels) in shuffled.batches(self.cfg.batch_size) {
+        for (images, labels) in shuffled.batches(self.cfg.batch_size)? {
             let images = if self.cfg.augment_flip {
                 flip_batch(&images, &mut self.aug_rng)
             } else {
@@ -324,10 +324,10 @@ pub fn evaluate_with_hook(
     batch_size: usize,
     hook: &mut dyn MvmNoiseHook,
 ) -> Result<f32> {
-    check_batch_size(batch_size)?;
+    let batches = data.batches(batch_size)?;
     let mut correct = 0usize;
     let mut tape = Tape::new();
-    for (images, labels) in data.batches(batch_size) {
+    for (images, labels) in batches {
         tape.reset();
         let mut binding = params.frozen_binding();
         let x = tape.constant(images);
@@ -335,15 +335,6 @@ pub fn evaluate_with_hook(
         correct += (accuracy(tape.value(logits), &labels)? * labels.len() as f32).round() as usize;
     }
     Ok(correct as f32 / data.len().max(1) as f32)
-}
-
-/// Rejects a zero evaluation batch size, on which `Dataset::batches`
-/// panics.
-pub(crate) fn check_batch_size(batch_size: usize) -> Result<()> {
-    if batch_size == 0 {
-        return Err(TensorError::InvalidArgument("batch size must be nonzero".into()).into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]

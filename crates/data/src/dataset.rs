@@ -111,12 +111,22 @@ impl Dataset {
         ))
     }
 
-    /// Iterates over batches of `size` in order.
-    pub fn batches(&self, size: usize) -> impl Iterator<Item = (Tensor, Vec<usize>)> + '_ {
-        let n = self.len();
-        (0..n)
-            .step_by(size.max(1))
-            .map(move |start| self.batch(start, size).expect("in-range batch"))
+    /// Iterates over batches of `size` in order; the last one may be
+    /// shorter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] for a zero `size`, also
+    /// on an empty dataset.
+    pub fn batches(&self, size: usize) -> Result<impl Iterator<Item = (Tensor, Vec<usize>)> + '_> {
+        if size == 0 {
+            return Err(TensorError::InvalidArgument(
+                "batch size must be nonzero".into(),
+            ));
+        }
+        Ok((0..self.len())
+            .step_by(size)
+            .map(move |start| self.batch(start, size).expect("in-range batch")))
     }
 
     /// Returns a copy with samples permuted by `rng` (for epoch
@@ -207,9 +217,18 @@ mod tests {
     #[test]
     fn batches_cover_everything_once() {
         let d = make(10);
-        let total: usize = d.batches(3).map(|(_, l)| l.len()).sum();
+        let total: usize = d.batches(3).unwrap().map(|(_, l)| l.len()).sum();
         assert_eq!(total, 10);
-        assert_eq!(d.batches(3).count(), 4);
+        assert_eq!(d.batches(3).unwrap().count(), 4);
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected_typed() {
+        // an empty dataset rejects it too, instead of yielding nothing
+        for d in [make(10), make(0)] {
+            assert!(matches!(d.batches(0), Err(TensorError::InvalidArgument(_))));
+        }
+        assert_eq!(make(0).batches(3).unwrap().count(), 0);
     }
 
     #[test]

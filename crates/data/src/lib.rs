@@ -8,8 +8,7 @@
 //! built from class-conditional smooth prototypes plus per-sample
 //! deformation and pixel noise. It exercises exactly the same model code
 //! path (3-channel NCHW input, 10-way softmax) with controllable
-//! difficulty, and a secondary **Shapes** dataset provides a structurally
-//! different task for robustness checks.
+//! difficulty.
 //!
 //! ```
 //! use membit_data::{synth_cifar, SynthCifarConfig};
@@ -28,12 +27,10 @@
 
 pub mod cifar;
 mod dataset;
-mod shapes;
 mod synth;
 
 pub use cifar::load_cifar10;
 pub use dataset::Dataset;
-pub use shapes::{shapes, ShapesConfig};
 pub use synth::{synth_cifar, SynthCifarConfig};
 
 /// Convenience alias matching [`membit_tensor::Result`].

@@ -10,10 +10,9 @@
 //! live threaded run and its replay walk identical state.
 
 use membit_tensor::{Rng, Tensor};
-use membit_xbar::ExecutionStats;
+use membit_xbar::{ExecutionStats, SAMPLES_PER_THREAD};
 
-use crate::clock::ServeClock;
-use crate::config::{RetryPolicy, ServeConfig};
+use crate::config::{backoff_for, ServeConfig, MAX_RETRIES};
 use crate::health::{HealthState, HealthTracker};
 use crate::log::{LogEvent, RequestLog};
 use crate::model::ServeModel;
@@ -130,16 +129,17 @@ pub(crate) fn check_payload(input: &[f32], sample_len: usize) -> Result<()> {
 
 /// How many of `waiting` requests the next batch should take: capped at
 /// `max_batch`, and — when more work is waiting than fits — rounded down
-/// to a multiple of `block_align` so full sample blocks land on worker
-/// threads. A final partial batch (everything that's left) is always
-/// allowed, so no request can starve.
-pub fn batch_quota(waiting: usize, max_batch: usize, block_align: usize) -> usize {
+/// to a multiple of the engine's sample block
+/// ([`SAMPLES_PER_THREAD`]) so full blocks land on worker threads. A
+/// final partial batch (everything that's left) is always allowed, so
+/// no request can starve.
+pub fn batch_quota(waiting: usize, max_batch: usize) -> usize {
     let n = waiting.min(max_batch);
     if n == waiting {
         return n; // drain: partial block allowed
     }
-    let aligned = (n / block_align) * block_align;
-    // block_align > max_batch makes alignment impossible; take the cap
+    let aligned = (n / SAMPLES_PER_THREAD) * SAMPLES_PER_THREAD;
+    // a cap below one block makes alignment impossible; take the cap
     if aligned == 0 {
         n
     } else {
@@ -147,16 +147,15 @@ pub fn batch_quota(waiting: usize, max_batch: usize, block_align: usize) -> usiz
     }
 }
 
-/// Executes one batch with the serve-level retry policy, returning the
-/// outputs, the merged stats of the final attempt chain, and the number
-/// of retries taken.
+/// Executes one batch with up to [`MAX_RETRIES`] serve-level retries,
+/// returning the outputs, the stats of the successful attempt, and the
+/// number of retries taken.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Engine`] once the retry budget is exhausted.
 pub(crate) fn run_batch<M: ServeModel>(
     model: &mut M,
-    retry: &RetryPolicy,
     batch: &Tensor,
     rng: &mut Rng,
 ) -> Result<(Tensor, ExecutionStats, u32)> {
@@ -165,7 +164,7 @@ pub(crate) fn run_batch<M: ServeModel>(
         match model.forward_batch(batch, rng) {
             Ok((y, stats)) => return Ok((y, stats, attempt)),
             Err(e) => {
-                if attempt >= retry.max_retries {
+                if attempt >= MAX_RETRIES {
                     return Err(e);
                 }
                 attempt += 1;
@@ -185,7 +184,6 @@ pub struct Executor<M> {
     health: HealthTracker,
     stats: ServeStats,
     clock_ns: u64,
-    deadline_clock: Box<dyn ServeClock>,
     sample_len: usize,
     input_shape: Vec<usize>,
     out_dim: usize,
@@ -203,7 +201,6 @@ impl<M: ServeModel> Executor<M> {
         let sample_len = input_shape.iter().product();
         let out_dim = model.output_dim();
         let rng = crate::log::serve_rng(config.seed);
-        let deadline_clock = config.clock.build();
         Ok(Self {
             model,
             rng,
@@ -212,7 +209,6 @@ impl<M: ServeModel> Executor<M> {
             health: HealthTracker::new(),
             stats: ServeStats::default(),
             clock_ns: 0,
-            deadline_clock,
             sample_len,
             input_shape,
             out_dim,
@@ -230,13 +226,6 @@ impl<M: ServeModel> Executor<M> {
         self.clock_ns = self.clock_ns.max(t_ns);
     }
 
-    /// The instant "now" on the deadline clock (the virtual clock under
-    /// [`crate::clock::ClockMode::Virtual`], real elapsed ns under
-    /// `Monotonic`). Only expiry checks and late flags consult it.
-    pub fn deadline_now_ns(&mut self) -> u64 {
-        self.deadline_clock.deadline_now_ns(self.clock_ns)
-    }
-
     /// Current health state.
     pub fn health_state(&self) -> HealthState {
         self.health.state()
@@ -248,15 +237,14 @@ impl<M: ServeModel> Executor<M> {
     /// are fully captured by the logged batch compositions.
     pub fn force_health(&mut self, ema: f64) -> HealthState {
         let degraded = self.model.degraded_layers();
-        self.health.force(&self.config.health, ema, degraded)
+        self.health.force(ema, degraded)
     }
 
     /// Observes one idle, violation-free tick — how a quarantined shard
     /// with no traffic decays its violation EMA back toward service.
     pub fn decay_health(&mut self) -> HealthState {
         let degraded = self.model.degraded_layers();
-        self.health
-            .observe(&self.config.health, &ExecutionStats::default(), degraded)
+        self.health.observe(&ExecutionStats::default(), degraded)
     }
 
     /// Aggregate counters so far.
@@ -339,7 +327,7 @@ impl<M: ServeModel> Executor<M> {
     pub fn serve(&mut self, requests: Vec<Pending>) -> Vec<(Pending, Result<Response>)> {
         let mut outcomes = Vec::with_capacity(requests.len());
         let mut live = Vec::with_capacity(requests.len());
-        let now = self.deadline_now_ns();
+        let now = self.clock_ns;
         for req in requests {
             if now > req.arrival_ns.saturating_add(req.deadline_ns) {
                 self.log.push(LogEvent::Expire {
@@ -379,7 +367,7 @@ impl<M: ServeModel> Executor<M> {
                 return outcomes;
             }
         };
-        let result = run_batch(&mut self.model, &self.config.retry, &batch, &mut self.rng);
+        let result = run_batch(&mut self.model, &batch, &mut self.rng);
         self.stats.batches += 1;
         match result {
             Ok((y, stats, retries)) => {
@@ -388,12 +376,11 @@ impl<M: ServeModel> Executor<M> {
                 // clock: modeled batch latency + retry backoff
                 let mut dt = self.config.energy.latency_ns(&stats).round() as u64;
                 for attempt in 1..=retries {
-                    dt = dt.saturating_add(self.config.retry.backoff_for(attempt));
+                    dt = dt.saturating_add(backoff_for(attempt));
                 }
                 self.clock_ns = self.clock_ns.saturating_add(dt);
                 let degraded = self.model.degraded_layers() > 0;
-                self.health
-                    .observe(&self.config.health, &stats, self.model.degraded_layers());
+                self.health.observe(&stats, self.model.degraded_layers());
                 let energy_each = self.config.energy.energy_pj(&stats) / live.len() as f64;
                 let rows = y.as_slice();
                 if rows.len() != live.len() * self.out_dim {
@@ -411,7 +398,7 @@ impl<M: ServeModel> Executor<M> {
                     }
                     return outcomes;
                 }
-                let now = self.deadline_now_ns();
+                let now = self.clock_ns;
                 for (row, req) in live.into_iter().enumerate() {
                     let late = now > req.arrival_ns.saturating_add(req.deadline_ns);
                     self.stats.completed += 1;
@@ -479,13 +466,14 @@ mod tests {
 
     #[test]
     fn batch_quota_aligns_only_under_surplus() {
+        assert_eq!(SAMPLES_PER_THREAD, 2);
         // draining: partial batches always allowed
-        assert_eq!(batch_quota(3, 8, 2), 3);
+        assert_eq!(batch_quota(3, 8), 3);
         // surplus: rounded down to full blocks
-        assert_eq!(batch_quota(9, 8, 2), 8);
-        assert_eq!(batch_quota(7, 6, 4), 4);
-        // alignment larger than the cap still yields progress
-        assert_eq!(batch_quota(10, 3, 4), 3);
+        assert_eq!(batch_quota(9, 8), 8);
+        assert_eq!(batch_quota(9, 7), 6);
+        // a cap below one block still yields progress
+        assert_eq!(batch_quota(10, 1), 1);
     }
 
     #[test]

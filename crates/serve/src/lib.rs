@@ -10,12 +10,14 @@
 //!   [`ServeError::DeadlineExceeded`] — so overload is always visible
 //!   to the caller, never a silent drop.
 //! - **Dynamic batching.** Waiting requests are packed into batches
-//!   aligned to the engine's sample-block partitioning
-//!   ([`batch_quota`]), amortising pulse streaming across requests.
-//! - **Deadlines and retries.** Each request carries a virtual-time
-//!   deadline; transient guard failures are retried with exponential
-//!   backoff ([`RetryPolicy`]) *above* the engine's own guard ladder
-//!   (retry → refresh → remap → digital fallback).
+//!   aligned to the engine's sample block
+//!   ([`batch_quota`], [`SAMPLES_PER_THREAD`]), amortising pulse
+//!   streaming across requests.
+//! - **Deadlines and retries.** Each request carries a deadline on the
+//!   virtual timeline; a batch whose execution errors is retried twice
+//!   with exponential backoff (1 µs, then 2 µs of virtual time) *above*
+//!   the engine's own guard ladder (retry → refresh → remap → digital
+//!   fallback).
 //! - **Health-aware degradation.** A guard-violation EMA plus the
 //!   deployment's degraded-layer count drive a
 //!   Healthy → Degraded → Shedding state machine ([`HealthTracker`])
@@ -30,8 +32,8 @@
 //! owns every [`Executor`], behind a deterministic [`Router`]
 //! (rendezvous or round-robin, pure in `(seed, id, eligible set)`), with
 //! per-shard health driving admission, drain, quarantine, and failover —
-//! a request whose shard dies mid-flight re-routes under the
-//! [`RetryPolicy`] with zero silent drops, and the accounting identity
+//! a request whose shard dies mid-flight re-routes within the same retry
+//! budget with zero silent drops, and the accounting identity
 //! extends across shards. Two drivers own a set: the threaded
 //! [`ShardServer`] for live concurrent clients and the discrete-event
 //! [`simulate_shards`] loop for load sweeps in virtual time. A single
@@ -42,8 +44,8 @@
 //! Faults, cell upsets and live encoding reconfigurations travel only in
 //! the [`chaos`] harness: a [`ChaosScript`] for [`simulate_shards`], or
 //! single [`ChaosAction`]s applied to a live [`ShardServer`]. Deadlines
-//! expire on the virtual timeline by default, or on real elapsed time
-//! with [`ClockMode::Monotonic`].
+//! expire on the virtual timeline that the energy model drives, live and
+//! in simulation alike, so expiry replays exactly.
 //!
 //! # Quickstart
 //!
@@ -76,12 +78,12 @@
 //! ```
 //!
 //! [`DeviceVgg`]: membit_core::DeviceVgg
+//! [`SAMPLES_PER_THREAD`]: membit_xbar::SAMPLES_PER_THREAD
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod clock;
 pub mod config;
 pub mod error;
 pub mod executor;
@@ -96,11 +98,10 @@ pub mod sim;
 mod testing;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosScript};
-pub use clock::{ClockMode, MonotonicClock, ServeClock, VirtualClock};
-pub use config::{RetryPolicy, ServeConfig};
+pub use config::ServeConfig;
 pub use error::ServeError;
 pub use executor::{batch_quota, Executor, Pending, Response, ServeStats};
-pub use health::{HealthPolicy, HealthState, HealthTracker};
+pub use health::{HealthState, HealthTracker};
 pub use log::{serve_rng, LogEvent, RequestLog};
 pub use model::{LinearServeModel, ServeModel};
 pub use router::{shard_seed, RoutePolicy, Router};

@@ -13,7 +13,6 @@
 
 use membit_tensor::{Rng, RngStream, Tensor};
 
-use crate::config::RetryPolicy;
 use crate::executor::run_batch;
 use crate::model::ServeModel;
 use crate::{Result, ServeError};
@@ -103,9 +102,8 @@ impl RequestLog {
 
 /// Re-executes one shard's request log against a freshly deployed
 /// `model`, returning `(id, output_row)` for every batched request in
-/// execution order. With the shard's serving `seed` and the `retry`
-/// policy the rows are bitwise identical to the live responses, at any
-/// engine thread count.
+/// execution order. With the shard's serving `seed` the rows are bitwise
+/// identical to the live responses, at any engine thread count.
 ///
 /// # Errors
 ///
@@ -114,7 +112,6 @@ impl RequestLog {
 pub(crate) fn replay<M: ServeModel>(
     model: &mut M,
     seed: u64,
-    retry: &RetryPolicy,
     log: &RequestLog,
 ) -> Result<Vec<(u64, Vec<f32>)>> {
     let mut rng = serve_rng(seed);
@@ -155,7 +152,7 @@ pub(crate) fn replay<M: ServeModel>(
                 let mut batch_shape = vec![ids.len()];
                 batch_shape.extend_from_slice(&shape);
                 let batch = Tensor::from_vec(flat, &batch_shape)?;
-                let (y, _, _) = run_batch(model, retry, &batch, &mut rng)?;
+                let (y, _, _) = run_batch(model, &batch, &mut rng)?;
                 let rows = y.as_slice();
                 if rows.len() != ids.len() * out_dim {
                     return Err(ServeError::Internal(format!(
@@ -203,7 +200,7 @@ mod tests {
                 .unwrap();
         let mut log = RequestLog::new();
         log.push(LogEvent::Batch { ids: vec![5] });
-        let err = replay(&mut m, 7, &RetryPolicy::default(), &log).unwrap_err();
+        let err = replay(&mut m, 7, &log).unwrap_err();
         assert!(matches!(err, ServeError::BadRequest(_)));
     }
 }

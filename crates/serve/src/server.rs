@@ -24,10 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::chaos::{ChaosAction, ChaosEvent, ChaosScript};
-use crate::clock::ClockMode;
 use crate::config::ServeConfig;
 use crate::executor::{check_payload, Pending, Response};
 use crate::model::ServeModel;
@@ -96,8 +94,8 @@ struct Inbox {
 struct ShardShared {
     q: Mutex<Inbox>,
     cv: Condvar,
-    /// Scheduler-published earliest shard clock (ns), for virtual-mode
-    /// arrival stamping.
+    /// Scheduler-published earliest shard clock (virtual ns), which
+    /// stamps arrivals.
     clock_ns: AtomicU64,
     next_id: AtomicU64,
     rejected_queue_full: AtomicU64,
@@ -107,15 +105,13 @@ struct ShardShared {
 /// A live, concurrent server over a [`ShardSet`] of one or more
 /// deployments: one bounded inbox in front of a single scheduler thread
 /// that owns the set. Admission is bounded by
-/// `num_shards × queue_capacity`. Chaos actions enter through
+/// `num_shards × queue_capacity` (saturating). Chaos actions enter through
 /// [`ShardServer::chaos`] and take effect in submission order.
 pub struct ShardServer<M> {
     shared: Arc<ShardShared>,
     sample_len: usize,
     total_capacity: usize,
     default_deadline_ns: u64,
-    clock_mode: ClockMode,
-    origin: Instant,
     worker: Option<JoinHandle<ShardSet<M>>>,
 }
 
@@ -131,9 +127,8 @@ impl<M: ServeModel + Send + 'static> ShardServer<M> {
         let sample_len = models
             .first()
             .map_or(0, |m| m.input_shape().iter().product());
-        let total_capacity = config.queue_capacity * models.len();
+        let total_capacity = config.queue_capacity.saturating_mul(models.len());
         let default_deadline_ns = config.default_deadline_ns;
-        let clock_mode = config.clock;
         let set = ShardSet::new(models, config, policy)?;
         let shared = Arc::new(ShardShared {
             q: Mutex::new(Inbox {
@@ -157,8 +152,6 @@ impl<M: ServeModel + Send + 'static> ShardServer<M> {
             sample_len,
             total_capacity,
             default_deadline_ns,
-            clock_mode,
-            origin: Instant::now(),
             worker: Some(worker),
         })
     }
@@ -191,16 +184,10 @@ impl<M: ServeModel + Send + 'static> ShardServer<M> {
             });
         }
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let arrival_ns = match self.clock_mode {
-            ClockMode::Virtual => self.shared.clock_ns.load(Ordering::Relaxed),
-            ClockMode::Monotonic => {
-                u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            }
-        };
         let pending = Pending {
             id,
             input,
-            arrival_ns,
+            arrival_ns: self.shared.clock_ns.load(Ordering::Relaxed),
             deadline_ns: deadline_ns.unwrap_or(self.default_deadline_ns),
         };
         let (tx, rx) = channel();
@@ -434,6 +421,24 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_capacity_saturates_the_admission_bound() {
+        // two shards at usize::MAX each: the set-wide bound saturates
+        // instead of overflowing (a panic in debug builds)
+        let mut cfg = ServeConfig::standard(6);
+        cfg.queue_capacity = usize::MAX;
+        let server = start(2, cfg);
+        let handles: Vec<Handle> = (0..4)
+            .map(|i| server.submit(payload(i), None).unwrap())
+            .collect();
+        for h in handles {
+            assert_eq!(h.wait().unwrap().output.len(), 2);
+        }
+        let report = server.shutdown().unwrap();
+        assert!(report.stats.accounted());
+        assert_eq!(report.stats.completed, 4);
+    }
+
+    #[test]
     fn wrong_sized_payload_rejected_at_submit() {
         let server = start(1, ServeConfig::standard(2));
         assert!(matches!(
@@ -492,7 +497,6 @@ mod tests {
             // tiny batches so a backlog survives long enough to be killed
             let mut cfg = ServeConfig::standard(4);
             cfg.max_batch = 1;
-            cfg.block_align = 1;
             let server = start(n_shards, cfg);
             let handles: Vec<Handle> = (0..16)
                 .map(|i| server.submit(payload(i), None).unwrap())

@@ -14,8 +14,8 @@
 //!
 //! - **Kill** (chaos or operator): the shard goes [`ShardStatus::Down`];
 //!   its queued requests *fail over* — re-routed to surviving shards
-//!   under the [`RetryPolicy`], each hop charging
-//!   the retry backoff to the receiving shard's clock, resolving
+//!   within the serve-level retry budget, each hop charging the retry
+//!   backoff to the receiving shard's clock, resolving
 //!   [`ServeError::Closed`] only when the budget or the shard pool is
 //!   exhausted. Queued mutations are dropped visibly (chaos failures).
 //! - **Quarantine**: in a set of two or more, a shard whose health
@@ -44,7 +44,7 @@
 use std::collections::VecDeque;
 
 use crate::chaos::ChaosAction;
-use crate::config::{RetryPolicy, ServeConfig};
+use crate::config::{backoff_for, ServeConfig, MAX_RETRIES};
 use crate::executor::{batch_quota, Executor, Pending, Response, ServeStats};
 use crate::health::HealthState;
 use crate::log::RequestLog;
@@ -323,7 +323,7 @@ impl<M: ServeModel> ShardSet<M> {
     /// Re-queues an evicted request on a surviving shard, or resolves it
     /// typed when the retry budget or the shard pool is exhausted.
     fn reroute(&mut self, pending: Pending, attempts: u32) -> Option<ShardOutcome> {
-        if attempts > self.config.retry.max_retries {
+        if attempts > MAX_RETRIES {
             self.counts.cancelled += 1;
             return Some((pending.id, Err(ServeError::Closed)));
         }
@@ -339,7 +339,7 @@ impl<M: ServeModel> ShardSet<M> {
         }
         self.counts.failovers += 1;
         // the failover hop charges the retry backoff to the receiver
-        let backoff = self.config.retry.backoff_for(attempts);
+        let backoff = backoff_for(attempts);
         let clock = self.shards[target].executor.clock_ns();
         self.shards[target]
             .executor
@@ -532,7 +532,7 @@ impl<M: ServeModel> ShardSet<M> {
             }
             return (progress, out);
         }
-        let take = batch_quota(run, self.config.max_batch, self.config.block_align);
+        let take = batch_quota(run, self.config.max_batch);
         let mut batch = Vec::with_capacity(take);
         for _ in 0..take {
             if let Some(ShardWork::Request { pending, .. }) = self.shards[s].queue.pop_front() {
@@ -669,9 +669,9 @@ impl<M: ServeModel> ShardSet<M> {
 /// Replays every shard's log against freshly deployed `models` (same
 /// order and deployment seeds as the original set; one model and one log
 /// for a set of one), returning `(id, output_row)` for every batched
-/// request, sorted by id. With the set seed and retry policy of the
-/// original run the rows are bitwise identical to the live responses, at
-/// any engine thread count — a failed-over request replays on the shard
+/// request, sorted by id. With the set seed of the original run the rows
+/// are bitwise identical to the live responses, at any engine thread
+/// count — a failed-over request replays on the shard
 /// that actually served it.
 ///
 /// # Errors
@@ -681,7 +681,6 @@ impl<M: ServeModel> ShardSet<M> {
 pub fn replay_shards<M: ServeModel>(
     models: &mut [M],
     seed: u64,
-    retry: &RetryPolicy,
     logs: &[RequestLog],
 ) -> Result<Vec<(u64, Vec<f32>)>> {
     if models.len() != logs.len() {
@@ -697,7 +696,6 @@ pub fn replay_shards<M: ServeModel>(
         all.extend(crate::log::replay(
             model,
             serve_seed(seed, i, n_shards),
-            retry,
             log,
         )?);
     }
@@ -753,7 +751,6 @@ mod tests {
     fn kill_fails_over_queued_requests_with_zero_drops() {
         let mut cfg = ServeConfig::standard(11);
         cfg.max_batch = 2;
-        cfg.block_align = 1;
         let mut set = ShardSet::new(models(3, 2), cfg, RoutePolicy::RoundRobin).unwrap();
         submit_n(&mut set, 12, 0);
         // kill shard 2 before anything serves: its queue fails over
@@ -871,7 +868,7 @@ mod tests {
             let log = &set.into_report().shards[0].log;
             let seed = if n_shards == 1 { 17 } else { shard_seed(17, 0) };
             let mut fresh = models(1, 8).remove(0);
-            let replayed = crate::log::replay(&mut fresh, seed, &cfg.retry, log).unwrap();
+            let replayed = crate::log::replay(&mut fresh, seed, log).unwrap();
             for (id, row) in replayed {
                 let (_, r) = live.iter().find(|(i, _)| *i == id).unwrap();
                 assert_eq!(r.as_ref().unwrap().output, row, "{n_shards} shard(s)");
@@ -883,7 +880,6 @@ mod tests {
     fn reconfigure_is_queued_in_stream_order_and_logged() {
         let mut cfg = ServeConfig::standard(13);
         cfg.max_batch = 2;
-        cfg.block_align = 1;
         let mut set = ShardSet::new(models(1, 5), cfg, RoutePolicy::Rendezvous).unwrap();
         submit_n(&mut set, 2, 0);
         set.apply(&ChaosAction::Reconfigure {
@@ -921,7 +917,6 @@ mod tests {
         let seed = 21u64;
         let mut cfg = ServeConfig::standard(seed);
         cfg.max_batch = 2;
-        cfg.block_align = 1;
         let mut set = ShardSet::new(models(3, 6), cfg.clone(), RoutePolicy::Rendezvous).unwrap();
         submit_n(&mut set, 6, 0);
         set.apply(&ChaosAction::Upset {
@@ -944,7 +939,7 @@ mod tests {
         let report = set.into_report();
         let logs: Vec<RequestLog> = report.shards.iter().map(|s| s.log.clone()).collect();
         let mut fresh = models(3, 6);
-        let replayed = replay_shards(&mut fresh, seed, &cfg.retry, &logs).unwrap();
+        let replayed = replay_shards(&mut fresh, seed, &logs).unwrap();
         assert_eq!(live.len(), replayed.len());
         for ((ia, ra), (ib, rb)) in live.iter().zip(&replayed) {
             assert_eq!(ia, ib);
@@ -958,7 +953,6 @@ mod tests {
     fn shard_server_serves_kills_and_accounts() {
         let mut cfg = ServeConfig::standard(31);
         cfg.max_batch = 2;
-        cfg.block_align = 1;
         let server = ShardServer::start(models(3, 7), cfg, RoutePolicy::Rendezvous).unwrap();
         let handles: Vec<Handle> = (0..12)
             .map(|i| server.submit(payload(i), None).unwrap())
@@ -988,7 +982,6 @@ mod tests {
     fn shard_server_rejects_non_finite_payload_and_batchmates_complete() {
         let mut cfg = ServeConfig::standard(35);
         cfg.max_batch = 4;
-        cfg.block_align = 1;
         let server = ShardServer::start(models(3, 9), cfg, RoutePolicy::Rendezvous).unwrap();
         let mut handles = Vec::new();
         for i in 0..9 {

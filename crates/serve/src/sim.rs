@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 
 use crate::chaos::ChaosScript;
-use crate::clock::ClockMode;
 use crate::config::ServeConfig;
 use crate::executor::{Pending, Response, ServeStats};
 use crate::model::ServeModel;
@@ -76,8 +75,8 @@ pub struct ShardSimReport<M> {
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::BadRequest`] for an unsorted schedule or a
-/// non-virtual clock mode, and propagates construction errors;
+/// Returns [`ServeError::BadRequest`] for an unsorted schedule, and
+/// propagates construction errors;
 /// per-request failures land in the outcomes, not here.
 pub fn simulate_shards<M: ServeModel>(
     models: Vec<M>,
@@ -89,11 +88,6 @@ pub fn simulate_shards<M: ServeModel>(
     if schedule.windows(2).any(|w| w[0].at_ns > w[1].at_ns) {
         return Err(ServeError::BadRequest(
             "arrival schedule must be sorted by at_ns".into(),
-        ));
-    }
-    if config.clock != ClockMode::Virtual {
-        return Err(ServeError::BadRequest(
-            "simulation requires ClockMode::Virtual".into(),
         ));
     }
     let default_deadline = config.default_deadline_ns;
@@ -306,7 +300,7 @@ mod tests {
             // freshly programmed models is bitwise identical
             let logs: Vec<_> = report.shards.iter().map(|s| s.log.clone()).collect();
             let mut fresh = models(n_shards, config.seed);
-            let replayed = replay_shards(&mut fresh, config.seed, &config.retry, &logs).unwrap();
+            let replayed = replay_shards(&mut fresh, config.seed, &logs).unwrap();
             let live: Vec<(u64, Vec<u32>)> = report
                 .outcomes
                 .iter()
@@ -353,7 +347,6 @@ mod tests {
         for n_shards in [1, 3] {
             let mut cfg = ServeConfig::standard(5);
             cfg.max_batch = 1;
-            cfg.block_align = 1;
             // all arrive at t=0 with a budget shorter than one batch
             // latency: each shard serves its first request (expiry is
             // checked at pickup, when its clock still reads 0), the rest

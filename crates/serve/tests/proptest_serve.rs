@@ -85,14 +85,12 @@ proptest! {
         gap_kind in 0usize..3,
         capacity in 1usize..16,
         max_batch in 1usize..9,
-        block_align in 1usize..5,
         chaos_every in 0usize..6,
     ) {
         let gap = [0u64, 500, 50_000][gap_kind];
         let mut cfg = ServeConfig::standard(seed);
         cfg.queue_capacity = capacity;
         cfg.max_batch = max_batch;
-        cfg.block_align = block_align;
         let events = schedule(n, gap, seed);
         let faults = upsets(&events, chaos_every);
         let report =
@@ -135,7 +133,6 @@ proptest! {
     ) {
         let mut cfg = ServeConfig::standard(seed);
         cfg.max_batch = max_batch;
-        let retry = cfg.retry;
         let events = schedule(n, 20_000, seed);
         let faults = upsets(&events, chaos_every);
         let report =
@@ -149,7 +146,7 @@ proptest! {
             .collect();
         let mut fresh = [model(seed)];
         let logs = [report.shards[0].log.clone()];
-        let rows = replay_shards(&mut fresh, seed, &retry, &logs).expect("replay_shards");
+        let rows = replay_shards(&mut fresh, seed, &logs).expect("replay_shards");
         prop_assert_eq!(rows.len(), live.len());
         for (id, row) in rows {
             let expected = live.get(&id).expect("live row");

@@ -260,7 +260,6 @@ proptest! {
     ) {
         let kill_one = kill_pick == 1;
         let cfg = ServeConfig::standard(seed);
-        let retry = cfg.retry;
         let events = schedule(n, 5_000, seed);
         let span = events.last().map_or(1, |e| e.at_ns.max(1));
         // always exercise a mid-run reconfigure; optionally kill a shard
@@ -298,7 +297,7 @@ proptest! {
         let logs: Vec<_> = report.shards.iter().map(|s| s.log.clone()).collect();
         for threads in [1usize, 4] {
             let mut fresh = fleet(seed, n_shards, threads);
-            let rows = replay_shards(&mut fresh, seed, &retry, &logs).expect("replay_shards");
+            let rows = replay_shards(&mut fresh, seed, &logs).expect("replay_shards");
             prop_assert_eq!(rows.len(), live.len(), "threads={}", threads);
             for (id, row) in rows {
                 let expected = live.get(&id).expect("live row");
@@ -353,9 +352,8 @@ proptest! {
 
     /// Malformed input at the serving boundary — shard indices past the
     /// set, NaN or out-of-range upset rates and EMAs, zero and
-    /// `u64::MAX` deadlines, extreme retry backoffs, empty, wrong-length
-    /// or oversized reconfigurations, non-finite or negative energy
-    /// fields — either
+    /// `u64::MAX` deadlines, empty, wrong-length or oversized
+    /// reconfigurations, non-finite or negative energy fields — either
     /// gets a typed error from `ChaosScript::new`, `ServeConfig::validate`
     /// or `simulate_shards`, or runs with finite outputs and the
     /// accounting identity intact. Nothing panics, and `simulate_shards`
@@ -372,7 +370,6 @@ proptest! {
         request_deadline_pick in 0usize..5,
         energy_field in 0usize..3,
         energy_pick in 0usize..5,
-        retry_pick in 0usize..3,
     ) {
         let n = 8usize;
         let mut events = schedule(n, 3_000, seed);
@@ -411,11 +408,6 @@ proptest! {
         };
         let mut cfg = ServeConfig::standard(seed);
         cfg.default_deadline_ns = DEADLINES[default_deadline_pick];
-        match retry_pick {
-            0 => {}
-            1 => (cfg.retry.backoff_ns, cfg.retry.backoff_factor) = (u64::MAX, u32::MAX),
-            _ => (cfg.retry.backoff_ns, cfg.retry.backoff_factor) = (0, 0),
-        }
         let energy = ENERGY[energy_pick];
         match energy_field {
             0 => cfg.energy.pj_per_cell_read = energy,

@@ -55,12 +55,6 @@ pub struct DeviceModel {
     pub stuck_on_rate: f32,
     /// Probability a cell is stuck at `G_off`.
     pub stuck_off_rate: f32,
-    /// First-order IR-drop coefficient: the effective contribution of the
-    /// cell at (row `i`, col `j`) in an `R×C` tile is attenuated by
-    /// `1 − α·(i/R + j/C)/2` — cells far from the drivers and sense
-    /// amplifiers see a degraded voltage across the wire resistance.
-    /// `0` disables the effect.
-    pub ir_drop_alpha: f32,
 }
 
 impl DeviceModel {
@@ -73,7 +67,6 @@ impl DeviceModel {
             c2c_sigma: 0.0,
             stuck_on_rate: 0.0,
             stuck_off_rate: 0.0,
-            ir_drop_alpha: 0.0,
         }
     }
 
@@ -87,7 +80,6 @@ impl DeviceModel {
             c2c_sigma: 0.02,
             stuck_on_rate: 0.001,
             stuck_off_rate: 0.001,
-            ir_drop_alpha: 0.0,
         }
     }
 
@@ -117,12 +109,6 @@ impl DeviceModel {
             return Err(TensorError::InvalidArgument(format!(
                 "variation sigmas must be finite and non-negative, got d2d {} / c2c {}",
                 self.d2d_sigma, self.c2c_sigma
-            )));
-        }
-        if !(0.0..1.0).contains(&self.ir_drop_alpha) {
-            return Err(TensorError::InvalidArgument(format!(
-                "ir_drop_alpha must lie in [0, 1), got {}",
-                self.ir_drop_alpha
             )));
         }
         let total_fault = self.stuck_on_rate + self.stuck_off_rate;
@@ -223,14 +209,13 @@ mod tests {
     #[test]
     fn validation_rejects_non_finite_params() {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let fields: [fn(&mut DeviceModel) -> &mut f32; 7] = [
+            let fields: [fn(&mut DeviceModel) -> &mut f32; 6] = [
                 |d| &mut d.g_on,
                 |d| &mut d.on_off_ratio,
                 |d| &mut d.d2d_sigma,
                 |d| &mut d.c2c_sigma,
                 |d| &mut d.stuck_on_rate,
                 |d| &mut d.stuck_off_rate,
-                |d| &mut d.ir_drop_alpha,
             ];
             for (k, field) in fields.iter().enumerate() {
                 let mut d = DeviceModel::realistic();

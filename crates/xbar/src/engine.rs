@@ -14,20 +14,23 @@ use crate::remap::{remap_tile, RecoveryPolicy, RemapReport};
 use crate::tile::Tile;
 use crate::Result;
 
+/// Minimum input vectors per execution worker: a batch fans out over at
+/// most `n / SAMPLES_PER_THREAD` threads, so small batches stay
+/// single-threaded to avoid spawn overhead. Serving rounds its batches
+/// to multiples of it (`membit_serve::batch_quota`).
+pub const SAMPLES_PER_THREAD: usize = 2;
+
 /// Host-side execution options: how programming and pulse execution fan
 /// out over worker threads.
 ///
 /// Noise streams are derived per `(pulse, sample, row_tile, col_tile)`
 /// (see [`Rng::substream`]), so results are **bitwise identical for every
-/// `max_threads` / `samples_per_thread` setting** — these knobs trade
-/// wall clock only, never reproducibility.
+/// `max_threads` setting** — it trades wall clock only, never
+/// reproducibility.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Upper bound on worker threads (1 = single-threaded).
     pub max_threads: usize,
-    /// Minimum input vectors per worker; small batches stay
-    /// single-threaded to avoid spawn overhead.
-    pub samples_per_thread: usize,
 }
 
 impl Default for ExecOptions {
@@ -36,7 +39,6 @@ impl Default for ExecOptions {
             max_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            samples_per_thread: 2,
         }
     }
 }
@@ -45,30 +47,23 @@ impl ExecOptions {
     /// Options forcing single-threaded execution — the escape hatch for
     /// profiling and for hosts where spawning is expensive.
     pub fn serial() -> Self {
-        Self {
-            max_threads: 1,
-            samples_per_thread: usize::MAX,
-        }
+        Self::with_threads(1)
     }
 
-    /// Default options capped at `max_threads` workers.
+    /// Options capped at `max_threads` workers.
     pub fn with_threads(max_threads: usize) -> Self {
-        Self {
-            max_threads,
-            ..Self::default()
-        }
+        Self { max_threads }
     }
 
     /// Validates the options.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for zero threads or a
-    /// zero per-thread sample floor.
+    /// Returns [`TensorError::InvalidArgument`] for zero threads.
     pub fn validate(&self) -> Result<()> {
-        if self.max_threads == 0 || self.samples_per_thread == 0 {
+        if self.max_threads == 0 {
             return Err(TensorError::InvalidArgument(
-                "exec options need max_threads ≥ 1 and samples_per_thread ≥ 1".into(),
+                "exec options need max_threads ≥ 1".into(),
             ));
         }
         Ok(())
@@ -693,8 +688,7 @@ impl CrossbarLinear {
         // deterministic for any thread count.
         let nonce = rng.next_nonce();
         let base = rng.substream(&[nonce]);
-        let exec = self.config.exec;
-        let threads = plan_threads(n, exec.max_threads, exec.samples_per_thread);
+        let threads = plan_threads(n, self.config.exec.max_threads, SAMPLES_PER_THREAD);
         let block = n.div_ceil(threads);
         let worker_out = scoped_chunks(
             acc.as_mut_slice(),
@@ -1548,6 +1542,22 @@ mod tests {
         acc.iter().map(|a| a * scale).collect()
     }
 
+    /// Wire-model IR drop for `cfg`'s tiles, lossy enough that every cell
+    /// of a full tile is attenuated, so no IR-drop case runs ideal by
+    /// accident.
+    fn lossy_wiring(cfg: &XbarConfig) -> NonIdealitySpec {
+        let wiring = NonIdealitySpec {
+            gwire: 1e4,
+            gload: 1e5,
+            ..NonIdealitySpec::ideal()
+        };
+        let map = wiring
+            .attenuation_map(cfg.tile_rows, cfg.tile_cols, cfg.noise.device.g_on)
+            .expect("finite wiring has a map");
+        assert!(map.iter().all(|&a| a < 1.0), "every cell must see IR drop");
+        wiring
+    }
+
     /// The pulses of a count-coded train stored densely: a generic train,
     /// which takes the dense schedule.
     fn dense_twin(train: &PulseTrain) -> PulseTrain {
@@ -1567,8 +1577,8 @@ mod tests {
         cfg.tile_rows = 16;
         cfg.tile_cols = 8;
         cfg.noise.device.c2c_sigma = 0.03;
-        cfg.noise.device.ir_drop_alpha = 0.05;
         cfg.noise.device.on_off_ratio = 20.0;
+        cfg.nonideal = lossy_wiring(&cfg);
         let w = random_pm1(&[20, 33], 40);
         let engine = CrossbarLinear::program(&w, &cfg, &mut Rng::from_seed(41)).unwrap();
         let x = random_pm1(&[3, 33], 42);
@@ -1600,8 +1610,11 @@ mod tests {
         let x = random_pm1(&[2, 19], 46);
         let train = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
         assert_eq!(train.kind(), membit_encoding::TrainKind::Generic);
-        for (ir_drop, packed) in [(0.0, true), (0.05, false)] {
-            cfg.noise.device.ir_drop_alpha = ir_drop;
+        for (wiring, packed) in [
+            (NonIdealitySpec::ideal(), true),
+            (lossy_wiring(&cfg), false),
+        ] {
+            cfg.nonideal = wiring;
             let engine = CrossbarLinear::program(&w, &cfg, &mut Rng::from_seed(45)).unwrap();
             assert_eq!(engine.packed_ready(), packed);
             let y = engine.execute(&train, &mut Rng::from_seed(47)).unwrap();

@@ -67,7 +67,7 @@ mod tile;
 pub use adc::Adc;
 pub use device::{CellHealth, DeviceModel};
 pub use energy::{EnergyModel, ExecutionStats};
-pub use engine::{CrossbarLinear, ExecOptions, VarianceStats, XbarConfig};
+pub use engine::{CrossbarLinear, ExecOptions, VarianceStats, XbarConfig, SAMPLES_PER_THREAD};
 pub use fault::{CellFault, CellSide, FaultMap, HealthMonitor, MarchTestConfig};
 pub use guard::{GuardPolicy, GuardStats};
 pub use noise::NoiseSpec;

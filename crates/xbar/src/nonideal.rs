@@ -1,12 +1,11 @@
 //! Physical non-ideality layer: position-dependent IR drop along the
 //! wires and temperature scaling of conductance, noise, and drift.
 //!
-//! The first-order [`DeviceModel::ir_drop_alpha`] knob attenuates cells
-//! linearly with normalized distance from the drivers. This module adds a
-//! *physical* alternative derived from wire and load conductances: each
-//! cell at (row `i`, col `j`) sees the series resistance of `i + 1` word-
-//! line segments, `j + 1` bit-line segments, and the driver/sense loads,
-//! so its effective contribution is divided by `1 + G_on · R_series`.
+//! This is the engine's only IR-drop model, derived from wire and load
+//! conductances: each cell at (row `i`, col `j`) sees the series
+//! resistance of `i + 1` word-line segments, `j + 1` bit-line segments,
+//! and the driver/sense loads, so its effective contribution is divided
+//! by `1 + G_on · R_series`.
 //! The resulting per-tile attenuation map is folded into the tile's
 //! weight cache at program time, which keeps every MVM loop bitwise
 //! identical to the raw-conductance oracle `Tile::mvm_reference` on ±1/0
@@ -30,8 +29,6 @@
 //! engine's config. Everything downstream — guard tolerance, refresh
 //! targets, march-test thresholds, upset rails — therefore agrees on the
 //! same scaled device by construction.
-//!
-//! [`DeviceModel::ir_drop_alpha`]: crate::DeviceModel::ir_drop_alpha
 
 use membit_tensor::TensorError;
 
@@ -54,8 +51,8 @@ const DRIFT_ACTIVATION: f32 = 6.0;
 /// IR-drop model plus an operating temperature.
 ///
 /// Attached to [`XbarConfig`](crate::XbarConfig); the default
-/// ([`ideal`](Self::ideal)) is exactly the pre-existing behaviour
-/// (no IR drop beyond `ir_drop_alpha`, 300 K operation).
+/// ([`ideal`](Self::ideal)) is ideal wiring at 300 K: no IR drop at
+/// all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonIdealitySpec {
     /// Conductance of one wire segment between adjacent cells (µS).

@@ -131,7 +131,9 @@ pub struct Tile {
     health_pos: Vec<CellHealth>,
     /// Persistent health of the negative cells, row-major.
     health_neg: Vec<CellHealth>,
-    /// Per-cell IR-drop attenuation (all 1.0 when disabled), row-major.
+    /// Per-cell IR-drop attenuation, row-major: all 1.0 until the
+    /// engine folds in the wire model's map
+    /// ([`scale_attenuation`](Self::scale_attenuation)).
     attenuation: Vec<f32>,
     device: DeviceModel,
     /// Always-valid derived state for the cached loop and the delta
@@ -233,17 +235,6 @@ impl Tile {
             health_pos.push(device.sample_health(rng));
             health_neg.push(device.sample_health(rng));
         }
-        let alpha = device.ir_drop_alpha;
-        let attenuation = (0..cells)
-            .map(|idx| {
-                if alpha == 0.0 {
-                    1.0
-                } else {
-                    let (i, j) = (idx / cols, idx % cols);
-                    1.0 - alpha * (i as f32 / rows as f32 + j as f32 / cols as f32) / 2.0
-                }
-            })
-            .collect();
         Ok(Self {
             rows,
             cols,
@@ -253,7 +244,7 @@ impl Tile {
             g_neg: vec![0.0; cells],
             health_pos,
             health_neg,
-            attenuation,
+            attenuation: vec![1.0; cells],
             device: *device,
             cache: WeightCache {
                 w_eff: vec![0.0; cells],
@@ -267,10 +258,10 @@ impl Tile {
 
     /// Folds a per-cell attenuation map (row-major, from
     /// [`NonIdealitySpec::attenuation_map`](crate::NonIdealitySpec::attenuation_map))
-    /// into the tile, multiplying element-wise with whatever first-order
-    /// [`DeviceModel::ir_drop_alpha`] attenuation the tile already
-    /// carries, and rebuilds the weight cache — so the execution loops
-    /// keep agreeing bitwise with [`mvm_reference`](Self::mvm_reference).
+    /// into the tile, multiplying element-wise with the attenuation the
+    /// tile already carries, and rebuilds the weight cache — so the
+    /// execution loops keep agreeing bitwise with
+    /// [`mvm_reference`](Self::mvm_reference).
     /// Called by the engine at program time, before any guard is armed.
     ///
     /// # Panics
@@ -1222,6 +1213,7 @@ impl Tile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nonideal::NonIdealitySpec;
 
     fn weights() -> Tensor {
         Tensor::from_vec(vec![1.0, -1.0, -1.0, 1.0, 1.0, 1.0], &[3, 2]).unwrap()
@@ -1321,14 +1313,31 @@ mod tests {
             .is_err());
     }
 
+    /// `tile` with the wire model's IR drop folded in, as the engine
+    /// does at program time. The wiring is lossy enough that every cell
+    /// is attenuated, so no IR-drop case runs ideal by accident.
+    fn ir_dropped(mut tile: Tile) -> Tile {
+        let (rows, cols) = tile.dims();
+        let wiring = NonIdealitySpec {
+            gwire: 1e4,
+            gload: 1e5,
+            ..NonIdealitySpec::ideal()
+        };
+        let map = wiring
+            .attenuation_map(rows, cols, tile.device().g_on)
+            .expect("finite wiring has a map");
+        assert!(map.iter().all(|&a| a < 1.0), "every cell must see IR drop");
+        tile.scale_attenuation(&map);
+        tile
+    }
+
     #[test]
     fn variance_stats_match_brute_force() {
         let mut device = DeviceModel::ideal();
         device.d2d_sigma = 0.08;
         device.on_off_ratio = 20.0;
-        device.ir_drop_alpha = 0.1;
         let mut rng = Rng::from_seed(11);
-        let mut tile = Tile::program(&weights(), &device, &mut rng).unwrap();
+        let mut tile = ir_dropped(Tile::program(&weights(), &device, &mut rng).unwrap());
         tile.flip_column(1, &mut rng).unwrap(); // polarity folds into the error
         let stats = tile.variance_stats();
         let (rows, cols) = tile.dims();
@@ -1413,11 +1422,9 @@ mod tests {
 
     #[test]
     fn ir_drop_attenuates_far_cells() {
-        let mut device = DeviceModel::ideal();
-        device.ir_drop_alpha = 0.2;
         let mut rng = Rng::from_seed(7);
         let w = Tensor::ones(&[4, 4]);
-        let tile = Tile::program(&w, &device, &mut rng).unwrap();
+        let tile = ir_dropped(Tile::program(&w, &DeviceModel::ideal(), &mut rng).unwrap());
         // drive only the first row vs only the last row: the near cell
         // contributes more
         let mut near = [0.0f32; 4];
@@ -1628,15 +1635,20 @@ mod tests {
             .is_err());
     }
 
-    /// A non-trivial device: d2d spread, c2c noise, IR drop, finite
-    /// on/off ratio — exercises every cached quantity.
+    /// A non-trivial device: d2d spread, c2c noise, finite on/off ratio.
+    /// Programmed through [`lossy_tile`], which adds IR drop, it
+    /// exercises every cached quantity.
     fn lossy_device() -> DeviceModel {
         let mut device = DeviceModel::ideal();
         device.d2d_sigma = 0.05;
         device.c2c_sigma = 0.03;
-        device.ir_drop_alpha = 0.1;
         device.on_off_ratio = 20.0;
         device
+    }
+
+    /// `w` programmed on [`lossy_device`], with IR drop folded in.
+    fn lossy_tile(w: &Tensor, rng: &mut Rng) -> Tile {
+        ir_dropped(Tile::program(w, &lossy_device(), rng).unwrap())
     }
 
     /// `mvm` and `mvm_reference` on one drive from identically seeded
@@ -1669,7 +1681,7 @@ mod tests {
             &[5, 4],
         )
         .unwrap();
-        let tile = Tile::program(&w, &lossy_device(), &mut rng).unwrap();
+        let tile = lossy_tile(&w, &mut rng);
         assert!(!tile.packed_ready(true), "a lossy tile is off its rails");
         // the all-zero drive gates every c2c draw off
         for x in [[1.0, -1.0, 0.0, 1.0, -1.0], [0.0; 5]] {
@@ -1693,7 +1705,7 @@ mod tests {
         // stuck-broken c2c uniformity break it, rail writes keep it, and
         // execution is bitwise the reference either way
         let mut rng = Rng::from_seed(53);
-        let tile = Tile::program(&weights(), &lossy_device(), &mut rng).unwrap();
+        let tile = lossy_tile(&weights(), &mut rng);
         assert!(!tile.packed_ready(false), "d2d weights must not pack");
         assert!(!tile.packed_ready(true));
         let noise = NoiseSpec::functional(0.3);
@@ -1752,6 +1764,70 @@ mod tests {
         assert_eq!(a, b, "fractional drives must serve the cached results");
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Under any wire model's IR drop the cached loop stays bitwise
+        /// the raw-conductance oracle on ±1 and ±1/0 drives, fresh from
+        /// programming and after any sequence of mutations: every cache
+        /// patch path folds the attenuation in. Integration tests cannot
+        /// fold a map into a bare tile, so the randomized IR-drop arms of
+        /// the kernel and non-ideality suites run here.
+        #[test]
+        fn ir_dropped_tiles_stay_bitwise_reference_through_mutations(
+            seed in 0u64..400,
+            rows in 3usize..10,
+            cols in 3usize..10,
+            gwire in 1e3f32..1e6,
+            ops in proptest::collection::vec(0usize..7, 0..10),
+        ) {
+            let mut rng = Rng::from_seed(seed);
+            let w = Tensor::from_fn(&[rows, cols], |_| if rng.coin(0.5) { 1.0 } else { -1.0 });
+            let mut device = lossy_device();
+            device.stuck_on_rate = 0.02;
+            device.stuck_off_rate = 0.02;
+            let wiring = NonIdealitySpec { gwire, ..NonIdealitySpec::realistic() };
+            let map = wiring.attenuation_map(rows, cols, device.g_on).unwrap();
+            proptest::prop_assert!(map.iter().all(|&a| a < 1.0), "every cell must see IR drop");
+            let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
+            tile.scale_attenuation(&map);
+            let probes = [
+                (0..rows).map(|i| [1.0, -1.0][(i + seed as usize) % 2]).collect::<Vec<f32>>(),
+                (0..rows).map(|i| [1.0, -1.0, 0.0][(i + seed as usize) % 3]).collect(),
+            ];
+            let noise = NoiseSpec::functional(0.2);
+            let mut stats = ProgramStats::default();
+            for (k, &op) in ops.iter().enumerate() {
+                for x in &probes {
+                    let [fast, slow] = mvm_and_reference(&tile, x, &noise, seed + k as u64);
+                    proptest::prop_assert_eq!(fast, slow, "stale before op {} of {:?}", k, ops);
+                }
+                match op {
+                    0 => tile.age(50.0 * (k + 1) as f32, 0.05, 0.01, &mut rng),
+                    1 => tile.flip_column(k % cols, &mut rng).unwrap(),
+                    2 => tile.replace_row(k % rows, &mut rng).unwrap(),
+                    3 => tile.replace_col(k % cols, &mut rng).unwrap(),
+                    4 => {
+                        let policy = WriteVerify::standard();
+                        tile.reprogram_pair(k % rows, k % cols, &policy, &mut rng, &mut stats)
+                            .unwrap();
+                    }
+                    5 => tile.refresh(None, &mut rng, &mut stats),
+                    _ => {
+                        let side = [CellSide::Pos, CellSide::Neg][k % 2];
+                        let health =
+                            [CellHealth::StuckOn, CellHealth::StuckOff, CellHealth::Healthy][k % 3];
+                        tile.inject_fault(k % rows, k % cols, side, health).unwrap();
+                    }
+                }
+            }
+            for x in &probes {
+                let [fast, slow] = mvm_and_reference(&tile, x, &noise, seed + 99);
+                proptest::prop_assert_eq!(fast, slow, "stale cache after {:?}", ops);
+            }
+        }
+    }
+
     #[test]
     fn every_mutation_keeps_the_cache_fresh() {
         // after each mutation the cached loop must still agree with the
@@ -1759,7 +1835,7 @@ mod tests {
         // stale
         let mut rng = Rng::from_seed(22);
         let w = weights();
-        let mut tile = Tile::program(&w, &lossy_device(), &mut rng).unwrap();
+        let mut tile = lossy_tile(&w, &mut rng);
         let check = |tile: &Tile, what: &str| {
             let [fast, slow] =
                 mvm_and_reference(tile, &[1.0, -1.0, 1.0], &NoiseSpec::functional(0.2), 5);
@@ -1793,7 +1869,7 @@ mod tests {
         let (tile_v, _) =
             Tile::program_verified(&w, &lossy_device(), &WriteVerify::standard(), &mut rng)
                 .unwrap();
-        check(&tile_v, "program_verified");
+        check(&ir_dropped(tile_v), "program_verified");
     }
 
     #[test]
@@ -1809,7 +1885,7 @@ mod tests {
             &[4, 6],
         )
         .unwrap();
-        let mut tile = Tile::program(&w, &lossy_device(), &mut rng).unwrap();
+        let mut tile = lossy_tile(&w, &mut rng);
         tile.flip_column(3, &mut rng).unwrap(); // non-trivial polarity
         let noise = NoiseSpec::functional(0.3);
         // thermometer-style schedule: row r stays +1 for highs[r] pulses
@@ -1877,7 +1953,7 @@ mod tests {
         // noise-free read compares exactly
         let mut device = lossy_device();
         device.c2c_sigma = 0.0;
-        let mut tile = Tile::program(&weights(), &device, &mut rng).unwrap();
+        let mut tile = ir_dropped(Tile::program(&weights(), &device, &mut rng).unwrap());
         tile.flip_column(1, &mut rng).unwrap();
         tile.arm_guard();
         let x = [1.0, 1.0, -1.0];

@@ -9,12 +9,18 @@
 //! the closed-form variance
 //! laws (paper Eqs. 2/3) must keep holding when the Monte-Carlo runs
 //! through the parallel path.
+//!
+//! Every multi-thread case sizes its batch so that the engine's thread
+//! plan really splits it: at least two workers of `SAMPLES_PER_THREAD`
+//! samples each at every thread cap it compares against one thread.
 
 use membit_encoding::pla::PlaThermometer;
 use membit_encoding::{BitEncoder, BitSlicing, PulseTrain, Thermometer};
+use membit_tensor::parallel::plan_threads;
 use membit_tensor::{Rng, RngStream, Tensor};
 use membit_xbar::{
     CellHealth, CellSide, CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, XbarConfig,
+    SAMPLES_PER_THREAD,
 };
 use proptest::prelude::*;
 
@@ -32,6 +38,14 @@ fn dense_twin(train: &PulseTrain) -> PulseTrain {
     PulseTrain::new(pulses, train.weights().into_owned()).unwrap()
 }
 
+/// Whether a batch of `batch` samples runs on at least two workers at
+/// every thread cap in `threads`.
+fn fans_out(batch: usize, threads: &[usize]) -> bool {
+    threads
+        .iter()
+        .all(|&t| plan_threads(batch, t, SAMPLES_PER_THREAD) >= 2)
+}
+
 /// Programs and executes under the given thread cap, returning the raw
 /// output bits and stats.
 fn run(
@@ -41,10 +55,7 @@ fn run(
     seed: u64,
     threads: usize,
 ) -> (Vec<f32>, ExecutionStats) {
-    cfg.exec = ExecOptions {
-        max_threads: threads,
-        samples_per_thread: 1,
-    };
+    cfg.exec = ExecOptions::with_threads(threads);
     let mut rng = Rng::from_seed(seed);
     let engine = CrossbarLinear::program(w, &cfg, &mut rng).unwrap();
     let (y, stats) = engine.execute_with_stats(train, &mut rng).unwrap();
@@ -61,8 +72,9 @@ proptest! {
         tile_cols in 3usize..12,
         encoder in 0usize..3,
         noise_kind in 0usize..3,
-        batch in 1usize..7,
+        batch in 4usize..13,
     ) {
+        prop_assert!(fans_out(batch, &[2, 8]));
         let w = pm1_matrix(10, 14, seed);
         let x = Tensor::from_fn(&[batch, 14], |i| {
             (((i * 5 + seed as usize) % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0)
@@ -95,9 +107,10 @@ proptest! {
         tile_rows in 3usize..12,
         tile_cols in 3usize..12,
         noise_kind in 0usize..3,
-        batch in 1usize..7,
+        batch in 4usize..13,
         faults in proptest::collection::vec((0usize..14, 0usize..10), 0..6),
     ) {
+        prop_assert!(fans_out(batch, &[2, 8]));
         // the guard's checksum, retry, and ladder noise all come from
         // substreams keyed by (pulse, sample, tile, stream-tag, attempt),
         // and ladder decisions depend only on order-independent per-tile
@@ -120,7 +133,7 @@ proptest! {
 
         let run_guarded = |threads: usize| {
             let mut cfg = cfg;
-            cfg.exec = ExecOptions { max_threads: threads, samples_per_thread: 1 };
+            cfg.exec = ExecOptions::with_threads(threads);
             let mut rng = Rng::from_seed(seed + 5000);
             let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
             for &(row, col) in &faults {
@@ -164,6 +177,7 @@ proptest! {
 fn guard_retry_path_is_bitwise_identical_across_thread_counts() {
     let w = pm1_matrix(12, 16, 77);
     let x = Tensor::from_fn(&[8, 16], |i| ((i % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0));
+    assert!(fans_out(8, &[2, 8]));
     let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
     let mut policy = GuardPolicy::standard();
     policy.z = 2.0; // ~4.6% of clean checks trip → plenty of retries
@@ -178,10 +192,7 @@ fn guard_retry_path_is_bitwise_identical_across_thread_counts() {
 
     let run_guarded = |threads: usize, train: &PulseTrain| {
         let mut cfg = cfg;
-        cfg.exec = ExecOptions {
-            max_threads: threads,
-            samples_per_thread: 1,
-        };
+        cfg.exec = ExecOptions::with_threads(threads);
         let mut rng = Rng::from_seed(78);
         let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
         let (y, stats) = engine.execute_guarded(train, &mut rng).unwrap();
@@ -208,7 +219,7 @@ fn guard_retry_path_is_bitwise_identical_across_thread_counts() {
 
 /// Paper Eq. 3 — thermometer codes with `p` pulses average per-pulse
 /// noise down to variance σ²/p — must hold when the Monte-Carlo batch
-/// runs through the multi-threaded path (8 samples per execute, one per
+/// runs through the multi-threaded path (8 samples per execute, two per
 /// worker).
 #[test]
 fn monte_carlo_variance_matches_eq3_under_parallel_execution() {
@@ -216,13 +227,11 @@ fn monte_carlo_variance_matches_eq3_under_parallel_execution() {
     let sigma = 2.0f32;
     let p = 8usize;
     let mut cfg = XbarConfig::functional(sigma);
-    cfg.exec = ExecOptions {
-        max_threads: 8,
-        samples_per_thread: 1,
-    };
+    cfg.exec = ExecOptions::with_threads(8);
     let mut rng = Rng::from_seed(41);
     let xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
     let batch = 8usize;
+    assert!(fans_out(batch, &[8]));
     let train = Thermometer::new(p)
         .unwrap()
         .encode_tensor(&Tensor::zeros(&[batch, 4]))
@@ -249,13 +258,11 @@ fn monte_carlo_variance_matches_eq2_under_parallel_execution() {
     let sigma = 2.0f32;
     let b = 3usize;
     let mut cfg = XbarConfig::functional(sigma);
-    cfg.exec = ExecOptions {
-        max_threads: 8,
-        samples_per_thread: 1,
-    };
+    cfg.exec = ExecOptions::with_threads(8);
     let mut rng = Rng::from_seed(42);
     let xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
     let batch = 8usize;
+    assert!(fans_out(batch, &[8]));
     let train = BitSlicing::new(b)
         .unwrap()
         .encode_tensor(&Tensor::zeros(&[batch, 4]))
@@ -292,13 +299,11 @@ fn rails_guard_ladder_is_bitwise_identical_across_thread_counts() {
     let w = pm1_matrix(16, 32, 61);
     let x = pm1_matrix(4, 32, 62);
     let train = dense_twin(&Thermometer::new(8).unwrap().encode_tensor(&x).unwrap());
+    assert!(fans_out(4, &[4]));
 
     let run_guarded = |threads: usize| {
         let mut cfg = cfg;
-        cfg.exec = ExecOptions {
-            max_threads: threads,
-            samples_per_thread: 1,
-        };
+        cfg.exec = ExecOptions::with_threads(threads);
         let mut rng = Rng::from_seed(63);
         let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
         assert!(engine.packed_ready(), "fixture must be rail-programmed");
@@ -334,6 +339,7 @@ fn engine_bench_cases_are_bitwise_identical_across_its_thread_sweep() {
     let seed = 2022u64;
     // (out_features, in_features, batch, pulses)
     for (out, inp, batch, pulses) in [(48, 96, 16, 4), (256, 512, 64, 8), (128, 288, 256, 8)] {
+        assert!(fans_out(batch, &[2, 4, 8]));
         let w = pm1_matrix(out, inp, seed);
         let x = pm1_matrix(batch, inp, seed ^ 1);
         let train = Thermometer::new(pulses).unwrap().encode_tensor(&x).unwrap();

@@ -31,7 +31,7 @@ use membit_encoding::{BitEncoder, PulseTrain, Thermometer};
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{
     CellHealth, CellSide, CrossbarLinear, DeviceModel, ExecOptions, ExecutionStats, GuardPolicy,
-    NoiseSpec, ProgramStats, RecoveryPolicy, Tile, WriteVerify, XbarConfig,
+    NoiseSpec, NonIdealitySpec, ProgramStats, RecoveryPolicy, Tile, WriteVerify, XbarConfig,
 };
 use proptest::prelude::*;
 
@@ -142,9 +142,14 @@ proptest! {
             _ => XbarConfig::realistic(0.2), // ADC + variation + write-verify
         };
         cfg.noise.device.c2c_sigma = if noise_kind == 2 { 0.03 } else { 0.0 };
-        cfg.noise.device.ir_drop_alpha = if noise_kind == 2 { 0.05 } else { 0.0 };
         cfg.tile_rows = tile_rows;
         cfg.tile_cols = tile_cols;
+        if noise_kind == 2 {
+            // wire-model IR drop, lossy enough to attenuate every cell
+            cfg.nonideal = NonIdealitySpec { gwire: 1e4, gload: 1e5, ..NonIdealitySpec::ideal() };
+            let map = cfg.nonideal.attenuation_map(tile_rows, tile_cols, cfg.noise.device.g_on);
+            prop_assert!(map.is_some_and(|m| m.iter().all(|&a| a < 1.0)));
+        }
 
         // the delta schedule runs from the counts, the dense twin through
         // the cached loop, on identical hardware and noise substreams
@@ -303,10 +308,12 @@ proptest! {
         cols in 3usize..10,
         ops in proptest::collection::vec(0usize..7, 1..10),
     ) {
+        // IR drop enters a tile only through the engine's wire-model map,
+        // so the randomized mutation sequences under IR drop run in
+        // `tile::tests::ir_dropped_tiles_stay_bitwise_reference_through_mutations`
         let mut device = DeviceModel::ideal();
         device.d2d_sigma = 0.04;
         device.c2c_sigma = 0.02;
-        device.ir_drop_alpha = 0.05;
         device.on_off_ratio = 20.0;
         device.stuck_on_rate = 0.02;
         device.stuck_off_rate = 0.02;

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint. Run before every push.
+# Tier-1 gate: format, build, test, lint. Run before every push.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "=== cargo fmt --check ==="
+# formatting drift makes every later diff noisy; fail on it first
+cargo fmt --all -- --check
 
 echo "=== cargo build --release ==="
 cargo build --release --workspace

@@ -4,7 +4,7 @@
 use membit_core::{
     evaluate, pretrain, CrossbarModel, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, TrainConfig,
 };
-use membit_data::{shapes, synth_cifar, Dataset, ShapesConfig, SynthCifarConfig};
+use membit_data::{synth_cifar, Dataset, SynthCifarConfig};
 use membit_nn::{load_params, save_params, NoNoise, Params, Vgg, VggConfig};
 use membit_tensor::{Rng, RngStream, Tensor};
 use membit_xbar::XbarConfig;
@@ -96,15 +96,18 @@ fn ideal_device_level_agrees_with_functional_model() {
 }
 
 #[test]
-fn shapes_dataset_trains_a_single_channel_model() {
-    // the secondary dataset flows through the same machinery; a few more
-    // samples than `tiny` keeps the accuracy check statistically stable
-    let shapes_cfg = ShapesConfig {
+fn single_channel_dataset_trains_a_single_channel_model() {
+    // one-channel, four-class images flow through the same machinery; a
+    // few more samples than `tiny` keeps the accuracy check
+    // statistically stable
+    let data_cfg = SynthCifarConfig {
+        num_classes: 4,
         train_per_class: 30,
         test_per_class: 10,
-        ..ShapesConfig::tiny()
+        channels: 1,
+        ..SynthCifarConfig::tiny()
     };
-    let (train, test) = shapes(&shapes_cfg, 8).expect("shapes");
+    let (train, test) = synth_cifar(&data_cfg, 8).expect("data");
     assert_eq!(train.sample_shape(), &[1, 8, 8]);
     let mut rng = Rng::from_seed(8).stream(RngStream::Init);
     let mut params = Params::new();
@@ -125,7 +128,10 @@ fn shapes_dataset_trains_a_single_channel_model() {
     };
     pretrain(&mut mlp, &mut params, &train, &cfg, &mut NoNoise).expect("train");
     let acc = evaluate(&mut mlp, &params, &test, 16).expect("eval");
-    assert!(acc > 0.4, "shapes accuracy only {acc} (chance 0.25)");
+    assert!(
+        acc > 0.4,
+        "single-channel accuracy only {acc} (chance 0.25)"
+    );
 }
 
 #[test]

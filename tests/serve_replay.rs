@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use membit_core::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
 use membit_nn::{Params, Vgg, VggConfig};
 use membit_serve::{
-    replay_shards, ChaosAction, ClockMode, RequestLog, RetryPolicy, RoutePolicy, ServeConfig,
-    ServeError, ShardServer, ShardSetReport,
+    replay_shards, ChaosAction, RequestLog, RoutePolicy, ServeConfig, ServeError, ShardServer,
+    ShardSetReport,
 };
 use membit_tensor::{Rng, RngStream};
 use membit_xbar::{GuardPolicy, XbarConfig};
@@ -47,7 +47,6 @@ fn sample(i: usize) -> Vec<f32> {
 fn assert_replays_bitwise(
     fleet: impl Fn() -> Vec<DeviceVgg>,
     seed: u64,
-    retry: &RetryPolicy,
     report: &ShardSetReport<DeviceVgg>,
     live: &HashMap<u64, Vec<f32>>,
     threads: &[usize],
@@ -58,7 +57,7 @@ fn assert_replays_bitwise(
         for m in &mut fresh {
             m.set_max_threads(t).expect("threads");
         }
-        let rows = replay_shards(&mut fresh, seed, retry, &logs).expect("replay_shards");
+        let rows = replay_shards(&mut fresh, seed, &logs).expect("replay_shards");
         assert_eq!(rows.len(), live.len());
         for (id, row) in rows {
             assert_eq!(
@@ -78,7 +77,6 @@ fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
     let seed = 42;
     let mut cfg = ServeConfig::standard(seed);
     cfg.max_batch = 4;
-    let retry = cfg.retry;
     let server =
         ShardServer::start(vec![deploy_tiny(seed)], cfg, RoutePolicy::Rendezvous).expect("start");
 
@@ -112,7 +110,7 @@ fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
     // the log alone reproduces every response bitwise, regardless of
     // the replaying engine's thread fan-out
     let fleet = || vec![deploy_tiny(seed)];
-    assert_replays_bitwise(fleet, seed, &retry, &report, &live, &[1, 4]);
+    assert_replays_bitwise(fleet, seed, &report, &live, &[1, 4]);
 }
 
 #[test]
@@ -120,8 +118,6 @@ fn kill_and_replay_reproduces_completed_responses() {
     let seed = 7;
     let mut cfg = ServeConfig::standard(seed);
     cfg.max_batch = 1;
-    cfg.block_align = 1;
-    let retry = cfg.retry;
     let server =
         ShardServer::start(vec![deploy_tiny(seed)], cfg, RoutePolicy::Rendezvous).expect("start");
     let handles: Vec<_> = (0..8)
@@ -144,14 +140,7 @@ fn kill_and_replay_reproduces_completed_responses() {
     }
     assert_eq!(cancelled, report.stats.cancelled);
     assert_eq!(live.len() as u64, report.stats.completed);
-    assert_replays_bitwise(
-        || vec![deploy_tiny(seed)],
-        seed,
-        &retry,
-        &report,
-        &live,
-        &[1],
-    );
+    assert_replays_bitwise(|| vec![deploy_tiny(seed)], seed, &report, &live, &[1]);
 }
 
 #[test]
@@ -165,8 +154,6 @@ fn sharded_server_survives_chaos_and_replays_bitwise() {
     let fleet = || -> Vec<DeviceVgg> { (0..3).map(|s| deploy_tiny(seed + s as u64)).collect() };
     let mut cfg = ServeConfig::standard(seed);
     cfg.max_batch = 2;
-    cfg.block_align = 1;
-    let retry = cfg.retry;
     let server = ShardServer::start(fleet(), cfg, RoutePolicy::Rendezvous).expect("start");
 
     let mut handles = Vec::new();
@@ -213,50 +200,7 @@ fn sharded_server_survives_chaos_and_replays_bitwise() {
     assert!(report.stats.chaos_events >= 1, "upset must have applied");
     assert_eq!(report.stats.reconfigures, 1, "swap must have applied");
     assert_eq!(report.shards.len(), 3);
-    assert_replays_bitwise(fleet, seed, &retry, &report, &live, &[1, 4]);
-}
-
-#[test]
-fn monotonic_clock_expires_on_wall_time_and_replays_bitwise() {
-    let seed = 23;
-    let mut cfg = ServeConfig::standard(seed);
-    cfg.clock = ClockMode::Monotonic;
-    // generous wall deadline for real work (10 s in ns)
-    cfg.default_deadline_ns = 10_000_000_000;
-    let retry = cfg.retry;
-    let server =
-        ShardServer::start(vec![deploy_tiny(seed)], cfg, RoutePolicy::Rendezvous).expect("start");
-
-    // a 1 ns wall budget is over before any batch can pick it up
-    let doomed = server.submit(sample(0), Some(1)).expect("submit");
-    let handles: Vec<_> = (1..7)
-        .map(|i| server.submit(sample(i), None).expect("submit"))
-        .collect();
-    assert!(matches!(
-        doomed.wait(),
-        Err(ServeError::DeadlineExceeded { .. })
-    ));
-    let mut live: HashMap<u64, Vec<f32>> = HashMap::new();
-    for h in handles {
-        let id = h.id();
-        let r = h.wait().expect("wall deadline is generous");
-        live.insert(id, r.output);
-    }
-    let report = server.shutdown().expect("shutdown");
-    assert!(report.stats.accounted(), "{:?}", report.stats);
-    assert_eq!(report.stats.expired, 1);
-    assert_eq!(report.stats.completed, 6);
-
-    // replay always follows the logged virtual timeline: the wall-clock
-    // mode changes which requests expire, never any response bits
-    assert_replays_bitwise(
-        || vec![deploy_tiny(seed)],
-        seed,
-        &retry,
-        &report,
-        &live,
-        &[1],
-    );
+    assert_replays_bitwise(fleet, seed, &report, &live, &[1, 4]);
 }
 
 #[test]
@@ -265,7 +209,6 @@ fn overload_surfaces_typed_errors_not_silent_drops() {
     let mut cfg = ServeConfig::standard(seed);
     cfg.queue_capacity = 2;
     cfg.max_batch = 1;
-    cfg.block_align = 1;
     let server =
         ShardServer::start(vec![deploy_tiny(seed)], cfg, RoutePolicy::Rendezvous).expect("start");
     let mut handles = Vec::new();
