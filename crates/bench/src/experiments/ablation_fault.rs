@@ -39,7 +39,6 @@ fn policy_for(label: &str, batch: u64) -> DeploymentPolicy {
                 check_interval: batch,
                 // fire on the ≈10% decay this sweep applies
                 decay_threshold: 0.05,
-                ..HealthMonitor::standard()
             }),
         },
         other => unreachable!("unknown policy label {other}"),

@@ -28,8 +28,8 @@ use membit_xbar::{
 use crate::Result;
 
 /// Fault-aware deployment policy: what the deployment pipeline does about
-/// manufacturing faults at program time and about retention drift in
-/// service.
+/// manufacturing faults at program time and about retention drift during
+/// evaluation.
 ///
 /// The default is a bare deployment (no recovery, no monitoring) —
 /// existing experiments are unaffected unless they opt in.
@@ -38,8 +38,11 @@ pub struct DeploymentPolicy {
     /// Post-programming fault recovery (march test → remap); `None`
     /// deploys whatever programming produced.
     pub recovery: Option<RecoveryPolicy>,
-    /// In-service drift monitoring with refresh; `None` never re-checks
-    /// deployed arrays.
+    /// Drift monitoring with refresh; `None` never re-checks deployed
+    /// arrays. Only [`DeviceVgg::evaluate`] ticks it:
+    /// [`DeviceVgg::forward`] neither counts vectors nor probes, so a
+    /// deployment served or driven batch by batch through `forward`
+    /// never refreshes.
     pub monitor: Option<HealthMonitor>,
 }
 
@@ -53,16 +56,12 @@ impl DeploymentPolicy {
         }
     }
 
-    /// Validates the embedded policies.
+    /// Validates the embedded monitor.
     ///
     /// # Errors
     ///
-    /// Propagates [`RecoveryPolicy::validate`] /
-    /// [`HealthMonitor::validate`] errors.
+    /// Propagates [`HealthMonitor::validate`] errors.
     pub fn validate(&self) -> Result<()> {
-        if let Some(r) = &self.recovery {
-            r.validate()?;
-        }
         if let Some(m) = &self.monitor {
             m.validate()?;
         }
@@ -565,6 +564,9 @@ impl DeviceVgg {
     /// for the ladder's refresh/remap repairs); without one this is the
     /// plain execution path, bit for bit.
     ///
+    /// A forward never ticks the deployed [`HealthMonitor`]; only
+    /// [`evaluate`](Self::evaluate) counts vectors and probes for drift.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] unless `images` has rank 4,
@@ -615,7 +617,8 @@ impl DeviceVgg {
     /// When a [`HealthMonitor`] is deployed, arrays are periodically
     /// probed between batches and drift-refreshed when their measured
     /// conductance decay crosses the monitor's threshold (`&mut self`
-    /// exists for exactly this re-programming). The returned stats carry
+    /// exists for exactly this re-programming). This is the only call
+    /// that ticks the monitor. The returned stats carry
     /// the fault-exposure fields: `unrecoverable_cells`/`degraded_tiles`
     /// reflect the deployment's recovery outcome (set once, not summed
     /// per batch) and `refreshes` counts the refresh passes this call
@@ -670,7 +673,7 @@ impl DeviceVgg {
         self.vectors_since_check = 0;
         let mut refreshed = 0u64;
         for engine in self.engines_mut() {
-            if monitor.needs_refresh(engine.measure_decay(monitor.probes, rng)) {
+            if monitor.needs_refresh(engine.measure_decay(rng)) {
                 engine.refresh(rng);
                 refreshed += 1;
             }
@@ -743,25 +746,9 @@ impl DeviceVgg {
     /// `rate` lies in `[0, 1]`; propagates injection errors (coordinates
     /// are drawn in range, so none are expected).
     pub fn inject_faults(&mut self, rate: f32, rng: &mut Rng) -> Result<u64> {
-        check_fault_rate(rate)?;
-        let mut injected = 0u64;
-        for engine in self.engines_mut() {
-            let (out, inp) = engine.dims();
-            let count = ((out * inp) as f32 * rate).round() as usize;
-            for _ in 0..count {
-                let row = rng.below(inp);
-                let col = rng.below(out);
-                let side = if rng.coin(0.5) {
-                    CellSide::Pos
-                } else {
-                    CellSide::Neg
-                };
-                let high = rng.coin(0.5);
-                engine.upset_cell(row, col, side, high)?;
-                injected += 1;
-            }
-        }
-        Ok(injected)
+        self.inject(rate, rng, |engine, row, col, side, rng| {
+            engine.upset_cell(row, col, side, rng.coin(0.5))
+        })
     }
 
     /// Injects *persistent* stuck-at faults at the given per-cell `rate`
@@ -778,6 +765,31 @@ impl DeviceVgg {
     ///
     /// As [`Self::inject_faults`].
     pub fn inject_stuck_faults(&mut self, rate: f32, rng: &mut Rng) -> Result<u64> {
+        self.inject(rate, rng, |engine, row, col, side, rng| {
+            let health = if rng.coin(0.5) {
+                CellHealth::StuckOn
+            } else {
+                CellHealth::StuckOff
+            };
+            engine.inject_fault(row, col, side, health)
+        })
+    }
+
+    /// The loop both injectors share: per crossbar engine, draws
+    /// `round(cells·rate)` cells — row, column and side, in that order —
+    /// and hands each to `hit`, which draws the rest of the fault.
+    fn inject(
+        &mut self,
+        rate: f32,
+        rng: &mut Rng,
+        mut hit: impl FnMut(
+            &mut CrossbarLinear,
+            usize,
+            usize,
+            CellSide,
+            &mut Rng,
+        ) -> membit_xbar::Result<()>,
+    ) -> Result<u64> {
         check_fault_rate(rate)?;
         let mut injected = 0u64;
         for engine in self.engines_mut() {
@@ -791,12 +803,7 @@ impl DeviceVgg {
                 } else {
                     CellSide::Neg
                 };
-                let health = if rng.coin(0.5) {
-                    CellHealth::StuckOn
-                } else {
-                    CellHealth::StuckOff
-                };
-                engine.inject_fault(row, col, side, health)?;
+                hit(engine, row, col, side, rng)?;
                 injected += 1;
             }
         }
@@ -1308,7 +1315,6 @@ mod tests {
                 monitor: Some(HealthMonitor {
                     check_interval: 4,
                     decay_threshold: 0.1,
-                    probes: 32,
                 }),
             },
         };

@@ -9,9 +9,12 @@ use crate::Result;
 
 /// The paper's Eq. 1/Eq. 3 functional noise: after the MVM of crossbar
 /// layer `l`, adds `N(0, (σ_l/√p_l)²)` — per-pulse noise `σ_l` averaged
-/// over `p_l` thermometer pulses.
+/// over `p_l` thermometer pulses. A layer with `σ_l = 0` is left clean
+/// and draws nothing.
 ///
-/// Used for the Baseline rows (uniform `p = 8`) and inside NIA training.
+/// Used for the Baseline rows (uniform `p = 8`), inside NIA training, as
+/// the noise of [`PlaHook`], and as Fig. 2's single-layer probe (`σ` zero
+/// except at the probed layer, one pulse per layer).
 #[derive(Debug)]
 pub struct GaussianMvmNoise {
     sigma: Vec<f32>,
@@ -51,14 +54,30 @@ impl GaussianMvmNoise {
         Self::new(vec![sigma; layers], vec![pulses; layers], rng)
     }
 
-    fn std_for(&self, layer: usize) -> f32 {
-        self.sigma[layer] / (self.pulses[layer] as f32).sqrt()
+    /// The pulse count `p_l` of crossbar layer `layer`, or a typed error
+    /// past the last layer the hook covers.
+    fn pulses_at(&self, layer: usize) -> NnResult<usize> {
+        check_layer(layer, self.pulses.len())?;
+        Ok(self.pulses[layer])
+    }
+}
+
+/// Rejects crossbar layer `layer` of a model deeper than the `layers` a
+/// hook was sized for.
+fn check_layer(layer: usize, layers: usize) -> NnResult<()> {
+    if layer < layers {
+        Ok(())
+    } else {
+        Err(TensorError::InvalidArgument(format!(
+            "noise hook covers crossbar layers 0..{layers} but the model reached layer {layer}"
+        )))
     }
 }
 
 impl MvmNoiseHook for GaussianMvmNoise {
     fn apply(&mut self, tape: &mut Tape, layer: usize, mvm_out: VarId) -> NnResult<VarId> {
-        let std = self.std_for(layer);
+        let pulses = self.pulses_at(layer)?;
+        let std = self.sigma[layer] / (pulses as f32).sqrt();
         if std == 0.0 {
             return Ok(mvm_out);
         }
@@ -82,17 +101,16 @@ impl MvmNoiseHook for GaussianMvmNoise {
 ///
 /// * its **input activations** are snapped onto the `q_l + 1` levels the
 ///   code can represent (`encode`), and
-/// * its MVM output picks up `N(0, σ_l²/q_l)` accumulated noise (`apply`).
+/// * its MVM output picks up `N(0, σ_l²/q_l)` accumulated noise (`apply`,
+///   a [`GaussianMvmNoise`] over the same pulse counts).
 ///
 /// Uniform `q = 8` with 9-level activations reduces exactly to the
 /// Baseline (the snap is the identity). Per-layer `q_l` vectors express
 /// GBO's heterogeneous solutions.
 #[derive(Debug)]
 pub struct PlaHook {
-    pulses: Vec<usize>,
-    sigma: Vec<f32>,
+    noise: GaussianMvmNoise,
     act_levels: usize,
-    rng: Rng,
 }
 
 impl PlaHook {
@@ -104,26 +122,11 @@ impl PlaHook {
     /// Returns [`TensorError::InvalidArgument`] on length mismatches or
     /// degenerate parameters.
     pub fn new(pulses: Vec<usize>, sigma: Vec<f32>, act_levels: usize, rng: Rng) -> Result<Self> {
-        if sigma.len() != pulses.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "{} sigmas but {} pulse counts",
-                sigma.len(),
-                pulses.len()
-            ))
-            .into());
+        let noise = GaussianMvmNoise::new(sigma, pulses, rng)?;
+        if act_levels < 2 {
+            return Err(TensorError::InvalidArgument("act_levels must be ≥ 2".into()).into());
         }
-        if pulses.contains(&0) || act_levels < 2 {
-            return Err(TensorError::InvalidArgument(
-                "pulse counts must be nonzero and act_levels ≥ 2".into(),
-            )
-            .into());
-        }
-        Ok(Self {
-            pulses,
-            sigma,
-            act_levels,
-            rng,
-        })
+        Ok(Self { noise, act_levels })
     }
 
     /// Uniform-pulse constructor (`PLA_q` rows of Table I).
@@ -143,24 +146,18 @@ impl PlaHook {
 
     /// Average pulse count across layers.
     pub fn avg_pulses(&self) -> f32 {
-        self.pulses.iter().sum::<usize>() as f32 / self.pulses.len().max(1) as f32
+        let pulses = &self.noise.pulses;
+        pulses.iter().sum::<usize>() as f32 / pulses.len().max(1) as f32
     }
 }
 
 impl MvmNoiseHook for PlaHook {
     fn apply(&mut self, tape: &mut Tape, layer: usize, mvm_out: VarId) -> NnResult<VarId> {
-        let std = self.sigma[layer] / (self.pulses[layer] as f32).sqrt();
-        if std == 0.0 {
-            return Ok(mvm_out);
-        }
-        let shape = tape.value(mvm_out).shape().to_vec();
-        let noise = self.rng.normal_tensor(&shape, 0.0, std);
-        let c = tape.constant(noise);
-        tape.add(mvm_out, c)
+        self.noise.apply(tape, layer, mvm_out)
     }
 
     fn encode(&mut self, tape: &mut Tape, layer: usize, input: VarId) -> NnResult<VarId> {
-        let q = self.pulses[layer];
+        let q = self.noise.pulses_at(layer)?;
         if q == self.act_levels - 1 || q.is_multiple_of(self.act_levels - 1) {
             // exact representation (the base code or an integer-ensemble
             // multiple of it) — no approximation error
@@ -172,189 +169,11 @@ impl MvmNoiseHook for PlaHook {
     }
 
     fn state_rng(&self) -> Option<&Rng> {
-        Some(&self.rng)
+        self.noise.state_rng()
     }
 
     fn state_rng_mut(&mut self) -> Option<&mut Rng> {
-        Some(&mut self.rng)
-    }
-}
-
-/// Variation-aware NIA hook: the functional noise of [`GaussianMvmNoise`]
-/// with per-pass *physical operating-condition* sampling layered on top.
-///
-/// Each forward pass draws an operating temperature uniformly from the
-/// configured range and an IR-drop severity uniformly from `[0, droop]`;
-/// every crossbar layer of that pass then sees
-///
-/// * its MVM output scaled by `1 − severity` (the mean attenuation a
-///   resistive wire network applies, see
-///   [`membit_xbar::NonIdealitySpec::attenuation`]), and
-/// * Gaussian noise with `σ_l/√p_l` scaled by `√(T/T_REF)` — the same
-///   Johnson-noise temperature law the device layer applies via
-///   [`membit_xbar::NonIdealitySpec::scaled_noise`].
-///
-/// Fine-tuning under this hook makes NIA *variation-aware*: the weights
-/// absorb not just one noise level but the whole envelope of deployment
-/// conditions, which is what the `ablation_nonideal` experiment measures.
-#[derive(Debug)]
-pub struct VariationAwareNoise {
-    sigma: Vec<f32>,
-    pulses: Vec<usize>,
-    /// Sampled operating-temperature range in kelvin.
-    temp_range: (f32, f32),
-    /// Maximum IR-drop output droop (fraction of signal lost at the
-    /// worst sampled severity).
-    droop: f32,
-    /// Condition profile for the current pass, resampled whenever
-    /// layer 0 comes around: (σ scale, output scale).
-    profile: (f32, f32),
-    rng: Rng,
-}
-
-impl VariationAwareNoise {
-    /// Creates the hook from per-layer per-pulse noise `σ_l`, pulse
-    /// counts `p_l`, a temperature range in kelvin, and a maximum
-    /// IR-drop droop fraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] on length mismatch, a
-    /// zero pulse count, a temperature range outside the device's rated
-    /// envelope (or inverted), or a droop outside `[0, 1)`.
-    pub fn new(
-        sigma: Vec<f32>,
-        pulses: Vec<usize>,
-        temp_range: (f32, f32),
-        droop: f32,
-        rng: Rng,
-    ) -> Result<Self> {
-        if sigma.len() != pulses.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "{} sigmas but {} pulse counts",
-                sigma.len(),
-                pulses.len()
-            ))
-            .into());
-        }
-        if pulses.contains(&0) {
-            return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
-        }
-        let (lo, hi) = temp_range;
-        if !(membit_xbar::T_MIN..=membit_xbar::T_MAX).contains(&lo)
-            || !(lo..=membit_xbar::T_MAX).contains(&hi)
-        {
-            return Err(TensorError::InvalidArgument(format!(
-                "temperature range [{lo}, {hi}] K outside rated [{}, {}] K",
-                membit_xbar::T_MIN,
-                membit_xbar::T_MAX
-            ))
-            .into());
-        }
-        if !(0.0..1.0).contains(&droop) {
-            return Err(TensorError::InvalidArgument(format!(
-                "IR-drop droop {droop} outside [0, 1)"
-            ))
-            .into());
-        }
-        Ok(Self {
-            sigma,
-            pulses,
-            temp_range,
-            droop,
-            profile: (1.0, 1.0),
-            rng,
-        })
-    }
-
-    /// Uniform-pulse constructor: the same `σ` and `p` for all `layers`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`new`](Self::new).
-    pub fn uniform(
-        layers: usize,
-        sigma: f32,
-        pulses: usize,
-        temp_range: (f32, f32),
-        droop: f32,
-        rng: Rng,
-    ) -> Result<Self> {
-        Self::new(
-            vec![sigma; layers],
-            vec![pulses; layers],
-            temp_range,
-            droop,
-            rng,
-        )
-    }
-
-    /// Samples a fresh operating-condition profile for one forward pass.
-    fn resample(&mut self) {
-        let kelvin = self.rng.uniform(self.temp_range.0, self.temp_range.1);
-        let sigma_scale = (kelvin / membit_xbar::T_REF).sqrt();
-        let out_scale = 1.0 - self.rng.uniform(0.0, self.droop);
-        self.profile = (sigma_scale, out_scale);
-    }
-}
-
-impl MvmNoiseHook for VariationAwareNoise {
-    fn apply(&mut self, tape: &mut Tape, layer: usize, mvm_out: VarId) -> NnResult<VarId> {
-        if layer == 0 {
-            // one condition profile per forward pass: all layers of a
-            // pass share the same chip temperature and supply droop
-            self.resample();
-        }
-        let (sigma_scale, out_scale) = self.profile;
-        let attenuated = if out_scale == 1.0 {
-            mvm_out
-        } else {
-            tape.mul_scalar(mvm_out, out_scale)
-        };
-        let std = self.sigma[layer] / (self.pulses[layer] as f32).sqrt() * sigma_scale;
-        if std == 0.0 {
-            return Ok(attenuated);
-        }
-        let shape = tape.value(attenuated).shape().to_vec();
-        let noise = self.rng.normal_tensor(&shape, 0.0, std);
-        let c = tape.constant(noise);
-        tape.add(attenuated, c)
-    }
-
-    fn state_rng(&self) -> Option<&Rng> {
-        Some(&self.rng)
-    }
-
-    fn state_rng_mut(&mut self) -> Option<&mut Rng> {
-        Some(&mut self.rng)
-    }
-}
-
-/// Fig. 2 hook: injects `N(0, σ²)` at exactly one crossbar layer, leaving
-/// all others clean — the paper's layer-wise sensitivity probe.
-#[derive(Debug)]
-pub struct SingleLayerNoise {
-    target: usize,
-    sigma: f32,
-    rng: Rng,
-}
-
-impl SingleLayerNoise {
-    /// Creates the probe for crossbar layer `target`.
-    pub fn new(target: usize, sigma: f32, rng: Rng) -> Self {
-        Self { target, sigma, rng }
-    }
-}
-
-impl MvmNoiseHook for SingleLayerNoise {
-    fn apply(&mut self, tape: &mut Tape, layer: usize, mvm_out: VarId) -> NnResult<VarId> {
-        if layer != self.target || self.sigma == 0.0 {
-            return Ok(mvm_out);
-        }
-        let shape = tape.value(mvm_out).shape().to_vec();
-        let noise = self.rng.normal_tensor(&shape, 0.0, self.sigma);
-        let c = tape.constant(noise);
-        tape.add(mvm_out, c)
+        self.noise.state_rng_mut()
     }
 }
 
@@ -393,6 +212,7 @@ impl RmsRecorder {
 
 impl MvmNoiseHook for RmsRecorder {
     fn apply(&mut self, tape: &mut Tape, layer: usize, mvm_out: VarId) -> NnResult<VarId> {
+        check_layer(layer, self.sum_sq.len())?;
         let v = tape.value(mvm_out);
         self.sum_sq[layer] += v
             .as_slice()
@@ -549,62 +369,46 @@ mod tests {
     }
 
     #[test]
-    fn variation_aware_noise_scales_with_temperature() {
-        let rng = Rng::from_seed(7);
-        // degenerate range pinned at the hot end, no droop: the injected
-        // std must be exactly σ/√p · √(T/T_REF)
-        let hot = 390.0f32;
-        let mut hook = VariationAwareNoise::uniform(1, 8.0, 8, (hot, hot), 0.0, rng).unwrap();
-        let (mut t, x) = setup(&[40_000]);
-        let y = hook.apply(&mut t, 0, x).unwrap();
-        let expect = 8.0 / 8f32.sqrt() * (hot / membit_xbar::T_REF).sqrt();
-        let s = t.value(y).std();
-        assert!((s - expect).abs() < 0.06, "std {s} vs {expect}");
-    }
-
-    #[test]
-    fn variation_aware_droop_attenuates_output() {
-        let rng = Rng::from_seed(8);
-        let t_ref = membit_xbar::T_REF;
-        let mut hook = VariationAwareNoise::uniform(1, 0.0, 8, (t_ref, t_ref), 0.5, rng).unwrap();
-        let mut tape = Tape::new();
-        let x = tape.constant(Tensor::from_vec(vec![2.0, -2.0], &[2]).unwrap());
-        let y = hook.apply(&mut tape, 0, x).unwrap();
-        let v = tape.value(y).as_slice().to_vec();
-        // severity ∈ (0, 0.5]: output strictly shrunk, sign preserved
-        assert!(v[0] < 2.0 && v[0] >= 1.0, "droop gave {v:?}");
-        assert!((v[0] + v[1]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn variation_aware_constructor_validates() {
-        let rng = Rng::from_seed(9);
-        // inverted and out-of-envelope temperature ranges
-        assert!(VariationAwareNoise::uniform(1, 1.0, 8, (390.0, 300.0), 0.1, rng.clone()).is_err());
-        assert!(VariationAwareNoise::uniform(1, 1.0, 8, (100.0, 300.0), 0.1, rng.clone()).is_err());
-        assert!(VariationAwareNoise::uniform(1, 1.0, 8, (300.0, 900.0), 0.1, rng.clone()).is_err());
-        // droop must stay a proper fraction
-        assert!(VariationAwareNoise::uniform(1, 1.0, 8, (300.0, 330.0), 1.0, rng.clone()).is_err());
-        assert!(
-            VariationAwareNoise::uniform(1, 1.0, 8, (300.0, 330.0), -0.1, rng.clone()).is_err()
-        );
-        // mismatched layer vectors and zero pulses, as for the Gaussian hook
-        assert!(
-            VariationAwareNoise::new(vec![1.0], vec![8, 8], (300.0, 330.0), 0.1, rng.clone())
-                .is_err()
-        );
-        assert!(VariationAwareNoise::new(vec![1.0], vec![0], (300.0, 330.0), 0.1, rng).is_err());
-    }
-
-    #[test]
     fn single_layer_noise_targets_one_layer() {
+        // Fig. 2's probe: σ only at layer 1, one pulse per layer
         let rng = Rng::from_seed(2);
-        let mut hook = SingleLayerNoise::new(1, 5.0, rng);
+        let mut hook = GaussianMvmNoise::new(vec![0.0, 5.0], vec![1, 1], rng).unwrap();
         let (mut t, x) = setup(&[100]);
+        let before = hook.state_rng().unwrap().state_bytes();
         assert_eq!(hook.apply(&mut t, 0, x).unwrap(), x); // untouched
+        assert_eq!(hook.state_rng().unwrap().state_bytes(), before); // no draw
         let y = hook.apply(&mut t, 1, x).unwrap();
         assert_ne!(y, x);
         assert!(t.value(y).std() > 1.0);
+    }
+
+    #[test]
+    fn hooks_sized_for_fewer_layers_fail_typed() {
+        use crate::{evaluate_with_hook, TrainError};
+        use membit_data::{synth_cifar, SynthCifarConfig};
+        use membit_nn::{Mlp, MlpConfig, Params};
+
+        let mut params = Params::new();
+        let cfg = MlpConfig::new(3 * 8 * 8, &[8, 6], 10);
+        let mut mlp = Mlp::new(&cfg, &mut params, &mut Rng::from_seed(3)).unwrap();
+        let (_, test) = synth_cifar(&SynthCifarConfig::tiny(), 4).unwrap();
+        let rng = Rng::from_seed(5);
+        let hooks: [Box<dyn MvmNoiseHook>; 3] = [
+            Box::new(GaussianMvmNoise::uniform(1, 1.0, 8, rng.clone()).unwrap()),
+            Box::new(PlaHook::uniform(1, 10, 1.0, 9, rng).unwrap()),
+            Box::new(RmsRecorder::new(1)),
+        ];
+        for mut hook in hooks {
+            let err = evaluate_with_hook(&mut mlp, &params, &test, 20, hook.as_mut()).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    TrainError::Tensor(TensorError::InvalidArgument(m))
+                        if m.contains("0..1") && m.contains("layer 1")
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

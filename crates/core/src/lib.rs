@@ -75,15 +75,10 @@ pub use calibrate::{calibrate_noise, NoiseCalibration};
 pub use device_eval::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
 pub use error::{DivergenceReason, TrainError};
 pub use gbo::{GboConfig, GboResult, GboTrainer};
-pub use hooks::{
-    GaussianMvmNoise, NanFault, NanFaultMode, PlaHook, RmsRecorder, SingleLayerNoise,
-    VariationAwareNoise,
-};
+pub use hooks::{GaussianMvmNoise, NanFault, NanFaultMode, PlaHook, RmsRecorder};
 pub use memse::{AnalyticSelection, MemseNetwork, MemseScore, TileAllocation};
 pub use model::CrossbarModel;
-pub use nia::{
-    nia_finetune, nia_finetune_resilient, nia_finetune_variation_aware, NiaConfig, NiaVariation,
-};
+pub use nia::{nia_finetune, nia_finetune_resilient, NiaConfig};
 pub use pipeline::{Experiment, ExperimentConfig};
 pub use report::{
     to_csv, FaultAblationRow, GuardAblationRow, NonIdealAblationRow, Table1Row, Table2Row,

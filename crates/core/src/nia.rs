@@ -12,7 +12,7 @@ use membit_nn::Params;
 use membit_tensor::{Rng, RngStream, TensorError};
 
 use crate::calibrate::NoiseCalibration;
-use crate::hooks::{GaussianMvmNoise, VariationAwareNoise};
+use crate::hooks::GaussianMvmNoise;
 use crate::model::CrossbarModel;
 use crate::resilience::ResilienceConfig;
 use crate::trainer::{pretrain_stage, TrainConfig, TrainReport};
@@ -100,20 +100,6 @@ pub fn nia_finetune_resilient(
     cfg: &NiaConfig,
     res: &ResilienceConfig,
 ) -> Result<TrainReport> {
-    let (sigma_abs, noise_rng, train_cfg) = nia_setup(model, calibration, paper_sigma, cfg)?;
-    let pulses = vec![cfg.pulses; sigma_abs.len()];
-    let mut hook = GaussianMvmNoise::new(sigma_abs, pulses, noise_rng)?;
-    pretrain_stage("nia", model, params, train, &train_cfg, &mut hook, res)
-}
-
-/// What both NIA variants share: the layer check, the per-layer noise
-/// level, the noise stream and the fine-tuning [`TrainConfig`].
-fn nia_setup(
-    model: &dyn CrossbarModel,
-    calibration: &NoiseCalibration,
-    paper_sigma: f32,
-    cfg: &NiaConfig,
-) -> Result<(Vec<f32>, Rng, TrainConfig)> {
     if calibration.layers() != model.crossbar_layers() {
         return Err(TensorError::InvalidArgument(format!(
             "calibration covers {} layers but model has {}",
@@ -131,71 +117,11 @@ fn nia_setup(
         augment_flip: cfg.augment_flip,
         seed: cfg.seed,
     };
-    Ok((
-        calibration.sigma_abs(paper_sigma),
-        Rng::from_seed(cfg.seed).stream(RngStream::Noise),
-        train_cfg,
-    ))
-}
-
-/// Operating-condition envelope sampled during variation-aware NIA
-/// fine-tuning (see [`nia_finetune_variation_aware`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NiaVariation {
-    /// Sampled operating-temperature range in kelvin; each forward pass
-    /// draws one temperature uniformly from it.
-    pub temp_range: (f32, f32),
-    /// Maximum IR-drop output droop fraction; each pass draws a severity
-    /// uniformly from `[0, droop]`.
-    pub droop: f32,
-}
-
-impl NiaVariation {
-    /// The envelope the `ablation_nonideal` experiment deploys into:
-    /// room temperature up to a hot 370 K corner, with up to 10 % signal
-    /// droop from wire resistance.
-    pub fn standard() -> Self {
-        Self {
-            temp_range: (membit_xbar::T_REF, 370.0),
-            droop: 0.10,
-        }
-    }
-}
-
-/// [`nia_finetune`] made *variation-aware*: instead of one fixed noise
-/// level, each fine-tuning forward pass samples an operating temperature
-/// and an IR-drop severity from `var`'s envelope, scaling the injected
-/// noise by `√(T/T_REF)` and the MVM outputs by the sampled attenuation
-/// (the functional image of what
-/// [`membit_xbar::NonIdealitySpec`] does to the physical array). The
-/// weights therefore adapt to the whole deployment envelope rather than
-/// its center.
-///
-/// # Errors
-///
-/// As [`nia_finetune`], plus invalid `var` envelopes.
-pub fn nia_finetune_variation_aware(
-    model: &mut dyn CrossbarModel,
-    params: &mut Params,
-    train: &Dataset,
-    calibration: &NoiseCalibration,
-    paper_sigma: f32,
-    cfg: &NiaConfig,
-    var: &NiaVariation,
-) -> Result<TrainReport> {
-    let (sigma_abs, noise_rng, train_cfg) = nia_setup(model, calibration, paper_sigma, cfg)?;
+    let sigma_abs = calibration.sigma_abs(paper_sigma);
     let pulses = vec![cfg.pulses; sigma_abs.len()];
-    let mut hook =
-        VariationAwareNoise::new(sigma_abs, pulses, var.temp_range, var.droop, noise_rng)?;
-    pretrain_stage(
-        "nia-var",
-        model,
-        params,
-        train,
-        &train_cfg,
-        &mut hook,
-        &ResilienceConfig::default(),
-    )
+    let noise_rng = Rng::from_seed(cfg.seed).stream(RngStream::Noise);
+    let mut hook = GaussianMvmNoise::new(sigma_abs, pulses, noise_rng)?;
+    pretrain_stage("nia", model, params, train, &train_cfg, &mut hook, res)
 }
 
 #[cfg(test)]
@@ -259,50 +185,6 @@ mod tests {
             after >= before - 0.02,
             "NIA should not hurt noisy accuracy: {before} → {after}"
         );
-    }
-
-    #[test]
-    fn variation_aware_finetune_runs_and_validates() {
-        let mut rng = Rng::from_seed(21);
-        let mut params = Params::new();
-        let mut mlp =
-            Mlp::new(&MlpConfig::new(3 * 8 * 8, &[12], 10), &mut params, &mut rng).unwrap();
-        let (train, _) = synth_cifar(&SynthCifarConfig::tiny(), 23).unwrap();
-        let cal = calibrate_noise(&mut mlp, &params, &train, 20, 1, 10.0).unwrap();
-        let cfg = NiaConfig {
-            epochs: 1,
-            batch_size: 40,
-            lr: 2e-3,
-            pulses: 8,
-            augment_flip: false,
-            seed: 5,
-        };
-        let report = nia_finetune_variation_aware(
-            &mut mlp,
-            &mut params,
-            &train,
-            &cal,
-            15.0,
-            &cfg,
-            &NiaVariation::standard(),
-        )
-        .unwrap();
-        assert!(report.final_train_acc >= 0.0);
-        // a non-physical envelope is rejected before any training
-        let bad = NiaVariation {
-            temp_range: (500.0, 600.0),
-            droop: 0.1,
-        };
-        assert!(nia_finetune_variation_aware(
-            &mut mlp,
-            &mut params,
-            &train,
-            &cal,
-            15.0,
-            &cfg,
-            &bad
-        )
-        .is_err());
     }
 
     #[test]

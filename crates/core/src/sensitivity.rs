@@ -4,7 +4,7 @@ use membit_data::Dataset;
 use membit_nn::Params;
 use membit_tensor::{Rng, RngStream};
 
-use crate::hooks::SingleLayerNoise;
+use crate::hooks::GaussianMvmNoise;
 use crate::model::CrossbarModel;
 use crate::trainer::evaluate_with_hook;
 use crate::Result;
@@ -28,9 +28,13 @@ pub fn layer_sensitivity(
     repeats: usize,
     seed: u64,
 ) -> Result<Vec<f32>> {
-    let layers = model.crossbar_layers().min(sigma_abs.len());
+    let all = model.crossbar_layers();
+    let layers = all.min(sigma_abs.len());
     let mut out = Vec::with_capacity(layers);
     for (layer, &sig) in sigma_abs.iter().enumerate().take(layers) {
+        // σ at the probed layer only; one pulse leaves it unaveraged
+        let mut sigma = vec![0.0; all];
+        sigma[layer] = sig;
         let mut acc_sum = 0.0f32;
         for rep in 0..repeats.max(1) {
             // keyed substream derivation: the old xor/shift/or mixing
@@ -38,7 +42,7 @@ pub fn layer_sensitivity(
             let rng = Rng::from_seed(seed)
                 .substream(&[rep as u64, layer as u64])
                 .stream(RngStream::Noise);
-            let mut hook = SingleLayerNoise::new(layer, sig, rng);
+            let mut hook = GaussianMvmNoise::new(sigma.clone(), vec![1; all], rng)?;
             acc_sum += evaluate_with_hook(model, params, data, batch_size, &mut hook)?;
         }
         out.push(acc_sum / repeats.max(1) as f32);

@@ -2,26 +2,31 @@
 //! training stack across changes.
 //!
 //! `golden_forward` pins what a deployment computes; this suite pins
-//! what the training loops and the searches produce. Every bit of the
-//! trained parameters, the batch-norm statistics, the per-epoch losses,
-//! the GBO logits and the analytic MemSE selections is folded into one
-//! digest per scenario and compared with a constant recorded once. A
-//! change to the epoch loop, the rollback, the resume path or the
-//! coordinate descent that moves any of those bits fails here.
+//! what the training loops, the searches and the functional noise hooks
+//! produce. Every bit of the trained parameters, the batch-norm
+//! statistics, the per-epoch losses, the GBO logits, the analytic MemSE
+//! selections and the hooked evaluations is folded into one digest per
+//! scenario and compared with a constant recorded once. A change to the
+//! epoch loop, the rollback, the resume path, the coordinate descent or
+//! a noise hook that moves any of those bits fails here.
 //!
 //! If a change is *meant* to move these numbers, re-record the
-//! constants from the failure message and say so in the change log.
+//! constants from the failure message and say so in the change log. A
+//! scenario that is new, or loses a stage because the change deletes
+//! its code, is recorded by running this file against an unmodified
+//! checkout of the parent commit, which the change log names.
 
 use std::path::PathBuf;
 
+use membit_autograd::Tape;
 use membit_core::{
-    calibrate_noise, nia_finetune, nia_finetune_variation_aware, pretrain, pretrain_resilient,
-    CrossbarModel, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, GboConfig, GboResult, GboTrainer,
-    MemseNetwork, NanFault, NiaConfig, NiaVariation, ResilienceConfig, TrainConfig, TrainError,
-    TrainReport,
+    calibrate_noise, evaluate_with_hook, layer_sensitivity, nia_finetune, pretrain,
+    pretrain_resilient, CrossbarModel, DeploymentPolicy, DeviceEvalConfig, DeviceVgg, GboConfig,
+    GboResult, GboTrainer, MemseNetwork, NanFault, NiaConfig, PlaHook, ResilienceConfig,
+    TrainConfig, TrainError, TrainReport,
 };
 use membit_data::{synth_cifar, Dataset, SynthCifarConfig};
-use membit_nn::{Mlp, MlpConfig, NoNoise, Params, Vgg, VggConfig};
+use membit_nn::{Mlp, MlpConfig, MvmNoiseHook, NoNoise, Params, Phase, Vgg, VggConfig};
 use membit_tensor::{Rng, RngStream, Tensor};
 use membit_xbar::{GuardPolicy, XbarConfig};
 
@@ -211,7 +216,7 @@ fn gbo_monte_carlo() -> u64 {
     h.0
 }
 
-/// (d) NIA fine-tuning followed by its variation-aware variant.
+/// (d) NIA fine-tuning.
 fn nia_stages() -> u64 {
     let (mut mlp, mut params, train) = tiny_mlp(3, &[16]);
     pretrain(
@@ -232,20 +237,9 @@ fn nia_stages() -> u64 {
         seed: 4,
     };
     let nia = nia_finetune(&mut mlp, &mut params, &train, &cal, 15.0, &cfg).expect("nia");
-    let var = nia_finetune_variation_aware(
-        &mut mlp,
-        &mut params,
-        &train,
-        &cal,
-        15.0,
-        &cfg,
-        &NiaVariation::standard(),
-    )
-    .expect("variation-aware nia");
     let mut h = Fnv::new();
     h.model(&mlp, &params);
     h.report(&nia);
-    h.report(&var);
     h.0
 }
 
@@ -300,11 +294,59 @@ fn memse_search() -> u64 {
     h.0
 }
 
+/// (f) The functional hooks on a two-layer MLP: Fig. 2's layer-wise
+/// sensitivity at two noise levels, then PLA evaluations at q = 8 (the
+/// snap is the identity on 9-level activations) and q = 10 (it runs),
+/// each followed by one forward whose logits are pinned bit for bit.
+fn sensitivity_and_pla() -> u64 {
+    let (mut mlp, mut params, train) = tiny_mlp(13, &[16, 12]);
+    pretrain(
+        &mut mlp,
+        &mut params,
+        &train,
+        &train_cfg(8, 13),
+        &mut NoNoise,
+    )
+    .expect("pretrain");
+    let cal = calibrate_noise(&mut mlp, &params, &train, 16, 2, 10.0).expect("calibration");
+    let mut h = Fnv::new();
+    for sigma in [10.0, 40.0] {
+        let series = layer_sensitivity(&mut mlp, &params, &train, &cal.sigma_abs(sigma), 16, 2, 17)
+            .expect("sensitivity");
+        assert_eq!(series.len(), 2);
+        h.f32s(&series);
+    }
+    let (images, _) = train.batches(16).expect("batches").next().expect("a batch");
+    for q in [8, 10] {
+        let rng = Rng::from_seed(19).stream(RngStream::Noise);
+        let mut hook = PlaHook::new(vec![q; 2], cal.sigma_abs(15.0), 9, rng).expect("hook");
+        let acc = evaluate_with_hook(&mut mlp, &params, &train, 16, &mut hook).expect("eval");
+        h.f32s(&[acc]);
+        let mut tape = Tape::new();
+        let mut binding = params.frozen_binding();
+        let x = tape.constant(images.clone());
+        let logits = CrossbarModel::forward(
+            &mut mlp,
+            &mut tape,
+            &params,
+            &mut binding,
+            x,
+            Phase::Eval,
+            &mut hook,
+        )
+        .expect("forward");
+        h.f32s(tape.value(logits).as_slice());
+        h.bytes(&hook.state_rng().expect("a noise stream").state_bytes());
+    }
+    h.0
+}
+
 /// A scenario's name, its digest function and the recorded digest.
 type Golden = (&'static str, fn() -> u64, u64);
 
-/// The five scenarios, recorded at commit `0d5ecf8`.
-const GOLDEN: [Golden; 5] = [
+/// The six scenarios: four recorded at commit `0d5ecf8`, `nia_stages`
+/// (NIA alone) and `sensitivity_and_pla` at `b3a9fa6`.
+const GOLDEN: [Golden; 6] = [
     (
         "pretrain_rollback",
         pretrain_rollback,
@@ -316,8 +358,13 @@ const GOLDEN: [Golden; 5] = [
         0x35a5_bf6a_f8aa_5757,
     ),
     ("gbo_monte_carlo", gbo_monte_carlo, 0xc573_c041_5af1_248e),
-    ("nia_stages", nia_stages, 0x5d62_a7cf_6df2_64a2),
+    ("nia_stages", nia_stages, 0xa5ce_d565_5df3_5d6a),
     ("memse_search", memse_search, 0xd09a_f7c9_8f68_67b1),
+    (
+        "sensitivity_and_pla",
+        sensitivity_and_pla,
+        0x586a_56a6_83d7_3f87,
+    ),
 ];
 
 #[test]

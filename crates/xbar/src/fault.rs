@@ -2,9 +2,9 @@
 //! in-service drift monitoring.
 //!
 //! A freshly programmed array is *march-tested*: every cell is read back
-//! `reads` times, the conductance estimate is compared against the level
-//! the cell was programmed toward, and cells deviating by more than a
-//! threshold fraction of the `G_on − G_off` window are flagged. Detection
+//! 4 times, the averaged conductance estimate is compared against the
+//! level the cell was programmed toward, and cells deviating by more than
+//! 40 % of the `G_on − G_off` window are flagged. Detection
 //! is **imperfect by construction** — the estimate is corrupted by the
 //! same cycle-to-cycle read noise inference suffers, so recall falls as
 //! `c2c_sigma` grows and device-to-device tails produce false positives.
@@ -45,47 +45,14 @@ pub struct CellFault {
     pub g_target: f32,
 }
 
-/// Read-back march test configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MarchTestConfig {
-    /// Repeated reads averaged per cell (more reads suppress read noise
-    /// and raise recall, at test-time cost).
-    pub reads: usize,
-    /// Flag a cell when `|ĝ − target| > threshold · (G_on − G_off)`.
-    pub threshold: f32,
-}
-
-impl MarchTestConfig {
-    /// Typical production test: 4 averaged reads, flag beyond 40 % of the
-    /// conductance window (stuck cells deviate by ~100 %).
-    pub fn standard() -> Self {
-        Self {
-            reads: 4,
-            threshold: 0.4,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] for zero reads or a
-    /// threshold outside `(0, 1]`.
-    pub fn validate(&self) -> Result<()> {
-        if self.reads == 0 {
-            return Err(TensorError::InvalidArgument(
-                "march test needs at least one read per cell".into(),
-            ));
-        }
-        if !(self.threshold > 0.0 && self.threshold <= 1.0) {
-            return Err(TensorError::InvalidArgument(format!(
-                "march threshold must lie in (0, 1], got {}",
-                self.threshold
-            )));
-        }
-        Ok(())
-    }
-}
+/// Repeated reads the march test averages per cell.
+pub(crate) const MARCH_READS: usize = 4;
+/// The march test flags a cell when `|ĝ − target|` exceeds this fraction
+/// of the conductance window `G_on − G_off` (stuck cells deviate by
+/// ~100 %).
+pub(crate) const MARCH_THRESHOLD: f32 = 0.4;
+/// Cells the health monitor samples per tile per check.
+pub(crate) const HEALTH_PROBES: usize = 64;
 
 /// The detected faults of one tile.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,9 +121,10 @@ impl FaultMap {
 /// far enough that a re-programming refresh pays off.
 ///
 /// Retention drift shrinks every stored differential weight toward zero
-/// (`G(t) = G₀(1+t)^{−ν}`); the monitor probes a sample of cells, compares
+/// (`G(t) = G₀(1+t)^{−ν}`); the monitor probes 64 cells per tile, compares
 /// the mean effective-weight magnitude against the ideal `1.0`, and
-/// triggers a refresh when the decay crosses `decay_threshold`.
+/// triggers a refresh when the decay crosses `decay_threshold`. It only
+/// decides: its caller counts inference vectors and runs the probes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthMonitor {
     /// Re-check deployed arrays every this many inference vectors.
@@ -164,17 +132,14 @@ pub struct HealthMonitor {
     /// Refresh when the mean `|w_eff|` of probed cells falls below
     /// `1 − decay_threshold`.
     pub decay_threshold: f32,
-    /// Cells sampled per array per check.
-    pub probes: usize,
 }
 
 impl HealthMonitor {
-    /// Check every 128 vectors, refresh past 15 % decay, 64 probes.
+    /// Check every 128 vectors, refresh past 15 % decay.
     pub fn standard() -> Self {
         Self {
             check_interval: 128,
             decay_threshold: 0.15,
-            probes: 64,
         }
     }
 
@@ -182,12 +147,12 @@ impl HealthMonitor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for a zero interval/probe
-    /// count or a threshold outside `(0, 1)`.
+    /// Returns [`TensorError::InvalidArgument`] for a zero interval or a
+    /// threshold outside `(0, 1)`.
     pub fn validate(&self) -> Result<()> {
-        if self.check_interval == 0 || self.probes == 0 {
+        if self.check_interval == 0 {
             return Err(TensorError::InvalidArgument(
-                "health monitor needs a nonzero check interval and probe count".into(),
+                "health monitor needs a nonzero check interval".into(),
             ));
         }
         if !(self.decay_threshold > 0.0 && self.decay_threshold < 1.0) {
@@ -213,29 +178,6 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn march_config_validation() {
-        MarchTestConfig::standard().validate().unwrap();
-        assert!(MarchTestConfig {
-            reads: 0,
-            threshold: 0.4
-        }
-        .validate()
-        .is_err());
-        assert!(MarchTestConfig {
-            reads: 4,
-            threshold: 0.0
-        }
-        .validate()
-        .is_err());
-        assert!(MarchTestConfig {
-            reads: 4,
-            threshold: 1.5
-        }
-        .validate()
-        .is_err());
-    }
 
     #[test]
     fn fault_map_indexing() {
@@ -284,6 +226,5 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(HealthMonitor { probes: 0, ..m }.validate().is_err());
     }
 }

@@ -14,17 +14,15 @@
 //! on both sides of the comparison, and an ADC adds `step²/12` of
 //! quantization variance per converted column (iid-uniform model).
 //!
-//! On violation a [`GuardPolicy`] walks a deterministic escalation ladder
-//! with bounded budgets — retry with fresh keyed noise, targeted refresh,
-//! march-test + remap, digital fallback — and every event is counted in
+//! On violation the engine walks a deterministic escalation ladder with
+//! bounded budgets — up to two retries with fresh keyed noise, then the
+//! [`GuardPolicy`]'s targeted refresh and march-test + remap rounds, then
+//! the digital fallback — and every event is counted in
 //! [`GuardStats`], which merges through
 //! [`ExecutionStats`](crate::ExecutionStats).
 
-use membit_tensor::TensorError;
-
 use crate::noise::NoiseSpec;
 use crate::remap::RecoveryPolicy;
-use crate::Result;
 
 /// Substream tag separating checksum-readout noise from the MVM noise
 /// draws: guard draws come from
@@ -34,40 +32,45 @@ pub(crate) const GUARD_STREAM_TAG: u64 = 0x4755_4152_445f_4348;
 /// Substream tag for pulse re-executions (stage-1 retries).
 pub(crate) const RETRY_STREAM_TAG: u64 = 0x4742_4f5f_5254_5259;
 
-/// Configuration of checksum-guarded execution: the detection threshold
-/// and the budgets of each escalation stage.
+/// Detection threshold in standard deviations of the checksum
+/// comparison statistic. The per-check false-positive probability is
+/// roughly the two-sided Gaussian tail at `z`, at most
+/// `√(2/π)·exp(−z²/2)/z`.
+pub(crate) const GUARD_Z: f32 = 6.0;
+/// Absolute tolerance floor added to the analytic term: covers f32
+/// summation-order differences between `Σ_j y_j` and the checksum (the
+/// two accumulate in different orders), the ≤1e-5 relative drift of the
+/// incremental pulse-delta schedule, and ADC model tails.
+pub(crate) const GUARD_MIN_TOLERANCE: f32 = 0.05;
+/// Stage-1 budget: pulse re-executions per violating readout.
+pub(crate) const GUARD_MAX_RETRIES: u64 = 2;
+
+/// Configuration of checksum-guarded execution: the hardware-repair
+/// budgets of the escalation ladder. Detection itself is fixed: a
+/// readout violates when its checksum residual exceeds 6σ of the
+/// analytic comparison statistic plus a 0.05 floor.
 ///
 /// The ladder an engine walks when a tile's checksum violation survives
 /// its in-place retries:
 ///
 /// 1. **Retry** (inside the parallel workers, pure): re-execute the
-///    offending pulse up to `max_retries` times with fresh noise keyed by
+///    offending pulse up to 2 times with fresh noise keyed by
 ///    `(pulse, sample, tile, attempt)`, accepting the first readout that
 ///    passes its own checksum.
 /// 2. **Refresh** (`refresh_rounds` rounds): re-program the offending
 ///    tiles toward their stored targets. Cures drift; preserves the armed
 ///    checksum reference, so a persistent fault keeps violating.
 /// 3. **Remap** (`remap_rounds` rounds): march-test + remap the offending
-///    tiles with `remap` (PR 1 machinery), then re-arm their checksums —
-///    the repaired state, residual damage included, becomes the new
-///    reference and is reported through the engine's
-///    [`RemapReport`](crate::RemapReport).
+///    tiles with `remap`, then re-arm their checksums — the repaired
+///    state, residual damage included, becomes the new reference and is
+///    reported through the engine's [`RemapReport`](crate::RemapReport).
 /// 4. **Fallback**: mark the engine degraded and serve the digital
 ///    `x·Wᵀ` reference output for this and every later execution.
+///    Because stage 3 re-arms the checksum, a deployment with a remap
+///    round reaches this stage only if a repaired tile still violates
+///    against its own new reference.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardPolicy {
-    /// Detection threshold in standard deviations of the checksum
-    /// comparison statistic. The per-check false-positive probability is
-    /// roughly the two-sided Gaussian tail at `z`, at most
-    /// `√(2/π)·exp(−z²/2)/z`.
-    pub z: f32,
-    /// Absolute tolerance floor added to the analytic term: covers f32
-    /// summation-order differences between `Σ_j y_j` and the checksum
-    /// (the two accumulate in different orders), the ≤1e-5 relative drift
-    /// of the incremental pulse-delta schedule, and ADC model tails.
-    pub min_tolerance: f32,
-    /// Stage-1 budget: pulse re-executions per violating readout.
-    pub max_retries: u32,
     /// Stage-2 budget: targeted-refresh rounds per guarded execution.
     pub refresh_rounds: u32,
     /// Stage-3 budget: march-test + remap rounds per guarded execution.
@@ -77,13 +80,10 @@ pub struct GuardPolicy {
 }
 
 impl GuardPolicy {
-    /// Standard guard: 6σ detection, 0.05 absolute floor, 2 retries, one
-    /// refresh round, one remap round with the standard recovery policy.
+    /// Standard guard: one refresh round, one remap round with the
+    /// standard recovery policy.
     pub fn standard() -> Self {
         Self {
-            z: 6.0,
-            min_tolerance: 0.05,
-            max_retries: 2,
             refresh_rounds: 1,
             remap_rounds: 1,
             remap: RecoveryPolicy::standard(),
@@ -100,73 +100,51 @@ impl GuardPolicy {
             ..Self::standard()
         }
     }
-
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] for a non-positive or
-    /// non-finite `z`, a negative or non-finite tolerance floor, or an
-    /// invalid embedded recovery policy.
-    pub fn validate(&self) -> Result<()> {
-        if !self.z.is_finite() || self.z <= 0.0 {
-            return Err(TensorError::InvalidArgument(
-                "guard z must be positive and finite".into(),
-            ));
-        }
-        if !self.min_tolerance.is_finite() || self.min_tolerance < 0.0 {
-            return Err(TensorError::InvalidArgument(
-                "guard min_tolerance must be non-negative and finite".into(),
-            ));
-        }
-        self.remap.validate()
-    }
-
-    /// The checksum comparison tolerance for one pulse readout of a tile
-    /// with `cols` regular columns.
-    ///
-    /// `var_term` is `Σ_i x_i²·Σ_j (G⁺²+G⁻²)` over the tile — the
-    /// aggregated cycle-to-cycle variance numerator that
-    /// `Tile::checksum_pulse` returns alongside the checksum. `adc_step`
-    /// is the row-block ADC step when one is configured (`None` models an
-    /// ideal readout).
-    ///
-    /// Variance budget: `cols` regular columns plus the checksum column
-    /// each carry `σ_out²` of functional noise and `step²/12` of
-    /// quantization variance; cycle-to-cycle noise contributes
-    /// `(σ_c2c/(G_on−G_off))²·var_term` on each side of the comparison.
-    ///
-    /// Operating temperature needs no extra term: the engine resolves
-    /// the [`NonIdealitySpec`](crate::NonIdealitySpec) at program time
-    /// and stores the scaled noise model, so the `σ_out` and `σ_c2c`
-    /// passed here already carry the `√(T/T_REF)` thermal scaling — the
-    /// tolerance widens with temperature exactly as the physical spread
-    /// does, keeping the false-positive rate at its rated ~zero.
-    pub fn tolerance(
-        &self,
-        noise: &NoiseSpec,
-        cols: usize,
-        var_term: f32,
-        adc_step: Option<f32>,
-    ) -> f32 {
-        let k = cols as f32 + 1.0;
-        let mut var = k * noise.output_sigma * noise.output_sigma;
-        if noise.device.c2c_sigma > 0.0 {
-            let denom = noise.device.g_on - noise.device.g_off();
-            let s = noise.device.c2c_sigma / denom;
-            var += 2.0 * s * s * var_term;
-        }
-        if let Some(step) = adc_step {
-            var += k * step * step / 12.0;
-        }
-        self.z * var.sqrt() + self.min_tolerance
-    }
 }
 
 impl Default for GuardPolicy {
     fn default() -> Self {
         Self::standard()
     }
+}
+
+/// The checksum comparison tolerance for one pulse readout of a tile
+/// with `cols` regular columns: `6·√var + 0.05`.
+///
+/// `var_term` is `Σ_i x_i²·Σ_j (G⁺²+G⁻²)` over the tile — the
+/// aggregated cycle-to-cycle variance numerator that
+/// `Tile::checksum_pulse` returns alongside the checksum. `adc_step`
+/// is the row-block ADC step when one is configured (`None` models an
+/// ideal readout).
+///
+/// Variance budget: `cols` regular columns plus the checksum column
+/// each carry `σ_out²` of functional noise and `step²/12` of
+/// quantization variance; cycle-to-cycle noise contributes
+/// `(σ_c2c/(G_on−G_off))²·var_term` on each side of the comparison.
+///
+/// Operating temperature needs no extra term: the engine resolves
+/// the [`NonIdealitySpec`](crate::NonIdealitySpec) at program time
+/// and stores the scaled noise model, so the `σ_out` and `σ_c2c`
+/// passed here already carry the `√(T/T_REF)` thermal scaling — the
+/// tolerance widens with temperature exactly as the physical spread
+/// does, keeping the false-positive rate at its rated ~zero.
+pub(crate) fn tolerance(
+    noise: &NoiseSpec,
+    cols: usize,
+    var_term: f32,
+    adc_step: Option<f32>,
+) -> f32 {
+    let k = cols as f32 + 1.0;
+    let mut var = k * noise.output_sigma * noise.output_sigma;
+    if noise.device.c2c_sigma > 0.0 {
+        let denom = noise.device.g_on - noise.device.g_off();
+        let s = noise.device.c2c_sigma / denom;
+        var += 2.0 * s * s * var_term;
+    }
+    if let Some(step) = adc_step {
+        var += k * step * step / 12.0;
+    }
+    GUARD_Z * var.sqrt() + GUARD_MIN_TOLERANCE
 }
 
 /// Telemetry counters of checksum-guarded execution. All fields are
@@ -222,62 +200,41 @@ mod tests {
 
     #[test]
     fn standard_policy_validates() {
-        GuardPolicy::standard().validate().unwrap();
-        GuardPolicy::detect_only().validate().unwrap();
+        for policy in [GuardPolicy::standard(), GuardPolicy::detect_only()] {
+            crate::XbarConfig::functional(0.1)
+                .with_guard(policy)
+                .validate()
+                .unwrap();
+        }
         assert_eq!(GuardPolicy::default(), GuardPolicy::standard());
     }
 
     #[test]
-    fn invalid_policies_rejected() {
-        let mut p = GuardPolicy::standard();
-        p.z = 0.0;
-        assert!(p.validate().is_err());
-        p.z = f32::NAN;
-        assert!(p.validate().is_err());
-        let mut q = GuardPolicy::standard();
-        q.min_tolerance = -0.1;
-        assert!(q.validate().is_err());
-        let mut r = GuardPolicy::standard();
-        r.remap.march.reads = 0;
-        assert!(r.validate().is_err());
-    }
-
-    #[test]
     fn tolerance_matches_variance_algebra() {
-        let p = GuardPolicy {
-            z: 2.0,
-            min_tolerance: 0.01,
-            ..GuardPolicy::standard()
-        };
         // functional noise only: J+1 columns of σ² variance
         let noise = NoiseSpec::functional(0.5);
-        let tol = p.tolerance(&noise, 3, 0.0, None);
-        let expect = 2.0 * (4.0f32 * 0.25).sqrt() + 0.01;
+        let tol = tolerance(&noise, 3, 0.0, None);
+        let expect = 6.0 * (4.0f32 * 0.25).sqrt() + 0.05;
         assert!((tol - expect).abs() < 1e-6, "{tol} vs {expect}");
         // ADC adds k·step²/12
-        let tol_adc = p.tolerance(&noise, 3, 0.0, Some(0.6));
-        let expect_adc = 2.0 * (4.0f32 * 0.25 + 4.0 * 0.36 / 12.0).sqrt() + 0.01;
+        let tol_adc = tolerance(&noise, 3, 0.0, Some(0.6));
+        let expect_adc = 6.0 * (4.0f32 * 0.25 + 4.0 * 0.36 / 12.0).sqrt() + 0.05;
         assert!((tol_adc - expect_adc).abs() < 1e-6);
         // zero noise leaves only the floor
-        let quiet = p.tolerance(&NoiseSpec::none(), 8, 0.0, None);
-        assert!((quiet - 0.01).abs() < 1e-7);
+        let quiet = tolerance(&NoiseSpec::none(), 8, 0.0, None);
+        assert!((quiet - 0.05).abs() < 1e-7);
     }
 
     #[test]
     fn tolerance_includes_c2c_on_both_sides() {
-        let p = GuardPolicy {
-            z: 1.0,
-            min_tolerance: 0.0,
-            ..GuardPolicy::standard()
-        };
         let mut noise = NoiseSpec::none();
         noise.device.c2c_sigma = 0.1;
         noise.device.on_off_ratio = f32::INFINITY;
         let denom = noise.device.g_on - noise.device.g_off();
         let var_term = 50.0f32;
-        let tol = p.tolerance(&noise, 4, var_term, None);
+        let tol = tolerance(&noise, 4, var_term, None);
         let s = 0.1 / denom;
-        let expect = (2.0 * s * s * var_term).sqrt();
+        let expect = 6.0 * (2.0 * s * s * var_term).sqrt() + 0.05;
         assert!((tol - expect).abs() < 1e-6, "{tol} vs {expect}");
     }
 

@@ -9,11 +9,11 @@
 //! noise accumulation the GBO paper analyzes.
 //!
 //! Deployment-lifecycle support rides on top: read-back **march testing**
-//! ([`MarchTestConfig`] → [`FaultMap`]), **fault remapping** with
+//! ([`Tile::march_test`] → [`FaultMap`]), **fault remapping** with
 //! composable strategies — differential-pair polarity flips, spare
 //! row/column redundancy, escalated write-verify —
-//! ([`RecoveryPolicy`] / [`CrossbarLinear::remap`]), and in-service
-//! **drift monitoring + refresh** ([`HealthMonitor`],
+//! ([`RecoveryPolicy`] / [`CrossbarLinear::remap`]), and **drift
+//! monitoring + refresh** ([`HealthMonitor`],
 //! [`CrossbarLinear::refresh`]). Unrecoverable cells degrade gracefully:
 //! they are counted in [`RemapReport`] / [`ExecutionStats`] instead of
 //! failing the deployment.
@@ -24,6 +24,14 @@
 //! readout against it with an analytically derived tolerance, walking a
 //! deterministic retry → refresh → remap → digital-fallback escalation
 //! ladder ([`GuardPolicy`]) whose telemetry lands in [`GuardStats`].
+//!
+//! The repair machinery has few settings. Detection (a 6σ checksum
+//! tolerance plus a 0.05 floor), the two stage-1 retries, the march test
+//! (4 reads, 40 % threshold), the escalated write-verify (2 %, 32
+//! attempts) and the monitor's 64 probes per tile are constants; a
+//! [`GuardPolicy`] sets only the refresh and remap budgets and the
+//! [`RecoveryPolicy`] stage 3 uses, and a [`RecoveryPolicy`] only which
+//! strategies run and how many spares each remap pass may draw.
 //!
 //! The paper itself trains and evaluates against the *functional* noise
 //! model `o = Wx + N(0, σ²)` (its Eq. 1); this crate provides the richer
@@ -68,7 +76,7 @@ pub use adc::Adc;
 pub use device::{CellHealth, DeviceModel};
 pub use energy::{EnergyModel, ExecutionStats};
 pub use engine::{CrossbarLinear, ExecOptions, VarianceStats, XbarConfig, SAMPLES_PER_THREAD};
-pub use fault::{CellFault, CellSide, FaultMap, HealthMonitor, MarchTestConfig};
+pub use fault::{CellFault, CellSide, FaultMap, HealthMonitor};
 pub use guard::{GuardPolicy, GuardStats};
 pub use noise::NoiseSpec;
 pub use nonideal::{NonIdealitySpec, T_MAX, T_MIN, T_REF};

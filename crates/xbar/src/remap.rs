@@ -13,10 +13,10 @@
 //!    current polarity is fully repaired.
 //! 2. **Spare row/column redundancy** — route a faulty wordline or
 //!    bitline pair to a spare physical line, within a configurable
-//!    per-tile budget. Spares carry the same iid fault rate as primary
-//!    cells.
+//!    budget per remap pass. Spares carry the same iid fault rate as
+//!    primary cells.
 //! 3. **Write-verify escalation** — re-program remaining flagged pairs
-//!    under a tightened [`WriteVerify`] policy (more attempts, tighter
+//!    under a tightened [`WriteVerify`] policy (32 attempts, 2 %
 //!    tolerance), charging the extra pulses to [`ProgramStats`]. This
 //!    cures drifted or badly programmed *healthy* cells (including
 //!    march-test false positives); genuinely stuck cells cannot verify.
@@ -28,25 +28,34 @@
 use membit_tensor::Rng;
 
 use crate::device::DeviceModel;
-use crate::fault::{CellFault, MarchTestConfig};
+use crate::fault::{CellFault, MARCH_THRESHOLD};
 use crate::program::{ProgramStats, WriteVerify};
 use crate::tile::Tile;
 use crate::Result;
 
-/// Composable recovery configuration.
+/// The escalated write-verify of the last analog stage: 2 % tolerance,
+/// 32 attempts per pair.
+const ESCALATION: WriteVerify = WriteVerify {
+    tolerance: 0.02,
+    max_attempts: 32,
+};
+
+/// Composable recovery configuration. The march test between stages (4
+/// reads, 40 % threshold) and the escalated write-verify that closes the
+/// analog ladder (2 % tolerance, 32 attempts) always run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Read-back test used to detect faults between stages.
-    pub march: MarchTestConfig,
     /// Enable differential-pair polarity flips.
     pub flip_polarity: bool,
-    /// Spare wordlines available per tile.
+    /// Spare wordlines granted to each remap pass of a tile. The budget
+    /// is not tracked per tile: every pass (deploy-time recovery,
+    /// [`CrossbarLinear::remap`](crate::CrossbarLinear::remap), each
+    /// guard stage-3 round) may use all of it again, and every spare is
+    /// a fresh random line.
     pub spare_rows: usize,
-    /// Spare bitline pairs available per tile.
+    /// Spare bitline pairs granted to each remap pass of a tile, on the
+    /// same terms as `spare_rows`.
     pub spare_cols: usize,
-    /// Escalated write-verify for cells still flagged after remapping;
-    /// `None` skips the stage.
-    pub escalation: Option<WriteVerify>,
     /// Enable the digital SAF/ECC arm: after every analog strategy runs,
     /// build a per-tile correction table from the residual march
     /// read-backs ([`Tile::build_saf_correction`]) so the engine patches
@@ -57,18 +66,12 @@ pub struct RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// All strategies on: standard march test, flips, 2+2 spares per
-    /// tile, 2 %-tolerance escalation with a 32-attempt budget.
+    /// All strategies on: flips and 2+2 spares per remap pass.
     pub fn standard() -> Self {
         Self {
-            march: MarchTestConfig::standard(),
             flip_polarity: true,
             spare_rows: 2,
             spare_cols: 2,
-            escalation: Some(WriteVerify {
-                tolerance: 0.02,
-                max_attempts: 32,
-            }),
             saf_ecc: false,
         }
     }
@@ -79,33 +82,6 @@ impl RecoveryPolicy {
             saf_ecc: true,
             ..Self::standard()
         }
-    }
-
-    /// Detection only: march test, no repair strategy enabled. Useful to
-    /// audit fault exposure without mutating the array.
-    pub fn detect_only() -> Self {
-        Self {
-            march: MarchTestConfig::standard(),
-            flip_polarity: false,
-            spare_rows: 0,
-            spare_cols: 0,
-            escalation: None,
-            saf_ecc: false,
-        }
-    }
-
-    /// Validates the embedded march test and escalation policies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MarchTestConfig::validate`] / [`WriteVerify::validate`]
-    /// errors.
-    pub fn validate(&self) -> Result<()> {
-        self.march.validate()?;
-        if let Some(wv) = &self.escalation {
-            wv.validate()?;
-        }
-        Ok(())
     }
 }
 
@@ -158,10 +134,10 @@ impl RemapReport {
 /// Whether flipping the column polarity would render this detected fault
 /// harmless: the read-back estimate sits within the march threshold of
 /// the *inverted* target level.
-fn fixed_by_flip(f: &CellFault, device: &DeviceModel, threshold: f32) -> bool {
+fn fixed_by_flip(f: &CellFault, device: &DeviceModel) -> bool {
     let window = device.g_on - device.g_off();
     let flipped_target = device.g_on + device.g_off() - f.g_target;
-    (f.g_est - flipped_target).abs() <= threshold * window
+    (f.g_est - flipped_target).abs() <= MARCH_THRESHOLD * window
 }
 
 /// Runs the configured recovery strategies on one tile, mutating it in
@@ -169,9 +145,9 @@ fn fixed_by_flip(f: &CellFault, device: &DeviceModel, threshold: f32) -> bool {
 ///
 /// # Errors
 ///
-/// Propagates policy validation errors.
+/// Propagates the tile's repair errors, which the tile's own fault map
+/// never triggers.
 pub fn remap_tile(tile: &mut Tile, policy: &RecoveryPolicy, rng: &mut Rng) -> Result<RemapReport> {
-    policy.validate()?;
     let mut report = RemapReport {
         tiles: 1,
         ..Default::default()
@@ -179,7 +155,7 @@ pub fn remap_tile(tile: &mut Tile, policy: &RecoveryPolicy, rng: &mut Rng) -> Re
     // any previously installed correction table describes a pre-repair
     // array; rebuilt below from the fresh residual when the arm is on
     tile.clear_saf_correction();
-    let initial = tile.march_test(&policy.march, rng)?;
+    let initial = tile.march_test(rng);
     report.faults_detected = initial.len() as u64;
     if initial.is_empty() {
         return Ok(report);
@@ -214,7 +190,7 @@ pub fn remap_tile(tile: &mut Tile, policy: &RecoveryPolicy, rng: &mut Rng) -> Re
     // same level always has exactly one adverse cell under either
     // polarity).
     let flip_stage = |tile: &mut Tile, report: &mut RemapReport, rng: &mut Rng| -> Result<()> {
-        let map = tile.march_test(&policy.march, rng)?;
+        let map = tile.march_test(rng);
         let (_, cols) = tile.dims();
         for col in 0..cols {
             let harmful_now = map.in_col(col).count();
@@ -224,14 +200,11 @@ pub fn remap_tile(tile: &mut Tile, policy: &RecoveryPolicy, rng: &mut Rng) -> Re
             // a flip can only help when at least one detected fault sits
             // at the inverted target level; skip the trial otherwise
             // (drifted mid-band cells are a job for escalation)
-            if !map
-                .in_col(col)
-                .any(|f| fixed_by_flip(f, tile.device(), policy.march.threshold))
-            {
+            if !map.in_col(col).any(|f| fixed_by_flip(f, tile.device())) {
                 continue;
             }
             tile.flip_column(col, rng)?;
-            let harmful_flipped = tile.march_test_column(col, &policy.march, rng)?.len();
+            let harmful_flipped = tile.march_test_column(col, rng)?.len();
             if harmful_flipped < harmful_now {
                 report.columns_flipped += 1;
             } else {
@@ -244,7 +217,7 @@ pub fn remap_tile(tile: &mut Tile, policy: &RecoveryPolicy, rng: &mut Rng) -> Re
         flip_stage(tile, &mut report, rng)?;
     }
     if policy.spare_cols > 0 {
-        let map = tile.march_test(&policy.march, rng)?;
+        let map = tile.march_test(rng);
         let mut by_count: Vec<(usize, usize)> = map
             .col_counts()
             .into_iter()
@@ -266,18 +239,16 @@ pub fn remap_tile(tile: &mut Tile, policy: &RecoveryPolicy, rng: &mut Rng) -> Re
     // Stage 3: escalated write-verify on whatever is still flagged —
     // cures drifted/badly-programmed healthy cells and march false
     // positives; stuck cells exhaust the budget.
-    if let Some(escalation) = &policy.escalation {
-        let map = tile.march_test(&policy.march, rng)?;
-        let mut pairs: Vec<(usize, usize)> = map.faults().iter().map(|f| (f.row, f.col)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        for (row, col) in pairs {
-            tile.reprogram_pair(row, col, escalation, rng, &mut report.program)?;
-            report.cells_escalated += 1;
-        }
+    let map = tile.march_test(rng);
+    let mut pairs: Vec<(usize, usize)> = map.faults().iter().map(|f| (f.row, f.col)).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    for (row, col) in pairs {
+        tile.reprogram_pair(row, col, &ESCALATION, rng, &mut report.program)?;
+        report.cells_escalated += 1;
     }
 
-    let residual = tile.march_test(&policy.march, rng)?;
+    let residual = tile.march_test(rng);
     report.unrecoverable_cells = residual.len() as u64;
     report.degraded_tiles = u64::from(!residual.is_empty());
     report.cells_recovered = report
@@ -351,21 +322,6 @@ mod tests {
             "remap should halve weight error: {before} → {after}"
         );
         assert!(report.cells_recovered > 0);
-    }
-
-    #[test]
-    fn detect_only_counts_but_does_not_repair() {
-        let mut rng = Rng::from_seed(4);
-        let w = pm1(&[24, 24], 5);
-        let mut tile = Tile::program(&w, &faulty_device(0.02, 0.02), &mut rng).unwrap();
-        let before = weight_error(&tile);
-        let report = remap_tile(&mut tile, &RecoveryPolicy::detect_only(), &mut rng).unwrap();
-        assert!(report.faults_detected > 0);
-        assert_eq!(report.columns_flipped, 0);
-        assert_eq!(report.spare_rows_used + report.spare_cols_used, 0);
-        assert_eq!(report.cells_escalated, 0);
-        assert_eq!(report.unrecoverable_cells, report.faults_detected);
-        assert_eq!(weight_error(&tile), before);
     }
 
     #[test]
@@ -464,20 +420,5 @@ mod tests {
         let mut tile2 = Tile::program(&w, &faulty_device(1.0, 0.0), &mut rng).unwrap();
         remap_tile(&mut tile2, &RecoveryPolicy::standard(), &mut rng).unwrap();
         assert!(!tile2.has_saf_correction());
-    }
-
-    #[test]
-    fn invalid_policy_rejected() {
-        let mut rng = Rng::from_seed(10);
-        let mut tile = Tile::program(&pm1(&[2, 2], 11), &DeviceModel::ideal(), &mut rng).unwrap();
-        let mut policy = RecoveryPolicy::standard();
-        policy.march.reads = 0;
-        assert!(remap_tile(&mut tile, &policy, &mut rng).is_err());
-        let mut policy2 = RecoveryPolicy::standard();
-        policy2.escalation = Some(WriteVerify {
-            tolerance: 0.0,
-            max_attempts: 1,
-        });
-        assert!(remap_tile(&mut tile, &policy2, &mut rng).is_err());
     }
 }

@@ -11,7 +11,7 @@
 use membit_tensor::{Rng, Tensor, TensorError};
 
 use crate::device::{CellHealth, DeviceModel};
-use crate::fault::{CellFault, CellSide, FaultMap, MarchTestConfig};
+use crate::fault::{CellFault, CellSide, FaultMap, MARCH_READS, MARCH_THRESHOLD};
 use crate::noise::NoiseSpec;
 use crate::program::{program_cell_verified_with_health, ProgramStats, WriteVerify};
 use crate::Result;
@@ -722,8 +722,8 @@ impl Tile {
     /// `(checksum, var_term)` where `checksum = Σ_i x_i·w_chk[i]` plus
     /// this column's own read noise, and
     /// `var_term = Σ_i x_i²·chk_sq[i]` is the aggregated c2c variance
-    /// numerator [`GuardPolicy::tolerance`](crate::GuardPolicy::tolerance)
-    /// consumes. Returns `None` on an unarmed tile.
+    /// numerator the guard's comparison tolerance consumes. Returns
+    /// `None` on an unarmed tile.
     ///
     /// The noise tail mirrors the regular readout: one aggregated
     /// cycle-to-cycle draw (`N(0, (σ_c2c/(G_on−G_off))²·var_term)`), then
@@ -759,27 +759,21 @@ impl Tile {
     // Fault detection and recovery primitives
     // ------------------------------------------------------------------
 
-    /// Read-back march test: estimates every cell's conductance from
-    /// `cfg.reads` averaged noisy reads and flags cells whose estimate
-    /// deviates from the programmed target by more than
-    /// `cfg.threshold·(G_on − G_off)`.
+    /// Read-back march test: estimates every cell's conductance from 4
+    /// averaged noisy reads and flags cells whose estimate deviates from
+    /// the programmed target by more than `0.4·(G_on − G_off)`.
     ///
     /// Detection fidelity is limited by the same read noise inference
     /// sees: recall drops as `c2c_sigma` grows, and `d2d_sigma` tails
     /// produce false positives.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation errors.
-    pub fn march_test(&self, cfg: &MarchTestConfig, rng: &mut Rng) -> Result<FaultMap> {
-        cfg.validate()?;
+    pub fn march_test(&self, rng: &mut Rng) -> FaultMap {
         let mut faults = Vec::new();
         for row in 0..self.rows {
             for col in 0..self.cols {
-                self.march_test_pair(row, col, cfg, rng, &mut faults);
+                self.march_test_pair(row, col, rng, &mut faults);
             }
         }
-        Ok(FaultMap::new(self.rows, self.cols, faults))
+        FaultMap::new(self.rows, self.cols, faults)
     }
 
     /// [`march_test`](Self::march_test) restricted to one column —
@@ -788,14 +782,9 @@ impl Tile {
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation and range errors.
-    pub fn march_test_column(
-        &self,
-        col: usize,
-        cfg: &MarchTestConfig,
-        rng: &mut Rng,
-    ) -> Result<Vec<CellFault>> {
-        cfg.validate()?;
+    /// Returns [`TensorError::InvalidArgument`] for an out-of-range
+    /// column.
+    pub fn march_test_column(&self, col: usize, rng: &mut Rng) -> Result<Vec<CellFault>> {
         if col >= self.cols {
             return Err(TensorError::InvalidArgument(format!(
                 "march_test_column {col} out of range for {} columns",
@@ -804,21 +793,14 @@ impl Tile {
         }
         let mut faults = Vec::new();
         for row in 0..self.rows {
-            self.march_test_pair(row, col, cfg, rng, &mut faults);
+            self.march_test_pair(row, col, rng, &mut faults);
         }
         Ok(faults)
     }
 
     /// Read-back check of both cells of one differential pair, appending
     /// any detection to `faults`.
-    fn march_test_pair(
-        &self,
-        row: usize,
-        col: usize,
-        cfg: &MarchTestConfig,
-        rng: &mut Rng,
-        faults: &mut Vec<CellFault>,
-    ) {
+    fn march_test_pair(&self, row: usize, col: usize, rng: &mut Rng, faults: &mut Vec<CellFault>) {
         let window = self.device.g_on - self.device.g_off();
         let idx = row * self.cols + col;
         let (pos_on, neg_on) = self.pair_targets(idx, col);
@@ -832,11 +814,11 @@ impl Tile {
                 self.device.g_off()
             };
             let mut sum = 0.0f32;
-            for _ in 0..cfg.reads {
+            for _ in 0..MARCH_READS {
                 sum += self.device.read_cell(g_prog, rng);
             }
-            let g_est = sum / cfg.reads as f32;
-            if (g_est - target).abs() > cfg.threshold * window {
+            let g_est = sum / MARCH_READS as f32;
+            if (g_est - target).abs() > MARCH_THRESHOLD * window {
                 faults.push(CellFault {
                     row,
                     col,
@@ -1498,23 +1480,16 @@ mod tests {
         let mut rng = Rng::from_seed(10);
         let w = Tensor::ones(&[4, 4]);
         let clean = Tile::program(&w, &device, &mut rng).unwrap();
-        assert!(clean
-            .march_test(&MarchTestConfig::standard(), &mut rng)
-            .unwrap()
-            .is_empty());
+        assert!(clean.march_test(&mut rng).is_empty());
 
         device.stuck_off_rate = 1.0;
         let faulty = Tile::program(&w, &device, &mut rng).unwrap();
-        let map = faulty
-            .march_test(&MarchTestConfig::standard(), &mut rng)
-            .unwrap();
+        let map = faulty.march_test(&mut rng);
         // every +1 weight's positive cell targets ON but is pinned OFF;
         // the negative cells target OFF and are (happily) stuck there
         assert_eq!(map.len(), 16);
         assert!(map.faults().iter().all(|f| f.side == CellSide::Pos));
-        let mut bad_cfg = MarchTestConfig::standard();
-        bad_cfg.reads = 0;
-        assert!(faulty.march_test(&bad_cfg, &mut rng).is_err());
+        assert!(faulty.march_test_column(4, &mut rng).is_err());
     }
 
     #[test]
@@ -2043,9 +2018,7 @@ mod tests {
             .unwrap();
         tile.inject_fault(0, 0, CellSide::Neg, CellHealth::StuckOn)
             .unwrap();
-        let map = tile
-            .march_test(&MarchTestConfig::standard(), &mut rng)
-            .unwrap();
+        let map = tile.march_test(&mut rng);
         assert_eq!(map.len(), 2);
         let entries = tile.build_saf_correction(&map);
         assert_eq!(entries.len(), 1);

@@ -3,9 +3,7 @@
 //! fault-free tiles round-trip through recovery unchanged.
 
 use membit_tensor::{Rng, Tensor};
-use membit_xbar::{
-    remap_tile, CellHealth, CellSide, DeviceModel, MarchTestConfig, RecoveryPolicy, Tile,
-};
+use membit_xbar::{remap_tile, CellHealth, CellSide, DeviceModel, RecoveryPolicy, Tile};
 use proptest::prelude::*;
 
 fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -16,8 +14,8 @@ fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
 /// Ground-truth march-test recall: the fraction of genuinely stuck cells
 /// (known from the tile's health arrays, which recovery code never sees)
 /// that the test flagged.
-fn detection_recall(tile: &Tile, cfg: &MarchTestConfig, rng: &mut Rng) -> f64 {
-    let map = tile.march_test(cfg, rng).unwrap();
+fn detection_recall(tile: &Tile, rng: &mut Rng) -> f64 {
+    let map = tile.march_test(rng);
     let (rows, cols) = tile.dims();
     let mut stuck = 0u64;
     let mut caught = 0u64;
@@ -72,7 +70,6 @@ proptest! {
         device.stuck_on_rate = 0.03;
         device.stuck_off_rate = 0.03;
         let w = pm1_matrix(48, 48, seed);
-        let cfg = MarchTestConfig { reads: 2, threshold: 0.45 };
 
         let mut recalls = Vec::new();
         for &sigma in &[0.01f32, 0.8] {
@@ -82,7 +79,7 @@ proptest! {
             // during the march test differs between the two tiles
             let mut rng = Rng::from_seed(seed.wrapping_mul(31).wrapping_add(5));
             let tile = Tile::program(&w, &d, &mut rng).unwrap();
-            recalls.push(detection_recall(&tile, &cfg, &mut rng));
+            recalls.push(detection_recall(&tile, &mut rng));
         }
         prop_assert!(
             recalls[0] >= recalls[1],

@@ -39,10 +39,11 @@ echo "=== activation level thresholds (every finite f32, release) ==="
 cargo test -q --release -p membit-core --lib thresholds_are_exact -- --ignored
 
 echo "=== golden search digests (training, GBO and MemSE search; both profiles) ==="
-# trained parameters, BN statistics, losses, GBO logits and analytic
-# selections of five scenarios (rollback, kill-and-resume, MC search,
-# NIA, MemSE descent), pinned to digests recorded before the epoch
-# loop and the coordinate descent were merged
+# trained parameters, BN statistics, losses, GBO logits, analytic
+# selections and hooked evaluations of six scenarios (rollback,
+# kill-and-resume, MC search, NIA, MemSE descent, Fig. 2 sensitivity
+# with PLA evaluations), each pinned to a digest recorded on the parent
+# of the change that introduced or reshaped it
 cargo test -q -p membit-core --test golden_search
 cargo test -q --release -p membit-core --test golden_search
 
