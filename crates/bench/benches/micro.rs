@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the performance-critical kernels: matmul,
-//! im2col/conv lowering, VGG forward, bit encoding, and the device-level
-//! crossbar MVM.
+//! im2col/conv lowering, VGG forward, bit encoding, the device-level
+//! crossbar MVM and the read-noise sampler.
 //!
 //! Uses a small self-contained timing harness (`harness = false`) instead
 //! of criterion so the workspace builds offline with zero external
@@ -109,6 +109,24 @@ fn bench_xbar() {
     });
 }
 
+fn bench_noise() {
+    // one tile readout's noise: a keyed substream, then 128 column draws
+    // in one call, the shape of `Tile::finish_pulse`
+    let base = Rng::from_seed(3);
+    let mut out = vec![0.0f32; 128];
+    let mut pulse = 0u64;
+    bench("noise substream + accum 128 cols", || {
+        pulse += 1;
+        base.substream(&[pulse, 0, 0, 0])
+            .normal_accum(0.1, &mut out);
+        out[0]
+    });
+    let mut rng = Rng::from_seed(4);
+    bench("rng normal x1024", || {
+        (0..1024).map(|_| rng.normal(0.0, 1.0)).sum::<f32>()
+    });
+}
+
 fn main() {
     // `cargo test` builds and runs bench targets with `--test`; there is
     // nothing to test here, so bail out quickly in that mode.
@@ -120,4 +138,5 @@ fn main() {
     bench_vgg_forward();
     bench_encoding();
     bench_xbar();
+    bench_noise();
 }

@@ -1530,7 +1530,7 @@ mod tests {
         let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
         let span = (1u64 << 32).div_ceil(threads as u64);
         let mut mismatches = vec![0usize; threads];
-        scoped_chunks(&mut mismatches, 1, |t, slot| {
+        scoped_chunks(&mut mismatches, 1, threads, |t, slot| {
             let start = t as u64 * span;
             let end = (start + span).min(1 << 32);
             slot[0] = (start..end)

@@ -2,7 +2,7 @@
 
 use membit_data::Dataset;
 use membit_nn::Params;
-use membit_tensor::{Rng, RngStream};
+use membit_tensor::{Rng, RngStream, TensorError};
 
 use crate::hooks::GaussianMvmNoise;
 use crate::model::CrossbarModel;
@@ -18,7 +18,8 @@ use crate::Result;
 ///
 /// # Errors
 ///
-/// Propagates evaluation errors.
+/// [`TensorError::InvalidArgument`] if `sigma_abs` does not hold one σ
+/// per crossbar layer; otherwise propagates evaluation errors.
 pub fn layer_sensitivity(
     model: &mut dyn CrossbarModel,
     params: &Params,
@@ -29,9 +30,15 @@ pub fn layer_sensitivity(
     seed: u64,
 ) -> Result<Vec<f32>> {
     let all = model.crossbar_layers();
-    let layers = all.min(sigma_abs.len());
-    let mut out = Vec::with_capacity(layers);
-    for (layer, &sig) in sigma_abs.iter().enumerate().take(layers) {
+    if sigma_abs.len() != all {
+        return Err(TensorError::InvalidArgument(format!(
+            "sigma_abs covers {} layers but model has {all}",
+            sigma_abs.len()
+        ))
+        .into());
+    }
+    let mut out = Vec::with_capacity(all);
+    for (layer, &sig) in sigma_abs.iter().enumerate() {
         // σ at the probed layer only; one pulse leaves it unaveraged
         let mut sigma = vec![0.0; all];
         sigma[layer] = sig;
@@ -103,5 +110,32 @@ mod tests {
         let clean = evaluate(&mut mlp, &params, &test, 20).unwrap();
         let series = layer_sensitivity(&mut mlp, &params, &test, &[0.0], 20, 1, 7).unwrap();
         assert_eq!(series, vec![clean]);
+    }
+
+    #[test]
+    fn sigma_list_must_match_the_crossbar_layers() {
+        let mut rng = Rng::from_seed(0);
+        let mut params = Params::new();
+        let mut mlp = Mlp::new(
+            &MlpConfig::new(3 * 8 * 8, &[16, 12, 8], 10),
+            &mut params,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(mlp.crossbar_layers(), 3);
+        let (_, test) = synth_cifar(&SynthCifarConfig::tiny(), 13).unwrap();
+        for len in [1, 5] {
+            let err = layer_sensitivity(&mut mlp, &params, &test, &vec![0.1; len], 20, 1, 7)
+                .expect_err("a σ list of the wrong length must be rejected");
+            assert!(
+                matches!(
+                    err,
+                    crate::TrainError::Tensor(TensorError::InvalidArgument(_))
+                ),
+                "{len} σ values: {err:?}"
+            );
+        }
+        let series = layer_sensitivity(&mut mlp, &params, &test, &[0.0; 3], 20, 1, 7).unwrap();
+        assert_eq!(series.len(), 3);
     }
 }

@@ -28,6 +28,7 @@
 
 mod conv;
 mod error;
+mod gauss;
 mod matmul;
 mod ops;
 pub mod parallel;

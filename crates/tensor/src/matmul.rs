@@ -172,7 +172,8 @@ pub fn matmul_into(out: &mut Tensor, a: &Tensor, b: &Tensor, opts: MatmulOptions
 
     let rows_per = m.div_ceil(threads);
     let (asl, bsl) = (a.as_slice(), b.as_slice());
-    scoped_chunks(out.as_mut_slice(), rows_per * n, |start, oblock| {
+    let block = rows_per * n;
+    scoped_chunks(out.as_mut_slice(), block, threads, |start, oblock| {
         let r0 = start / n;
         let rows = oblock.len() / n;
         kernel(oblock, &asl[r0 * k..(r0 + rows) * k], bsl, k, n);

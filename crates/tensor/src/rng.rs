@@ -5,7 +5,11 @@
 //! an independent substream derived with [`Rng::stream`], so adding noise
 //! samples in one place never perturbs the data another component sees.
 
+use crate::gauss::{logf, sincosf};
 use crate::Tensor;
+
+/// Box–Muller pairs drawn and transformed together by the slice samplers.
+const BLOCK: usize = 32;
 
 /// Named substreams derived from a root seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,17 +180,22 @@ impl Rng {
         self.next_f32() < p
     }
 
+    /// The two uniforms of one Box–Muller pair, `u1` in `(0, 1]` (so
+    /// `ln u1` is finite) and `u2` in `[0, 1)`.
+    #[inline(always)]
+    fn box_muller_uniforms(&mut self) -> (f32, f32) {
+        let u1 = 1.0 - self.next_f32();
+        (u1, self.next_f32())
+    }
+
     /// One fresh Box–Muller pair: the first sample already scaled to
     /// `(mean, std)`, the second as the raw unit spare `r·sinθ` (scaled at
     /// use time, exactly like [`normal`](Self::normal)'s cache).
     #[inline]
     fn normal_fresh_pair(&mut self, mean: f32, std: f32) -> (f32, f32) {
-        // Draw u1 in (0, 1] to avoid ln(0).
-        let u1: f32 = 1.0 - self.next_f32();
-        let u2: f32 = self.next_f32();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f32::consts::PI * u2;
-        (mean + std * r * theta.cos(), r * theta.sin())
+        let (u1, u2) = self.box_muller_uniforms();
+        let (r, cos, spare) = box_muller(u1, u2);
+        (mean + std * r * cos, spare)
     }
 
     /// Gaussian sample via Box–Muller.
@@ -201,55 +210,57 @@ impl Rng {
 
     /// Fills `out` with i.i.d. `N(mean, std)` samples, consuming both
     /// Box–Muller outputs per uniform pair directly instead of routing the
-    /// spare through the per-call cache.
+    /// spare through the per-call cache, and transforming the pairs in
+    /// blocks.
     ///
     /// Draw-for-draw bit-compatible with `out.len()` sequential
     /// [`normal`](Self::normal) calls: any pre-existing cached spare is
     /// consumed first and a trailing odd sample leaves its spare cached,
     /// so mixing `normal_fill` with `normal` never shifts the stream.
     pub fn normal_fill(&mut self, mean: f32, std: f32, out: &mut [f32]) {
-        let mut iter = out.iter_mut();
-        if self.cached_normal.is_some() {
-            match iter.next() {
-                Some(o) => *o = self.normal(mean, std),
-                None => return,
-            }
-        }
-        while let Some(a) = iter.next() {
-            let (value, spare) = self.normal_fresh_pair(mean, std);
-            *a = value;
-            match iter.next() {
-                Some(b) => *b = mean + std * spare,
-                None => self.cached_normal = Some(spare),
-            }
-        }
+        self.normal_slice(mean, std, out, |o, v| *o = v);
     }
 
     /// Adds i.i.d. `N(0, std)` noise to every element of `out` — the
     /// accumulate form of [`normal_fill`](Self::normal_fill), with the
     /// same bit-compatibility guarantee.
     pub fn normal_accum(&mut self, std: f32, out: &mut [f32]) {
-        let mut iter = out.iter_mut();
+        self.normal_slice(0.0, std, out, |o, v| *o += v);
+    }
+
+    /// Hands `apply` each element of `out` with the value that many
+    /// sequential `normal(mean, std)` calls return.
+    fn normal_slice(
+        &mut self,
+        mean: f32,
+        std: f32,
+        out: &mut [f32],
+        apply: impl Fn(&mut f32, f32),
+    ) {
+        let mut out = out;
         if self.cached_normal.is_some() {
-            match iter.next() {
-                Some(o) => *o += self.normal(0.0, std),
-                None => return,
-            }
+            let Some((first, rest)) = out.split_first_mut() else {
+                return;
+            };
+            apply(first, self.normal(mean, std));
+            out = rest;
         }
-        while let Some(a) = iter.next() {
-            let (value, spare) = self.normal_fresh_pair(0.0, std);
-            *a += value;
-            match iter.next() {
-                Some(b) => *b += 0.0 + std * spare,
+        let mut pairs = PairBlocks::new(out.len().div_ceil(2));
+        for o in out.chunks_mut(2) {
+            let (r, cos, spare) = pairs.next(self);
+            apply(&mut o[0], mean + std * r * cos);
+            match o.get_mut(1) {
+                Some(b) => apply(b, mean + std * spare),
                 None => self.cached_normal = Some(spare),
             }
         }
     }
 
-    /// Adds `N(0, factor·√vars[j])` noise to `out[j]` for every element
-    /// with `vars[j] > 0`, skipping (and drawing nothing for) the rest —
-    /// the per-column aggregated-variance pattern of the crossbar
-    /// cycle-to-cycle read noise.
+    /// Adds `N(0, factor·√vars[j])` noise to `out[j]`, skipping (and
+    /// drawing nothing for) every element with `vars[j] ≤ 0` — the
+    /// per-column aggregated-variance pattern of the crossbar
+    /// cycle-to-cycle read noise. A NaN variance is not skipped: it
+    /// draws, and its element becomes NaN.
     ///
     /// Bit-compatible with the equivalent gated sequence of
     /// [`normal`](Self::normal) calls; the Box–Muller spare is kept in a
@@ -257,6 +268,13 @@ impl Rng {
     /// end.
     pub fn normal_accum_gated(&mut self, factor: f32, vars: &[f32], out: &mut [f32]) {
         let mut spare = self.cached_normal.take();
+        // fresh pairs for the draws after the spare; same gate as below
+        let gated = vars[..vars.len().min(out.len())]
+            .iter()
+            .filter(|&&v| v > 0.0 || v.is_nan())
+            .count();
+        let fresh = gated.saturating_sub(usize::from(spare.is_some()));
+        let mut pairs = PairBlocks::new(fresh.div_ceil(2));
         for (o, &v) in out.iter_mut().zip(vars) {
             if v <= 0.0 {
                 continue;
@@ -265,8 +283,8 @@ impl Rng {
             match spare.take() {
                 Some(z) => *o += 0.0 + std * z,
                 None => {
-                    let (value, z) = self.normal_fresh_pair(0.0, std);
-                    *o += value;
+                    let (r, cos, z) = pairs.next(self);
+                    *o += 0.0 + std * r * cos;
                     spare = Some(z);
                 }
             }
@@ -274,9 +292,12 @@ impl Rng {
         self.cached_normal = spare;
     }
 
-    /// Tensor of i.i.d. Gaussian samples.
+    /// Tensor of i.i.d. Gaussian samples, drawn as
+    /// [`normal_fill`](Self::normal_fill) draws them.
     pub fn normal_tensor(&mut self, shape: &[usize], mean: f32, std: f32) -> Tensor {
-        Tensor::from_fn(shape, |_| self.normal(mean, std))
+        let mut t = Tensor::zeros(shape);
+        self.normal_fill(mean, std, t.as_mut_slice());
+        t
     }
 
     /// Tensor of i.i.d. uniform samples in `[lo, hi)`.
@@ -357,6 +378,76 @@ impl Rng {
     }
 }
 
+/// The Box–Muller transform of one uniform pair: `(r, cos θ, r·sin θ)`
+/// with `r = √(−2 ln u1)` and `θ = 2π·u2` (DESIGN §19).
+#[inline(always)]
+fn box_muller(u1: f32, u2: f32) -> (f32, f32, f32) {
+    let r = (-2.0 * logf(u1)).sqrt();
+    let (sin, cos) = sincosf(2.0 * std::f32::consts::PI * u2);
+    (r, cos, r * sin)
+}
+
+/// Fresh Box–Muller pairs for the slice samplers, [`BLOCK`] at a time:
+/// a block's uniforms are drawn in stream order, then transformed lane
+/// by lane, a loop the compiler vectorizes. It draws no more pairs than
+/// it was sized for, so the stream advances exactly as the same values'
+/// [`Rng::normal`] calls advance it.
+struct PairBlocks {
+    r: [f32; BLOCK],
+    cos: [f32; BLOCK],
+    spare: [f32; BLOCK],
+    next: usize,
+    filled: usize,
+    left: usize,
+}
+
+impl PairBlocks {
+    fn new(pairs: usize) -> Self {
+        Self {
+            r: [0.0; BLOCK],
+            cos: [0.0; BLOCK],
+            spare: [0.0; BLOCK],
+            next: 0,
+            filled: 0,
+            left: pairs,
+        }
+    }
+
+    /// The next pair as `(r, cos θ, r·sin θ)`.
+    #[inline(always)]
+    fn next(&mut self, rng: &mut Rng) -> (f32, f32, f32) {
+        if self.next == self.filled {
+            self.refill(rng);
+        }
+        let j = self.next;
+        self.next += 1;
+        (self.r[j], self.cos[j], self.spare[j])
+    }
+
+    /// Draws the next block; out of line, so `next` stays small enough
+    /// to inline into the samplers' loops.
+    #[inline(never)]
+    fn refill(&mut self, rng: &mut Rng) {
+        debug_assert!(self.left > 0, "drew past the sized pairs");
+        let n = self.left.min(BLOCK);
+        self.left -= n;
+        let mut u1 = [0.0f32; BLOCK];
+        let mut u2 = [0.0f32; BLOCK];
+        for (a, b) in u1[..n].iter_mut().zip(&mut u2[..n]) {
+            (*a, *b) = rng.box_muller_uniforms();
+        }
+        let lanes = self.r[..n]
+            .iter_mut()
+            .zip(&mut self.cos[..n])
+            .zip(&mut self.spare[..n]);
+        for (((r, cos), spare), (&a, &b)) in lanes.zip(u1.iter().zip(&u2)) {
+            (*r, *cos, *spare) = box_muller(a, b);
+        }
+        self.next = 0;
+        self.filled = n;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,65 +513,157 @@ mod tests {
         assert!((t.std() - 3.0).abs() < 0.05, "std was {}", t.std());
     }
 
+    /// Lengths around the block edges: a block holds 32 pairs, 64 values.
+    const LENS: [usize; 11] = [0, 1, 2, 31, 32, 33, 63, 64, 65, 129, 300];
+
+    /// Two copies of one stream, with a hot Box–Muller cache if `warm`.
+    fn twin_streams(seed: u64, warm: bool) -> (Rng, Rng) {
+        let mut a = Rng::from_seed(seed).stream(RngStream::Noise);
+        if warm {
+            // an odd draw leaves the spare cached
+            a.normal(0.0, 1.0);
+        }
+        (a.clone(), a)
+    }
+
+    /// The spare each left behind, then the raw stream, agree.
+    fn assert_aligned(seq: &mut Rng, blk: &mut Rng, what: &str) {
+        assert_eq!(
+            seq.cached_normal.map(f32::to_bits),
+            blk.cached_normal.map(f32::to_bits),
+            "{what}: spare"
+        );
+        assert_eq!(
+            seq.normal(0.0, 1.0).to_bits(),
+            blk.normal(0.0, 1.0).to_bits(),
+            "{what}: next normal"
+        );
+        assert_eq!(seq.next_u64(), blk.next_u64(), "{what}: next raw draw");
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn normal_fill_matches_sequential_normals_bitwise() {
-        for len in [0usize, 1, 2, 5, 8, 33] {
+        for len in LENS {
             for warm in [false, true] {
-                let mut seq = Rng::from_seed(77).stream(RngStream::Noise);
-                let mut fill = Rng::from_seed(77).stream(RngStream::Noise);
-                if warm {
-                    // odd draw leaves a hot Box–Muller cache in both
-                    seq.normal(0.0, 1.0);
-                    fill.normal(0.0, 1.0);
-                }
+                let (mut seq, mut fill) = twin_streams(77, warm);
                 let expect: Vec<f32> = (0..len).map(|_| seq.normal(0.25, 1.75)).collect();
                 let mut got = vec![0.0f32; len];
                 fill.normal_fill(0.25, 1.75, &mut got);
-                assert_eq!(expect, got, "len {len} warm {warm}");
-                // streams stay aligned afterwards
-                assert_eq!(seq.normal(0.0, 1.0), fill.normal(0.0, 1.0));
+                let what = format!("len {len} warm {warm}");
+                assert_eq!(bits(&expect), bits(&got), "{what}");
+                assert_aligned(&mut seq, &mut fill, &what);
             }
         }
     }
 
     #[test]
     fn normal_accum_matches_sequential_adds_bitwise() {
-        for len in [1usize, 4, 7] {
-            let mut seq = Rng::from_seed(31);
-            let mut acc = Rng::from_seed(31);
-            let base: Vec<f32> = (0..len).map(|i| i as f32 - 2.0).collect();
-            let mut expect = base.clone();
-            for o in expect.iter_mut() {
-                *o += seq.normal(0.0, 0.6);
+        for len in LENS {
+            for warm in [false, true] {
+                let (mut seq, mut acc) = twin_streams(31, warm);
+                let base: Vec<f32> = (0..len).map(|i| i as f32 - 2.0).collect();
+                let mut expect = base.clone();
+                for o in expect.iter_mut() {
+                    *o += seq.normal(0.0, 0.6);
+                }
+                let mut got = base;
+                acc.normal_accum(0.6, &mut got);
+                let what = format!("len {len} warm {warm}");
+                assert_eq!(bits(&expect), bits(&got), "{what}");
+                assert_aligned(&mut seq, &mut acc, &what);
             }
-            let mut got = base;
-            acc.normal_accum(0.6, &mut got);
-            assert_eq!(expect, got, "len {len}");
-            assert_eq!(seq.normal(0.0, 1.0), acc.normal(0.0, 1.0));
         }
     }
 
     #[test]
     fn normal_accum_gated_matches_gated_sequential_draws() {
-        let vars = [0.5f32, 0.0, 2.0, -1.0, 0.25, 3.0, 0.0, 1.0, 4.0];
-        let mut seq = Rng::from_seed(63);
-        let mut acc = Rng::from_seed(63);
-        // warm the cache so the gated path must consume it first
-        seq.normal(0.0, 1.0);
-        acc.normal(0.0, 1.0);
+        // variance patterns, cycled to each length: all drawn, none drawn,
+        // and gates mixing zero, negative and NaN variances
+        let patterns: [&[f32]; 4] = [
+            &[0.5, 2.0, 1.0],
+            &[0.0, -1.0],
+            &[0.5, 0.0, 2.0, -1.0, 0.25, 3.0, 0.0, 1.0, 4.0],
+            &[1.0, f32::NAN, 0.0, 2.0, -0.5, f32::NAN, 0.75],
+        ];
         let factor = 0.3f32;
-        let mut expect = vec![1.0f32; vars.len()];
-        for (o, &v) in expect.iter_mut().zip(&vars) {
-            if v > 0.0 {
-                *o += seq.normal(0.0, factor * v.sqrt());
+        for (p, pattern) in patterns.iter().enumerate() {
+            for len in LENS {
+                for warm in [false, true] {
+                    let vars: Vec<f32> = pattern.iter().copied().cycle().take(len).collect();
+                    let (mut seq, mut acc) = twin_streams(63, warm);
+                    let mut expect = vec![1.0f32; len];
+                    for (o, &v) in expect.iter_mut().zip(&vars) {
+                        // a NaN variance passes the gate and draws
+                        if v > 0.0 || v.is_nan() {
+                            *o += seq.normal(0.0, factor * v.sqrt());
+                        }
+                    }
+                    let mut got = vec![1.0f32; len];
+                    acc.normal_accum_gated(factor, &vars, &mut got);
+                    let what = format!("pattern {p} len {len} warm {warm}");
+                    assert_eq!(bits(&expect), bits(&got), "{what}");
+                    assert_aligned(&mut seq, &mut acc, &what);
+                }
             }
         }
-        let mut got = vec![1.0f32; vars.len()];
-        acc.normal_accum_gated(factor, &vars, &mut got);
-        assert_eq!(expect, got);
-        // the trailing spare must land back in the cache identically
-        assert_eq!(seq.normal(0.0, 1.0), acc.normal(0.0, 1.0));
-        assert_eq!(seq.next_u64(), acc.next_u64());
+    }
+
+    /// `Φ(x)` from Abramowitz & Stegun 7.1.26 (|error| ≤ 1.5e-7).
+    fn phi(x: f64) -> f64 {
+        let t = 1.0 / (1.0 + 0.327_591_1 * x.abs() / std::f64::consts::SQRT_2);
+        let poly = t
+            * (0.254_829_592
+                + t * (-0.284_496_736
+                    + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+        let erf = 1.0 - poly * (-x * x / 2.0).exp();
+        0.5 * (1.0 + x.signum() * erf)
+    }
+
+    /// 2²⁰ draws in the read path's shape, one keyed substream and 128
+    /// columns at a time, against N(0, 1). Each bound is five standard
+    /// errors, or the Kolmogorov distribution's 0.1 % point for the KS
+    /// distance.
+    #[test]
+    fn normal_accum_draws_are_standard_normal() {
+        const N: usize = 1 << 20;
+        let base = Rng::from_seed(2022).stream(RngStream::Noise);
+        let mut z = vec![0.0f32; N];
+        for (i, cols) in z.chunks_mut(128).enumerate() {
+            base.substream(&[i as u64]).normal_accum(1.0, cols);
+        }
+        let n = N as f64;
+        let mean = z.iter().map(|&v| f64::from(v)).sum::<f64>() / n;
+        let var = z
+            .iter()
+            .map(|&v| (f64::from(v) - mean).powi(2))
+            .sum::<f64>()
+            / (n - 1.0);
+        assert!(mean.abs() < 5.0 / n.sqrt(), "mean {mean}");
+        assert!((var - 1.0).abs() < 5.0 * (2.0 / n).sqrt(), "variance {var}");
+
+        let mut sorted: Vec<f64> = z.iter().map(|&v| f64::from(v)).collect();
+        sorted.sort_by(f64::total_cmp);
+        let ks = sorted
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let cdf = phi(x);
+                (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
+            })
+            .fold(0.0, f64::max);
+        assert!(ks < 1.95 / n.sqrt(), "KS distance {ks}");
+
+        // P(|Z| > 4) = 6.334e-5: about 66 of the draws, Poisson spread
+        let expect = 6.334e-5 * n;
+        let tail = z.iter().filter(|v| v.abs() > 4.0).count() as f64;
+        assert!(
+            (tail - expect).abs() < 5.0 * expect.sqrt(),
+            "{tail} draws beyond 4σ, expected {expect:.1}"
+        );
     }
 
     #[test]

@@ -21,6 +21,12 @@ use crate::Result;
 /// to multiples of it (`membit_serve::batch_quota`).
 pub const SAMPLES_PER_THREAD: usize = 2;
 
+/// Sample blocks per execution worker. A multi-threaded execution cuts
+/// its batch into about this many blocks per thread and each worker
+/// claims the next free block, so a worker on a core slowed by other
+/// load takes fewer blocks instead of holding up the whole batch.
+const BLOCKS_PER_THREAD: usize = 8;
+
 /// Host-side execution options: how programming and pulse execution fan
 /// out over worker threads.
 ///
@@ -292,7 +298,8 @@ impl CrossbarLinear {
         let threads = plan_threads(njobs, config.exec.max_threads, 1);
         let mut slots: Vec<Option<Result<(Tile, ProgramStats)>>> =
             (0..njobs).map(|_| None).collect();
-        scoped_chunks(&mut slots, njobs.div_ceil(threads), |start, chunk| {
+        let per_worker = njobs.div_ceil(threads);
+        scoped_chunks(&mut slots, per_worker, threads, |start, chunk| {
             for (off, slot) in chunk.iter_mut().enumerate() {
                 let (ri, ci) = ((start + off) / nct, (start + off) % nct);
                 let (r0, c0) = (row_starts[ri], col_starts[ci]);
@@ -683,14 +690,20 @@ impl CrossbarLinear {
         // One nonce per execution keys a fresh family of noise
         // substreams; workers re-derive per-(pulse, sample, tile) streams
         // from it, so the fan-out over sample blocks is bitwise
-        // deterministic for any thread count.
+        // deterministic for any thread count, block size and claim order.
         let nonce = rng.next_nonce();
         let base = rng.substream(&[nonce]);
         let threads = plan_threads(n, self.config.exec.max_threads, SAMPLES_PER_THREAD);
-        let block = n.div_ceil(threads);
+        let block = if threads == 1 {
+            n
+        } else {
+            n.div_ceil(threads * BLOCKS_PER_THREAD)
+                .max(SAMPLES_PER_THREAD)
+        };
         let worker_out = scoped_chunks(
             acc.as_mut_slice(),
             block * self.out_features,
+            threads,
             |start, ablock| {
                 let mut wviol = vec![0u64; ntiles];
                 let ws =

@@ -8,6 +8,17 @@ echo "=== cargo fmt --check ==="
 # formatting drift makes every later diff noisy; fail on it first
 cargo fmt --all -- --check
 
+echo "=== no libm ln/sin/cos on the read path ==="
+# the read noise's Box–Muller runs on the bitwise ports in
+# crates/tensor/src/gauss.rs (DESIGN §19); a std ln/sin/cos call in the
+# crossbar, encoding or serving code, or in the sampler, would tie its
+# bits to the host's libm again
+if grep -rnE '\.(ln|sin|cos|sin_cos)\(' \
+    crates/xbar/src crates/encoding/src crates/serve/src crates/tensor/src/rng.rs; then
+    echo "ci: a std ln/sin/cos call above ties noisy results to the host libm" >&2
+    exit 1
+fi
+
 echo "=== cargo build --release ==="
 cargo build --release --workspace
 
@@ -56,6 +67,8 @@ echo "=== release-mode float determinism (tensor + kernel suites) ==="
 # the bitwise contracts must hold under optimized codegen too: release
 # builds changed vectorization/libm behavior have broken these before
 # (1-ULP sin divergence in results_identical_for_any_chunking, PR 8)
+# The tensor suite also runs the read-noise sampler's exhaustive pin of
+# its ln and sincos ports over all 2^24 inputs of each.
 cargo test -q --release -p membit-tensor
 cargo test -q --release -p membit-xbar --test proptest_kernels
 cargo test -q --release -p membit-xbar --test proptest_determinism
