@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the performance-critical kernels: matmul,
 //! im2col/conv lowering, VGG forward, bit encoding, the device-level
-//! crossbar MVM and the read-noise sampler.
+//! crossbar MVM, the guard's host overhead and the read-noise sampler.
 //!
 //! Uses a small self-contained timing harness (`harness = false`) instead
 //! of criterion so the workspace builds offline with zero external
@@ -10,10 +10,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use membit_autograd::Tape;
+use membit_encoding::pla::PlaThermometer;
 use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
 use membit_nn::{NoNoise, Params, Phase, Vgg, VggConfig};
 use membit_tensor::{im2col, Conv2dGeometry, MatmulOptions, Rng, Tensor};
-use membit_xbar::{CrossbarLinear, DeviceModel, NoiseSpec, Tile, XbarConfig};
+use membit_xbar::{
+    CrossbarLinear, DeviceModel, ExecOptions, GuardPolicy, NoiseSpec, Tile, XbarConfig,
+};
 
 /// Times `f` with a warmup pass and enough iterations to fill ~0.2 s,
 /// reporting the per-iteration mean.
@@ -109,6 +112,49 @@ fn bench_xbar() {
     });
 }
 
+fn bench_guard() {
+    // the small VGG's c5 (576 → 64) on 128×128 realistic tiles: one
+    // image's 16 positions at p = 16 on one thread, unguarded and with
+    // the standard guard (checks and retries, no repair ladder)
+    let mut rng = Rng::from_seed(5);
+    let w = Tensor::from_fn(&[64, 576], |_| if rng.coin(0.5) { 1.0 } else { -1.0 });
+    let input = Tensor::from_fn(&[16, 576], |_| rng.uniform(-1.0, 1.0));
+    let train = PlaThermometer::new(9, 16)
+        .unwrap()
+        .encode_tensor(&input)
+        .unwrap();
+    let engines = [None, Some(GuardPolicy::standard())].map(|guard| {
+        let cfg = XbarConfig {
+            guard,
+            exec: ExecOptions::with_threads(1),
+            ..XbarConfig::realistic(0.2)
+        };
+        CrossbarLinear::program(&w, &cfg, &mut rng).unwrap()
+    });
+    // a warmup, then interleaved rounds, so both engines see the same
+    // host state
+    for engine in &engines {
+        black_box(engine.execute(&train, &mut rng).unwrap());
+    }
+    const ROUNDS: u32 = 100;
+    let mut secs = [0.0f64; 2];
+    for _ in 0..ROUNDS {
+        for (s, engine) in secs.iter_mut().zip(&engines) {
+            let start = Instant::now();
+            black_box(engine.execute(&train, &mut rng).unwrap());
+            *s += start.elapsed().as_secs_f64();
+        }
+    }
+    for (name, s) in ["plain", "guarded"].iter().zip(secs) {
+        let ms = s * 1e3 / f64::from(ROUNDS);
+        println!(
+            "{:<40} {ms:>10.3} ms/iter  ({ROUNDS} iters)",
+            format!("c5 execute 16x576->64 p16 {name}")
+        );
+    }
+    println!("{:<40} {:>10.3} ×", "c5 guarded / plain", secs[1] / secs[0]);
+}
+
 fn bench_noise() {
     // one tile readout's noise: a keyed substream, then 128 column draws
     // in one call, the shape of `Tile::finish_pulse`
@@ -138,5 +184,6 @@ fn main() {
     bench_vgg_forward();
     bench_encoding();
     bench_xbar();
+    bench_guard();
     bench_noise();
 }

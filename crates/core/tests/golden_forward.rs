@@ -91,6 +91,12 @@ enum Scenario {
     /// Functional noise with stuck faults repaired by remap plus the
     /// digital SAF/ECC arm, so corrections run.
     StuckEcc,
+    /// Realistic devices with the standard guard *and* the SAF/ECC arm
+    /// on the same tiles: stuck faults, then remap with ECC, which
+    /// re-arms the checksums, so the first batch checks and corrects the
+    /// same readouts. Upsets before the second batch clear the hit
+    /// tiles' correction tables and trip retries.
+    GuardedStuckEcc,
 }
 
 /// Mixed PLA pulse map: odd and even counts, fewer and more pulses than
@@ -106,7 +112,7 @@ fn xbar_config(scenario: Scenario, threads: usize) -> XbarConfig {
             adc_bits: None,
             ..XbarConfig::realistic(0.2)
         },
-        Scenario::RealisticGuarded => {
+        Scenario::RealisticGuarded | Scenario::GuardedStuckEcc => {
             XbarConfig::realistic(0.2).with_guard(GuardPolicy::standard())
         }
     };
@@ -129,7 +135,7 @@ fn forward_digest(scenario: Scenario, threads: usize) -> u64 {
     };
     let mut rng = Rng::from_seed(7);
     let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).expect("deploy");
-    if let Scenario::StuckEcc = scenario {
+    if let Scenario::StuckEcc | Scenario::GuardedStuckEcc = scenario {
         device
             .inject_stuck_faults(0.05, &mut rng)
             .expect("stuck faults");
@@ -140,8 +146,14 @@ fn forward_digest(scenario: Scenario, threads: usize) -> u64 {
     let (mut h, mut total) = (Fnv::new(), ExecutionStats::default());
     for batch in 0..2 {
         if batch == 1 {
-            if let Scenario::RealisticGuarded = scenario {
-                device.inject_faults(0.05, &mut rng).expect("upsets");
+            match scenario {
+                Scenario::RealisticGuarded => {
+                    device.inject_faults(0.05, &mut rng).expect("upsets");
+                }
+                Scenario::GuardedStuckEcc => {
+                    device.inject_faults(0.03, &mut rng).expect("upsets");
+                }
+                _ => {}
             }
         }
         let images = Tensor::from_fn(&[6, 3, 8, 8], |_| rng.uniform(-1.0, 1.0));
@@ -174,7 +186,7 @@ fn engine_digest(scenario: Scenario, threads: usize) -> u64 {
         };
         (rng.below(72), rng.below(40), side, rng.coin(0.5))
     };
-    if let Scenario::StuckEcc = scenario {
+    if let Scenario::StuckEcc | Scenario::GuardedStuckEcc = scenario {
         // pairs stuck on both sides: no analog strategy repairs those,
         // so the ECC table has entries
         for _ in 0..12 {
@@ -192,11 +204,14 @@ fn engine_digest(scenario: Scenario, threads: usize) -> u64 {
     let (mut h, mut total) = (Fnv::new(), ExecutionStats::default());
     for (batch, &q) in PULSES.iter().enumerate() {
         if batch == 1 {
-            if let Scenario::RealisticGuarded = scenario {
-                for _ in 0..29 {
-                    let (row, col, side, high) = cell(&mut rng);
-                    engine.upset_cell(row, col, side, high).expect("upset");
-                }
+            let upsets = match scenario {
+                Scenario::RealisticGuarded => 29,
+                Scenario::GuardedStuckEcc => 60,
+                _ => 0,
+            };
+            for _ in 0..upsets {
+                let (row, col, side, high) = cell(&mut rng);
+                engine.upset_cell(row, col, side, high).expect("upset");
             }
         }
         let x = Tensor::from_fn(&[5, 72], |_| rng.uniform(-1.0, 1.0));
@@ -224,6 +239,10 @@ fn assert_exercised(scenario: Scenario, total: &ExecutionStats) {
             assert!(g.retries > 0 && g.tile_refreshes > 0, "{scenario:?}: {g:?}");
         }
         Scenario::StuckEcc => assert!(g.saf_corrections > 0, "{scenario:?}: {g:?}"),
+        Scenario::GuardedStuckEcc => assert!(
+            g.checks > 0 && g.retries > 0 && g.saf_corrections > 0,
+            "{scenario:?}: {g:?}"
+        ),
         Scenario::Functional | Scenario::FunctionalBitSliced | Scenario::Lossy => {
             assert_eq!(g.checks, 0, "{scenario:?}: {g:?}");
         }
@@ -231,8 +250,9 @@ fn assert_exercised(scenario: Scenario, total: &ExecutionStats) {
 }
 
 /// `(scenario, forward digest, engine digest)`. The four PLA scenarios
-/// were recorded at commit `cd28eff`, the bit-sliced one at `9e329d8`.
-const GOLDEN: [(Scenario, Option<u64>, u64); 5] = [
+/// were recorded at commit `cd28eff`, the bit-sliced one at `9e329d8`,
+/// the guarded ECC one at `b39da44`.
+const GOLDEN: [(Scenario, Option<u64>, u64); 6] = [
     (
         Scenario::Functional,
         Some(0x697b_20c3_7747_7d44),
@@ -253,6 +273,11 @@ const GOLDEN: [(Scenario, Option<u64>, u64); 5] = [
         Scenario::StuckEcc,
         Some(0x4125_b67b_c9d8_ae83),
         0x4201_bbe0_5232_be5e,
+    ),
+    (
+        Scenario::GuardedStuckEcc,
+        Some(0xbb6e_0e48_2905_b48a),
+        0x7c2c_0279_faf8_8357,
     ),
 ];
 

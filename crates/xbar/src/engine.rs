@@ -229,6 +229,16 @@ pub struct VarianceStats {
     pub col_weff_sq: Vec<f32>,
 }
 
+/// What a guarded pulse readout is compared against: the checksum
+/// column's clean sum for the pulse's drive, the drive's c2c variance
+/// numerator, and the comparison tolerance that follows from it.
+#[derive(Debug, Clone, Copy)]
+struct Checksum {
+    clean: f32,
+    var: f32,
+    tol: f32,
+}
+
 /// A linear operator `y = W·x` deployed across a grid of crossbar tiles.
 ///
 /// `W` is `[out, in]` (logical binary weights); physically the transpose
@@ -723,75 +733,78 @@ impl CrossbarLinear {
     }
 
     /// Checks one digitized pulse readout (`out`, already sign-corrected
-    /// and ADC-converted) against tile's checksum column, re-executing
-    /// the pulse with fresh keyed noise up to 2 times on violation. A
-    /// passing retry replaces `out`. Returns whether the final accepted
-    /// readout passed; the caller records a persistent violation
-    /// otherwise.
-    // hot per-readout check: slices + layout scalars beat a params
-    // struct rebuilt per pulse per sample per tile
+    /// and ADC-converted) against tile's checksum column, whose clean sum
+    /// for the pulse's drive is `chk.clean`, and re-executes the pulse
+    /// with fresh keyed noise up to 2 times on violation. A passing retry
+    /// replaces `out`. Returns whether the final accepted readout passed;
+    /// the caller records a persistent violation otherwise.
+    ///
+    /// `rng` is the pulse's keyed readout stream. Each attempt reads the
+    /// checksum column's noise afresh from
+    /// `rng.substream(&[GUARD_STREAM_TAG, attempt])` and a retry re-drives
+    /// from `rng.substream(&[RETRY_STREAM_TAG, attempt])`, so arming a
+    /// guard never perturbs the MVM noise sequence. `drive` yields the
+    /// pulse's ±1/0 drive; only a retry calls it.
+    // hot per-readout check, one call per pulse, sample and tile: plain
+    // arguments rather than a params struct rebuilt on every call
     #[allow(clippy::too_many_arguments)]
-    fn guard_readout(
+    fn guard_readout<'x>(
         &self,
         tile: &Tile,
         ri: usize,
-        x: &[f32],
-        key: [u64; 4],
-        base: &Rng,
+        chk: Checksum,
+        rng: &Rng,
+        drive: impl FnOnce() -> &'x [f32],
         out: &mut [f32],
         retry_buf: &mut [f32],
         stats: &mut ExecutionStats,
     ) -> Result<bool> {
         let noise = &self.config.noise;
         let adc = self.adcs[ri].as_ref();
-        let step = adc.map(Adc::step);
         let (trows, tcols) = tile.dims();
-        for attempt in 0..=GUARD_MAX_RETRIES {
-            if attempt > 0 {
-                // stage 1: re-drive the pulse with fresh noise from a
-                // dedicated retry substream — a transient glitch won't
-                // repeat, a persistent fault will
-                stats.guard.retries = stats.guard.retries.saturating_add(1);
-                let mut rng = base.substream(&key).substream(&[RETRY_STREAM_TAG, attempt]);
-                tile.mvm(x, noise, &mut rng, retry_buf)?;
-                if let Some(a) = adc {
-                    a.convert_slice(retry_buf);
-                    stats.adc_conversions += tcols as u64;
-                }
-                stats.tile_mvms += 1;
-                stats.cell_reads += (trows * tcols) as u64;
-            }
-            // each attempt reads the checksum column afresh, from its own
-            // keyed substream: arming a guard never perturbs the MVM
-            // noise sequence
-            let mut grng = base.substream(&key).substream(&[GUARD_STREAM_TAG, attempt]);
-            let (mut chk, var) = tile.checksum_pulse(x, noise, &mut grng).ok_or_else(|| {
-                TensorError::InvalidArgument(
-                    "guard_readout invoked on a tile with no armed guard".into(),
-                )
-            })?;
-            if let Some(s) = step {
+        let check = |attempt: u64, readout: &[f32], stats: &mut ExecutionStats| {
+            let mut grng = rng.substream(&[GUARD_STREAM_TAG, attempt]);
+            let mut column = tile.checksum_noise(chk.clean, chk.var, noise, &mut grng);
+            if let Some(a) = adc {
                 // the checksum column needs a wider conversion range than
                 // a regular column (it carries the whole tile's sum), so
                 // model a dedicated converter with the same step and
                 // enough range: quantization error, but no clipping
-                chk = (chk / s).round() * s;
+                let s = a.step();
+                column = (column / s).round() * s;
+                stats.adc_conversions += 1;
             }
             stats.guard.checks = stats.guard.checks.saturating_add(1);
             stats.cell_reads += trows as u64; // one extra column read
-            if adc.is_some() {
-                stats.adc_conversions += 1;
-            }
-            let readout: &[f32] = if attempt == 0 { out } else { retry_buf };
             let sum: f32 = readout.iter().sum();
-            if (sum - chk).abs() <= tolerance(noise, tcols, var, step) {
-                if attempt > 0 {
-                    out.copy_from_slice(retry_buf);
-                    stats.guard.retry_successes = stats.guard.retry_successes.saturating_add(1);
-                }
+            let passed = (sum - column).abs() <= chk.tol;
+            if !passed {
+                stats.guard.violations = stats.guard.violations.saturating_add(1);
+            }
+            passed
+        };
+        if check(0, out, stats) {
+            return Ok(true);
+        }
+        let x = drive();
+        for attempt in 1..=GUARD_MAX_RETRIES {
+            // stage 1: re-drive the pulse with fresh noise from a
+            // dedicated retry substream — a transient glitch won't
+            // repeat, a persistent fault will
+            stats.guard.retries = stats.guard.retries.saturating_add(1);
+            let mut rrng = rng.substream(&[RETRY_STREAM_TAG, attempt]);
+            tile.mvm(x, noise, &mut rrng, retry_buf)?;
+            if let Some(a) = adc {
+                a.convert_slice(retry_buf);
+                stats.adc_conversions += tcols as u64;
+            }
+            stats.tile_mvms += 1;
+            stats.cell_reads += (trows * tcols) as u64;
+            if check(attempt, retry_buf, stats) {
+                out.copy_from_slice(retry_buf);
+                stats.guard.retry_successes = stats.guard.retry_successes.saturating_add(1);
                 return Ok(true);
             }
-            stats.guard.violations = stats.guard.violations.saturating_add(1);
         }
         Ok(false)
     }
@@ -854,15 +867,22 @@ impl CrossbarLinear {
                         stats.adc_conversions += (nb * tcols) as u64;
                     }
                     if self.config.guard.is_some() && tile.guard_armed() {
+                        let step = self.adcs[ri].as_ref().map(Adc::step);
                         for s in 0..nb {
                             let xoff = s * self.in_features + r0;
                             let x = &xs[xoff..xoff + trows];
+                            let (clean, var) = tile.checksum_clean(x)?;
+                            let chk = Checksum {
+                                clean,
+                                var,
+                                tol: tolerance(noise, tcols, var, step),
+                            };
                             let passed = self.guard_readout(
                                 tile,
                                 ri,
-                                x,
-                                [pi as u64, (s0 + s) as u64, ri as u64, ci as u64],
-                                base,
+                                chk,
+                                &rngs[s],
+                                || x,
                                 &mut out[s * tcols..(s + 1) * tcols],
                                 &mut retry_buf[..tcols],
                                 &mut stats,
@@ -880,7 +900,7 @@ impl CrossbarLinear {
                             let xoff = s * self.in_features + r0;
                             let x = &xs[xoff..xoff + trows];
                             let fixed =
-                                tile.apply_saf_correction(x, &mut out[s * tcols..(s + 1) * tcols]);
+                                tile.apply_saf_correction(x, &mut out[s * tcols..(s + 1) * tcols])?;
                             stats.guard.saf_corrections =
                                 stats.guard.saf_corrections.saturating_add(fixed);
                         }
@@ -922,11 +942,14 @@ impl CrossbarLinear {
     /// Every pulse readout draws from
     /// `base.substream(&[pulse, sample, row_tile, col_tile])`, so noise
     /// realizations are bit-identical to the reference schedule and to
-    /// any thread split. Guard checks, retries and SAF corrections read a
-    /// strip-length ±1 drive built only on tiles that need it, flipped
-    /// bucket by bucket. Event stats count *modeled* hardware work — one
-    /// analog MVM per tile per pulse — not host arithmetic, so they match
-    /// the reference path exactly.
+    /// any thread split. A guarded tile sums the clean checksums of all
+    /// `np` pulses in one pass over the strip
+    /// ([`Tile::checksum_lanes`]); every pulse drives every row at ±1, so
+    /// the variance numerator, and with it the tolerance, is one per tile.
+    /// A strip-length ±1 drive is built only for a violating pulse's
+    /// retries and for tiles with SAF corrections. Event stats count
+    /// *modeled* hardware work — one analog MVM per tile per pulse — not
+    /// host arithmetic, so they match the reference path exactly.
     fn execute_block_delta(
         &self,
         counts: &[u16],
@@ -938,16 +961,34 @@ impl CrossbarLinear {
     ) -> Result<ExecutionStats> {
         let nb = ablock.len() / self.out_features;
         let nct = self.col_starts.len();
+        let noise = &self.config.noise;
         let mut stats = ExecutionStats {
             pulses: (np * nb) as u64,
             ..Default::default()
         };
+        // per guarded tile: the variance numerator every pulse shares, and
+        // the tolerance that follows from it
+        let guards: Vec<Option<(f32, f32)>> = self
+            .tiles
+            .iter()
+            .zip(&self.adcs)
+            .flat_map(|(row, adc)| {
+                let step = adc.as_ref().map(Adc::step);
+                row.iter().map(move |tile| {
+                    let var = tile
+                        .checksum_var_all_driven()
+                        .filter(|_| self.config.guard.is_some())?;
+                    Some((var, tolerance(noise, tile.dims().1, var, step)))
+                })
+            })
+            .collect();
         let mut acc_buf = vec![0.0f32; self.config.tile_cols];
         let mut out_buf = vec![0.0f32; self.config.tile_cols];
         let mut retry_buf = vec![0.0f32; self.config.tile_cols];
+        let mut chk_buf = vec![0.0f32; np];
         let strip_max = self.config.tile_rows.min(self.in_features);
-        // the strip's pulse-0 drive, and the per-tile copy flipped per
-        // bucket for the guard and SAF readers
+        // the strip's pulse-0 drive, and one pulse's drive for retries and
+        // SAF corrections
         let mut x0_buf = vec![0.0f32; strip_max];
         let mut x_buf = vec![0.0f32; strip_max];
         // rows in bucket order; bucket t is `order[starts[t]..starts[t + 1]]`
@@ -978,18 +1019,16 @@ impl CrossbarLinear {
                     order[*slot] = r;
                     *slot += 1;
                 }
-                for (xr, &c) in x0.iter_mut().zip(strip) {
-                    *xr = if c > 0 { 1.0 } else { -1.0 };
-                }
+                pulse_drive(strip, 0, x0);
                 let arow_start = s * self.out_features;
                 for (ci, &c0) in self.col_starts.iter().enumerate() {
                     let tile = &self.tiles[ri][ci];
                     let tcols = tile.dims().1;
-                    let guarded = self.config.guard.is_some() && tile.guard_armed();
-                    let needs_x = guarded || tile.has_saf_correction();
-                    if needs_x {
-                        x.copy_from_slice(x0);
+                    let guard = guards[ri * nct + ci];
+                    if guard.is_some() {
+                        tile.checksum_lanes(strip, &mut chk_buf)?;
                     }
+                    let saf = tile.has_saf_correction();
                     let acc = &mut acc_buf[..tcols];
                     let out = &mut out_buf[..tcols];
                     for pi in 0..np {
@@ -998,29 +1037,37 @@ impl CrossbarLinear {
                         } else {
                             let bucket = &order[starts[pi]..starts[pi + 1]];
                             tile.accumulate_switched(bucket, acc);
-                            if needs_x {
-                                for &r in bucket {
-                                    x[r] = -1.0;
-                                }
-                            }
                         }
                         let mut rng =
                             base.substream(&[pi as u64, sample as u64, ri as u64, ci as u64]);
-                        tile.finish_pulse(acc, &self.config.noise, &mut rng, out);
+                        tile.finish_pulse(acc, noise, &mut rng, out);
                         if let Some(adc) = &self.adcs[ri] {
                             adc.convert_slice(out);
                         }
-                        if guarded {
+                        if saf {
+                            pulse_drive(strip, pi, x);
+                        }
+                        if let Some((var, tol)) = guard {
                             // a passing retry replaces the readout but not
                             // the running accumulator: the delta schedule
                             // tracks the noise-free pre-sign state, which
                             // a re-driven pulse does not change
+                            let chk = Checksum {
+                                clean: chk_buf[pi],
+                                var,
+                                tol,
+                            };
                             let passed = self.guard_readout(
                                 tile,
                                 ri,
-                                x,
-                                [pi as u64, sample as u64, ri as u64, ci as u64],
-                                base,
+                                chk,
+                                &rng,
+                                || {
+                                    if !saf {
+                                        pulse_drive(strip, pi, x);
+                                    }
+                                    x
+                                },
                                 out,
                                 &mut retry_buf[..tcols],
                                 &mut stats,
@@ -1029,8 +1076,8 @@ impl CrossbarLinear {
                                 viol[ri * nct + ci] = viol[ri * nct + ci].saturating_add(1);
                             }
                         }
-                        if tile.has_saf_correction() {
-                            let fixed = tile.apply_saf_correction(x, out);
+                        if saf {
+                            let fixed = tile.apply_saf_correction(x, out)?;
                             stats.guard.saf_corrections =
                                 stats.guard.saf_corrections.saturating_add(fixed);
                         }
@@ -1221,6 +1268,14 @@ impl CrossbarLinear {
         } else {
             (sum / count as f64) as f32
         }
+    }
+}
+
+/// Writes pulse `pulse`'s drive of a count-coded strip into `x`: row `r`
+/// is `+1` while `pulse < counts[r]`, else `−1`.
+fn pulse_drive(counts: &[u16], pulse: usize, x: &mut [f32]) {
+    for (xr, &c) in x.iter_mut().zip(counts) {
+        *xr = if usize::from(c) > pulse { 1.0 } else { -1.0 };
     }
 }
 

@@ -406,7 +406,7 @@ mod tests {
         let mut out = [0.0f32; 4];
         tile.mvm(&x, &crate::NoiseSpec::none(), &mut rng, &mut out)
             .unwrap();
-        tile.apply_saf_correction(&x, &mut out);
+        tile.apply_saf_correction(&x, &mut out).unwrap();
         for (col, &got) in out.iter().enumerate() {
             let clean: f32 = (0..4)
                 .map(|row| x[row] * tile.logical_weight(row, col))

@@ -74,7 +74,16 @@ struct GuardColumn {
     /// readout, used both to draw the checksum's own c2c noise and to
     /// derive the comparison tolerance.
     chk_sq: Vec<f32>,
+    /// `Σ_i chk_sq[i]` in ascending row order from `0.0`: the variance
+    /// numerator of a drive with every row at ±1, which is every pulse of
+    /// a count-coded train. `(±1)²·q = q` exactly, so it is bitwise the
+    /// per-drive sum.
+    all_sq: f32,
 }
+
+/// Pulses whose clean checksums [`Tile::checksum_lanes`] sums side by
+/// side: two AVX2 registers, so a 16-pulse train takes one pass.
+const CHECKSUM_LANES: usize = 16;
 
 /// Per-column second-moment aggregates of a tile's physical state, for
 /// analytic (MemSE-style) variance propagation. All sums run over the
@@ -710,7 +719,12 @@ impl Tile {
             w_chk[row] = wsum;
             chk_sq[row] = qsum;
         }
-        self.guard = Some(GuardColumn { w_chk, chk_sq });
+        let all_sq = chk_sq.iter().fold(0.0f32, |acc, &q| acc + q);
+        self.guard = Some(GuardColumn {
+            w_chk,
+            chk_sq,
+            all_sq,
+        });
     }
 
     /// Whether a checksum column is armed.
@@ -722,20 +736,33 @@ impl Tile {
     /// `(checksum, var_term)` where `checksum = Σ_i x_i·w_chk[i]` plus
     /// this column's own read noise, and
     /// `var_term = Σ_i x_i²·chk_sq[i]` is the aggregated c2c variance
-    /// numerator the guard's comparison tolerance consumes. Returns
-    /// `None` on an unarmed tile.
+    /// numerator the guard's comparison tolerance consumes.
     ///
     /// The noise tail mirrors the regular readout: one aggregated
     /// cycle-to-cycle draw (`N(0, (σ_c2c/(G_on−G_off))²·var_term)`), then
     /// one functional output-noise draw. `rng` must be a dedicated guard
     /// substream so arming never perturbs the unguarded noise sequence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] on an unarmed tile or
+    /// when `x` does not have one entry per row.
     pub fn checksum_pulse(
         &self,
         x: &[f32],
         noise: &NoiseSpec,
         rng: &mut Rng,
-    ) -> Option<(f32, f32)> {
-        let guard = self.guard.as_ref()?;
+    ) -> Result<(f32, f32)> {
+        let (chk, var) = self.checksum_clean(x)?;
+        Ok((self.checksum_noise(chk, var, noise, rng), var))
+    }
+
+    /// The noise-free part of [`checksum_pulse`](Self::checksum_pulse):
+    /// `(Σ_i x_i·w_chk[i], Σ_i x_i²·chk_sq[i])` over the driven rows, in
+    /// ascending row order from `0.0`.
+    pub(crate) fn checksum_clean(&self, x: &[f32]) -> Result<(f32, f32)> {
+        let guard = self.armed_guard()?;
+        self.check_drive("checksum_pulse", x.len())?;
         let mut chk = 0.0f32;
         let mut var = 0.0f32;
         for (i, &xi) in x.iter().enumerate() {
@@ -745,6 +772,19 @@ impl Tile {
             chk += xi * guard.w_chk[i];
             var += xi * xi * guard.chk_sq[i];
         }
+        Ok((chk, var))
+    }
+
+    /// The noise tail of [`checksum_pulse`](Self::checksum_pulse): adds
+    /// the column's c2c draw for variance numerator `var`, then its
+    /// output-noise draw, to the clean sum `chk`.
+    pub(crate) fn checksum_noise(
+        &self,
+        mut chk: f32,
+        var: f32,
+        noise: &NoiseSpec,
+        rng: &mut Rng,
+    ) -> f32 {
         if self.device.c2c_sigma > 0.0 && var > 0.0 {
             let denom = self.device.g_on - self.device.g_off();
             chk += rng.normal(0.0, self.device.c2c_sigma / denom * var.sqrt());
@@ -752,7 +792,59 @@ impl Tile {
         if noise.output_sigma > 0.0 {
             chk += rng.normal(0.0, noise.output_sigma);
         }
-        Some((chk, var))
+        chk
+    }
+
+    /// Clean checksums of every pulse of a count-coded drive in one pass
+    /// over the rows: `out[p]` is [`checksum_clean`](Self::checksum_clean)'s
+    /// sum for pulse `p`, whose row `r` is `+1` while `p < counts[r]` and
+    /// `−1` after. Pulses are independent lanes summed in chunks of
+    /// [`CHECKSUM_LANES`], each lane in ascending row order from `0.0`, so
+    /// every lane keeps the per-pulse bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`checksum_pulse`](Self::checksum_pulse), for `counts`.
+    pub(crate) fn checksum_lanes(&self, counts: &[u16], out: &mut [f32]) -> Result<()> {
+        let guard = self.armed_guard()?;
+        self.check_drive("checksum_lanes", counts.len())?;
+        for (c, chunk) in out.chunks_mut(CHECKSUM_LANES).enumerate() {
+            let first = c * CHECKSUM_LANES;
+            let pulse: [f32; CHECKSUM_LANES] = std::array::from_fn(|l| (first + l) as f32);
+            let mut acc = [0.0f32; CHECKSUM_LANES];
+            for (&count, &w) in counts.iter().zip(&guard.w_chk) {
+                let count = f32::from(count);
+                for (a, &p) in acc.iter_mut().zip(&pulse) {
+                    let x = if count > p { 1.0 } else { -1.0 };
+                    *a += x * w;
+                }
+            }
+            chunk.copy_from_slice(&acc[..chunk.len()]);
+        }
+        Ok(())
+    }
+
+    /// The variance numerator every pulse of a count-coded drive shares
+    /// (every row at ±1), stored at arming; `None` on an unarmed tile.
+    pub(crate) fn checksum_var_all_driven(&self) -> Option<f32> {
+        self.guard.as_ref().map(|g| g.all_sq)
+    }
+
+    fn armed_guard(&self) -> Result<&GuardColumn> {
+        self.guard.as_ref().ok_or_else(|| {
+            TensorError::InvalidArgument("checksum read on a tile with no armed guard".into())
+        })
+    }
+
+    /// [`mvm`](Self::mvm)'s length check for a drive of `len` entries.
+    fn check_drive(&self, op: &str, len: usize) -> Result<()> {
+        if len != self.rows {
+            return Err(TensorError::InvalidArgument(format!(
+                "{op} expects a drive of {} rows, got {len}",
+                self.rows
+            )));
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1130,7 +1222,20 @@ impl Tile {
     /// Purely digital and deterministic — no RNG draws, so the analog
     /// noise sequence is untouched. Returns the number of corrections
     /// applied.
-    pub fn apply_saf_correction(&self, x: &[f32], out: &mut [f32]) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] unless `x` has one entry
+    /// per row and `out` one per column.
+    pub fn apply_saf_correction(&self, x: &[f32], out: &mut [f32]) -> Result<u64> {
+        self.check_drive("apply_saf_correction", x.len())?;
+        if out.len() != self.cols {
+            return Err(TensorError::InvalidArgument(format!(
+                "apply_saf_correction expects out[{}], got out[{}]",
+                self.cols,
+                out.len()
+            )));
+        }
         let mut applied = 0u64;
         for &(row, col, delta) in &self.saf {
             let xi = x[row];
@@ -1139,7 +1244,7 @@ impl Tile {
                 applied += 1;
             }
         }
-        applied
+        Ok(applied)
     }
 
     /// Builds a correction table from the march-test read-backs of
@@ -1903,7 +2008,7 @@ mod tests {
         assert!(!tile.guard_armed());
         assert!(tile
             .checksum_pulse(&[1.0, 1.0, 1.0], &NoiseSpec::none(), &mut rng)
-            .is_none());
+            .is_err());
         tile.arm_guard();
         assert!(tile.guard_armed());
         let x = [1.0, -1.0, 1.0];
@@ -1918,6 +2023,83 @@ mod tests {
         // ideal ±1 cells: Σ x² (G⁺²+G⁻²) = active_rows · cols · G_on²
         let g_on = DeviceModel::ideal().g_on;
         assert!((var - 3.0 * 2.0 * g_on * g_on).abs() < 1e-4);
+    }
+
+    #[test]
+    fn checksum_lanes_match_per_pulse_sums_bitwise() {
+        // lossy cells make every w_chk an arbitrary float, so a lane that
+        // summed its rows in another order would round differently;
+        // 1..=40 pulses cover counts that are not a multiple of the lane
+        // width, and every strip holds counts of 0 and np
+        let mut rng = Rng::from_seed(23);
+        let mut device = lossy_device();
+        device.c2c_sigma = 0.0; // checksum_pulse then adds no noise
+        let noise = NoiseSpec::none();
+        for rows in 1..=140 {
+            let w = Tensor::from_fn(&[rows, 5], |_| if rng.coin(0.5) { 1.0 } else { -1.0 });
+            let mut tile = Tile::program(&w, &device, &mut rng).unwrap();
+            tile.arm_guard();
+            let all = tile.checksum_var_all_driven().unwrap();
+            for np in 1..=40 {
+                let mut counts: Vec<u16> = (0..rows).map(|_| rng.below(np + 1) as u16).collect();
+                counts[0] = 0;
+                counts[rows - 1] = np as u16;
+                let mut lanes = vec![f32::NAN; np];
+                tile.checksum_lanes(&counts, &mut lanes).unwrap();
+                for (p, &lane) in lanes.iter().enumerate() {
+                    let x: Vec<f32> = counts
+                        .iter()
+                        .map(|&c| if usize::from(c) > p { 1.0 } else { -1.0 })
+                        .collect();
+                    let (chk, var) = tile.checksum_pulse(&x, &noise, &mut rng).unwrap();
+                    assert_eq!(
+                        lane.to_bits(),
+                        chk.to_bits(),
+                        "{rows} rows, {np} pulses, lane {p}: {lane} vs {chk}"
+                    );
+                    assert_eq!(all.to_bits(), var.to_bits(), "{rows} rows: {all} vs {var}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_and_saf_correction_reject_wrong_lengths() {
+        let mut rng = Rng::from_seed(29);
+        let w = Tensor::from_fn(&[4, 2], |i| if i % 3 == 0 { 1.0 } else { -1.0 });
+        let mut tile = Tile::program(&w, &DeviceModel::ideal(), &mut rng).unwrap();
+        let noise = NoiseSpec::none();
+        fn typed<T>(r: Result<T>) -> bool {
+            matches!(r, Err(TensorError::InvalidArgument(_)))
+        }
+        assert!(
+            typed(tile.checksum_pulse(&[1.0; 4], &noise, &mut rng)),
+            "unarmed"
+        );
+        assert!(
+            typed(tile.checksum_lanes(&[1; 4], &mut [0.0; 3])),
+            "unarmed"
+        );
+        tile.arm_guard();
+        tile.set_saf_correction(vec![(3, 1, 0.5)]);
+        let mut out = [0.0f32; 2];
+        for len in [2, 6] {
+            let x = vec![1.0f32; len];
+            assert!(typed(tile.checksum_pulse(&x, &noise, &mut rng)), "x[{len}]");
+            assert!(typed(tile.apply_saf_correction(&x, &mut out)), "x[{len}]");
+            assert!(
+                typed(tile.checksum_lanes(&vec![1; len], &mut [0.0; 3])),
+                "counts[{len}]"
+            );
+        }
+        assert!(
+            typed(tile.apply_saf_correction(&[1.0; 4], &mut [0.0; 3])),
+            "out[3]"
+        );
+        assert_eq!(out, [0.0, 0.0], "a rejected correction writes nothing");
+        tile.checksum_pulse(&[1.0; 4], &noise, &mut rng).unwrap();
+        assert_eq!(tile.apply_saf_correction(&[1.0; 4], &mut out).unwrap(), 1);
+        assert_eq!(out, [0.0, 0.5]);
     }
 
     #[test]
@@ -2031,7 +2213,7 @@ mod tests {
         // analog readout lost the (0,0) contribution: col0 = −1+(−1)(−1)+1·1? no:
         // stuck pair reads −1 instead of +1 ⇒ col0 = −1 + 1 + 1 = 1
         assert!((out[0] - 1.0).abs() < 1e-5, "broken readout = {}", out[0]);
-        let applied = tile.apply_saf_correction(&x, &mut out);
+        let applied = tile.apply_saf_correction(&x, &mut out).unwrap();
         assert_eq!(applied, 1);
         // corrected: back to the clean product 3
         assert!(
@@ -2042,7 +2224,7 @@ mod tests {
         // rows driven at 0 skip their corrections
         let x0 = [0.0, 1.0, 1.0];
         let mut out0 = [0.0f32; 2];
-        assert_eq!(tile.apply_saf_correction(&x0, &mut out0), 0);
+        assert_eq!(tile.apply_saf_correction(&x0, &mut out0).unwrap(), 0);
         assert_eq!(out0, [0.0, 0.0]);
         // any further mutation invalidates the table
         tile.upset_cell(1, 1, CellSide::Neg, true).unwrap();

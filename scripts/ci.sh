@@ -87,6 +87,9 @@ cargo test -q --release -p membit-nn moments
 echo "=== guard suite (stats merge algebra + checksum fuzzing) ==="
 cargo test -q -p membit-xbar --test proptest_stats
 cargo test -q -p membit-xbar --test proptest_kernels cached_kernel_never_masks_guard_violations
+# the batched checksum lanes vectorize only under release codegen, so
+# pin them bitwise against the per-pulse sums in that profile too
+cargo test -q --release -p membit-xbar --lib checksum_lanes_match_per_pulse_sums_bitwise
 
 echo "=== non-ideality suite (IR drop, temperature, guard silence) ==="
 cargo test -q -p membit-xbar --test proptest_nonideal
