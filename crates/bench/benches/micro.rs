@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the performance-critical kernels: matmul,
 //! im2col/conv lowering, VGG forward, bit encoding, the device-level
-//! crossbar MVM, the guard's host overhead and the read-noise sampler.
+//! crossbar MVM, the guard's host overhead, the read-noise sampler, the
+//! activation `tanh` and noise calibration.
 //!
 //! Uses a small self-contained timing harness (`harness = false`) instead
 //! of criterion so the workspace builds offline with zero external
@@ -10,6 +11,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use membit_autograd::Tape;
+use membit_core::calibrate_noise;
+use membit_data::Dataset;
 use membit_encoding::pla::PlaThermometer;
 use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
 use membit_nn::{NoNoise, Params, Phase, Vgg, VggConfig};
@@ -173,6 +176,26 @@ fn bench_noise() {
     });
 }
 
+fn bench_tanh() {
+    // the small VGG's c1 output at a calibration batch of 100
+    // (16 channels × 16 × 16 per image), swept over [−4, 4)
+    let x = Tensor::from_fn(&[100, 16, 16, 16], |i| (i % 4096) as f32 / 512.0 - 4.0);
+    bench("tensor tanh 409600 values", || x.tanh());
+}
+
+fn bench_calibrate() {
+    // what every membench workload's set-up mostly pays: four batch-100
+    // forwards of the small VGG
+    let mut rng = Rng::from_seed(6);
+    let mut params = Params::new();
+    let mut vgg = Vgg::new(&VggConfig::small(), &mut params, &mut rng).unwrap();
+    let images = Tensor::from_fn(&[400, 3, 16, 16], |_| rng.uniform(-1.0, 1.0));
+    let data = Dataset::new(images, (0..400).map(|i| i % 10).collect(), 10).unwrap();
+    bench("calibrate_noise vgg9-small 4x100", || {
+        calibrate_noise(&mut vgg, &params, &data, 100, 4, 14.0).unwrap()
+    });
+}
+
 fn main() {
     // `cargo test` builds and runs bench targets with `--test`; there is
     // nothing to test here, so bail out quickly in that mode.
@@ -186,4 +209,6 @@ fn main() {
     bench_xbar();
     bench_guard();
     bench_noise();
+    bench_tanh();
+    bench_calibrate();
 }

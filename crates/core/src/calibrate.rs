@@ -30,13 +30,24 @@ impl NoiseCalibration {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for an empty RMS vector or
-    /// a non-positive unit.
+    /// Returns [`TensorError::InvalidArgument`] for an empty RMS vector,
+    /// an RMS entry that is negative or not finite, or a non-positive
+    /// unit.
     pub fn new(rms: Vec<f32>, unit: f32) -> Result<Self> {
         if rms.is_empty() {
             return Err(TensorError::InvalidArgument(
                 "calibration needs at least one layer".into(),
             )
+            .into());
+        }
+        if let Some((layer, r)) = rms
+            .iter()
+            .enumerate()
+            .find(|(_, r)| !(r.is_finite() && **r >= 0.0))
+        {
+            return Err(TensorError::InvalidArgument(format!(
+                "layer {layer}'s RMS must be finite and non-negative, got {r}"
+            ))
             .into());
         }
         if unit <= 0.0 || unit.is_nan() {
@@ -78,8 +89,9 @@ impl NoiseCalibration {
 /// # Errors
 ///
 /// Propagates forward-pass errors, or
-/// [`TensorError::InvalidArgument`] for an empty dataset or a zero
-/// `batch_size`.
+/// [`TensorError::InvalidArgument`] for an empty dataset, a zero
+/// `batch_size` or a zero `max_batches` (no forward, so no RMS to
+/// measure).
 pub fn calibrate_noise(
     model: &mut dyn CrossbarModel,
     params: &Params,
@@ -94,12 +106,16 @@ pub fn calibrate_noise(
             TensorError::InvalidArgument("cannot calibrate on an empty dataset".into()).into(),
         );
     }
+    if max_batches == 0 {
+        return Err(
+            TensorError::InvalidArgument("calibration needs at least one batch".into()).into(),
+        );
+    }
     let mut recorder = RmsRecorder::new(model.crossbar_layers());
-    for (i, (images, _labels)) in batches.enumerate() {
-        if i >= max_batches {
-            break;
-        }
-        let mut tape = Tape::new();
+    // one tape for every batch: reset() keeps its im2col buffers
+    let mut tape = Tape::new();
+    for (images, _labels) in batches.take(max_batches) {
+        tape.reset();
         let mut binding = params.frozen_binding();
         let x = tape.constant(images);
         model.forward(
@@ -143,6 +159,36 @@ mod tests {
             calibrate_noise(&mut mlp, &params, &data, 0, 1, 10.0),
             Err(crate::TrainError::Tensor(TensorError::InvalidArgument(_)))
         ));
+    }
+
+    #[test]
+    fn zero_batches_and_malformed_rms_are_rejected() {
+        // no forward would run: every σ would silently be 0
+        let mut params = Params::new();
+        let mut mlp = Mlp::new(
+            &MlpConfig::new(4, &[4], 2),
+            &mut params,
+            &mut Rng::from_seed(0),
+        )
+        .unwrap();
+        let data =
+            Dataset::new(membit_tensor::Tensor::zeros(&[3, 1, 2, 2]), vec![0; 3], 2).unwrap();
+        assert!(matches!(
+            calibrate_noise(&mut mlp, &params, &data, 2, 0, 10.0),
+            Err(crate::TrainError::Tensor(TensorError::InvalidArgument(_)))
+        ));
+        for bad in [f32::NAN, -1.0, f32::INFINITY] {
+            assert!(
+                matches!(
+                    NoiseCalibration::new(vec![1.0, bad], 10.0),
+                    Err(crate::TrainError::Tensor(TensorError::InvalidArgument(_)))
+                ),
+                "RMS {bad} accepted"
+            );
+        }
+        // a layer whose clean output is all zero has zero RMS
+        let c = NoiseCalibration::new(vec![0.0, 2.0], 10.0).unwrap();
+        assert_eq!(c.sigma_abs(5.0), vec![0.0, 1.0]);
     }
 
     #[test]

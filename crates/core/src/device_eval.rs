@@ -19,7 +19,7 @@ use membit_data::Dataset;
 use membit_encoding::pla::PlaThermometer;
 use membit_encoding::{BitEncoder, PulseTrain};
 use membit_nn::{Params, Vgg};
-use membit_tensor::{im2col_into, Conv2dGeometry, Rng, Tensor, TensorError};
+use membit_tensor::{im2col_into, tanh, Conv2dGeometry, Rng, Tensor, TensorError};
 use membit_xbar::{
     CellHealth, CellSide, CrossbarLinear, ExecutionStats, HealthMonitor, RecoveryPolicy,
     RemapReport, XbarConfig,
@@ -326,9 +326,10 @@ pub(crate) fn value_table(act_levels: usize) -> Vec<f32> {
 
 /// The activation level of pre-activation `v`, `tanh` then the
 /// network's quantizer: `round((clamp(tanh v) + 1)/2·l)` for
-/// `l = levels − 1`.
+/// `l = levels − 1`. [`tanh`] is the port that training and calibration
+/// run too, so the thresholds keep their bits on any host (DESIGN §18).
 fn tanh_level(v: f32, l: f32) -> f32 {
-    ((v.tanh().clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round()
+    ((tanh(v).clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round()
 }
 
 /// The steps of the activation quantizer: entry `k − 1` is the least f32

@@ -14,7 +14,7 @@
 //! approximation. All helpers are pure `f32` arithmetic: no RNG, bitwise
 //! deterministic across runs and thread counts.
 
-use membit_tensor::{Tensor, TensorError};
+use membit_tensor::{tanh, Tensor, TensorError};
 
 use crate::Result;
 
@@ -229,7 +229,7 @@ fn fused_tanh_quantize(
     for (i, (&m, &v)) in ms.iter().zip(vs).enumerate() {
         if v <= 0.0 {
             // deterministic passthrough: the bin the clean value rounds to
-            let idx = ((m.tanh().clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() as usize;
+            let idx = ((tanh(m).clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() as usize;
             q_mean[i] = bins[idx.min(bins.len() - 1)];
             continue;
         }
@@ -444,7 +444,7 @@ mod tests {
             let mut acc1 = 0.0f64;
             let mut acc2 = 0.0f64;
             for _ in 0..trials {
-                let q = f64::from(quantize_value((m + rng.normal(0.0, s)).tanh(), l));
+                let q = f64::from(quantize_value(tanh(m + rng.normal(0.0, s)), l));
                 acc1 += q;
                 acc2 += q * q;
             }
@@ -465,7 +465,7 @@ mod tests {
         // zero variance: exact fused passthrough
         let mean = Tensor::from_vec(vec![0.4], &[1, 1]).unwrap();
         let (qm, qv) = tanh_quantize_moments(&mean, &Tensor::zeros(&[1, 1]), levels).unwrap();
-        assert_eq!(qm.as_slice()[0], quantize_value(0.4f32.tanh(), l));
+        assert_eq!(qm.as_slice()[0], quantize_value(tanh(0.4), l));
         assert_eq!(qv.as_slice()[0], 0.0);
         assert!(tanh_quantize_moments(&mean, &Tensor::zeros(&[1, 1]), 1).is_err());
     }
@@ -484,7 +484,7 @@ mod tests {
             let draws: Vec<(f64, f64)> = (0..trials)
                 .map(|_| {
                     let e = rng.normal(0.0, s);
-                    (f64::from(quantize_value((m + e).tanh(), l)), f64::from(e))
+                    (f64::from(quantize_value(tanh(m + e), l)), f64::from(e))
                 })
                 .collect();
             let qbar = draws.iter().map(|(q, _)| q).sum::<f64>() / f64::from(trials);

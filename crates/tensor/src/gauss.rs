@@ -150,11 +150,11 @@ pub(crate) fn sincosf(theta: f32) -> (f32, f32) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// FNV-1a over each output's bit pattern, little-endian byte by byte.
-    fn fnv(mut h: u64, v: f32) -> u64 {
+    pub(crate) fn fnv(mut h: u64, v: f32) -> u64 {
         for b in v.to_bits().to_le_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -162,7 +162,7 @@ mod tests {
     }
 
     /// `|got − reference|` in units of the `f32` spacing at `reference`.
-    fn ulps(got: f32, reference: f64) -> f64 {
+    pub(crate) fn ulps(got: f32, reference: f64) -> f64 {
         let at = (reference.abs() as f32).max(f32::MIN_POSITIVE);
         let spacing = f32::from_bits(at.to_bits() + 1) - at;
         (f64::from(got) - reference).abs() / f64::from(spacing)

@@ -3,8 +3,9 @@
 //! Dense, contiguous, row-major `f32` tensors plus the numeric kernels the
 //! rest of the `membit` workspace is built on: broadcast elementwise
 //! arithmetic, a blocked (optionally multi-threaded) matrix multiply,
-//! `im2col`/`col2im` for convolution lowering, axis reductions, and seeded
-//! random number generation with an in-crate Gaussian sampler.
+//! `im2col`/`col2im` for convolution lowering, axis reductions, seeded
+//! random number generation with an in-crate Gaussian sampler, and
+//! [`tanh`], a host-independent port of glibc's `tanhf`.
 //!
 //! The design goal is a *small, predictable* substrate for the autodiff and
 //! crossbar-simulation crates rather than a general ndarray replacement:
@@ -34,12 +35,14 @@ mod ops;
 pub mod parallel;
 mod reduce;
 mod rng;
+mod tanh;
 mod tensor;
 
 pub use conv::{col2im, im2col, im2col_into, Conv2dGeometry};
 pub use error::TensorError;
 pub use matmul::{matmul_into, MatmulOptions};
 pub use rng::{Rng, RngStream};
+pub use tanh::tanh;
 pub use tensor::Tensor;
 
 /// Convenience alias for results produced by this crate.

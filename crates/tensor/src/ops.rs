@@ -175,9 +175,10 @@ impl Tensor {
         self.map(f32::sqrt)
     }
 
-    /// Elementwise hyperbolic tangent.
+    /// Elementwise hyperbolic tangent through [`crate::tanh`], glibc's
+    /// `tanhf` bit for bit on any host; the loop vectorizes.
     pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
+        self.map(crate::tanh)
     }
 
     /// Elementwise exponential.

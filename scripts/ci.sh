@@ -18,6 +18,10 @@ if grep -rnE '\.(ln|sin|cos|sin_cos)\(' \
     echo "ci: a std ln/sin/cos call above ties noisy results to the host libm" >&2
     exit 1
 fi
+# std's f32::tanh and f64::tanh are banned everywhere by clippy.toml's
+# disallowed-methods (a grep cannot tell them from Tensor::tanh): the
+# clippy step below fails on any call outside a test reference that
+# allows the lint by name (membit_tensor::tanh, DESIGN §20)
 
 echo "=== cargo build --release ==="
 cargo build --release --workspace
@@ -48,6 +52,11 @@ echo "=== activation level thresholds (every finite f32, release) ==="
 # patterns at 9 levels on every host thread and checks the count against
 # round((clamp(tanh v) + 1)/2·8) for each finite value
 cargo test -q --release -p membit-core --lib thresholds_are_exact -- --ignored
+
+echo "=== tanh port (every f32, release) ==="
+# membit_tensor::tanh against a digest of all 2^32 outputs, recorded when
+# it matched glibc 2.36's tanhf on every input (tier-1 walks a stride)
+cargo test -q --release -p membit-tensor --lib tanh_pins_every_f32 -- --ignored
 
 echo "=== golden search digests (training, GBO and MemSE search; both profiles) ==="
 # trained parameters, BN statistics, losses, GBO logits, analytic
