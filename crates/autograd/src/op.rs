@@ -15,30 +15,12 @@ pub(crate) enum Op {
     Leaf,
     /// Broadcasting `a + b`.
     Add { a: VarId, b: VarId },
-    /// Broadcasting `a - b`.
-    Sub { a: VarId, b: VarId },
     /// Broadcasting `a ∘ b`.
     Mul { a: VarId, b: VarId },
-    /// Broadcasting `a / b`.
-    Div { a: VarId, b: VarId },
-    /// `x + s` for a constant `s` (gradient passes through).
-    AddScalar { x: VarId },
     /// `s · x` for a constant `s`.
     MulScalar { x: VarId, s: f32 },
-    /// `-x`.
-    Neg { x: VarId },
     /// `tanh(x)`.
     Tanh { x: VarId },
-    /// `max(x, 0)`.
-    Relu { x: VarId },
-    /// Logistic sigmoid `1/(1+e^{−x})`.
-    Sigmoid { x: VarId },
-    /// `e^x`.
-    Exp { x: VarId },
-    /// `ln(x)`.
-    Ln { x: VarId },
-    /// `|x|` (subgradient 0 at the kink).
-    Abs { x: VarId },
     /// 2-D average pooling with square window = stride.
     AvgPool2d {
         x: VarId,
@@ -99,8 +81,6 @@ pub(crate) enum Op {
     DotConst { x: VarId, weights: Tensor },
     /// Sum of all elements.
     SumAll { x: VarId },
-    /// Mean of all elements.
-    MeanAll { x: VarId },
     /// Fused softmax + mean cross-entropy over class logits.
     SoftmaxCrossEntropy {
         logits: VarId,
@@ -145,18 +125,9 @@ impl Op {
     pub(crate) fn parents(&self) -> Vec<VarId> {
         match self {
             Op::Leaf => vec![],
-            Op::Add { a, b } | Op::Sub { a, b } | Op::Mul { a, b } | Op::Div { a, b } => {
-                vec![*a, *b]
-            }
-            Op::AddScalar { x }
-            | Op::MulScalar { x, .. }
-            | Op::Neg { x }
+            Op::Add { a, b } | Op::Mul { a, b } => vec![*a, *b],
+            Op::MulScalar { x, .. }
             | Op::Tanh { x }
-            | Op::Relu { x }
-            | Op::Sigmoid { x }
-            | Op::Exp { x }
-            | Op::Ln { x }
-            | Op::Abs { x }
             | Op::AvgPool2d { x, .. }
             | Op::Reshape { x }
             | Op::SignSte { x, .. }
@@ -164,7 +135,6 @@ impl Op {
             | Op::Softmax1d { x }
             | Op::DotConst { x, .. }
             | Op::SumAll { x }
-            | Op::MeanAll { x }
             | Op::MaxPool2d { x, .. } => vec![*x],
             Op::Matmul { a, b } | Op::MatmulT { a, b } => vec![*a, *b],
             Op::AddChannels { x, bias } => vec![*x, *bias],
@@ -194,10 +164,6 @@ impl Op {
                 (*a, reduce_to_shape(grad, val(*a).shape())?),
                 (*b, reduce_to_shape(grad, val(*b).shape())?),
             ]),
-            Op::Sub { a, b } => Ok(vec![
-                (*a, reduce_to_shape(grad, val(*a).shape())?),
-                (*b, reduce_to_shape(&grad.neg(), val(*b).shape())?),
-            ]),
             Op::Mul { a, b } => {
                 let da = grad.mul(val(*b))?;
                 let db = grad.mul(val(*a))?;
@@ -206,50 +172,9 @@ impl Op {
                     (*b, reduce_to_shape(&db, val(*b).shape())?),
                 ])
             }
-            Op::Div { a, b } => {
-                let bv = val(*b);
-                let da = grad.div(bv)?;
-                // db = -g · a / b² = -g · out / b
-                let db = grad.mul(out)?.div(bv)?.neg();
-                Ok(vec![
-                    (*a, reduce_to_shape(&da, val(*a).shape())?),
-                    (*b, reduce_to_shape(&db, val(*b).shape())?),
-                ])
-            }
-            Op::AddScalar { x } => Ok(vec![(*x, grad.clone())]),
             Op::MulScalar { x, s } => Ok(vec![(*x, grad.mul_scalar(*s))]),
-            Op::Neg { x } => Ok(vec![(*x, grad.neg())]),
             Op::Tanh { x } => {
                 let dx = grad.zip_map(out, |g, y| g * (1.0 - y * y))?;
-                Ok(vec![(*x, dx)])
-            }
-            Op::Relu { x } => {
-                let dx = grad.zip_map(val(*x), |g, xv| if xv > 0.0 { g } else { 0.0 })?;
-                Ok(vec![(*x, dx)])
-            }
-            Op::Sigmoid { x } => {
-                // dy/dx = y(1 − y), using the stored output
-                let dx = grad.zip_map(out, |g, y| g * y * (1.0 - y))?;
-                Ok(vec![(*x, dx)])
-            }
-            Op::Exp { x } => {
-                let dx = grad.zip_map(out, |g, y| g * y)?;
-                Ok(vec![(*x, dx)])
-            }
-            Op::Ln { x } => {
-                let dx = grad.zip_map(val(*x), |g, xv| g / xv)?;
-                Ok(vec![(*x, dx)])
-            }
-            Op::Abs { x } => {
-                let dx = grad.zip_map(val(*x), |g, xv| {
-                    if xv > 0.0 {
-                        g
-                    } else if xv < 0.0 {
-                        -g
-                    } else {
-                        0.0
-                    }
-                })?;
                 Ok(vec![(*x, dx)])
             }
             Op::AvgPool2d { x, size, in_shape } => {
@@ -379,11 +304,6 @@ impl Op {
             }
             Op::SumAll { x } => {
                 let g = grad.item();
-                Ok(vec![(*x, Tensor::full(val(*x).shape(), g))])
-            }
-            Op::MeanAll { x } => {
-                let n = val(*x).len().max(1) as f32;
-                let g = grad.item() / n;
                 Ok(vec![(*x, Tensor::full(val(*x).shape(), g))])
             }
             Op::SoftmaxCrossEntropy {

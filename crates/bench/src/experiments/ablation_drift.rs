@@ -48,7 +48,7 @@ pub fn run(opts: &Opts, exp: &mut Experiment) -> Result<Vec<Artifact>> {
                 },
                 &mut rng,
             )?;
-            device.age(hours, NU, NU_SIGMA, &mut rng);
+            device.age(hours, NU, NU_SIGMA, &mut rng)?;
             let (acc, _) = device.evaluate(&subset, 20, &mut rng)?;
             row.push(format!("{:.2}", acc * 100.0));
         }

@@ -81,7 +81,7 @@ pub fn run(opts: &Opts, exp: &mut Experiment) -> Result<Vec<Artifact>> {
                 },
                 &mut rng,
             )?;
-            device.age(AGE_HOURS, NU, NU_SIGMA, &mut rng);
+            device.age(AGE_HOURS, NU, NU_SIGMA, &mut rng)?;
             let (acc, stats) = device.evaluate(&subset, batch, &mut rng)?;
             let report = device.recovery_report();
             rows.push(FaultAblationRow {

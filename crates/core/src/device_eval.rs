@@ -908,10 +908,16 @@ impl DeviceVgg {
     /// conductance decay, per-cell exponent `N(nu, nu_sigma)`) — see
     /// [`membit_xbar::Tile::age`]. The digital first conv and classifier
     /// are unaffected.
-    pub fn age(&mut self, hours: f32, nu: f32, nu_sigma: f32, rng: &mut Rng) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`], before any draw, unless
+    /// `hours`, `nu` and `nu_sigma` are finite and non-negative.
+    pub fn age(&mut self, hours: f32, nu: f32, nu_sigma: f32, rng: &mut Rng) -> Result<()> {
         for engine in self.engines_mut() {
-            engine.age(hours, nu, nu_sigma, rng);
+            engine.age(hours, nu, nu_sigma, rng)?;
         }
+        Ok(())
     }
 }
 
@@ -1254,7 +1260,23 @@ mod tests {
             9,
         );
         let (fresh, _) = device.forward(&images, &mut rng).unwrap();
-        device.age(10_000.0, 0.05, 0.0, &mut rng);
+        let (unaged, _) = device.forward(&images, &mut rng.clone()).unwrap();
+        // NaN or negative retention arguments are refused typed, before
+        // any draw, and leave the deployment as it was
+        for (hours, nu) in [(f32::NAN, 0.05), (100.0, f32::NAN), (-5.0, 0.05)] {
+            let untouched = rng.state_bytes();
+            let err = device.age(hours, nu, 0.0, &mut rng).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(TrainError::Tensor(TensorError::InvalidArgument(_)))
+                ),
+                "age({hours}, {nu}): {err:?}"
+            );
+            assert_eq!(rng.state_bytes(), untouched);
+        }
+        assert_eq!(device.forward(&images, &mut rng.clone()).unwrap().0, unaged);
+        device.age(10_000.0, 0.05, 0.0, &mut rng).unwrap();
         let (aged, _) = device.forward(&images, &mut rng).unwrap();
         // drift shrinks the stored weights: feature magnitudes fall,
         // so the pre-classifier signal (and typically logit spread)
@@ -1320,7 +1342,7 @@ mod tests {
             },
         };
         let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
-        device.age(20_000.0, 0.05, 0.0, &mut rng);
+        device.age(20_000.0, 0.05, 0.0, &mut rng).unwrap();
         let (_, test3) =
             membit_data::synth_cifar(&membit_data::SynthCifarConfig::tiny(), 1).unwrap();
         let labels: Vec<usize> = test3.labels().iter().map(|&y| y % 4).collect();

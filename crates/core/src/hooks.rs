@@ -28,8 +28,9 @@ impl GaussianMvmNoise {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] on length mismatch or a
-    /// zero pulse count.
+    /// Returns [`TensorError::InvalidArgument`] on length mismatch, a
+    /// zero pulse count, or a NaN, infinite or negative `σ_l` (zero is
+    /// legal: that layer stays clean).
     pub fn new(sigma: Vec<f32>, pulses: Vec<usize>, rng: Rng) -> Result<Self> {
         if sigma.len() != pulses.len() {
             return Err(TensorError::InvalidArgument(format!(
@@ -41,6 +42,12 @@ impl GaussianMvmNoise {
         }
         if pulses.contains(&0) {
             return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
+        }
+        if let Some(bad) = sigma.iter().find(|s| !(s.is_finite() && **s >= 0.0)) {
+            return Err(TensorError::InvalidArgument(format!(
+                "noise level {bad} must be finite and non-negative"
+            ))
+            .into());
         }
         Ok(Self { sigma, pulses, rng })
     }
@@ -120,7 +127,8 @@ impl PlaHook {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] on length mismatches or
-    /// degenerate parameters.
+    /// degenerate parameters, a NaN, infinite or negative `σ_l` included
+    /// (see [`GaussianMvmNoise::new`]).
     pub fn new(pulses: Vec<usize>, sigma: Vec<f32>, act_levels: usize, rng: Rng) -> Result<Self> {
         let noise = GaussianMvmNoise::new(sigma, pulses, rng)?;
         if act_levels < 2 {
@@ -343,6 +351,37 @@ mod tests {
         assert!(PlaHook::new(vec![8], vec![1.0, 2.0], 9, rng.clone()).is_err());
         assert!(PlaHook::new(vec![0], vec![1.0], 9, rng.clone()).is_err());
         assert!(PlaHook::new(vec![8], vec![1.0], 1, rng).is_err());
+    }
+
+    #[test]
+    fn non_finite_or_negative_sigma_is_rejected_typed() {
+        let rng = Rng::from_seed(0);
+        for bad in [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1.0,
+            -f32::MIN_POSITIVE,
+        ] {
+            let errs = [
+                GaussianMvmNoise::new(vec![0.5, bad], vec![8, 8], rng.clone()).err(),
+                GaussianMvmNoise::uniform(2, bad, 8, rng.clone()).err(),
+                PlaHook::new(vec![8, 8], vec![bad, 0.5], 9, rng.clone()).err(),
+                PlaHook::uniform(2, 8, bad, 9, rng.clone()).err(),
+            ];
+            for err in errs {
+                assert!(
+                    matches!(
+                        err,
+                        Some(crate::TrainError::Tensor(TensorError::InvalidArgument(_)))
+                    ),
+                    "sigma {bad}: {err:?}"
+                );
+            }
+        }
+        // zero noise stays legal: Fig. 2's single-layer probe relies on it
+        assert!(GaussianMvmNoise::uniform(2, 0.0, 8, rng.clone()).is_ok());
+        assert!(PlaHook::uniform(2, 8, 0.0, 9, rng).is_ok());
     }
 
     #[test]

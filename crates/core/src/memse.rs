@@ -20,12 +20,13 @@
 //!   independent pulse readouts.
 //!
 //! Stage composition: variance maps through a matrix `E` as `v·(E²)ᵀ`
-//! (independent-error approximation; convs lower `v` with the same
-//! im2col geometry as the values); batch norm scales the trajectory by
+//! (independent-error approximation; every stage, the hidden FC
+//! included, lowers `v` with the same im2col geometry as the values);
+//! batch norm scales the trajectory by
 //! `scale` (+`shift`) and the variance by `scale²`; the fused
 //! `tanh` → k-level quantizer gets its *exact* Gaussian output mean and
 //! variance ([`membit_nn::tanh_quantize_moments`], rounding boundaries
-//! pulled back through `atanh`, no linearization) — the one stage
+//! pulled back through `atanh`, no linearization) — the one step
 //! nonlinear in the variance, which is why each candidate encoding
 //! needs a (cheap) full walk rather than superposition; max-pool
 //! gathers both at the trajectory argmax
@@ -46,8 +47,7 @@
 
 use membit_encoding::pla::PlaThermometer;
 use membit_nn::{
-    max_pool2_moments, normal_cdf, tanh_quantize_moments, tanh_quantize_moments_mapped,
-    tanh_quantize_moments_with_gain, Params, Vgg,
+    max_pool2_moments, normal_cdf, quantizer_grid, tanh_quantize_moments, Params, Vgg,
 };
 use membit_tensor::{im2col_into, Conv2dGeometry, Tensor, TensorError};
 use membit_xbar::CrossbarLinear;
@@ -57,13 +57,26 @@ use crate::device_eval::{
 };
 use crate::Result;
 
-/// Pulse counts of crossbar operator `op` in an allocation (per
-/// operator, per column group), checked against its `groups`.
-fn op_qs(alloc: &[Vec<usize>], op: usize, groups: usize) -> Result<&[usize]> {
-    let qs = &alloc[op];
-    if qs.len() != groups {
+/// A crossbar stage's read-noise model with the pulse counts of its
+/// column groups; `None` for the digital first conv.
+type ReadNoise<'a> = Option<(&'a IntrinsicOp, &'a [usize])>;
+
+/// The read noise of `stage` under `alloc`, consuming crossbar operator
+/// slot `op` (then advanced) when the stage runs on a crossbar; the slot
+/// must give each of the operator's column groups a nonzero count.
+fn read_noise<'a>(
+    stage: &'a Stage,
+    alloc: &'a [Vec<usize>],
+    op: &mut usize,
+) -> Result<ReadNoise<'a>> {
+    let Some(intr) = &stage.kernel.intrinsic else {
+        return Ok(None);
+    };
+    let qs = &alloc[*op];
+    if qs.len() != intr.groups {
         return Err(TensorError::InvalidArgument(format!(
-            "operator {op} has {groups} column groups, allocation supplies {}",
+            "operator {op} has {} column groups, allocation supplies {}",
+            intr.groups,
             qs.len()
         ))
         .into());
@@ -71,7 +84,8 @@ fn op_qs(alloc: &[Vec<usize>], op: usize, groups: usize) -> Result<&[usize]> {
     if qs.contains(&0) {
         return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
     }
-    Ok(qs)
+    *op += 1;
+    Ok(Some((intr, qs)))
 }
 
 /// Intrinsic read-noise model of one crossbar operator.
@@ -115,41 +129,25 @@ impl IntrinsicOp {
     }
 }
 
-/// One conv stage of the captured network.
-struct ConvStage {
-    /// im2col geometry of the activations entering this layer.
-    geom: Conv2dGeometry,
-    out_channels: usize,
-    oh: usize,
-    ow: usize,
-    /// Deployed (effective) operator matrix, transposed `[patch, out]` —
-    /// propagates the operating trajectory.
+/// A lowered layer's operator as the walk reads it.
+struct Operator {
+    /// Deployed (effective) operator matrix `[out, patch]`, as
+    /// programmed — the hidden FC's covariance-aware classifier
+    /// contraction reads it untransposed.
+    e: Tensor,
+    /// `Eᵀ` — propagates the operating trajectory.
     e_t: Tensor,
     /// `(E²)ᵀ` — propagates incoming variance.
     w_sq_t: Tensor,
     /// Crossbar read-noise model; `None` for the digital first conv.
     intrinsic: Option<IntrinsicOp>,
-    /// Folded BN, per channel.
-    scale: Tensor,
-    shift: Tensor,
+    /// Squared folded-BN scale, per channel.
     scale_sq: Tensor,
-    pool: bool,
 }
 
-/// The hidden-FC stage.
-struct FcStage {
-    /// Deployed operator matrix `[fc_dim, feature_dim]` (row-major, as
-    /// programmed) — the covariance-aware classifier contraction needs
-    /// it untransposed.
-    e: Tensor,
-    e_t: Tensor,
-    w_sq_t: Tensor,
-    intrinsic: IntrinsicOp,
-    scale: Tensor,
-    shift: Tensor,
-    scale_sq: Tensor,
-    feature_dim: usize,
-}
+/// One stage of the walk: a lowered layer (geometry, folded BN, pool
+/// flag) with its analytic operator.
+type Stage = MvmLayer<Operator>;
 
 /// Analytic score of one candidate encoding.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -217,8 +215,9 @@ pub struct TileAllocation {
 /// walks trajectory + variance per candidate encoding.
 pub struct MemseNetwork {
     probe: Tensor,
-    convs: Vec<ConvStage>,
-    fc: FcStage,
+    /// One stage per lowered layer in forward order: the digital first
+    /// conv, the crossbar convs, the hidden FC last.
+    stages: Vec<Stage>,
     /// Classifier matrix `[classes, fc_dim]` (bias cancels in every
     /// error difference and is omitted), plus its transpose and
     /// squared-transpose for the contraction forms.
@@ -313,9 +312,8 @@ impl MemseNetwork {
         )
     }
 
-    /// Shared constructor: turns every layer but the last into a conv
-    /// stage and the last, the hidden FC, into the FC stage, and runs
-    /// the clean logical reference forward once.
+    /// Shared constructor: turns every layer into a stage and runs the
+    /// clean logical reference forward once.
     fn build(
         probe: &Tensor,
         act_levels: usize,
@@ -332,9 +330,7 @@ impl MemseNetwork {
         let values = value_table(act_levels);
         let mut act = LayerInput::Images(probe);
         let mut col_buf: Vec<f32> = Vec::new();
-        let last = layers.len() - 1;
-        let mut convs = Vec::with_capacity(last);
-        let mut fc = None;
+        let mut stages = Vec::with_capacity(layers.len());
         for (i, layer) in layers.into_iter().enumerate() {
             let (logical_t, e, intrinsic) = match layer.kernel {
                 LayerPlan::Digital(wmat) => (wmat.transpose()?, wmat.clone(), None),
@@ -354,40 +350,14 @@ impl MemseNetwork {
             let rows = cols.matmul(&logical_t)?;
             col_buf = cols.into_vec();
             act = LayerInput::Levels(layer.periphery(&rows, n, &thresholds, i)?);
-            let e_t = e.transpose()?;
-            let w_sq_t = e.map(|v| v * v).transpose()?;
-            let scale_sq = layer.scale.map(|v| v * v);
-            match intrinsic {
-                Some(intrinsic) if i == last => {
-                    fc = Some(FcStage {
-                        e,
-                        e_t,
-                        w_sq_t,
-                        intrinsic,
-                        scale: layer.scale,
-                        shift: layer.shift,
-                        scale_sq,
-                        feature_dim: layer.geom.patch_len(),
-                    })
-                }
-                intrinsic => convs.push(ConvStage {
-                    geom: layer.geom,
-                    out_channels: layer.out_channels(),
-                    oh: layer.geom.out_h(),
-                    ow: layer.geom.out_w(),
-                    e_t,
-                    w_sq_t,
-                    intrinsic,
-                    scale: layer.scale,
-                    shift: layer.shift,
-                    scale_sq,
-                    pool: layer.pool,
-                }),
-            }
+            stages.push(layer.with_kernel(Operator {
+                e_t: e.transpose()?,
+                w_sq_t: e.map(|v| v * v).transpose()?,
+                e,
+                intrinsic,
+                scale_sq: layer.scale.map(|v| v * v),
+            }));
         }
-        let fc = fc.ok_or_else(|| {
-            TensorError::InvalidArgument("the hidden FC must be a crossbar operator".into())
-        })?;
         let LayerInput::Levels(act) = act else {
             unreachable!("the hidden FC is the last layer")
         };
@@ -412,8 +382,7 @@ impl MemseNetwork {
             .collect();
         Ok(Self {
             probe: probe.clone(),
-            convs,
-            fc,
+            stages,
             cls_w_sq_t: cls_w.map(|v| v * v).transpose()?,
             cls_w_t,
             cls_w,
@@ -440,10 +409,9 @@ impl MemseNetwork {
     /// The read-noise model of every crossbar operator, in deployment
     /// order.
     fn intrinsics(&self) -> impl Iterator<Item = &IntrinsicOp> {
-        self.convs
+        self.stages
             .iter()
-            .filter_map(|c| c.intrinsic.as_ref())
-            .chain(std::iter::once(&self.fc.intrinsic))
+            .filter_map(|s| s.kernel.intrinsic.as_ref())
     }
 
     /// Scores one uniform-per-layer encoding: closed-form total and
@@ -495,21 +463,11 @@ impl MemseNetwork {
     /// `f32`.
     fn walk(&self, alloc: &[Vec<usize>]) -> Result<MemseScore> {
         self.check_ops(alloc.len())?;
-        let mut state = self.initial_state();
-        let mut op = 0usize;
-        for idx in 0..self.convs.len() {
-            state = self.advance_conv(idx, alloc, &mut op, state)?;
-        }
-        self.finish(alloc, op, state)
-    }
-
-    /// The walk's starting state: probe trajectory, zero error variance.
-    fn initial_state(&self) -> WalkState {
-        WalkState::Input(self.probe.clone())
+        self.score_from(alloc, 0, 0, &WalkState::Input(self.probe.clone()))
     }
 
     /// Resolves a walk state into the (mean, variance) pair the next
-    /// operator reads: the producer's fused tanh → quantize stage with
+    /// operator reads: the producer's fused tanh → quantize step with
     /// its output grid remapped by the consumer's PLA snap (`snap_q`;
     /// `None` = digital consumer, no snap), then the producer's
     /// max-pool. The activation distribution lives entirely on the
@@ -517,27 +475,17 @@ impl MemseNetwork {
     /// post-snap moments — grid-representable pulse counts (e.g. q = 8
     /// or 16 against 9 levels) contribute exactly zero snap deviation,
     /// where snapping a propagated mean would charge a phantom error.
+    /// The raw probe is read as it is: only the digital first conv,
+    /// which snaps nothing, reads it.
     fn materialize(&self, state: &WalkState, snap_q: Option<usize>) -> Result<(Tensor, Tensor)> {
         match state {
-            WalkState::Input(probe) => {
-                let mean = match snap_q {
-                    Some(q) => {
-                        let pla = PlaThermometer::new(self.act_levels, q)?;
-                        probe.map(|v| pla.approximate(v))
-                    }
-                    None => probe.clone(),
-                };
-                let var = Tensor::zeros(mean.shape());
-                Ok((mean, var))
-            }
+            WalkState::Input(probe) => Ok((probe.clone(), Tensor::zeros(probe.shape()))),
             WalkState::Pre { mean, var, pool } => {
-                let (m, v) = match snap_q {
-                    Some(q) => {
-                        let bins = snapped_bins(self.act_levels, q)?;
-                        tanh_quantize_moments_mapped(mean, var, self.act_levels, &bins)?
-                    }
-                    None => tanh_quantize_moments(mean, var, self.act_levels)?,
+                let bins = match snap_q {
+                    Some(q) => snapped_bins(self.act_levels, q)?,
+                    None => quantizer_grid(self.act_levels),
                 };
+                let (m, v, _) = tanh_quantize_moments(mean, var, &bins)?;
                 if *pool {
                     Ok(max_pool2_moments(&m, &v)?)
                 } else {
@@ -547,22 +495,19 @@ impl MemseNetwork {
         }
     }
 
-    /// Stage index owning each crossbar operator in deployment order
-    /// (`self.convs.len()` stands for the FC tail).
+    /// Index of the stage owning each crossbar operator, in deployment
+    /// order.
     fn op_stages(&self) -> Vec<usize> {
-        let mut stages: Vec<usize> = self
-            .convs
+        self.stages
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.intrinsic.is_some())
+            .filter(|(_, s)| s.kernel.intrinsic.is_some())
             .map(|(i, _)| i)
-            .collect();
-        stages.push(self.convs.len());
-        stages
+            .collect()
     }
 
     /// Scores an allocation given the precomputed prefix `state`
-    /// entering conv stage `start` (`op` operators already consumed).
+    /// entering stage `start` (`op` operators already consumed).
     /// Coordinate descent sweeps one operator at a time, so everything
     /// upstream of the swept operator is fixed — caching the prefix
     /// turns each evaluation into a suffix-only walk. Stage arithmetic
@@ -577,102 +522,103 @@ impl MemseNetwork {
     ) -> Result<MemseScore> {
         let mut st = state.clone();
         let mut op = op;
-        for idx in start..self.convs.len() {
-            st = self.advance_conv(idx, alloc, &mut op, st)?;
+        for idx in start..self.stages.len() - 1 {
+            st = self.advance(idx, alloc, &mut op, st)?;
         }
         self.finish(alloc, op, st)
     }
 
-    /// Propagates (trajectory, variance) through conv stage `idx`,
-    /// consuming the stage's operator from `alloc` when it runs on a
-    /// crossbar.
-    fn advance_conv(
+    /// Propagates (trajectory, variance) through stage `idx`, consuming
+    /// the stage's operator from `alloc` when it runs on a crossbar.
+    fn advance(
         &self,
         idx: usize,
         alloc: &[Vec<usize>],
         op: &mut usize,
         state: WalkState,
     ) -> Result<WalkState> {
-        let stage = &self.convs[idx];
-        let (m_out, v_out) = if let Some(intr) = &stage.intrinsic {
-            let qs = op_qs(alloc, *op, intr.groups)?;
-            *op += 1;
-            let (m, v) = gathered_product(
-                |q| {
-                    let (mean, var) = self.materialize(&state, Some(q))?;
-                    im2col_pair(&mean, &var, &stage.geom)
-                },
-                &stage.e_t,
-                &stage.w_sq_t,
-                qs,
-                &intr.col_group,
-            )?;
-            (m, add_fluct(v, &intr.a_col, qs, &intr.col_group)?)
-        } else {
-            let (mean, var) = self.materialize(&state, None)?;
-            let (mcols, vcols) = im2col_pair(&mean, &var, &stage.geom)?;
-            (mcols.matmul(&stage.e_t)?, vcols.matmul(&stage.w_sq_t)?)
-        };
-        let shape = [self.samples, stage.oh, stage.ow, stage.out_channels];
-        let mut m = m_out.into_reshaped(&shape)?.nhwc_to_nchw()?;
-        let mut v = v_out.into_reshaped(&shape)?.nhwc_to_nchw()?;
-        m = m.channel_map(&stage.scale, |x, s| x * s)?;
-        m = m.channel_map(&stage.shift, |x, t| x + t)?;
-        v = v.channel_map(&stage.scale_sq, |x, s| x * s)?;
+        let stage = &self.stages[idx];
+        let noise = read_noise(stage, alloc, op)?;
+        let (m, v, _) = self.product(stage, noise, &state)?;
+        let (mean, var) = self.fold(stage, noise, m, v)?;
         Ok(WalkState::Pre {
-            mean: m,
-            var: v,
+            mean,
+            var,
             pool: stage.pool,
         })
     }
 
-    /// The walk's FC tail: hidden FC (always a crossbar operator, last
-    /// pulse slot), activation quantizer, covariance-aware classifier
-    /// contraction, and the fluct + bias total.
-    fn finish(&self, alloc: &[Vec<usize>], op: usize, state: WalkState) -> Result<MemseScore> {
-        let qs = op_qs(alloc, op, self.fc.intrinsic.groups)?;
-        // materialized FC input, snapped at the dominant (max) pulse
-        // count: exact for uniform allocations (the common path), the
-        // dominant-group approximation for the covariance cross-terms
-        // of a mixed per-tile allocation
-        let q_star = qs.iter().copied().max().unwrap_or(1);
-        let (mean_star, var_star) = self.materialize(&state, Some(q_star))?;
-        let mean_flat = mean_star.into_reshaped(&[self.samples, self.fc.feature_dim])?;
-        let var_flat = var_star.into_reshaped(&[self.samples, self.fc.feature_dim])?;
-        let mut distinct = qs.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        // propagated-only output variance — also the diagonal of the
-        // shared-input covariance the FC matmul induces on its outputs
-        let (m, c_diag) = if distinct.len() == 1 {
-            (
-                mean_flat.matmul(&self.fc.e_t)?,
-                var_flat.matmul(&self.fc.w_sq_t)?,
-            )
-        } else {
-            gathered_product(
-                |q| {
-                    let (mean, var) = self.materialize(&state, Some(q))?;
-                    Ok((
-                        mean.into_reshaped(&[self.samples, self.fc.feature_dim])?,
-                        var.into_reshaped(&[self.samples, self.fc.feature_dim])?,
-                    ))
-                },
-                &self.fc.e_t,
-                &self.fc.w_sq_t,
-                qs,
-                &self.fc.intrinsic.col_group,
-            )?
+    /// `stage`'s operator product on the moments `state` hands it, each
+    /// column group reading its inputs snapped at its own pulse count:
+    /// trajectory and propagated variance rows `[rows, out]` (no read
+    /// noise yet), and the input variance rows at the largest pulse
+    /// count.
+    fn product(
+        &self,
+        stage: &Stage,
+        noise: ReadNoise,
+        state: &WalkState,
+    ) -> Result<(Tensor, Tensor, Tensor)> {
+        let mats = |q| {
+            let (mean, var) = self.materialize(state, q)?;
+            im2col_pair(&mean, &var, &stage.geom)
         };
-        let v = add_fluct(
-            c_diag.clone(),
-            &self.fc.intrinsic.a_col,
-            qs,
-            &self.fc.intrinsic.col_group,
-        )?;
-        let m = m.mul(&self.fc.scale)?.add(&self.fc.shift)?;
-        let v = v.mul(&self.fc.scale_sq)?;
-        let (m, v, gain) = tanh_quantize_moments_with_gain(&m, &v, self.act_levels)?;
+        let op = &stage.kernel;
+        match noise {
+            Some((intr, qs)) => {
+                gathered_product(|q| mats(Some(q)), &op.e_t, &op.w_sq_t, qs, &intr.col_group)
+            }
+            None => {
+                let (mcols, vcols) = mats(None)?;
+                Ok((mcols.matmul(&op.e_t)?, vcols.matmul(&op.w_sq_t)?, vcols))
+            }
+        }
+    }
+
+    /// Adds `stage`'s read noise to its propagated variance rows (in
+    /// place) and folds its batch norm after the NHWC → NCHW permute:
+    /// the trajectory gets `x·scale` then `+ shift`, the variance
+    /// `x·scale²`.
+    fn fold(
+        &self,
+        stage: &Stage,
+        noise: ReadNoise,
+        m: Tensor,
+        v: Tensor,
+    ) -> Result<(Tensor, Tensor)> {
+        let v = match noise {
+            Some((intr, qs)) => add_fluct(v, &intr.a_col, qs, &intr.col_group)?,
+            None => v,
+        };
+        let (oh, ow) = (stage.geom.out_h(), stage.geom.out_w());
+        let shape = [self.samples, oh, ow, stage.out_channels()];
+        let m = m.into_reshaped(&shape)?.nhwc_to_nchw()?;
+        let v = v.into_reshaped(&shape)?.nhwc_to_nchw()?;
+        let m = m
+            .channel_map(&stage.scale, |x, s| x * s)?
+            .channel_map(&stage.shift, |x, t| x + t)?;
+        let v = v.channel_map(&stage.kernel.scale_sq, |x, s| x * s)?;
+        Ok((m, v))
+    }
+
+    /// The walk's FC tail: the hidden FC (always a crossbar operator, last
+    /// pulse slot) through its product and folded BN, then the activation
+    /// quantizer with its Stein gain, the covariance-aware classifier
+    /// contraction, and the fluct + bias total.
+    fn finish(&self, alloc: &[Vec<usize>], mut op: usize, state: WalkState) -> Result<MemseScore> {
+        let fc = self.stages.last().expect("the hidden FC is the last stage");
+        let noise = read_noise(fc, alloc, &mut op)?;
+        // `var_flat`, the FC input's variance, is snapped at the dominant
+        // (max) pulse count: exact for uniform allocations (the common
+        // path), the dominant-group approximation for the covariance
+        // cross-terms of a mixed per-tile allocation. `c_diag`, the
+        // propagated-only output variance, is also the diagonal of the
+        // shared-input covariance the FC matmul induces on its outputs.
+        let (m, c_diag, var_flat) = self.product(fc, noise, &state)?;
+        let (m, v) = self.fold(fc, noise, m, c_diag.clone())?;
+        let fc_shape = c_diag.shape();
+        let (m, v) = (m.into_reshaped(fc_shape)?, v.into_reshaped(fc_shape)?);
+        let (m, v, gain) = tanh_quantize_moments(&m, &v, &quantizer_grid(self.act_levels))?;
         let logits_mean = m.matmul(&self.cls_w_t)?;
         // Covariance-aware classifier contraction. Every FC output reads
         // the same feature-error vector, so the errors entering the
@@ -687,7 +633,7 @@ impl MemseNetwork {
         // only guards f32 rounding.) Conv contractions keep the plain
         // independent form: their outputs fan out over many downstream
         // units, where cross terms do average out.
-        let ghat = gain.mul(&self.fc.scale)?;
+        let ghat = gain.mul(&fc.scale)?;
         let independent = {
             let g2c = ghat.map(|g| g * g).mul(&c_diag)?;
             let d: Vec<f32> = v
@@ -701,14 +647,14 @@ impl MemseNetwork {
         let mut logits_var = independent.matmul(&self.cls_w_sq_t)?.into_vec();
         let classes = self.cls_w.shape()[0];
         let fc_dim = self.cls_w.shape()[1];
-        let feat = self.fc.feature_dim;
+        let feat = fc.geom.patch_len();
         for s in 0..self.samples {
             let grow = Tensor::from_vec(
                 ghat.as_slice()[s * fc_dim..(s + 1) * fc_dim].to_vec(),
                 &[fc_dim],
             )?;
             let wg = self.cls_w.mul(&grow)?;
-            let contracted = wg.matmul(&self.fc.e)?; // [classes, feature]
+            let contracted = wg.matmul(&fc.kernel.e)?; // [classes, feature]
             let cs = contracted.as_slice();
             let vrow = &var_flat.as_slice()[s * feat..(s + 1) * feat];
             for c in 0..classes {
@@ -881,12 +827,12 @@ impl MemseNetwork {
             // walk the prefix once per sweep: the state entering the
             // swept operator's stage is fixed, so each candidate costs
             // only a suffix evaluation
-            let mut state = self.initial_state();
+            let mut state = WalkState::Input(self.probe.clone());
             let mut stage_ptr = 0usize;
             let mut op_ptr = 0usize;
             for (l, &target) in op_stages.iter().enumerate() {
                 while stage_ptr < target {
-                    state = self.advance_conv(stage_ptr, alloc, &mut op_ptr, state)?;
+                    state = self.advance(stage_ptr, alloc, &mut op_ptr, state)?;
                     stage_ptr += 1;
                 }
                 let groups = alloc[l].len();
@@ -967,7 +913,7 @@ enum LayerPlan<'a> {
 enum WalkState {
     /// The raw probe input (deterministic, zero variance).
     Input(Tensor),
-    /// Post-BN pre-activation moments of the producing conv stage,
+    /// Post-BN pre-activation moments (NCHW) of the producing stage,
     /// with its pool flag still to apply after the fused quantizer.
     Pre {
         mean: Tensor,
@@ -977,13 +923,13 @@ enum WalkState {
 }
 
 /// The activation grid values after the PLA snap at `q` pulses: the
-/// quantizer's bin `k` value `2k/l − 1` pushed through
+/// quantizer's bin values ([`quantizer_grid`]) pushed through
 /// [`PlaThermometer::approximate`].
 fn snapped_bins(levels: usize, q: usize) -> Result<Vec<f32>> {
     let pla = PlaThermometer::new(levels, q)?;
-    let l = (levels - 1) as f32;
-    Ok((0..levels)
-        .map(|k| pla.approximate(2.0 * k as f32 / l - 1.0))
+    Ok(quantizer_grid(levels)
+        .into_iter()
+        .map(|v| pla.approximate(v))
         .collect())
 }
 
@@ -1003,25 +949,26 @@ fn im2col_pair(mean: &Tensor, var: &Tensor, geom: &Conv2dGeometry) -> Result<(Te
 /// exactly the drive the deployment's PLA encoder delivers to that tile
 /// group. `mats(q)` produces the `[rows, k]` input moment matrices for
 /// one snap; uniform allocations take the single-materialization fast
-/// path.
+/// path. Also returns the input variance matrix of the largest `q_g`.
 fn gathered_product(
     mats: impl Fn(usize) -> Result<(Tensor, Tensor)>,
     e_t: &Tensor,
     w_sq_t: &Tensor,
     qs: &[usize],
     col_group: &[usize],
-) -> Result<(Tensor, Tensor)> {
+) -> Result<(Tensor, Tensor, Tensor)> {
     let mut distinct = qs.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
     if let [q] = distinct[..] {
         let (m_in, v_in) = mats(q)?;
-        return Ok((m_in.matmul(e_t)?, v_in.matmul(w_sq_t)?));
+        return Ok((m_in.matmul(e_t)?, v_in.matmul(w_sq_t)?, v_in));
     }
     let out = col_group.len();
     let mut rows = 0usize;
     let mut m_data: Vec<f32> = Vec::new();
     let mut v_data: Vec<f32> = Vec::new();
+    let mut v_top = Tensor::zeros(&[0]);
     for &q in &distinct {
         let (m_in, v_in) = mats(q)?;
         let m_full = m_in.matmul(e_t)?;
@@ -1041,10 +988,12 @@ fn gathered_product(
                 }
             }
         }
+        v_top = v_in;
     }
     Ok((
         Tensor::from_vec(m_data, &[rows, out])?,
         Tensor::from_vec(v_data, &[rows, out])?,
+        v_top,
     ))
 }
 

@@ -54,10 +54,7 @@ pub use hooks::{MvmNoiseHook, NoNoise};
 pub use linear::Linear;
 pub use metrics::{accuracy, confusion_matrix};
 pub use mlp::{Mlp, MlpConfig};
-pub use moments::{
-    max_pool2_moments, normal_cdf, tanh_quantize_moments, tanh_quantize_moments_mapped,
-    tanh_quantize_moments_with_gain,
-};
+pub use moments::{max_pool2_moments, normal_cdf, quantizer_grid, tanh_quantize_moments};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{Binding, ParamId, Params};
 pub use resnet::{ResNet, ResNetConfig};

@@ -73,7 +73,11 @@ fn gauss_kernel_cdf(z: f32) -> (f32, f32) {
     (e, cdf)
 }
 
-/// Evaluates [`gauss_kernel_cdf`] at the `N` boundary pre-images — the
+/// Boundaries per lane pass of the fused quantizer: 9 levels (8
+/// boundaries) take exactly one pass.
+const LANES: usize = 8;
+
+/// Evaluates [`gauss_kernel_cdf`] at `N` boundary pre-images — the
 /// compile-time trip count turns the whole transcendental pass into
 /// straight-line vectorizable code, which is what makes the analytic
 /// walk fast enough to beat Monte-Carlo scoring by two orders of
@@ -90,8 +94,20 @@ fn gauss_lanes<const N: usize>(pre: &[f32], m: f32, inv_s: f32) -> ([f32; N], [f
     (kern, cdfs)
 }
 
+/// The activation quantizer's output grid: bin `k` of `levels` emits
+/// `2k/l − 1` (`l = levels − 1`), the value the deployed network's
+/// level `k` stands for. These are the bins of
+/// [`tanh_quantize_moments`] when nothing re-quantizes the activation.
+pub fn quantizer_grid(levels: usize) -> Vec<f32> {
+    let l = (levels.max(2) - 1) as f32;
+    (0..levels).map(|k| 2.0 * k as f32 / l - 1.0).collect()
+}
+
 /// Propagates moments through the fused `tanh` → k-level-quantizer
-/// stage *exactly* under the Gaussian pre-activation approximation.
+/// stage *exactly* under the Gaussian pre-activation approximation,
+/// with bin `k` of the `bins.len()`-level quantizer emitting `bins[k]`.
+/// Returns the output mean, variance and equivalent linear gain per
+/// element.
 ///
 /// The deployed network always quantizes immediately after `tanh`, and
 /// the Gaussian error model is most accurate *before* the `tanh` (the
@@ -106,8 +122,7 @@ fn gauss_lanes<const N: usize>(pre: &[f32], m: f32, inv_s: f32) -> ([f32; N], [f
 /// `k` is evaluated at the *pre-images* `atanh(b_k)` of the rounding
 /// boundaries (all interior boundaries satisfy `|b_k| < 1`, so the
 /// pre-image is finite), and the output mean `E[q(tanh Z)]` and
-/// variance `Var[q(tanh Z)]` follow from exact bin sums over the output
-/// grid.
+/// variance `Var[q(tanh Z)]` follow from exact bin sums over `bins`.
 ///
 /// This is the one closed form that is **nonlinear in the input
 /// variance** (a small σ barely crosses a rounding boundary, a large σ
@@ -116,86 +131,38 @@ fn gauss_lanes<const N: usize>(pre: &[f32], m: f32, inv_s: f32) -> ([f32; N], [f
 /// per-layer variance gains. The returned mean shifts off the clean
 /// trajectory when it sits near a boundary pre-image.
 ///
+/// `bins` is [`quantizer_grid`] for the plain quantizer. A downstream
+/// deterministic, monotone re-quantization of the grid (e.g. the PLA
+/// pulse-count snap of the next crossbar layer's encoder) composes in
+/// closed form by remapping the bins: the activation distribution lives
+/// entirely on the bin values, so remapped bins — not a perturbed
+/// propagated mean — give the exact post-snap mean and variance.
+/// Snapping a propagated *mean* instead would charge the walk a phantom
+/// representation error on every element whose expected value falls
+/// between grid points, even when every realizable activation is
+/// exactly representable.
+///
+/// The gain is `κ = Cov(q(tanh Z), Z) / Var(Z)`. By Stein's lemma,
+/// `Cov(f(Z), Z) = Var(Z)·E[f′(Z)]` for Gaussian `Z`; the fused stage is
+/// a step function with a jump of `bins[k+1] − bins[k]` at the boundary
+/// pre-image `a_k = atanh(b_k)`, so
+/// `κ = Σ_k (bins[k+1] − bins[k])·φ((a_k − m)/s)/s` in closed form. The
+/// gain is what a covariance-aware contraction downstream needs: under
+/// the Gaussian closure,
+/// `Cov(q(tanh Z_i), q(tanh Z_j)) ≈ κ_i·κ_j·Cov(Z_i, Z_j)` for `i ≠ j`,
+/// while the diagonal keeps the exact per-element variance. Zero input
+/// variance yields zero gain (the a.e. derivative of a step).
+///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] for `levels < 2` or shape
-/// mismatches.
+/// Returns [`TensorError::InvalidArgument`] for fewer than 2 bins and
+/// [`TensorError::ShapeMismatch`] when `mean` and `var` differ in shape.
 pub fn tanh_quantize_moments(
     mean: &Tensor,
     var: &Tensor,
-    levels: usize,
-) -> Result<(Tensor, Tensor)> {
-    let (m, v, _) = tanh_quantize_moments_with_gain(mean, var, levels)?;
-    Ok((m, v))
-}
-
-/// [`tanh_quantize_moments`] with the quantizer's output grid *remapped*:
-/// bin `k` emits `bins[k]` instead of `2k/l − 1`.
-///
-/// This is how a downstream deterministic, monotone re-quantization of
-/// the activation grid (e.g. the PLA pulse-count snap of the next
-/// crossbar layer's encoder) composes with the quantizer in closed
-/// form: the activation distribution lives entirely on the `levels` bin
-/// values, so remapping the bins — not perturbing the propagated mean —
-/// gives the exact post-snap mean and variance. Snapping a propagated
-/// *mean* instead would charge the walk a phantom representation error
-/// on every element whose expected value falls between grid points,
-/// even when every realizable activation is exactly representable.
-///
-/// # Errors
-///
-/// As [`tanh_quantize_moments`], plus a bin-count mismatch.
-pub fn tanh_quantize_moments_mapped(
-    mean: &Tensor,
-    var: &Tensor,
-    levels: usize,
-    bins: &[f32],
-) -> Result<(Tensor, Tensor)> {
-    if bins.len() != levels {
-        return Err(TensorError::InvalidArgument(format!(
-            "{} bin values for a {levels}-level quantizer",
-            bins.len()
-        )));
-    }
-    let (m, v, _) = fused_tanh_quantize(mean, var, levels, bins)?;
-    Ok((m, v))
-}
-
-/// [`tanh_quantize_moments`] plus the stage's *equivalent linear gain*
-/// `κ = Cov(q(tanh Z), Z) / Var(Z)` per element.
-///
-/// By Stein's lemma, `Cov(f(Z), Z) = Var(Z)·E[f′(Z)]` for Gaussian `Z`;
-/// the fused stage is a step function with jumps of `2/l` at the
-/// boundary pre-images `a_k = atanh(b_k)`, so
-/// `κ = Σ_k (2/l)·φ((a_k − m)/s)/s` in closed form. The gain is what a
-/// covariance-aware contraction downstream needs: under the Gaussian
-/// closure, `Cov(q(tanh Z_i), q(tanh Z_j)) ≈ κ_i·κ_j·Cov(Z_i, Z_j)` for
-/// `i ≠ j`, while the diagonal keeps the exact per-element variance.
-/// Zero input variance yields zero gain (the a.e. derivative of a step).
-///
-/// # Errors
-///
-/// As [`tanh_quantize_moments`].
-pub fn tanh_quantize_moments_with_gain(
-    mean: &Tensor,
-    var: &Tensor,
-    levels: usize,
-) -> Result<(Tensor, Tensor, Tensor)> {
-    let l = (levels.max(2) - 1) as f32;
-    let grid: Vec<f32> = (0..levels).map(|k| 2.0 * k as f32 / l - 1.0).collect();
-    fused_tanh_quantize(mean, var, levels, &grid)
-}
-
-/// Shared core: exact Gaussian moments (and Stein gain) of
-/// `Z ↦ bins[bin(quantize(tanh Z))]` — the fused stage with arbitrary
-/// output values per bin. The gain jump at interior boundary `k` is
-/// `bins[k+1] − bins[k]`.
-fn fused_tanh_quantize(
-    mean: &Tensor,
-    var: &Tensor,
-    levels: usize,
     bins: &[f32],
 ) -> Result<(Tensor, Tensor, Tensor)> {
+    let levels = bins.len();
     if levels < 2 {
         return Err(TensorError::InvalidArgument(format!(
             "quantizer needs ≥ 2 levels, got {levels}"
@@ -203,10 +170,13 @@ fn fused_tanh_quantize(
     }
     check_same_shape("tanh_quantize_moments", mean, var)?;
     let l = (levels - 1) as f32;
-    // pre-images of the interior rounding boundaries b_k = (2k−1)/l − 1
-    let pre_bounds: Vec<f32> = (1..levels)
+    let nb = levels - 1;
+    // pre-images of the interior rounding boundaries b_k = (2k−1)/l − 1,
+    // padded with +∞ to whole lane passes (a padded lane is never read)
+    let mut pre_bounds: Vec<f32> = (1..levels)
         .map(|k| ((2.0 * k as f32 - 1.0) / l - 1.0).atanh())
         .collect();
+    pre_bounds.resize(nb.div_ceil(LANES) * LANES, f32::INFINITY);
     let inv_sqrt_2pi = 1.0 / (2.0 * std::f32::consts::PI).sqrt();
     let ms = mean.as_slice();
     let vs = var.as_slice();
@@ -214,102 +184,52 @@ fn fused_tanh_quantize(
     let mut q_var = vec![0.0f32; ms.len()];
     let mut q_gain = vec![0.0f32; ms.len()];
     // Boundaries beyond ±ZMAX·s carry no f32-visible probability mass
-    // (Φ(−8) ≈ 6e−16), so only the window of boundaries within ZMAX
-    // standard deviations of the mean is evaluated; everything below is
-    // an exact 0, everything above an exact 1. Saturated elements — the
-    // common case after tanh in a binary network — reduce to a bin
-    // lookup with no transcendental calls at all.
+    // (Φ(−8) ≈ 6e−16): an element whose window misses every boundary —
+    // the common case for saturated activations after tanh in a binary
+    // network — reduces to a bin lookup with no transcendental calls.
     const ZMAX: f32 = 8.0;
-    /// Lane-buffer capacity: every practical quantizer (9 levels = 8
-    /// boundaries) fits, so the batched path below is the one that runs.
-    const MAXB: usize = 32;
-    let nb = pre_bounds.len();
-    let mut kern = [0.0f32; MAXB];
-    let mut cdfs = [0.0f32; MAXB];
     for (i, (&m, &v)) in ms.iter().zip(vs).enumerate() {
         if v <= 0.0 {
             // deterministic passthrough: the bin the clean value rounds to
             let idx = ((tanh(m).clamp(-1.0, 1.0) + 1.0) / 2.0 * l).round() as usize;
-            q_mean[i] = bins[idx.min(bins.len() - 1)];
+            q_mean[i] = bins[idx.min(nb)];
             continue;
         }
         let s = v.sqrt();
+        if m - ZMAX * s > pre_bounds[nb - 1] {
+            q_mean[i] = bins[nb];
+            continue;
+        }
+        if m + ZMAX * s < pre_bounds[0] {
+            q_mean[i] = bins[0];
+            continue;
+        }
+        // branchless lane passes over EVERY boundary: far-out lanes
+        // contribute exact-to-f32 0/1 limits on their own, and the
+        // independent lanes let the compiler vectorize the
+        // transcendental work that dominates the walk
+        let inv_s = 1.0 / s;
         let mut e1 = 0.0f32;
         let mut e2 = 0.0f32;
         let mut gain = 0.0f32;
-        if nb <= MAXB {
-            // edge-saturation shortcut: the window misses every boundary
-            // — the common case for saturated activations after tanh in
-            // a binary network, no transcendentals at all
-            if m - ZMAX * s > pre_bounds[nb - 1] {
-                q_mean[i] = bins[nb];
-                continue;
-            }
-            if m + ZMAX * s < pre_bounds[0] {
-                q_mean[i] = bins[0];
-                continue;
-            }
-            // batched branchless pass over EVERY boundary: far-out lanes
-            // contribute exact-to-f32 0/1 limits on their own, and the
-            // independent lanes let the compiler vectorize the
-            // transcendental work that dominates the walk
-            let inv_s = 1.0 / s;
-            if nb == 8 {
-                let (k8, c8) = gauss_lanes::<8>(&pre_bounds, m, inv_s);
-                kern[..8].copy_from_slice(&k8);
-                cdfs[..8].copy_from_slice(&c8);
-            } else {
-                for ((&a, kn), cd) in pre_bounds
-                    .iter()
-                    .zip(kern[..nb].iter_mut())
-                    .zip(cdfs[..nb].iter_mut())
-                {
-                    let (e, c) = gauss_kernel_cdf((a - m) * inv_s);
-                    *kn = e;
-                    *cd = c;
-                }
-            }
-            let mut lo = 0.0f32;
-            for k in 0..nb {
-                let hi = cdfs[k];
+        let mut lo = 0.0f32;
+        for (lanes, first) in pre_bounds.chunks_exact(LANES).zip((0..nb).step_by(LANES)) {
+            let (kern, cdfs) = gauss_lanes::<LANES>(lanes, m, inv_s);
+            for (j, k) in (first..nb.min(first + LANES)).enumerate() {
+                let hi = cdfs[j];
                 let p = hi - lo;
                 let g = bins[k];
                 e1 += p * g;
                 e2 += p * g * g;
-                gain += (bins[k + 1] - bins[k]) * kern[k];
+                gain += (bins[k + 1] - bins[k]) * kern[j];
                 lo = hi;
             }
-            gain *= inv_sqrt_2pi * inv_s;
-            let g = bins[nb];
-            let p = 1.0 - lo;
-            e1 += p * g;
-            e2 += p * g * g;
-        } else {
-            // windowed scalar fallback for pathologically fine quantizers
-            let k_lo = pre_bounds.partition_point(|&a| a <= m - ZMAX * s);
-            let k_end = pre_bounds.partition_point(|&a| a < m + ZMAX * s);
-            if k_lo == k_end {
-                // no boundary in reach: all mass sits in bin k_lo
-                q_mean[i] = bins[k_lo];
-                continue;
-            }
-            let mut lo = 0.0f32; // Φ at the window's lower edge
-            for (k, &a) in pre_bounds.iter().enumerate().take(k_end).skip(k_lo) {
-                let z = (a - m) / s;
-                let (kernel, hi) = gauss_kernel_cdf(z);
-                gain += (bins[k + 1] - bins[k]) * inv_sqrt_2pi * kernel / s;
-                let g = bins[k];
-                let p = hi - lo;
-                e1 += p * g;
-                e2 += p * g * g;
-                lo = hi;
-            }
-            // residual mass lands in bin k_end (boundaries above are Φ = 1)
-            let g = bins[k_end];
-            let p = 1.0 - lo;
-            e1 += p * g;
-            e2 += p * g * g;
         }
+        gain *= inv_sqrt_2pi * inv_s;
+        let g = bins[nb];
+        let p = 1.0 - lo;
+        e1 += p * g;
+        e2 += p * g * g;
         q_mean[i] = e1;
         q_var[i] = (e2 - e1 * e1).max(0.0);
         q_gain[i] = gain;
@@ -427,47 +347,53 @@ mod tests {
     fn fused_tanh_quantize_matches_monte_carlo() {
         // the fused form must match MC of q(tanh(m + ε)) — including the
         // near-boundary regime where the delta-method composition
-        // misestimates flip probabilities
-        let levels = 9;
-        let l = (levels - 1) as f32;
+        // misestimates flip probabilities — from the coarsest quantizer
+        // to ones finer than any deployment runs
         let mut rng = Rng::from_seed(321);
-        for &(m, s) in &[
-            (0.12f32, 0.05f32), // near atanh-boundary, small noise
-            (0.6, 0.2),
-            (-1.2, 0.1), // saturating region
-            (0.0, 0.4),
-        ] {
-            let mean = Tensor::from_vec(vec![m], &[1, 1]).unwrap();
-            let var = Tensor::from_vec(vec![s * s], &[1, 1]).unwrap();
-            let (qm, qv) = tanh_quantize_moments(&mean, &var, levels).unwrap();
-            let trials = 80_000;
-            let mut acc1 = 0.0f64;
-            let mut acc2 = 0.0f64;
-            for _ in 0..trials {
-                let q = f64::from(quantize_value(tanh(m + rng.normal(0.0, s)), l));
-                acc1 += q;
-                acc2 += q * q;
+        for levels in [2usize, 9, 34, 64] {
+            let l = (levels - 1) as f32;
+            for &(m, s) in &[
+                (0.12f32, 0.05f32), // near atanh-boundary, small noise
+                (0.6, 0.2),
+                (-1.2, 0.1), // saturating region
+                (0.0, 0.4),
+            ] {
+                let mean = Tensor::from_vec(vec![m], &[1, 1]).unwrap();
+                let var = Tensor::from_vec(vec![s * s], &[1, 1]).unwrap();
+                let (qm, qv, _) =
+                    tanh_quantize_moments(&mean, &var, &quantizer_grid(levels)).unwrap();
+                let trials = 80_000;
+                let mut acc1 = 0.0f64;
+                let mut acc2 = 0.0f64;
+                for _ in 0..trials {
+                    let q = f64::from(quantize_value(tanh(m + rng.normal(0.0, s)), l));
+                    acc1 += q;
+                    acc2 += q * q;
+                }
+                let mc_mean = acc1 / f64::from(trials);
+                let mc_var = (acc2 / f64::from(trials) - mc_mean * mc_mean).max(0.0);
+                let am = f64::from(qm.as_slice()[0]);
+                let av = f64::from(qv.as_slice()[0]);
+                let se = (mc_var / f64::from(trials)).sqrt().max(1e-5);
+                assert!(
+                    (am - mc_mean).abs() < 6.0 * se + 1e-3,
+                    "{levels} levels, m={m} s={s}: analytic mean {am} vs mc {mc_mean}"
+                );
+                assert!(
+                    (av - mc_var).abs() < 20.0 * se + 0.02 * mc_var + 1e-5,
+                    "{levels} levels, m={m} s={s}: analytic var {av} vs mc {mc_var}"
+                );
             }
-            let mc_mean = acc1 / f64::from(trials);
-            let mc_var = (acc2 / f64::from(trials) - mc_mean * mc_mean).max(0.0);
-            let am = f64::from(qm.as_slice()[0]);
-            let av = f64::from(qv.as_slice()[0]);
-            let se = (mc_var / f64::from(trials)).sqrt().max(1e-5);
-            assert!(
-                (am - mc_mean).abs() < 6.0 * se + 1e-3,
-                "m={m} s={s}: analytic mean {am} vs mc {mc_mean}"
-            );
-            assert!(
-                (av - mc_var).abs() < 20.0 * se + 0.02 * mc_var + 1e-5,
-                "m={m} s={s}: analytic var {av} vs mc {mc_var}"
-            );
         }
         // zero variance: exact fused passthrough
+        let grid = quantizer_grid(9);
         let mean = Tensor::from_vec(vec![0.4], &[1, 1]).unwrap();
-        let (qm, qv) = tanh_quantize_moments(&mean, &Tensor::zeros(&[1, 1]), levels).unwrap();
-        assert_eq!(qm.as_slice()[0], quantize_value(tanh(0.4), l));
+        let (qm, qv, _) = tanh_quantize_moments(&mean, &Tensor::zeros(&[1, 1]), &grid).unwrap();
+        assert_eq!(qm.as_slice()[0], quantize_value(tanh(0.4), 8.0));
         assert_eq!(qv.as_slice()[0], 0.0);
-        assert!(tanh_quantize_moments(&mean, &Tensor::zeros(&[1, 1]), 1).is_err());
+        let zeros = Tensor::zeros(&[1, 1]);
+        assert!(tanh_quantize_moments(&mean, &zeros, &quantizer_grid(1)).is_err());
+        assert!(tanh_quantize_moments(&mean, &Tensor::zeros(&[2]), &grid).is_err());
     }
 
     #[test]
@@ -478,7 +404,7 @@ mod tests {
         for &(m, s) in &[(0.1f32, 0.15f32), (-0.5, 0.3), (1.0, 0.1)] {
             let mean = Tensor::from_vec(vec![m], &[1, 1]).unwrap();
             let var = Tensor::from_vec(vec![s * s], &[1, 1]).unwrap();
-            let (_, _, gain) = tanh_quantize_moments_with_gain(&mean, &var, levels).unwrap();
+            let (_, _, gain) = tanh_quantize_moments(&mean, &var, &quantizer_grid(levels)).unwrap();
             let trials = 120_000;
             let l = (levels - 1) as f32;
             let draws: Vec<(f64, f64)> = (0..trials)
@@ -503,8 +429,76 @@ mod tests {
         }
         // zero variance ⇒ zero gain
         let mean = Tensor::from_vec(vec![0.2], &[1, 1]).unwrap();
-        let (_, _, g) = tanh_quantize_moments_with_gain(&mean, &Tensor::zeros(&[1, 1]), 9).unwrap();
+        let zeros = Tensor::zeros(&[1, 1]);
+        let (_, _, g) = tanh_quantize_moments(&mean, &zeros, &quantizer_grid(9)).unwrap();
         assert_eq!(g.as_slice()[0], 0.0);
+    }
+
+    /// Grid level `k`'s value after the PLA snap at `q` pulses: `round(k/l·q)`
+    /// high pulses, an exact tie broken toward the level's sign, read as
+    /// `high/q·2 − 1` (the rule of membit-encoding's `PlaThermometer`).
+    fn pla_bins(levels: usize, q: usize) -> Vec<f32> {
+        let l = (levels - 1) as f32;
+        (0..levels)
+            .map(|k| {
+                let v = 2.0 * k as f32 / l - 1.0;
+                let t = k as f32 / l * q as f32;
+                let high = if (t - t.floor() - 0.5).abs() >= 1e-4 {
+                    t.round()
+                } else if v > 0.0 || (v == 0.0 && t.floor() as i64 % 2 == 1) {
+                    t.ceil()
+                } else {
+                    t.floor()
+                };
+                high / q as f32 * 2.0 - 1.0
+            })
+            .collect()
+    }
+
+    /// FNV-1a over each value's bit pattern, little-endian byte by byte.
+    fn fnv(mut h: u64, v: f32) -> u64 {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn quantizer_closure_is_pinned_for_2_to_33_levels() {
+        // (mean, variance) pairs: zero variance, saturated at either end,
+        // and spread; each level count adds two near its own boundaries
+        let fixed = [
+            (0.4f32, 0.0f32),
+            (-0.3, 0.0),
+            (3.5, 1e-4),
+            (-3.5, 1e-4),
+            (0.0, 0.16),
+            (0.6, 0.04),
+            (-1.2, 0.01),
+            (0.2, 4.0),
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for levels in 2..=33usize {
+            let l = (levels - 1) as f32;
+            let pre = |k: usize| ((2.0 * k as f32 - 1.0) / l - 1.0).atanh();
+            let mut pairs = fixed.to_vec();
+            pairs.push((pre(levels / 2) + 0.01, 1e-4));
+            pairs.push((pre(1) - 0.005, 4e-4));
+            let (ms, vs): (Vec<f32>, Vec<f32>) = pairs.into_iter().unzip();
+            let mean = Tensor::from_vec(ms, &[2, 5]).unwrap();
+            let var = Tensor::from_vec(vs, &[2, 5]).unwrap();
+            let plain: Vec<f32> = (0..levels).map(|k| 2.0 * k as f32 / l - 1.0).collect();
+            for bins in [plain, pla_bins(levels, 10), pla_bins(levels, 14)] {
+                let (m, v, g) = tanh_quantize_moments(&mean, &var, &bins).unwrap();
+                for t in [&m, &v, &g] {
+                    h = t.as_slice().iter().fold(h, |h, &x| fnv(h, x));
+                }
+            }
+        }
+        assert_eq!(
+            h, 0xccc0_39a5_fee5_2d5e,
+            "quantizer closure digest {h:#018x}"
+        );
     }
 
     #[test]
@@ -514,8 +508,8 @@ mod tests {
         let mean = Tensor::from_vec(vec![0.1], &[1, 1]).unwrap();
         let v1 = Tensor::from_vec(vec![0.001], &[1, 1]).unwrap();
         let v2 = Tensor::from_vec(vec![0.002], &[1, 1]).unwrap();
-        let (_, e1) = tanh_quantize_moments(&mean, &v1, 8).unwrap();
-        let (_, e2) = tanh_quantize_moments(&mean, &v2, 8).unwrap();
+        let (_, e1, _) = tanh_quantize_moments(&mean, &v1, &quantizer_grid(8)).unwrap();
+        let (_, e2, _) = tanh_quantize_moments(&mean, &v2, &quantizer_grid(8)).unwrap();
         let ratio = e2.as_slice()[0] / e1.as_slice()[0].max(1e-12);
         assert!((ratio - 2.0).abs() > 0.1, "ratio = {ratio}");
     }

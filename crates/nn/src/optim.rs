@@ -244,8 +244,8 @@ mod tests {
             let mut tape = Tape::new();
             let mut binding = params.binding();
             let theta = params.bind(&mut tape, &mut binding, id);
-            let t = tape.constant(target.clone());
-            let d = tape.sub(theta, t).unwrap();
+            let t = tape.constant(target.neg());
+            let d = tape.add(theta, t).unwrap();
             let sq = tape.mul(d, d).unwrap();
             let loss = tape.sum_all(sq);
             tape.backward(loss).unwrap();
@@ -320,8 +320,8 @@ mod tests {
             let mut tape = Tape::new();
             let mut binding = params.binding();
             let theta = params.bind(&mut tape, &mut binding, id);
-            let t = tape.constant(target.clone());
-            let d = tape.sub(theta, t).unwrap();
+            let t = tape.constant(target.neg());
+            let d = tape.add(theta, t).unwrap();
             let sq = tape.mul(d, d).unwrap();
             let loss = tape.sum_all(sq);
             tape.backward(loss).unwrap();

@@ -71,8 +71,8 @@ proptest! {
             let mut tape = Tape::new();
             let mut binding = params.binding();
             let theta = params.bind(&mut tape, &mut binding, id);
-            let t = tape.constant(target.clone());
-            let d = tape.sub(theta, t).unwrap();
+            let t = tape.constant(target.neg());
+            let d = tape.add(theta, t).unwrap();
             let sq = tape.mul(d, d).unwrap();
             let loss = tape.sum_all(sq);
             tape.backward(loss).unwrap();
@@ -96,8 +96,8 @@ proptest! {
             let mut tape = Tape::new();
             let mut binding = params.binding();
             let theta = params.bind(&mut tape, &mut binding, id);
-            let t = tape.constant(target.clone());
-            let d = tape.sub(theta, t).unwrap();
+            let t = tape.constant(target.neg());
+            let d = tape.add(theta, t).unwrap();
             let sq = tape.mul(d, d).unwrap();
             let loss = tape.sum_all(sq);
             tape.backward(loss).unwrap();

@@ -136,15 +136,6 @@ impl Tensor {
         binary("mul", self, other, |a, b| a * b)
     }
 
-    /// Broadcasting elementwise division.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes are incompatible.
-    pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        binary("div", self, other, |a, b| a / b)
-    }
-
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
         self.map(|x| x + s)
@@ -179,16 +170,6 @@ impl Tensor {
     /// `tanhf` bit for bit on any host; the loop vectorizes.
     pub fn tanh(&self) -> Tensor {
         self.map(crate::tanh)
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
-    }
-
-    /// Elementwise natural logarithm.
-    pub fn ln(&self) -> Tensor {
-        self.map(f32::ln)
     }
 
     /// Clamps every element into `[lo, hi]`.

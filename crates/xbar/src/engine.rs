@@ -12,7 +12,7 @@ use crate::noise::NoiseSpec;
 use crate::nonideal::NonIdealitySpec;
 use crate::program::{ProgramStats, WriteVerify};
 use crate::remap::{remap_tile, RecoveryPolicy, RemapReport};
-use crate::tile::Tile;
+use crate::tile::{check_aging, Tile};
 use crate::Result;
 
 /// Minimum input vectors per execution worker: a batch fans out over at
@@ -1107,13 +1107,20 @@ impl CrossbarLinear {
     /// [`Tile::age`]). The drift rate `nu` is Arrhenius-accelerated by
     /// the configured operating temperature
     /// ([`NonIdealitySpec::drift_scale`]).
-    pub fn age(&mut self, hours: f32, nu: f32, nu_sigma: f32, rng: &mut Rng) {
+    ///
+    /// # Errors
+    ///
+    /// As [`Tile::age`], checked on the arguments as given, before any
+    /// tile draws.
+    pub fn age(&mut self, hours: f32, nu: f32, nu_sigma: f32, rng: &mut Rng) -> Result<()> {
+        check_aging(hours, nu, nu_sigma)?;
         let nu = nu * self.config.nonideal.drift_scale();
         for row in &mut self.tiles {
             for tile in row {
-                tile.age(hours, nu, nu_sigma, rng);
+                tile.age(hours, nu, nu_sigma, rng)?;
             }
         }
+        Ok(())
     }
 
     /// Runs the fault-recovery pipeline (march test → polarity flips →
@@ -1282,7 +1289,7 @@ fn pulse_drive(counts: &[u16], pulse: usize, x: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CellHealth, CellSide};
+    use crate::{CellHealth, CellSide, DeviceModel};
     use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
 
     fn random_pm1(shape: &[usize], seed: u64) -> Tensor {
@@ -1556,12 +1563,47 @@ mod tests {
         let mut rng = Rng::from_seed(34);
         let mut xbar = CrossbarLinear::program(&w, &XbarConfig::ideal(), &mut rng).unwrap();
         assert!((xbar.measure_decay(&mut rng) - 1.0).abs() < 1e-6);
-        xbar.age(10_000.0, 0.05, 0.0, &mut rng);
+        xbar.age(10_000.0, 0.05, 0.0, &mut rng).unwrap();
         let decayed = xbar.measure_decay(&mut rng);
         assert!(decayed < 0.8, "aging must show up in the probe: {decayed}");
         let stats = xbar.refresh(&mut rng);
         assert!(stats.write_pulses > 0);
         assert!((xbar.measure_decay(&mut rng) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn aging_rejects_non_finite_or_negative_arguments_before_any_draw() {
+        let w = random_pm1(&[12, 12], 33);
+        let mut rng = Rng::from_seed(34);
+        let mut xbar = CrossbarLinear::program(&w, &XbarConfig::ideal(), &mut rng).unwrap();
+        let mut tile = Tile::program(&w, &DeviceModel::ideal(), &mut rng).unwrap();
+        let (engine_before, tile_before) = (xbar.effective_matrix(), tile.effective_weight(0, 0));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -5.0] {
+            for (hours, nu, nu_sigma) in [(bad, 0.05, 0.01), (100.0, bad, 0.01), (100.0, 0.05, bad)]
+            {
+                let untouched = rng.state_bytes();
+                let errs = [
+                    xbar.age(hours, nu, nu_sigma, &mut rng).err(),
+                    tile.age(hours, nu, nu_sigma, &mut rng).err(),
+                ];
+                for err in errs {
+                    assert!(
+                        matches!(err, Some(TensorError::InvalidArgument(_))),
+                        "age({hours}, {nu}, {nu_sigma}): {err:?}"
+                    );
+                }
+                assert_eq!(rng.state_bytes(), untouched, "a rejected aging drew");
+            }
+        }
+        // zero hours or zero drift age nothing and draw nothing
+        for (hours, nu) in [(0.0, 0.05), (100.0, 0.0)] {
+            let untouched = rng.state_bytes();
+            xbar.age(hours, nu, 0.01, &mut rng).unwrap();
+            tile.age(hours, nu, 0.01, &mut rng).unwrap();
+            assert_eq!(rng.state_bytes(), untouched);
+        }
+        assert_eq!(xbar.effective_matrix().as_slice(), engine_before.as_slice());
+        assert_eq!(tile.effective_weight(0, 0), tile_before);
     }
 
     /// The dense schedule from raw conductances: every tile MVM through

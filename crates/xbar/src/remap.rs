@@ -331,7 +331,7 @@ mod tests {
         let mut rng = Rng::from_seed(6);
         let w = pm1(&[6, 6], 7);
         let mut tile = Tile::program(&w, &faulty_device(0.0, 0.0), &mut rng).unwrap();
-        tile.age(100_000.0, 0.08, 0.0, &mut rng);
+        tile.age(100_000.0, 0.08, 0.0, &mut rng).unwrap();
         let policy = RecoveryPolicy {
             flip_polarity: false,
             spare_rows: 0,

@@ -330,10 +330,17 @@ impl Tile {
     /// drifts by the PCM-style power law `G(t) = G₀·(1 + t)^{−ν}`, with
     /// the per-cell exponent drawn as `N(nu, nu_sigma)` (clamped ≥ 0).
     /// Differential weights shrink toward 0, eroding the stored network —
-    /// the retention effect the `ablation_drift` bench quantifies.
-    pub fn age(&mut self, hours: f32, nu: f32, nu_sigma: f32, rng: &mut Rng) {
-        if hours <= 0.0 || nu <= 0.0 {
-            return;
+    /// the retention effect the `ablation_drift` bench quantifies. Zero
+    /// `hours` or zero `nu` ages nothing and draws nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`], before any draw, unless
+    /// `hours`, `nu` and `nu_sigma` are finite and non-negative.
+    pub fn age(&mut self, hours: f32, nu: f32, nu_sigma: f32, rng: &mut Rng) -> Result<()> {
+        check_aging(hours, nu, nu_sigma)?;
+        if hours == 0.0 || nu == 0.0 {
+            return Ok(());
         }
         let base = 1.0 + hours;
         for g in self.g_pos.iter_mut().chain(self.g_neg.iter_mut()) {
@@ -347,6 +354,7 @@ impl Tile {
             *g *= base.powf(-cell_nu);
         }
         self.rebuild_cache();
+        Ok(())
     }
 
     /// Tile dimensions `(rows, cols)`.
@@ -1297,6 +1305,20 @@ impl Tile {
     }
 }
 
+/// The retention arguments of [`Tile::age`] must be finite and
+/// non-negative: NaN hours turn every conductance into NaN, and NaN or
+/// negative drift would silently age nothing.
+pub(crate) fn check_aging(hours: f32, nu: f32, nu_sigma: f32) -> Result<()> {
+    for (name, v) in [("hours", hours), ("nu", nu), ("nu_sigma", nu_sigma)] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(TensorError::InvalidArgument(format!(
+                "aging {name} {v} must be finite and non-negative"
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1541,14 +1563,14 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0, -1.0], &[1, 2]).unwrap();
         let mut tile = Tile::program(&w, &DeviceModel::ideal(), &mut rng).unwrap();
         let before = tile.effective_weight(0, 0);
-        tile.age(1000.0, 0.05, 0.0, &mut rng);
+        tile.age(1000.0, 0.05, 0.0, &mut rng).unwrap();
         let after = tile.effective_weight(0, 0);
         assert!(after.abs() < before.abs(), "{before} → {after}");
         assert!(after > 0.0, "sign must be preserved by uniform drift");
         // zero hours / zero nu are no-ops
         let snapshot = tile.effective_weight(0, 1);
-        tile.age(0.0, 0.05, 0.0, &mut rng);
-        tile.age(10.0, 0.0, 0.0, &mut rng);
+        tile.age(0.0, 0.05, 0.0, &mut rng).unwrap();
+        tile.age(10.0, 0.0, 0.0, &mut rng).unwrap();
         assert_eq!(tile.effective_weight(0, 1), snapshot);
     }
 
@@ -1674,7 +1696,7 @@ mod tests {
         let mut rng = Rng::from_seed(14);
         let w = weights();
         let mut tile = Tile::program(&w, &DeviceModel::ideal(), &mut rng).unwrap();
-        tile.age(10_000.0, 0.05, 0.0, &mut rng);
+        tile.age(10_000.0, 0.05, 0.0, &mut rng).unwrap();
         assert!(tile.effective_weight(0, 0) < 0.9);
         let mut stats = ProgramStats::default();
         tile.refresh(None, &mut rng, &mut stats);
@@ -1821,7 +1843,7 @@ mod tests {
         tile.refresh(None, &mut rng, &mut stats);
         assert!(tile.packed_ready(false), "rail writes keep the rails");
         let mut aged = tile.clone();
-        aged.age(500.0, 0.05, 0.01, &mut rng);
+        aged.age(500.0, 0.05, 0.01, &mut rng).unwrap();
         assert!(!aged.packed_ready(false), "drift breaks the rails");
         let map: Vec<f32> = (0..6).map(|i| 1.0 - 0.02 * i as f32).collect();
         tile.scale_attenuation(&map);
@@ -1883,7 +1905,7 @@ mod tests {
                     proptest::prop_assert_eq!(fast, slow, "stale before op {} of {:?}", k, ops);
                 }
                 match op {
-                    0 => tile.age(50.0 * (k + 1) as f32, 0.05, 0.01, &mut rng),
+                    0 => tile.age(50.0 * (k + 1) as f32, 0.05, 0.01, &mut rng).unwrap(),
                     1 => tile.flip_column(k % cols, &mut rng).unwrap(),
                     2 => tile.replace_row(k % rows, &mut rng).unwrap(),
                     3 => tile.replace_col(k % cols, &mut rng).unwrap(),
@@ -1925,7 +1947,7 @@ mod tests {
         let map: Vec<f32> = (0..6).map(|i| 1.0 - 0.02 * i as f32).collect();
         tile.scale_attenuation(&map);
         check(&tile, "scale_attenuation");
-        tile.age(500.0, 0.05, 0.01, &mut rng);
+        tile.age(500.0, 0.05, 0.01, &mut rng).unwrap();
         check(&tile, "age");
         tile.flip_column(1, &mut rng).unwrap();
         check(&tile, "flip_column");

@@ -342,7 +342,7 @@ proptest! {
         check(&tile, 99)?; // fresh from programming
         for (k, &op) in ops.iter().enumerate() {
             match op {
-                0 => tile.age(50.0 * (k + 1) as f32, 0.05, 0.01, &mut rng),
+                0 => tile.age(50.0 * (k + 1) as f32, 0.05, 0.01, &mut rng).unwrap(),
                 1 => tile.flip_column(k % cols, &mut rng).unwrap(),
                 2 => tile.replace_row(k % rows, &mut rng).unwrap(),
                 3 => tile.replace_col(k % cols, &mut rng).unwrap(),

@@ -124,9 +124,9 @@ proptest! {
         let mut rng = Rng::from_seed(seed);
         let mut tile = Tile::program(&w, &DeviceModel::ideal(), &mut rng).unwrap();
         let fresh = tile.effective_weight(0, 0).abs();
-        tile.age(h1, 0.03, 0.0, &mut rng);
+        tile.age(h1, 0.03, 0.0, &mut rng).unwrap();
         let aged_once = tile.effective_weight(0, 0).abs();
-        tile.age(extra, 0.03, 0.0, &mut rng);
+        tile.age(extra, 0.03, 0.0, &mut rng).unwrap();
         let aged_twice = tile.effective_weight(0, 0).abs();
         prop_assert!(aged_once < fresh);
         prop_assert!(aged_twice < aged_once);
