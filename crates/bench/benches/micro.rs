@@ -22,8 +22,8 @@ use membit_xbar::{
 };
 
 /// Times `f` with a warmup pass and enough iterations to fill ~0.2 s,
-/// reporting the per-iteration mean.
-fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+/// reporting and returning the per-iteration mean in seconds.
+fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> f64 {
     black_box(f());
     let probe = Instant::now();
     black_box(f());
@@ -40,6 +40,7 @@ fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
         (per_iter * 1e6, "µs")
     };
     println!("{name:<40} {value:>10.3} {unit}/iter  ({iters} iters)");
+    per_iter
 }
 
 fn bench_matmul() {
@@ -116,60 +117,97 @@ fn bench_xbar() {
 }
 
 fn bench_guard() {
-    // the small VGG's c5 (576 → 64) on 128×128 realistic tiles: one
-    // image's 16 positions at p = 16 on one thread, unguarded and with
-    // the standard guard (checks and retries, no repair ladder)
-    let mut rng = Rng::from_seed(5);
-    let w = Tensor::from_fn(&[64, 576], |_| if rng.coin(0.5) { 1.0 } else { -1.0 });
-    let input = Tensor::from_fn(&[16, 576], |_| rng.uniform(-1.0, 1.0));
-    let train = PlaThermometer::new(9, 16)
-        .unwrap()
-        .encode_tensor(&input)
-        .unwrap();
-    let engines = [None, Some(GuardPolicy::standard())].map(|guard| {
-        let cfg = XbarConfig {
-            guard,
-            exec: ExecOptions::with_threads(1),
-            ..XbarConfig::realistic(0.2)
-        };
-        CrossbarLinear::program(&w, &cfg, &mut rng).unwrap()
-    });
-    // a warmup, then interleaved rounds, so both engines see the same
-    // host state
-    for engine in &engines {
-        black_box(engine.execute(&train, &mut rng).unwrap());
-    }
-    const ROUNDS: u32 = 100;
-    let mut secs = [0.0f64; 2];
-    for _ in 0..ROUNDS {
-        for (s, engine) in secs.iter_mut().zip(&engines) {
-            let start = Instant::now();
+    // the small VGG's c1 (144 → 16, one image's 256 positions) and c5
+    // (576 → 64, its 16 positions) on 128×128 realistic tiles at p = 16
+    // on one thread, unguarded and with the standard guard (checks and
+    // retries, no repair ladder)
+    for (layer, fan_in, fan_out, positions) in [("c1", 144, 16, 256), ("c5", 576, 64, 16)] {
+        let mut rng = Rng::from_seed(5);
+        let shape = [fan_out, fan_in];
+        let w = Tensor::from_fn(&shape, |_| if rng.coin(0.5) { 1.0 } else { -1.0 });
+        let input = Tensor::from_fn(&[positions, fan_in], |_| rng.uniform(-1.0, 1.0));
+        let train = PlaThermometer::new(9, 16)
+            .unwrap()
+            .encode_tensor(&input)
+            .unwrap();
+        let engines = [None, Some(GuardPolicy::standard())].map(|guard| {
+            let cfg = XbarConfig {
+                guard,
+                exec: ExecOptions::with_threads(1),
+                ..XbarConfig::realistic(0.2)
+            };
+            CrossbarLinear::program(&w, &cfg, &mut rng).unwrap()
+        });
+        // a warmup, then interleaved rounds, so both engines see the same
+        // host state
+        for engine in &engines {
             black_box(engine.execute(&train, &mut rng).unwrap());
-            *s += start.elapsed().as_secs_f64();
         }
-    }
-    for (name, s) in ["plain", "guarded"].iter().zip(secs) {
-        let ms = s * 1e3 / f64::from(ROUNDS);
+        const ROUNDS: u32 = 100;
+        let mut secs = [0.0f64; 2];
+        for _ in 0..ROUNDS {
+            for (s, engine) in secs.iter_mut().zip(&engines) {
+                let start = Instant::now();
+                black_box(engine.execute(&train, &mut rng).unwrap());
+                *s += start.elapsed().as_secs_f64();
+            }
+        }
+        for (name, s) in ["plain", "guarded"].iter().zip(secs) {
+            let ms = s * 1e3 / f64::from(ROUNDS);
+            println!(
+                "{:<40} {ms:>10.3} ms/iter  ({ROUNDS} iters)",
+                format!("{layer} execute {positions}x{fan_in}->{fan_out} p16 {name}")
+            );
+        }
         println!(
-            "{:<40} {ms:>10.3} ms/iter  ({ROUNDS} iters)",
-            format!("c5 execute 16x576->64 p16 {name}")
+            "{:<40} {:>10.3} ×",
+            format!("{layer} guarded / plain"),
+            secs[1] / secs[0]
         );
     }
-    println!("{:<40} {:>10.3} ×", "c5 guarded / plain", secs[1] / secs[0]);
+}
+
+/// Prints a per-normal cost for a bench of `normals` draws per iteration.
+fn per_normal(name: &str, secs: f64, normals: usize) {
+    println!(
+        "{:<40} {:>10.3} ns/normal",
+        name,
+        secs * 1e9 / normals as f64
+    );
 }
 
 fn bench_noise() {
-    // one tile readout's noise: a keyed substream, then 128 column draws
-    // in one call, the shape of `Tile::finish_pulse`
+    // one tile readout's noise the sequential way: a keyed substream,
+    // then 128 column draws in one call
     let base = Rng::from_seed(3);
     let mut out = vec![0.0f32; 128];
     let mut pulse = 0u64;
-    bench("noise substream + accum 128 cols", || {
+    let secs = bench("noise substream + accum 128 cols", || {
         pulse += 1;
         base.substream(&[pulse, 0, 0, 0])
             .normal_accum(0.1, &mut out);
         out[0]
     });
+    per_normal("  per normal", secs, 128);
+    // a pulse block's noise: 16 keyed substreams stepped side by side,
+    // 32 Box–Muller pairs (64 normals) each, the shape of a 16-pulse
+    // `Tile::read_block` of 64 output draws
+    const LANES: usize = 16;
+    const PAIRS: usize = 32;
+    let (mut r, mut cos, mut spare) = (
+        vec![0.0f32; PAIRS * LANES],
+        vec![0.0f32; PAIRS * LANES],
+        vec![0.0f32; PAIRS * LANES],
+    );
+    let mut rngs = Vec::with_capacity(LANES);
+    let secs = bench("16 substreams x 32 pairs in lanes", || {
+        pulse += 1;
+        rngs.clear();
+        rngs.extend((0..LANES as u64).map(|l| base.substream(&[pulse, l, 0, 0])));
+        Rng::pair_lanes::<LANES>(&mut rngs, &mut r, &mut cos, &mut spare);
+        r[0] + spare[PAIRS * LANES - 1]
+    });
+    per_normal("  per normal", secs, 2 * PAIRS * LANES);
     let mut rng = Rng::from_seed(4);
     bench("rng normal x1024", || {
         (0..1024).map(|_| rng.normal(0.0, 1.0)).sum::<f32>()

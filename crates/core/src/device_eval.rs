@@ -1425,7 +1425,7 @@ mod tests {
             engine.refresh(&mut rng);
         }
         let (faulty, _) = device.forward(&images, &mut rng).unwrap();
-        let err_faulty = faulty.sub(&clean).unwrap().abs().max();
+        let err_faulty = faulty.sub(&clean).unwrap().map(f32::abs).max();
         assert!(
             err_faulty > 0.05,
             "stuck faults must survive refresh: {err_faulty}"
@@ -1436,7 +1436,7 @@ mod tests {
             .unwrap();
         assert!(report.faults_detected > 0, "{report:?}");
         let (fixed, stats) = device.forward(&images, &mut rng).unwrap();
-        let err_fixed = fixed.sub(&clean).unwrap().abs().max();
+        let err_fixed = fixed.sub(&clean).unwrap().map(f32::abs).max();
         assert!(
             err_fixed < err_faulty,
             "repair must shrink the error: {err_faulty} → {err_fixed}"

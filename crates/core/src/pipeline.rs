@@ -409,6 +409,6 @@ mod tests {
         // original untouched
         let (_, orig_params) = exp.model();
         let orig = orig_params.get(orig_params.find("conv0.weight").unwrap());
-        assert!(orig.abs().sum() > 0.0);
+        assert!(orig.map(f32::abs).sum() > 0.0);
     }
 }

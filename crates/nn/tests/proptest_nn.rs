@@ -135,7 +135,7 @@ proptest! {
         }
         prop_assert_eq!(accuracy(&logits, &labels).unwrap(), 1.0);
         // shifting all logits equally changes nothing
-        let shifted = logits.add_scalar(3.0);
+        let shifted = logits.map(|v| v + 3.0);
         prop_assert_eq!(accuracy(&shifted, &labels).unwrap(), 1.0);
     }
 

@@ -136,11 +136,6 @@ impl Tensor {
         binary("mul", self, other, |a, b| a * b)
     }
 
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x + s)
-    }
-
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
         self.map(|x| x * s)
@@ -149,11 +144,6 @@ impl Tensor {
     /// Elementwise negation.
     pub fn neg(&self) -> Tensor {
         self.map(|x| -x)
-    }
-
-    /// Elementwise absolute value.
-    pub fn abs(&self) -> Tensor {
-        self.map(f32::abs)
     }
 
     /// Elementwise square.
@@ -339,7 +329,6 @@ mod tests {
     fn unary_ops() {
         let a = t(&[-2.0, 0.0, 3.0], &[3]);
         assert_eq!(a.neg().as_slice(), &[2.0, -0.0, -3.0]);
-        assert_eq!(a.abs().as_slice(), &[2.0, 0.0, 3.0]);
         assert_eq!(a.square().as_slice(), &[4.0, 0.0, 9.0]);
         assert_eq!(a.signum().as_slice(), &[-1.0, 0.0, 1.0]);
         assert_eq!(a.clamp(-1.0, 1.0).as_slice(), &[-1.0, 0.0, 1.0]);

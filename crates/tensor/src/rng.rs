@@ -90,21 +90,13 @@ impl Rng {
 
     /// The next raw 64-bit output (xoshiro256++).
     fn next_u64(&mut self) -> u64 {
-        let s = &mut self.state;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
+        let [s0, s1, s2, s3] = &mut self.state;
+        xoshiro(s0, s1, s2, s3)
     }
 
     /// Uniform sample in `[0, 1)` with 24 bits of precision.
     fn next_f32(&mut self) -> f32 {
-        (self.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
+        unit_f32(self.next_u64())
     }
 
     /// Derives an independent generator for a named purpose.
@@ -292,6 +284,70 @@ impl Rng {
         self.cached_normal = spare;
     }
 
+    /// Draws Box–Muller pairs from up to `L` streams side by side: pair
+    /// `i` of `rngs[l]` lands at index `i·L + l` of `r`, `cos` and
+    /// `spare` as `(r, cos θ, r·sin θ)`, and every stream draws
+    /// `r.len() / L` pairs. Each lane's uniforms come from its own
+    /// stream in order and pass through the same transform as every
+    /// other sampler's, so lane `l` holds bit for bit the pairs that
+    /// `rngs[l]` would give drawn on its own, and the stream is left
+    /// where those draws leave it. A spare that an earlier
+    /// [`normal`](Self::normal) call cached stays cached. Lanes past
+    /// `rngs.len()` run on an idle state and mean nothing.
+    ///
+    /// One stream's state chain is serial, so its draws cannot overlap;
+    /// `L` chains stepped together can (the crossbar engine reads 8 or 16
+    /// pulses' noise at once), and the transform runs over the whole
+    /// buffer in one vectorized loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rngs` has more than `L` streams, or if `r`, `cos` and
+    /// `spare` differ in length or hold a partial pair of lanes.
+    pub fn pair_lanes<const L: usize>(
+        rngs: &mut [Rng],
+        r: &mut [f32],
+        cos: &mut [f32],
+        spare: &mut [f32],
+    ) {
+        assert!(
+            rngs.len() <= L
+                && r.len() == cos.len()
+                && r.len() == spare.len()
+                && r.len().is_multiple_of(L),
+            "pair_lanes: {} streams into {L} lanes of {}/{}/{} outputs",
+            rngs.len(),
+            r.len(),
+            cos.len(),
+            spare.len()
+        );
+        let mut s = [[0u64; L]; 4];
+        for (l, rng) in rngs.iter().enumerate() {
+            for (w, &v) in s.iter_mut().zip(&rng.state) {
+                w[l] = v;
+            }
+        }
+        // the uniforms, `u1` into `r` and `u2` into `cos`, then the
+        // transform in place
+        for (u1, u2) in r.chunks_exact_mut(L).zip(cos.chunks_exact_mut(L)) {
+            let [s0, s1, s2, s3] = &mut s;
+            for (l, u) in u1.iter_mut().enumerate() {
+                *u = 1.0 - unit_f32(xoshiro(&mut s0[l], &mut s1[l], &mut s2[l], &mut s3[l]));
+            }
+            for (l, u) in u2.iter_mut().enumerate() {
+                *u = unit_f32(xoshiro(&mut s0[l], &mut s1[l], &mut s2[l], &mut s3[l]));
+            }
+        }
+        for ((r, cos), spare) in r.iter_mut().zip(cos.iter_mut()).zip(spare.iter_mut()) {
+            (*r, *cos, *spare) = box_muller(*r, *cos);
+        }
+        for (l, rng) in rngs.iter_mut().enumerate() {
+            for (v, w) in rng.state.iter_mut().zip(&s) {
+                *v = w[l];
+            }
+        }
+    }
+
     /// Tensor of i.i.d. Gaussian samples, drawn as
     /// [`normal_fill`](Self::normal_fill) draws them.
     pub fn normal_tensor(&mut self, shape: &[usize], mean: f32, std: f32) -> Tensor {
@@ -376,6 +432,29 @@ impl Rng {
             cached_normal,
         })
     }
+}
+
+/// One xoshiro256++ step of the state `(s0, s1, s2, s3)`: returns the
+/// output and advances the state.
+#[inline(always)]
+fn xoshiro(s0: &mut u64, s1: &mut u64, s2: &mut u64, s3: &mut u64) -> u64 {
+    let result = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
+    let t = *s1 << 17;
+    *s2 ^= *s0;
+    *s3 ^= *s1;
+    *s1 ^= *s2;
+    *s0 ^= *s3;
+    *s2 ^= t;
+    *s3 = s3.rotate_left(45);
+    result
+}
+
+/// The top 24 bits of a raw output as a uniform in `[0, 1)`. They fit an
+/// `i32`, and both conversions are exact, so this is bitwise the `u64`
+/// conversion; the `i32` one is a single vector instruction.
+#[inline(always)]
+fn unit_f32(x: u64) -> f32 {
+    ((x >> 40) as i32) as f32 * (1.0 / (1u32 << 24) as f32)
 }
 
 /// The Box–Muller transform of one uniform pair: `(r, cos θ, r·sin θ)`
@@ -607,6 +686,59 @@ mod tests {
                     let what = format!("pattern {p} len {len} warm {warm}");
                     assert_eq!(bits(&expect), bits(&got), "{what}");
                     assert_aligned(&mut seq, &mut acc, &what);
+                }
+            }
+        }
+    }
+
+    /// `pair_lanes::<L>` over `n` streams and `pairs` pairs against each
+    /// stream's own sequential pairs, then each stream's next normal.
+    fn check_pair_lanes<const L: usize>(n: usize, pairs: usize, drawn: usize) {
+        let streams: Vec<Rng> = (0..n)
+            .map(|l| {
+                let mut rng = Rng::from_seed(9).substream(&[l as u64, 3]);
+                // part-way: an odd count leaves a spare cached
+                for _ in 0..drawn {
+                    rng.normal(0.0, 1.0);
+                }
+                rng
+            })
+            .collect();
+        let mut seq = streams.clone();
+        let mut lanes = streams;
+        let (mut r, mut cos, mut spare) = (
+            vec![0.0f32; pairs * L],
+            vec![0.0f32; pairs * L],
+            vec![0.0f32; pairs * L],
+        );
+        Rng::pair_lanes::<L>(&mut lanes, &mut r, &mut cos, &mut spare);
+        for (l, rng) in seq.iter_mut().enumerate() {
+            for i in 0..pairs {
+                let (u1, u2) = rng.box_muller_uniforms();
+                let (er, ec, es) = box_muller(u1, u2);
+                let k = i * L + l;
+                assert_eq!(
+                    [r[k], cos[k], spare[k]].map(f32::to_bits),
+                    [er, ec, es].map(f32::to_bits),
+                    "L {L} streams {n} drawn {drawn}: lane {l} pair {i}"
+                );
+            }
+        }
+        for (l, (s, b)) in seq.iter_mut().zip(&mut lanes).enumerate() {
+            let what = format!("L {L} streams {n} pairs {pairs} drawn {drawn} lane {l}");
+            assert_aligned(s, b, &what);
+        }
+    }
+
+    #[test]
+    fn pair_lanes_match_sequential_pairs_bitwise() {
+        for drawn in [0, 1, 6] {
+            for pairs in 0..=70 {
+                for n in 1..=16 {
+                    check_pair_lanes::<16>(n, pairs, drawn);
+                    if n <= 8 {
+                        check_pair_lanes::<8>(n, pairs, drawn);
+                    }
                 }
             }
         }

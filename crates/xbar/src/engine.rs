@@ -229,14 +229,64 @@ pub struct VarianceStats {
     pub col_weff_sq: Vec<f32>,
 }
 
-/// What a guarded pulse readout is compared against: the checksum
-/// column's clean sum for the pulse's drive, the drive's c2c variance
-/// numerator, and the comparison tolerance that follows from it.
+/// What a guarded pulse readout is compared against: the tile's
+/// checksum column, read through the tile's converter, with its clean
+/// sum for the pulse's drive, the drive's c2c variance numerator, and the
+/// comparison tolerance that follows from it.
 #[derive(Debug, Clone, Copy)]
-struct Checksum {
+struct Checksum<'t> {
+    tile: &'t Tile,
+    adc: Option<&'t Adc>,
     clean: f32,
     var: f32,
     tol: f32,
+}
+
+/// Pulses per readout block of the delta schedule: 16 (two AVX2 registers
+/// of `f32` lanes) while more than 8 pulses remain, else 8 (DESIGN §17).
+const BLOCK_LANES: usize = 16;
+const HALF_BLOCK_LANES: usize = 8;
+
+/// One (row strip, sample, column tile) of the delta schedule: what each
+/// of its pulse blocks reads.
+struct PulseRun<'a> {
+    tile: &'a Tile,
+    adc: Option<&'a Adc>,
+    /// The strip's high counts.
+    counts: &'a [u16],
+    /// The strip's rows in bucket order: pulse `t ≥ 1` switches rows
+    /// `order[starts[t]..starts[t + 1]]`.
+    order: &'a [usize],
+    starts: &'a [usize],
+    /// Pulse 0's drive.
+    x0: &'a [f32],
+    /// Pulse `p` reads from `base.substream(&[p, keys..])`, the keys being
+    /// the sample, row tile and column tile.
+    base: &'a Rng,
+    keys: [u64; 3],
+    np: usize,
+    /// On a guarded tile: every pulse's clean checksum, and the variance
+    /// numerator and tolerance they all share.
+    guard: Option<(&'a [f32], f32, f32)>,
+}
+
+/// A worker's buffers for the delta schedule's pulse blocks.
+#[derive(Default)]
+struct BlockScratch {
+    /// The running pre-sign accumulator of one tile's columns.
+    acc: Vec<f32>,
+    /// The readout block, `[cols][lanes]`.
+    block: Vec<f32>,
+    /// The lane sampler's Box–Muller pairs.
+    pairs: Vec<f32>,
+    /// The block's readout streams and their guard streams.
+    rngs: Vec<Rng>,
+    guard_rngs: Vec<Rng>,
+    /// One pulse's readout, drive and retry readout, for a pulse that
+    /// leaves the block for its retry ladder or SAF corrections.
+    out: Vec<f32>,
+    x: Vec<f32>,
+    retry: Vec<f32>,
 }
 
 /// A linear operator `y = W·x` deployed across a grid of crossbar tiles.
@@ -732,75 +782,67 @@ impl CrossbarLinear {
         Ok((y, stats, viol))
     }
 
-    /// Checks one digitized pulse readout (`out`, already sign-corrected
-    /// and ADC-converted) against tile's checksum column, whose clean sum
-    /// for the pulse's drive is `chk.clean`, and re-executes the pulse
-    /// with fresh keyed noise up to 2 times on violation. A passing retry
-    /// replaces `out`. Returns whether the final accepted readout passed;
-    /// the caller records a persistent violation otherwise.
-    ///
-    /// `rng` is the pulse's keyed readout stream. Each attempt reads the
-    /// checksum column's noise afresh from
-    /// `rng.substream(&[GUARD_STREAM_TAG, attempt])` and a retry re-drives
-    /// from `rng.substream(&[RETRY_STREAM_TAG, attempt])`, so arming a
-    /// guard never perturbs the MVM noise sequence. `drive` yields the
-    /// pulse's ±1/0 drive; only a retry calls it.
-    // hot per-readout check, one call per pulse, sample and tile: plain
-    // arguments rather than a params struct rebuilt on every call
-    #[allow(clippy::too_many_arguments)]
-    fn guard_readout<'x>(
+    /// One checksum comparison of a digitized pulse readout (already
+    /// sign-corrected and ADC-converted): reads the checksum column with
+    /// noise from `rng.substream(&[GUARD_STREAM_TAG, attempt])`, where
+    /// `rng` is the pulse's keyed readout stream, so arming a guard never
+    /// perturbs the MVM noise sequence, and compares it against
+    /// `Σ_j readout_j`. Returns whether the readout passed.
+    fn guard_check(
         &self,
-        tile: &Tile,
-        ri: usize,
-        chk: Checksum,
+        chk: &Checksum,
         rng: &Rng,
-        drive: impl FnOnce() -> &'x [f32],
+        attempt: u64,
+        readout: &[f32],
+        stats: &mut ExecutionStats,
+    ) -> bool {
+        let mut grng = rng.substream(&[GUARD_STREAM_TAG, attempt]);
+        let mut column = chk
+            .tile
+            .checksum_noise(chk.clean, chk.var, &self.config.noise, &mut grng);
+        if let Some(adc) = chk.adc {
+            column = checksum_adc(adc, column);
+            stats.adc_conversions += 1;
+        }
+        stats.guard.checks = stats.guard.checks.saturating_add(1);
+        stats.cell_reads += chk.tile.dims().0 as u64; // one extra column read
+        let sum: f32 = readout.iter().sum();
+        let passed = (sum - column).abs() <= chk.tol;
+        if !passed {
+            stats.guard.violations = stats.guard.violations.saturating_add(1);
+        }
+        passed
+    }
+
+    /// The retry rung after a readout `out` failed its attempt-0 check:
+    /// re-executes the pulse's drive `x` with fresh keyed noise up to 2
+    /// times, from `rng.substream(&[RETRY_STREAM_TAG, attempt])`, and a
+    /// passing retry replaces `out`. Returns whether a retry passed; the
+    /// caller records a persistent violation otherwise.
+    fn guard_retry(
+        &self,
+        chk: &Checksum,
+        rng: &Rng,
+        x: &[f32],
         out: &mut [f32],
         retry_buf: &mut [f32],
         stats: &mut ExecutionStats,
     ) -> Result<bool> {
-        let noise = &self.config.noise;
-        let adc = self.adcs[ri].as_ref();
-        let (trows, tcols) = tile.dims();
-        let check = |attempt: u64, readout: &[f32], stats: &mut ExecutionStats| {
-            let mut grng = rng.substream(&[GUARD_STREAM_TAG, attempt]);
-            let mut column = tile.checksum_noise(chk.clean, chk.var, noise, &mut grng);
-            if let Some(a) = adc {
-                // the checksum column needs a wider conversion range than
-                // a regular column (it carries the whole tile's sum), so
-                // model a dedicated converter with the same step and
-                // enough range: quantization error, but no clipping
-                let s = a.step();
-                column = (column / s).round() * s;
-                stats.adc_conversions += 1;
-            }
-            stats.guard.checks = stats.guard.checks.saturating_add(1);
-            stats.cell_reads += trows as u64; // one extra column read
-            let sum: f32 = readout.iter().sum();
-            let passed = (sum - column).abs() <= chk.tol;
-            if !passed {
-                stats.guard.violations = stats.guard.violations.saturating_add(1);
-            }
-            passed
-        };
-        if check(0, out, stats) {
-            return Ok(true);
-        }
-        let x = drive();
+        let (trows, tcols) = chk.tile.dims();
         for attempt in 1..=GUARD_MAX_RETRIES {
             // stage 1: re-drive the pulse with fresh noise from a
             // dedicated retry substream — a transient glitch won't
             // repeat, a persistent fault will
             stats.guard.retries = stats.guard.retries.saturating_add(1);
             let mut rrng = rng.substream(&[RETRY_STREAM_TAG, attempt]);
-            tile.mvm(x, noise, &mut rrng, retry_buf)?;
-            if let Some(a) = adc {
+            chk.tile.mvm(x, &self.config.noise, &mut rrng, retry_buf)?;
+            if let Some(a) = chk.adc {
                 a.convert_slice(retry_buf);
                 stats.adc_conversions += tcols as u64;
             }
             stats.tile_mvms += 1;
             stats.cell_reads += (trows * tcols) as u64;
-            if check(attempt, retry_buf, stats) {
+            if self.guard_check(chk, rng, attempt, retry_buf, stats) {
                 out.copy_from_slice(retry_buf);
                 stats.guard.retry_successes = stats.guard.retry_successes.saturating_add(1);
                 return Ok(true);
@@ -873,20 +915,22 @@ impl CrossbarLinear {
                             let x = &xs[xoff..xoff + trows];
                             let (clean, var) = tile.checksum_clean(x)?;
                             let chk = Checksum {
+                                tile,
+                                adc: self.adcs[ri].as_ref(),
                                 clean,
                                 var,
                                 tol: tolerance(noise, tcols, var, step),
                             };
-                            let passed = self.guard_readout(
-                                tile,
-                                ri,
-                                chk,
-                                &rngs[s],
-                                || x,
-                                &mut out[s * tcols..(s + 1) * tcols],
-                                &mut retry_buf[..tcols],
-                                &mut stats,
-                            )?;
+                            let out = &mut out[s * tcols..(s + 1) * tcols];
+                            let passed = self.guard_check(&chk, &rngs[s], 0, out, &mut stats)
+                                || self.guard_retry(
+                                    &chk,
+                                    &rngs[s],
+                                    x,
+                                    out,
+                                    &mut retry_buf[..tcols],
+                                    &mut stats,
+                                )?;
                             if !passed {
                                 viol[ri * nct + ci] = viol[ri * nct + ci].saturating_add(1);
                             }
@@ -937,19 +981,21 @@ impl CrossbarLinear {
     /// of consecutive dense pulses would find, in the same row order, so
     /// the running accumulator keeps the same bits.
     ///
-    /// The loop nest is strip → sample → column tile → pulse, which keeps
-    /// each output element's accumulation order (row tile, then pulse).
-    /// Every pulse readout draws from
-    /// `base.substream(&[pulse, sample, row_tile, col_tile])`, so noise
-    /// realizations are bit-identical to the reference schedule and to
-    /// any thread split. A guarded tile sums the clean checksums of all
-    /// `np` pulses in one pass over the strip
+    /// The loop nest is strip → sample → column tile → pulse block: 16
+    /// pulses while more than 8 remain, else 8.
+    /// [`read_pulses`](Self::read_pulses) reads a block's pulses as the
+    /// lanes of one readout, runs their first guard check in lanes, and
+    /// adds them to the output in pulse order, which keeps each output
+    /// element's accumulation order (row tile, then pulse). Every pulse
+    /// readout draws from `base.substream(&[pulse, sample, row_tile,
+    /// col_tile])`, so noise realizations are bit-identical to the
+    /// reference schedule and to any thread split. A guarded tile sums
+    /// the clean checksums of all `np` pulses in one pass over the strip
     /// ([`Tile::checksum_lanes`]); every pulse drives every row at ±1, so
     /// the variance numerator, and with it the tolerance, is one per tile.
-    /// A strip-length ±1 drive is built only for a violating pulse's
-    /// retries and for tiles with SAF corrections. Event stats count
-    /// *modeled* hardware work — one analog MVM per tile per pulse — not
-    /// host arithmetic, so they match the reference path exactly.
+    /// Event stats count *modeled* hardware work — one analog MVM per
+    /// tile per pulse — not host arithmetic, so they match the reference
+    /// path exactly.
     fn execute_block_delta(
         &self,
         counts: &[u16],
@@ -982,26 +1028,26 @@ impl CrossbarLinear {
                 })
             })
             .collect();
-        let mut acc_buf = vec![0.0f32; self.config.tile_cols];
-        let mut out_buf = vec![0.0f32; self.config.tile_cols];
-        let mut retry_buf = vec![0.0f32; self.config.tile_cols];
-        let mut chk_buf = vec![0.0f32; np];
+        let tile_cols = self.config.tile_cols;
         let strip_max = self.config.tile_rows.min(self.in_features);
-        // the strip's pulse-0 drive, and one pulse's drive for retries and
-        // SAF corrections
+        let mut sc = BlockScratch {
+            acc: vec![0.0; tile_cols],
+            block: vec![0.0; tile_cols * BLOCK_LANES],
+            out: vec![0.0; tile_cols],
+            x: vec![0.0; strip_max],
+            retry: vec![0.0; tile_cols],
+            ..BlockScratch::default()
+        };
+        let mut chk_buf = vec![0.0f32; np];
+        // the strip's pulse-0 drive
         let mut x0_buf = vec![0.0f32; strip_max];
-        let mut x_buf = vec![0.0f32; strip_max];
         // rows in bucket order; bucket t is `order[starts[t]..starts[t + 1]]`
         let mut order = vec![0usize; strip_max];
         let mut starts = vec![0usize; np + 2];
         let mut next = vec![0usize; np + 2];
         for (ri, &r0) in self.row_starts.iter().enumerate() {
             let trows = self.tiles[ri][0].dims().0;
-            let (x0, x, order) = (
-                &mut x0_buf[..trows],
-                &mut x_buf[..trows],
-                &mut order[..trows],
-            );
+            let (x0, order) = (&mut x0_buf[..trows], &mut order[..trows]);
             for s in 0..nb {
                 let sample = s0 + s;
                 let start = sample * self.in_features + r0;
@@ -1028,66 +1074,31 @@ impl CrossbarLinear {
                     if guard.is_some() {
                         tile.checksum_lanes(strip, &mut chk_buf)?;
                     }
-                    let saf = tile.has_saf_correction();
-                    let acc = &mut acc_buf[..tcols];
-                    let out = &mut out_buf[..tcols];
-                    for pi in 0..np {
-                        if pi == 0 {
-                            tile.accumulate_cached(x0, acc, &mut []);
+                    let run = PulseRun {
+                        tile,
+                        adc: self.adcs[ri].as_ref(),
+                        counts: strip,
+                        order,
+                        starts: &starts,
+                        x0,
+                        base,
+                        keys: [sample as u64, ri as u64, ci as u64],
+                        np,
+                        guard: guard.map(|(var, tol)| (&chk_buf[..], var, tol)),
+                    };
+                    let arow = &mut ablock[arow_start + c0..arow_start + c0 + tcols];
+                    let viol = &mut viol[ri * nct + ci];
+                    let mut p0 = 0;
+                    while p0 < np {
+                        p0 += if np - p0 > HALF_BLOCK_LANES {
+                            self.read_pulses::<BLOCK_LANES>(
+                                &run, p0, arow, &mut sc, &mut stats, viol,
+                            )?
                         } else {
-                            let bucket = &order[starts[pi]..starts[pi + 1]];
-                            tile.accumulate_switched(bucket, acc);
-                        }
-                        let mut rng =
-                            base.substream(&[pi as u64, sample as u64, ri as u64, ci as u64]);
-                        tile.finish_pulse(acc, noise, &mut rng, out);
-                        if let Some(adc) = &self.adcs[ri] {
-                            adc.convert_slice(out);
-                        }
-                        if saf {
-                            pulse_drive(strip, pi, x);
-                        }
-                        if let Some((var, tol)) = guard {
-                            // a passing retry replaces the readout but not
-                            // the running accumulator: the delta schedule
-                            // tracks the noise-free pre-sign state, which
-                            // a re-driven pulse does not change
-                            let chk = Checksum {
-                                clean: chk_buf[pi],
-                                var,
-                                tol,
-                            };
-                            let passed = self.guard_readout(
-                                tile,
-                                ri,
-                                chk,
-                                &rng,
-                                || {
-                                    if !saf {
-                                        pulse_drive(strip, pi, x);
-                                    }
-                                    x
-                                },
-                                out,
-                                &mut retry_buf[..tcols],
-                                &mut stats,
-                            )?;
-                            if !passed {
-                                viol[ri * nct + ci] = viol[ri * nct + ci].saturating_add(1);
-                            }
-                        }
-                        if saf {
-                            let fixed = tile.apply_saf_correction(x, out)?;
-                            stats.guard.saf_corrections =
-                                stats.guard.saf_corrections.saturating_add(fixed);
-                        }
-                        // unit pulse weights by the nested-unary invariant
-                        for (a, &v) in ablock[arow_start + c0..arow_start + c0 + tcols]
-                            .iter_mut()
-                            .zip(out.iter())
-                        {
-                            *a += v;
-                        }
+                            self.read_pulses::<HALF_BLOCK_LANES>(
+                                &run, p0, arow, &mut sc, &mut stats, viol,
+                            )?
+                        };
                     }
                 }
             }
@@ -1101,6 +1112,134 @@ impl CrossbarLinear {
             }
         }
         Ok(stats)
+    }
+
+    /// Reads out pulses `p0..p0 + L` of `run` (fewer at the end of the
+    /// train) as the lanes of one `[cols][L]` block, and adds them to
+    /// `arow` in pulse order. Returns how many pulses it read.
+    ///
+    /// Each lane's pre-sign accumulator is the delta schedule's running
+    /// one, and [`Tile::read_block`] turns the block into digitized
+    /// readouts. On a guarded tile, attempt 0 of every pulse's check runs
+    /// in lanes too: each guard stream's one pair draws its checksum
+    /// column's noise ([`Tile::checksum_noise_lanes`]), and each lane
+    /// sums its readout in column order. A pulse that violates leaves
+    /// the block for the retry rung ([`guard_retry`](Self::guard_retry)),
+    /// and SAF corrections apply per pulse, before the pulse is added.
+    /// So every pulse adds the bits the per-pulse readout would, in the
+    /// same order, and unresolved violations count into `viol`.
+    fn read_pulses<const L: usize>(
+        &self,
+        run: &PulseRun,
+        p0: usize,
+        arow: &mut [f32],
+        sc: &mut BlockScratch,
+        stats: &mut ExecutionStats,
+        viol: &mut u64,
+    ) -> Result<usize> {
+        let tile = run.tile;
+        let (trows, tcols) = tile.dims();
+        let n = (run.np - p0).min(L);
+        let block = &mut sc.block[..tcols * L];
+        let acc = &mut sc.acc[..tcols];
+        for l in 0..n {
+            let p = p0 + l;
+            if p == 0 {
+                tile.accumulate_cached(run.x0, acc, &mut []);
+            } else {
+                tile.accumulate_switched(&run.order[run.starts[p]..run.starts[p + 1]], acc);
+            }
+            for (lanes, &a) in block.chunks_exact_mut(L).zip(acc.iter()) {
+                lanes[l] = a;
+            }
+        }
+        let [sample, ri, ci] = run.keys;
+        sc.rngs.clear();
+        sc.rngs
+            .extend((p0..p0 + n).map(|p| run.base.substream(&[p as u64, sample, ri, ci])));
+        tile.read_block::<L>(
+            block,
+            &self.config.noise,
+            &mut sc.rngs,
+            run.adc,
+            &mut sc.pairs,
+        );
+
+        let mut passed = [true; L];
+        if let Some((clean, var, tol)) = run.guard {
+            sc.guard_rngs.clear();
+            sc.guard_rngs.extend(
+                sc.rngs
+                    .iter()
+                    .map(|rng| rng.substream(&[GUARD_STREAM_TAG, 0])),
+            );
+            let mut column = [0.0f32; L];
+            column[..n].copy_from_slice(&clean[p0..p0 + n]);
+            tile.checksum_noise_lanes(&mut column, var, &self.config.noise, &mut sc.guard_rngs);
+            if let Some(adc) = run.adc {
+                for c in &mut column {
+                    *c = checksum_adc(adc, *c);
+                }
+                stats.adc_conversions += n as u64;
+            }
+            // from −0.0, as `Iterator::sum` starts
+            let mut sum = [-0.0f32; L];
+            for lanes in block.chunks_exact(L) {
+                for (s, &v) in sum.iter_mut().zip(lanes) {
+                    *s += v;
+                }
+            }
+            let mut violations = 0;
+            for ((ok, &s), &c) in passed.iter_mut().zip(&sum).zip(&column).take(n) {
+                *ok = (s - c).abs() <= tol;
+                violations += u64::from(!*ok);
+            }
+            stats.guard.checks = stats.guard.checks.saturating_add(n as u64);
+            stats.guard.violations = stats.guard.violations.saturating_add(violations);
+            stats.cell_reads += (n * trows) as u64; // one extra column read each
+        }
+
+        let saf = tile.has_saf_correction();
+        for (l, &ok) in passed.iter().enumerate().take(n) {
+            if ok && !saf {
+                for (a, lanes) in arow.iter_mut().zip(block.chunks_exact(L)) {
+                    *a += lanes[l];
+                }
+                continue;
+            }
+            // the pulse leaves the block: its retry rung and its SAF
+            // corrections run on its own readout and ±1 drive
+            let p = p0 + l;
+            let (out, x) = (&mut sc.out[..tcols], &mut sc.x[..trows]);
+            for (o, lanes) in out.iter_mut().zip(block.chunks_exact(L)) {
+                *o = lanes[l];
+            }
+            pulse_drive(run.counts, p, x);
+            if let (false, Some((clean, var, tol))) = (ok, run.guard) {
+                // a passing retry replaces the readout but not the running
+                // accumulator: the delta schedule tracks the noise-free
+                // pre-sign state, which a re-driven pulse does not change
+                let chk = Checksum {
+                    tile,
+                    adc: run.adc,
+                    clean: clean[p],
+                    var,
+                    tol,
+                };
+                if !self.guard_retry(&chk, &sc.rngs[l], x, out, &mut sc.retry[..tcols], stats)? {
+                    *viol = viol.saturating_add(1);
+                }
+            }
+            if saf {
+                let fixed = tile.apply_saf_correction(x, out)?;
+                stats.guard.saf_corrections = stats.guard.saf_corrections.saturating_add(fixed);
+            }
+            // unit pulse weights by the nested-unary invariant
+            for (a, &v) in arow.iter_mut().zip(out.iter()) {
+                *a += v;
+            }
+        }
+        Ok(n)
     }
 
     /// Ages every tile by `hours` of retention drift (see
@@ -1276,6 +1415,14 @@ impl CrossbarLinear {
             (sum / count as f64) as f32
         }
     }
+}
+
+/// The checksum column's conversion. It carries the whole tile's sum, so
+/// it needs a wider range than a regular column: a dedicated converter
+/// with the same step and enough range, which quantizes but never clips.
+fn checksum_adc(adc: &Adc, column: f32) -> f32 {
+    let s = adc.step();
+    (column / s).round() * s
 }
 
 /// Writes pulse `pulse`'s drive of a count-coded strip into `x`: row `r`
@@ -1492,7 +1639,7 @@ mod tests {
             .unwrap();
         let err = |engine: &CrossbarLinear, rng: &mut Rng| -> f32 {
             let y = engine.execute(&train, rng).unwrap();
-            y.sub(&expect).unwrap().abs().max()
+            y.sub(&expect).unwrap().map(f32::abs).max()
         };
         let loose_err = err(&loose, &mut rng1);
         let tight_err = err(&tight, &mut rng2);
@@ -1538,7 +1685,7 @@ mod tests {
             .unwrap()
             .sub(&expect)
             .unwrap()
-            .abs()
+            .map(f32::abs)
             .max();
         let report = xbar.remap(&RecoveryPolicy::standard(), &mut rng).unwrap();
         assert!(report.faults_detected > 0, "fixture must contain faults");
@@ -1549,7 +1696,7 @@ mod tests {
             .unwrap()
             .sub(&expect)
             .unwrap()
-            .abs()
+            .map(f32::abs)
             .max();
         assert!(
             after < before,
@@ -1694,6 +1841,167 @@ mod tests {
         // modeled hardware events are identical — the fast path saves
         // host arithmetic, not analog work
         assert_eq!(stats_fast, stats_ref);
+    }
+
+    /// The delta schedule one pulse at a time, as it ran before pulse
+    /// blocks: the oracle the blocks must reproduce bit for bit. Each
+    /// pulse's readout is finished on its own (polarity, gated c2c draws,
+    /// output draws, ADC), checked by the dense schedule's guard rungs,
+    /// corrected and added, in the old loop's order per output element
+    /// (row tile, then pulse). Returns what `execute_internal` returns.
+    fn per_pulse_delta(
+        engine: &CrossbarLinear,
+        train: &PulseTrain,
+        rng: &mut Rng,
+    ) -> (Vec<f32>, ExecutionStats, Vec<u64>) {
+        let (counts, np) = (train.counts().unwrap(), train.num_pulses());
+        let (n, fin, fout) = (train.shape()[0], engine.in_features, engine.out_features);
+        let nct = engine.col_starts.len();
+        let noise = &engine.config.noise;
+        let nonce = rng.next_nonce();
+        let base = rng.substream(&[nonce]);
+        let mut acc_out = vec![0.0f32; n * fout];
+        let mut viol = vec![0u64; engine.row_starts.len() * nct];
+        let mut stats = ExecutionStats {
+            vectors: n as u64,
+            pulses: (np * n) as u64,
+            ..Default::default()
+        };
+        for (ri, &r0) in engine.row_starts.iter().enumerate() {
+            let adc = engine.adcs[ri].as_ref();
+            for (ci, &c0) in engine.col_starts.iter().enumerate() {
+                let tile = &engine.tiles[ri][ci];
+                let (trows, tcols) = tile.dims();
+                let col_sq = tile.variance_stats().col_gsq;
+                let guard = tile
+                    .checksum_var_all_driven()
+                    .filter(|_| engine.config.guard.is_some())
+                    .map(|var| (var, tolerance(noise, tcols, var, adc.map(Adc::step))));
+                for s in 0..n {
+                    let strip = &counts[s * fin + r0..s * fin + r0 + trows];
+                    let mut acc = vec![0.0f32; tcols];
+                    for pi in 0..np {
+                        let mut x = vec![0.0f32; trows];
+                        pulse_drive(strip, pi, &mut x);
+                        if pi == 0 {
+                            tile.accumulate_cached(&x, &mut acc, &mut []);
+                        } else {
+                            let rows: Vec<usize> = (0..trows)
+                                .filter(|&r| usize::from(strip[r]) == pi)
+                                .collect();
+                            tile.accumulate_switched(&rows, &mut acc);
+                        }
+                        let mut rng = base.substream(&[pi as u64, s as u64, ri as u64, ci as u64]);
+                        let mut out: Vec<f32> =
+                            (0..tcols).map(|j| acc[j] * tile.col_sign(j)).collect();
+                        let device = tile.device();
+                        if device.c2c_sigma > 0.0 {
+                            let denom = device.g_on - device.g_off();
+                            rng.normal_accum_gated(device.c2c_sigma / denom, &col_sq, &mut out);
+                        }
+                        if noise.output_sigma > 0.0 {
+                            rng.normal_accum(noise.output_sigma, &mut out);
+                        }
+                        if let Some(a) = adc {
+                            a.convert_slice(&mut out);
+                        }
+                        if let Some((var, tol)) = guard {
+                            let (clean, _) = tile.checksum_clean(&x).unwrap();
+                            let chk = Checksum {
+                                tile,
+                                adc,
+                                clean,
+                                var,
+                                tol,
+                            };
+                            let mut retry = vec![0.0f32; tcols];
+                            let passed = engine.guard_check(&chk, &rng, 0, &out, &mut stats)
+                                || engine
+                                    .guard_retry(&chk, &rng, &x, &mut out, &mut retry, &mut stats)
+                                    .unwrap();
+                            if !passed {
+                                viol[ri * nct + ci] += 1;
+                            }
+                        }
+                        if tile.has_saf_correction() {
+                            stats.guard.saf_corrections +=
+                                tile.apply_saf_correction(&x, &mut out).unwrap();
+                        }
+                        let arow = &mut acc_out[s * fout + c0..s * fout + c0 + tcols];
+                        for (a, &v) in arow.iter_mut().zip(&out) {
+                            *a += v;
+                        }
+                    }
+                }
+                stats.tile_mvms += (np * n) as u64;
+                stats.cell_reads += (np * n * trows * tcols) as u64;
+                if adc.is_some() {
+                    stats.adc_conversions += (np * n * tcols) as u64;
+                }
+            }
+        }
+        let scale = 1.0 / train.weight_norm();
+        (acc_out.iter().map(|a| a * scale).collect(), stats, viol)
+    }
+
+    #[test]
+    fn pulse_blocks_match_the_per_pulse_schedule_bitwise() {
+        // guarded, ADC'd realistic tiles of 3 × 3: stuck pairs that only
+        // SAF-ECC corrects, then upsets that trip the checksums. Upsets
+        // clear a tile's SAF table, so one upset tile gets a table back,
+        // and a violating pulse also runs its corrections
+        let mut cfg = XbarConfig::realistic(0.2).with_guard(GuardPolicy::detect_only());
+        cfg.tile_rows = 16;
+        cfg.tile_cols = 8;
+        let w = random_pm1(&[20, 40], 90);
+        let mut rng = Rng::from_seed(91);
+        let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
+        for k in 0..6 {
+            for side in [CellSide::Pos, CellSide::Neg] {
+                engine
+                    .inject_fault(7 * k, 3 * k, side, CellHealth::StuckOn)
+                    .unwrap();
+            }
+        }
+        let policy = RecoveryPolicy {
+            spare_rows: 0,
+            spare_cols: 0,
+            ..RecoveryPolicy::with_ecc()
+        };
+        engine.remap(&policy, &mut rng).unwrap();
+        for r in 16..32 {
+            for c in [9, 11, 12] {
+                engine.upset_cell(r, c, CellSide::Pos, true).unwrap();
+                engine.upset_cell(r, c, CellSide::Neg, true).unwrap();
+            }
+        }
+        engine.tiles[1][1].set_saf_correction(vec![(2, 1, 0.5), (9, 4, -0.25), (15, 0, 0.125)]);
+        let x = Tensor::from_fn(&[5, 40], |_| rng.uniform(-1.0, 1.0));
+        for np in [1, 7, 8, 9, 16, 17, 33] {
+            let train = Thermometer::new(np).unwrap().encode_tensor(&x).unwrap();
+            let (y_ref, stats_ref, viol_ref) =
+                per_pulse_delta(&engine, &train, &mut Rng::from_seed(92));
+            assert!(stats_ref.guard.violations > 0, "np {np}: {stats_ref:?}");
+            assert!(stats_ref.guard.retries > 0, "np {np}: {stats_ref:?}");
+            assert!(
+                stats_ref.guard.saf_corrections > 0,
+                "np {np}: {stats_ref:?}"
+            );
+            for threads in [1, 4] {
+                engine.set_max_threads(threads).unwrap();
+                let (y, stats, viol) = engine
+                    .execute_internal(&train, &mut Rng::from_seed(92))
+                    .unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(y.as_slice()),
+                    bits(&y_ref),
+                    "np {np}, {threads} threads"
+                );
+                assert_eq!(stats, stats_ref, "np {np}, {threads} threads");
+                assert_eq!(viol, viol_ref, "np {np}, {threads} threads");
+            }
+        }
     }
 
     #[test]
@@ -1843,7 +2151,7 @@ mod tests {
         // residual damage the remap could not repair (disclosed in the
         // report) may leave ~1 logical weight of error on a column; the
         // pre-repair burst was 12 weights deep
-        let err = y.sub(&expect).unwrap().abs().max();
+        let err = y.sub(&expect).unwrap().map(f32::abs).max();
         assert!(err < 2.0, "post-remap output should be sane: {err}");
         // the repaired, re-armed array is quiet afterwards
         let (_, s2) = xbar.execute_guarded(&train, &mut rng).unwrap();
@@ -1880,7 +2188,7 @@ mod tests {
         assert!(!xbar.is_degraded());
         // refresh reprograms the exact stored targets (ideal device), so
         // the accepted output tracks the ideal product within noise
-        let err = y.sub(&expect).unwrap().abs().max();
+        let err = y.sub(&expect).unwrap().map(f32::abs).max();
         assert!(err < 1.0, "post-refresh output should be clean: {err}");
         // and the original armed reference holds again
         let (_, s2) = xbar.execute_guarded(&train, &mut rng).unwrap();
@@ -2099,7 +2407,7 @@ mod tests {
             .unwrap()
             .sub(&expect)
             .unwrap()
-            .abs()
+            .map(f32::abs)
             .max();
         assert!(before > 0.5, "fixture must corrupt the output: {before}");
         let report = xbar.remap(&RecoveryPolicy::with_ecc(), &mut rng).unwrap();

@@ -10,6 +10,7 @@
 
 use membit_tensor::{Rng, Tensor, TensorError};
 
+use crate::adc::Adc;
 use crate::device::{CellHealth, DeviceModel};
 use crate::fault::{CellFault, CellSide, FaultMap, MARCH_READS, MARCH_THRESHOLD};
 use crate::noise::NoiseSpec;
@@ -672,28 +673,89 @@ impl Tile {
         }
     }
 
-    /// Turns a pre-sign accumulation into a finished pulse readout in
-    /// `out`: applies the column polarity and draws the same noise the
-    /// dense loops would. Valid only when every row is driven at ±1
-    /// (nested-unary pulses), which makes the aggregated c2c variance the
-    /// cached per-column total — bitwise the value the reference oracle
-    /// accumulates in that case.
-    pub(crate) fn finish_pulse(
+    /// Turns a block of pre-sign accumulations into finished, digitized
+    /// pulse readouts in place. `block` is pulse-minor, `[cols][L]`: lane
+    /// `l` is one pulse, read from the fresh keyed stream `rngs[l]`, and
+    /// lanes past `rngs.len()` are idle. Valid only when every row is
+    /// driven at ±1 (nested-unary pulses), which makes the aggregated c2c
+    /// variance the cached per-column total, bitwise the value the
+    /// reference oracle accumulates in that case.
+    ///
+    /// Per lane this is the dense loops' readout tail: the column
+    /// polarity, then one c2c draw per column whose variance passes
+    /// [`Rng::normal_accum_gated`]'s gate, then one output draw per
+    /// column, then `adc`. Normal `i` of a stream uses its Box–Muller
+    /// pair `i/2`, as `0.0 + std·r·cos` when `i` is even and
+    /// `0.0 + std·spare` when odd, exactly the expressions of those
+    /// sequential samplers (an odd gated count's spare carries into the
+    /// first output draw), and [`Rng::pair_lanes`] draws each lane's
+    /// pairs in its stream's order. So every lane holds the bits a
+    /// per-pulse readout would. `pairs` is scratch for the draws.
+    pub(crate) fn read_block<const L: usize>(
         &self,
-        acc: &[f32],
+        block: &mut [f32],
         noise: &NoiseSpec,
-        rng: &mut Rng,
-        out: &mut [f32],
+        rngs: &mut [Rng],
+        adc: Option<&Adc>,
+        pairs: &mut Vec<f32>,
     ) {
-        for ((o, &a), &s) in out.iter_mut().zip(acc).zip(&self.col_sign) {
-            *o = a * s;
+        debug_assert_eq!(block.len(), self.cols * L);
+        for (lanes, &s) in block.chunks_exact_mut(L).zip(&self.col_sign) {
+            for v in lanes {
+                *v *= s;
+            }
         }
-        if self.device.c2c_sigma > 0.0 {
-            let denom = self.device.g_on - self.device.g_off();
-            rng.normal_accum_gated(self.device.c2c_sigma / denom, &self.cache.col_sq, out);
+        let c2c = self.device.c2c_sigma > 0.0;
+        let gated = if c2c {
+            // `normal_accum_gated` skips `v ≤ 0` and draws for NaN
+            self.cache
+                .col_sq
+                .iter()
+                .filter(|&&v| v > 0.0 || v.is_nan())
+                .count()
+        } else {
+            0
+        };
+        let outputs = if noise.output_sigma > 0.0 {
+            self.cols
+        } else {
+            0
+        };
+        let n = (gated + outputs).div_ceil(2) * L;
+        pairs.resize(3 * n, 0.0);
+        let (r, rest) = pairs.split_at_mut(n);
+        let (cos, spare) = rest.split_at_mut(n);
+        Rng::pair_lanes::<L>(rngs, r, cos, spare);
+        let mut i = 0;
+        let mut draw = |lanes: &mut [f32], std: f32| {
+            let k = i / 2 * L;
+            if i % 2 == 0 {
+                for ((v, &r), &c) in lanes.iter_mut().zip(&r[k..k + L]).zip(&cos[k..k + L]) {
+                    *v += 0.0 + std * r * c;
+                }
+            } else {
+                for (v, &z) in lanes.iter_mut().zip(&spare[k..k + L]) {
+                    *v += 0.0 + std * z;
+                }
+            }
+            i += 1;
+        };
+        if c2c {
+            let factor = self.device.c2c_sigma / (self.device.g_on - self.device.g_off());
+            for (lanes, &v) in block.chunks_exact_mut(L).zip(&self.cache.col_sq) {
+                if v <= 0.0 {
+                    continue;
+                }
+                draw(lanes, factor * v.sqrt());
+            }
         }
         if noise.output_sigma > 0.0 {
-            rng.normal_accum(noise.output_sigma, out);
+            for lanes in block.chunks_exact_mut(L) {
+                draw(lanes, noise.output_sigma);
+            }
+        }
+        if let Some(adc) = adc {
+            adc.convert_slice(block);
         }
     }
 
@@ -801,6 +863,44 @@ impl Tile {
             chk += rng.normal(0.0, noise.output_sigma);
         }
         chk
+    }
+
+    /// [`checksum_noise`](Self::checksum_noise) for `L` pulses at once:
+    /// lane `l` of `chk` holds a clean sum and gets the draws of the
+    /// fresh guard stream `rngs[l]` (lanes past `rngs.len()` are idle).
+    /// Both draws come from a stream's first Box–Muller pair, the second
+    /// from its spare, as in the sequential expressions.
+    pub(crate) fn checksum_noise_lanes<const L: usize>(
+        &self,
+        chk: &mut [f32; L],
+        var: f32,
+        noise: &NoiseSpec,
+        rngs: &mut [Rng],
+    ) {
+        let c2c = self.device.c2c_sigma > 0.0 && var > 0.0;
+        let out = noise.output_sigma > 0.0;
+        if !c2c && !out {
+            return;
+        }
+        let (mut r, mut cos, mut spare) = ([0.0f32; L], [0.0f32; L], [0.0f32; L]);
+        Rng::pair_lanes::<L>(rngs, &mut r, &mut cos, &mut spare);
+        if c2c {
+            let std = self.device.c2c_sigma / (self.device.g_on - self.device.g_off()) * var.sqrt();
+            for ((v, &r), &c) in chk.iter_mut().zip(&r).zip(&cos) {
+                *v += 0.0 + std * r * c;
+            }
+        }
+        if out {
+            let std = noise.output_sigma;
+            for (l, v) in chk.iter_mut().enumerate() {
+                *v += 0.0
+                    + if c2c {
+                        std * spare[l]
+                    } else {
+                        std * r[l] * cos[l]
+                    };
+            }
+        }
     }
 
     /// Clean checksums of every pulse of a count-coded drive in one pass
@@ -1976,9 +2076,9 @@ mod tests {
 
     #[test]
     fn delta_schedule_matches_fused_kernel_per_pulse() {
-        // dense pulse 0 + sparse switched-row updates + finish_pulse must
-        // track the reference oracle pulse by pulse, for a nested-unary
-        // schedule (monotone +1 → −1 per row)
+        // dense pulse 0 + sparse switched-row updates + a block readout
+        // must track the reference oracle pulse by pulse, for a
+        // nested-unary schedule (monotone +1 → −1 per row)
         let mut rng = Rng::from_seed(23);
         let w = Tensor::from_vec(
             (0..24)
@@ -1998,27 +2098,157 @@ mod tests {
                 .map(|&h| if pi < h { 1.0 } else { -1.0 })
                 .collect()
         };
+        const L: usize = 8;
         let mut acc = [0.0f32; 6];
-        let mut fast = [0.0f32; 6];
-        let mut slow = [0.0f32; 6];
+        let mut block = [0.0f32; 6 * L];
         for pi in 0..4 {
-            let x = pulse_at(pi);
             if pi == 0 {
-                tile.accumulate_cached(&x, &mut acc, &mut []);
+                tile.accumulate_cached(&pulse_at(0), &mut acc, &mut []);
             } else {
                 let switched: Vec<usize> = (0..4).filter(|&r| highs[r] == pi).collect();
                 tile.accumulate_switched(&switched, &mut acc);
             }
-            let mut rng_fast = Rng::from_seed(900 + pi as u64);
+            for (j, &a) in acc.iter().enumerate() {
+                block[j * L + pi] = a;
+            }
+        }
+        let mut rngs: Vec<Rng> = (0..4).map(|pi| Rng::from_seed(900 + pi)).collect();
+        tile.read_block::<L>(&mut block, &noise, &mut rngs, None, &mut Vec::new());
+        for pi in 0..4 {
+            let mut slow = [0.0f32; 6];
             let mut rng_slow = Rng::from_seed(900 + pi as u64);
-            tile.finish_pulse(&acc, &noise, &mut rng_fast, &mut fast);
-            tile.mvm_reference(&x, &noise, &mut rng_slow, &mut slow)
+            tile.mvm_reference(&pulse_at(pi), &noise, &mut rng_slow, &mut slow)
                 .unwrap();
-            for (f, s) in fast.iter().zip(slow.iter()) {
+            for (j, s) in slow.iter().enumerate() {
+                let f = block[j * L + pi];
                 assert!(
                     (f - s).abs() <= 1e-5,
                     "pulse {pi}: delta {f} vs reference {s}"
                 );
+            }
+        }
+    }
+
+    /// `read_block::<L>` over `n` lanes against each pulse's sequential
+    /// readout: polarity, gated c2c draws, output draws, ADC.
+    fn check_block_readout<const L: usize>(
+        tile: &Tile,
+        noise: &NoiseSpec,
+        adc: Option<&Adc>,
+        n: usize,
+    ) {
+        let cols = tile.cols;
+        let acc = |j: usize, l: usize| (j * 7 + l * 3) as f32 * 0.37 - 4.0;
+        let stream = |l: usize| Rng::from_seed(71).substream(&[l as u64]);
+        let mut block: Vec<f32> = (0..cols * L).map(|k| acc(k / L, k % L)).collect();
+        let mut rngs: Vec<Rng> = (0..n).map(stream).collect();
+        tile.read_block::<L>(&mut block, noise, &mut rngs, adc, &mut Vec::new());
+        let denom = tile.device.g_on - tile.device.g_off();
+        for (l, lane_rng) in rngs.iter_mut().enumerate() {
+            let mut out: Vec<f32> = (0..cols).map(|j| acc(j, l) * tile.col_sign[j]).collect();
+            let mut rng = stream(l);
+            rng.normal_accum_gated(tile.device.c2c_sigma / denom, &tile.cache.col_sq, &mut out);
+            if noise.output_sigma > 0.0 {
+                rng.normal_accum(noise.output_sigma, &mut out);
+            }
+            if let Some(adc) = adc {
+                adc.convert_slice(&mut out);
+            }
+            for (j, &o) in out.iter().enumerate() {
+                assert_eq!(
+                    block[j * L + l].to_bits(),
+                    o.to_bits(),
+                    "L {L} lanes {n} adc {}: lane {l} col {j}",
+                    adc.is_some()
+                );
+            }
+            // the lane's stream ends where the sequential draws end
+            assert_eq!(
+                rng.uniform(0.0, 1.0).to_bits(),
+                lane_rng.uniform(0.0, 1.0).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn block_readout_matches_per_pulse_readouts_bitwise() {
+        let mut rng = Rng::from_seed(41);
+        let w = Tensor::from_fn(&[5, 9], |_| if rng.coin(0.5) { 1.0 } else { -1.0 });
+        let mut tile = lossy_tile(&w, &mut rng);
+        tile.flip_column(2, &mut rng).unwrap();
+        // the gate draws for NaN and skips zero and negative variances;
+        // five of the nine columns draw, so the last gated pair's spare
+        // carries into the first output draw
+        tile.cache.col_sq[1] = f32::NAN;
+        tile.cache.col_sq[3] = 0.0;
+        tile.cache.col_sq[4] = -1.0;
+        tile.cache.col_sq[7] = -0.0;
+        tile.cache.col_sq[8] = f32::NEG_INFINITY;
+        let gated = tile
+            .cache
+            .col_sq
+            .iter()
+            .filter(|&&v| v > 0.0 || v.is_nan())
+            .count();
+        assert_eq!(gated % 2, 1);
+        let adc = Adc::new(6, 4.0).unwrap();
+        for noise in [NoiseSpec::functional(0.4), NoiseSpec::none()] {
+            for adc in [None, Some(&adc)] {
+                for n in 0..=16 {
+                    check_block_readout::<16>(&tile, &noise, adc, n);
+                    if n <= 8 {
+                        check_block_readout::<8>(&tile, &noise, adc, n);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `checksum_noise_lanes::<L>` over `n` lanes against each pulse's
+    /// [`Tile::checksum_noise`] from the same guard stream.
+    fn check_checksum_noise_lanes<const L: usize>(
+        tile: &Tile,
+        var: f32,
+        noise: &NoiseSpec,
+        n: usize,
+    ) {
+        let clean = |l: usize| l as f32 * 0.75 - 3.0;
+        let stream = |l: usize| Rng::from_seed(73).substream(&[l as u64, 5]);
+        let mut lanes = [0.0f32; L];
+        for (l, c) in lanes.iter_mut().enumerate().take(n) {
+            *c = clean(l);
+        }
+        let mut rngs: Vec<Rng> = (0..n).map(stream).collect();
+        tile.checksum_noise_lanes::<L>(&mut lanes, var, noise, &mut rngs);
+        for (l, &v) in lanes.iter().enumerate().take(n) {
+            let expect = tile.checksum_noise(clean(l), var, noise, &mut stream(l));
+            assert_eq!(
+                v.to_bits(),
+                expect.to_bits(),
+                "L {L} lanes {n} var {var}: lane {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_noise_lanes_match_per_pulse_draws_bitwise() {
+        // one pair per guard stream: the c2c draw takes `r·cos` and the
+        // output draw the spare, or the output draw takes `r·cos` when
+        // the c2c term is off (no c2c, or a variance that fails `> 0`)
+        let mut rng = Rng::from_seed(43);
+        let w = Tensor::from_fn(&[4, 3], |_| if rng.coin(0.5) { 1.0 } else { -1.0 });
+        let mut tile = lossy_tile(&w, &mut rng);
+        for c2c in [tile.device.c2c_sigma, 0.0] {
+            tile.device.c2c_sigma = c2c;
+            for noise in [NoiseSpec::functional(0.4), NoiseSpec::none()] {
+                for var in [2.5, 0.0, -1.0, f32::NAN] {
+                    for n in 0..=16 {
+                        check_checksum_noise_lanes::<16>(&tile, var, &noise, n);
+                        if n <= 8 {
+                            check_checksum_noise_lanes::<8>(&tile, var, &noise, n);
+                        }
+                    }
+                }
             }
         }
     }

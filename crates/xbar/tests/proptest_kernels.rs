@@ -7,8 +7,10 @@
 //!
 //! 1. **Count-coded vs dense** — a count-coded train agrees with the same
 //!    pulses stored densely (its dense twin) within 1e-5, with exactly
-//!    equal event stats, across random tile geometries, noise models and
-//!    stuck tiles carrying SAF-ECC corrections. Noise substreams are keyed
+//!    equal event stats, across random tile geometries, 1 to 40 pulses
+//!    (so trains end inside, at and past the 8- and 16-pulse readout
+//!    blocks), noise models and stuck tiles carrying SAF-ECC
+//!    corrections. Noise substreams are keyed
 //!    by `(pulse, sample, row_tile, col_tile)`, so the comparison is
 //!    noise-to-noise, not just mean-to-mean.
 //! 2. **Cached bitwise contract** — on rail-programmed tiles with ±1/0
@@ -126,15 +128,16 @@ proptest! {
         noise_kind in 0usize..3,
         batch in 1usize..6,
         stuck in proptest::collection::vec((0usize..14, 0usize..10), 0..3),
+        pulses in 1usize..=40,
     ) {
         let w = pm1_matrix(10, 14, seed);
         let x = Tensor::from_fn(&[batch, 14], |i| {
             (((i * 5 + seed as usize) % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0)
         });
         let train = if pla == 1 {
-            PlaThermometer::new(9, 7).unwrap().encode_tensor(&x).unwrap()
+            PlaThermometer::new(9, pulses).unwrap().encode_tensor(&x).unwrap()
         } else {
-            Thermometer::new(6).unwrap().encode_tensor(&x).unwrap()
+            Thermometer::new(pulses).unwrap().encode_tensor(&x).unwrap()
         };
         let mut cfg = match noise_kind {
             0 => XbarConfig::ideal(),
@@ -229,6 +232,7 @@ proptest! {
         faults in proptest::collection::vec((0usize..14, 0usize..10), 1..6),
         pla in 0usize..2,
         upsets in 0usize..2,
+        pulses in 1usize..=40,
     ) {
         // The incremental pulse-delta schedule must compose with guarded
         // execution: for any fault set injected mid-sequence (between a
@@ -243,9 +247,9 @@ proptest! {
             (((i * 5 + seed as usize) % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0)
         });
         let train = if pla == 1 {
-            PlaThermometer::new(9, 7).unwrap().encode_tensor(&x).unwrap()
+            PlaThermometer::new(9, pulses).unwrap().encode_tensor(&x).unwrap()
         } else {
-            Thermometer::new(6).unwrap().encode_tensor(&x).unwrap()
+            Thermometer::new(pulses).unwrap().encode_tensor(&x).unwrap()
         };
         let dense = dense_twin(&train);
         let mut cfg = match noise_kind {

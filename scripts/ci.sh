@@ -96,9 +96,13 @@ cargo test -q --release -p membit-nn moments
 echo "=== guard suite (stats merge algebra + checksum fuzzing) ==="
 cargo test -q -p membit-xbar --test proptest_stats
 cargo test -q -p membit-xbar --test proptest_kernels cached_kernel_never_masks_guard_violations
-# the batched checksum lanes vectorize only under release codegen, so
-# pin them bitwise against the per-pulse sums in that profile too
+# the batched checksum lanes and the delta schedule's pulse blocks (lane
+# sampler, block readout, lane guard sums) vectorize only under release
+# codegen, so pin them bitwise against the per-pulse sums and the
+# per-pulse schedule in that profile too
 cargo test -q --release -p membit-xbar --lib checksum_lanes_match_per_pulse_sums_bitwise
+cargo test -q --release -p membit-xbar --lib -- \
+    pulse_blocks_match_the_per_pulse_schedule_bitwise block_readout_matches_per_pulse_readouts_bitwise
 
 echo "=== non-ideality suite (IR drop, temperature, guard silence) ==="
 cargo test -q -p membit-xbar --test proptest_nonideal
